@@ -185,6 +185,13 @@ func TestDeterministicOnlyGates(t *testing.T) {
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldP, leaky}); err == nil {
 		t.Error("50% allocs/chunk rise passed the deterministic gate")
 	}
+	// So does the other exact count, write amplification — the rewrite
+	// of every touched active image it exists to keep out.
+	oldW := write(t, dir, "oldw.json", `{"extra": {"gcc_write_amplification_hidestore": 0.55}}`)
+	rewriting := write(t, dir, "rewriting.json", `{"extra": {"gcc_write_amplification_hidestore": 1.36}}`)
+	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldW, rewriting}); err == nil {
+		t.Error("write amplification 0.55 -> 1.36 passed the deterministic gate")
+	}
 	// Allocs improving never gates.
 	lean := write(t, dir, "lean.json",
 		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 1.0}}`)

@@ -544,6 +544,11 @@ func printBackupReport(rep hidestore.BackupReport) {
 	fmt.Printf("backed up v%d: %d bytes, %d chunks (%d unique), dedup ratio %.2f%%, %s\n",
 		rep.Version, rep.LogicalBytes, rep.Chunks, rep.UniqueChunks,
 		rep.DedupRatio*100, rep.Duration)
+	if rep.LogicalBytes > 0 {
+		fmt.Printf("  container bytes written: %d (%d migrated, %d merged) = %.3fx logical\n",
+			rep.ContainerBytesWritten, rep.MigratedBytes, rep.MergedBytes,
+			float64(rep.ContainerBytesWritten)/float64(rep.LogicalBytes))
+	}
 }
 
 // writeTree serializes a directory: for each regular file in sorted walk

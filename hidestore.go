@@ -351,6 +351,13 @@ type BackupReport struct {
 	UniqueChunks int
 	// DedupRatio is eliminated bytes over logical bytes for this version.
 	DedupRatio float64
+	// ContainerBytesWritten is the payload of every container image the
+	// version put: StoredBytes plus MigratedBytes (cold chunks copied to
+	// archival containers) plus MergedBytes (sparse containers
+	// repacked). Over LogicalBytes it is the write amplification.
+	ContainerBytesWritten uint64
+	MigratedBytes         uint64
+	MergedBytes           uint64
 	// Duration covers the dedup phase; MaintenanceDuration the
 	// post-version cold-chunk migration and recipe update.
 	Duration            time.Duration
@@ -566,14 +573,17 @@ func (s *System) Backup(ctx context.Context, r io.Reader) (BackupReport, error) 
 		return BackupReport{}, err
 	}
 	return BackupReport{
-		Version:             rep.Version,
-		LogicalBytes:        rep.LogicalBytes,
-		StoredBytes:         rep.StoredBytes,
-		Chunks:              rep.Chunks,
-		UniqueChunks:        rep.UniqueChunks,
-		DedupRatio:          rep.DedupRatio(),
-		Duration:            rep.Duration,
-		MaintenanceDuration: rep.MaintenanceDuration,
+		Version:               rep.Version,
+		LogicalBytes:          rep.LogicalBytes,
+		StoredBytes:           rep.StoredBytes,
+		Chunks:                rep.Chunks,
+		UniqueChunks:          rep.UniqueChunks,
+		DedupRatio:            rep.DedupRatio(),
+		ContainerBytesWritten: rep.ContainerBytesWritten,
+		MigratedBytes:         rep.MigratedBytes,
+		MergedBytes:           rep.MergedBytes,
+		Duration:              rep.Duration,
+		MaintenanceDuration:   rep.MaintenanceDuration,
 	}, nil
 }
 

@@ -195,3 +195,36 @@ func TestRegisteredChecks(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadModuleSkipsNestedModules: a directory with its own go.mod is
+// another module (the repo's benchmark/ is one). The go tool does not
+// descend into it, and neither may the lint walk — its files answer to
+// their own module's rules, not this one's.
+func TestLoadModuleSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for rel, body := range map[string]string{
+		"go.mod":        "module example.com/outer\n\ngo 1.22\n",
+		"a/a.go":        "package a\n",
+		"nested/go.mod": "module example.com/nested\n\ngo 1.22\n",
+		"nested/b.go":   "package b\n",
+	} {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := NewLoader().LoadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "example.com/outer/a" {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.Path)
+		}
+		t.Fatalf("loaded %v, want only example.com/outer/a", got)
+	}
+}

@@ -81,8 +81,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // LoadModule walks the module rooted at root (its go.mod names the
-// module path), loading every non-test package. testdata, vendor, and
-// dot/underscore directories are skipped, as all Go tooling does.
+// module path), loading every non-test package. testdata, vendor,
+// dot/underscore directories and nested modules (a directory with its
+// own go.mod, e.g. benchmark/) are skipped, as all Go tooling does.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -102,6 +103,11 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 		if path != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		ok, err := hasGoFiles(path)
 		if err != nil {

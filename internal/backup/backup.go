@@ -30,6 +30,14 @@ type BackupReport struct {
 	// stored.
 	Chunks       int
 	UniqueChunks int
+	// ContainerBytesWritten is the payload of every container image the
+	// version put — StoredBytes plus whatever maintenance copied:
+	// MigratedBytes into archival containers (HiDeStore's cold chunks)
+	// and MergedBytes into repacked sparse containers. Written over
+	// LogicalBytes is the version's write amplification.
+	ContainerBytesWritten uint64
+	MigratedBytes         uint64
+	MergedBytes           uint64
 	// IndexStats snapshots the index counters for this version alone.
 	IndexStats index.Stats
 	// RewriteStats snapshots rewriting counters for this version alone

@@ -2,95 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"hidestore/internal/fp"
+	"hidestore/internal/container"
 	"hidestore/internal/layout"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 )
-
-// archivalTable is the read-only counterpart of FlattenRecipes'
-// Algorithm 1 walk: the same newest→floor traversal building the same
-// fp → archival-CID table, but resolving forward pointers into a local
-// view instead of patching and persisting the recipes. Within one
-// recipe the resolve pass runs before the harvest pass, exactly as the
-// in-place mutation orders them, so chained forward pointers resolve
-// transitively to the same targets FlattenRecipes would commit.
-func (e *Engine) archivalTable(floor int) (map[fp.FP]int32, error) {
-	versions, err := e.cfg.Recipes.Versions()
-	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	if len(versions) == 0 {
-		return nil, nil
-	}
-	if floor < versions[0] {
-		floor = versions[0]
-	}
-	table := make(map[fp.FP]int32)
-	for i := len(versions) - 1; i >= 0; i-- {
-		v := versions[i]
-		if v < floor {
-			break
-		}
-		rec, err := e.cfg.Recipes.Get(v)
-		if err != nil {
-			return nil, fmt.Errorf("core: analyze: %w", err)
-		}
-		for _, entry := range rec.Entries {
-			cid := entry.CID
-			if cid < 0 {
-				if t, ok := table[entry.FP]; ok {
-					cid = t
-				}
-			}
-			if cid > 0 {
-				table[entry.FP] = cid
-			}
-		}
-	}
-	return table, nil
-}
-
-// resolveForAnalysis returns version's recipe entries with every CID
-// positive, mirroring restoreWith's resolution — flatten forward
-// pointers, then look the remaining hot chunks up in the active
-// index — but without restoreWith's side effect of persisting the
-// flattened recipes. Analysis must leave the store byte-identical.
-func (e *Engine) resolveForAnalysis(version int) ([]recipe.Entry, error) {
-	rec, err := e.cfg.Recipes.Get(version)
-	if err != nil {
-		return nil, err
-	}
-	var table map[fp.FP]int32
-	if hasForward(rec) {
-		if table, err = e.archivalTable(version); err != nil {
-			return nil, err
-		}
-	}
-	resolved := make([]recipe.Entry, len(rec.Entries))
-	for i, entry := range rec.Entries {
-		if entry.CID < 0 {
-			if cid, ok := table[entry.FP]; ok {
-				resolved[i] = recipe.Entry{FP: entry.FP, Size: entry.Size, CID: cid}
-				continue
-			}
-		}
-		if entry.CID > 0 {
-			resolved[i] = entry
-			continue
-		}
-		// CID 0 or a forward pointer that still ends on a hot chunk.
-		cid, ok := e.activeByFP[entry.FP]
-		if !ok {
-			return nil, fmt.Errorf(
-				"core: analyze v%d: chunk %s unresolved (CID %d)", version, entry.FP.Short(), entry.CID)
-		}
-		resolved[i] = recipe.Entry{FP: entry.FP, Size: entry.Size, CID: int32(cid)}
-	}
-	return resolved, nil
-}
 
 // AnalyzeLayout implements backup.LayoutAnalyzer: it reports version's
 // physical-locality profile (CFL, utilization, per-policy simulated
@@ -100,13 +16,22 @@ func (e *Engine) resolveForAnalysis(version int) ([]recipe.Entry, error) {
 // feed the cache policies, so its container-read counts match a real
 // restore's Stats.ContainerReads exactly.
 func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
-	resolved, err := e.resolveForAnalysis(version)
+	rec, err := e.cfg.Recipes.Get(version)
 	if err != nil {
 		return nil, err
 	}
-	// The same source Restore hands the cache policies: the store. Active
-	// containers are persisted on every mutation, so both paths see
-	// identical container images — a precondition of the exact
-	// container-read identity between analysis and a real restore.
-	return layout.Analyze(ctx, version, resolved, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies)
+	resolved, _, err := e.resolve(rec, false)
+	if err != nil {
+		return nil, err
+	}
+	// The same source Restore hands the cache policies: the store, stale
+	// chunks of write-once active images included (a policy may cache
+	// them) — a precondition of the exact container-read identity between
+	// analysis and a real restore. Only utilization asks the engine how
+	// much of an active image is still live.
+	live := make(map[container.ID]int, len(e.activeContainers))
+	for id, c := range e.activeContainers {
+		live[id] = c.LiveSize()
+	}
+	return layout.Analyze(ctx, version, resolved, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies, live)
 }

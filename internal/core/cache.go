@@ -164,19 +164,36 @@ func (v *IndexView) Commit(seg []index.ChunkRef, cids []container.ID) {
 // within the window) are evicted — in the full engine this is the moment
 // they migrate to archival containers. Not safe to run concurrently
 // with classification; the engine calls it between pipelines.
-func (v *IndexView) EndVersion() {
+func (v *IndexView) EndVersion() { v.endVersion(false) }
+
+// evictedChunk is one chunk leaving the cache at a version boundary,
+// with the active container that held it.
+type evictedChunk struct {
+	f   fp.FP
+	cid container.ID
+}
+
+// endVersion is EndVersion that, when collect is set, also returns the
+// evicted set — the engine's cold chunks, found here under one lock per
+// shard instead of by re-probing every hot fingerprint afterwards.
+func (v *IndexView) endVersion(collect bool) []evictedChunk {
+	var out []evictedChunk
 	v.version++
 	for i := range v.shards {
 		s := &v.shards[i]
 		s.mu.Lock()
 		for f, seen := range s.lastSeen {
 			if seen <= v.version-v.window {
+				if collect {
+					out = append(out, evictedChunk{f: f, cid: s.active[f]})
+				}
 				delete(s.active, f)
 				delete(s.lastSeen, f)
 			}
 		}
 		s.mu.Unlock()
 	}
+	return out
 }
 
 // Evicted returns the fingerprints that would leave the cache if the
@@ -258,16 +275,7 @@ func (v *IndexView) commitOne(f fp.FP, cid container.ID) {
 	s.mu.Unlock()
 }
 
-// cidOf reports the active location of a hot chunk.
-func (v *IndexView) cidOf(f fp.FP) (container.ID, bool) {
-	s := v.shard(f)
-	s.mu.RLock()
-	cid, ok := s.active[f]
-	s.mu.RUnlock()
-	return cid, ok
-}
-
-// setCID rewrites a hot chunk's location (container migration/merge).
+// setCID rewrites a hot chunk's location (sparse-container merge).
 func (v *IndexView) setCID(f fp.FP, cid container.ID) {
 	s := v.shard(f)
 	s.mu.Lock()

@@ -178,8 +178,8 @@ type Engine struct {
 	// appearance was version v.
 	batches map[int]*archivalBatch
 
-	// pendingDeletes are container images superseded during the current
-	// operation (copied-on-write actives, merged sparse sources). They
+	// pendingDeletes are active images the current operation retired
+	// (merged sparse sources, images whose every chunk went cold). They
 	// are removed only after saveState commits: until then the previous
 	// state still references them, and deleting them earlier would make
 	// a crash unrecoverable. A crash before the flush leaves them as
@@ -188,6 +188,9 @@ type Engine struct {
 
 	logicalBytes uint64
 	storedBytes  uint64
+	// written counts the payload bytes of every container image the
+	// running Backup has put (sealed actives, archival, merged).
+	written uint64
 
 	// pool recycles chunk buffers through the backup hot loop: the
 	// chunker fills a pooled buffer per chunk, the dedup sink releases
@@ -302,20 +305,23 @@ type hashedChunk struct {
 //
 // Durable commit order — containers, then recipes, then state:
 //
-//  1. container writes (sealed actives, archival migrations, merged and
-//     copied-on-write actives) — every byte any metadata will point at;
+//  1. container writes (sealed actives, archival migrations, merged
+//     actives) — every byte any metadata will point at, each image under
+//     a fresh CID and written exactly once;
 //  2. recipe writes (the new version, then the departing version's patch);
 //  3. the state file — the commit point;
-//  4. only after the state commits, deletion of superseded container
-//     images (flushPendingDeletes).
+//  4. only after the state commits, deletion of retired active images
+//     (flushPendingDeletes).
 //
-// Metadata never runs ahead of the container log: at any crash point,
-// everything the previous state references is still on disk, so reopening
-// rolls forward or back to a consistent history (see recoverStartup).
+// Metadata never runs ahead of the container log, and no stored image is
+// ever modified in place: at any crash point, everything the previous
+// state references is still on disk unchanged, so reopening rolls forward
+// or back to a consistent history (see recoverStartup).
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
 	start := time.Now()
 	v := e.version + 1
 	statsBefore := e.cache.Stats()
+	e.written = 0
 	rec := recipe.New(v)
 	var logical, stored uint64
 	var chunks, unique int
@@ -335,7 +341,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		}
 		span.End()
 	}()
-	var chunkNS int64           // single-goroutine stage (the producer)
+	var chunkNS int64               // single-goroutine stage (the producer)
 	var fpNS, lookupNS atomic.Int64 // fingerprint and probe run on HashWorkers goroutines
 	var mxChunk, mxFP, mxLookup *obs.Histogram
 	if e.mx != nil {
@@ -504,9 +510,9 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// Async-commit barrier: every sealed container must be durable
 	// before the recipe can name its chunks (commit-order step 1 → 2).
 	// Clearing e.writer first returns the post-barrier maintenance
-	// paths (migrate/merge/copy-on-write) to direct synchronous Puts —
-	// they mutate sealed images, which may not happen while a writer
-	// could still be reading them.
+	// paths (migrate/merge) to direct synchronous Puts — they tombstone
+	// chunks in sealed in-memory images, which may not happen while a
+	// writer could still be reading them.
 	if e.writer != nil {
 		w := e.writer
 		e.writer = nil
@@ -526,9 +532,9 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// archival containers, merge sparse active containers, and patch the
 	// recipe leaving the window (§4.2, §4.3).
 	migrateStart := time.Now()
-	e.cache.EndVersion() // evicts the cold set from the cache
+	evicted := e.cache.endVersion(true) // the cold set leaves the cache
 	e.version = v
-	coldLocs, err := e.migrateCold(v)
+	coldLocs, migrated, err := e.migrateCold(v, evicted)
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
@@ -536,7 +542,8 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.mx.MigrateNS.Observe(uint64(time.Since(migrateStart)))
 	}
 	mergeStart := time.Now()
-	if err := e.mergeSparseActives(); err != nil {
+	merged, err := e.mergeSparseActives()
+	if err != nil {
 		return backup.BackupReport{}, err
 	}
 	if e.mx != nil {
@@ -568,6 +575,9 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.mx.StoredBytes.Add(stored)
 		e.mx.Chunks.Add(uint64(chunks))
 		e.mx.UniqueChunks.Add(uint64(unique))
+		e.mx.ContainerBytesWritten.Add(e.written)
+		e.mx.MigratedBytes.Add(migrated)
+		e.mx.MergedBytes.Add(merged)
 		ps := e.pool.Stats()
 		e.mx.PoolInUse.Set(ps.InUse)
 		e.mx.PoolInUseBytes.Set(ps.InUseBytes)
@@ -615,10 +625,13 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 			DuplicateBytes: statsAfter.DuplicateBytes - statsBefore.DuplicateBytes,
 			UniqueBytes:    statsAfter.UniqueBytes - statsBefore.UniqueBytes,
 		},
-		Duration:             time.Since(start),
-		MaintenanceDuration:  migrateDur + recipeDur,
-		MigrateDuration:      migrateDur,
-		RecipeUpdateDuration: recipeDur,
+		ContainerBytesWritten: e.written,
+		MigratedBytes:         migrated,
+		MergedBytes:           merged,
+		Duration:              time.Since(start),
+		MaintenanceDuration:   migrateDur + recipeDur,
+		MigrateDuration:       migrateDur,
+		RecipeUpdateDuration:  recipeDur,
 	}, nil
 }
 
@@ -649,6 +662,7 @@ func (e *Engine) sealOpenActive() error {
 	}
 	e.activeContainers[e.openActive.ID()] = e.openActive
 	if e.writer != nil {
+		e.written += uint64(e.openActive.LiveSize())
 		// Hand the sealed image to the background committer. From here
 		// until the barrier the image is read-only: the engine does not
 		// touch sealed actives during the hot loop, and the maintenance
@@ -663,7 +677,7 @@ func (e *Engine) sealOpenActive() error {
 	if e.mx != nil {
 		t0 = time.Now()
 	}
-	if err := e.cfg.Store.Put(e.openActive); err != nil {
+	if err := e.put(e.openActive); err != nil {
 		return err
 	}
 	if e.mx != nil {
@@ -673,41 +687,55 @@ func (e *Engine) sealOpenActive() error {
 	return nil
 }
 
-// migrateCold moves every chunk evicted from the fingerprint cache out of
-// the active containers into fresh archival containers, preserving the
-// active containers' internal order. It returns the cold chunks' new
-// archival locations and registers the batch for §4.5 deletion. The cold
-// set after version v is exactly the chunks last seen in version v−Window.
-func (e *Engine) migrateCold(v int) (map[fp.FP]container.ID, error) {
-	coldVersion := v - e.cfg.Window
-	cold := make(map[fp.FP]container.ID) // fp → archival location
-	if coldVersion < 1 {
-		return cold, nil
-	}
-	// The cache has already evicted cold fingerprints; anything still in
-	// activeByFP but no longer in the cache is cold.
-	type coldChunk struct {
-		f    fp.FP
-		from container.ID
-	}
-	var victims []coldChunk
-	for f, cid := range e.activeByFP {
-		if _, hot := e.cache.cidOf(f); !hot {
-			victims = append(victims, coldChunk{f: f, from: cid})
-		}
-	}
-	if len(victims) == 0 {
-		return cold, nil
+// put commits one container image synchronously, counting its payload
+// toward the running backup's ContainerBytesWritten.
+func (e *Engine) put(c *container.Container) error {
+	e.written += uint64(c.LiveSize())
+	return e.cfg.Store.Put(c)
+}
+
+// migrateCold copies every chunk the fingerprint cache just evicted into
+// fresh archival containers, in the active containers' physical order, and
+// tombstones it in the in-memory active container only. Sealed active
+// images are write-once: the stored image keeps the stale bytes and is
+// never rewritten or renumbered, because the state file already commits
+// liveness — a chunk in an active image is live iff activeByFP names that
+// image (unmarshalState drops the rest on reload). mergeSparseActives
+// reclaims the stale bytes once an image's live share falls under
+// MergeUtilization; an image left with no live chunk is deleted after the
+// state commits. It returns the cold chunks' archival locations and their
+// payload bytes, and registers the batch for §4.5 deletion. The cold set
+// after version v is exactly the chunks last seen in version v−Window.
+func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container.ID, uint64, error) {
+	cold := make(map[fp.FP]container.ID, len(evicted)) // fp → archival location
+	if len(evicted) == 0 {
+		return cold, 0, nil
 	}
 	// Stable order: by source container, then by offset within it, so
-	// archival containers inherit the old versions' physical order.
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].from != victims[j].from {
-			return victims[i].from < victims[j].from
+	// archival containers inherit the old versions' physical order (and
+	// the mutating-op sequence stays deterministic for fault injection).
+	type coldChunk struct {
+		f      fp.FP
+		src    *container.Container
+		offset uint32
+	}
+	victims := make([]coldChunk, len(evicted))
+	for i, ev := range evicted {
+		src, ok := e.activeContainers[ev.cid]
+		if !ok {
+			return nil, 0, fmt.Errorf("core: cold chunk %s references unknown active container %d", ev.f.Short(), ev.cid)
 		}
-		ei, _ := e.activeContainers[victims[i].from].Entry(victims[i].f)
-		ej, _ := e.activeContainers[victims[j].from].Entry(victims[j].f)
-		return ei.Offset < ej.Offset
+		entry, ok := src.Entry(ev.f)
+		if !ok {
+			return nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
+		}
+		victims[i] = coldChunk{f: ev.f, src: src, offset: entry.Offset}
+	}
+	sort.Slice(victims, func(i, j int) bool {
+		if a, b := victims[i].src.ID(), victims[j].src.ID(); a != b {
+			return a < b
+		}
+		return victims[i].offset < victims[j].offset
 	})
 	batch := &archivalBatch{}
 	var archival *container.Container
@@ -715,7 +743,7 @@ func (e *Engine) migrateCold(v int) (map[fp.FP]container.ID, error) {
 		if archival == nil || archival.Len() == 0 {
 			return nil
 		}
-		if err := e.cfg.Store.Put(archival); err != nil {
+		if err := e.put(archival); err != nil {
 			return err
 		}
 		if e.mx != nil {
@@ -727,19 +755,14 @@ func (e *Engine) migrateCold(v int) (map[fp.FP]container.ID, error) {
 		archival = nil
 		return nil
 	}
-	dirty := make(map[container.ID]struct{})
 	for _, vc := range victims {
-		src, ok := e.activeContainers[vc.from]
-		if !ok {
-			return nil, fmt.Errorf("core: cold chunk %s references unknown active container %d", vc.f.Short(), vc.from)
-		}
-		data, err := src.Get(vc.f)
+		data, err := vc.src.Get(vc.f)
 		if err != nil {
-			return nil, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
+			return nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
 		if archival != nil && !archival.HasRoom(len(data)) {
 			if err := seal(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		if archival == nil {
@@ -747,58 +770,36 @@ func (e *Engine) migrateCold(v int) (map[fp.FP]container.ID, error) {
 			archival = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
 		}
 		if err := archival.Add(vc.f, data); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if err := src.Remove(vc.f); err != nil {
-			return nil, err
+		if err := vc.src.Remove(vc.f); err != nil {
+			return nil, 0, err
 		}
-		dirty[vc.from] = struct{}{}
+		if vc.src.Len() == 0 {
+			// Every chunk is stale: the new state will not list the image,
+			// so it can go once that state commits.
+			delete(e.activeContainers, vc.src.ID())
+			e.pendingDeletes = append(e.pendingDeletes, vc.src.ID())
+		}
 		cold[vc.f] = archival.ID()
 		delete(e.activeByFP, vc.f)
 	}
 	if err := seal(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Re-persist mutated active containers copy-on-write: the surviving
-	// hot chunks go to the store under a fresh CID, and the superseded
-	// image is only deleted after the state file commits. Re-Putting in
-	// place would overwrite the image the previous (still-committed)
-	// state references, making a crash between here and the state write
-	// unrecoverable. Sorted order keeps the mutating-op sequence
-	// deterministic for fault injection.
-	dirtyIDs := make([]container.ID, 0, len(dirty))
-	for cid := range dirty {
-		dirtyIDs = append(dirtyIDs, cid)
-	}
-	sort.Slice(dirtyIDs, func(i, j int) bool { return dirtyIDs[i] < dirtyIDs[j] })
-	for _, cid := range dirtyIDs {
-		src := e.activeContainers[cid]
-		delete(e.activeContainers, cid)
-		e.pendingDeletes = append(e.pendingDeletes, cid)
-		if src.Len() == 0 {
-			continue
-		}
-		e.nextCID++
-		src.SetID(e.nextCID)
-		e.activeContainers[e.nextCID] = src
-		for _, f := range src.Fingerprints() {
-			e.activeByFP[f] = e.nextCID
-			e.cache.setCID(f, e.nextCID)
-		}
-		if err := e.cfg.Store.Put(src); err != nil {
-			return nil, err
-		}
-	}
-	e.batches[coldVersion] = batch
-	return cold, nil
+	e.batches[v-e.cfg.Window] = batch
+	return cold, batch.bytes, nil
 }
 
 // mergeSparseActives compacts active containers whose utilization fell
 // below the merge threshold, packing their live chunks into fresh
 // containers (§4.2, Figure 6) and updating the fingerprint cache's
 // locations. Recipes are unaffected: active chunks are recorded as CID 0
-// and resolve through the cache.
-func (e *Engine) mergeSparseActives() error {
+// and resolve through the cache. This is the only place an active image's
+// stale bytes are physically reclaimed, which bounds them: every image the
+// merge leaves alone is at least MergeUtilization live, bar one. It
+// returns the payload bytes repacked.
+func (e *Engine) mergeSparseActives() (uint64, error) {
 	var sparse []*container.Container
 	for _, c := range e.activeContainers {
 		if c.Utilization() < e.cfg.MergeUtilization {
@@ -806,16 +807,18 @@ func (e *Engine) mergeSparseActives() error {
 		}
 	}
 	if len(sparse) < 2 {
-		return nil
+		return 0, nil
 	}
 	sort.Slice(sparse, func(i, j int) bool { return sparse[i].ID() < sparse[j].ID() })
 	var merged *container.Container
+	var repacked uint64
 	seal := func() error {
 		if merged == nil || merged.Len() == 0 {
 			return nil
 		}
 		e.activeContainers[merged.ID()] = merged
-		if err := e.cfg.Store.Put(merged); err != nil {
+		repacked += uint64(merged.LiveSize())
+		if err := e.put(merged); err != nil {
 			return err
 		}
 		merged = nil
@@ -825,11 +828,11 @@ func (e *Engine) mergeSparseActives() error {
 		for _, f := range src.Fingerprints() {
 			data, err := src.Get(f)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if merged != nil && !merged.HasRoom(len(data)) {
 				if err := seal(); err != nil {
-					return err
+					return 0, err
 				}
 			}
 			if merged == nil {
@@ -837,7 +840,7 @@ func (e *Engine) mergeSparseActives() error {
 				merged = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
 			}
 			if err := merged.Add(f, data); err != nil {
-				return err
+				return 0, err
 			}
 			e.activeByFP[f] = merged.ID()
 			e.cache.setCID(f, merged.ID())
@@ -847,13 +850,14 @@ func (e *Engine) mergeSparseActives() error {
 		// committed state; it is deleted only after the next state save.
 		e.pendingDeletes = append(e.pendingDeletes, src.ID())
 	}
-	return seal()
+	err := seal()
+	return repacked, err
 }
 
-// flushPendingDeletes removes container images superseded during the
-// operation. Called only after saveState commits — the new state no
-// longer references them, so a crash mid-flush merely leaves orphans
-// for the startup sweep.
+// flushPendingDeletes removes the active images the operation retired.
+// Called only after saveState commits — the new state no longer
+// references them, so a crash mid-flush merely leaves orphans for the
+// startup sweep.
 func (e *Engine) flushPendingDeletes() error {
 	for i, cid := range e.pendingDeletes {
 		if err := e.cfg.Store.Delete(cid); err != nil {
@@ -910,10 +914,10 @@ func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) er
 	return e.cfg.Recipes.Put(rec)
 }
 
-// Restore implements backup.Engine (§4.4). Negative CIDs are resolved by
-// flattening the recipe chain (Algorithm 1, timed separately); CID-0 and
-// forward-pointing entries that end at hot chunks resolve through the
-// fingerprint cache into active containers.
+// Restore implements backup.Engine (§4.4). CID-0 and forward-pointing
+// entries that end at hot chunks resolve through the fingerprint cache
+// into active containers; only when one is left over is the recipe chain
+// flattened (Algorithm 1, timed separately) to find its archival home.
 func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
 	return e.restoreWith(ctx, version, w, restorecache.StoreFetcher(e.cfg.Store))
 }
@@ -945,11 +949,12 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetc
 		e.tracer.EmitStage("recipe.read", span, start, d, map[string]int64{"version": int64(version)})
 	}
 	var flattenDur time.Duration
-	if hasForward(rec) {
-		flattenStart := time.Now()
-		if err := e.FlattenRecipes(version); err != nil {
-			return backup.RestoreReport{}, err
-		}
+	flattenStart := time.Now()
+	resolved, flattened, err := e.resolve(rec, true)
+	if err != nil {
+		return backup.RestoreReport{}, err
+	}
+	if flattened {
 		flattenDur = time.Since(flattenStart)
 		if obsOn {
 			if e.rmx != nil {
@@ -958,25 +963,6 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetc
 			e.tracer.EmitStage("recipe.flatten", span, flattenStart, flattenDur,
 				map[string]int64{"version": int64(version)})
 		}
-		rec, err = e.cfg.Recipes.Get(version)
-		if err != nil {
-			return backup.RestoreReport{}, err
-		}
-	}
-	resolved := make([]recipe.Entry, len(rec.Entries))
-	for i, entry := range rec.Entries {
-		if entry.CID > 0 {
-			resolved[i] = entry
-			continue
-		}
-		// CID 0 or a forward pointer that still ends on a hot chunk: the
-		// chunk lives in an active container.
-		cid, ok := e.activeByFP[entry.FP]
-		if !ok {
-			return backup.RestoreReport{}, fmt.Errorf(
-				"core: restore v%d: chunk %s unresolved (CID %d)", version, entry.FP.Short(), entry.CID)
-		}
-		resolved[i] = recipe.Entry{FP: entry.FP, Size: entry.Size, CID: int32(cid)}
 	}
 	// The observed fetcher sits *above* the prefetch layer — the same
 	// position as the policy's countingFetcher — so the trace's
@@ -1026,13 +1012,46 @@ func (e *Engine) VerifyRestore(ctx context.Context, version int, w io.Writer) (b
 	return e.restoreWith(ctx, version, w, restorecache.NewVerifyingFetcher(restorecache.StoreFetcher(e.cfg.Store)))
 }
 
-func hasForward(rec *recipe.Recipe) bool {
-	for _, entry := range rec.Entries {
-		if entry.CID < 0 {
-			return true
+// resolve returns rec's entries with every CID positive, the reference
+// stream Restore feeds the cache policies and AnalyzeLayout simulates.
+// Hot chunks resolve through the active index; only when that leaves a
+// forward pointer whose chunk has since gone cold is the chain flattened
+// (reported as flattened) to find its archival home. Pointers that end on
+// still-hot chunks stay negative by design and never trigger the walk, so
+// a flattened chain is walked once, not on every restore. persist writes
+// the flattened recipes back (Restore); analysis keeps them in memory.
+func (e *Engine) resolve(rec *recipe.Recipe, persist bool) (resolved []recipe.Entry, flattened bool, err error) {
+	resolved, missing := e.resolveHot(rec.Entries)
+	if missing != nil && missing.CID < 0 {
+		flattened = true
+		if rec, err = e.flatten(rec.Version, persist); err != nil {
+			return nil, flattened, err
 		}
+		resolved, missing = e.resolveHot(rec.Entries)
 	}
-	return false
+	if missing != nil {
+		return nil, flattened, fmt.Errorf(
+			"core: v%d: chunk %s unresolved (CID %d)", rec.Version, missing.FP.Short(), missing.CID)
+	}
+	return resolved, flattened, nil
+}
+
+// resolveHot resolves entries without the recipe chain: archival CIDs
+// stand, CID 0 and forward pointers go through activeByFP. It returns the
+// first entry whose chunk is not hot (nil when none).
+func (e *Engine) resolveHot(entries []recipe.Entry) ([]recipe.Entry, *recipe.Entry) {
+	resolved := make([]recipe.Entry, len(entries))
+	for i, entry := range entries {
+		if entry.CID <= 0 {
+			cid, ok := e.activeByFP[entry.FP]
+			if !ok {
+				return nil, &entries[i]
+			}
+			entry.CID = int32(cid)
+		}
+		resolved[i] = entry
+	}
+	return resolved, nil
 }
 
 // Delete implements backup.Engine (§4.5). Expired versions must be

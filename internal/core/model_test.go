@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -13,14 +14,20 @@ import (
 // (oldest, when legal), flatten, integrity check — against a trivial
 // model: a map from version number to its original bytes. Every restore
 // must reproduce the model's bytes exactly and every check must come back
-// clean, whatever the interleaving.
+// clean, whatever the interleaving. After every step the active set must
+// satisfy the write-once invariants (checkActiveBound); the reopen variant
+// additionally restarts the engine from its state file after every
+// backup, so each later step runs on active containers that were reloaded
+// from images carrying stale chunks.
 func TestModelRandomOperations(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			runModel(t, seed, 120)
-		})
+		for _, reopen := range []bool{false, true} {
+			seed, reopen := seed, reopen
+			t.Run(fmt.Sprintf("seed=%d/reopen=%t", seed, reopen), func(t *testing.T) {
+				t.Parallel()
+				runModel(t, seed, 120, reopen)
+			})
+		}
 	}
 }
 
@@ -55,10 +62,19 @@ func mutate(rng *rand.Rand, prev []byte) []byte {
 	return out
 }
 
-func runModel(t *testing.T, seed int64, steps int) {
+func runModel(t *testing.T, seed int64, steps int, reopen bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e, _, _ := newTestEngine(t, 1)
+	if reopen {
+		// Same in-memory stores, plus a state file to restart from.
+		cfg := e.cfg
+		cfg.StatePath = filepath.Join(t.TempDir(), "state.hds")
+		var err error
+		if e, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx := context.Background()
 
 	model := make(map[int][]byte) // live versions
@@ -78,6 +94,11 @@ func runModel(t *testing.T, seed int64, steps int) {
 		model[nextVersion] = append([]byte(nil), current...)
 		nextVersion++
 		current = mutate(rng, current)
+		if reopen {
+			if e, err = New(e.cfg); err != nil {
+				t.Fatalf("seed %d: reopen after v%d: %v", seed, rep.Version, err)
+			}
+		}
 	}
 	backupOne() // ensure at least one version exists
 
@@ -120,6 +141,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: store unhealthy: %v", seed, step, rep.Problems)
 			}
 		}
+		checkActiveBound(t, e, fmt.Sprintf("seed %d step %d", seed, step))
 	}
 	// Final sweep: everything still restores and the store is healthy.
 	for v, want := range model {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hidestore/internal/fp"
+	"hidestore/internal/recipe"
 )
 
 // FlattenRecipes implements the paper's Algorithm 1: it walks the recipe
@@ -18,12 +19,22 @@ import (
 // old version; the engine's Restore does the same and reports the time
 // spent as RecipeUpdateDuration.
 func (e *Engine) FlattenRecipes(floor int) error {
+	_, err := e.flatten(floor, true)
+	return err
+}
+
+// flatten is FlattenRecipes returning the oldest recipe it walked, as
+// flattened — the floor version's when that version is stored (nil on an
+// empty store) — so Restore need not read it back. Without persist the
+// walk is read-only: recipes are flattened in memory and never put, which
+// is how AnalyzeLayout resolves exactly what Restore would.
+func (e *Engine) flatten(floor int, persist bool) (*recipe.Recipe, error) {
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {
-		return fmt.Errorf("core: flatten: %w", err)
+		return nil, fmt.Errorf("core: flatten: %w", err)
 	}
 	if len(versions) == 0 {
-		return nil
+		return nil, nil
 	}
 	if floor < versions[0] {
 		floor = versions[0]
@@ -36,14 +47,14 @@ func (e *Engine) FlattenRecipes(floor int) error {
 	// reappears after leaving the cache window; all copies are
 	// byte-identical, so any resolution restores correct data.)
 	table := make(map[fp.FP]int32)
+	var rec *recipe.Recipe
 	for i := len(versions) - 1; i >= 0; i-- {
 		v := versions[i]
 		if v < floor {
 			break
 		}
-		rec, err := e.cfg.Recipes.Get(v)
-		if err != nil {
-			return fmt.Errorf("core: flatten: %w", err)
+		if rec, err = e.cfg.Recipes.Get(v); err != nil {
+			return nil, fmt.Errorf("core: flatten: %w", err)
 		}
 		changed := false
 		for j := range rec.Entries {
@@ -56,9 +67,9 @@ func (e *Engine) FlattenRecipes(floor int) error {
 				changed = true
 			}
 		}
-		if changed {
+		if changed && persist {
 			if err := e.cfg.Recipes.Put(rec); err != nil {
-				return fmt.Errorf("core: flatten: %w", err)
+				return nil, fmt.Errorf("core: flatten: %w", err)
 			}
 		}
 		for _, entry := range rec.Entries {
@@ -67,5 +78,5 @@ func (e *Engine) FlattenRecipes(floor int) error {
 			}
 		}
 	}
-	return nil
+	return rec, nil
 }

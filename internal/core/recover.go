@@ -17,15 +17,17 @@ import (
 //     so the dedup bookkeeping for those versions is lost and their
 //     CID-0 entries can never resolve again. Everything the committed
 //     state references is still on disk (commit order: containers →
-//     recipe → state, with superseded images deleted only post-state),
+//     recipe → state, with retired images deleted only post-state),
 //     so the previous versions remain intact.
 //  2. Redo: a recorded deletion batch whose recipe is gone is a Delete
 //     that crashed between its recipe removal (the commit point) and
 //     its state save — finish it by dropping the batch's containers.
 //  3. Sweep: container images nothing references (not an active
 //     container, not batch-owned, not named by any recipe) are crash
-//     debris — copied-on-write predecessors, rolled-back migrations,
-//     half-flushed deferred deletes — and are removed.
+//     debris — the rolled-back version's sealed actives, archival and
+//     merged containers, half-flushed deferred deletes — and are
+//     removed. Images are write-once, so everything the committed state
+//     does reference is on disk exactly as that state left it.
 func (e *Engine) recoverStartup() error {
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {

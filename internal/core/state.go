@@ -104,7 +104,10 @@ func (e *Engine) marshalState() []byte {
 }
 
 // unmarshalState restores the resumable state and reloads active
-// container images from the store.
+// container images from the store. Stored active images are write-once
+// and may carry chunks that went cold (or moved to another image) after
+// they were written; the hot-chunk table is the committed liveness, so
+// every entry it does not attribute to the image is dropped here.
 func (e *Engine) unmarshalState(buf []byte) error {
 	if len(buf) < 24 {
 		return fmt.Errorf("%w: short header", ErrStateCorrupt)
@@ -216,6 +219,13 @@ func (e *Engine) unmarshalState(buf []byte) error {
 		ctn = ctn.Clone()
 		if err := ctn.SetCapacity(e.cfg.ContainerCapacity); err != nil {
 			return fmt.Errorf("core: reload active container %d: %w", id, err)
+		}
+		for _, f := range ctn.Fingerprints() {
+			if e.activeByFP[f] != container.ID(id) {
+				if err := ctn.Remove(f); err != nil {
+					return fmt.Errorf("core: reload active container %d: %w", id, err)
+				}
+			}
 		}
 		e.activeContainers[container.ID(id)] = ctn
 	}

@@ -20,5 +20,5 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 	if err != nil {
 		return nil, err
 	}
-	return layout.Analyze(ctx, version, rec.Entries, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies)
+	return layout.Analyze(ctx, version, rec.Entries, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies, nil)
 }

@@ -298,6 +298,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.mx.Versions.Inc()
 		e.mx.LogicalBytes.Add(session.logicalBytes)
 		e.mx.StoredBytes.Add(session.storedBytes)
+		e.mx.ContainerBytesWritten.Add(session.storedBytes)
 		e.mx.Chunks.Add(uint64(session.chunks))
 		e.mx.UniqueChunks.Add(uint64(session.uniqueChunks))
 		ps := e.pool.Stats()
@@ -318,9 +319,11 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		StoredBytes:  session.storedBytes,
 		Chunks:       session.chunks,
 		UniqueChunks: session.uniqueChunks,
-		IndexStats:   diffIndexStats(indexBefore, indexAfter),
-		RewriteStats: diffRewriteStats(rewriteBefore, rewriteAfter),
-		Duration:     time.Since(start),
+		// The baseline writes each stored chunk once and never moves it.
+		ContainerBytesWritten: session.storedBytes,
+		IndexStats:            diffIndexStats(indexBefore, indexAfter),
+		RewriteStats:          diffRewriteStats(rewriteBefore, rewriteAfter),
+		Duration:              time.Since(start),
 	}, nil
 }
 

@@ -36,14 +36,18 @@ var BackupPerfSweep = []struct{ Lanes, Workers int }{
 // BackupPerfRow is one scheme's end-to-end backup cost on the
 // memory-backed store: wall-clock MB/s plus heap allocations per chunk
 // (runtime.MemStats mallocs over the whole run divided by chunks
-// processed — the end-to-end per-chunk path, not just the chunker).
+// processed — the end-to-end per-chunk path, not just the chunker) and
+// write amplification (container payload bytes written over logical
+// bytes, whole chain: unique chunks plus whatever maintenance copied).
+// The last two are exact counts, independent of the host.
 type BackupPerfRow struct {
-	Scheme         string
-	MBPerSec       float64
-	LogicalBytes   uint64
-	Chunks         int
-	AllocsPerChunk float64
-	Duration       time.Duration
+	Scheme             string
+	MBPerSec           float64
+	LogicalBytes       uint64
+	Chunks             int
+	AllocsPerChunk     float64
+	WriteAmplification float64
+	Duration           time.Duration
 }
 
 // BackupPerfResult compares the write hot path on one workload.
@@ -102,9 +106,14 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 			return nil, fmt.Errorf("%s/%s: %w", workloadName, run.label, err)
 		}
 		row := BackupPerfRow{Scheme: run.label, Duration: elapsed}
+		var written uint64
 		for _, rep := range reports {
 			row.Chunks += rep.Chunks
 			row.LogicalBytes += rep.LogicalBytes
+			written += rep.ContainerBytesWritten
+		}
+		if row.LogicalBytes > 0 {
+			row.WriteAmplification = float64(written) / float64(row.LogicalBytes)
 		}
 		if elapsed > 0 {
 			row.MBPerSec = float64(row.LogicalBytes) / (1 << 20) / elapsed.Seconds()
@@ -123,6 +132,7 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 	for _, row := range r.Rows {
 		out["backup_mb_per_sec_"+row.Scheme] = row.MBPerSec
 		out["allocs_per_chunk_"+row.Scheme] = row.AllocsPerChunk
+		out["write_amplification_"+row.Scheme] = row.WriteAmplification
 	}
 	return out
 }
@@ -130,12 +140,13 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 // Render formats the comparison.
 func (r *BackupPerfResult) Render() string {
 	t := metrics.NewTable(fmt.Sprintf("Backup hot path (%s)", r.Workload),
-		"scheme", "MB/s", "chunks", "allocs/chunk", "logical", "wall time")
+		"scheme", "MB/s", "chunks", "allocs/chunk", "written/logical", "logical", "wall time")
 	for _, row := range r.Rows {
 		t.AddRow(row.Scheme,
 			metrics.FormatFloat(row.MBPerSec),
 			fmt.Sprintf("%d", row.Chunks),
 			fmt.Sprintf("%.2f", row.AllocsPerChunk),
+			fmt.Sprintf("%.3f", row.WriteAmplification),
 			metrics.FormatBytes(row.LogicalBytes),
 			row.Duration.Round(time.Millisecond).String())
 	}

@@ -33,6 +33,13 @@ type BackupMetrics struct {
 	MigratedChunks     *Counter
 	ArchivalContainers *Counter
 
+	// Container write volume (payload bytes): everything put, and the
+	// shares that were cold-chunk migration and sparse-container merge.
+	// Written over logical is the backup's write amplification.
+	ContainerBytesWritten *Counter
+	MigratedBytes         *Counter
+	MergedBytes           *Counter
+
 	// Chunk-buffer pool state, set from bufpool.Pool.Stats after each
 	// backup. InUse should be 0 between backups — anything else is a
 	// leaked buffer on the hot path.
@@ -66,6 +73,10 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 
 		MigratedChunks:     r.Counter("hidestore_migrated_chunks_total", "chunks exiled to archival containers"),
 		ArchivalContainers: r.Counter("hidestore_archival_containers_total", "archival containers created"),
+
+		ContainerBytesWritten: r.Counter("hidestore_backup_container_bytes_written_total", "container payload bytes written by backups (unique + migrated + merged)"),
+		MigratedBytes:         r.Counter("hidestore_backup_migrated_bytes_total", "payload bytes copied into archival containers"),
+		MergedBytes:           r.Counter("hidestore_backup_merged_bytes_total", "payload bytes repacked by sparse-container merges"),
 
 		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "pooled chunk buffers currently checked out"),
 		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "pooled capacity currently checked out"),
