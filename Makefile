@@ -13,11 +13,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the committed benchmark snapshots with the same pinned
-# flags the BENCH_*_pre.json baselines were captured with. Compare any
-# two snapshots with
-#   $(GO) run ./cmd/benchdiff BENCH_backup_pre.json BENCH_backup.json
-# (report-only: deltas inform review, they do not gate).
+# Regenerate the committed benchmark snapshots with the pinned flags
+# they were captured with. Compare a fresh run (-json <dir>) with the
+# committed snapshot, or any two snapshots, with
+#   $(GO) run ./cmd/benchdiff BENCH_backup.json <dir>/BENCH_backup.json
+# (report-only by default; CI adds -deterministic-only -fail-above to
+# gate on allocs/chunk and write amplification).
 bench:
 	$(GO) run ./cmd/bench -exp backup -workloads kernel,gcc -scale 8 -versions 8 -json .
 	$(GO) run ./cmd/bench -exp chunkers -scale 8 -json .

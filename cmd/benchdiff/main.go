@@ -4,7 +4,7 @@
 // noise on shared CI runners would make a tight threshold flaky.
 // Usage:
 //
-//	go run ./cmd/benchdiff BENCH_backup_pre.json BENCH_backup.json
+//	go run ./cmd/benchdiff BENCH_backup.json fresh/BENCH_backup.json
 //
 // -fail-above PCT turns the report into a regression gate: a metric
 // whose direction is known (throughput and locality ratios are

@@ -549,6 +549,7 @@ func printBackupReport(rep hidestore.BackupReport) {
 			rep.ContainerBytesWritten, rep.MigratedBytes, rep.MergedBytes,
 			float64(rep.ContainerBytesWritten)/float64(rep.LogicalBytes))
 	}
+	fmt.Printf("  blocked on container commits: %s\n", rep.CommitWait)
 }
 
 // writeTree serializes a directory: for each regular file in sorted walk

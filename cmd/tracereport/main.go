@@ -286,16 +286,27 @@ func (s *segment) reportOperation(p *printer, root obs.TraceRecord, kids []obs.T
 }
 
 // reportFetches prints the container-fetch timeline summary and, for
-// parallel restores, the stall attribution.
+// parallel restores, the stall attribution; for backups, the commit
+// plane's timeline — its container puts legitimately overlap.
 func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.TraceRecord, fetchRows int) {
-	var fetch, stall []obs.TraceRecord
+	var fetch, stall, flush []obs.TraceRecord
 	for _, k := range kids {
 		switch k.Name {
 		case "container.fetch":
 			fetch = append(fetch, k)
 		case "assembly.stall":
 			stall = append(stall, k)
+		case "container.flush.async":
+			flush = append(flush, k)
 		}
+	}
+	if len(flush) > 0 {
+		var total time.Duration
+		for _, f := range flush {
+			total += time.Duration(f.Dur)
+		}
+		p.printf("  commit timeline: %d container puts, %s cumulative, max overlap %d\n",
+			len(flush), fmtDur(total), maxOverlap(flush))
 	}
 	if len(fetch) > 0 {
 		sort.Slice(fetch, func(i, j int) bool { return fetch[i].Start < fetch[j].Start })
@@ -368,8 +379,8 @@ func (s *segment) reportStages(p *printer) {
 	}
 }
 
-// maxOverlap computes the peak number of concurrently open fetch
-// intervals — the effective fetch parallelism achieved.
+// maxOverlap computes the peak number of concurrently open intervals —
+// the effective fetch (or commit) parallelism achieved.
 func maxOverlap(recs []obs.TraceRecord) int {
 	type edge struct {
 		at    int64

@@ -95,6 +95,38 @@ func TestStallAttribution(t *testing.T) {
 	}
 }
 
+// TestCommitTimeline: a backup's container puts run several at a time on
+// the commit plane, so their spans overlap; the validator accepts that
+// and the waterfall reports the overlap next to the engine's own wait.
+func TestCommitTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tr, err := obs.OpenTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.Start("backup", nil)
+	now := time.Now()
+	for cid := int64(1); cid <= 3; cid++ {
+		tr.EmitStage("container.flush.async", s, now, 4*time.Millisecond, map[string]int64{"container": cid})
+	}
+	tr.EmitStage("container.flush.async", s, now.Add(10*time.Millisecond), time.Millisecond, map[string]int64{"container": 4})
+	tr.EmitStage("stage.commit_wait", s, now, 2*time.Millisecond, nil)
+	s.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{path}, &out); err != nil {
+		t.Fatalf("overlapping commit spans rejected: %v", err)
+	}
+	text := out.String()
+	for _, want := range []string{"commit timeline: 4 container puts", "max overlap 3", "stage.commit_wait"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+}
+
 func TestMalformedInputsExitNonzero(t *testing.T) {
 	cases := map[string][]string{
 		"garbage line": {

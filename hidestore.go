@@ -362,6 +362,11 @@ type BackupReport struct {
 	// post-version cold-chunk migration and recipe update.
 	Duration            time.Duration
 	MaintenanceDuration time.Duration
+	// CommitWait is the part of Duration the backup spent blocked on
+	// container writes: waiting for a free slot of the commit plane and
+	// at its fences before the recipe and state writes. The remaining
+	// write latency was hidden behind chunking and packing.
+	CommitWait time.Duration
 }
 
 // RestoreReport summarizes one restore.
@@ -584,6 +589,7 @@ func (s *System) Backup(ctx context.Context, r io.Reader) (BackupReport, error) 
 		MergedBytes:           rep.MergedBytes,
 		Duration:              rep.Duration,
 		MaintenanceDuration:   rep.MaintenanceDuration,
+		CommitWait:            rep.CommitWait,
 	}, nil
 }
 

@@ -38,6 +38,11 @@ type BackupReport struct {
 	ContainerBytesWritten uint64
 	MigratedBytes         uint64
 	MergedBytes           uint64
+	// CommitWait is how long the engine goroutine was blocked on the
+	// commit plane: waiting for one of its in-flight slots at a seal, and
+	// at the fences before the recipe and state writes. The rest of the
+	// store's write latency was hidden behind chunking and packing.
+	CommitWait time.Duration
 	// IndexStats snapshots the index counters for this version alone.
 	IndexStats index.Stats
 	// RewriteStats snapshots rewriting counters for this version alone

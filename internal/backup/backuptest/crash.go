@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -13,11 +14,20 @@ import (
 
 // CrashOpen builds an engine over dir with inj spliced into every
 // persistence layer (container store, recipe store, and — for engines
-// that keep one — the state writer). It is called once per matrix cell
-// with a fresh directory and once more, with an inert injector, to
-// reopen the "crashed" directory; the reopen must run the engine's
-// startup recovery.
-type CrashOpen func(dir string, inj *fault.Injector) (backup.Engine, error)
+// that keep one — the state writer) and commitDepth as its
+// AsyncCommitDepth. It is called once per matrix cell with a fresh
+// directory and once more, with an inert injector, to reopen the
+// "crashed" directory; the reopen must run the engine's startup
+// recovery.
+type CrashOpen func(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error)
+
+// Commit depths the drivers open engines at. The op-indexed matrix needs
+// the same op sequence in every run, which only a one-wide commit plane
+// gives; the randomized run takes the engines' default width.
+const (
+	orderedDepth = 1
+	defaultDepth = 0
+)
 
 // CrashStep is one scripted operation of a crash-matrix run: a backup
 // of Data, a full scrub pass when Scrub is set, or — when neither is
@@ -64,25 +74,52 @@ func BackupSteps(versions [][]byte) []CrashStep {
 // Every op index runs when HIDESTORE_CRASH_FULL=1 (the make crash
 // target). By default a deterministic sample of indices keeps the
 // regular suite fast; the sample always includes the first and last op.
+//
+// The engines run with a one-wide commit plane here, so op index i is the
+// same commit step in the probe and in every cell; CrashRandom covers the
+// default width.
 func CrashMatrix(t *testing.T, open CrashOpen, steps []CrashStep, kinds []fault.Kind) {
 	t.Helper()
-	total, opLog := crashProbe(t, open, steps)
+	total, opLog := crashProbe(t, open, orderedDepth, steps)
 	indices := crashIndices(total)
 	for _, kind := range kinds {
 		for _, i := range indices {
 			t.Run(fmt.Sprintf("%s-op%03d", kind, i), func(t *testing.T) {
-				crashCell(t, open, steps, kind, i, opLog[i-1])
+				crashCell(t, open, orderedDepth, steps, kind, i, opLog[i-1])
 			})
 		}
 	}
 }
 
+// CrashRandom is CrashMatrix at the engines' default commit width, where
+// several container writes are in flight at once and the order they draw
+// op indices in differs from run to run: a crash then leaves an arbitrary
+// subset of the uncommitted images behind. Each of runs cells kills the
+// script at a seeded random op with a random kind and asserts CrashMatrix's
+// post-reopen contract. The op count is still exact (the same ops happen,
+// in another order), so the draw covers the whole script.
+// HIDESTORE_CRASH_FULL=1 runs eight times as many cells.
+func CrashRandom(t *testing.T, open CrashOpen, steps []CrashStep, kinds []fault.Kind, seed int64, runs int) {
+	t.Helper()
+	total, _ := crashProbe(t, open, defaultDepth, steps)
+	if os.Getenv("HIDESTORE_CRASH_FULL") == "1" {
+		runs *= 8
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for r := 0; r < runs; r++ {
+		kind, i := kinds[rng.Intn(len(kinds))], 1+rng.Intn(total)
+		t.Run(fmt.Sprintf("run%03d-%s-op%03d", r, kind, i), func(t *testing.T) {
+			crashCell(t, open, defaultDepth, steps, kind, i, "order varies")
+		})
+	}
+}
+
 // crashProbe runs the script fault-free and returns the op count and
 // per-op labels.
-func crashProbe(t *testing.T, open CrashOpen, steps []CrashStep) (int, []string) {
+func crashProbe(t *testing.T, open CrashOpen, depth int, steps []CrashStep) (int, []string) {
 	t.Helper()
 	inj := fault.NewInjector()
-	e, err := open(t.TempDir(), inj)
+	e, err := open(t.TempDir(), inj, depth)
 	if err != nil {
 		t.Fatalf("probe: open: %v", err)
 	}
@@ -124,7 +161,7 @@ func crashIndices(total int) []int {
 }
 
 // crashCell is one matrix cell: crash at op index i, reopen, verify.
-func crashCell(t *testing.T, open CrashOpen, steps []CrashStep, kind fault.Kind, i int, opLabel string) {
+func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind fault.Kind, i int, opLabel string) {
 	t.Helper()
 	dir := t.TempDir()
 	inj := fault.NewInjector()
@@ -135,7 +172,7 @@ func crashCell(t *testing.T, open CrashOpen, steps []CrashStep, kind fault.Kind,
 	expect := make(map[int][]byte)
 	indeterminate := -1 // version whose step was in flight at the fault
 	var indeterminateData []byte
-	e, err := open(dir, inj)
+	e, err := open(dir, inj, depth)
 	if err == nil {
 		ver := 0 // backups number sequentially regardless of deletes
 		for _, step := range steps {
@@ -175,7 +212,7 @@ func crashCell(t *testing.T, open CrashOpen, steps []CrashStep, kind fault.Kind,
 	}
 
 	// "Reboot": reopen the directory fault-free; this runs recovery.
-	e2, err := open(dir, fault.NewInjector())
+	e2, err := open(dir, fault.NewInjector(), depth)
 	if err != nil {
 		t.Fatalf("reopen after %s at op %d (%s): %v", kind, i, opLabel, err)
 	}

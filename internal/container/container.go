@@ -116,6 +116,21 @@ func (c *Container) Utilization() float64 {
 // HasRoom reports whether a chunk of n bytes can be appended.
 func (c *Container) HasRoom(n int) bool { return n <= c.Free() }
 
+// Grow reserves payload room for n more bytes (no more than Free), so the
+// Adds that fill it do not regrow the buffer: appending a 4 MB payload
+// from empty copies it several times over. For callers that know how
+// much they are about to pack.
+func (c *Container) Grow(n int) {
+	if n > c.Free() {
+		n = c.Free()
+	}
+	if n > cap(c.data)-len(c.data) {
+		data := make([]byte, len(c.data), len(c.data)+n)
+		copy(data, c.data)
+		c.data = data
+	}
+}
+
 // Add appends a chunk. It fails with ErrFull when the payload would exceed
 // capacity and with ErrDuplicate when the fingerprint is already live.
 func (c *Container) Add(f fp.FP, data []byte) error {
@@ -146,6 +161,21 @@ func (c *Container) Get(f fp.FP) ([]byte, error) {
 	out := make([]byte, e.Size)
 	copy(out, c.data[e.Offset:e.Offset+e.Size])
 	return out, nil
+}
+
+// View returns the chunk payload for f without copying it: a sub-slice of
+// the container's own buffer, capped so an append cannot reach the next
+// chunk. It is for callers on the goroutine that owns the container (the
+// engines' maintenance loops, which pass it straight to another
+// container's Add); the bytes must not be written, and are valid only
+// until the container is next mutated.
+func (c *Container) View(f fp.FP) ([]byte, error) {
+	e, ok := c.entries[f]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s in container %d", ErrNotFound, f.Short(), c.id)
+	}
+	end := e.Offset + e.Size
+	return c.data[e.Offset:end:end], nil
 }
 
 // Entry returns the metadata entry for f.

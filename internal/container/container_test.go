@@ -57,6 +57,71 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestViewAliasesWithoutReachingTheNextChunk: View hands out the
+// container's own bytes (no copy), capped so that appending to the view
+// reallocates instead of overwriting the chunk stored after it.
+func TestViewAliasesWithoutReachingTheNextChunk(t *testing.T) {
+	c := NewWithCapacity(1, 1024)
+	f1, d1 := chunkOf("first")
+	f2, d2 := chunkOf("second")
+	for _, ch := range []struct {
+		f fp.FP
+		d []byte
+	}{{f1, d1}, {f2, d2}} {
+		if err := c.Add(ch.f, ch.d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := c.View(f1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view, d1) || cap(view) != len(d1) {
+		t.Fatalf("View = %q (cap %d), want %q capped at its length", view, cap(view), d1)
+	}
+	if &view[0] != &c.data[0] {
+		t.Fatal("View copied the payload")
+	}
+	_ = append(view, "overrun"...)
+	if got, _ := c.Get(f2); !bytes.Equal(got, d2) {
+		t.Fatalf("appending to a view overwrote the next chunk: %q", got)
+	}
+	if _, err := c.View(fp.Of([]byte("absent"))); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("View of a missing chunk = %v, want ErrNotFound", err)
+	}
+}
+
+// TestGrowReservesWithoutChangingContents: after Grow(n) the next n bytes
+// of Adds do not move the payload buffer, the reservation never exceeds
+// the container's capacity, and what was stored before is intact.
+func TestGrowReservesWithoutChangingContents(t *testing.T) {
+	c := NewWithCapacity(1, 4096)
+	f0, d0 := chunkOf("already here")
+	if err := c.Add(f0, d0); err != nil {
+		t.Fatal(err)
+	}
+	c.Grow(1 << 20) // far beyond capacity: clamped to Free
+	if got := cap(c.data); got != 4096 {
+		t.Fatalf("Grow reserved %d bytes, want the capacity of 4096", got)
+	}
+	base := &c.data[0]
+	for i := 0; c.HasRoom(100); i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 100)
+		if err := c.Add(fp.Of(payload), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &c.data[0] != base {
+		t.Fatal("the payload buffer moved while filling the reserved room")
+	}
+	if got, _ := c.Get(f0); !bytes.Equal(got, d0) {
+		t.Fatalf("Grow disturbed stored content: %q", got)
+	}
+	if c.DataSize() > c.Capacity() || c.Free() >= 100 {
+		t.Fatalf("filled to %d of %d", c.DataSize(), c.Capacity())
+	}
+}
+
 func TestAddFull(t *testing.T) {
 	c := NewWithCapacity(1, 10)
 	f, _ := chunkOf("0123456789AB")

@@ -15,8 +15,8 @@ import (
 // BenchmarkBackup measures the end-to-end backup hot loop — pooled
 // chunking, parallel fingerprinting, cache lookup, container packing,
 // and commit — over a multi-version workload on the memory store.
-// The sync/async split isolates what the background container
-// committer buys; -benchmem shows what the pooled chunk path buys.
+// The sync/async split runs the commit plane inline and at its default
+// width; -benchmem shows what the pooled chunk path buys.
 func BenchmarkBackup(b *testing.B) {
 	versions := backuptest.Materialize(b, backuptest.SmallWorkload(4, 0.2))
 	var logical int64

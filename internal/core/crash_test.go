@@ -43,7 +43,7 @@ func crashWorkload(versions int) workload.Config {
 // crashOpen builds a file-backed HiDeStore engine with the injector
 // spliced into the container store, the recipe store, and the state
 // writer — every durable commit step draws from one op counter.
-func crashOpen(dir string, inj *fault.Injector) (backup.Engine, error) {
+func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
 		return nil, err
@@ -59,6 +59,7 @@ func crashOpen(dir string, inj *fault.Injector) (backup.Engine, error) {
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
+		AsyncCommitDepth:  commitDepth,
 		StatePath:         filepath.Join(dir, "state.hds"),
 		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
 	})
@@ -77,7 +78,7 @@ func TestCrashMatrixBackup(t *testing.T) {
 // crashOpenLanes is crashOpen with multi-lane chunking and a sharded
 // fingerprint cache, so the matrix also proves the parallel ingest path
 // commits exactly what the sequential path does at every crash point.
-func crashOpenLanes(dir string, inj *fault.Injector) (backup.Engine, error) {
+func crashOpenLanes(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
 		return nil, err
@@ -95,6 +96,7 @@ func crashOpenLanes(dir string, inj *fault.Injector) (backup.Engine, error) {
 		ChunkLanes:        2,
 		IndexShards:       4,
 		RestoreCache:      restorecache.NewFAA(1 << 20),
+		AsyncCommitDepth:  commitDepth,
 		StatePath:         filepath.Join(dir, "state.hds"),
 		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
 	})
@@ -129,7 +131,7 @@ func TestCrashMatrixDelete(t *testing.T) {
 // between commit steps. The path funcs point into the backing local
 // tree so Torn debris and NoSpace artifacts land where the backend's
 // reopen-time temp sweep must find them.
-func crashOpenRemote(dir string, inj *fault.Injector) (backup.Engine, error) {
+func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	stack := func(sub string, seed int64, cache bool) (backend.Backend, error) {
 		base, err := backend.NewLocal(filepath.Join(dir, "remote", sub))
 		if err != nil {
@@ -176,6 +178,7 @@ func crashOpenRemote(dir string, inj *fault.Injector) (backup.Engine, error) {
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
+		AsyncCommitDepth:  commitDepth,
 		StatePath:         statePath,
 		WriteState: inj.WrapWrite(func(path string, data []byte, perm os.FileMode) error {
 			return sb.Put(context.Background(), stateName, data)
@@ -205,6 +208,25 @@ func TestCrashMatrixRemoteStack(t *testing.T) {
 		[]fault.Kind{fault.Fail, fault.Torn, fault.NoSpace})
 }
 
+// TestCrashMatrixDefaultWidth kills a backup/delete/backup script at
+// seeded random ops with the commit plane at its default width — sealed,
+// archival and merged images in flight together, landing in any order —
+// on the local file stores and on the full remote stack. Whatever subset
+// of the uncommitted images a crash leaves behind, reopening must sweep
+// it and keep every committed version byte-identical.
+func TestCrashMatrixDefaultWidth(t *testing.T) {
+	versions := backuptest.Materialize(t, crashWorkload(4))
+	steps := backuptest.BackupSteps(versions[:3])
+	steps = append(steps, backuptest.CrashStep{Delete: 1}, backuptest.CrashStep{Data: versions[3]})
+	kinds := []fault.Kind{fault.Fail, fault.Torn, fault.NoSpace}
+	t.Run("local", func(t *testing.T) {
+		backuptest.CrashRandom(t, crashOpen, steps, kinds, 15, 24)
+	})
+	t.Run("remote", func(t *testing.T) {
+		backuptest.CrashRandom(t, crashOpenRemote, steps, kinds, 16, 24)
+	})
+}
+
 // TestFsckRepairQuarantines corrupts one archival container image on
 // disk (bit rot), then verifies the full damage-control path: Repair
 // reports the corruption, moves the image into the quarantine
@@ -213,7 +235,7 @@ func TestCrashMatrixRemoteStack(t *testing.T) {
 // entries.
 func TestFsckRepairQuarantines(t *testing.T) {
 	dir := t.TempDir()
-	e, err := crashOpen(dir, fault.NewInjector())
+	e, err := crashOpen(dir, fault.NewInjector(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +243,7 @@ func TestFsckRepairQuarantines(t *testing.T) {
 	backuptest.BackupAll(t, e, versions)
 
 	inj := fault.NewInjector()
-	e2, err := crashOpen(dir, inj)
+	e2, err := crashOpen(dir, inj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +301,7 @@ func TestFsckRepairQuarantines(t *testing.T) {
 	// Reopen fresh (no injector tricks) and audit again: the corrupt
 	// image is out of the way, so the only remaining problems are the
 	// dangling references to it — no new decode failures.
-	e3, err := crashOpen(dir, fault.NewInjector())
+	e3, err := crashOpen(dir, fault.NewInjector(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

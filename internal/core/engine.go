@@ -70,12 +70,14 @@ type Config struct {
 	// the hash workers' speculative index probes; they never change
 	// dedup decisions. 0 selects DefaultIndexShards.
 	IndexShards int
-	// AsyncCommitDepth bounds the asynchronous container-commit queue:
-	// sealed containers are committed by a background writer while
-	// chunking continues, and a barrier before the recipe write
-	// preserves the containers → recipe → state durability order.
-	// 0 selects the default depth of 2 (async on); negative disables
-	// the writer and commits synchronously at each seal.
+	// AsyncCommitDepth is the width of the backup's commit plane: how many
+	// container images (sealed actives, archival, merged) may be in flight
+	// to the store while the engine goes on chunking or packing the next
+	// one. Fences before the recipe write and before the state write
+	// preserve the containers → recipe → state durability order, and the
+	// same width bounds the post-commit container deletes. 0 selects
+	// container.DefaultCommitDepth; negative commits each image before
+	// the seal returns.
 	AsyncCommitDepth int
 	// StatePath, when set, persists the engine's resumable state (the
 	// fingerprint cache, active-container locations and deletion batches)
@@ -198,8 +200,8 @@ type Engine struct {
 	// container (Container.Add copies). See DESIGN.md "Backup write
 	// path" for the ownership rules.
 	pool *bufpool.Pool
-	// writer is the asynchronous container committer, non-nil only
-	// while a Backup with async commit enabled is running.
+	// writer is the commit plane every container image of the running
+	// Backup is written through; nil between backups.
 	writer *container.AsyncWriter
 
 	// Test hooks, nil in production. hashDelay stalls the fingerprint
@@ -307,8 +309,12 @@ type hashedChunk struct {
 //
 //  1. container writes (sealed actives, archival migrations, merged
 //     actives) — every byte any metadata will point at, each image under
-//     a fresh CID and written exactly once;
-//  2. recipe writes (the new version, then the departing version's patch);
+//     a fresh CID and written exactly once, all through one commit plane
+//     (container.AsyncWriter) that keeps several in flight, in no
+//     particular order among themselves;
+//  2. recipe writes — the new version after a fence behind the sealed
+//     actives, the departing version's patch after a second fence behind
+//     the archival and merged images;
 //  3. the state file — the commit point;
 //  4. only after the state commits, deletion of retired active images
 //     (flushPendingDeletes).
@@ -352,32 +358,26 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
-	if e.cfg.AsyncCommitDepth >= 0 {
-		e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-			func(c *container.Container, t0 time.Time, d time.Duration) {
-				// Writer-goroutine callback; both sinks are safe for
-				// concurrent use.
-				if e.mx != nil {
-					e.mx.ContainerWriteNS.Observe(uint64(d))
-				}
-				if e.tracer != nil {
-					e.tracer.EmitStage("container.flush.async", span, t0, d,
-						map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-				}
-			})
-		defer func() {
-			// Backstop for early-error returns: no queued commit may
-			// outlive Backup, and no commit failure may go unreported.
-			// The happy path has already barriered and cleared e.writer.
-			if e.writer != nil {
-				w := e.writer
-				e.writer = nil
-				if werr := w.Barrier(); werr != nil && retErr == nil {
-					retErr = werr
-				}
+	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
+		func(c *container.Container, t0 time.Time, d time.Duration) {
+			// Called from the plane's goroutines, several at once; both
+			// sinks are safe for concurrent use.
+			if e.mx != nil {
+				e.mx.ContainerWriteNS.Observe(uint64(d))
 			}
-		}()
-	}
+			if e.tracer != nil {
+				e.tracer.EmitStage("container.flush.async", span, t0, d,
+					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
+			}
+		})
+	defer func() {
+		// Every return, early errors included, joins the plane's
+		// goroutines: no commit may outlive Backup or fail unreported.
+		if werr := e.writer.Barrier(); werr != nil && retErr == nil {
+			retErr = werr
+		}
+		e.writer = nil
+	}()
 	g, gctx := pipeline.WithContext(ctx)
 	// credits bounds the chunks in flight between the chunker and the
 	// in-order sink: the producer takes one credit per emitted chunk and
@@ -507,18 +507,12 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.sealOpenActive(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	// Async-commit barrier: every sealed container must be durable
-	// before the recipe can name its chunks (commit-order step 1 → 2).
-	// Clearing e.writer first returns the post-barrier maintenance
-	// paths (migrate/merge) to direct synchronous Puts — they tombstone
-	// chunks in sealed in-memory images, which may not happen while a
-	// writer could still be reading them.
-	if e.writer != nil {
-		w := e.writer
-		e.writer = nil
-		if err := w.Barrier(); err != nil {
-			return backup.BackupReport{}, err
-		}
+	// First fence: every sealed container must be durable before the
+	// recipe can name its chunks (commit-order step 1 → 2). It is also
+	// what lets migrateCold tombstone chunks in sealed in-memory images —
+	// nothing in flight is reading them any more.
+	if err := e.writer.Barrier(); err != nil {
+		return backup.BackupReport{}, err
 	}
 	commitStart := time.Now()
 	if err := e.cfg.Recipes.Put(rec); err != nil {
@@ -549,7 +543,13 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if e.mx != nil {
 		e.mx.MergeNS.Observe(uint64(time.Since(mergeStart)))
 	}
+	// Second fence: the archival and merged images must be durable before
+	// the departing recipe and the state point into them.
+	if err := e.writer.Barrier(); err != nil {
+		return backup.BackupReport{}, err
+	}
 	migrateDur := time.Since(migrateStart)
+	commitWait := e.writer.Blocked() // nothing is handed to the plane past this fence
 
 	recipeStart := time.Now()
 	if err := e.patchDepartingRecipe(v, coldLocs); err != nil {
@@ -578,6 +578,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.mx.ContainerBytesWritten.Add(e.written)
 		e.mx.MigratedBytes.Add(migrated)
 		e.mx.MergedBytes.Add(merged)
+		e.mx.CommitWaitNS.Add(uint64(commitWait))
 		ps := e.pool.Stats()
 		e.mx.PoolInUse.Set(ps.InUse)
 		e.mx.PoolInUseBytes.Set(ps.InUseBytes)
@@ -604,6 +605,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 			map[string]int64{"chunks": int64(chunks), "bytes": int64(logical)})
 		e.tracer.EmitStage("stage.index_lookup", span, start, time.Duration(lookupNS.Load()),
 			map[string]int64{"chunks": int64(chunks)})
+		e.tracer.EmitStage("stage.commit_wait", span, start, commitWait, nil)
 		span.SetAttr("version", int64(v))
 		span.SetAttr("bytes", int64(logical))
 		span.SetAttr("chunks", int64(chunks))
@@ -628,6 +630,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		ContainerBytesWritten: e.written,
 		MigratedBytes:         migrated,
 		MergedBytes:           merged,
+		CommitWait:            commitWait,
 		Duration:              time.Since(start),
 		MaintenanceDuration:   migrateDur + recipeDur,
 		MigrateDuration:       migrateDur,
@@ -656,42 +659,25 @@ func (e *Engine) sealOpenActive() error {
 	if e.openActive == nil {
 		return nil
 	}
-	if e.openActive.Len() == 0 {
-		e.openActive = nil
-		return nil
-	}
-	e.activeContainers[e.openActive.ID()] = e.openActive
-	if e.writer != nil {
-		e.written += uint64(e.openActive.LiveSize())
-		// Hand the sealed image to the background committer. From here
-		// until the barrier the image is read-only: the engine does not
-		// touch sealed actives during the hot loop, and the maintenance
-		// paths that do mutate them run only after the barrier.
-		if err := e.writer.Put(e.openActive); err != nil {
+	if e.openActive.Len() > 0 {
+		e.activeContainers[e.openActive.ID()] = e.openActive
+		// From here until the first fence the image is read-only: the
+		// engine does not touch sealed actives during the hot loop, and
+		// the maintenance paths that tombstone them run after the fence.
+		if err := e.put(e.openActive); err != nil {
 			return err
 		}
-		e.openActive = nil
-		return nil
-	}
-	var t0 time.Time
-	if e.mx != nil {
-		t0 = time.Now()
-	}
-	if err := e.put(e.openActive); err != nil {
-		return err
-	}
-	if e.mx != nil {
-		e.mx.ContainerWriteNS.Observe(uint64(time.Since(t0)))
 	}
 	e.openActive = nil
 	return nil
 }
 
-// put commits one container image synchronously, counting its payload
-// toward the running backup's ContainerBytesWritten.
+// put hands one finished container image to the commit plane, counting
+// its payload toward the running backup's ContainerBytesWritten. The
+// image is durable once the next fence returns.
 func (e *Engine) put(c *container.Container) error {
 	e.written += uint64(c.LiveSize())
-	return e.cfg.Store.Put(c)
+	return e.writer.Put(c)
 }
 
 // migrateCold copies every chunk the fingerprint cache just evicted into
@@ -720,6 +706,7 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		offset uint32
 	}
 	victims := make([]coldChunk, len(evicted))
+	unpacked := 0 // cold payload bytes not yet in an archival container
 	for i, ev := range evicted {
 		src, ok := e.activeContainers[ev.cid]
 		if !ok {
@@ -730,6 +717,7 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 			return nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
 		}
 		victims[i] = coldChunk{f: ev.f, src: src, offset: entry.Offset}
+		unpacked += int(entry.Size)
 	}
 	sort.Slice(victims, func(i, j int) bool {
 		if a, b := victims[i].src.ID(), victims[j].src.ID(); a != b {
@@ -756,7 +744,7 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		return nil
 	}
 	for _, vc := range victims {
-		data, err := vc.src.Get(vc.f)
+		data, err := vc.src.View(vc.f) // copied once, by Add
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
@@ -768,10 +756,12 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		if archival == nil {
 			e.nextCID++
 			archival = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
+			archival.Grow(unpacked)
 		}
 		if err := archival.Add(vc.f, data); err != nil {
 			return nil, 0, err
 		}
+		unpacked -= len(data)
 		if err := vc.src.Remove(vc.f); err != nil {
 			return nil, 0, err
 		}
@@ -810,6 +800,10 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 		return 0, nil
 	}
 	sort.Slice(sparse, func(i, j int) bool { return sparse[i].ID() < sparse[j].ID() })
+	unpacked := 0 // live payload bytes not yet in a merged container
+	for _, c := range sparse {
+		unpacked += c.LiveSize()
+	}
 	var merged *container.Container
 	var repacked uint64
 	seal := func() error {
@@ -826,7 +820,7 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 	}
 	for _, src := range sparse {
 		for _, f := range src.Fingerprints() {
-			data, err := src.Get(f)
+			data, err := src.View(f) // copied once, by Add
 			if err != nil {
 				return 0, err
 			}
@@ -838,10 +832,12 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 			if merged == nil {
 				e.nextCID++
 				merged = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
+				merged.Grow(unpacked)
 			}
 			if err := merged.Add(f, data); err != nil {
 				return 0, err
 			}
+			unpacked -= len(data)
 			e.activeByFP[f] = merged.ID()
 			e.cache.setCID(f, merged.ID())
 		}
@@ -859,14 +855,9 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 // references them, so a crash mid-flush merely leaves orphans for the
 // startup sweep.
 func (e *Engine) flushPendingDeletes() error {
-	for i, cid := range e.pendingDeletes {
-		if err := e.cfg.Store.Delete(cid); err != nil {
-			e.pendingDeletes = e.pendingDeletes[i:]
-			return err
-		}
-	}
-	e.pendingDeletes = nil
-	return nil
+	var err error
+	e.pendingDeletes, err = container.DeleteAll(e.cfg.Store, e.pendingDeletes, container.CommitWidth(e.cfg.AsyncCommitDepth))
+	return err
 }
 
 // patchDepartingRecipe rewrites the recipe of the version leaving the
@@ -1091,11 +1082,11 @@ func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
 		return report, err
 	}
 	if batch != nil {
-		for _, cid := range batch.containers {
-			if err := e.cfg.Store.Delete(cid); err != nil {
-				return report, err
-			}
-			report.ContainersDeleted++
+		// The state no longer lists the batch, so order is free.
+		left, err := container.DeleteAll(e.cfg.Store, batch.containers, container.CommitWidth(e.cfg.AsyncCommitDepth))
+		report.ContainersDeleted = len(batch.containers) - len(left)
+		if err != nil {
+			return report, err
 		}
 	}
 	report.Duration = time.Since(start)

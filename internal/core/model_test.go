@@ -18,7 +18,8 @@ import (
 // satisfy the write-once invariants (checkActiveBound); the reopen variant
 // additionally restarts the engine from its state file after every
 // backup, so each later step runs on active containers that were reloaded
-// from images carrying stale chunks.
+// from images carrying stale chunks. Both variants run the commit plane at
+// its default width (AsyncCommitDepth is left zero).
 func TestModelRandomOperations(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, reopen := range []bool{false, true} {

@@ -33,7 +33,7 @@ func crashWorkload(versions int) workload.Config {
 // crashOpen builds a file-backed baseline engine with fault-injected
 // stores. The baseline keeps no state file, so its commit point is the
 // recipe write (containers are sealed first).
-func crashOpen(dir string, inj *fault.Injector) (backup.Engine, error) {
+func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
 		return nil, err
@@ -53,6 +53,7 @@ func crashOpen(dir string, inj *fault.Injector) (backup.Engine, error) {
 		ContainerCapacity: 16 << 10,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
+		AsyncCommitDepth:  commitDepth,
 	})
 }
 

@@ -65,11 +65,11 @@ type Config struct {
 	// the chunk sequence is bit-identical to single-lane chunking. 0 or
 	// 1 chunks sequentially.
 	ChunkLanes int
-	// AsyncCommitDepth bounds the asynchronous container-commit queue:
-	// sealed containers are committed by a background writer while
-	// chunking continues, with a barrier before the recipe write. 0
-	// selects the default depth of 2 (async on); negative disables the
-	// writer and commits synchronously at each seal.
+	// AsyncCommitDepth is the width of the backup's commit plane: how
+	// many sealed containers may be in flight to the store while chunking
+	// continues, with a fence before the recipe write. 0 selects
+	// container.DefaultCommitDepth; negative commits each image before
+	// the seal returns.
 	AsyncCommitDepth int
 	// Metrics, when set, mirrors backup/restore counters into the
 	// registry; nil disables the observability plane.
@@ -134,8 +134,8 @@ type Engine struct {
 	// segment processor releases each buffer once the payload is
 	// classified duplicate or copied into a container.
 	pool *bufpool.Pool
-	// writer is the asynchronous container committer, non-nil only
-	// while a Backup with async commit enabled is running.
+	// writer is the commit plane every container of the running Backup
+	// is written through; nil between backups.
 	writer *container.AsyncWriter
 
 	// Observability bundles; nil when Config.Metrics is nil.
@@ -190,29 +190,24 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
-	if e.cfg.AsyncCommitDepth >= 0 {
-		e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-			func(c *container.Container, t0 time.Time, d time.Duration) {
-				if e.mx != nil {
-					e.mx.ContainerWriteNS.Observe(uint64(d))
-				}
-				if e.tracer != nil {
-					e.tracer.EmitStage("container.flush.async", nil, t0, d,
-						map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-				}
-			})
-		defer func() {
-			// Backstop for early-error returns: no queued commit may
-			// outlive Backup, and no commit failure may go unreported.
-			if e.writer != nil {
-				w := e.writer
-				e.writer = nil
-				if werr := w.Barrier(); werr != nil && retErr == nil {
-					retErr = werr
-				}
+	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
+		func(c *container.Container, t0 time.Time, d time.Duration) {
+			if e.mx != nil {
+				e.mx.ContainerWriteNS.Observe(uint64(d))
 			}
-		}()
-	}
+			if e.tracer != nil {
+				e.tracer.EmitStage("container.flush.async", nil, t0, d,
+					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
+			}
+		})
+	defer func() {
+		// Every return, early errors included, joins the plane's
+		// goroutines: no commit may outlive Backup or fail unreported.
+		if werr := e.writer.Barrier(); werr != nil && retErr == nil {
+			retErr = werr
+		}
+		e.writer = nil
+	}()
 	g, gctx := pipeline.WithContext(ctx)
 	// credits bounds chunks in flight between the chunker and the
 	// in-order sink, capping the sink's reorder map (see the core
@@ -274,18 +269,15 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// open container first means every chunk the recipe names is on disk
 	// when the recipe appears — a crash between the two leaves an
 	// orphaned container (wasted space), never a dangling recipe entry
-	// (data loss). With async commit the barrier is the same fence: it
-	// returns only when every queued container is durably in the store.
+	// (data loss). The fence returns only when every container handed to
+	// the commit plane is durably in the store.
 	if err := e.sealOpen(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	if e.writer != nil {
-		w := e.writer
-		e.writer = nil
-		if err := w.Barrier(); err != nil {
-			return backup.BackupReport{}, err
-		}
+	if err := e.writer.Barrier(); err != nil {
+		return backup.BackupReport{}, err
 	}
+	commitWait := e.writer.Blocked()
 	if err := e.cfg.Recipes.Put(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
@@ -299,6 +291,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.mx.LogicalBytes.Add(session.logicalBytes)
 		e.mx.StoredBytes.Add(session.storedBytes)
 		e.mx.ContainerBytesWritten.Add(session.storedBytes)
+		e.mx.CommitWaitNS.Add(uint64(commitWait))
 		e.mx.Chunks.Add(uint64(session.chunks))
 		e.mx.UniqueChunks.Add(uint64(session.uniqueChunks))
 		ps := e.pool.Stats()
@@ -321,6 +314,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		UniqueChunks: session.uniqueChunks,
 		// The baseline writes each stored chunk once and never moves it.
 		ContainerBytesWritten: session.storedBytes,
+		CommitWait:            commitWait,
 		IndexStats:            diffIndexStats(indexBefore, indexAfter),
 		RewriteStats:          diffRewriteStats(rewriteBefore, rewriteAfter),
 		Duration:              time.Since(start),
@@ -443,22 +437,12 @@ func (e *Engine) sealOpen() error {
 	if e.open == nil {
 		return nil
 	}
-	if e.open.Len() == 0 {
-		e.open = nil
-		return nil
-	}
-	if e.writer != nil {
-		// Sealed images handed to the background committer are
-		// read-only until the barrier; this engine never mutates a
-		// sealed container during a backup.
+	if e.open.Len() > 0 {
+		// A sealed image is read-only from here on; this engine never
+		// mutates one during a backup.
 		if err := e.writer.Put(e.open); err != nil {
 			return err
 		}
-		e.open = nil
-		return nil
-	}
-	if err := e.cfg.Store.Put(e.open); err != nil {
-		return err
 	}
 	e.open = nil
 	return nil

@@ -26,9 +26,11 @@
 //     delegating, so the store's CRC detects it — the bit-rot input
 //     for fsck's repair mode.
 //
-// Wrappers are not safe for concurrent use beyond what the op-counter
-// mutex provides: deterministic injection requires a deterministic op
-// order, which concurrent callers would destroy.
+// The wrappers may be called concurrently (the op counter is guarded),
+// but "op N" only names the same commit step in every run when the op
+// order is deterministic: the op-indexed crash matrix runs the engines
+// with a one-wide commit plane, and the randomized run at the default
+// width treats N as an arbitrary kill point.
 package fault
 
 import (

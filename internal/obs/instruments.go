@@ -39,6 +39,9 @@ type BackupMetrics struct {
 	ContainerBytesWritten *Counter
 	MigratedBytes         *Counter
 	MergedBytes           *Counter
+	// CommitWaitNS is the time backup goroutines spent blocked on the
+	// container commit plane (full slots plus the two fences).
+	CommitWaitNS *Counter
 
 	// Chunk-buffer pool state, set from bufpool.Pool.Stats after each
 	// backup. InUse should be 0 between backups — anything else is a
@@ -77,6 +80,7 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 		ContainerBytesWritten: r.Counter("hidestore_backup_container_bytes_written_total", "container payload bytes written by backups (unique + migrated + merged)"),
 		MigratedBytes:         r.Counter("hidestore_backup_migrated_bytes_total", "payload bytes copied into archival containers"),
 		MergedBytes:           r.Counter("hidestore_backup_merged_bytes_total", "payload bytes repacked by sparse-container merges"),
+		CommitWaitNS:          r.Counter("hidestore_backup_commit_wait_ns_total", "time the backup goroutine spent blocked on the container commit plane (ns)"),
 
 		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "pooled chunk buffers currently checked out"),
 		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "pooled capacity currently checked out"),

@@ -3,6 +3,7 @@ package restorecache
 import (
 	"context"
 	"testing"
+	"time"
 
 	"hidestore/internal/container"
 	"hidestore/internal/obs"
@@ -34,12 +35,12 @@ func TestPrefetchDrainsSkippedPlanned(t *testing.T) {
 	if n := len(p.stash); n != 0 {
 		t.Fatalf("stash holds %d stranded item(s) after skipping a planned container", n)
 	}
-	if n := p.outstanding.Load(); n != 0 {
-		t.Fatalf("outstanding = %d before Close, want 0", n)
-	}
-	if v := mx.PrefetchOccupancy.Value(); v != 0 {
-		t.Fatalf("occupancy gauge = %d before Close, want 0", v)
-	}
+	// The dispatcher counts an item into the window just after queueing
+	// it, so a Get can hand the item over (and count it out) first: the
+	// balance is only guaranteed once the dispatcher has caught up.
+	eventually(t, "outstanding and the occupancy gauge return to 0 before Close", func() bool {
+		return p.outstanding.Load() == 0 && mx.PrefetchOccupancy.Value() == 0
+	})
 	// A late request for the skipped container is no longer planned:
 	// it reads through directly instead of scanning the drained queue.
 	if _, err := p.Get(ctx, 2); err != nil {
@@ -48,12 +49,29 @@ func TestPrefetchDrainsSkippedPlanned(t *testing.T) {
 	if p.planned[container.ID(2)] {
 		t.Fatal("skipped container still marked planned after drain")
 	}
+	// Nobody awaited the worker's read of the skipped container; it may
+	// still be in flight.
+	eventually(t, "store reads reach 4 (3 planned + 1 read-through)", func() bool {
+		return store.Stats().Reads >= 4
+	})
+	p.Close()
 	if reads := store.Stats().Reads; reads != 4 {
 		t.Fatalf("store reads = %d, want 4 (3 planned + 1 read-through)", reads)
 	}
-	p.Close()
 	if v := mx.PrefetchOccupancy.Value(); v != 0 {
 		t.Fatalf("occupancy gauge = %d after Close, want 0", v)
+	}
+}
+
+// eventually polls cond until it holds, failing the test after 5 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
