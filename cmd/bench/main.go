@@ -210,6 +210,7 @@ func run(args []string) error {
 				for k, v := range res.Extras() {
 					extra[name+"_"+k] = v
 				}
+				extra["restore_allocs_per_chunk_"+name] = res.AllocsPerChunk
 			}
 		case "ablations":
 			type runner func(string, experiments.Options) (*experiments.AblationResult, error)

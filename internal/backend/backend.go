@@ -52,7 +52,9 @@ func IsTransient(err error) bool {
 type Backend interface {
 	// Put writes or replaces the blob atomically.
 	Put(ctx context.Context, name string, data []byte) error
-	// Get reads a whole blob; a missing name is ErrNotFound.
+	// Get reads a whole blob; a missing name is ErrNotFound. The returned
+	// buffer is the caller's: no layer keeps or reuses it (the container
+	// store decodes images in place over it).
 	Get(ctx context.Context, name string) ([]byte, error)
 	// Delete removes a blob durably; a missing name is ErrNotFound.
 	Delete(ctx context.Context, name string) error

@@ -74,7 +74,9 @@ func (s *ContainerStore) Put(c *container.Container) error {
 	return nil
 }
 
-// Get implements container.Store.
+// Get implements container.Store. The image is decoded in place and
+// owns the buffer the backend returned (every Backend.Get hands back
+// bytes of the caller's own).
 func (s *ContainerStore) Get(id container.ID) (*container.Container, error) {
 	buf, err := s.b.Get(context.Background(), ContainerName(id))
 	if err != nil {

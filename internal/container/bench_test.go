@@ -71,7 +71,7 @@ func BenchmarkGet(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(fps[i%len(fps)]); err != nil {
+		if _, err := c.View(fps[i%len(fps)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,13 +91,14 @@ func (s *CompressedStore) Put(c *Container) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. The image is decoded in place and owns the
+// buffer the carrier's payload was inflated into.
 func (s *CompressedStore) Get(id ID) (*Container, error) {
 	carrier, err := s.inner.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := carrier.Get(carrierFP)
+	compressed, err := carrier.View(carrierFP)
 	if err != nil {
 		return nil, fmt.Errorf("container %d: not a compressed carrier: %w", id, err)
 	}

@@ -22,7 +22,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 	fps := orig.Fingerprints()
 	want := make(map[string][]byte)
 	for _, f := range fps {
-		d, err := orig.Get(f)
+		d, err := orig.View(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		t.Fatalf("shape: id=%d len=%d", got.ID(), got.Len())
 	}
 	for _, f := range fps {
-		d, err := got.Get(f)
+		d, err := got.View(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,23 +152,12 @@ func (c *Container) Has(f fp.FP) bool {
 	return ok
 }
 
-// Get returns a copy of the chunk payload for f.
-func (c *Container) Get(f fp.FP) ([]byte, error) {
-	e, ok := c.entries[f]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s in container %d", ErrNotFound, f.Short(), c.id)
-	}
-	out := make([]byte, e.Size)
-	copy(out, c.data[e.Offset:e.Offset+e.Size])
-	return out, nil
-}
-
 // View returns the chunk payload for f without copying it: a sub-slice of
 // the container's own buffer, capped so an append cannot reach the next
-// chunk. It is for callers on the goroutine that owns the container (the
-// engines' maintenance loops, which pass it straight to another
-// container's Add); the bytes must not be written, and are valid only
-// until the container is next mutated.
+// chunk. The bytes must not be written, and are valid until the container
+// is next mutated (Add, Remove, Grow). An image obtained from Store.Get or
+// UnmarshalBinary never is, so goroutines may share its views freely; a
+// caller that needs the bytes past the image's life copies them.
 func (c *Container) View(f fp.FP) ([]byte, error) {
 	e, ok := c.entries[f]
 	if !ok {
@@ -177,6 +166,10 @@ func (c *Container) View(f fp.FP) ([]byte, error) {
 	end := e.Offset + e.Size
 	return c.data[e.Offset:end:end], nil
 }
+
+// Payload returns the whole payload under View's contract; an Entry's
+// chunk is Payload()[Offset:Offset+Size], so adjacent chunks copy as one.
+func (c *Container) Payload() []byte { return c.data[:len(c.data):len(c.data)] }
 
 // Entry returns the metadata entry for f.
 func (c *Container) Entry(f fp.FP) (Entry, bool) {
@@ -266,7 +259,9 @@ const (
 //	magic u32 | version u16 | pad u16 | id u32 | count u32 | dataSize u32 |
 //	crc u32 | count×(fp[20] | offset u32 | size u32) | data bytes
 //
-// The CRC covers entries and data, enabling corruption detection on read.
+// Entries are written in ascending offset order and the chunks they name
+// tile the data bytes exactly. The CRC covers entries and data, enabling
+// corruption detection on read.
 func (c *Container) MarshalBinary() ([]byte, error) {
 	packed := c
 	if c.dead > 0 {
@@ -293,8 +288,15 @@ func (c *Container) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a container encoded by MarshalBinary. The
-// capacity is restored to DefaultCapacity unless the payload is larger.
+// UnmarshalBinary decodes a container encoded by MarshalBinary in place:
+// it owns buf from here on. The payload is a capped sub-slice of buf and
+// the table's offsets are kept as stored, so nobody may write buf again,
+// and mutating the container (Add, Grow) reallocates instead of writing
+// into it. Nothing is re-packed, so the table is checked, not trusted: an
+// entry outside the payload, entries that overlap or are out of offset
+// order and a repeated fingerprint are ErrCorrupt; payload bytes no entry
+// covers count as dead space. The capacity is DefaultCapacity unless the
+// payload is larger.
 func UnmarshalBinary(buf []byte) (*Container, error) {
 	if len(buf) < _headerSize {
 		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
@@ -309,44 +311,42 @@ func UnmarshalBinary(buf []byte) (*Container, error) {
 	count := int(binary.BigEndian.Uint32(buf[12:]))
 	dataSize := int(binary.BigEndian.Uint32(buf[16:]))
 	wantCRC := binary.BigEndian.Uint32(buf[20:])
-	need := _headerSize + count*_entrySize + dataSize
-	if len(buf) != need {
+	dataStart := _headerSize + count*_entrySize
+	if need := dataStart + dataSize; len(buf) != need {
 		return nil, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(buf), need)
 	}
 	if crc32.ChecksumIEEE(buf[_headerSize:]) != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	capacity := DefaultCapacity
-	if dataSize > capacity {
-		capacity = dataSize
-	}
-	// Sized up front: the header says exactly how much the Adds below
-	// will append, and growing a multi-megabyte payload by doubling was
-	// nearly half of a restore's CPU.
 	c := &Container{
 		id:       id,
-		capacity: capacity,
+		capacity: max(DefaultCapacity, dataSize),
 		entries:  make(map[fp.FP]Entry, count),
-		order:    make([]fp.FP, 0, count),
-		data:     make([]byte, 0, dataSize),
+		order:    make([]fp.FP, count),
+		data:     buf[dataStart:len(buf):len(buf)],
 	}
-	off := _headerSize
-	dataStart := _headerSize + count*_entrySize
+	table := buf[_headerSize:dataStart]
+	end := uint64(0) // where the previous entry's chunk ends
 	for i := 0; i < count; i++ {
-		f, err := fp.FromBytes(buf[off : off+fp.Size])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		row := table[i*_entrySize:]
+		e := Entry{
+			Offset: binary.BigEndian.Uint32(row[fp.Size:]),
+			Size:   binary.BigEndian.Uint32(row[fp.Size+4:]),
 		}
-		chunkOff := binary.BigEndian.Uint32(buf[off+fp.Size:])
-		chunkSize := binary.BigEndian.Uint32(buf[off+fp.Size+4:])
-		if int(chunkOff)+int(chunkSize) > dataSize {
-			return nil, fmt.Errorf("%w: entry %d out of range", ErrCorrupt, i)
+		copy(e.FP[:], row)
+		off := uint64(e.Offset)
+		if off < end || off+uint64(e.Size) > uint64(dataSize) {
+			return nil, fmt.Errorf("%w: entry %d (offset %d, size %d) overlaps its predecessor or leaves the %d-byte payload",
+				ErrCorrupt, i, e.Offset, e.Size, dataSize)
 		}
-		payload := buf[dataStart+int(chunkOff) : dataStart+int(chunkOff)+int(chunkSize)]
-		if err := c.Add(f, payload); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		if _, dup := c.entries[e.FP]; dup {
+			return nil, fmt.Errorf("%w: entry %d repeats fingerprint %s", ErrCorrupt, i, e.FP.Short())
 		}
-		off += _entrySize
+		c.dead += int(off - end)
+		end = off + uint64(e.Size)
+		c.entries[e.FP] = e
+		c.order[i] = e.FP
 	}
+	c.dead += dataSize - int(end)
 	return c, nil
 }

@@ -16,44 +16,24 @@ func chunkOf(s string) (fp.FP, []byte) {
 	return fp.Of(b), b
 }
 
-func TestAddGet(t *testing.T) {
+func TestAddView(t *testing.T) {
 	c := NewWithCapacity(1, 1024)
 	f, data := chunkOf("hello")
 	if err := c.Add(f, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(f)
+	got, err := c.View(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatalf("Get = %q, want %q", got, data)
+		t.Fatalf("View = %q, want %q", got, data)
 	}
 	if !c.Has(f) {
 		t.Fatal("Has should report true")
 	}
 	if c.Len() != 1 || c.DataSize() != len(data) || c.LiveSize() != len(data) {
 		t.Fatalf("sizes wrong: len=%d data=%d live=%d", c.Len(), c.DataSize(), c.LiveSize())
-	}
-}
-
-func TestGetReturnsCopy(t *testing.T) {
-	c := NewWithCapacity(1, 1024)
-	f, data := chunkOf("immutable")
-	if err := c.Add(f, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got[0] = 'X'
-	again, err := c.Get(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[0] == 'X' {
-		t.Fatal("Get must return an independent copy")
 	}
 }
 
@@ -83,7 +63,7 @@ func TestViewAliasesWithoutReachingTheNextChunk(t *testing.T) {
 		t.Fatal("View copied the payload")
 	}
 	_ = append(view, "overrun"...)
-	if got, _ := c.Get(f2); !bytes.Equal(got, d2) {
+	if got, _ := c.View(f2); !bytes.Equal(got, d2) {
 		t.Fatalf("appending to a view overwrote the next chunk: %q", got)
 	}
 	if _, err := c.View(fp.Of([]byte("absent"))); !errors.Is(err, ErrNotFound) {
@@ -114,7 +94,7 @@ func TestGrowReservesWithoutChangingContents(t *testing.T) {
 	if &c.data[0] != base {
 		t.Fatal("the payload buffer moved while filling the reserved room")
 	}
-	if got, _ := c.Get(f0); !bytes.Equal(got, d0) {
+	if got, _ := c.View(f0); !bytes.Equal(got, d0) {
 		t.Fatalf("Grow disturbed stored content: %q", got)
 	}
 	if c.DataSize() > c.Capacity() || c.Free() >= 100 {
@@ -174,7 +154,7 @@ func TestRemoveAndUtilization(t *testing.T) {
 	if err := c.Remove(f1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove: got %v, want ErrNotFound", err)
 	}
-	if _, err := c.Get(f1); !errors.Is(err, ErrNotFound) {
+	if _, err := c.View(f1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get removed: got %v, want ErrNotFound", err)
 	}
 }
@@ -230,7 +210,7 @@ func TestCompacted(t *testing.T) {
 	if packed.Len() != 2 || packed.Has(f2) {
 		t.Fatal("compacted container content wrong")
 	}
-	got, err := packed.Get(f3)
+	got, err := packed.View(f3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +253,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got.Len(), c.Len())
 	}
 	for _, f := range c.Fingerprints() {
-		want, err := c.Get(f)
+		want, err := c.View(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.Get(f)
+		have, err := got.View(f)
 		if err != nil {
 			t.Fatalf("decoded container missing %s: %v", f.Short(), err)
 		}
@@ -340,8 +320,8 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, f := range c.Fingerprints() {
-			want, _ := c.Get(f)
-			have, err := got.Get(f)
+			want, _ := c.View(f)
+			have, err := got.View(f)
 			if err != nil || !bytes.Equal(want, have) {
 				return false
 			}

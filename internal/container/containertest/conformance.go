@@ -35,7 +35,7 @@ func RunStoreSuite(t *testing.T, open func(t *testing.T) container.Store) {
 		s := open(t)
 		orig := Fill(t, 3, 10)
 		firstFP := orig.Fingerprints()[0]
-		wantChunk, err := orig.Get(firstFP)
+		wantChunk, err := orig.View(firstFP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func RunStoreSuite(t *testing.T, open func(t *testing.T) container.Store) {
 		if got.ID() != 3 || got.Len() != 10 {
 			t.Fatalf("got id=%d len=%d", got.ID(), got.Len())
 		}
-		have, err := got.Get(firstFP)
+		have, err := got.View(firstFP)
 		if err != nil {
 			t.Fatal(err)
 		}

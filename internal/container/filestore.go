@@ -83,7 +83,8 @@ func (s *FileStore) Put(c *Container) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. The image is decoded in place and owns the
+// buffer the file was read into.
 func (s *FileStore) Get(id ID) (*Container, error) {
 	buf, err := os.ReadFile(s.path(id))
 	if err != nil {

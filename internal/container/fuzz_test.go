@@ -2,56 +2,57 @@ package container
 
 import (
 	"bytes"
+	"os"
 	"testing"
-
-	"hidestore/internal/fp"
 )
 
-// FuzzUnmarshalBinary hardens the container decoder against arbitrary
-// bytes: it must never panic, and anything it accepts must round-trip.
+// FuzzUnmarshalBinary hardens the in-place decoder against arbitrary
+// bytes: it must never panic, every view of an accepted image must lie
+// inside its payload, and anything it accepts must round-trip. Each input
+// is tried as given and with its checksum recomputed, so mutations reach
+// the table checks instead of stopping at the CRC.
 func FuzzUnmarshalBinary(f *testing.F) {
-	c := NewWithCapacity(3, 4096)
-	for _, s := range []string{"alpha", "beta", "gamma"} {
-		if err := c.Add(fp.Of([]byte(s)), []byte(s)); err != nil {
-			f.Fatal(err)
-		}
+	for seed, n := range []int{0, 1, 3, 9} {
+		_, buf := image(f, int64(seed+1), n)
+		f.Add(buf)
+		f.Add(buf[:len(buf)/2])
 	}
-	seed, err := c.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
+	if old, err := os.ReadFile("testdata/pr15_image.ctn"); err == nil {
+		f.Add(old)
 	}
-	f.Add(seed)
 	f.Add([]byte{})
-	f.Add(seed[:10])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := UnmarshalBinary(data)
-		if err != nil {
-			return
-		}
-		// Accepted input must re-encode and decode to the same content.
-		again, err := got.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted container failed to marshal: %v", err)
-		}
-		back, err := UnmarshalBinary(again)
-		if err != nil {
-			t.Fatalf("re-encoded container failed to decode: %v", err)
-		}
-		if back.Len() != got.Len() || back.ID() != got.ID() {
-			t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-				back.ID(), back.Len(), got.ID(), got.Len())
-		}
-		for _, fpr := range got.Fingerprints() {
-			want, err := got.Get(fpr)
+		for _, input := range [][]byte{data, reseal(append([]byte(nil), data...))} {
+			got, err := UnmarshalBinary(input)
 			if err != nil {
-				t.Fatal(err)
+				continue
 			}
-			have, err := back.Get(fpr)
+			checkDecoded(t, got)
+			// Accepted input must re-encode and decode to the same content.
+			again, err := got.MarshalBinary()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("accepted container failed to marshal: %v", err)
 			}
-			if !bytes.Equal(want, have) {
-				t.Fatal("round trip changed payload")
+			back, err := UnmarshalBinary(again)
+			if err != nil {
+				t.Fatalf("re-encoded container failed to decode: %v", err)
+			}
+			if back.Len() != got.Len() || back.ID() != got.ID() {
+				t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
+					back.ID(), back.Len(), got.ID(), got.Len())
+			}
+			for _, fpr := range got.Fingerprints() {
+				want, err := got.View(fpr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				have, err := back.View(fpr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, have) {
+					t.Fatal("round trip changed payload")
+				}
 			}
 		}
 	})

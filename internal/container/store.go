@@ -20,10 +20,12 @@ type StoreStats struct {
 // Store persists containers. Implementations must be safe for concurrent
 // use. Put snapshots the container: later caller mutations are not
 // visible to the store (file-backed stores marshal immediately; the
-// memory store deep-copies). Get returns a container the caller must
-// treat as read-only (file-backed stores return fresh decodes; the
-// memory store returns the stored snapshot, which concurrent restores
-// may share).
+// memory store deep-copies). Get returns an image that is never mutated
+// again — the caller treats it as read-only and Clones before changing
+// anything — so its Container.View slices stay valid while it is held and
+// restore workers may read one image at once (file-backed stores return a
+// fresh in-place decode that owns the buffer read; the memory store
+// returns the stored snapshot, which concurrent restores share).
 type Store interface {
 	// Put writes or overwrites a snapshot of the container under its ID.
 	Put(c *Container) error

@@ -52,7 +52,7 @@ func TestConcurrentReadDuringMaintenance(t *testing.T) {
 						return
 					}
 					for _, f := range c.Fingerprints() {
-						if _, err := c.Get(f); err != nil {
+						if _, err := c.View(f); err != nil {
 							t.Errorf("chunk %s vanished from snapshot %d: %v", f.Short(), id, err)
 							return
 						}

@@ -129,7 +129,7 @@ func (e *Engine) scrubVerify(cid container.ID) (chunks int, bytes uint64, proble
 		return 0, 0, err.Error()
 	}
 	for _, f := range ctn.Fingerprints() {
-		data, err := ctn.Get(f)
+		data, err := ctn.View(f)
 		if err != nil {
 			return chunks, bytes, fmt.Sprintf("chunk %s: %v", f.Short(), err)
 		}

@@ -58,7 +58,7 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 		}
 		report.Containers++
 		for _, f := range ctn.Fingerprints() {
-			data, err := ctn.Get(f)
+			data, err := ctn.View(f)
 			if err != nil {
 				report.Problemf("container %d chunk %s: %v", cid, f.Short(), err)
 				continue

@@ -5,13 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"hidestore/internal/backend"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/core"
-	"hidestore/internal/layout"
 	"hidestore/internal/metrics"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
@@ -85,6 +85,12 @@ type RestoreScaleResult struct {
 	CFL             float64
 	Utilization     float64
 	ContainersPerMB float64
+	// AllocsPerChunk is heap allocations per restored chunk for the
+	// newest version on a plain in-memory store: a count of what the
+	// restore data path did, independent of the host's speed, so CI can
+	// gate on it. Assembly copies from views of the fetched images, so it
+	// scales with containers and spans, not chunks.
+	AllocsPerChunk float64
 }
 
 // effectiveFetchParallelism mirrors the prefetcher's own bound: the
@@ -230,7 +236,14 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 		}
 		res.Speedup = append(res.Speedup, one.ModeledMS/wide.ModeledMS)
 	}
-	prof, err := restoreLayoutProfile(opts, cfg, versions)
+	mem, err := restoreMemEngine(opts, cfg, versions)
+	if err != nil {
+		return nil, err
+	}
+	if res.AllocsPerChunk, err = restoreAllocsPerChunk(mem, len(versions)); err != nil {
+		return nil, err
+	}
+	prof, err := mem.AnalyzeLayout(context.Background(), len(versions), []string{"faa"})
 	if err != nil {
 		return nil, err
 	}
@@ -248,11 +261,11 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 	return res, nil
 }
 
-// restoreLayoutProfile rebuilds the backup chain on a plain in-memory
-// store (deterministic chunking makes it byte-identical to every
-// cell's store) and profiles the newest version's layout, simulating
-// only the FAA policy the sweep restores with.
-func restoreLayoutProfile(o Options, w workload.Config, versions [][]byte) (*layout.Report, error) {
+// restoreMemEngine rebuilds the backup chain on a plain in-memory store
+// (deterministic chunking makes it byte-identical to every cell's
+// store), restoring with the FAA policy the sweep uses: the engine the
+// layout profile and the allocation count are taken from.
+func restoreMemEngine(o Options, w workload.Config, versions [][]byte) (*core.Engine, error) {
 	e, err := core.New(core.Config{
 		Store:             container.NewMemStore(),
 		Recipes:           recipe.NewMemStore(),
@@ -270,7 +283,21 @@ func restoreLayoutProfile(o Options, w workload.Config, versions [][]byte) (*lay
 			return nil, fmt.Errorf("layout profile backup v%d: %w", v+1, err)
 		}
 	}
-	return e.AnalyzeLayout(context.Background(), len(versions), []string{"faa"})
+	return e, nil
+}
+
+// restoreAllocsPerChunk restores one version into a discarding sink and
+// returns the heap allocations it made per chunk restored.
+func restoreAllocsPerChunk(e *core.Engine, version int) (float64, error) {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := e.Restore(context.Background(), version, io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return 0, fmt.Errorf("allocation count restore v%d: %w", version, err)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(rep.Stats.Chunks), nil
 }
 
 // Cell returns the cell for (workers, depth, latency), or nil.
@@ -326,5 +353,6 @@ func (r *RestoreScaleResult) Render() string {
 	}
 	s += fmt.Sprintf("\nnewest-version layout: CFL %.3f, utilization %.1f%%, %.3f containers/MB\n",
 		r.CFL, r.Utilization*100, r.ContainersPerMB)
+	s += fmt.Sprintf("restore allocations: %.3f per chunk\n", r.AllocsPerChunk)
 	return s
 }

@@ -1,8 +1,8 @@
 package restorecache
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"io"
 
 	"hidestore/internal/container"
@@ -70,15 +70,7 @@ func (a *ALACC) Name() string { return "alacc" }
 
 // Restore implements Cache.
 func (a *ALACC) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := a.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return run(ctx, entries, fetch, w, a.restore)
 }
 
 // restore keeps ALACC's two-pass area structure — all of an area's
@@ -138,29 +130,16 @@ func (a *ALACC) restore(ctx context.Context, entries []recipe.Entry, counted Fet
 				return err
 			}
 			ctns[id] = ctn
-			needed := make(map[fp.FP]struct{}, len(unfilled[id]))
-			for _, i := range unfilled[id] {
-				needed[slots[i].FP] = struct{}{}
-			}
 			stats.CacheHits += uint64(len(unfilled[id]) - 1)
 			stats.Chunks += uint64(len(unfilled[id]))
 			// Look-ahead insertion: cache only the fetched container's
-			// chunks that the window will need again.
-			for _, f := range ctn.Fingerprints() {
-				if _, usedNow := needed[f]; usedNow {
-					// Chunks used in this area are also re-cached if the
-					// window references them again.
-					if _, again := lookahead[f]; !again {
-						continue
-					}
-				} else if _, again := lookahead[f]; !again {
-					continue
+			// chunks that the window will need again (whether or not this
+			// area uses them too), as copies: a view would pin the image.
+			payload := ctn.Payload()
+			for _, ce := range ctn.Entries() {
+				if _, again := lookahead[ce.FP]; again {
+					cache.Add(ce.FP, bytes.Clone(payload[ce.Offset:ce.Offset+ce.Size]), int64(ce.Size))
 				}
-				data, err := ctn.Get(f)
-				if err != nil {
-					return fmt.Errorf("restore: container %d: %w", id, err)
-				}
-				cache.Add(f, data, int64(len(data)))
 			}
 		}
 		// Emission: the area in stream order, cache hits and fetched

@@ -25,8 +25,8 @@ const spanTargetBytes = 1 << 20
 // of src" (src != nil) or "the payload is already in hand" (a chunk
 // cache hit). Holding the *container.Container rather than copied
 // bytes is what lets the copy itself move off the policy goroutine;
-// containers are immutable while a restore runs, so concurrent Gets
-// from span workers are safe.
+// fetched images are never mutated, so span workers may read one
+// concurrently.
 type assemblyOp struct {
 	src  *container.Container
 	data []byte
@@ -62,60 +62,98 @@ func newAssembler(w io.Writer, stats *Stats) assembler {
 	if pw, ok := w.(*ParallelWriter); ok && pw.opts.Workers > 1 {
 		return newParallelAssembler(pw, stats)
 	}
-	return &serialAssembler{w: w, stats: stats}
+	return &serialAssembler{w: w, stats: stats, span: spanBuilder{buf: make([]byte, 0, spanTargetBytes)}}
 }
 
-// copyChunk materializes one chunk instruction, enforcing the recipe's
-// size so a corrupt payload cannot silently shift every later byte.
-func copyChunk(src *container.Container, e recipe.Entry) ([]byte, error) {
-	data, err := src.Get(e.FP)
-	if err != nil {
-		return nil, fmt.Errorf("restore: container %d: %w", src.ID(), err)
+// spanBuilder moves chunk bytes into a span buffer once, straight from
+// views of the fetched images. Recipe entries physically adjacent in one
+// container — the common case: a stream is mostly restored in the order
+// it was packed — gather into a run that moves with a single copy.
+type spanBuilder struct {
+	buf []byte
+	// The pending run: src's payload bytes [off, end), not yet in buf.
+	src      *container.Container
+	off, end uint32
+}
+
+// size is the span's length so far, pending run included.
+func (b *spanBuilder) size() int { return len(b.buf) + int(b.end-b.off) }
+
+// chunk adds chunk e of src, enforcing the recipe's size so a corrupt
+// payload cannot silently shift every later byte.
+func (b *spanBuilder) chunk(src *container.Container, e recipe.Entry) error {
+	ce, ok := src.Entry(e.FP)
+	if !ok {
+		return fmt.Errorf("restore: container %d: %w: %s", src.ID(), container.ErrNotFound, e.FP.Short())
 	}
-	if len(data) != int(e.Size) {
-		return nil, fmt.Errorf("restore: chunk %s size %d, recipe says %d",
-			e.FP.Short(), len(data), e.Size)
+	if ce.Size != e.Size {
+		return fmt.Errorf("restore: chunk %s size %d, recipe says %d", e.FP.Short(), ce.Size, e.Size)
 	}
-	return data, nil
+	if src != b.src || ce.Offset != b.end {
+		b.settle()
+		b.src, b.off = src, ce.Offset
+	}
+	b.end = ce.Offset + ce.Size
+	return nil
+}
+
+// bytes adds a payload that is already in hand.
+func (b *spanBuilder) bytes(data []byte) {
+	b.settle()
+	b.buf = append(b.buf, data...)
+}
+
+// settle copies the pending run into buf and drops the image reference.
+func (b *spanBuilder) settle() {
+	if b.src != nil {
+		b.buf = append(b.buf, b.src.Payload()[b.off:b.end]...)
+		b.src, b.off, b.end = nil, 0, 0
+	}
 }
 
 // serialAssembler copies inline on the policy goroutine and batches
-// output into span-sized Writes.
+// output into Writes of up to a span.
 type serialAssembler struct {
 	w     io.Writer
 	stats *Stats
-	buf   []byte
+	span  spanBuilder
 }
 
-func (s *serialAssembler) chunk(src *container.Container, e recipe.Entry) error {
-	data, err := copyChunk(src, e)
-	if err != nil {
-		return err
-	}
-	return s.append(data)
-}
-
-func (s *serialAssembler) cached(data []byte, _ recipe.Entry) error {
-	return s.append(data)
-}
-
-func (s *serialAssembler) append(data []byte) error {
-	s.buf = append(s.buf, data...)
-	if len(s.buf) >= spanTargetBytes {
+// reserve writes the span out if it cannot take n more bytes, so the
+// buffer, allocated once at full size, regrows only for a chunk larger
+// than a span.
+func (s *serialAssembler) reserve(n int) error {
+	if s.span.size()+n > spanTargetBytes {
 		return s.flush()
 	}
 	return nil
 }
 
+func (s *serialAssembler) chunk(src *container.Container, e recipe.Entry) error {
+	if err := s.reserve(int(e.Size)); err != nil {
+		return err
+	}
+	return s.span.chunk(src, e)
+}
+
+func (s *serialAssembler) cached(data []byte, _ recipe.Entry) error {
+	if err := s.reserve(len(data)); err != nil {
+		return err
+	}
+	s.span.bytes(data)
+	return nil
+}
+
 func (s *serialAssembler) flush() error {
-	if len(s.buf) == 0 {
+	s.span.settle()
+	if len(s.span.buf) == 0 {
 		return nil
 	}
-	if _, err := s.w.Write(s.buf); err != nil {
+	if _, err := s.w.Write(s.span.buf); err != nil {
 		return fmt.Errorf("restore: write: %w", err)
 	}
-	s.stats.BytesRestored += uint64(len(s.buf))
-	s.buf = s.buf[:0]
+	s.stats.BytesRestored += uint64(len(s.span.buf))
+	s.span.buf = s.span.buf[:0]
 	return nil
 }
 
@@ -302,23 +340,19 @@ func (a *parallelAssembler) worker() {
 	}
 }
 
-// fillSpan materializes a span's instructions into its buffer.
+// fillSpan materializes a span's instructions into its buffer, which is
+// sized exactly: the dispatcher summed the recipe sizes chunk enforces.
 func fillSpan(it *spanItem) {
-	buf := make([]byte, 0, it.size)
+	b := spanBuilder{buf: make([]byte, 0, it.size)}
 	for _, o := range it.ops {
-		data := o.data
-		if o.src != nil {
-			var err error
-			data, err = copyChunk(o.src, o.e)
-			if err != nil {
-				it.err = err
-				it.ops = nil
-				return
-			}
+		if o.src == nil {
+			b.bytes(o.data)
+		} else if it.err = b.chunk(o.src, o.e); it.err != nil {
+			break
 		}
-		buf = append(buf, data...)
 	}
-	it.buf = buf
+	b.settle()
+	it.buf = b.buf
 	it.ops = nil // release the container references with the copy done
 }
 

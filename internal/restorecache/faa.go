@@ -52,15 +52,7 @@ func carveArea(entries []recipe.Entry, pos *int, areaBytes int) []recipe.Entry {
 
 // Restore implements Cache.
 func (f *FAA) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := f.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return run(ctx, entries, fetch, w, f.restore)
 }
 
 // restore emits the stream through asm: containers are still fetched

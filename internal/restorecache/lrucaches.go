@@ -1,8 +1,8 @@
 package restorecache
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"io"
 
 	"hidestore/internal/container"
@@ -38,15 +38,7 @@ func (c *ContainerLRU) Name() string { return "container-lru" }
 
 // Restore implements Cache.
 func (c *ContainerLRU) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := c.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return run(ctx, entries, fetch, w, c.restore)
 }
 
 func (c *ContainerLRU) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {
@@ -102,15 +94,7 @@ func (c *ChunkLRU) Name() string { return "chunk-lru" }
 
 // Restore implements Cache.
 func (c *ChunkLRU) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := c.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return run(ctx, entries, fetch, w, c.restore)
 }
 
 func (c *ChunkLRU) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {
@@ -136,12 +120,11 @@ func (c *ChunkLRU) restore(ctx context.Context, entries []recipe.Entry, counted 
 			// locality makes neighbours likely to be needed soon. A tiny
 			// cache may evict them immediately, which is only a
 			// performance concern — the needed chunk is already in hand.
-			for _, f := range ctn.Fingerprints() {
-				payload, err := ctn.Get(f)
-				if err != nil {
-					return fmt.Errorf("restore: container %d: %w", ctn.ID(), err)
-				}
-				cache.Add(f, payload, int64(len(payload)))
+			// The cache copies: a view would pin the whole image while one
+			// chunk stays cached, and the budget would not bound memory.
+			payload := ctn.Payload()
+			for _, ce := range ctn.Entries() {
+				cache.Add(ce.FP, bytes.Clone(payload[ce.Offset:ce.Offset+ce.Size]), int64(ce.Size))
 			}
 			if err := asm.chunk(ctn, e); err != nil {
 				return err
@@ -176,15 +159,7 @@ func (o *OPT) Name() string { return "opt" }
 
 // Restore implements Cache.
 func (o *OPT) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := o.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return run(ctx, entries, fetch, w, o.restore)
 }
 
 func (o *OPT) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {

@@ -116,6 +116,20 @@ func New(name string) (Cache, error) {
 	}
 }
 
+// run is every scheme's Restore: reject unresolved entries, count the
+// policy's container reads into the Stats, and assemble the stream it
+// emits onto w.
+func run(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer,
+	policy func(context.Context, []recipe.Entry, Fetcher, *Stats, assembler) error) (Stats, error) {
+	var stats Stats
+	if err := validate(entries); err != nil {
+		return stats, err
+	}
+	asm := newAssembler(w, &stats)
+	err := asm.finish(policy(ctx, entries, &countingFetcher{inner: fetch, stats: &stats}, &stats, asm))
+	return stats, err
+}
+
 // validate rejects unresolved entries up front so schemes can assume
 // positive CIDs.
 func validate(entries []recipe.Entry) error {

@@ -38,7 +38,7 @@ func (v *VerifyingFetcher) Get(ctx context.Context, id container.ID) (*container
 		return nil, err
 	}
 	for _, f := range c.Fingerprints() {
-		data, err := c.Get(f)
+		data, err := c.View(f)
 		if err != nil {
 			return nil, fmt.Errorf("restorecache: verify container %d: %w", id, err)
 		}
