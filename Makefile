@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench vet lint crash remote-smoke restore-bench observatory-smoke bench-smoke check
+.PHONY: build test race bench microbench vet lint crash remote-smoke restore-bench observatory-smoke bench-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -44,12 +44,14 @@ lint:
 
 # The full crash matrix: kill a multi-version backup/delete run at
 # EVERY mutating op (clean fail, torn write, ENOSPC), reopen, and prove
-# committed versions restore byte-identically. The plain test tier runs
-# a deterministic sample of the same matrix; this tier removes the
+# committed versions restore byte-identically — and, in the
+# retry-after-failure sweep, that the engine that saw the failure refuses
+# to go on before it is reopened. The plain test tier runs a
+# deterministic sample of the same matrix; this tier removes the
 # sampling. Bounded: well under two minutes. See DESIGN.md "Durability
 # & recovery".
 crash:
-	HIDESTORE_CRASH_FULL=1 $(GO) test -run 'TestCrashMatrix' -count=1 ./internal/core/ ./internal/dedup/
+	HIDESTORE_CRASH_FULL=1 $(GO) test -run 'TestCrashMatrix|TestRetryAfterFailure' -count=1 ./internal/core/ ./internal/dedup/
 
 # A short remote-backend end-to-end pass: the prefetch-depth × fetch
 # latency sweep at tiny scale behind the deterministic remote
@@ -101,5 +103,15 @@ observatory-smoke:
 # workload and layer once at tiny scale, ~10 s.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
+
+# Non-test, non-testdata Go lines per package and in total: the figures
+# ROADMAP and the "less code" PRs quote, from one command instead of a
+# recount by hand. CI keeps the table next to the BENCH snapshots.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' ! -path './benchmark/out/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -k2
 
 check: build test race vet lint crash remote-smoke restore-bench observatory-smoke bench-smoke

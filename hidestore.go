@@ -47,7 +47,6 @@ import (
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
 	"hidestore/internal/index/extbin"
-	"hidestore/internal/index/sharded"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 	"hidestore/internal/obs"
@@ -97,12 +96,11 @@ type Config struct {
 	// it every downstream artifact — is bit-identical to single-lane
 	// chunking. 0 or 1 chunks sequentially.
 	ChunkLanes int
-	// IndexShards shards the fingerprint index across a power-of-two
-	// number of lock domains keyed by fingerprint prefix, so concurrent
-	// lookups don't serialize on one lock. 0 selects the default (16
-	// for HiDeStore's cache; unwrapped for baselines). For baselines
-	// only exact per-chunk indexes ("ddfs") shard semantically; sampling
-	// indexes get an exclusive-lock wrapper instead.
+	// IndexShards shards HiDeStore's fingerprint cache across a
+	// power-of-two number of lock domains keyed by fingerprint prefix, so
+	// the hash workers' concurrent probes don't serialize on one lock. 0
+	// selects the default (16). OpenBaseline ignores it: a baseline index
+	// is only ever called from the single in-order sink goroutine.
 	IndexShards int
 	// MergeUtilization is the active-container utilization below which
 	// containers are merged after each version (default 0.5).
@@ -465,7 +463,7 @@ func Open(cfg Config) (*System, error) {
 // comparisons.
 type BaselineConfig struct {
 	// Config supplies chunking, container and restore-cache settings
-	// (Window and MergeUtilization are ignored).
+	// (Window, MergeUtilization and IndexShards are ignored).
 	Config
 	// Index selects the fingerprint index: "ddfs" (default), "sparse",
 	// "silo" or "extbin".
@@ -505,37 +503,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if cfg.IndexShards > 0 {
-		// Only exact per-chunk schemes shard semantically; sampling
-		// indexes make segment-scoped decisions, so they get the
-		// single-shard exclusive-lock wrapper regardless of the knob.
-		shards := cfg.IndexShards
-		if cfg.Index != "" && cfg.Index != "ddfs" {
-			shards = 1
-		}
-		// A failed inner build surfaces as a nil shard, which
-		// sharded.New rejects; mkErr preserves the root cause.
-		var mkErr error
-		mk := func(int) index.Index {
-			inner, e := ddfs.New(ddfs.Options{})
-			if e != nil {
-				mkErr = e
-				return nil
-			}
-			return inner
-		}
-		if shards == 1 {
-			first := ix
-			mk = func(int) index.Index { return first }
-		}
-		ix, err = sharded.New(shards, mk)
-		if mkErr != nil {
-			err = mkErr
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	rw, err := rewrite.New(cfg.Rewriter)
 	if err != nil {

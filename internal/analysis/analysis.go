@@ -86,6 +86,7 @@ func DefaultConfig() Config {
 		CtxPackages: []string{
 			"internal/core",
 			"internal/dedup",
+			"internal/backup",
 			"internal/restorecache",
 			"internal/container",
 		},

@@ -3,6 +3,7 @@ package backuptest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -85,7 +86,7 @@ func CrashMatrix(t *testing.T, open CrashOpen, steps []CrashStep, kinds []fault.
 	for _, kind := range kinds {
 		for _, i := range indices {
 			t.Run(fmt.Sprintf("%s-op%03d", kind, i), func(t *testing.T) {
-				crashCell(t, open, orderedDepth, steps, kind, i, opLog[i-1])
+				crashCell(t, open, orderedDepth, steps, kind, i, opLog[i-1], false)
 			})
 		}
 	}
@@ -109,8 +110,34 @@ func CrashRandom(t *testing.T, open CrashOpen, steps []CrashStep, kinds []fault.
 	for r := 0; r < runs; r++ {
 		kind, i := kinds[rng.Intn(len(kinds))], 1+rng.Intn(total)
 		t.Run(fmt.Sprintf("run%03d-%s-op%03d", r, kind, i), func(t *testing.T) {
-			crashCell(t, open, defaultDepth, steps, kind, i, "order varies")
+			crashCell(t, open, defaultDepth, steps, kind, i, "order varies", false)
 		})
+	}
+}
+
+// RetryAfterFailure proves a failed operation cannot be followed by an
+// acknowledged one on the same engine. The crash matrices always reopen
+// after the fault; a long-lived process does not. A Backup or Delete that
+// fails has already moved the engine's in-memory dedup state (fingerprint
+// cache, active-container map, index commits), so a retry that succeeded
+// would build a version on containers that never landed. Each cell runs
+// the script to the armed fault, clears the fault and retries the failed
+// step on the same engine — which must refuse, however healthy the store
+// now is — then reopens and asserts CrashMatrix's contract. It covers
+// every op index (sampled unless HIDESTORE_CRASH_FULL=1), each kind, and
+// both the one-wide commit plane and the default width, where the op
+// order varies but the op count does not.
+func RetryAfterFailure(t *testing.T, open CrashOpen, steps []CrashStep, kinds []fault.Kind) {
+	t.Helper()
+	for _, depth := range []int{orderedDepth, defaultDepth} {
+		total, _ := crashProbe(t, open, depth, steps)
+		for _, kind := range kinds {
+			for _, i := range crashIndices(total) {
+				t.Run(fmt.Sprintf("depth%d-%s-op%03d", depth, kind, i), func(t *testing.T) {
+					crashCell(t, open, depth, steps, kind, i, "retried", true)
+				})
+			}
+		}
 	}
 }
 
@@ -160,8 +187,10 @@ func crashIndices(total int) []int {
 	return out
 }
 
-// crashCell is one matrix cell: crash at op index i, reopen, verify.
-func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind fault.Kind, i int, opLabel string) {
+// crashCell is one matrix cell: crash at op index i, reopen, verify. With
+// retry, the failed step is first retried fault-free on the same engine,
+// which must refuse it.
+func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind fault.Kind, i int, opLabel string, retry bool) {
 	t.Helper()
 	dir := t.TempDir()
 	inj := fault.NewInjector()
@@ -172,6 +201,7 @@ func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind 
 	expect := make(map[int][]byte)
 	indeterminate := -1 // version whose step was in flight at the fault
 	var indeterminateData []byte
+	var failed *CrashStep // the step the fault interrupted
 	e, err := open(dir, inj, depth)
 	if err == nil {
 		ver := 0 // backups number sequentially regardless of deletes
@@ -195,6 +225,7 @@ func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind 
 					indeterminateData = expect[step.Delete]
 					delete(expect, step.Delete)
 				}
+				failed = &step
 				break
 			}
 			if step.Data != nil {
@@ -209,6 +240,13 @@ func crashCell(t *testing.T, open CrashOpen, depth int, steps []CrashStep, kind 
 	}
 	if !inj.Tripped() {
 		t.Fatalf("script failed before the armed fault at op %d (%s): %v", i, opLabel, err)
+	}
+
+	if retry && failed != nil {
+		inj.Arm(fault.None, 0) // the store is healthy again; the engine's state is not
+		if rerr := runStep(e, *failed); !errors.Is(rerr, backup.ErrFailed) {
+			t.Errorf("retry on the same engine after %s at op %d = %v; want ErrFailed, not work acknowledged (or attempted) on top of a failed operation", kind, i, rerr)
+		}
 	}
 
 	// "Reboot": reopen the directory fault-free; this runs recovery.

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"sort"
-
 	"hidestore/internal/backup"
 	"hidestore/internal/container"
-	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
 )
 
@@ -42,52 +39,18 @@ func (e *Engine) Repair() (backup.RepairReport, error) {
 	return e.audit(true)
 }
 
-// audit is the shared fsck walk; repair selects quarantine-and-name
-// behavior on undecodable containers.
+// audit runs the shared container walk, then HiDeStore's own passes over
+// its bookkeeping and recipes; repair selects quarantine-and-name behavior
+// on undecodable containers.
 func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 	var report backup.RepairReport
-	corrupt := make(map[container.ID]bool)
 
 	// Pass 1: containers and chunk content.
-	chunkAt := make(map[fp.FP]map[container.ID]struct{})
-	stored, err := e.cfg.Store.IDs()
-	if err != nil {
-		report.Problemf("store: cannot enumerate containers: %v", err)
-	}
-	for _, cid := range stored {
-		//hidelint:ignore accounting fsck integrity walk, not a restore; its reads must not skew speed-factor stats
-		ctn, err := e.cfg.Store.Get(cid)
-		if err != nil {
-			report.Problemf("container %d: %v", cid, err)
-			if repair {
-				e.quarantine(cid, corrupt, &report)
-			}
-			continue
-		}
-		report.Containers++
-		for _, f := range ctn.Fingerprints() {
-			data, err := ctn.View(f)
-			if err != nil {
-				report.Problemf("container %d chunk %s: %v", cid, f.Short(), err)
-				continue
-			}
-			report.StoredChunks++
-			if got := fp.Of(data); got != f {
-				report.Problemf("container %d chunk %s: content hashes to %s", cid, f.Short(), got.Short())
-				continue
-			}
-			locs, ok := chunkAt[f]
-			if !ok {
-				locs = make(map[container.ID]struct{}, 1)
-				chunkAt[f] = locs
-			}
-			locs[cid] = struct{}{}
-		}
-	}
+	walk := backup.AuditContainers(e.cfg.Store, repair, &report)
 
 	// Pass 2: the fingerprint cache's locations are real.
 	for f, cid := range e.activeByFP {
-		if _, ok := chunkAt[f][cid]; !ok {
+		if !walk.Holds(f, cid) {
 			report.Problemf("hot chunk %s: recorded in active container %d but absent", f.Short(), cid)
 		}
 	}
@@ -108,7 +71,6 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 		recipes[v] = rec
 	}
 	referenced := make(map[container.ID]struct{})
-	affected := make(map[int]bool)
 	for _, v := range versions {
 		rec, ok := recipes[v]
 		if !ok {
@@ -120,27 +82,22 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 			if entry.CID > 0 {
 				referenced[container.ID(entry.CID)] = struct{}{}
 			}
-			ok, terminal := e.checkEntry(entry, recipes, chunkAt)
+			ok, terminal := e.checkEntry(entry, recipes, walk)
 			if !ok {
 				report.Problemf("recipe v%d entry %d (%s, CID %d): unresolvable",
 					v, i, entry.FP.Short(), entry.CID)
-				if corrupt[terminal] {
-					affected[v] = true
-				}
+				walk.Blame(v, terminal)
 			}
 		}
 	}
-	for v := range affected {
-		report.AffectedVersions = append(report.AffectedVersions, v)
-	}
-	sort.Ints(report.AffectedVersions)
+	report.AffectedVersions = walk.AffectedVersions()
 
 	// Pass 4: orphan detection. A container neither active nor referenced
 	// by any recipe is unreachable — typically debris from a crash between
 	// a store write and the state write. Orphans are harmless (they waste
 	// space, not correctness) but worth surfacing; the startup recovery
 	// sweep reclaims them on the next open.
-	for _, cid := range stored {
+	for _, cid := range walk.IDs {
 		if _, isActive := e.activeContainers[cid]; isActive {
 			continue
 		}
@@ -152,31 +109,12 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 			// through forward pointers rather than direct CIDs.
 			continue
 		}
-		if corrupt[cid] {
-			// Already quarantined this pass.
+		if walk.Quarantined(cid) {
 			continue
 		}
 		report.Problemf("container %d: orphaned (not active, not referenced by any recipe)", cid)
 	}
 	return report, nil
-}
-
-// quarantine moves an undecodable container aside, recording the
-// destination and marking the CID so recipe resolution can attribute
-// losses to it.
-func (e *Engine) quarantine(cid container.ID, corrupt map[container.ID]bool, report *backup.RepairReport) {
-	q, ok := e.cfg.Store.(container.Quarantiner)
-	if !ok {
-		report.Problemf("container %d: store cannot quarantine; image left in place", cid)
-		return
-	}
-	dst, err := q.Quarantine(cid)
-	if err != nil {
-		report.Problemf("container %d: quarantine failed: %v", cid, err)
-		return
-	}
-	corrupt[cid] = true
-	report.Quarantined = append(report.Quarantined, dst)
 }
 
 // batchOwns reports whether any recorded archival batch owns cid.
@@ -195,20 +133,17 @@ func (e *Engine) batchOwns(cid container.ID) bool {
 // forward pointers. It returns whether the entry resolves and the
 // terminal container the resolution ended at (0 when resolution dies
 // before reaching a container — e.g. a missing recipe in the chain).
-func (e *Engine) checkEntry(entry recipe.Entry, recipes map[int]*recipe.Recipe,
-	chunkAt map[fp.FP]map[container.ID]struct{}) (bool, container.ID) {
+func (e *Engine) checkEntry(entry recipe.Entry, recipes map[int]*recipe.Recipe, walk *backup.ContainerAudit) (bool, container.ID) {
 	for hops := 0; hops < len(recipes)+2; hops++ {
 		switch {
 		case entry.CID > 0:
-			_, ok := chunkAt[entry.FP][container.ID(entry.CID)]
-			return ok, container.ID(entry.CID)
+			return walk.Holds(entry.FP, container.ID(entry.CID)), container.ID(entry.CID)
 		case entry.CID == 0:
 			cid, hot := e.activeByFP[entry.FP]
 			if !hot {
 				return false, 0
 			}
-			_, ok := chunkAt[entry.FP][cid]
-			return ok, cid
+			return walk.Holds(entry.FP, cid), cid
 		default:
 			next, ok := recipes[int(-entry.CID)]
 			if !ok {
@@ -229,8 +164,7 @@ func (e *Engine) checkEntry(entry recipe.Entry, recipes map[int]*recipe.Recipe,
 				if !hot {
 					return false, 0
 				}
-				_, ok := chunkAt[entry.FP][cid]
-				return ok, cid
+				return walk.Holds(entry.FP, cid), cid
 			}
 		}
 	}

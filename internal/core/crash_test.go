@@ -227,6 +227,18 @@ func TestCrashMatrixDefaultWidth(t *testing.T) {
 	})
 }
 
+// TestRetryAfterFailure fails a backup/delete/backup script at every
+// mutating op, clears the fault and retries on the same engine: the engine
+// has already moved its fingerprint cache and active-container map, so it
+// must refuse rather than acknowledge a version built on containers that
+// never landed. Reopening then recovers every committed version.
+func TestRetryAfterFailure(t *testing.T) {
+	versions := backuptest.Materialize(t, crashWorkload(4))
+	steps := backuptest.BackupSteps(versions[:3])
+	steps = append(steps, backuptest.CrashStep{Delete: 1}, backuptest.CrashStep{Data: versions[3]})
+	backuptest.RetryAfterFailure(t, crashOpen, steps, []fault.Kind{fault.Fail, fault.NoSpace})
+}
+
 // TestFsckRepairQuarantines corrupts one archival container image on
 // disk (bit rot), then verifies the full damage-control path: Repair
 // reports the corruption, moves the image into the quarantine

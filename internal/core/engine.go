@@ -13,14 +13,11 @@ import (
 	"time"
 
 	"hidestore/internal/backup"
-	"hidestore/internal/bufpool"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/durable"
 	"hidestore/internal/fp"
-	"hidestore/internal/index"
 	"hidestore/internal/obs"
-	"hidestore/internal/pipeline"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 )
@@ -145,15 +142,6 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// rawBufDepth and hashedBufDepth size the backup pipeline's channels.
-// Together with HashWorkers they determine how many chunks can sit
-// between the chunker and the in-order sink, which is what the sink's
-// reorder credit cap is computed from (see Backup).
-const (
-	rawBufDepth    = 64
-	hashedBufDepth = 64
-)
-
 // archivalBatch records the archival containers created when one
 // version's exclusive chunks went cold — the unit of §4.5 deletion.
 type archivalBatch struct {
@@ -174,7 +162,6 @@ type Engine struct {
 	activeByFP map[fp.FP]container.ID
 	// activeContainers holds the mutable active container images.
 	activeContainers map[container.ID]*container.Container
-	openActive       *container.Container
 
 	// batches[v] are the archival containers holding chunks whose last
 	// appearance was version v.
@@ -194,26 +181,18 @@ type Engine struct {
 	// running Backup has put (sealed actives, archival, merged).
 	written uint64
 
-	// pool recycles chunk buffers through the backup hot loop: the
-	// chunker fills a pooled buffer per chunk, the dedup sink releases
-	// it once the payload is classified duplicate or copied into a
-	// container (Container.Add copies). See DESIGN.md "Backup write
-	// path" for the ownership rules.
-	pool *bufpool.Pool
+	// ingest is the write path shared with the baseline engine: the
+	// chunk → fingerprint → in-order sink pipeline, the commit plane's
+	// lifecycle and the failure latch. restore is the shared read path.
+	ingest  *backup.Ingester
+	restore backup.RestoreDriver
 	// writer is the commit plane every container image of the running
 	// Backup is written through; nil between backups.
 	writer *container.AsyncWriter
 
-	// Test hooks, nil in production. hashDelay stalls the fingerprint
-	// stage for a chunk to force pipeline reordering; reorderObserve
-	// sees the sink's parked-chunk count after each arrival.
-	hashDelay      func(seq int)
-	reorderObserve func(parked int)
-
 	// Observability bundles; all nil when Config.Metrics is nil, in
 	// which case every instrumentation site reduces to one nil check.
 	mx     *obs.BackupMetrics
-	rmx    *obs.RestoreMetrics
 	rcv    *obs.RecoveryMetrics
 	smx    *obs.ScrubMetrics
 	tracer *obs.Tracer
@@ -244,12 +223,28 @@ func New(cfg Config) (*Engine, error) {
 		activeByFP:       make(map[fp.FP]container.ID),
 		activeContainers: make(map[container.ID]*container.Container),
 		batches:          make(map[int]*archivalBatch),
-		pool:             bufpool.New(cfg.ChunkParams.Max),
 		mx:               obs.NewBackupMetrics(cfg.Metrics),
-		rmx:              obs.NewRestoreMetrics(cfg.Metrics),
 		rcv:              obs.NewRecoveryMetrics(cfg.Metrics),
 		smx:              obs.NewScrubMetrics(cfg.Metrics),
 		tracer:           cfg.Tracer,
+	}
+	e.ingest = backup.NewIngester(backup.IngestConfig{
+		Chunker:     cfg.Chunker,
+		ChunkParams: cfg.ChunkParams,
+		ChunkLanes:  cfg.ChunkLanes,
+		HashWorkers: cfg.HashWorkers,
+		Store:       cfg.Store,
+		CommitDepth: cfg.AsyncCommitDepth,
+		Metrics:     e.mx,
+		Tracer:      cfg.Tracer,
+	})
+	e.restore = backup.RestoreDriver{
+		Recipes:       cfg.Recipes,
+		Cache:         cfg.RestoreCache,
+		PrefetchDepth: cfg.PrefetchDepth,
+		Workers:       cfg.RestoreWorkers,
+		Metrics:       obs.NewRestoreMetrics(cfg.Metrics),
+		Tracer:        cfg.Tracer,
 	}
 	if e.cfg.StatePath != "" {
 		// A crash during a state write can leave a half-written temp file
@@ -277,23 +272,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// hashedChunk is one chunk flowing through the backup pipeline. data is
-// a pool-owned buffer: the producer fills it (via the pooled chunker),
-// the stages in between must not retain it, and the in-order sink
-// releases it back to the engine's pool after classification.
-type hashedChunk struct {
-	seq  int
-	fp   fp.FP
-	data []byte
-	// probeHit is the hash worker's speculative cache probe: true means
-	// the fingerprint was already active when the worker saw it, which
-	// stays true for the rest of the version (entries are never removed
-	// mid-pipeline), so the in-order sink can trust it. False is only a
-	// hint — an identical chunk earlier in the same version may commit
-	// between the probe and the sink — and is re-probed in order.
-	probeHit bool
 }
 
 // Backup implements backup.Engine.
@@ -324,140 +302,63 @@ type hashedChunk struct {
 // state references is still on disk unchanged, so reopening rolls forward
 // or back to a consistent history (see recoverStartup).
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
-	start := time.Now()
+	in, err := e.ingest.Begin(ctx)
+	if err != nil {
+		return backup.BackupReport{}, err
+	}
+	defer in.End(&retErr)
+	e.writer = in.Writer
+	defer func() { e.writer = nil }()
 	v := e.version + 1
 	statsBefore := e.cache.Stats()
 	e.written = 0
 	rec := recipe.New(v)
-	var logical, stored uint64
-	var chunks, unique int
+	// Unique chunks go to active containers in stream order. Not pre-sized:
+	// growing as it fills measured faster end to end (ROADMAP, unknown (a)).
+	active := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: e.sealActive}
+	var stored uint64
+	var unique int
 
-	// obsOn gates every hot-path clock read: with the plane off, a
-	// backup performs exactly one extra boolean test per chunk. The
-	// histograms are hoisted into locals so the per-chunk record is a
-	// nil-safe method call even when only the tracer is live.
+	// obsOn gates the index's hot-path clock reads the way the shared
+	// skeleton gates its own: one boolean test per chunk with the plane
+	// off. Probes run on HashWorkers goroutines, hence the atomic.
 	obsOn := e.mx != nil || e.tracer != nil
-	span := e.tracer.Start("backup", nil)
-	// The span must end on every path — a dozen early error returns
-	// follow — or the trace leaks an open span per failed backup.
-	// Failures are marked with an error attr instead of being dropped.
-	defer func() {
-		if retErr != nil {
-			span.SetAttr("error", 1)
-		}
-		span.End()
-	}()
-	var chunkNS int64               // single-goroutine stage (the producer)
-	var fpNS, lookupNS atomic.Int64 // fingerprint and probe run on HashWorkers goroutines
-	var mxChunk, mxFP, mxLookup *obs.Histogram
+	var lookupNS atomic.Int64
+	var mxLookup *obs.Histogram
 	if e.mx != nil {
-		mxChunk, mxFP, mxLookup = e.mx.ChunkingNS, e.mx.FingerprintNS, e.mx.IndexLookupNS
+		mxLookup = e.mx.IndexLookupNS
 	}
-
-	ch, err := chunker.NewParallelPooled(e.cfg.Chunker, version, e.cfg.ChunkParams, e.cfg.ChunkLanes, e.pool)
-	if err != nil {
-		return backup.BackupReport{}, err
-	}
-	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-		func(c *container.Container, t0 time.Time, d time.Duration) {
-			// Called from the plane's goroutines, several at once; both
-			// sinks are safe for concurrent use.
-			if e.mx != nil {
-				e.mx.ContainerWriteNS.Observe(uint64(d))
-			}
-			if e.tracer != nil {
-				e.tracer.EmitStage("container.flush.async", span, t0, d,
-					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-			}
-		})
-	defer func() {
-		// Every return, early errors included, joins the plane's
-		// goroutines: no commit may outlive Backup or fail unreported.
-		if werr := e.writer.Barrier(); werr != nil && retErr == nil {
-			retErr = werr
-		}
-		e.writer = nil
-	}()
-	g, gctx := pipeline.WithContext(ctx)
-	// credits bounds the chunks in flight between the chunker and the
-	// in-order sink: the producer takes one credit per emitted chunk and
-	// the sink returns it after processing. The cap — everything the
-	// channels and worker hands can hold, plus the one chunk the
-	// producer may block on — is therefore also a ceiling on the sink's
-	// reorder map, so one slow fingerprint worker cannot make the parked
-	// set grow without bound.
-	credits := make(chan struct{}, rawBufDepth+hashedBufDepth+e.cfg.HashWorkers+1)
-	raw := pipeline.Produce(g, rawBufDepth, func(emit func(hashedChunk) bool) error {
-		for seq := 0; ; seq++ {
-			var t0 time.Time
-			if obsOn {
-				t0 = time.Now()
-			}
-			data, err := ch.Next()
-			if obsOn {
-				d := time.Since(t0)
-				chunkNS += int64(d)
-				mxChunk.Observe(uint64(d))
-			}
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("core: chunking: %w", err)
-			}
-			select {
-			case credits <- struct{}{}:
-			case <-gctx.Done():
-				return nil
-			}
-			if !emit(hashedChunk{seq: seq, data: data}) {
-				return nil
-			}
-		}
-	})
-	hashed := pipeline.Transform(g, e.cfg.HashWorkers, hashedBufDepth, raw, func(c hashedChunk) (hashedChunk, error) {
-		if e.hashDelay != nil {
-			e.hashDelay(c.seq)
-		}
+	// Speculative index probe on the hash workers: a sharded read that
+	// overlaps the expensive map lookup with the other workers instead of
+	// serializing it behind the sink. A hit means the fingerprint was
+	// already active when the worker saw it, which stays true for the rest
+	// of the version (entries are never removed mid-pipeline), so the sink
+	// can trust it. A miss is only a hint — an identical chunk earlier in
+	// the same version may commit between the probe and the sink — and is
+	// re-probed in order, so classification and statistics are identical
+	// to a sink-only lookup.
+	probe := func(f fp.FP) bool {
 		var t0 time.Time
 		if obsOn {
 			t0 = time.Now()
 		}
-		c.fp = fp.Of(c.data)
-		if obsOn {
-			d := time.Since(t0)
-			fpNS.Add(int64(d))
-			mxFP.Observe(uint64(d))
-		}
-		// Speculative index probe: a sharded read that overlaps the
-		// expensive map lookup with the other workers instead of
-		// serializing it behind the sink. The sink confirms hits and
-		// re-probes misses, so classification and statistics are
-		// identical to a sink-only lookup.
-		if obsOn {
-			t0 = time.Now()
-		}
-		_, c.probeHit = e.cache.probe(c.fp)
+		_, hit := e.cache.probe(f)
 		if obsOn {
 			lookupNS.Add(int64(time.Since(t0)))
 		}
-		return c, nil
-	})
-	process := func(item hashedChunk) error {
-		size := uint32(len(item.data))
-		logical += uint64(size)
-		chunks++
+		return hit
+	}
+	sink := func(f fp.FP, data []byte, probeHit bool) error {
+		size := uint32(len(data))
 		var t0 time.Time
 		if obsOn {
 			t0 = time.Now()
 		}
-		dup := item.probeHit
+		dup := probeHit
 		if dup {
-			e.cache.touch(item.fp, size)
+			e.cache.touch(f, size)
 		} else {
-			// The probe may have raced an identical chunk earlier in
-			// this version; only a miss needs the in-order re-probe.
-			_, dup = e.cache.lookupOne(item.fp, size)
+			_, dup = e.cache.lookupOne(f, size)
 		}
 		if obsOn {
 			d := time.Since(t0)
@@ -465,46 +366,25 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 			mxLookup.Observe(uint64(d))
 		}
 		if !dup {
-			cid, err := e.storeActive(item.fp, item.data)
+			cid, err := active.Add(f, data)
 			if err != nil {
 				return err
 			}
-			e.cache.commitOne(item.fp, cid)
-			e.activeByFP[item.fp] = cid
+			e.cache.commitOne(f, cid)
+			e.activeByFP[f] = cid
 			stored += uint64(size)
 			unique++
 		}
 		// The payload is either a duplicate or copied into the open
 		// container by Add; either way the pooled buffer is done.
-		e.pool.Release(item.data)
-		rec.Append(item.fp, size, 0)
+		e.ingest.Release(data)
+		rec.Append(f, size, 0)
 		return nil
 	}
-	reorder := make(map[int]hashedChunk)
-	next := 0
-	pipeline.Sink(g, hashed, func(c hashedChunk) error {
-		reorder[c.seq] = c
-		if e.reorderObserve != nil {
-			e.reorderObserve(len(reorder))
-		}
-		for {
-			item, ok := reorder[next]
-			if !ok {
-				return nil
-			}
-			delete(reorder, next)
-			next++
-			err := process(item)
-			<-credits
-			if err != nil {
-				return err
-			}
-		}
-	})
-	if err := g.Wait(); err != nil {
+	if err := in.Run(ctx, version, probe, sink); err != nil {
 		return backup.BackupReport{}, err
 	}
-	if err := e.sealOpenActive(); err != nil {
+	if err := active.Flush(); err != nil {
 		return backup.BackupReport{}, err
 	}
 	// First fence: every sealed container must be durable before the
@@ -549,7 +429,6 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		return backup.BackupReport{}, err
 	}
 	migrateDur := time.Since(migrateStart)
-	commitWait := e.writer.Blocked() // nothing is handed to the plane past this fence
 
 	recipeStart := time.Now()
 	if err := e.patchDepartingRecipe(v, coldLocs); err != nil {
@@ -557,7 +436,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	}
 	recipeDur := time.Since(recipeStart)
 
-	e.logicalBytes += logical
+	e.logicalBytes += in.LogicalBytes
 	e.storedBytes += stored
 	stateStart := time.Now()
 	if err := e.saveState(); err != nil {
@@ -569,107 +448,33 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.flushPendingDeletes(); err != nil {
 		return backup.BackupReport{}, err
 	}
+	// Nothing is handed to the plane past the second fence, so the report
+	// sees the whole CommitWait.
+	rep = in.Report(v, stored, unique, e.written)
 	if e.mx != nil {
-		e.mx.Versions.Inc()
-		e.mx.LogicalBytes.Add(logical)
-		e.mx.StoredBytes.Add(stored)
-		e.mx.Chunks.Add(uint64(chunks))
-		e.mx.UniqueChunks.Add(uint64(unique))
-		e.mx.ContainerBytesWritten.Add(e.written)
 		e.mx.MigratedBytes.Add(migrated)
 		e.mx.MergedBytes.Add(merged)
-		e.mx.CommitWaitNS.Add(uint64(commitWait))
-		ps := e.pool.Stats()
-		e.mx.PoolInUse.Set(ps.InUse)
-		e.mx.PoolInUseBytes.Set(ps.InUseBytes)
-		e.mx.PoolSlabs.Set(int64(ps.SlabAllocs))
 	}
 	if e.tracer != nil {
-		// Chunking and fingerprinting run interleaved with the dedup
-		// sink, so their cost is the per-item sum, not a wall interval.
-		chunkAttrs := map[string]int64{"chunks": int64(chunks), "bytes": int64(logical)}
-		if rep, ok := ch.(chunker.LaneReporter); ok {
-			// Multi-lane chunking: chunkNS is the producer's wall time in
-			// Next (stitch + copy + waiting on the slowest lane); the
-			// lanes' aggregate scan work runs concurrently and is
-			// reported separately so the span still sums correctly.
-			var busy int64
-			for _, st := range rep.LaneStats() {
-				busy += st.BusyNS
-			}
-			chunkAttrs["lanes"] = int64(e.cfg.ChunkLanes)
-			chunkAttrs["lane_busy_ns"] = busy
-		}
-		e.tracer.EmitStage("stage.chunking", span, start, time.Duration(chunkNS), chunkAttrs)
-		e.tracer.EmitStage("stage.fingerprint", span, start, time.Duration(fpNS.Load()),
-			map[string]int64{"chunks": int64(chunks), "bytes": int64(logical)})
-		e.tracer.EmitStage("stage.index_lookup", span, start, time.Duration(lookupNS.Load()),
-			map[string]int64{"chunks": int64(chunks)})
-		e.tracer.EmitStage("stage.commit_wait", span, start, commitWait, nil)
-		span.SetAttr("version", int64(v))
-		span.SetAttr("bytes", int64(logical))
-		span.SetAttr("chunks", int64(chunks))
-		span.SetAttr("unique", int64(unique))
+		e.tracer.EmitStage("stage.index_lookup", in.Span, in.Start, time.Duration(lookupNS.Load()),
+			map[string]int64{"chunks": int64(in.Chunks)})
 	}
-	statsAfter := e.cache.Stats()
-	return backup.BackupReport{
-		Version:      v,
-		LogicalBytes: logical,
-		StoredBytes:  stored,
-		Chunks:       chunks,
-		UniqueChunks: unique,
-		IndexStats: index.Stats{
-			Lookups:        statsAfter.Lookups - statsBefore.Lookups,
-			DiskLookups:    0,
-			CacheHits:      statsAfter.CacheHits - statsBefore.CacheHits,
-			Duplicates:     statsAfter.Duplicates - statsBefore.Duplicates,
-			Uniques:        statsAfter.Uniques - statsBefore.Uniques,
-			DuplicateBytes: statsAfter.DuplicateBytes - statsBefore.DuplicateBytes,
-			UniqueBytes:    statsAfter.UniqueBytes - statsBefore.UniqueBytes,
-		},
-		ContainerBytesWritten: e.written,
-		MigratedBytes:         migrated,
-		MergedBytes:           merged,
-		CommitWait:            commitWait,
-		Duration:              time.Since(start),
-		MaintenanceDuration:   migrateDur + recipeDur,
-		MigrateDuration:       migrateDur,
-		RecipeUpdateDuration:  recipeDur,
-	}, nil
+	rep.IndexStats = e.cache.Stats().Sub(statsBefore)
+	rep.MigratedBytes = migrated
+	rep.MergedBytes = merged
+	rep.MaintenanceDuration = migrateDur + recipeDur
+	rep.MigrateDuration = migrateDur
+	rep.RecipeUpdateDuration = recipeDur
+	return rep, nil
 }
 
-// storeActive appends a unique chunk to the open active container.
-func (e *Engine) storeActive(f fp.FP, data []byte) (container.ID, error) {
-	if e.openActive != nil && !e.openActive.HasRoom(len(data)) {
-		if err := e.sealOpenActive(); err != nil {
-			return 0, err
-		}
-	}
-	if e.openActive == nil {
-		e.nextCID++
-		e.openActive = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
-	}
-	if err := e.openActive.Add(f, data); err != nil {
-		return 0, err
-	}
-	return e.openActive.ID(), nil
-}
-
-func (e *Engine) sealOpenActive() error {
-	if e.openActive == nil {
-		return nil
-	}
-	if e.openActive.Len() > 0 {
-		e.activeContainers[e.openActive.ID()] = e.openActive
-		// From here until the first fence the image is read-only: the
-		// engine does not touch sealed actives during the hot loop, and
-		// the maintenance paths that tombstone them run after the fence.
-		if err := e.put(e.openActive); err != nil {
-			return err
-		}
-	}
-	e.openActive = nil
-	return nil
+// sealActive registers a filled active image and hands it to the commit
+// plane. From here until the first fence the image is read-only: the
+// engine does not touch sealed actives during the hot loop, and the
+// maintenance paths that tombstone them run after the fence.
+func (e *Engine) sealActive(c *container.Container) error {
+	e.activeContainers[c.ID()] = c
+	return e.put(c)
 }
 
 // put hands one finished container image to the commit plane, counting
@@ -726,21 +531,17 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		return victims[i].offset < victims[j].offset
 	})
 	batch := &archivalBatch{}
-	var archival *container.Container
-	seal := func() error {
-		if archival == nil || archival.Len() == 0 {
-			return nil
-		}
-		if err := e.put(archival); err != nil {
+	archival := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: unpacked}
+	archival.Seal = func(c *container.Container) error {
+		if err := e.put(c); err != nil {
 			return err
 		}
 		if e.mx != nil {
 			e.mx.ArchivalContainers.Inc()
-			e.mx.MigratedChunks.Add(uint64(archival.Len()))
+			e.mx.MigratedChunks.Add(uint64(c.Len()))
 		}
-		batch.containers = append(batch.containers, archival.ID())
-		batch.bytes += uint64(archival.LiveSize())
-		archival = nil
+		batch.containers = append(batch.containers, c.ID())
+		batch.bytes += uint64(c.LiveSize())
 		return nil
 	}
 	for _, vc := range victims {
@@ -748,20 +549,9 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
-		if archival != nil && !archival.HasRoom(len(data)) {
-			if err := seal(); err != nil {
-				return nil, 0, err
-			}
-		}
-		if archival == nil {
-			e.nextCID++
-			archival = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
-			archival.Grow(unpacked)
-		}
-		if err := archival.Add(vc.f, data); err != nil {
+		if cold[vc.f], err = archival.Add(vc.f, data); err != nil {
 			return nil, 0, err
 		}
-		unpacked -= len(data)
 		if err := vc.src.Remove(vc.f); err != nil {
 			return nil, 0, err
 		}
@@ -771,10 +561,9 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 			delete(e.activeContainers, vc.src.ID())
 			e.pendingDeletes = append(e.pendingDeletes, vc.src.ID())
 		}
-		cold[vc.f] = archival.ID()
 		delete(e.activeByFP, vc.f)
 	}
-	if err := seal(); err != nil {
+	if err := archival.Flush(); err != nil {
 		return nil, 0, err
 	}
 	e.batches[v-e.cfg.Window] = batch
@@ -804,19 +593,11 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 	for _, c := range sparse {
 		unpacked += c.LiveSize()
 	}
-	var merged *container.Container
 	var repacked uint64
-	seal := func() error {
-		if merged == nil || merged.Len() == 0 {
-			return nil
-		}
-		e.activeContainers[merged.ID()] = merged
-		repacked += uint64(merged.LiveSize())
-		if err := e.put(merged); err != nil {
-			return err
-		}
-		merged = nil
-		return nil
+	merged := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: unpacked}
+	merged.Seal = func(c *container.Container) error {
+		repacked += uint64(c.LiveSize())
+		return e.sealActive(c)
 	}
 	for _, src := range sparse {
 		for _, f := range src.Fingerprints() {
@@ -824,29 +605,19 @@ func (e *Engine) mergeSparseActives() (uint64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if merged != nil && !merged.HasRoom(len(data)) {
-				if err := seal(); err != nil {
-					return 0, err
-				}
-			}
-			if merged == nil {
-				e.nextCID++
-				merged = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
-				merged.Grow(unpacked)
-			}
-			if err := merged.Add(f, data); err != nil {
+			cid, err := merged.Add(f, data)
+			if err != nil {
 				return 0, err
 			}
-			unpacked -= len(data)
-			e.activeByFP[f] = merged.ID()
-			e.cache.setCID(f, merged.ID())
+			e.activeByFP[f] = cid
+			e.cache.setCID(f, cid)
 		}
 		delete(e.activeContainers, src.ID())
 		// Deferred: the source image may be referenced by the previous
 		// committed state; it is deleted only after the next state save.
 		e.pendingDeletes = append(e.pendingDeletes, src.ID())
 	}
-	err := seal()
+	err := merged.Flush()
 	return repacked, err
 }
 
@@ -914,86 +685,13 @@ func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.
 }
 
 // restoreWith is Restore with an explicit chunk source, letting
-// VerifyRestore interpose integrity checking.
-func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher) (rep backup.RestoreReport, retErr error) {
-	start := time.Now()
-	obsOn := e.rmx != nil || e.tracer != nil
-	span := e.tracer.Start("restore", nil)
-	// Deferred so every early return — recipe read failure, flatten
-	// failure, an unresolved chunk, the cache's restore error — still
-	// closes the span; failures carry an error attr.
-	defer func() {
-		if retErr != nil {
-			span.SetAttr("error", 1)
-		}
-		span.End()
-	}()
-	rec, err := e.cfg.Recipes.Get(version)
-	if err != nil {
-		return backup.RestoreReport{}, err
-	}
-	if obsOn {
-		d := time.Since(start)
-		if e.rmx != nil {
-			e.rmx.RecipeReadNS.Observe(uint64(d))
-		}
-		e.tracer.EmitStage("recipe.read", span, start, d, map[string]int64{"version": int64(version)})
-	}
-	var flattenDur time.Duration
-	flattenStart := time.Now()
-	resolved, flattened, err := e.resolve(rec, true)
-	if err != nil {
-		return backup.RestoreReport{}, err
-	}
-	if flattened {
-		flattenDur = time.Since(flattenStart)
-		if obsOn {
-			if e.rmx != nil {
-				e.rmx.FlattenNS.Observe(uint64(flattenDur))
-			}
-			e.tracer.EmitStage("recipe.flatten", span, flattenStart, flattenDur,
-				map[string]int64{"version": int64(version)})
-		}
-	}
-	// The observed fetcher sits *above* the prefetch layer — the same
-	// position as the policy's countingFetcher — so the trace's
-	// container.fetch span count, the registry counter and the run's
-	// Stats.ContainerReads are equal by construction. The prefetcher's
-	// fetch stage runs RestoreWorkers wide (bounded by the window), and
-	// with RestoreWorkers > 1 the policy's output is routed through the
-	// parallel out-of-order assembler; neither changes which containers
-	// the policy requests, so the identity holds at any worker count.
-	fetch, done := restorecache.MaybePrefetchParallel(fetch, resolved, e.cfg.PrefetchDepth, e.cfg.RestoreWorkers, e.rmx)
-	defer done()
-	fetch = restorecache.ObserveFetcher(fetch, e.rmx, e.tracer, span)
-	out := w
-	if e.cfg.RestoreWorkers > 1 {
-		out = restorecache.NewParallelWriter(w, restorecache.ParallelOptions{
-			Workers: e.cfg.RestoreWorkers,
-			Metrics: e.rmx,
-			Tracer:  e.tracer,
-			Span:    span,
-		})
-	}
-	stats, err := e.cfg.RestoreCache.Restore(ctx, resolved, fetch, out)
-	if err != nil {
-		return backup.RestoreReport{}, err
-	}
-	if e.rmx != nil {
-		e.rmx.Restores.Inc()
-		e.rmx.BytesRestored.Add(stats.BytesRestored)
-		e.rmx.CacheHits.Add(stats.CacheHits)
-		e.rmx.Chunks.Add(stats.Chunks)
-	}
-	span.SetAttr("version", int64(version))
-	span.SetAttr("bytes", int64(stats.BytesRestored))
-	span.SetAttr("container_reads", int64(stats.ContainerReads))
-	return backup.RestoreReport{
-		Version:              version,
-		Stats:                stats,
-		Duration:             time.Since(start),
-		RecipeUpdateDuration: flattenDur,
-	}, nil
+// VerifyRestore interpose integrity checking. The shared driver does the
+// rest; the engine's part is resolving the recipe, and a chain it had to
+// flatten is written back so it is walked once, not on every restore.
+func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher) (backup.RestoreReport, error) {
+	return e.restore.Restore(ctx, version, w, fetch, func(rec *recipe.Recipe) ([]recipe.Entry, bool, error) {
+		return e.resolve(rec, true)
+	})
 }
 
 // VerifyRestore restores a version into w while recomputing every fetched
@@ -1056,9 +754,12 @@ func (e *Engine) resolveHot(entries []recipe.Entry) ([]recipe.Entry, *recipe.Ent
 // containers (wasted space the startup recovery reclaims); deleting
 // containers first would leave a recipe pointing at missing chunks —
 // data loss for a version still listed as restorable.
-func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
+func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) {
 	start := time.Now()
-	report := backup.DeleteReport{Version: version}
+	report = backup.DeleteReport{Version: version}
+	if err := e.ingest.Failed(); err != nil {
+		return report, err
+	}
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {
 		return report, err
@@ -1069,6 +770,9 @@ func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
 	if version > e.version-e.cfg.Window {
 		return report, fmt.Errorf("core: delete v%d: version still inside the cache window", version)
 	}
+	// Past the preconditions a failure can leave the batches and byte
+	// counts in memory ahead of the state file: latch, as Backup does.
+	defer e.ingest.FailOn(&retErr)
 	batch := e.batches[version]
 	if err := e.cfg.Recipes.Delete(version); err != nil {
 		return report, err
@@ -1121,6 +825,9 @@ func (e *Engine) Stats() backup.Stats {
 		s.Degraded = append(s.Degraded, fmt.Sprintf("containers: %v", err))
 	} else {
 		s.Containers = n
+	}
+	if err := e.ingest.Failed(); err != nil {
+		s.Degraded = append(s.Degraded, err.Error())
 	}
 	s.Degraded = append(s.Degraded, e.scrubDamage...)
 	if e.scrubOverflow > 0 {

@@ -234,7 +234,7 @@ func (c *countingRecipes) Put(r *recipe.Recipe) error {
 func TestRestoreWalksChainOnce(t *testing.T) {
 	e, _, mem := newTestEngine(t, 1)
 	recipes := &countingRecipes{Store: mem}
-	e.cfg.Recipes = recipes
+	e.cfg.Recipes, e.restore.Recipes = recipes, recipes
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	backuptest.BackupAll(t, e, versions)
 

@@ -1,11 +1,8 @@
 package dedup
 
 import (
-	"sort"
-
 	"hidestore/internal/backup"
 	"hidestore/internal/container"
-	"hidestore/internal/fp"
 )
 
 var (
@@ -28,59 +25,15 @@ func (e *Engine) Repair() (backup.RepairReport, error) {
 	return e.audit(true)
 }
 
+// audit runs the shared container walk, then the baseline's one pass of
+// its own: every recipe entry names a container that holds the chunk.
 func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 	var report backup.RepairReport
-	corrupt := make(map[container.ID]bool)
-	chunkAt := make(map[fp.FP]map[container.ID]struct{})
-	stored, err := e.cfg.Store.IDs()
-	if err != nil {
-		report.Problemf("store: cannot enumerate containers: %v", err)
-	}
-	for _, cid := range stored {
-		//hidelint:ignore accounting fsck integrity walk, not a restore; its reads must not skew speed-factor stats
-		ctn, err := e.cfg.Store.Get(cid)
-		if err != nil {
-			report.Problemf("container %d: %v", cid, err)
-			if repair {
-				if q, ok := e.cfg.Store.(container.Quarantiner); ok {
-					dst, qerr := q.Quarantine(cid)
-					if qerr != nil {
-						report.Problemf("container %d: quarantine failed: %v", cid, qerr)
-					} else {
-						corrupt[cid] = true
-						report.Quarantined = append(report.Quarantined, dst)
-					}
-				} else {
-					report.Problemf("container %d: store cannot quarantine; image left in place", cid)
-				}
-			}
-			continue
-		}
-		report.Containers++
-		for _, f := range ctn.Fingerprints() {
-			data, err := ctn.View(f)
-			if err != nil {
-				report.Problemf("container %d chunk %s: %v", cid, f.Short(), err)
-				continue
-			}
-			report.StoredChunks++
-			if got := fp.Of(data); got != f {
-				report.Problemf("container %d chunk %s: content hashes to %s", cid, f.Short(), got.Short())
-				continue
-			}
-			locs, ok := chunkAt[f]
-			if !ok {
-				locs = make(map[container.ID]struct{}, 1)
-				chunkAt[f] = locs
-			}
-			locs[cid] = struct{}{}
-		}
-	}
+	walk := backup.AuditContainers(e.cfg.Store, repair, &report)
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {
 		report.Problemf("recipes: cannot enumerate versions: %v", err)
 	}
-	affected := make(map[int]bool)
 	for _, v := range versions {
 		rec, err := e.cfg.Recipes.Get(v)
 		if err != nil {
@@ -94,18 +47,13 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 				report.Problemf("recipe v%d entry %d: non-positive CID %d", v, i, entry.CID)
 				continue
 			}
-			if _, ok := chunkAt[entry.FP][container.ID(entry.CID)]; !ok {
+			if !walk.Holds(entry.FP, container.ID(entry.CID)) {
 				report.Problemf("recipe v%d entry %d (%s): container %d does not hold it",
 					v, i, entry.FP.Short(), entry.CID)
-				if corrupt[container.ID(entry.CID)] {
-					affected[v] = true
-				}
+				walk.Blame(v, container.ID(entry.CID))
 			}
 		}
 	}
-	for v := range affected {
-		report.AffectedVersions = append(report.AffectedVersions, v)
-	}
-	sort.Ints(report.AffectedVersions)
+	report.AffectedVersions = walk.AffectedVersions()
 	return report, nil
 }

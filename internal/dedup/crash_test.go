@@ -1,7 +1,11 @@
 package dedup
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hidestore/internal/backup"
@@ -68,4 +72,42 @@ func TestCrashMatrixBackup(t *testing.T) {
 	versions := backuptest.Materialize(t, crashWorkload(3))
 	backuptest.CrashMatrix(t, crashOpen, backuptest.BackupSteps(versions),
 		[]fault.Kind{fault.Fail, fault.NoSpace})
+}
+
+// TestRetryAfterFailure fails a 3-version backup run at every mutating
+// op, clears the fault and retries on the same engine. The index has
+// already committed segments that name containers the failed backup never
+// landed, so the engine must refuse the retry instead of acknowledging a
+// version that cannot be restored; reopening recovers what committed.
+func TestRetryAfterFailure(t *testing.T) {
+	versions := backuptest.Materialize(t, crashWorkload(3))
+	backuptest.RetryAfterFailure(t, crashOpen, backuptest.BackupSteps(versions),
+		[]fault.Kind{fault.Fail, fault.NoSpace})
+}
+
+// TestFailedDeleteLatches: a garbage-collection sweep that dies half way
+// leaves the byte counts and the store out of step, so the engine refuses
+// further writes and says so in Stats, while restores keep working.
+func TestFailedDeleteLatches(t *testing.T) {
+	versions := backuptest.Materialize(t, crashWorkload(3))
+	inj := fault.NewInjector()
+	e, err := crashOpen(t.TempDir(), inj, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backuptest.BackupAll(t, e, versions)
+	inj.Arm(fault.NoSpace, 2) // op 1 removes the recipe, op 2 is the sweep's first write
+	if _, err := e.Delete(1); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Delete = %v, want the injected failure", err)
+	}
+	if _, err := e.Delete(2); !errors.Is(err, backup.ErrFailed) {
+		t.Fatalf("Delete after a failed Delete = %v, want ErrFailed", err)
+	}
+	if _, err := e.Backup(context.Background(), bytes.NewReader(versions[0])); !errors.Is(err, backup.ErrFailed) || !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Backup after a failed Delete = %v, want ErrFailed wrapping the injected cause", err)
+	}
+	if d := e.Stats().Degraded; len(d) != 1 || !strings.Contains(d[0], "reopen") {
+		t.Fatalf("Stats().Degraded = %q, want the sticky failure", d)
+	}
+	backuptest.CheckRestoreOne(t, e, 3, versions[2])
 }

@@ -18,13 +18,11 @@ import (
 	"time"
 
 	"hidestore/internal/backup"
-	"hidestore/internal/bufpool"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
 	"hidestore/internal/index"
 	"hidestore/internal/obs"
-	"hidestore/internal/pipeline"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/rewrite"
@@ -125,23 +123,15 @@ type Engine struct {
 
 	nextVersion int
 	nextCID     container.ID
-	open        *container.Container
 
 	logicalBytes uint64
 	storedBytes  uint64
 
-	// pool recycles chunk buffers through the backup hot loop; the
-	// segment processor releases each buffer once the payload is
-	// classified duplicate or copied into a container.
-	pool *bufpool.Pool
-	// writer is the commit plane every container of the running Backup
-	// is written through; nil between backups.
-	writer *container.AsyncWriter
-
-	// Observability bundles; nil when Config.Metrics is nil.
-	mx     *obs.BackupMetrics
-	rmx    *obs.RestoreMetrics
-	tracer *obs.Tracer
+	// ingest and restore are the write and read paths shared with the
+	// HiDeStore engine (internal/backup); this engine supplies the policy:
+	// index + rewriter classification by segment, append-only containers.
+	ingest  *backup.Ingester
+	restore backup.RestoreDriver
 }
 
 var _ backup.Engine = (*Engine)(nil)
@@ -152,114 +142,46 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		cfg:    cfg,
-		pool:   bufpool.New(cfg.ChunkParams.Max),
-		mx:     obs.NewBackupMetrics(cfg.Metrics),
-		rmx:    obs.NewRestoreMetrics(cfg.Metrics),
-		tracer: cfg.Tracer,
+		cfg: cfg,
+		ingest: backup.NewIngester(backup.IngestConfig{
+			Chunker:     cfg.Chunker,
+			ChunkParams: cfg.ChunkParams,
+			ChunkLanes:  cfg.ChunkLanes,
+			HashWorkers: cfg.HashWorkers,
+			Store:       cfg.Store,
+			CommitDepth: cfg.AsyncCommitDepth,
+			Metrics:     obs.NewBackupMetrics(cfg.Metrics),
+			Tracer:      cfg.Tracer,
+		}),
+		restore: backup.RestoreDriver{
+			Recipes:       cfg.Recipes,
+			Cache:         cfg.RestoreCache,
+			PrefetchDepth: cfg.PrefetchDepth,
+			Workers:       cfg.RestoreWorkers,
+			Metrics:       obs.NewRestoreMetrics(cfg.Metrics),
+			Tracer:        cfg.Tracer,
+		},
 	}, nil
-}
-
-// rawBufDepth and hashedBufDepth size the backup pipeline's channels;
-// with HashWorkers they set the sink's reorder credit cap (see Backup).
-const (
-	rawBufDepth    = 64
-	hashedBufDepth = 64
-)
-
-// hashedChunk is one chunk flowing through the backup pipeline. data is
-// a pool-owned buffer, released by the segment processor once the
-// payload is classified duplicate or copied into a container.
-type hashedChunk struct {
-	seq  int
-	fp   fp.FP
-	data []byte
 }
 
 // Backup implements backup.Engine.
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
-	start := time.Now()
+	in, err := e.ingest.Begin(ctx)
+	if err != nil {
+		return backup.BackupReport{}, err
+	}
+	defer in.End(&retErr)
 	v := e.nextVersion + 1
 	indexBefore := e.cfg.Index.Stats()
 	rewriteBefore := e.cfg.Rewriter.Stats()
 
 	rec := recipe.New(v)
-	session := &backupSession{engine: e, recipe: rec}
-
-	ch, err := chunker.NewParallelPooled(e.cfg.Chunker, version, e.cfg.ChunkParams, e.cfg.ChunkLanes, e.pool)
-	if err != nil {
-		return backup.BackupReport{}, err
-	}
-	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-		func(c *container.Container, t0 time.Time, d time.Duration) {
-			if e.mx != nil {
-				e.mx.ContainerWriteNS.Observe(uint64(d))
-			}
-			if e.tracer != nil {
-				e.tracer.EmitStage("container.flush.async", nil, t0, d,
-					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-			}
-		})
-	defer func() {
-		// Every return, early errors included, joins the plane's
-		// goroutines: no commit may outlive Backup or fail unreported.
-		if werr := e.writer.Barrier(); werr != nil && retErr == nil {
-			retErr = werr
-		}
-		e.writer = nil
-	}()
-	g, gctx := pipeline.WithContext(ctx)
-	// credits bounds chunks in flight between the chunker and the
-	// in-order sink, capping the sink's reorder map (see the core
-	// engine's Backup for the full argument).
-	credits := make(chan struct{}, rawBufDepth+hashedBufDepth+e.cfg.HashWorkers+1)
-	raw := pipeline.Produce(g, rawBufDepth, func(emit func(hashedChunk) bool) error {
-		for seq := 0; ; seq++ {
-			data, err := ch.Next()
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("dedup: chunking: %w", err)
-			}
-			select {
-			case credits <- struct{}{}:
-			case <-gctx.Done():
-				return nil
-			}
-			if !emit(hashedChunk{seq: seq, data: data}) {
-				return nil
-			}
-		}
-	})
-	hashed := pipeline.Transform(g, e.cfg.HashWorkers, hashedBufDepth, raw, func(c hashedChunk) (hashedChunk, error) {
-		c.fp = fp.Of(c.data)
-		return c, nil
-	})
-	// The sink reorders the (possibly out-of-order) hashed chunks back
-	// into stream order and assembles indexing segments. A credit is
-	// returned as soon as a chunk is handed to the session in order —
-	// the session's segment buffer is bounded by SegmentChunks, not by
-	// the credit cap.
-	reorder := make(map[int]hashedChunk)
-	next := 0
-	pipeline.Sink(g, hashed, func(c hashedChunk) error {
-		reorder[c.seq] = c
-		for {
-			item, ok := reorder[next]
-			if !ok {
-				return nil
-			}
-			delete(reorder, next)
-			next++
-			err := session.push(item)
-			<-credits
-			if err != nil {
-				return err
-			}
-		}
-	})
-	if err := g.Wait(); err != nil {
+	session := &backupSession{engine: e, recipe: rec, placed: make(map[fp.FP]container.ID)}
+	// A sealed image is read-only from here on; this engine never mutates
+	// one during a backup.
+	session.open = &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: in.Writer.Put}
+	// No speculative probe: the indexes classify by segment, in order.
+	if err := in.Run(ctx, version, nil, session.push); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if err := session.flush(); err != nil {
@@ -271,54 +193,26 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// orphaned container (wasted space), never a dangling recipe entry
 	// (data loss). The fence returns only when every container handed to
 	// the commit plane is durably in the store.
-	if err := e.sealOpen(); err != nil {
+	if err := session.open.Flush(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	if err := e.writer.Barrier(); err != nil {
+	if err := in.Writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	commitWait := e.writer.Blocked()
 	if err := e.cfg.Recipes.Put(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
 	e.cfg.Index.EndVersion()
 	e.cfg.Rewriter.EndVersion()
 	e.nextVersion = v
-	e.logicalBytes += session.logicalBytes
+	e.logicalBytes += in.LogicalBytes
 	e.storedBytes += session.storedBytes
-	if e.mx != nil {
-		e.mx.Versions.Inc()
-		e.mx.LogicalBytes.Add(session.logicalBytes)
-		e.mx.StoredBytes.Add(session.storedBytes)
-		e.mx.ContainerBytesWritten.Add(session.storedBytes)
-		e.mx.CommitWaitNS.Add(uint64(commitWait))
-		e.mx.Chunks.Add(uint64(session.chunks))
-		e.mx.UniqueChunks.Add(uint64(session.uniqueChunks))
-		ps := e.pool.Stats()
-		e.mx.PoolInUse.Set(ps.InUse)
-		e.mx.PoolInUseBytes.Set(ps.InUseBytes)
-		e.mx.PoolSlabs.Set(int64(ps.SlabAllocs))
-	}
-	// The whole backup is one wall interval here (no sub-stage timing in
-	// the baseline engine), so a stage record suffices.
-	e.tracer.EmitStage("backup", nil, start, time.Since(start),
-		map[string]int64{"version": int64(v), "bytes": int64(session.logicalBytes), "chunks": int64(session.chunks)})
-
-	indexAfter := e.cfg.Index.Stats()
-	rewriteAfter := e.cfg.Rewriter.Stats()
-	return backup.BackupReport{
-		Version:      v,
-		LogicalBytes: session.logicalBytes,
-		StoredBytes:  session.storedBytes,
-		Chunks:       session.chunks,
-		UniqueChunks: session.uniqueChunks,
-		// The baseline writes each stored chunk once and never moves it.
-		ContainerBytesWritten: session.storedBytes,
-		CommitWait:            commitWait,
-		IndexStats:            diffIndexStats(indexBefore, indexAfter),
-		RewriteStats:          diffRewriteStats(rewriteBefore, rewriteAfter),
-		Duration:              time.Since(start),
-	}, nil
+	// The baseline writes each stored chunk once and never moves it, so
+	// its container bytes written are its stored bytes.
+	rep = in.Report(v, session.storedBytes, session.uniqueChunks, session.storedBytes)
+	rep.IndexStats = e.cfg.Index.Stats().Sub(indexBefore)
+	rep.RewriteStats = diffRewriteStats(rewriteBefore, e.cfg.Rewriter.Stats())
+	return rep, nil
 }
 
 // backupSession accumulates one version's state.
@@ -326,27 +220,40 @@ type backupSession struct {
 	engine *Engine
 	recipe *recipe.Recipe
 
-	seg []hashedChunk
+	// refs and data are the open segment: each chunk's fingerprint and
+	// size, and its pooled payload, held until the segment is classified.
+	refs []index.ChunkRef
+	data [][]byte
+	// open packs stored chunks into containers in arrival order, sealing
+	// each full one into the commit plane.
+	open *container.Packer
 	// placed maps fingerprints stored in this session to their container,
 	// resolving intra-version pending duplicates.
 	placed map[fp.FP]container.ID
 
-	logicalBytes uint64
 	storedBytes  uint64
-	chunks       int
 	uniqueChunks int
 }
 
-func (s *backupSession) push(c hashedChunk) error {
-	s.seg = append(s.seg, c)
-	if len(s.seg) >= s.engine.cfg.SegmentChunks {
+// push is the ingest skeleton's in-order sink: it buffers the chunk into
+// the open indexing segment and classifies the segment once it is full.
+// The segment is bounded by SegmentChunks, not by the skeleton's credit
+// cap, which the chunk stopped counting against on arrival here.
+func (s *backupSession) push(f fp.FP, data []byte, _ bool) error {
+	if s.refs == nil {
+		// A fresh slice per segment: the index and rewriter may keep refs.
+		s.refs = make([]index.ChunkRef, 0, s.engine.cfg.SegmentChunks)
+	}
+	s.refs = append(s.refs, index.ChunkRef{FP: f, Size: uint32(len(data))})
+	s.data = append(s.data, data)
+	if len(s.refs) >= s.engine.cfg.SegmentChunks {
 		return s.processSegment()
 	}
 	return nil
 }
 
 func (s *backupSession) flush() error {
-	if len(s.seg) == 0 {
+	if len(s.refs) == 0 {
 		return nil
 	}
 	return s.processSegment()
@@ -354,152 +261,69 @@ func (s *backupSession) flush() error {
 
 func (s *backupSession) processSegment() error {
 	e := s.engine
-	seg := s.seg
-	s.seg = nil
-	if s.placed == nil {
-		s.placed = make(map[fp.FP]container.ID)
-	}
+	refs, data := s.refs, s.data
+	s.refs, s.data = nil, s.data[:0] // every payload is released below
 
-	refs := make([]index.ChunkRef, len(seg))
-	for i, c := range seg {
-		refs[i] = index.ChunkRef{FP: c.fp, Size: uint32(len(c.data))}
-	}
 	results := e.cfg.Index.Dedup(refs)
 
-	view := make([]rewrite.Chunk, len(seg))
-	for i, c := range seg {
+	view := make([]rewrite.Chunk, len(refs))
+	for i, r := range refs {
 		view[i] = rewrite.Chunk{
-			FP:        c.fp,
-			Size:      uint32(len(c.data)),
+			FP:        r.FP,
+			Size:      r.Size,
 			Duplicate: results[i].Duplicate,
 			CID:       results[i].CID,
 		}
 	}
 	plan := e.cfg.Rewriter.Plan(view)
 
-	cids := make([]container.ID, len(seg))
-	for i, c := range seg {
-		s.logicalBytes += uint64(len(c.data))
-		s.chunks++
+	cids := make([]container.ID, len(refs))
+	for i, r := range refs {
 		switch {
 		case !results[i].Duplicate || plan[i]:
-			cid, err := e.store(c.fp, c.data)
+			cid, err := s.store(r.FP, data[i])
 			if err != nil {
 				return err
 			}
 			cids[i] = cid
-			s.placed[c.fp] = cid
-			s.storedBytes += uint64(len(c.data))
+			s.placed[r.FP] = cid
+			s.storedBytes += uint64(r.Size)
 			s.uniqueChunks++
 		case results[i].CID != 0:
 			cids[i] = results[i].CID
 		default:
-			cid, ok := s.placed[c.fp]
+			cid, ok := s.placed[r.FP]
 			if !ok {
-				return fmt.Errorf("dedup: pending duplicate %s has no placement", c.fp.Short())
+				return fmt.Errorf("dedup: pending duplicate %s has no placement", r.FP.Short())
 			}
 			cids[i] = cid
 		}
-		s.recipe.Append(c.fp, uint32(len(c.data)), int32(cids[i]))
+		s.recipe.Append(r.FP, r.Size, int32(cids[i]))
 		// Duplicate, or copied into the open container by Add: either
 		// way the pooled buffer is done.
-		e.pool.Release(c.data)
+		e.ingest.Release(data[i])
 	}
 	e.cfg.Index.Commit(refs, cids)
 	e.cfg.Rewriter.Committed(view, cids)
 	return nil
 }
 
-// store appends a chunk payload to the open container, sealing and
-// rotating it when full, and returns the container ID holding the chunk.
-func (e *Engine) store(f fp.FP, data []byte) (container.ID, error) {
-	if e.open != nil && !e.open.HasRoom(len(data)) {
-		if err := e.sealOpen(); err != nil {
-			return 0, err
-		}
+// store appends a chunk payload to the open container and returns the ID
+// of the container holding the chunk.
+func (s *backupSession) store(f fp.FP, data []byte) (container.ID, error) {
+	cid, err := s.open.Add(f, data)
+	if errors.Is(err, container.ErrDuplicate) {
+		// A rewritten duplicate may collide with a copy already in the open
+		// container; referencing that copy is equivalent.
+		return cid, nil
 	}
-	if e.open == nil {
-		e.nextCID++
-		e.open = container.NewWithCapacity(e.nextCID, e.cfg.ContainerCapacity)
-	}
-	if err := e.open.Add(f, data); err != nil {
-		if errors.Is(err, container.ErrDuplicate) {
-			// A rewritten duplicate may collide with a copy already in the
-			// open container; referencing that copy is equivalent.
-			return e.open.ID(), nil
-		}
-		return 0, err
-	}
-	return e.open.ID(), nil
+	return cid, err
 }
 
-func (e *Engine) sealOpen() error {
-	if e.open == nil {
-		return nil
-	}
-	if e.open.Len() > 0 {
-		// A sealed image is read-only from here on; this engine never
-		// mutates one during a backup.
-		if err := e.writer.Put(e.open); err != nil {
-			return err
-		}
-	}
-	e.open = nil
-	return nil
-}
-
-// Restore implements backup.Engine.
-func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (rep backup.RestoreReport, retErr error) {
-	start := time.Now()
-	span := e.tracer.Start("restore", nil)
-	// Deferred so a recipe read or cache restore failure still closes
-	// the span; failures carry an error attr.
-	defer func() {
-		if retErr != nil {
-			span.SetAttr("error", 1)
-		}
-		span.End()
-	}()
-	rec, err := e.cfg.Recipes.Get(version)
-	if err != nil {
-		return backup.RestoreReport{}, err
-	}
-	if e.rmx != nil {
-		e.rmx.RecipeReadNS.Observe(uint64(time.Since(start)))
-	}
-	// Observed above the prefetch layer, mirroring countingFetcher's
-	// position, so the trace/registry/Stats read counts agree.
-	fetch, done := restorecache.MaybePrefetchParallel(
-		restorecache.StoreFetcher(e.cfg.Store), rec.Entries, e.cfg.PrefetchDepth, e.cfg.RestoreWorkers, e.rmx)
-	defer done()
-	fetch = restorecache.ObserveFetcher(fetch, e.rmx, e.tracer, span)
-	out := w
-	if e.cfg.RestoreWorkers > 1 {
-		out = restorecache.NewParallelWriter(w, restorecache.ParallelOptions{
-			Workers: e.cfg.RestoreWorkers,
-			Metrics: e.rmx,
-			Tracer:  e.tracer,
-			Span:    span,
-		})
-	}
-	stats, err := e.cfg.RestoreCache.Restore(ctx, rec.Entries, fetch, out)
-	if err != nil {
-		return backup.RestoreReport{}, err
-	}
-	if e.rmx != nil {
-		e.rmx.Restores.Inc()
-		e.rmx.BytesRestored.Add(stats.BytesRestored)
-		e.rmx.CacheHits.Add(stats.CacheHits)
-		e.rmx.Chunks.Add(stats.Chunks)
-	}
-	span.SetAttr("version", int64(version))
-	span.SetAttr("bytes", int64(stats.BytesRestored))
-	span.SetAttr("container_reads", int64(stats.ContainerReads))
-	return backup.RestoreReport{
-		Version:  version,
-		Stats:    stats,
-		Duration: time.Since(start),
-	}, nil
+// Restore implements backup.Engine. Baseline recipes already carry
+// positive container IDs, so the shared driver replays them as stored.
+func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
+	return e.restore.Restore(ctx, version, w, restorecache.StoreFetcher(e.cfg.Store), nil)
 }
 
 // Delete implements backup.Engine: the traditional mark-and-sweep path
@@ -507,9 +331,12 @@ func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (rep bac
 // remaining recipe is scanned to build the live set, then every container
 // is swept: dead chunks are dropped, emptied containers deleted, partially
 // dead containers compacted and rewritten.
-func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
+func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) {
 	start := time.Now()
-	report := backup.DeleteReport{Version: version}
+	report = backup.DeleteReport{Version: version}
+	if err := e.ingest.Failed(); err != nil {
+		return report, err
+	}
 	present, err := e.cfg.Recipes.Has(version)
 	if err != nil {
 		return report, err
@@ -517,6 +344,9 @@ func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
 	if !present {
 		return report, fmt.Errorf("%w: version %d", recipe.ErrNotFound, version)
 	}
+	// Past the precondition a failure leaves the sweep half done and the
+	// byte counts ahead of the store: latch, as Backup does.
+	defer e.ingest.FailOn(&retErr)
 	// Durable commit order (reverse of Backup's): the recipe goes first,
 	// so a crash mid-sweep leaves orphaned chunks (reclaimed by a later
 	// delete's sweep), never a listed version with missing chunks.
@@ -571,7 +401,11 @@ func (e *Engine) Delete(version int) (backup.DeleteReport, error) {
 			}
 			report.ContainersDeleted++
 		default:
-			// Compact the survivors into a rewritten container image.
+			// Compact the survivors into a rewritten container image. This
+			// is the one container write outside the commit plane, by
+			// design: GC compaction rewrites an ID in place, synchronously,
+			// while the plane's contract is write-once images under fresh
+			// IDs with fences placed by a running Backup.
 			kept := ctn.Clone()
 			for _, f := range fps {
 				if _, ok := live[f]; !ok {
@@ -623,19 +457,10 @@ func (e *Engine) Stats() backup.Stats {
 	} else {
 		s.Containers = n
 	}
-	return s
-}
-
-func diffIndexStats(before, after index.Stats) index.Stats {
-	return index.Stats{
-		Lookups:        after.Lookups - before.Lookups,
-		DiskLookups:    after.DiskLookups - before.DiskLookups,
-		CacheHits:      after.CacheHits - before.CacheHits,
-		Duplicates:     after.Duplicates - before.Duplicates,
-		Uniques:        after.Uniques - before.Uniques,
-		DuplicateBytes: after.DuplicateBytes - before.DuplicateBytes,
-		UniqueBytes:    after.UniqueBytes - before.UniqueBytes,
+	if err := e.ingest.Failed(); err != nil {
+		s.Degraded = append(s.Degraded, err.Error())
 	}
+	return s
 }
 
 func diffRewriteStats(before, after rewrite.Stats) rewrite.Stats {

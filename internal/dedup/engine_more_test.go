@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
@@ -36,19 +37,27 @@ func TestIntraVersionDuplicates(t *testing.T) {
 }
 
 // TestReaderErrorPropagates: a failing source must abort the backup with
-// the original error, and the engine must remain usable.
+// the original error. Chunks of the dead stream have already been through
+// the sink, so the engine refuses to build on that state — naming the
+// first cause — while committed versions stay restorable.
 func TestReaderErrorPropagates(t *testing.T) {
 	e, _, _ := newTestEngine(t, "ddfs", nil)
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(1, 0))
+	backuptest.BackupAll(t, e, versions)
 	boom := errors.New("source exploded")
-	src := io.MultiReader(bytes.NewReader(make([]byte, 64<<10)), iotest.ErrReader(boom))
+	// Long enough that the pipeline's in-flight bound forces chunks through
+	// the sink before the producer can reach the error.
+	prefix := make([]byte, 2<<20)
+	rand.New(rand.NewSource(5)).Read(prefix)
+	src := io.MultiReader(bytes.NewReader(prefix), iotest.ErrReader(boom))
 	if _, err := e.Backup(context.Background(), src); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want source error", err)
 	}
-	// The engine is still usable for a clean backup afterwards.
-	versions := backuptest.Materialize(t, backuptest.SmallWorkload(1, 0))
-	if _, err := e.Backup(context.Background(), bytes.NewReader(versions[0])); err != nil {
-		t.Fatal(err)
+	_, err := e.Backup(context.Background(), bytes.NewReader(versions[0]))
+	if !errors.Is(err, backup.ErrFailed) || !errors.Is(err, boom) {
+		t.Fatalf("backup after a failed one = %v, want ErrFailed wrapping the source error", err)
 	}
+	backuptest.CheckRestoreOne(t, e, 1, versions[0])
 }
 
 // TestContextCancellation: a cancelled context aborts the backup.

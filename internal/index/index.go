@@ -58,22 +58,23 @@ type Stats struct {
 	UniqueBytes    uint64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Lookups += other.Lookups
-	s.DiskLookups += other.DiskLookups
-	s.CacheHits += other.CacheHits
-	s.Duplicates += other.Duplicates
-	s.Uniques += other.Uniques
-	s.DuplicateBytes += other.DuplicateBytes
-	s.UniqueBytes += other.UniqueBytes
+// Sub returns the counters accrued since before, an earlier snapshot of
+// the same index: one version's share of a cumulative total.
+func (s Stats) Sub(before Stats) Stats {
+	return Stats{
+		Lookups:        s.Lookups - before.Lookups,
+		DiskLookups:    s.DiskLookups - before.DiskLookups,
+		CacheHits:      s.CacheHits - before.CacheHits,
+		Duplicates:     s.Duplicates - before.Duplicates,
+		Uniques:        s.Uniques - before.Uniques,
+		DuplicateBytes: s.DuplicateBytes - before.DuplicateBytes,
+		UniqueBytes:    s.UniqueBytes - before.UniqueBytes,
+	}
 }
 
 // Index is a fingerprint index. Implementations are not required to be
-// safe for concurrent use; the dedup engine serializes access. Indexes
-// that must be shared across goroutines (the daemon's tenants) can be
-// wrapped in index/sharded.Front, which adds per-shard locking — and,
-// for exact per-chunk schemes, shard-level concurrency.
+// safe for concurrent use; the dedup engine calls them from one goroutine,
+// the ingest pipeline's in-order sink.
 type Index interface {
 	// Name identifies the scheme ("ddfs", "sparse", "silo", "hidestore").
 	Name() string

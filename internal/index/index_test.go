@@ -249,12 +249,10 @@ func TestEmptySegment(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := index.Stats{Lookups: 1, DiskLookups: 2, CacheHits: 3, Duplicates: 4, Uniques: 5, DuplicateBytes: 6, UniqueBytes: 7}
-	b := a
-	a.Add(b)
-	want := index.Stats{Lookups: 2, DiskLookups: 4, CacheHits: 6, Duplicates: 8, Uniques: 10, DuplicateBytes: 12, UniqueBytes: 14}
-	if a != want {
-		t.Fatalf("Add = %+v, want %+v", a, want)
+func TestStatsSub(t *testing.T) {
+	before := index.Stats{Lookups: 1, DiskLookups: 2, CacheHits: 3, Duplicates: 4, Uniques: 5, DuplicateBytes: 6, UniqueBytes: 7}
+	after := index.Stats{Lookups: 2, DiskLookups: 4, CacheHits: 6, Duplicates: 8, Uniques: 10, DuplicateBytes: 12, UniqueBytes: 14}
+	if got := after.Sub(before); got != before {
+		t.Fatalf("Sub = %+v, want %+v", got, before)
 	}
 }

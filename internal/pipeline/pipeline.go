@@ -1,7 +1,7 @@
 // Package pipeline provides the staged-concurrency scaffolding the dedup
-// engines are built on, mirroring destor's pipelined architecture
-// (chunking → hashing → indexing → rewriting → storing, §5.1 of the
-// paper). Stages are connected by bounded channels; the first error
+// engines' shared ingest path is built on, mirroring destor's pipelined
+// architecture (chunking → hashing → indexing → rewriting → storing, §5.1
+// of the paper). Stages are connected by bounded channels; the first error
 // cancels the whole pipeline and Wait returns it after every goroutine has
 // exited (no fire-and-forget goroutines).
 package pipeline
@@ -53,35 +53,69 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// Produce runs gen in the group, feeding its emissions into the returned
-// channel (closed when gen returns). gen must return promptly once emit
-// reports false (context cancelled).
-func Produce[T any](g *Group, buf int, gen func(emit func(T) bool) error) <-chan T {
-	out := make(chan T, buf)
-	g.Go(func() error {
-		defer close(out)
-		emit := func(v T) bool {
-			select {
-			case out <- v:
-				return true
-			case <-g.ctx.Done():
-				return false
-			}
-		}
-		return gen(emit)
-	})
-	return out
+// rawBufDepth and hashedBufDepth size Ordered's two channels. Together
+// with the worker count they determine how many items can sit between the
+// producer and the in-order sink, which is what the sink's reorder credit
+// cap is computed from.
+const (
+	rawBufDepth    = 64
+	hashedBufDepth = 64
+)
+
+// numbered is an item tagged with its position in the producer's stream.
+type numbered[T any] struct {
+	seq int
+	v   T
 }
 
-// Transform runs `workers` goroutines applying fn to every item of in,
-// forwarding results to the returned channel (closed when all workers
-// finish). Ordering across workers is not preserved; use one worker for
-// order-sensitive stages.
-func Transform[In, Out any](g *Group, workers, buf int, in <-chan In, fn func(In) (Out, error)) <-chan Out {
+// Ordered is the one pipeline shape the engines run: gen produces items on
+// one goroutine, `workers` goroutines apply fn to them concurrently, and
+// sink consumes the results on one goroutine in the order gen emitted them,
+// whatever the workers' scheduling. gen must return promptly once emit
+// reports false (the pipeline was cancelled). The first error from any
+// stage, or ctx's, cancels the rest and is returned after every goroutine
+// has exited.
+//
+// At most rawBufDepth+hashedBufDepth+workers+1 items are in flight between
+// gen and sink — everything the channels and worker hands can hold, plus
+// the one the producer may block on: emit takes a credit per item and the
+// sink returns it after processing. The cap is therefore also a ceiling on
+// the sink's reorder map, so one slow worker cannot make the parked set
+// grow without bound.
+func Ordered[T any](ctx context.Context, workers int, gen func(emit func(T) bool) error,
+	fn func(T) (T, error), sink func(T) error) error {
+	return ordered(ctx, workers, gen, fn, sink, nil)
+}
+
+// ordered is Ordered with a test hook: observe, when non-nil, sees the
+// sink's parked-item count after each arrival.
+func ordered[T any](ctx context.Context, workers int, gen func(emit func(T) bool) error,
+	fn func(T) (T, error), sink func(T) error, observe func(parked int)) error {
 	if workers <= 0 {
 		workers = 1
 	}
-	out := make(chan Out, buf)
+	g, gctx := WithContext(ctx)
+	credits := make(chan struct{}, rawBufDepth+hashedBufDepth+workers+1)
+	raw := make(chan numbered[T], rawBufDepth)
+	g.Go(func() error {
+		defer close(raw)
+		seq := 0
+		return gen(func(v T) bool {
+			select {
+			case credits <- struct{}{}:
+			case <-gctx.Done():
+				return false
+			}
+			select {
+			case raw <- numbered[T]{seq, v}:
+				seq++
+				return true
+			case <-gctx.Done():
+				return false
+			}
+		})
+	})
+	done := make(chan numbered[T], hashedBufDepth)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -89,58 +123,60 @@ func Transform[In, Out any](g *Group, workers, buf int, in <-chan In, fn func(In
 			defer wg.Done()
 			for {
 				select {
-				case v, ok := <-in:
+				case it, ok := <-raw:
 					if !ok {
 						return nil
 					}
-					res, err := fn(v)
-					if err != nil {
+					var err error
+					if it.v, err = fn(it.v); err != nil {
 						return err
 					}
 					select {
-					case out <- res:
-					case <-g.ctx.Done():
-						return g.ctx.Err()
+					case done <- it:
+					case <-gctx.Done():
+						return gctx.Err()
 					}
-				case <-g.ctx.Done():
-					return g.ctx.Err()
+				case <-gctx.Done():
+					return gctx.Err()
 				}
 			}
 		})
 	}
 	g.Go(func() error {
 		wg.Wait()
-		close(out)
-		// On early error the workers stop consuming, but the producer
-		// feeding `in` may not be context-aware (Produce's emit is, raw
-		// channel writers often are not). Drain what it has in flight so
-		// its sends never block past cancellation; the drain costs
-		// nothing on the happy path because `in` is already closed and
-		// empty. The producer must still close `in` eventually — that
-		// contract is unchanged.
-		for range in {
-		}
+		close(done)
 		return nil
 	})
-	return out
-}
-
-// Sink consumes in with fn until the channel closes or the group is
-// cancelled.
-func Sink[T any](g *Group, in <-chan T, fn func(T) error) {
 	g.Go(func() error {
+		parked := make(map[int]T)
+		next := 0
 		for {
 			select {
-			case v, ok := <-in:
+			case it, ok := <-done:
 				if !ok {
 					return nil
 				}
-				if err := fn(v); err != nil {
-					return err
+				parked[it.seq] = it.v
+				if observe != nil {
+					observe(len(parked))
 				}
-			case <-g.ctx.Done():
-				return g.ctx.Err()
+				for {
+					v, ok := parked[next]
+					if !ok {
+						break
+					}
+					delete(parked, next)
+					next++
+					err := sink(v)
+					<-credits
+					if err != nil {
+						return err
+					}
+				}
+			case <-gctx.Done():
+				return gctx.Err()
 			}
 		}
 	})
+	return g.Wait()
 }

@@ -3,139 +3,160 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 )
 
-func TestProduceTransformSink(t *testing.T) {
-	g, _ := WithContext(context.Background())
-	nums := Produce(g, 4, func(emit func(int) bool) error {
-		for i := 1; i <= 100; i++ {
+// count emits 0..n-1 (forever when n < 0) until the pipeline stops it.
+func count(n int) func(emit func(int) bool) error {
+	return func(emit func(int) bool) error {
+		for i := 0; i != n; i++ {
 			if !emit(i) {
-				return nil
+				return nil // cancelled, exit cleanly
 			}
 		}
 		return nil
-	})
-	doubled := Transform(g, 4, 4, nums, func(v int) (int, error) { return v * 2, nil })
-	var got []int
-	var mu atomic.Int64
-	Sink(g, doubled, func(v int) error {
-		got = append(got, v)
-		mu.Add(int64(v))
-		return nil
-	})
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
 	}
-	if len(got) != 100 {
-		t.Fatalf("got %d items, want 100", len(got))
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != 2*(i+1) {
-			t.Fatalf("item %d = %d, want %d", i, v, 2*(i+1))
+}
+
+func TestOrderedPreservesOrderAcrossWorkers(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} { // 0 defaults to one worker
+		var got []int
+		err := Ordered(context.Background(), workers, count(1000),
+			func(v int) (int, error) { return v * 2, nil },
+			func(v int) error { got = append(got, v); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1000 {
+			t.Fatalf("%d workers: got %d items, want 1000", workers, len(got))
+		}
+		for i, v := range got {
+			if v != 2*i {
+				t.Fatalf("%d workers: item %d = %d, want %d", workers, i, v, 2*i)
+			}
 		}
 	}
 }
 
-func TestOrderPreservedWithOneWorker(t *testing.T) {
-	g, _ := WithContext(context.Background())
-	in := Produce(g, 0, func(emit func(int) bool) error {
-		for i := 0; i < 50; i++ {
-			if !emit(i) {
-				return nil
+// TestOrderedReorderStaysBounded pins the sink's reorder bound under an
+// adversarial schedule: the worker holding item 0 stalls, so every later
+// item must park in the reorder map until the stall lifts. Without the
+// credit cap the producer would keep producing and the parked set would
+// grow with the stream (a whole backup, in the worst case); with it, the
+// parked set can never exceed the in-flight ceiling no matter how unlucky
+// the scheduling. Both engines ingest through this one function, so the
+// bound is pinned here, once.
+func TestOrderedReorderStaysBounded(t *testing.T) {
+	const workers = 4
+	creditCap := rawBufDepth + hashedBufDepth + workers + 1
+
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	// Watchdog: if the bound (or the pipeline) wedges, fail visibly
+	// instead of hanging the suite.
+	timer := time.AfterFunc(30*time.Second, free)
+	defer timer.Stop()
+
+	maxParked, next := 0, 0
+	// Far more items than the credit cap, so an unbounded map would
+	// comfortably overshoot it during the stall.
+	err := ordered(context.Background(), workers, count(20*creditCap),
+		func(v int) (int, error) {
+			if v == 0 {
+				<-release
 			}
-		}
-		return nil
-	})
-	out := Transform(g, 1, 0, in, func(v int) (int, error) { return v, nil })
-	var got []int
-	Sink(g, out, func(v int) error { got = append(got, v); return nil })
-	if err := g.Wait(); err != nil {
+			return v, nil
+		},
+		func(v int) error {
+			if v != next {
+				t.Errorf("sink saw item %d at position %d", v, next)
+			}
+			next++
+			return nil
+		},
+		func(parked int) { // sink goroutine only; read after ordered returns
+			if parked > maxParked {
+				maxParked = parked
+			}
+			// Quiescence: item 0 holds one credit, so the map can reach at
+			// most creditCap-1 entries. Once it does, every other credit is
+			// parked — the adversarial peak — and the stall can end.
+			if parked >= creditCap-1 {
+				free()
+			}
+		})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken at %d: %d", i, v)
-		}
+	if maxParked > creditCap {
+		t.Fatalf("reorder map reached %d entries, credit cap is %d", maxParked, creditCap)
+	}
+	if maxParked < creditCap-1 {
+		t.Fatalf("stall parked only %d items (cap %d); the adversarial schedule did not engage", maxParked, creditCap)
+	}
+	if next != 20*creditCap {
+		t.Fatalf("sink saw %d items, want %d", next, 20*creditCap)
 	}
 }
 
 func TestErrorCancelsPipeline(t *testing.T) {
 	boom := errors.New("boom")
-	g, ctx := WithContext(context.Background())
-	in := Produce(g, 0, func(emit func(int) bool) error {
-		for i := 0; ; i++ {
-			if !emit(i) {
-				return nil // cancelled, exit cleanly
-			}
-		}
-	})
-	out := Transform(g, 2, 0, in, func(v int) (int, error) {
-		if v == 10 {
-			return 0, boom
-		}
-		return v, nil
-	})
-	Sink(g, out, func(int) error { return nil })
-	err := g.Wait()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want boom", err)
-	}
-	select {
-	case <-ctx.Done():
-	default:
-		t.Fatal("context not cancelled after error")
-	}
-}
-
-func TestSinkErrorPropagates(t *testing.T) {
-	bad := errors.New("sink failed")
-	g, _ := WithContext(context.Background())
-	in := Produce(g, 0, func(emit func(int) bool) error {
-		for i := 0; i < 100; i++ {
-			if !emit(i) {
+	id := func(v int) (int, error) { return v, nil }
+	drop := func(int) error { return nil }
+	for name, run := range map[string]func() error{
+		"producer": func() error {
+			return Ordered(context.Background(), 2, func(emit func(int) bool) error { emit(1); return boom }, id, drop)
+		},
+		"worker": func() error {
+			return Ordered(context.Background(), 2, count(-1), func(v int) (int, error) {
+				if v == 10 {
+					return 0, boom
+				}
+				return v, nil
+			}, drop)
+		},
+		"sink": func() error {
+			return Ordered(context.Background(), 2, count(-1), id, func(v int) error {
+				if v == 5 {
+					return boom
+				}
 				return nil
-			}
+			})
+		},
+	} {
+		// An unending producer only returns because the failure cancels it.
+		if err := run(); !errors.Is(err, boom) {
+			t.Errorf("%s failure: Ordered = %v, want boom", name, err)
 		}
-		return nil
-	})
-	Sink(g, in, func(v int) error {
-		if v == 5 {
-			return bad
-		}
-		return nil
-	})
-	if err := g.Wait(); !errors.Is(err, bad) {
-		t.Fatalf("Wait = %v, want sink error", err)
 	}
 }
 
 func TestExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	g, _ := WithContext(ctx)
 	started := make(chan struct{})
-	in := Produce(g, 0, func(emit func(int) bool) error {
-		close(started)
-		for i := 0; ; i++ {
-			if !emit(i) {
+	done := make(chan error, 1)
+	go func() {
+		done <- Ordered(ctx, 2,
+			func(emit func(int) bool) error {
+				close(started)
+				return count(-1)(emit)
+			},
+			func(v int) (int, error) { return v, nil },
+			func(int) error {
+				time.Sleep(time.Millisecond)
 				return nil
-			}
-		}
-	})
-	Sink(g, in, func(int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
+			})
+	}()
 	<-started
 	cancel()
-	done := make(chan error, 1)
-	go func() { done <- g.Wait() }()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Ordered = %v, want context.Canceled", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pipeline did not shut down after cancellation")
 	}
@@ -158,57 +179,5 @@ func TestEmptyGroup(t *testing.T) {
 	g, _ := WithContext(context.Background())
 	if err := g.Wait(); err != nil {
 		t.Fatalf("empty group Wait = %v", err)
-	}
-}
-
-func TestTransformDefaultsToOneWorker(t *testing.T) {
-	g, _ := WithContext(context.Background())
-	in := Produce(g, 0, func(emit func(int) bool) error {
-		emit(1)
-		emit(2)
-		return nil
-	})
-	out := Transform(g, 0, 0, in, func(v int) (int, error) { return v, nil })
-	count := 0
-	Sink(g, out, func(int) error { count++; return nil })
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
-// TestTransformDrainsInputOnEarlyError pins the drain guarantee: when a
-// worker fails mid-stream, a producer that is not context-aware (a raw
-// channel writer, unlike Produce's emit) must still be able to push its
-// remaining items and close the channel instead of blocking forever on
-// a send nobody will receive.
-func TestTransformDrainsInputOnEarlyError(t *testing.T) {
-	boom := errors.New("boom")
-	g, _ := WithContext(context.Background())
-	in := make(chan int) // unbuffered: the producer blocks on every send
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		defer close(in)
-		for i := 0; i < 1000; i++ {
-			in <- i // not ctx-aware on purpose
-		}
-	}()
-	out := Transform(g, 2, 1, in, func(v int) (int, error) {
-		if v == 5 {
-			return 0, boom
-		}
-		return v, nil
-	})
-	Sink(g, out, func(int) error { return nil })
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want %v", err, boom)
-	}
-	select {
-	case <-producerDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer still blocked after pipeline error: Transform did not drain its input")
 	}
 }

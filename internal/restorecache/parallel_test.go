@@ -38,7 +38,7 @@ func TestParallelConformance(t *testing.T) {
 					workers, depth := workers, depth
 					t.Run(fmt.Sprintf("workers-%d/depth-%d", workers, depth), func(t *testing.T) {
 						store.ResetStats()
-						fetch, done := MaybePrefetchParallel(StoreFetcher(store), entries, depth, workers, nil)
+						fetch, done := MaybePrefetch(StoreFetcher(store), entries, depth, workers, nil)
 						var got bytes.Buffer
 						pw := NewParallelWriter(&got, ParallelOptions{Workers: workers})
 						stats, err := c.Restore(context.Background(), entries, fetch, pw)
@@ -133,7 +133,7 @@ func TestParallelRestoreCancelsPromptly(t *testing.T) {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
 			slow := newSlowFetcher(StoreFetcher(store))
-			fetch, done := MaybePrefetchParallel(slow, entries, 4, 4, nil)
+			fetch, done := MaybePrefetch(slow, entries, 4, 4, nil)
 			defer done()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

@@ -360,27 +360,16 @@ func (p *PrefetchFetcher) Close() {
 	_ = p.group.Wait()
 }
 
-// MaybePrefetch wraps fetch with a PrefetchFetcher according to depth:
-// negative disables prefetching, zero selects DefaultPrefetchDepth. The
-// returned func must be called once the restore finishes.
-func MaybePrefetch(fetch Fetcher, entries []recipe.Entry, depth int) (Fetcher, func()) {
-	return MaybePrefetchObserved(fetch, entries, depth, nil)
-}
-
-// MaybePrefetchObserved is MaybePrefetch with the read-ahead window
-// wired into mx (nil for no instrumentation).
-func MaybePrefetchObserved(fetch Fetcher, entries []recipe.Entry, depth int, mx *obs.RestoreMetrics) (Fetcher, func()) {
-	return MaybePrefetchParallel(fetch, entries, depth, 0, mx)
-}
-
-// MaybePrefetchParallel is MaybePrefetchObserved with an explicit
-// fetch-pool width: workers <= 0 keeps the historical coupling (pool
-// width = depth), larger values widen the pool for the parallel
-// restore mode. The effective fetch parallelism stays bounded by the
-// read-ahead window — min(workers, depth, distinct containers) — so
-// the window, not the pool, remains the memory bound. Which containers
-// are read, and how often, is unchanged by either knob.
-func MaybePrefetchParallel(fetch Fetcher, entries []recipe.Entry, depth, workers int, mx *obs.RestoreMetrics) (Fetcher, func()) {
+// MaybePrefetch wraps fetch with a PrefetchFetcher over the resolved
+// entries: a negative depth disables prefetching, zero selects
+// DefaultPrefetchDepth. workers widens the fetch pool for the parallel
+// restore mode; <= 0 keeps it as wide as the window. The effective fetch
+// parallelism stays bounded by the read-ahead window — min(workers, depth,
+// distinct containers) — so the window, not the pool, remains the memory
+// bound. mx, when non-nil, exposes the window's occupancy. Which containers
+// are read, and how often, is unchanged by any of them. The returned func
+// must be called once the restore finishes.
+func MaybePrefetch(fetch Fetcher, entries []recipe.Entry, depth, workers int, mx *obs.RestoreMetrics) (Fetcher, func()) {
 	if depth < 0 {
 		return fetch, func() {}
 	}

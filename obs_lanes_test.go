@@ -116,50 +116,3 @@ func TestLanesShardsBitIdenticalBackups(t *testing.T) {
 		}
 	}
 }
-
-// TestBaselineIndexShardsTransparent pins OpenBaseline's sharding rules
-// at the system level: a sharded DDFS front must report the same
-// per-version accounting and restore the same bytes as the plain index,
-// and a sampling scheme (sparse indexing) must still work with the
-// shard knob set — it is forced onto the single-shard exclusive wrapper
-// because splitting its segments would change the sampling universe.
-func TestBaselineIndexShardsTransparent(t *testing.T) {
-	versions := testVersions(t, 3)
-	run := func(indexName string, shards, lanes int) (chunks []int, restored [][]byte) {
-		sys, err := OpenBaseline(BaselineConfig{
-			Index:  indexName,
-			Config: Config{IndexShards: shards, ChunkLanes: lanes},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		for _, v := range versions {
-			rep, err := sys.Backup(ctx, bytes.NewReader(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunks = append(chunks, rep.Chunks)
-		}
-		for i := range versions {
-			var out bytes.Buffer
-			if _, err := sys.Restore(ctx, i+1, &out); err != nil {
-				t.Fatal(err)
-			}
-			restored = append(restored, out.Bytes())
-		}
-		return chunks, restored
-	}
-	for _, indexName := range []string{"ddfs", "sparse"} {
-		plainChunks, plainBytes := run(indexName, 0, 1)
-		shardChunks, shardBytes := run(indexName, 8, 2)
-		for i := range versions {
-			if plainChunks[i] != shardChunks[i] {
-				t.Errorf("%s v%d: plain %d chunks, sharded %d", indexName, i+1, plainChunks[i], shardChunks[i])
-			}
-			if !bytes.Equal(shardBytes[i], versions[i]) || !bytes.Equal(plainBytes[i], shardBytes[i]) {
-				t.Errorf("%s v%d: restored bytes diverged", indexName, i+1)
-			}
-		}
-	}
-}

@@ -3,13 +3,20 @@ package hidestore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"sync"
 	"testing"
 
+	"hidestore/internal/backup"
+	"hidestore/internal/container"
+	"hidestore/internal/core"
+	"hidestore/internal/dedup"
+	"hidestore/internal/index/ddfs"
 	"hidestore/internal/obs"
+	"hidestore/internal/recipe"
 )
 
 // TestParallelRestoreIdentity pins the parallel restore mode's
@@ -183,22 +190,41 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// failPutStore is a container store whose writes all fail — a dead
+// backend under a running backup.
+type failPutStore struct{ container.Store }
+
+func (failPutStore) Put(*container.Container) error { return errors.New("store died") }
+
 // TestTraceSpansBalancedOnFailure is the span-leak validator: every
 // operation that fails must still End its span (a leaked span emits no
 // trace record at all, so the tracer's open-span balance is the only
-// reliable detector). Failed backups, failed restores and failed
-// parallel restores — on both engines — must all leave the balance at
-// zero.
+// reliable detector). A failing source, a failing store and failed
+// restores — serial and parallel, on both engines, which share one ingest
+// skeleton and one restore driver — must leave the balance at zero and a
+// well-formed tree: failures are records with an error attr, stage
+// records hang off their backup, and their chunk and byte sums are the
+// reports'.
 func TestTraceSpansBalancedOnFailure(t *testing.T) {
 	versions := testVersions(t, 2)
 	srcErr := errors.New("source died")
 
-	check := func(name string, sys *System, tracer *obs.Tracer) {
+	check := func(name string, open func(Config) (*System, error), overStore func(container.Store, *obs.Tracer) (backup.Engine, error)) {
+		var buf bytes.Buffer
+		tracer := obs.NewTracer(&buf)
+		sys, err := open(Config{Tracer: tracer, RestoreWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx := context.Background()
+		var chunks, logical int64
 		for _, v := range versions {
-			if _, err := sys.Backup(ctx, bytes.NewReader(v)); err != nil {
+			rep, err := sys.Backup(ctx, bytes.NewReader(v))
+			if err != nil {
 				t.Fatalf("%s: backup: %v", name, err)
 			}
+			chunks += int64(rep.Chunks)
+			logical += int64(rep.LogicalBytes)
 		}
 		// Failed backup: the source errors mid-stream.
 		if _, err := sys.Backup(ctx, &errAfterReader{n: 4 << 10, err: srcErr}); err == nil {
@@ -214,42 +240,82 @@ func TestTraceSpansBalancedOnFailure(t *testing.T) {
 				t.Fatalf("%s: restore: %v", name, err)
 			}
 		}
+		// Failed backup: the store refuses every container.
+		e, err := overStore(failPutStore{container.NewMemStore()}, tracer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := &System{engine: e}
+		if _, err := dead.Backup(ctx, bytes.NewReader(versions[0])); err == nil {
+			t.Fatalf("%s: backup over a dead store succeeded", name)
+		}
+		if h := dead.Health(); h.OK() || len(h.Degraded) == 0 {
+			t.Errorf("%s: Health after a failed backup = %+v, want degraded with the sticky failure", name, h)
+		}
 		if open := tracer.OpenSpans(); open != 0 {
 			t.Errorf("%s: %d spans leaked across failed operations", name, open)
 		}
+		if err := tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Every balanced span must actually be in the trace: failed ops
+		// emit records too (with an error attribute), they don't vanish.
+		byName := make(map[string][]obs.TraceRecord)
+		spanName := make(map[uint64]string)
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var rec obs.TraceRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("%s: trace line %q: %v", name, line, err)
+			}
+			byName[rec.Name] = append(byName[rec.Name], rec)
+			spanName[rec.ID] = rec.Name
+		}
+		failed := func(recs []obs.TraceRecord) (n int) {
+			for _, rec := range recs {
+				if rec.Attrs["error"] == 1 {
+					n++
+				}
+			}
+			return n
+		}
+		if got, want := len(byName["backup"]), len(versions)+2; got != want || failed(byName["backup"]) != 2 {
+			t.Errorf("%s: %d backup spans, %d with an error attr; want %d and 2 (failures emit spans too)",
+				name, got, failed(byName["backup"]), want)
+		}
+		if got, want := len(byName["restore"]), len(versions)+1; got != want || failed(byName["restore"]) != 1 {
+			t.Errorf("%s: %d restore spans, %d with an error attr; want %d and 1", name, got, failed(byName["restore"]), want)
+		}
+		for stage, parent := range map[string]string{
+			"stage.chunking": "backup", "stage.fingerprint": "backup", "recipe.read": "restore",
+		} {
+			recs := byName[stage]
+			if len(recs) != len(versions) {
+				t.Errorf("%s: %d %s records, want one per successful operation (%d)", name, len(recs), stage, len(versions))
+			}
+			var c, b int64
+			for _, rec := range recs {
+				if spanName[rec.Parent] != parent {
+					t.Errorf("%s: a %s record hangs off %q, want its %s span", name, stage, spanName[rec.Parent], parent)
+				}
+				c += rec.Attrs["chunks"]
+				b += rec.Attrs["bytes"]
+			}
+			if parent == "backup" && (c != chunks || b != logical) {
+				t.Errorf("%s: %s accounts for %d chunks / %d bytes, the reports for %d / %d", name, stage, c, b, chunks, logical)
+			}
+		}
 	}
 
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf)
-	sys, err := Open(Config{Tracer: tracer, RestoreWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("hidestore", sys, tracer)
-	if err := tracer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Every balanced span must actually be in the trace: failed ops
-	// emit records too (with an error attribute), they don't vanish.
-	sum, err := obs.SummarizeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sum.SpanCount("restore"), len(versions)+1; got != want {
-		t.Errorf("restore span count %d, want %d (failures emit spans too)", got, want)
-	}
-	if got, want := sum.SpanCount("backup"), len(versions)+1; got != want {
-		t.Errorf("backup span count %d, want %d (failures emit spans too)", got, want)
-	}
-
-	var bbuf bytes.Buffer
-	btracer := obs.NewTracer(&bbuf)
-	bsys, err := OpenBaseline(BaselineConfig{Config: Config{Tracer: btracer, RestoreWorkers: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("baseline", bsys, btracer)
-	if err := btracer.Close(); err != nil {
-		t.Fatal(err)
-	}
+	check("hidestore", Open, func(s container.Store, tr *obs.Tracer) (backup.Engine, error) {
+		return core.New(core.Config{Store: s, Recipes: recipe.NewMemStore(), Tracer: tr})
+	})
+	check("baseline", func(c Config) (*System, error) { return OpenBaseline(BaselineConfig{Config: c}) },
+		func(s container.Store, tr *obs.Tracer) (backup.Engine, error) {
+			ix, err := ddfs.New(ddfs.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return dedup.New(dedup.Config{Index: ix, Store: s, Recipes: recipe.NewMemStore(), Tracer: tr})
+		})
 }
