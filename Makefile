@@ -68,30 +68,36 @@ remote-smoke:
 restore-bench:
 	$(GO) run ./cmd/bench -exp restore -workloads kernel -scale 2 -versions 6 -sleep-scale=-1
 
-# The locality-observatory smoke: an instrumented backup/backup/restore
-# cycle in a scratch dir, then every offline analysis tool over its
-# outputs — tracereport must reconstruct a balanced span tree from the
-# JSONL trace, `hidestore trace` must summarize it, checkmetrics must
-# accept the exposition dump, and analyze must produce a layout report
-# for the store. This is the one copy of the script: CI runs it through
-# `make check OBS_ARTIFACTS=artifacts`, which keeps the trace, the
-# metrics dump and the reports for upload; by default they sit in the
-# scratch dir and go with it.
+# The locality-observatory smoke: an instrumented three-backup chain and
+# a restore of its oldest version in a scratch dir, then every offline
+# analysis tool over its outputs — tracereport must reconstruct a balanced
+# span tree from the JSONL trace, `hidestore trace` must summarize it,
+# checkmetrics must accept the exposition dump, and analyze must produce a
+# layout report for the store. v2 appends to v1 and v3 drops v1's second
+# half, so chunks v1's recipe points forward to go cold: the restore has
+# forward pointers to follow, and its recipe.flatten record — the
+# "resolve:" line — must reach the report. This is the one copy of the
+# script: CI runs it through `make check OBS_ARTIFACTS=artifacts`, which
+# keeps the trace, the metrics dump and the reports for upload; by default
+# they sit in the scratch dir and go with it.
 OBS_ARTIFACTS ?= .obs-smoke/artifacts
 observatory-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke $(OBS_ARTIFACTS)
 	$(GO) build -o .obs-smoke/hs ./cmd/hidestore
 	head -c 1048576 /dev/urandom > .obs-smoke/v1.bin
 	cat .obs-smoke/v1.bin > .obs-smoke/v2.bin && head -c 65536 /dev/urandom >> .obs-smoke/v2.bin
+	head -c 524288 .obs-smoke/v1.bin > .obs-smoke/v3.bin && head -c 65536 /dev/urandom >> .obs-smoke/v3.bin
 	rm -f $(OBS_ARTIFACTS)/trace.jsonl
 	.obs-smoke/hs -dir .obs-smoke/store -trace $(OBS_ARTIFACTS)/trace.jsonl backup .obs-smoke/v1.bin
 	.obs-smoke/hs -dir .obs-smoke/store -trace $(OBS_ARTIFACTS)/trace.jsonl backup .obs-smoke/v2.bin
+	.obs-smoke/hs -dir .obs-smoke/store -trace $(OBS_ARTIFACTS)/trace.jsonl backup .obs-smoke/v3.bin
 	.obs-smoke/hs -dir .obs-smoke/store -trace $(OBS_ARTIFACTS)/trace.jsonl \
-		-metrics-out $(OBS_ARTIFACTS)/metrics.prom -o .obs-smoke/restored.bin restore 2
-	cmp .obs-smoke/v2.bin .obs-smoke/restored.bin
+		-metrics-out $(OBS_ARTIFACTS)/metrics.prom -o .obs-smoke/restored.bin restore 1
+	cmp .obs-smoke/v1.bin .obs-smoke/restored.bin
 	.obs-smoke/hs trace $(OBS_ARTIFACTS)/trace.jsonl
 	$(GO) run ./cmd/tracereport $(OBS_ARTIFACTS)/trace.jsonl > $(OBS_ARTIFACTS)/tracereport.txt
 	cat $(OBS_ARTIFACTS)/tracereport.txt
+	grep -q 'resolve: 1 recipes' $(OBS_ARTIFACTS)/tracereport.txt
 	.obs-smoke/hs checkmetrics $(OBS_ARTIFACTS)/metrics.prom
 	.obs-smoke/hs -dir .obs-smoke/store -json analyze > $(OBS_ARTIFACTS)/layout_smoke.json
 	cat $(OBS_ARTIFACTS)/layout_smoke.json

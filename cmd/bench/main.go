@@ -211,6 +211,7 @@ func run(args []string) error {
 					extra[name+"_"+k] = v
 				}
 				extra["restore_allocs_per_chunk_"+name] = res.AllocsPerChunk
+				extra["restore_recipe_reads_oldest_"+name] = res.RecipeReadsOldest
 			}
 		case "ablations":
 			type runner func(string, experiments.Options) (*experiments.AblationResult, error)

@@ -50,7 +50,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	all := fs.Bool("all", false, "include every numeric leaf (histogram percentiles, counts)")
 	failAbove := fs.Float64("fail-above", 0, "exit nonzero when a direction-classified metric regresses by more than PCT percent (0 = report only)")
-	detOnly := fs.Bool("deterministic-only", false, "with -fail-above, gate only deterministic metrics (allocs/chunk, write amplification); wall-time metrics stay report-only, so runner noise cannot fail the build")
+	detOnly := fs.Bool("deterministic-only", false, "with -fail-above, gate only deterministic metrics (allocs/chunk, write amplification, recipe reads); wall-time metrics stay report-only, so runner noise cannot fail the build")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -156,7 +156,8 @@ func direction(key string) int {
 		strings.HasSuffix(key, "reads"),
 		strings.HasSuffix(key, "containers_per_mb"),
 		strings.Contains(key, "allocs_per_chunk"),
-		strings.Contains(key, "write_amplification"):
+		strings.Contains(key, "write_amplification"),
+		strings.Contains(key, "recipe_reads"):
 		return -1
 	}
 	return 0
@@ -165,13 +166,15 @@ func direction(key string) int {
 // deterministic reports whether a key's value is a pure function of
 // the code and inputs, independent of runner speed and load. Only
 // these keys are safe to hard-gate in CI: allocs/chunk counts exactly
-// what the allocator did and write amplification exactly what the
-// engine put into containers, while MB/s and latency keys measure the
-// machine as much as the code. Matched by substring because the
-// per-scheme variants append the scheme name after the metric
-// (…_allocs_per_chunk_hidestore-l4w4).
+// what the allocator did, write amplification exactly what the engine
+// put into containers and recipe reads exactly what following an old
+// version's forward pointers asked of the recipe store, while MB/s and
+// latency keys measure the machine as much as the code. Matched by
+// substring because the per-scheme variants append the scheme name
+// after the metric (…_allocs_per_chunk_hidestore-l4w4).
 func deterministic(key string) bool {
-	return strings.Contains(key, "allocs_per_chunk") || strings.Contains(key, "write_amplification")
+	return strings.Contains(key, "allocs_per_chunk") || strings.Contains(key, "write_amplification") ||
+		strings.Contains(key, "recipe_reads")
 }
 
 // regressed reports whether new moved the wrong way relative to old

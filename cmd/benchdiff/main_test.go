@@ -192,6 +192,12 @@ func TestDeterministicOnlyGates(t *testing.T) {
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldW, rewriting}); err == nil {
 		t.Error("write amplification 0.55 -> 1.36 passed the deterministic gate")
 	}
+	// And recipe reads — a chain walk per old restore coming back.
+	oldR := write(t, dir, "oldr.json", `{"extra": {"restore_recipe_reads_oldest_kernel": 7}}`)
+	rewalking := write(t, dir, "rewalking.json", `{"extra": {"restore_recipe_reads_oldest_kernel": 9}}`)
+	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldR, rewalking}); err == nil {
+		t.Error("recipe reads 7 -> 9 passed the deterministic gate")
+	}
 	// Allocs improving never gates.
 	lean := write(t, dir, "lean.json",
 		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 1.0}}`)

@@ -285,13 +285,19 @@ func (s *segment) reportOperation(p *printer, root obs.TraceRecord, kids []obs.T
 	s.reportFetches(p, root, kids, fetchRows)
 }
 
-// reportFetches prints the container-fetch timeline summary and, for
-// parallel restores, the stall attribution; for backups, the commit
-// plane's timeline — its container puts legitimately overlap.
+// reportFetches prints what a restore's forward pointers cost to follow,
+// the container-fetch timeline summary and, for parallel restores, the
+// stall attribution; for backups, the commit plane's timeline — its
+// container puts legitimately overlap.
 func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.TraceRecord, fetchRows int) {
 	var fetch, stall, flush []obs.TraceRecord
 	for _, k := range kids {
 		switch k.Name {
+		case "recipe.flatten":
+			// Exact work counts: what following this version's forward
+			// pointers read and wrote, beside the time the waterfall gives.
+			p.printf("  resolve: %d recipes, %d wanted, %d written\n",
+				k.Attrs["recipes_read"], k.Attrs["wanted"], k.Attrs["recipes_written"])
 		case "container.fetch":
 			fetch = append(fetch, k)
 		case "assembly.stall":

@@ -66,7 +66,8 @@ func TestMultiSegmentAppendMode(t *testing.T) {
 }
 
 // TestStallAttribution: a parallel-restore trace with assembly.stall
-// records gets the reorder-window attribution line.
+// records gets the reorder-window attribution line, and one whose forward
+// pointers were followed the work that took.
 func TestStallAttribution(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	tr, err := obs.OpenTraceFile(path)
@@ -75,6 +76,8 @@ func TestStallAttribution(t *testing.T) {
 	}
 	s := tr.Start("restore", nil)
 	now := time.Now()
+	tr.EmitStage("recipe.flatten", s, now, time.Millisecond,
+		map[string]int64{"version": 1, "wanted": 40, "recipes_read": 3, "recipes_written": 1})
 	tr.EmitStage("container.fetch", s, now, 2*time.Millisecond, map[string]int64{"cid": 1})
 	tr.EmitStage("container.fetch", s, now, 3*time.Millisecond, map[string]int64{"cid": 2})
 	tr.EmitStage("assembly.stall", s, now, time.Millisecond, map[string]int64{"parked": 2, "seq": 5})
@@ -92,6 +95,9 @@ func TestStallAttribution(t *testing.T) {
 	}
 	if !strings.Contains(text, "max overlap 2") {
 		t.Errorf("missing fetch-overlap estimate:\n%s", text)
+	}
+	if !strings.Contains(text, "resolve: 3 recipes, 40 wanted, 1 written") {
+		t.Errorf("missing resolve work line:\n%s", text)
 	}
 }
 

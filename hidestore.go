@@ -376,7 +376,21 @@ type RestoreReport struct {
 	ContainerReads uint64
 	// SpeedFactor is MB restored per container read (higher is better).
 	SpeedFactor float64
+	// RecipesRead counts recipe reads: the version's own plus, on a
+	// HiDeStore system, the newer ones its forward pointers led to.
+	RecipesRead uint64
 	Duration    time.Duration
+}
+
+func restoreReport(rep backup.RestoreReport) RestoreReport {
+	return RestoreReport{
+		Version:        rep.Version,
+		BytesRestored:  rep.Stats.BytesRestored,
+		ContainerReads: rep.Stats.ContainerReads,
+		SpeedFactor:    rep.Stats.SpeedFactor(),
+		RecipesRead:    rep.RecipesRead,
+		Duration:       rep.Duration,
+	}
 }
 
 // DeleteReport summarizes removing an expired version.
@@ -568,13 +582,7 @@ func (s *System) Restore(ctx context.Context, version int, w io.Writer) (Restore
 	if err != nil {
 		return RestoreReport{}, err
 	}
-	return RestoreReport{
-		Version:        rep.Version,
-		BytesRestored:  rep.Stats.BytesRestored,
-		ContainerReads: rep.Stats.ContainerReads,
-		SpeedFactor:    rep.Stats.SpeedFactor(),
-		Duration:       rep.Duration,
-	}, nil
+	return restoreReport(rep), nil
 }
 
 // Delete expires a version. HiDeStore systems require oldest-first
@@ -676,9 +684,9 @@ type FlattenReport struct {
 }
 
 // Flatten runs the paper's Algorithm 1 offline: it collapses recipe
-// forward-pointer chains so later restores of old versions skip the
-// chain walk. Only HiDeStore systems support it. It is safe to run at any
-// time; restores invoke it lazily when needed.
+// forward-pointer chains so later restores of old versions follow none.
+// Only HiDeStore systems support it. It is safe to run at any time; a
+// restore follows, and collapses, its own version's pointers when needed.
 func (s *System) Flatten() (FlattenReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -711,13 +719,7 @@ func (s *System) VerifyRestore(ctx context.Context, version int, w io.Writer) (R
 	if err != nil {
 		return RestoreReport{}, err
 	}
-	return RestoreReport{
-		Version:        rep.Version,
-		BytesRestored:  rep.Stats.BytesRestored,
-		ContainerReads: rep.Stats.ContainerReads,
-		SpeedFactor:    rep.Stats.SpeedFactor(),
-		Duration:       rep.Duration,
-	}, nil
+	return restoreReport(rep), nil
 }
 
 // ScrubOptions configures the online scrubber.
@@ -859,7 +861,7 @@ type LayoutReport struct {
 // equals what a real restore would measure — exactly, not
 // approximately. A nil policies slice analyzes every policy; an empty
 // one skips simulation and reports only the layout metrics. Read-only:
-// unlike Restore, recipe flattening is not persisted.
+// unlike Restore, the forward pointers it follows are not written back.
 func (s *System) AnalyzeLayout(ctx context.Context, version int, policies []string) (LayoutReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

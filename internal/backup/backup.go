@@ -74,11 +74,17 @@ func (r BackupReport) DedupRatio() float64 {
 type RestoreReport struct {
 	Version int
 	Stats   restorecache.Stats
-	// Duration includes any recipe flattening needed before reading.
+	// Duration includes following the recipe's forward pointers, if any.
 	Duration time.Duration
-	// RecipeUpdateDuration is the offline Algorithm 1 time (HiDeStore
-	// only; zero for the baseline engine).
+	// RecipeUpdateDuration is the time spent following forward pointers
+	// into newer recipes — Algorithm 1, for this one version (HiDeStore
+	// only; zero for the baseline engine and for a version that needed
+	// none followed).
 	RecipeUpdateDuration time.Duration
+	// RecipesRead counts the recipe reads the restore issued: the
+	// version's own plus the newer ones its forward pointers led to. An
+	// exact work count, the same on every run over the same store.
+	RecipesRead uint64
 }
 
 // DeleteReport summarizes removing an expired version.

@@ -2,6 +2,7 @@ package backup
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -27,17 +28,36 @@ type RestoreDriver struct {
 	Tracer        *obs.Tracer
 }
 
+// Resolution is an engine's answer to the driver's resolve hook: the
+// recipe as the reference stream the policy replays, and what finding it
+// took.
+type Resolution struct {
+	// Entries is the reference stream: the recipe's entries, every CID
+	// positive.
+	Entries []recipe.Entry
+	// Wanted counts the chunks whose location no state the engine holds
+	// could give, and RecipesRead the newer recipes it read to find them.
+	// Both are zero when the recipe resolved without a read, and both are
+	// exact: a function of the stored recipes, not of timing.
+	Wanted, RecipesRead int
+	// Patched, when non-nil, is the recipe with those locations filled in.
+	// Restore writes it back while the containers are fetched, so the
+	// search is paid once per version, and fails if the write does.
+	Patched *recipe.Recipe
+}
+
 // Restore reassembles version into w, reading containers through fetch —
 // the plain store for a restore, a verifying wrapper for a scrub-on-read.
-// resolve turns the recipe as stored into the reference stream the policy
-// replays, every CID positive, and reports whether it had to flatten the
-// recipe chain to get there (timed separately, as RecipeUpdateDuration);
-// nil means the recipe already is that stream.
+// resolve turns the recipe as stored (the hook may modify it; it is the
+// driver's own copy) into the reference stream; the time of a resolution
+// that had to look chunks up is reported separately, as
+// RecipeUpdateDuration and a recipe.flatten trace record. A nil resolve
+// means the recipe already is that stream.
 func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher,
-	resolve func(*recipe.Recipe) (entries []recipe.Entry, flattened bool, err error)) (rep RestoreReport, retErr error) {
+	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (rep RestoreReport, retErr error) {
 	start := time.Now()
 	span := d.Tracer.Start("restore", nil)
-	// Deferred so every early return — recipe read failure, flatten
+	// Deferred so every early return — recipe read failure, resolve
 	// failure, an unresolved chunk, the cache's restore error — still
 	// closes the span; failures carry an error attr.
 	defer func() {
@@ -56,24 +76,47 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 	if d.Tracer != nil {
 		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), map[string]int64{"version": int64(version)})
 	}
-	entries := rec.Entries
-	var flattenDur time.Duration
+	res := Resolution{Entries: rec.Entries}
+	var resolveDur time.Duration
 	if resolve != nil {
-		flattenStart := time.Now()
-		var flattened bool
-		if entries, flattened, err = resolve(rec); err != nil {
+		resolveStart := time.Now()
+		if res, err = resolve(ctx, rec); err != nil {
 			return RestoreReport{}, err
 		}
-		if flattened {
-			flattenDur = time.Since(flattenStart)
+		if res.Wanted > 0 {
+			resolveDur = time.Since(resolveStart)
+			written := 0
+			if res.Patched != nil {
+				written = 1
+			}
 			if d.Metrics != nil {
-				d.Metrics.FlattenNS.Observe(uint64(flattenDur))
+				d.Metrics.FlattenNS.Observe(uint64(resolveDur))
 			}
 			if d.Tracer != nil {
-				d.Tracer.EmitStage("recipe.flatten", span, flattenStart, flattenDur,
-					map[string]int64{"version": int64(version)})
+				d.Tracer.EmitStage("recipe.flatten", span, resolveStart, resolveDur, map[string]int64{
+					"version":         int64(version),
+					"wanted":          int64(res.Wanted),
+					"recipes_read":    int64(res.RecipesRead),
+					"recipes_written": int64(written),
+				})
 			}
 		}
+	}
+	recipesRead := uint64(1 + res.RecipesRead)
+	if d.Metrics != nil {
+		d.Metrics.RecipeReads.Add(recipesRead)
+	}
+	if res.Patched != nil {
+		// The write-back rides under the container fetch: nothing below
+		// reads the stored recipe. Joined on every path out, after the
+		// prefetcher has stopped and before the span closes.
+		stored := make(chan error, 1)
+		go func() { stored <- d.Recipes.Put(res.Patched) }()
+		defer func() {
+			if err := <-stored; err != nil && retErr == nil {
+				rep, retErr = RestoreReport{}, fmt.Errorf("restore v%d: write back resolved recipe: %w", version, err)
+			}
+		}()
 	}
 	// The observed fetcher sits *above* the prefetch layer — the same
 	// position as the policy's countingFetcher — so the trace's
@@ -83,7 +126,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 	// Workers > 1 the policy's output is routed through the parallel
 	// out-of-order assembler; neither changes which containers the policy
 	// requests, so the identity holds at any worker count.
-	fetch, done := restorecache.MaybePrefetch(fetch, entries, d.PrefetchDepth, d.Workers, d.Metrics)
+	fetch, done := restorecache.MaybePrefetch(fetch, res.Entries, d.PrefetchDepth, d.Workers, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
 	out := w
@@ -95,7 +138,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 			Span:    span,
 		})
 	}
-	stats, err := d.Cache.Restore(ctx, entries, fetch, out)
+	stats, err := d.Cache.Restore(ctx, res.Entries, fetch, out)
 	if err != nil {
 		return RestoreReport{}, err
 	}
@@ -112,6 +155,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 		Version:              version,
 		Stats:                stats,
 		Duration:             time.Since(start),
-		RecipeUpdateDuration: flattenDur,
+		RecipeUpdateDuration: resolveDur,
+		RecipesRead:          recipesRead,
 	}, nil
 }

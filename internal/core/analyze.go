@@ -11,7 +11,7 @@ import (
 // AnalyzeLayout implements backup.LayoutAnalyzer: it reports version's
 // physical-locality profile (CFL, utilization, per-policy simulated
 // restore cost) without restoring it and without mutating any state —
-// unlike Restore, the recipe flattening it needs stays in memory. The
+// unlike Restore, the forward pointers it follows are not written back. The
 // simulation replays the same resolved reference stream Restore would
 // feed the cache policies, so its container-read counts match a real
 // restore's Stats.ContainerReads exactly.
@@ -20,7 +20,7 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 	if err != nil {
 		return nil, err
 	}
-	resolved, _, err := e.resolve(rec, false)
+	resolved, err := e.resolve(ctx, rec, false)
 	if err != nil {
 		return nil, err
 	}
@@ -33,5 +33,5 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 	for id, c := range e.activeContainers {
 		live[id] = c.LiveSize()
 	}
-	return layout.Analyze(ctx, version, resolved, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies, live)
+	return layout.Analyze(ctx, version, resolved.Entries, restorecache.StoreFetcher(e.cfg.Store), e.cfg.ContainerCapacity, policies, live)
 }

@@ -166,6 +166,10 @@ type Engine struct {
 	// batches[v] are the archival containers holding chunks whose last
 	// appearance was version v.
 	batches map[int]*archivalBatch
+	// flat holds the versions whose stored recipes resolve has been over
+	// since the last backup (see isFlat). Memory only: a reopened engine
+	// reads one chain to its end and knows again.
+	flat map[int]struct{}
 
 	// pendingDeletes are active images the current operation retired
 	// (merged sparse sources, images whose every chunk went cold). They
@@ -223,6 +227,7 @@ func New(cfg Config) (*Engine, error) {
 		activeByFP:       make(map[fp.FP]container.ID),
 		activeContainers: make(map[container.ID]*container.Container),
 		batches:          make(map[int]*archivalBatch),
+		flat:             make(map[int]struct{}),
 		mx:               obs.NewBackupMetrics(cfg.Metrics),
 		rcv:              obs.NewRecoveryMetrics(cfg.Metrics),
 		smx:              obs.NewScrubMetrics(cfg.Metrics),
@@ -310,6 +315,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	e.writer = in.Writer
 	defer func() { e.writer = nil }()
 	v := e.version + 1
+	clear(e.flat) // whatever goes cold now is a home no flat recipe names
 	statsBefore := e.cache.Stats()
 	e.written = 0
 	rec := recipe.New(v)
@@ -641,14 +647,10 @@ func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) er
 	if departing < 1 {
 		return nil
 	}
-	present, err := e.cfg.Recipes.Has(departing)
-	if err != nil {
-		return err
-	}
-	if !present {
-		return nil
-	}
 	rec, err := e.cfg.Recipes.Get(departing)
+	if errors.Is(err, recipe.ErrNotFound) {
+		return nil // nothing stored to patch
+	}
 	if err != nil {
 		return err
 	}
@@ -678,20 +680,28 @@ func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) er
 
 // Restore implements backup.Engine (§4.4). CID-0 and forward-pointing
 // entries that end at hot chunks resolve through the fingerprint cache
-// into active containers; only when one is left over is the recipe chain
-// flattened (Algorithm 1, timed separately) to find its archival home.
+// into active containers; a forward pointer whose chunk has gone cold is
+// followed into newer recipes to its archival home (resolve, recipes.go;
+// timed separately as RecipeUpdateDuration).
 func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
 	return e.restoreWith(ctx, version, w, restorecache.StoreFetcher(e.cfg.Store))
 }
 
 // restoreWith is Restore with an explicit chunk source, letting
 // VerifyRestore interpose integrity checking. The shared driver does the
-// rest; the engine's part is resolving the recipe, and a chain it had to
-// flatten is written back so it is walked once, not on every restore.
+// rest; the engine's part is resolving the recipe, and remembering that a
+// recipe whose pointers it followed is flat once the driver has stored it.
 func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher) (backup.RestoreReport, error) {
-	return e.restore.Restore(ctx, version, w, fetch, func(rec *recipe.Recipe) ([]recipe.Entry, bool, error) {
-		return e.resolve(rec, true)
+	followed := false
+	rep, err := e.restore.Restore(ctx, version, w, fetch, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
+		res, err := e.resolve(ctx, rec, false)
+		followed = res.Wanted > 0
+		return res, err
 	})
+	if followed && err == nil {
+		e.flat[version] = struct{}{}
+	}
+	return rep, err
 }
 
 // VerifyRestore restores a version into w while recomputing every fetched
@@ -699,48 +709,6 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetc
 // chunk of every container touched, on top of the normal restore.
 func (e *Engine) VerifyRestore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
 	return e.restoreWith(ctx, version, w, restorecache.NewVerifyingFetcher(restorecache.StoreFetcher(e.cfg.Store)))
-}
-
-// resolve returns rec's entries with every CID positive, the reference
-// stream Restore feeds the cache policies and AnalyzeLayout simulates.
-// Hot chunks resolve through the active index; only when that leaves a
-// forward pointer whose chunk has since gone cold is the chain flattened
-// (reported as flattened) to find its archival home. Pointers that end on
-// still-hot chunks stay negative by design and never trigger the walk, so
-// a flattened chain is walked once, not on every restore. persist writes
-// the flattened recipes back (Restore); analysis keeps them in memory.
-func (e *Engine) resolve(rec *recipe.Recipe, persist bool) (resolved []recipe.Entry, flattened bool, err error) {
-	resolved, missing := e.resolveHot(rec.Entries)
-	if missing != nil && missing.CID < 0 {
-		flattened = true
-		if rec, err = e.flatten(rec.Version, persist); err != nil {
-			return nil, flattened, err
-		}
-		resolved, missing = e.resolveHot(rec.Entries)
-	}
-	if missing != nil {
-		return nil, flattened, fmt.Errorf(
-			"core: v%d: chunk %s unresolved (CID %d)", rec.Version, missing.FP.Short(), missing.CID)
-	}
-	return resolved, flattened, nil
-}
-
-// resolveHot resolves entries without the recipe chain: archival CIDs
-// stand, CID 0 and forward pointers go through activeByFP. It returns the
-// first entry whose chunk is not hot (nil when none).
-func (e *Engine) resolveHot(entries []recipe.Entry) ([]recipe.Entry, *recipe.Entry) {
-	resolved := make([]recipe.Entry, len(entries))
-	for i, entry := range entries {
-		if entry.CID <= 0 {
-			cid, ok := e.activeByFP[entry.FP]
-			if !ok {
-				return nil, &entries[i]
-			}
-			entry.CID = int32(cid)
-		}
-		resolved[i] = entry
-	}
-	return resolved, nil
 }
 
 // Delete implements backup.Engine (§4.5). Expired versions must be

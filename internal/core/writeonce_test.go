@@ -3,13 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/container"
+	"hidestore/internal/fault"
+	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 )
 
@@ -209,20 +216,51 @@ func TestColdChunkReturnsInAnotherContainer(t *testing.T) {
 	}
 }
 
-// countingRecipes counts the recipe store's reads and writes.
+// countingRecipes counts the recipe store's calls, reads per version too.
 type countingRecipes struct {
 	recipe.Store
-	gets, puts atomic.Int64
+	gets, puts, lists, has atomic.Int64
+
+	mu        sync.Mutex
+	byVersion map[int]int
 }
 
 func (c *countingRecipes) Get(v int) (*recipe.Recipe, error) {
 	c.gets.Add(1)
+	c.mu.Lock()
+	if c.byVersion == nil {
+		c.byVersion = make(map[int]int)
+	}
+	c.byVersion[v]++
+	c.mu.Unlock()
 	return c.Store.Get(v)
 }
 
 func (c *countingRecipes) Put(r *recipe.Recipe) error {
 	c.puts.Add(1)
 	return c.Store.Put(r)
+}
+
+func (c *countingRecipes) Versions() ([]int, error) {
+	c.lists.Add(1)
+	return c.Store.Versions()
+}
+
+func (c *countingRecipes) Has(v int) (bool, error) {
+	c.has.Add(1)
+	return c.Store.Has(v)
+}
+
+// countedEngine backs up an n-version chain and returns the engine with
+// its recipe store counted from here on.
+func countedEngine(t *testing.T, n int) (*Engine, *countingRecipes, [][]byte) {
+	t.Helper()
+	e, _, mem := newTestEngine(t, 1)
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(n, 0))
+	backuptest.BackupAll(t, e, versions)
+	recipes := &countingRecipes{Store: mem}
+	e.cfg.Recipes, e.restore.Recipes = recipes, recipes
+	return e, recipes, versions
 }
 
 // TestRestoreWalksChainOnce: forward pointers that end on still-hot
@@ -269,5 +307,203 @@ func TestRestoreWalksChainOnce(t *testing.T) {
 		if rep.RecipeUpdateDuration != 0 {
 			t.Errorf("second restore of v%d reports flatten time %s", v, rep.RecipeUpdateDuration)
 		}
+	}
+	// The first walk is by need. A cold restore of the oldest of 12 reads
+	// its own recipe, then each newer one that has left the window once —
+	// never one still inside it, never its own again, no listing — and
+	// writes back only its own.
+	t.Run("oldest of 12, cold", func(t *testing.T) {
+		e, recipes, versions := countedEngine(t, 12)
+		rep := backuptest.CheckRestoreOne(t, e, 1, versions[0])
+		if g, l, h, p := recipes.gets.Load(), recipes.lists.Load(), recipes.has.Load(), recipes.puts.Load(); g > 11 || l != 0 || h != 0 || p != 1 {
+			t.Errorf("%d recipe reads, %d listings, %d existence checks, %d writes; want at most 11, 0, 0 and 1", g, l, h, p)
+		}
+		if rep.RecipesRead != uint64(recipes.gets.Load()) {
+			t.Errorf("report counts %d recipe reads, the store saw %d", rep.RecipesRead, recipes.gets.Load())
+		}
+		for v, n := range recipes.byVersion {
+			if n != 1 {
+				t.Errorf("recipe v%d read %d times", v, n)
+			}
+		}
+	})
+	// A recipe written back is flat, so the next-older restore's pointers
+	// end there: a first sweep costs at most two reads per version, not
+	// the chain again for each.
+	t.Run("first sweep reads 2N", func(t *testing.T) {
+		e, recipes, versions := countedEngine(t, 8)
+		followed := 0
+		for v := len(versions); v >= 1; v-- {
+			if backuptest.CheckRestoreOne(t, e, v, versions[v-1]).RecipeUpdateDuration > 0 {
+				followed++
+			}
+		}
+		if followed < 3 {
+			t.Fatalf("test degenerate: only %d of 8 restores followed a forward pointer", followed)
+		}
+		if g, l := recipes.gets.Load(), recipes.lists.Load(); g > int64(2*len(versions)) || l != 0 {
+			t.Errorf("sweep of %d versions: %d recipe reads, %d listings; want at most %d and 0", len(versions), g, l, 2*len(versions))
+		}
+	})
+	// A write-back that fails fails the restore, and the stored recipe
+	// stays as it was — to be followed again, and written back, next time.
+	t.Run("failed write-back", func(t *testing.T) {
+		e, recipes, versions := countedEngine(t, 8)
+		inj := fault.NewInjector()
+		faulty := fault.NewRecipeStore(recipes, inj, nil)
+		e.cfg.Recipes, e.restore.Recipes = faulty, faulty
+		before, err := recipes.Store.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.Arm(fault.Fail, 1)
+		if _, err := e.Restore(context.Background(), 1, io.Discard); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("restore with a failing write-back returned %v", err)
+		}
+		after, err := recipes.Store.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(entryBytes(before.Entries), entryBytes(after.Entries)) {
+			t.Fatal("a failed write-back changed the stored recipe")
+		}
+		inj.Arm(fault.None, 0)
+		puts := recipes.puts.Load()
+		if rep := backuptest.CheckRestoreOne(t, e, 1, versions[0]); rep.RecipeUpdateDuration == 0 || recipes.puts.Load() != puts+1 {
+			t.Fatalf("the restore after the failure followed for %s and wrote %d recipes; want a walk and one write",
+				rep.RecipeUpdateDuration, recipes.puts.Load()-puts)
+		}
+	})
+}
+
+// gatedRecipes holds every Get at a gate: it announces the version on
+// entered, then waits for a token on release (closing release opens the
+// gate for good).
+type gatedRecipes struct {
+	recipe.Store
+	entered  chan int
+	release  chan struct{}
+	inflight atomic.Int64
+	puts     atomic.Int64
+}
+
+func (g *gatedRecipes) Get(v int) (*recipe.Recipe, error) {
+	g.inflight.Add(1)
+	defer g.inflight.Add(-1)
+	g.entered <- v
+	<-g.release
+	return g.Store.Get(v)
+}
+
+func (g *gatedRecipes) Put(r *recipe.Recipe) error {
+	g.puts.Add(1)
+	return g.Store.Put(r)
+}
+
+// TestResolveWaveIsConcurrentAndBounded drives a cold restore of the
+// oldest of 12 versions through a gated recipe store. The reads must come
+// as: the version's own; the one version its pointers name; then, that one
+// not being flat, a wave as wide as the read-ahead, all of it in flight
+// before any read returns. Three ways out of the wave, each leaving no read
+// behind when Restore returns: the chain's end, a flat recipe met with
+// reads still in flight, and a cancelled context — which must surface as
+// ctx.Err() with the span closed and nothing written back.
+func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
+	const wide = 8 // restorecache.DefaultPrefetchDepth
+	type ending struct {
+		name string
+		// prepare runs before the gate goes in; wave is how many reads the
+		// wide wave issues in all.
+		prepare func(t *testing.T, e *Engine, versions [][]byte)
+		cancel  bool
+		wave    int
+		puts    int64
+	}
+	for _, end := range []ending{
+		{name: "chain end", wave: 9, puts: 1}, // v3..v11
+		{name: "flat recipe met", wave: wide, puts: 1, prepare: func(t *testing.T, e *Engine, versions [][]byte) {
+			backuptest.CheckRestoreOne(t, e, 3, versions[2]) // v3 is flat from here on
+		}},
+		{name: "cancelled", wave: wide, cancel: true},
+	} {
+		end := end
+		t.Run(end.name, func(t *testing.T) {
+			e, _, mem := newTestEngine(t, 1)
+			versions := backuptest.Materialize(t, backuptest.SmallWorkload(12, 0))
+			backuptest.BackupAll(t, e, versions)
+			if end.prepare != nil {
+				end.prepare(t, e, versions)
+			}
+			gate := &gatedRecipes{Store: mem, entered: make(chan int, 64), release: make(chan struct{})}
+			e.cfg.Recipes, e.restore.Recipes = gate, gate
+			var trace bytes.Buffer
+			tracer := obs.NewTracer(&trace)
+			e.restore.Tracer = tracer
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			var out bytes.Buffer
+			go func() {
+				_, err := e.Restore(ctx, 1, &out)
+				done <- err
+			}()
+			// expect waits for len(want) reads to reach the gate, in any order.
+			expect := func(want ...int) {
+				t.Helper()
+				got := make([]int, len(want))
+				for i := range got {
+					select {
+					case got[i] = <-gate.entered:
+					case err := <-done:
+						t.Fatalf("restore returned (%v) with recipes %v read of %v", err, got[:i], want)
+					}
+				}
+				sort.Ints(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("recipes %v read, want %v", got, want)
+				}
+			}
+			expect(1)
+			gate.release <- struct{}{}
+			expect(2)
+			gate.release <- struct{}{}
+			// Nothing has been released since: these are all in flight at once.
+			expect(3, 4, 5, 6, 7, 8, 9, 10)
+			if n := gate.inflight.Load(); n != wide {
+				t.Fatalf("%d recipe reads in flight, want %d", n, wide)
+			}
+			if end.cancel {
+				cancel()
+			}
+			close(gate.release)
+			err := <-done
+			if n := gate.inflight.Load(); n != 0 {
+				t.Fatalf("Restore returned with %d recipe reads still in flight", n)
+			}
+			reads := 2 + wide
+			for ; len(gate.entered) > 0; reads++ {
+				<-gate.entered
+			}
+			if reads != 2+end.wave {
+				t.Errorf("%d recipe reads in all, want %d", reads, 2+end.wave)
+			}
+			if p := gate.puts.Load(); p != end.puts {
+				t.Errorf("%d recipes written back, want %d", p, end.puts)
+			}
+			if tracer.OpenSpans() != 0 {
+				t.Errorf("%d spans left open", tracer.OpenSpans())
+			}
+			switch {
+			case end.cancel:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled restore returned %v", err)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case !bytes.Equal(out.Bytes(), versions[0]):
+				t.Fatal("restored bytes differ")
+			}
+		})
 	}
 }

@@ -18,8 +18,9 @@ type Figure12Row struct {
 	// MeanMigrate is the mean per-version latency of moving cold chunks
 	// and merging sparse containers.
 	MeanMigrate time.Duration
-	// FlattenLatency is one offline Algorithm 1 pass over the whole
-	// recipe chain (run before restoring version 1).
+	// FlattenLatency is Algorithm 1 for the oldest version: the time its
+	// cold restore spends following version 1's forward pointers through
+	// the newer recipes (RestoreReport.RecipeUpdateDuration).
 	FlattenLatency time.Duration
 	// MeanVersionBytes for context.
 	MeanVersionBytes uint64
@@ -32,7 +33,8 @@ type Figure12Result struct {
 
 // Figure12 measures HiDeStore's two overhead sources — updating recipes
 // and moving chunks from active to archival containers — on full engine
-// runs, plus one offline recipe-flattening pass (§5.4's Figure 12).
+// runs, plus the pointer-following of one cold oldest-version restore
+// (§5.4's Figure 12).
 //
 // Expected shape: both latencies are small (milliseconds at paper scale)
 // and track the per-version data size, because the work is bounded by one
@@ -64,8 +66,8 @@ func Figure12(workloads []string, opts Options) (*Figure12Result, error) {
 			bytesSum += rep.LogicalBytes
 		}
 		n := len(reports)
-		// One offline Algorithm 1 pass before restoring the oldest
-		// version measures the flattening cost.
+		// A cold restore of the oldest version follows the longest chain
+		// there is: its RecipeUpdateDuration is the Algorithm 1 cost.
 		rep, err := restoreDiscard(e, 1)
 		if err != nil {
 			return nil, fmt.Errorf("%s: restore v1: %w", name, err)

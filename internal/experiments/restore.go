@@ -91,6 +91,11 @@ type RestoreScaleResult struct {
 	// gate on it. Assembly copies from views of the fetched images, so it
 	// scales with containers and spans, not chunks.
 	AllocsPerChunk float64
+	// RecipeReadsOldest is the recipe reads of a cold restore of the
+	// oldest version on the same store (RestoreReport.RecipesRead): its own
+	// recipe plus every newer one its forward pointers led through. Exact,
+	// so CI gates on it like the allocation count.
+	RecipeReadsOldest float64
 }
 
 // effectiveFetchParallelism mirrors the prefetcher's own bound: the
@@ -258,6 +263,12 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 	res.CFL = prof.CFL
 	res.Utilization = prof.Utilization
 	res.ContainersPerMB = prof.ContainersPerMB
+	// Last, because it writes the oldest recipe back.
+	oldest, err := restoreDiscard(mem, 1)
+	if err != nil {
+		return nil, fmt.Errorf("recipe read count restore v1: %w", err)
+	}
+	res.RecipeReadsOldest = float64(oldest.RecipesRead)
 	return res, nil
 }
 
@@ -354,5 +365,6 @@ func (r *RestoreScaleResult) Render() string {
 	s += fmt.Sprintf("\nnewest-version layout: CFL %.3f, utilization %.1f%%, %.3f containers/MB\n",
 		r.CFL, r.Utilization*100, r.ContainersPerMB)
 	s += fmt.Sprintf("restore allocations: %.3f per chunk\n", r.AllocsPerChunk)
+	s += fmt.Sprintf("oldest version, cold: %.0f recipe reads\n", r.RecipeReadsOldest)
 	return s
 }

@@ -95,9 +95,10 @@ type RestoreMetrics struct {
 	ContainerReads *Counter // identical by construction to restorecache.Stats.ContainerReads
 	CacheHits      *Counter
 	Chunks         *Counter
+	RecipeReads    *Counter // identical by construction to Σ RestoreReport.RecipesRead
 
-	RecipeReadNS     *Histogram // one Recipes.Get
-	FlattenNS        *Histogram // one recipe-chain flattening pass
+	RecipeReadNS     *Histogram // the restored version's own Recipes.Get
+	FlattenNS        *Histogram // following one version's forward pointers into newer recipes
 	ContainerFetchNS *Histogram // one policy-issued container acquire
 
 	// Prefetch pipeline state.
@@ -122,9 +123,10 @@ func NewRestoreMetrics(r *Registry) *RestoreMetrics {
 		ContainerReads: r.Counter("hidestore_restore_container_reads_total", "container reads issued by restore cache policies"),
 		CacheHits:      r.Counter("hidestore_restore_cache_hits_total", "chunks served without a container read"),
 		Chunks:         r.Counter("hidestore_restore_chunks_total", "chunk references restored"),
+		RecipeReads:    r.Counter("hidestore_restore_recipe_reads_total", "recipe reads issued by restores (the version's own plus newer ones its forward pointers led to)"),
 
 		RecipeReadNS:     r.Histogram("hidestore_stage_recipe_read_ns", "per-restore recipe read latency (ns)"),
-		FlattenNS:        r.Histogram("hidestore_stage_flatten_ns", "per-restore recipe flattening latency (ns)"),
+		FlattenNS:        r.Histogram("hidestore_stage_flatten_ns", "per-restore latency of following forward pointers into newer recipes (ns)"),
 		ContainerFetchNS: r.Histogram("hidestore_stage_container_fetch_ns", "per-read container acquire latency (ns)"),
 
 		PrefetchOccupancy: r.Gauge("hidestore_prefetch_occupancy", "containers currently held in the read-ahead window"),

@@ -33,13 +33,14 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var statsReads uint64
+	var statsReads, recipeReads uint64
 	for i := range versions {
 		rep, err := sys.Restore(ctx, i+1, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
 		statsReads += rep.ContainerReads
+		recipeReads += rep.RecipesRead
 	}
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
@@ -58,6 +59,14 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 	}
 	if statsReads == 0 {
 		t.Fatal("test degenerate: no container reads observed")
+	}
+	// Recipe reads are counted once too: report and registry agree, and the
+	// old versions' forward pointers cost some beyond each version's own.
+	if counter := uint64(reg.Snapshot().Counters["hidestore_restore_recipe_reads_total"].Value); counter != recipeReads {
+		t.Errorf("recipe reads: %d in the reports, %d in the registry", recipeReads, counter)
+	}
+	if recipeReads <= uint64(len(versions)) {
+		t.Fatalf("test degenerate: %d recipe reads for %d restores, no forward pointer followed", recipeReads, len(versions))
 	}
 	// The restore spans themselves must be present too.
 	if got := sum.SpanCount("restore"); got != len(versions) {
