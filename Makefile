@@ -60,11 +60,11 @@ crash:
 remote-smoke:
 	$(GO) run ./cmd/bench -exp remote -workloads kernel -scale 2 -versions 6 -sleep-scale=-1
 
-# The parallel-restore counterpart: the restore workers × prefetch
-# depth × fetch latency sweep at tiny scale. Besides smoking the
-# multi-worker assembly path end to end, the sweep hard-fails if any
-# cell's container-read count deviates from the serial baseline — the
-# accounting identity, enforced on every make check.
+# The restore counterpart: the prefetch depth × fetch latency sweep at
+# tiny scale on HiDeStore, plus the exact restore counts (allocations
+# per chunk, recipe reads of a cold oldest restore). The sweep
+# hard-fails if any cell's container-read count deviates from the serial
+# baseline — the accounting identity, enforced on every make check.
 restore-bench:
 	$(GO) run ./cmd/bench -exp restore -workloads kernel -scale 2 -versions 6 -sleep-scale=-1
 

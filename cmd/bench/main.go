@@ -11,8 +11,9 @@
 // is aligned text: the same rows/series the paper plots, plus the
 // write-hot-path trajectory experiments (backup, chunkers) used by make
 // bench, the remote-backend prefetch-depth × fetch-latency sweep
-// (remote) behind the simulated high-latency store, and the parallel
-// restore workers × depth × latency sweep (restore).
+// (remote) behind the simulated high-latency store, and HiDeStore's
+// restore read-ahead depth × latency sweep with its exact restore
+// counts (restore).
 //
 // With -json DIR, every experiment additionally writes a
 // machine-readable BENCH_<exp>.json summary to DIR: wall time,

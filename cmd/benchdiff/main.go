@@ -17,10 +17,12 @@
 // deliberately loose ones).
 //
 // -deterministic-only narrows the gate to metrics that are pure
-// functions of code and input — currently the allocs/chunk family —
-// so wall-time metrics (MB/s, latencies) remain report-only however
-// noisy the runner. This is how CI gates the backup hot path: an
-// allocation regression fails the build, a slow runner does not.
+// functions of code and input — allocs/chunk, write amplification and
+// recipe reads — so wall-time metrics (MB/s, latencies) remain
+// report-only however noisy the runner. This is how CI gates the backup
+// hot path: an allocation regression fails the build, a slow runner
+// does not. A deterministic key the new snapshot no longer carries
+// fails the gate as well, so a gated count cannot vanish silently.
 //
 // By default the stage-latency subtree is summarized along with the
 // top-level throughput numbers and the experiment's extra metrics;
@@ -109,6 +111,12 @@ func run(args []string) error {
 			row("%s\t-\t%s\tnew\t\n", k, num(nv))
 		case !haveNew:
 			row("%s\t%s\t-\tgone\t\n", k, num(ov))
+			// An exact count that stops being emitted would otherwise
+			// retire its own gate without a word.
+			if *failAbove > 0 && deterministic(k) {
+				regressions = append(regressions, fmt.Sprintf(
+					"REGRESSION: %s: %s -> gone (a gated exact count is missing from the new run)", k, num(ov)))
+			}
 		default:
 			row("%s\t%s\t%s\t%s\t\n", k, num(ov), num(nv), delta(ov, nv))
 			if *failAbove > 0 && (!*detOnly || deterministic(k)) {
@@ -130,7 +138,7 @@ func run(args []string) error {
 		for _, r := range regressions {
 			fmt.Fprintln(os.Stderr, r)
 		}
-		return fmt.Errorf("%d metric(s) regressed beyond %.1f%%", len(regressions), *failAbove)
+		return fmt.Errorf("%d metric(s) regressed beyond %.1f%% or went missing", len(regressions), *failAbove)
 	}
 	return nil
 }
@@ -171,7 +179,8 @@ func direction(key string) int {
 // version's forward pointers asked of the recipe store, while MB/s and
 // latency keys measure the machine as much as the code. Matched by
 // substring because the per-scheme variants append the scheme name
-// after the metric (…_allocs_per_chunk_hidestore-l4w4).
+// after the metric (…_allocs_per_chunk_hidestore). Under -fail-above a
+// deterministic key present in OLD but missing from NEW fails too.
 func deterministic(key string) bool {
 	return strings.Contains(key, "allocs_per_chunk") || strings.Contains(key, "write_amplification") ||
 		strings.Contains(key, "recipe_reads")

@@ -166,12 +166,12 @@ func TestFailAboveGates(t *testing.T) {
 func TestDeterministicOnlyGates(t *testing.T) {
 	dir := t.TempDir()
 	oldP := write(t, dir, "old.json",
-		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 2.0}}`)
+		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore": 2.0}}`)
 
 	// Wall time tanks but allocs hold: deterministic-only tolerates it,
 	// the plain gate does not.
 	slow := write(t, dir, "slow.json",
-		`{"backup_mb_per_sec": 40, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 2.0}}`)
+		`{"backup_mb_per_sec": 40, "extra": {"kernel_allocs_per_chunk_hidestore": 2.0}}`)
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldP, slow}); err != nil {
 		t.Errorf("wall-time drop gated under -deterministic-only: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestDeterministicOnlyGates(t *testing.T) {
 
 	// Allocs regress: deterministic-only must fail.
 	leaky := write(t, dir, "leaky.json",
-		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 3.0}}`)
+		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore": 3.0}}`)
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldP, leaky}); err == nil {
 		t.Error("50% allocs/chunk rise passed the deterministic gate")
 	}
@@ -198,9 +198,25 @@ func TestDeterministicOnlyGates(t *testing.T) {
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldR, rewalking}); err == nil {
 		t.Error("recipe reads 7 -> 9 passed the deterministic gate")
 	}
+	// A gated key that stops being emitted fails too: a refactor that
+	// dropped write_amplification_* would otherwise retire its own gate.
+	// A wall-time key going missing stays report-only.
+	vanished := write(t, dir, "vanished.json", `{"backup_mb_per_sec": 100, "extra": {}}`)
+	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldP, vanished}); err == nil {
+		t.Error("a missing allocs/chunk key passed the deterministic gate")
+	}
+	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldW, vanished}); err == nil {
+		t.Error("a missing write-amplification key passed the deterministic gate")
+	}
+	if err := run([]string{"-fail-above", "20", "-deterministic-only", vanished, oldW}); err != nil {
+		t.Errorf("a wall-time key missing from the new run gated: %v", err)
+	}
+	if err := run([]string{oldP, vanished}); err != nil {
+		t.Errorf("report-only run failed on a missing key: %v", err)
+	}
 	// Allocs improving never gates.
 	lean := write(t, dir, "lean.json",
-		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore-l4w4": 1.0}}`)
+		`{"backup_mb_per_sec": 100, "extra": {"kernel_allocs_per_chunk_hidestore": 1.0}}`)
 	if err := run([]string{"-fail-above", "20", "-deterministic-only", oldP, lean}); err != nil {
 		t.Errorf("allocs improvement gated: %v", err)
 	}

@@ -42,13 +42,9 @@ func run(args []string) error {
 		preset   = fs.String("preset", "", "synthetic workload preset (kernel|gcc|fslhomes|macos)")
 		scale    = fs.Int("scale", 8, "per-version MB for -preset")
 		versions = fs.Int("versions", 10, "version count for -preset")
-		lanes    = fs.Int("lanes", 0, "report multi-lane chunking instead of the tag census: per-lane throughput and speculative-cut agreement, cross-checked bit-identical against the sequential chunker")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *lanes > 1 {
-		return runLanes(*lanes, *preset, *scale, *versions, fs.Args())
 	}
 	if *preset != "" {
 		res, err := experiments.Figure3(*preset, experiments.Options{

@@ -82,9 +82,7 @@ func runCtx(ctx context.Context, args []string) error {
 		ctnSize  = fs.Int("container", 4<<20, "container size in bytes")
 		cache    = fs.String("restore-cache", "faa", "restore cache: faa|alacc|container-lru|chunk-lru|opt")
 		prefetch = fs.Int("prefetch", 0, "restore read-ahead depth in containers (0 = default, negative disables)")
-		workers  = fs.Int("restore-workers", 0, "parallel restore workers: >1 widens the container-fetch pool and assembles chunk spans out of order (bytes and read counts are identical to serial; 0/1 = serial)")
-		lanes    = fs.Int("chunk-lanes", 0, "parallel chunking lanes: >1 chunks lane segments speculatively and re-stitches them (the chunk sequence is bit-identical to sequential; 0/1 = sequential)")
-		shards   = fs.Int("index-shards", 0, "fingerprint-index shard count, rounded up to a power of two (0 = default)")
+		workers  = fs.Int("restore-workers", 0, "parallel restore assembly: >1 assembles chunk spans on that many workers, out of order (container fetches overlap up to -prefetch either way; bytes and read counts are identical to serial; 0/1 = serial)")
 		compress = fs.Bool("compress", false, "DEFLATE-compress containers at rest")
 		repair   = fs.Bool("repair", false, "fsck only: quarantine corrupt containers and name affected versions")
 		throttle = fs.Float64("scrub-throttle", 0, "scrub only: verification I/O cap in MB/s (0 = default 32, negative = unthrottled)")
@@ -152,8 +150,6 @@ func runCtx(ctx context.Context, args []string) error {
 		RestoreCache:   *cache,
 		PrefetchDepth:  *prefetch,
 		RestoreWorkers: *workers,
-		ChunkLanes:     *lanes,
-		IndexShards:    *shards,
 		Compress:       *compress,
 		Metrics:        reg,
 		Tracer:         tracer,

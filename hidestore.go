@@ -82,26 +82,14 @@ type Config struct {
 	// assembly; it never changes which containers are read, so restore
 	// stats (container reads, speed factor) are identical either way.
 	PrefetchDepth int
-	// RestoreWorkers enables the parallel restore mode: values > 1 widen
-	// the prefetch read pool to that many concurrent container fetches
-	// and assemble chunk spans out of order through a bounded reorder
-	// window. The restored bytes and the restore stats (container reads,
+	// RestoreWorkers selects the parallel assembler: values > 1 assemble
+	// chunk spans on that many workers, out of order through a bounded
+	// reorder window. Container fetches overlap up to PrefetchDepth either
+	// way. The restored bytes and the restore stats (container reads,
 	// cache hits, speed factor) are identical to the serial mode by
 	// construction — parallelism only changes wall time. 0 or 1 selects
-	// the serial path.
+	// the serial assembler.
 	RestoreWorkers int
-	// ChunkLanes parallelizes chunking: the input stream is split into
-	// per-batch lane segments, chunked speculatively by that many
-	// workers, and re-stitched so the emitted chunk sequence — and with
-	// it every downstream artifact — is bit-identical to single-lane
-	// chunking. 0 or 1 chunks sequentially.
-	ChunkLanes int
-	// IndexShards shards HiDeStore's fingerprint cache across a
-	// power-of-two number of lock domains keyed by fingerprint prefix, so
-	// the hash workers' concurrent probes don't serialize on one lock. 0
-	// selects the default (16). OpenBaseline ignores it: a baseline index
-	// is only ever called from the single in-order sink goroutine.
-	IndexShards int
 	// MergeUtilization is the active-container utilization below which
 	// containers are merged after each version (default 0.5).
 	MergeUtilization float64
@@ -459,8 +447,6 @@ func Open(cfg Config) (*System, error) {
 		RestoreCache:      rc,
 		PrefetchDepth:     cfg.PrefetchDepth,
 		RestoreWorkers:    cfg.RestoreWorkers,
-		ChunkLanes:        cfg.ChunkLanes,
-		IndexShards:       cfg.IndexShards,
 		StatePath:         set.statePath,
 		WriteState:        set.writeState,
 		ReadState:         set.readState,
@@ -477,7 +463,7 @@ func Open(cfg Config) (*System, error) {
 // comparisons.
 type BaselineConfig struct {
 	// Config supplies chunking, container and restore-cache settings
-	// (Window, MergeUtilization and IndexShards are ignored).
+	// (Window and MergeUtilization are ignored).
 	Config
 	// Index selects the fingerprint index: "ddfs" (default), "sparse",
 	// "silo" or "extbin".
@@ -533,7 +519,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 		ContainerCapacity: cfg.ContainerSize,
 		PrefetchDepth:     cfg.PrefetchDepth,
 		RestoreWorkers:    cfg.RestoreWorkers,
-		ChunkLanes:        cfg.ChunkLanes,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})

@@ -37,7 +37,6 @@ type hashedChunk struct {
 type IngestConfig struct {
 	Chunker     chunker.Algorithm
 	ChunkParams chunker.Params
-	ChunkLanes  int
 	HashWorkers int
 	// Store and CommitDepth configure each backup's commit plane.
 	Store       container.Store
@@ -108,7 +107,6 @@ type Ingest struct {
 
 	chunkNS int64        // single-goroutine stage (the producer)
 	fpNS    atomic.Int64 // runs on HashWorkers goroutines
-	lanes   chunker.LaneReporter
 }
 
 // Begin opens a backup: the span and the commit plane. It refuses with the
@@ -160,11 +158,10 @@ func (in *Ingest) End(retErr *error) {
 // owns data from the call on (see Release).
 func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) bool, sink func(f fp.FP, data []byte, probeHit bool) error) error {
 	cfg := in.g.cfg
-	ch, err := chunker.NewParallelPooled(cfg.Chunker, version, cfg.ChunkParams, cfg.ChunkLanes, in.g.pool)
+	ch, err := chunker.NewPooled(cfg.Chunker, version, cfg.ChunkParams, in.g.pool)
 	if err != nil {
 		return err
 	}
-	in.lanes, _ = ch.(chunker.LaneReporter)
 	// obsOn gates every hot-path clock read: with the plane off, a backup
 	// performs exactly one extra boolean test per chunk. The histograms
 	// are hoisted into locals so the per-chunk record is a nil-safe method
@@ -252,20 +249,8 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 	if tracer := in.g.cfg.Tracer; tracer != nil {
 		// Chunking and fingerprinting run interleaved with the dedup
 		// sink, so their cost is the per-item sum, not a wall interval.
-		chunkAttrs := map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)}
-		if in.lanes != nil {
-			// Multi-lane chunking: chunkNS is the producer's wall time in
-			// Next (stitch + copy + waiting on the slowest lane); the
-			// lanes' aggregate scan work runs concurrently and is
-			// reported separately so the span still sums correctly.
-			var busy int64
-			for _, st := range in.lanes.LaneStats() {
-				busy += st.BusyNS
-			}
-			chunkAttrs["lanes"] = int64(in.g.cfg.ChunkLanes)
-			chunkAttrs["lane_busy_ns"] = busy
-		}
-		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS), chunkAttrs)
+		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS),
+			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
 		tracer.EmitStage("stage.fingerprint", in.Span, in.Start, time.Duration(in.fpNS.Load()),
 			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
 		tracer.EmitStage("stage.commit_wait", in.Span, in.Start, commitWait, nil)

@@ -16,7 +16,6 @@ func testIngester() *Ingester {
 	return NewIngester(IngestConfig{
 		Chunker:     chunker.TTTD,
 		ChunkParams: chunker.DefaultParams(),
-		ChunkLanes:  1,
 		HashWorkers: 4,
 		Store:       container.NewMemStore(),
 	})

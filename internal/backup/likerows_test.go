@@ -1,7 +1,10 @@
 package backup_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"hidestore/internal/backup"
@@ -20,15 +23,31 @@ import (
 // those bytes identically. They ingest through one skeleton, so the same
 // stream must yield recipes with the identical (fingerprint, size)
 // sequence per version under either engine, at any hash-worker count and
-// lane count — only the container IDs, which are policy, may differ.
+// however the source's reads are split into lanes (with 3 lanes no read
+// crosses a third of a version) — only the container IDs, which are
+// policy, may differ.
 func TestEnginesIngestTheSameChunks(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(3, 0))
 	type chunk struct {
 		fp   fp.FP
 		size uint32
 	}
-	sequence := func(t *testing.T, e backup.Engine, recipes recipe.Store) [][]chunk {
-		backuptest.BackupAll(t, e, versions)
+	// lanes serves data as n readers back to back, so no source read
+	// crosses a lane seam (every ceil(len/n) bytes).
+	lanes := func(data []byte, n int) io.Reader {
+		seg := (len(data) + n - 1) / n
+		var rs []io.Reader
+		for off := 0; off < len(data); off += seg {
+			rs = append(rs, bytes.NewReader(data[off:min(off+seg, len(data))]))
+		}
+		return io.MultiReader(rs...)
+	}
+	sequence := func(t *testing.T, e backup.Engine, recipes recipe.Store, n int) [][]chunk {
+		for v, data := range versions {
+			if _, err := e.Backup(context.Background(), lanes(data, n)); err != nil {
+				t.Fatalf("backup of version %d: %v", v+1, err)
+			}
+		}
 		backuptest.CheckRestoreAll(t, e, versions)
 		out := make([][]chunk, len(versions))
 		for v := range versions {
@@ -44,12 +63,11 @@ func TestEnginesIngestTheSameChunks(t *testing.T) {
 	}
 	var want [][]chunk
 	for _, workers := range []int{1, 4} {
-		for _, lanes := range []int{1, 3} {
-			t.Run(fmt.Sprintf("workers%d-lanes%d", workers, lanes), func(t *testing.T) {
+		for _, n := range []int{1, 3} {
+			t.Run(fmt.Sprintf("workers%d-lanes%d", workers, n), func(t *testing.T) {
 				hideRecipes := recipe.NewMemStore()
 				hide, err := core.New(core.Config{
-					Store: container.NewMemStore(), Recipes: hideRecipes,
-					HashWorkers: workers, ChunkLanes: lanes,
+					Store: container.NewMemStore(), Recipes: hideRecipes, HashWorkers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -60,15 +78,14 @@ func TestEnginesIngestTheSameChunks(t *testing.T) {
 				}
 				baseRecipes := recipe.NewMemStore()
 				base, err := dedup.New(dedup.Config{
-					Index: ix, Store: container.NewMemStore(), Recipes: baseRecipes,
-					HashWorkers: workers, ChunkLanes: lanes,
+					Index: ix, Store: container.NewMemStore(), Recipes: baseRecipes, HashWorkers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := map[string][][]chunk{
-					"core":  sequence(t, hide, hideRecipes),
-					"dedup": sequence(t, base, baseRecipes),
+					"core":  sequence(t, hide, hideRecipes, n),
+					"dedup": sequence(t, base, baseRecipes, n),
 				}
 				if want == nil {
 					want = got["core"]

@@ -21,7 +21,9 @@ type RestoreDriver struct {
 	// decision-maker at any worker count.
 	Cache restorecache.Cache
 	// PrefetchDepth and Workers are the engines' Config.PrefetchDepth and
-	// Config.RestoreWorkers; Metrics and Tracer their bundles (nil: off).
+	// Config.RestoreWorkers: the read-ahead window (and fetch width) and,
+	// above 1, the parallel assembler's width. Metrics and Tracer are their
+	// bundles (nil: off).
 	PrefetchDepth int
 	Workers       int
 	Metrics       *obs.RestoreMetrics
@@ -122,11 +124,11 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 	// position as the policy's countingFetcher — so the trace's
 	// container.fetch span count, the registry counter and the run's
 	// Stats.ContainerReads are equal by construction. The prefetcher's
-	// fetch stage runs Workers wide (bounded by the window), and with
-	// Workers > 1 the policy's output is routed through the parallel
-	// out-of-order assembler; neither changes which containers the policy
-	// requests, so the identity holds at any worker count.
-	fetch, done := restorecache.MaybePrefetch(fetch, res.Entries, d.PrefetchDepth, d.Workers, d.Metrics)
+	// fetch stage runs as wide as its window, and with Workers > 1 the
+	// policy's output is routed through the parallel out-of-order
+	// assembler; neither changes which containers the policy requests, so
+	// the identity holds at any depth and worker count.
+	fetch, done := restorecache.MaybePrefetch(fetch, res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
 	out := w

@@ -35,11 +35,11 @@ import (
 // 4-byte size (§4.1).
 const EntryBytes = fp.Size + 4 + 4
 
-// DefaultIndexShards is the fingerprint cache's default shard count.
-// Sixteen shards keep the collision probability for a handful of hash
-// workers low while the per-shard maps stay large enough to amortize
-// map overhead.
-const DefaultIndexShards = 16
+// cacheShards is the fingerprint cache's shard count. Sixteen
+// shards keep the collision probability for a handful of hash workers
+// low while the per-shard maps stay large enough to amortize map
+// overhead.
+const cacheShards = 16
 
 // cacheShard is one lock domain of the fingerprint cache: a slice of
 // the fingerprint space selected by the fingerprint's leading byte,
@@ -94,32 +94,22 @@ type IndexView struct {
 var _ index.Index = (*IndexView)(nil)
 
 // NewIndexView creates a HiDeStore fingerprint cache with the given
-// window (0 means the default of 1) and the default shard count.
+// window (0 means the default of 1) and cacheShards shards.
 func NewIndexView(window int) *IndexView {
-	return NewIndexViewSharded(window, 0)
+	return newIndexViewSharded(window, cacheShards)
 }
 
-// NewIndexViewSharded is NewIndexView with an explicit shard count,
-// rounded up to a power of two and capped at 256 (the shard selector
-// is the fingerprint's leading byte). 0 selects DefaultIndexShards.
-func NewIndexViewSharded(window, shards int) *IndexView {
+// newIndexViewSharded is NewIndexView with an explicit shard count: a
+// power of two no larger than 256 (the shard selector is the
+// fingerprint's leading byte). Tests compare shard counts through it.
+func newIndexViewSharded(window, shards int) *IndexView {
 	if window <= 0 {
 		window = 1
 	}
-	if shards <= 0 {
-		shards = DefaultIndexShards
-	}
-	if shards > 256 {
-		shards = 256
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
 	v := &IndexView{
 		window: window,
-		mask:   uint8(n - 1),
-		shards: make([]cacheShard, n),
+		mask:   uint8(shards - 1),
+		shards: make([]cacheShard, shards),
 	}
 	for i := range v.shards {
 		v.shards[i].active = make(map[fp.FP]container.ID)

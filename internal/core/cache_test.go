@@ -199,7 +199,7 @@ func TestLookupOneMatchesDedup(t *testing.T) {
 // TransientBytes scrape. Run under -race, this is the shard-contention
 // safety proof for the core cache.
 func TestIndexViewShardHammer(t *testing.T) {
-	v := NewIndexViewSharded(1, 8)
+	v := newIndexViewSharded(1, 8)
 	const probers = 16 // HashWorkers (4) × 4
 	seg := refs("hammer", 2000)
 
@@ -264,8 +264,8 @@ func TestIndexViewShardHammer(t *testing.T) {
 // classification sequence against a 1-shard and a 16-shard cache must
 // produce identical verdicts, stats, and eviction sets.
 func TestIndexViewShardedMatchesSingle(t *testing.T) {
-	one := NewIndexViewSharded(1, 1)
-	many := NewIndexViewSharded(1, 16)
+	one := newIndexViewSharded(1, 1)
+	many := newIndexViewSharded(1, 16)
 	var n1, n2 container.ID
 	for ver := 0; ver < 3; ver++ {
 		seg := refs("match"+strconv.Itoa(ver%2), 300) // alternate so evictions happen
@@ -305,7 +305,7 @@ func TestIndexViewShardedMatchesSingle(t *testing.T) {
 func BenchmarkIndexViewProbe(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run("shards"+strconv.Itoa(shards), func(b *testing.B) {
-			v := NewIndexViewSharded(1, shards)
+			v := newIndexViewSharded(1, shards)
 			seg := refs("bench", 4096)
 			var next container.ID
 			for _, c := range seg {

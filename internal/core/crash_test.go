@@ -44,6 +44,12 @@ func crashWorkload(versions int) workload.Config {
 // spliced into the container store, the recipe store, and the state
 // writer — every durable commit step draws from one op counter.
 func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
+	return crashOpenHashing(dir, inj, commitDepth, 0)
+}
+
+// crashOpenHashing is crashOpen with hashWorkers fingerprinting lanes
+// (0: the default).
+func crashOpenHashing(dir string, inj *fault.Injector, commitDepth, hashWorkers int) (backup.Engine, error) {
 	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
 		return nil, err
@@ -58,6 +64,7 @@ func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine,
 		ContainerCapacity: 16 << 10,
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
+		HashWorkers:       hashWorkers,
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		AsyncCommitDepth:  commitDepth,
 		StatePath:         filepath.Join(dir, "state.hds"),
@@ -75,39 +82,17 @@ func TestCrashMatrixBackup(t *testing.T) {
 		[]fault.Kind{fault.Fail, fault.Torn, fault.NoSpace})
 }
 
-// crashOpenLanes is crashOpen with multi-lane chunking and a sharded
-// fingerprint cache, so the matrix also proves the parallel ingest path
-// commits exactly what the sequential path does at every crash point.
-func crashOpenLanes(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
-	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		return nil, err
-	}
-	rs, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
-	if err != nil {
-		return nil, err
-	}
-	return New(Config{
-		Store:             fault.NewStore(cs, inj, cs.Path),
-		Recipes:           fault.NewRecipeStore(rs, inj, rs.Path),
-		ContainerCapacity: 16 << 10,
-		Window:            1,
-		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
-		ChunkLanes:        2,
-		IndexShards:       4,
-		RestoreCache:      restorecache.NewFAA(1 << 20),
-		AsyncCommitDepth:  commitDepth,
-		StatePath:         filepath.Join(dir, "state.hds"),
-		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
-	})
-}
-
-// TestCrashMatrixBackupLanes re-runs the backup crash matrix with
-// ChunkLanes > 1 and a sharded cache: committed versions must restore
-// byte-identically however the parallel pipeline was cut down.
+// TestCrashMatrixBackupLanes re-runs the backup crash matrix with one
+// fingerprinting lane instead of the default four, so the matrix proves
+// the serial and the parallel hash pipeline commit the same way:
+// committed versions restore byte-identically however either was cut
+// down.
 func TestCrashMatrixBackupLanes(t *testing.T) {
 	versions := backuptest.Materialize(t, crashWorkload(3))
-	backuptest.CrashMatrix(t, crashOpenLanes, backuptest.BackupSteps(versions),
+	open := func(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
+		return crashOpenHashing(dir, inj, commitDepth, 1)
+	}
+	backuptest.CrashMatrix(t, open, backuptest.BackupSteps(versions),
 		[]fault.Kind{fault.Fail, fault.Torn, fault.NoSpace})
 }
 

@@ -48,25 +48,15 @@ type Config struct {
 	// disables prefetching. Prefetch only reorders when reads happen,
 	// never which reads happen, so restore stats are unaffected.
 	PrefetchDepth int
-	// RestoreWorkers parallelize the restore's fetch and assembly
-	// stages: values above 1 widen the prefetch read pool to this many
-	// workers and assemble chunk spans out of order behind an in-order
+	// RestoreWorkers selects parallel assembly: values above 1 assemble
+	// chunk spans on this many workers, out of order behind an in-order
 	// reorder window. Output bytes and read accounting are identical to
 	// the serial restore by construction (the cache policy remains the
-	// single decision-maker). 0 or 1 restores serially (the default).
+	// single decision-maker). 0 or 1 assembles serially (the default).
+	// The fetch side is PrefetchDepth's window either way.
 	RestoreWorkers int
 	// HashWorkers parallelize fingerprinting (default 4).
 	HashWorkers int
-	// ChunkLanes parallelizes content-defined chunking: the stream is
-	// speculatively chunked by this many lanes and re-stitched, with a
-	// chunk sequence bit-identical to the sequential chunker's. 0 or 1
-	// chunks sequentially (the default).
-	ChunkLanes int
-	// IndexShards is the fingerprint cache's shard count (rounded up to
-	// a power of two, max 256). Shards bound lock contention between
-	// the hash workers' speculative index probes; they never change
-	// dedup decisions. 0 selects DefaultIndexShards.
-	IndexShards int
 	// AsyncCommitDepth is the width of the backup's commit plane: how many
 	// container images (sealed actives, archival, merged) may be in flight
 	// to the store while the engine goes on chunking or packing the next
@@ -129,9 +119,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.HashWorkers <= 0 {
 		c.HashWorkers = 4
-	}
-	if c.ChunkLanes <= 0 {
-		c.ChunkLanes = 1
 	}
 	if c.WriteState == nil {
 		c.WriteState = durable.WriteFileAtomic
@@ -223,7 +210,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:              cfg,
-		cache:            NewIndexViewSharded(cfg.Window, cfg.IndexShards),
+		cache:            NewIndexView(cfg.Window),
 		activeByFP:       make(map[fp.FP]container.ID),
 		activeContainers: make(map[container.ID]*container.Container),
 		batches:          make(map[int]*archivalBatch),
@@ -236,7 +223,6 @@ func New(cfg Config) (*Engine, error) {
 	e.ingest = backup.NewIngester(backup.IngestConfig{
 		Chunker:     cfg.Chunker,
 		ChunkParams: cfg.ChunkParams,
-		ChunkLanes:  cfg.ChunkLanes,
 		HashWorkers: cfg.HashWorkers,
 		Store:       cfg.Store,
 		CommitDepth: cfg.AsyncCommitDepth,

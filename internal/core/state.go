@@ -126,7 +126,7 @@ func (e *Engine) unmarshalState(buf []byte) error {
 	}
 	e.version = int(binary.BigEndian.Uint32(buf[12:]))
 	e.nextCID = container.ID(binary.BigEndian.Uint32(buf[16:]))
-	e.cache = NewIndexViewSharded(e.cfg.Window, e.cfg.IndexShards)
+	e.cache = NewIndexView(e.cfg.Window)
 	e.cache.setVersion(e.version)
 	e.activeByFP = make(map[fp.FP]container.ID)
 	e.activeContainers = make(map[container.ID]*container.Container)

@@ -53,16 +53,11 @@ type Config struct {
 	// containers: 0 selects restorecache.DefaultPrefetchDepth, negative
 	// disables prefetching.
 	PrefetchDepth int
-	// RestoreWorkers parallelize the restore's fetch and assembly
-	// stages (see core.Config.RestoreWorkers); 0 or 1 restores serially.
+	// RestoreWorkers above 1 select parallel assembly (see
+	// core.Config.RestoreWorkers); 0 or 1 assembles serially.
 	RestoreWorkers int
 	// HashWorkers parallelize fingerprinting (default 4).
 	HashWorkers int
-	// ChunkLanes parallelize chunking itself: the input is split into
-	// per-batch lane segments, chunked speculatively, and re-stitched so
-	// the chunk sequence is bit-identical to single-lane chunking. 0 or
-	// 1 chunks sequentially.
-	ChunkLanes int
 	// AsyncCommitDepth is the width of the backup's commit plane: how
 	// many sealed containers may be in flight to the store while chunking
 	// continues, with a fence before the recipe write. 0 selects
@@ -110,9 +105,6 @@ func (c *Config) setDefaults() error {
 	if c.HashWorkers <= 0 {
 		c.HashWorkers = 4
 	}
-	if c.ChunkLanes <= 0 {
-		c.ChunkLanes = 1
-	}
 	return nil
 }
 
@@ -146,7 +138,6 @@ func New(cfg Config) (*Engine, error) {
 		ingest: backup.NewIngester(backup.IngestConfig{
 			Chunker:     cfg.Chunker,
 			ChunkParams: cfg.ChunkParams,
-			ChunkLanes:  cfg.ChunkLanes,
 			HashWorkers: cfg.HashWorkers,
 			Store:       cfg.Store,
 			CommitDepth: cfg.AsyncCommitDepth,

@@ -22,17 +22,6 @@ import (
 // set small and adds allocator accounting.
 var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 
-// BackupPerfSweep is the lanes × workers grid appended to the scheme
-// rows: HiDeStore re-run with multi-lane chunking and parallel hash
-// workers over the sharded fingerprint cache. Labels read
-// "hidestore-l<lanes>w<workers>". Wall-clock scaling tracks the
-// capture host's core count — on a single-CPU host the extra lanes
-// only add coordination cost — while allocs/chunk must hold steady at
-// every point.
-var BackupPerfSweep = []struct{ Lanes, Workers int }{
-	{1, 4}, {2, 4}, {4, 4}, {8, 4},
-}
-
 // BackupPerfRow is one scheme's end-to-end backup cost on the
 // memory-backed store: wall-clock MB/s plus heap allocations per chunk
 // (runtime.MemStats mallocs over the whole run divided by chunks
@@ -67,31 +56,14 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	type contender struct {
-		label string
-		build func() (backup.Engine, error)
-	}
-	var runs []contender
-	for _, scheme := range BackupPerfSchemes {
-		scheme := scheme
-		switch scheme {
-		case "hidestore":
-			runs = append(runs, contender{scheme, func() (backup.Engine, error) { return hidestoreEngine(opts, cfg) }})
-		default:
-			runs = append(runs, contender{scheme, func() (backup.Engine, error) { return baselineEngine(opts, scheme, "none", "faa") }})
-		}
-	}
-	for _, pt := range BackupPerfSweep {
-		pt := pt
-		runs = append(runs, contender{
-			fmt.Sprintf("hidestore-l%dw%d", pt.Lanes, pt.Workers),
-			func() (backup.Engine, error) { return hidestoreEngineTuned(opts, cfg, pt.Lanes, pt.Workers) },
-		})
-	}
-
 	res := &BackupPerfResult{Workload: cfg.Name}
-	for _, run := range runs {
-		e, err := run.build()
+	for _, scheme := range BackupPerfSchemes {
+		var e backup.Engine
+		if scheme == "hidestore" {
+			e, err = hidestoreEngine(opts, cfg)
+		} else {
+			e, err = baselineEngine(opts, scheme, "none", "faa")
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -103,9 +75,9 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", workloadName, run.label, err)
+			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
 		}
-		row := BackupPerfRow{Scheme: run.label, Duration: elapsed}
+		row := BackupPerfRow{Scheme: scheme, Duration: elapsed}
 		var written uint64
 		for _, rep := range reports {
 			row.Chunks += rep.Chunks

@@ -254,24 +254,6 @@ func hidestoreEngine(o Options, w workload.Config) (backup.Engine, error) {
 	})
 }
 
-// hidestoreEngineTuned is hidestoreEngine with the ingest-parallelism
-// knobs set: multi-lane chunking, hash workers, and the default shard
-// count on the fingerprint cache (the BackupPerf sweep rows).
-func hidestoreEngineTuned(o Options, w workload.Config, lanes, workers int) (backup.Engine, error) {
-	return core.New(core.Config{
-		Store:             container.NewMemStore(),
-		Recipes:           recipe.NewMemStore(),
-		ContainerCapacity: o.ContainerCapacity,
-		Window:            cacheWindow(w),
-		ChunkParams:       o.ChunkParams,
-		Chunker:           chunker.FastCDC,
-		ChunkLanes:        lanes,
-		HashWorkers:       workers,
-		RestoreCache:      restorecache.NewFAA(0),
-		Metrics:           o.Metrics,
-	})
-}
-
 // backupAllVersions runs a full version chain through an engine.
 func backupAllVersions(e backup.Engine, cfg workload.Config) ([]backup.BackupReport, error) {
 	var reports []backup.BackupReport

@@ -18,43 +18,38 @@ import (
 	"hidestore/internal/workload"
 )
 
-// The restore experiment measures the parallel restore mode's payoff:
-// with the container store behind the deterministic remote simulator,
-// it sweeps restore workers × prefetch depth × per-fetch latency on
-// the HiDeStore engine and reports wall and modeled restore times.
+// The restore experiment measures read-ahead's payoff: with the
+// container store behind the deterministic remote simulator, it sweeps
+// prefetch depth × per-fetch latency on the HiDeStore engine and
+// reports wall and modeled restore times.
 //
 // The mechanism being measured is fetch overlap. A serial restore pays
-// every container round trip back to back; the parallel mode keeps
-// min(workers, depth) fetches in flight, so the remote time divides by
-// that effective parallelism while chunk assembly — client-side memcpy
-// — stays the same. ModeledMS applies exactly that model to the
+// every container round trip back to back; prefetch keeps up to depth
+// fetches in flight — the window is the fetch pool — so the remote time
+// divides by min(depth, reads) while chunk assembly — client-side
+// memcpy — stays the same. ModeledMS applies exactly that model to the
 // simulator's deterministic modeled remote time, which makes the
 // speedup curve reproducible bit for bit; WallMS is the measured clock
 // and shows the same shape when sleeps are real (sleepScale 1).
 //
 // The sweep also re-checks the accounting identity where it is easiest
 // to break: every cell must report the same policy-level container
-// read count, no matter how many workers fetch. A cell that reads more
+// read count, however many fetches overlap. A cell that reads more
 // (duplicated fetches) or fewer (skipped chunks) containers than the
 // serial baseline fails the experiment outright.
 
-// RestoreWorkerCounts are the swept restore worker counts (1 = the
-// serial assembler).
-var RestoreWorkerCounts = []int{1, 2, 4, 8}
-
 // RestoreSweepDepths are the swept prefetch depths: -1 disables
-// prefetch entirely (workers then have nothing to overlap — the
-// control row), 8 is the default read-ahead window.
-var RestoreSweepDepths = []int{-1, 8}
+// prefetch entirely (the serial control row), 8 is the default
+// read-ahead window.
+var RestoreSweepDepths = []int{-1, 2, 8}
 
 // RestoreSweepLatencies are the swept per-fetch round-trip latencies.
 // The acceptance criterion lives at >= 1ms: that is where fetch cost
-// dominates assembly and worker scaling must show through.
+// dominates assembly and read-ahead must show through.
 var RestoreSweepLatencies = []time.Duration{0, time.Millisecond, 5 * time.Millisecond}
 
-// RestoreScaleCell is one (workers, depth, latency) outcome.
+// RestoreScaleCell is one (depth, latency) outcome.
 type RestoreScaleCell struct {
-	Workers   int
 	Depth     int
 	LatencyUS int64
 	// Reads is the policy-level container-read count for the newest
@@ -70,13 +65,12 @@ type RestoreScaleCell struct {
 // RestoreScaleResult holds the full sweep for one workload.
 type RestoreScaleResult struct {
 	Workload  string
-	Workers   []int
 	Depths    []int
 	Latencies []time.Duration
 	Cells     []RestoreScaleCell
-	// Speedup[i] is ModeledMS at workers=1 over ModeledMS at the widest
-	// worker count, both at the deepest swept depth and Latencies[i] —
-	// the scale-out payoff curve.
+	// Speedup[i] is ModeledMS with prefetch off over ModeledMS at the
+	// deepest swept depth, both at Latencies[i] — read-ahead's payoff
+	// curve.
 	Speedup []float64
 	// CFL, Utilization and ContainersPerMB profile the newest version's
 	// physical layout (internal/layout over an identically-built store),
@@ -98,33 +92,22 @@ type RestoreScaleResult struct {
 	RecipeReadsOldest float64
 }
 
-// effectiveFetchParallelism mirrors the prefetcher's own bound: the
-// pool never runs more than depth items ahead of consumption and never
-// needs more lanes than there are distinct containers to read.
-func effectiveFetchParallelism(workers, depth int, reads int64) float64 {
+// effectiveFetchParallelism mirrors the prefetcher's own bound: its pool
+// is the read-ahead window, and it never starts more fetches than there
+// are distinct containers to read.
+func effectiveFetchParallelism(depth int, reads int64) float64 {
 	if depth < 0 {
 		return 1 // no prefetch pipeline: fetches are strictly serial
 	}
 	if depth == 0 {
 		depth = restorecache.DefaultPrefetchDepth
 	}
-	p := workers
-	if depth < p {
-		p = depth
-	}
-	if n := int(reads); n > 0 && n < p {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return float64(p)
+	return float64(max(1, min(int64(depth), reads)))
 }
 
 // runRestoreScaleCell backs up the chain and restores the newest
-// version with the given worker count and depth over a fresh remote
-// simulator.
-func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, workers, depth int, latency time.Duration, sleepScale float64) (RestoreScaleCell, error) {
+// version with the given prefetch depth over a fresh remote simulator.
+func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, depth int, latency time.Duration, sleepScale float64) (RestoreScaleCell, error) {
 	stack, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{
 		Sim: backend.SimOptions{
 			Latency:      latency,
@@ -145,7 +128,6 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, worker
 		Chunker:           chunker.FastCDC,
 		RestoreCache:      restorecache.NewFAA(0),
 		PrefetchDepth:     depth,
-		RestoreWorkers:    workers,
 		Metrics:           o.Metrics,
 	})
 	if err != nil {
@@ -170,9 +152,8 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, worker
 	restoredMB := float64(rep.Stats.BytesRestored) / (1 << 20)
 	remoteMS := float64((after.Modeled - before.Modeled).Microseconds()) / 1e3
 	modeledMS := restoredMB/remoteAssemblyMBps*1e3 +
-		remoteMS/effectiveFetchParallelism(workers, depth, reads)
+		remoteMS/effectiveFetchParallelism(depth, reads)
 	return RestoreScaleCell{
-		Workers:     workers,
 		Depth:       depth,
 		LatencyUS:   latency.Microseconds(),
 		Reads:       reads,
@@ -183,8 +164,7 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, worker
 	}, nil
 }
 
-// RestoreScale runs the workers × depth × latency sweep for one
-// workload. sleepScale is threaded into every simulator exactly as in
+// RestoreScale runs the depth × latency sweep for one workload. sleepScale is threaded into every simulator exactly as in
 // Remote: 1 sleeps for real, negative skips sleeps while still
 // accumulating modeled time.
 func RestoreScale(workloadName string, sleepScale float64, opts Options) (*RestoreScaleResult, error) {
@@ -207,39 +187,35 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 	}
 	res := &RestoreScaleResult{
 		Workload:  cfg.Name,
-		Workers:   RestoreWorkerCounts,
 		Depths:    RestoreSweepDepths,
 		Latencies: RestoreSweepLatencies,
 	}
-	for _, workers := range RestoreWorkerCounts {
-		for _, depth := range RestoreSweepDepths {
-			for _, g := range RestoreSweepLatencies {
-				cell, err := runRestoreScaleCell(opts, cfg, versions, workers, depth, g, sleepScale)
-				if err != nil {
-					return nil, fmt.Errorf("workers=%d depth=%d latency=%s: %w", workers, depth, g, err)
-				}
-				res.Cells = append(res.Cells, cell)
+	for _, depth := range RestoreSweepDepths {
+		for _, g := range RestoreSweepLatencies {
+			cell, err := runRestoreScaleCell(opts, cfg, versions, depth, g, sleepScale)
+			if err != nil {
+				return nil, fmt.Errorf("depth=%d latency=%s: %w", depth, g, err)
 			}
+			res.Cells = append(res.Cells, cell)
 		}
 	}
-	// The accounting identity, enforced: worker count and depth must
-	// not change what gets read.
+	// The accounting identity, enforced: depth must not change what gets
+	// read.
 	for i := range res.Cells {
 		if res.Cells[i].Reads != res.Cells[0].Reads {
-			return nil, fmt.Errorf("experiments: cell workers=%d depth=%d us=%d read %d containers, baseline read %d — parallel restore changed the read count",
-				res.Cells[i].Workers, res.Cells[i].Depth, res.Cells[i].LatencyUS,
-				res.Cells[i].Reads, res.Cells[0].Reads)
+			return nil, fmt.Errorf("experiments: cell depth=%d us=%d read %d containers, baseline read %d — prefetch changed the read count",
+				res.Cells[i].Depth, res.Cells[i].LatencyUS, res.Cells[i].Reads, res.Cells[0].Reads)
 		}
 	}
+	serial := RestoreSweepDepths[0]
 	deepest := RestoreSweepDepths[len(RestoreSweepDepths)-1]
-	widest := RestoreWorkerCounts[len(RestoreWorkerCounts)-1]
 	for _, g := range RestoreSweepLatencies {
-		one := res.Cell(1, deepest, g)
-		wide := res.Cell(widest, deepest, g)
-		if one == nil || wide == nil || wide.ModeledMS == 0 {
+		off := res.Cell(serial, g)
+		deep := res.Cell(deepest, g)
+		if off == nil || deep == nil || deep.ModeledMS == 0 {
 			return nil, fmt.Errorf("experiments: missing speedup cells for latency %s", g)
 		}
-		res.Speedup = append(res.Speedup, one.ModeledMS/wide.ModeledMS)
+		res.Speedup = append(res.Speedup, off.ModeledMS/deep.ModeledMS)
 	}
 	mem, err := restoreMemEngine(opts, cfg, versions)
 	if err != nil {
@@ -311,12 +287,12 @@ func restoreAllocsPerChunk(e *core.Engine, version int) (float64, error) {
 	return float64(after.Mallocs-before.Mallocs) / float64(rep.Stats.Chunks), nil
 }
 
-// Cell returns the cell for (workers, depth, latency), or nil.
-func (r *RestoreScaleResult) Cell(workers, depth int, latency time.Duration) *RestoreScaleCell {
+// Cell returns the cell for (depth, latency), or nil.
+func (r *RestoreScaleResult) Cell(depth int, latency time.Duration) *RestoreScaleCell {
 	us := latency.Microseconds()
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		if c.Workers == workers && c.Depth == depth && c.LatencyUS == us {
+		if c.Depth == depth && c.LatencyUS == us {
 			return c
 		}
 	}
@@ -325,7 +301,7 @@ func (r *RestoreScaleResult) Cell(workers, depth int, latency time.Duration) *Re
 
 // Extras exposes the sweep as flat scalars for BENCH_restore.json: the
 // speedup curve (the acceptance metric), plus per-cell modeled and
-// wall times keyed by workers, depth, and latency in microseconds.
+// wall times keyed by depth and latency in microseconds.
 func (r *RestoreScaleResult) Extras() map[string]float64 {
 	out := make(map[string]float64)
 	for i, g := range r.Latencies {
@@ -335,7 +311,7 @@ func (r *RestoreScaleResult) Extras() map[string]float64 {
 	out["utilization"] = r.Utilization
 	out["containers_per_mb"] = r.ContainersPerMB
 	for _, c := range r.Cells {
-		key := fmt.Sprintf("w%d_depth%d_us%d", c.Workers, c.Depth, c.LatencyUS)
+		key := fmt.Sprintf("depth%d_us%d", c.Depth, c.LatencyUS)
 		out["modeled_ms_"+key] = c.ModeledMS
 		out["wall_ms_"+key] = c.WallMS
 		out["reads_"+key] = float64(c.Reads)
@@ -345,11 +321,10 @@ func (r *RestoreScaleResult) Extras() map[string]float64 {
 
 // Render formats the sweep and the speedup curve.
 func (r *RestoreScaleResult) Render() string {
-	t := metrics.NewTable(fmt.Sprintf("Parallel restore (%s): workers x prefetch depth x fetch latency", r.Workload),
-		"workers", "depth", "latency", "reads", "read MB", "SF", "wall ms", "modeled ms")
+	t := metrics.NewTable(fmt.Sprintf("Restore read-ahead (%s): prefetch depth x fetch latency", r.Workload),
+		"depth", "latency", "reads", "read MB", "SF", "wall ms", "modeled ms")
 	for _, c := range r.Cells {
-		t.AddRow(fmt.Sprintf("%d", c.Workers),
-			fmt.Sprintf("%d", c.Depth),
+		t.AddRow(fmt.Sprintf("%d", c.Depth),
 			(time.Duration(c.LatencyUS) * time.Microsecond).String(),
 			fmt.Sprintf("%d", c.Reads),
 			metrics.FormatFloat(c.ReadMB),
@@ -358,7 +333,7 @@ func (r *RestoreScaleResult) Render() string {
 			metrics.FormatFloat(c.ModeledMS))
 	}
 	s := t.Render()
-	s += "\nmodeled restore speedup (1 worker / max workers, deepest prefetch):"
+	s += "\nmodeled restore speedup (prefetch off / deepest prefetch):"
 	for i, g := range r.Latencies {
 		s += fmt.Sprintf(" %s=%.2fx", g, r.Speedup[i])
 	}

@@ -28,8 +28,7 @@ type StageSummary struct {
 	MBPerSec float64
 	// Chunks sums the records' "chunks" attributes — the per-stage
 	// chunk accounting the identity tests check against engine reports
-	// (it must be exact however many chunking lanes or index shards
-	// contributed to a stage).
+	// (it must be exact however many hash workers contributed to a stage).
 	Chunks int64
 }
 

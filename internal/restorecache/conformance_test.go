@@ -222,7 +222,7 @@ func BenchmarkPrefetchLatencyHiding(b *testing.B) {
 			b.SetBytes(total)
 			for i := 0; i < b.N; i++ {
 				slow := &delayFetcher{inner: StoreFetcher(store), delay: time.Millisecond}
-				fetch, done := MaybePrefetch(slow, entries, mode.depth, 0, nil)
+				fetch, done := MaybePrefetch(slow, entries, mode.depth, nil)
 				if _, err := cache.Restore(context.Background(), entries, fetch, io.Discard); err != nil {
 					b.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func TestRestoreCancelsPromptly(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				slow := newSlowFetcher(StoreFetcher(store))
-				fetch, done := MaybePrefetch(slow, entries, depth, 0, nil)
+				fetch, done := MaybePrefetch(slow, entries, depth, nil)
 				defer done()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

@@ -11,6 +11,7 @@ import (
 
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
+	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 )
 
@@ -38,7 +39,7 @@ func TestParallelConformance(t *testing.T) {
 					workers, depth := workers, depth
 					t.Run(fmt.Sprintf("workers-%d/depth-%d", workers, depth), func(t *testing.T) {
 						store.ResetStats()
-						fetch, done := MaybePrefetch(StoreFetcher(store), entries, depth, workers, nil)
+						fetch, done := MaybePrefetch(StoreFetcher(store), entries, depth, nil)
 						var got bytes.Buffer
 						pw := NewParallelWriter(&got, ParallelOptions{Workers: workers})
 						stats, err := c.Restore(context.Background(), entries, fetch, pw)
@@ -133,7 +134,7 @@ func TestParallelRestoreCancelsPromptly(t *testing.T) {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
 			slow := newSlowFetcher(StoreFetcher(store))
-			fetch, done := MaybePrefetch(slow, entries, 4, 4, nil)
+			fetch, done := MaybePrefetch(slow, entries, 4, nil)
 			defer done()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -234,11 +235,16 @@ func TestAwaitNoDuplicateFetchOnPipelineDeath(t *testing.T) {
 // ownership CAS: the pipeline dies before any worker picks the item
 // up. The awaiter's abandon succeeds — proving no worker ever will —
 // and exactly one direct read serves the request.
+//
+// The pool is as wide as the window, so an item waits for a worker only
+// once the policy has taken over the window slot of one still being
+// fetched: with depth 1, a request for container 2 that skips container
+// 1 dispatches item 2 while the only worker is parked fetching item 1.
 func TestAwaitAbandonedItemReadsThroughOnce(t *testing.T) {
 	store, entries, _ := fixture(t, 2, 4, 256)
 	gate := newGateFetcher(StoreFetcher(store))
-	p := NewPrefetchFetcher(gate, entries, 2)
-	p.workers = 1 // one worker: item 2 is dispatched but never taken
+	p := NewPrefetchFetcher(gate, entries, 1)
+	p.Observe(obs.NewRestoreMetrics(obs.NewRegistry())) // keeps p.outstanding
 	defer p.Close()
 
 	type result struct {
@@ -247,24 +253,25 @@ func TestAwaitAbandonedItemReadsThroughOnce(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		ctn, err := p.Get(context.Background(), 1)
+		ctn, err := p.Get(context.Background(), 2)
 		resCh <- result{ctn, err}
 	}()
 	<-gate.started // the only worker is parked fetching item 1
+	// Item 1 counted into the window before the worker took it, so the
+	// balance is back at 0 only once Get has handed item 2 over: item 2
+	// is then dispatched, idle, and awaited.
+	eventually(t, "Get(2) awaits the window's only item", func() bool { return p.outstanding.Load() == 0 })
 	p.cancel()
-	time.Sleep(20 * time.Millisecond)
+	// With the worker still parked on item 1, only the awaiter can be
+	// reading container 2: its abandon won.
+	eventually(t, "the awaiter reads container 2 through", func() bool { return gate.count(2) == 1 })
 	close(gate.release)
-	if res := <-resCh; res.err != nil {
-		t.Fatalf("Get(1): %v", res.err)
+	res := <-resCh
+	if res.err != nil {
+		t.Fatalf("Get(2) after pipeline death: %v", res.err)
 	}
-
-	// Item 2 sits in the (closed, drained-on-read) window, state idle.
-	ctn, err := p.Get(context.Background(), 2)
-	if err != nil {
-		t.Fatalf("Get(2) after pipeline death: %v", err)
-	}
-	if ctn.ID() != 2 {
-		t.Fatalf("Get(2) returned container %d", ctn.ID())
+	if res.ctn.ID() != 2 {
+		t.Fatalf("Get(2) returned container %d", res.ctn.ID())
 	}
 	if n := gate.count(2); n != 1 {
 		t.Fatalf("container 2 fetched %d times, want exactly 1", n)

@@ -20,10 +20,10 @@ const DefaultPrefetchDepth = 8
 // resolved recipe discloses the whole future access sequence, so the
 // prefetcher derives the distinct-container order up front (each cache
 // policy's first fetch of any container happens in first-appearance
-// order — see the invariant note below) and a bounded worker pool issues
-// those reads ahead of the assembler. Results flow back through a
-// bounded in-order queue, so at most `depth` reads run ahead of
-// consumption.
+// order — see the invariant note below) and a worker pool as wide as the
+// read-ahead window issues those reads ahead of the assembler. Results
+// flow back through a bounded in-order queue, so at most `depth` reads
+// run ahead of consumption.
 //
 // Accounting invariant (§5.3): Stats.ContainerReads and the speed factor
 // are defined by *which* containers the cache policy requests, not when.
@@ -55,11 +55,6 @@ type PrefetchFetcher struct {
 	// in stash with their window occupancy held until Close.
 	pos   map[container.ID]int
 	depth int
-	// workers widens the fetch pool independently of the window: the
-	// effective fetch parallelism is min(workers, depth, len(plan)),
-	// because the dispatcher never runs more than depth items ahead of
-	// consumption. 0 selects depth (the historical coupling).
-	workers int
 
 	start   sync.Once
 	cancel  context.CancelFunc
@@ -170,14 +165,9 @@ func (p *PrefetchFetcher) run(ctx context.Context) {
 		}
 		return nil
 	})
-	workers := p.workers
-	if workers <= 0 {
-		workers = p.depth
-	}
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	for i := 0; i < workers; i++ {
+	// The dispatcher never runs more than depth items ahead of
+	// consumption, so a wider pool could only idle.
+	for i := 0; i < min(p.depth, len(plan)); i++ {
 		g.Go(func() error {
 			for {
 				select {
@@ -341,40 +331,38 @@ func (p *PrefetchFetcher) Observe(mx *obs.RestoreMetrics) {
 // drain. Safe to call when Get never started the pipeline, and more than
 // once.
 func (p *PrefetchFetcher) Close() {
+	if p.cancel != nil {
+		p.cancel()
+		// Workers never block (item channels are buffered), so Wait returns
+		// promptly; its error is the cancellation we just caused.
+		//hidelint:ignore discarded-error Wait only reports the cancellation this Close just triggered
+		_ = p.group.Wait()
+	}
 	// An aborted restore leaves unconsumed items in the window; return
-	// their occupancy so the gauge reads 0 between restores, and drop
-	// any stashed outcomes so their container images can be collected.
+	// their occupancy so the gauge reads 0 between restores — only now that
+	// the dispatcher has stopped counting items in — and drop any stashed
+	// outcomes so their container images can be collected.
 	clear(p.stash)
 	if p.mx != nil {
 		if n := p.outstanding.Swap(0); n != 0 {
 			p.mx.PrefetchOccupancy.Add(-n)
 		}
 	}
-	if p.cancel == nil {
-		return
-	}
-	p.cancel()
-	// Workers never block (item channels are buffered), so Wait returns
-	// promptly; its error is the cancellation we just caused.
-	//hidelint:ignore discarded-error Wait only reports the cancellation this Close just triggered
-	_ = p.group.Wait()
 }
 
 // MaybePrefetch wraps fetch with a PrefetchFetcher over the resolved
 // entries: a negative depth disables prefetching, zero selects
-// DefaultPrefetchDepth. workers widens the fetch pool for the parallel
-// restore mode; <= 0 keeps it as wide as the window. The effective fetch
-// parallelism stays bounded by the read-ahead window — min(workers, depth,
-// distinct containers) — so the window, not the pool, remains the memory
-// bound. mx, when non-nil, exposes the window's occupancy. Which containers
-// are read, and how often, is unchanged by any of them. The returned func
-// must be called once the restore finishes.
-func MaybePrefetch(fetch Fetcher, entries []recipe.Entry, depth, workers int, mx *obs.RestoreMetrics) (Fetcher, func()) {
+// DefaultPrefetchDepth. The window is both the fetch parallelism and the
+// memory bound: up to depth reads — never more than the distinct
+// containers — are in flight at once. mx, when non-nil, exposes the
+// window's occupancy. Which containers are read, and how often, is
+// unchanged by either. The returned func must be called once the restore
+// finishes.
+func MaybePrefetch(fetch Fetcher, entries []recipe.Entry, depth int, mx *obs.RestoreMetrics) (Fetcher, func()) {
 	if depth < 0 {
 		return fetch, func() {}
 	}
 	pf := NewPrefetchFetcher(fetch, entries, depth)
-	pf.workers = workers
 	pf.Observe(mx)
 	return pf, pf.Close
 }

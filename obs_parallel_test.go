@@ -92,7 +92,7 @@ func TestParallelRestoreIdentity(t *testing.T) {
 
 // TestMetricsScrapeDuringParallelRestore re-runs the scrape-under-load
 // race check with the parallel restore mode on: the assembler's worker
-// pool, the reorder writer and the widened prefetch pool must all be
+// pool, the reorder writer and the prefetch pool must all be
 // data-race free against concurrent registry scrapes (the race tier
 // runs this under -race).
 func TestMetricsScrapeDuringParallelRestore(t *testing.T) {

@@ -189,3 +189,117 @@ func TestMetricsScrapeDuringRestore(t *testing.T) {
 		t.Errorf("restore counter %d, want %d", restores, want)
 	}
 }
+
+// TestStageChunkAccountingWithLanes pins the stage-accounting identity
+// under the concurrency every backup runs with — four fingerprinting
+// lanes and the 16-shard fingerprint cache: each per-version stage
+// record (stage.chunking, stage.fingerprint, stage.index_lookup) must
+// account for exactly the chunks the backup reports — lane and shard
+// contributions are summed at snapshot, never double-counted or dropped.
+func TestStageChunkAccountingWithLanes(t *testing.T) {
+	versions := testVersions(t, 3)
+	var traceBuf bytes.Buffer
+	tracer := obs.NewTracer(&traceBuf)
+	sys, err := Open(Config{Metrics: obs.NewRegistry(), Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var chunks int64
+	for _, v := range versions {
+		rep, err := sys.Backup(ctx, bytes.NewReader(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks += int64(rep.Chunks)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if chunks == 0 {
+		t.Fatal("test degenerate: no chunks backed up")
+	}
+
+	sum, err := obs.SummarizeTrace(bytes.NewReader(traceBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]bool{"stage.chunking": false, "stage.fingerprint": false, "stage.index_lookup": false}
+	for _, st := range sum.Stages {
+		if _, ok := stages[st.Name]; !ok {
+			continue
+		}
+		stages[st.Name] = true
+		if st.Chunks != chunks {
+			t.Errorf("%s accounts for %d chunks, backups reported %d", st.Name, st.Chunks, chunks)
+		}
+		if st.Count != len(versions) {
+			t.Errorf("%s has %d records, want one per version (%d)", st.Name, st.Count, len(versions))
+		}
+		if st.Total <= 0 {
+			t.Errorf("%s reports no time", st.Name)
+		}
+	}
+	for name, seen := range stages {
+		if !seen {
+			t.Errorf("trace lacks %s records", name)
+		}
+	}
+}
+
+// TestLanesShardsBitIdenticalBackups pins end-to-end transparency to
+// how the source is read: a system fed each version as one reader and
+// one fed it as four lanes of reads (no read crossing a quarter of the
+// version) must report identical chunk/byte accounting and restore
+// byte-identical streams. Both run the same sharded fingerprint cache.
+func TestLanesShardsBitIdenticalBackups(t *testing.T) {
+	versions := testVersions(t, 3)
+	type result struct {
+		chunks   []int
+		stored   []uint64
+		restored [][]byte
+	}
+	run := func(lanes int) result {
+		sys, err := Open(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var res result
+		for _, v := range versions {
+			seg := (len(v) + lanes - 1) / lanes
+			var rs []io.Reader
+			for off := 0; off < len(v); off += seg {
+				rs = append(rs, bytes.NewReader(v[off:min(off+seg, len(v))]))
+			}
+			rep, err := sys.Backup(ctx, io.MultiReader(rs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.chunks = append(res.chunks, rep.Chunks)
+			res.stored = append(res.stored, rep.StoredBytes)
+		}
+		for i := range versions {
+			var out bytes.Buffer
+			if _, err := sys.Restore(ctx, i+1, &out); err != nil {
+				t.Fatal(err)
+			}
+			res.restored = append(res.restored, out.Bytes())
+		}
+		return res
+	}
+	seq := run(1)
+	par := run(4)
+	for i := range versions {
+		if seq.chunks[i] != par.chunks[i] || seq.stored[i] != par.stored[i] {
+			t.Errorf("v%d accounting diverged: one reader %d chunks/%d stored, four lanes %d/%d",
+				i+1, seq.chunks[i], seq.stored[i], par.chunks[i], par.stored[i])
+		}
+		if !bytes.Equal(seq.restored[i], par.restored[i]) {
+			t.Errorf("v%d restore bytes diverged between the one-reader and four-lane systems", i+1)
+		}
+		if !bytes.Equal(par.restored[i], versions[i]) {
+			t.Errorf("v%d four-lane restore does not match the original", i+1)
+		}
+	}
+}
