@@ -34,8 +34,7 @@ vet:
 
 # hidelint is the project-specific static-analysis gate: discarded
 # errors, dead context plumbing, panics in library code, store
-# snapshot-ownership, uncounted container reads, and pooled-buffer
-# ownership. The run is interprocedural (whole-module call graph +
+# snapshot-ownership, and pooled-buffer ownership. The run is interprocedural (whole-module call graph +
 # per-function summaries), and a stale //hidelint:ignore directive is a
 # hard failure, so suppressions cannot outlive the code they excused.
 # See DESIGN.md "Static-analysis gate".

@@ -2,7 +2,7 @@
 // gate. It walks every package in the module and enforces the
 // invariants the restore-performance evaluation depends on (exact
 // error surfacing, live context plumbing, store snapshot ownership,
-// counted container reads) as named checks with file:line diagnostics.
+// pooled-buffer ownership) as named checks with file:line diagnostics.
 //
 // Usage:
 //
@@ -14,9 +14,8 @@
 //
 // By default the run is interprocedural: a whole-module call graph
 // with per-function summaries feeds the transitive halves of
-// ignored-ctx, store-ownership, and pooled-escape, and the
-// accounting-path check. -interprocedural=false reverts every check to
-// its single-function behavior (accounting-path then reports nothing).
+// ignored-ctx, store-ownership, and pooled-escape. -interprocedural=false
+// reverts every check to its single-function behavior.
 //
 // -json replaces the text findings on stdout with a JSON array of
 // {file, line, col, check, message} objects, machine-readable for CI

@@ -79,10 +79,13 @@ func TestListNamesEveryCheck(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"accounting", "discarded-error", "ignored-ctx", "no-panic", "store-ownership"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %q:\n%s", name, stdout.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{"discarded-error", "ignored-ctx", "no-panic", "pooled-escape", "store-ownership"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list names %v, want exactly %v:\n%s", got, want, stdout.String())
 	}
 }
 

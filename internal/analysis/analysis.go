@@ -4,10 +4,11 @@
 // restore path, FileStore.IDs swallowing ReadDir errors into an
 // empty-store lie, and a store-ownership violation in MemStore.Put — and
 // the paper's restore-performance numbers (speed factor = MB restored
-// per container read, §5.3) are only meaningful if I/O accounting and
-// error surfacing stay exact. Those invariants are enforced here
-// mechanically, as named checks with file:line diagnostics, instead of
-// by reviewer vigilance.
+// per container read, §5.3) are only meaningful if error surfacing stays
+// exact. Those invariants are enforced here mechanically, as named checks
+// with file:line diagnostics, instead of by reviewer vigilance. Container
+// reads need no check: the restore driver (internal/backup) owns the only
+// store-backed fetcher a restore reads through.
 //
 // The framework is intentionally stdlib-only (go/parser, go/ast,
 // go/types, go/importer): the lint gate must run anywhere the module
@@ -51,10 +52,6 @@ type Config struct {
 	// ignored-ctx check demands context plumbing on exported I/O entry
 	// points.
 	CtxPackages []string
-	// AccountingExemptPackages lists import-path suffixes whose direct
-	// Store.Get calls are the accounting mechanism itself and therefore
-	// exempt from the accounting check.
-	AccountingExemptPackages []string
 	// LibraryExemptDirs lists path elements (e.g. "cmd", "examples")
 	// whose packages are binaries: exempt from no-panic/no-print.
 	LibraryExemptDirs []string
@@ -67,10 +64,9 @@ type Config struct {
 	OwnershipCustodianPackages []string
 	// Interprocedural turns on the whole-module pass: a call graph with
 	// bottom-up per-function summaries feeds transitive-I/O detection in
-	// ignored-ctx, cross-call escape/mutation tracking in
+	// ignored-ctx, and cross-call escape/mutation tracking in
 	// store-ownership and pooled-escape (plus their flow-sensitive CFG
-	// halves), and the accounting-path check, which is a no-op without
-	// it.
+	// halves).
 	Interprocedural bool
 	// ReportUnusedSuppressions turns on the -unused-suppressions mode:
 	// every well-formed //hidelint:ignore directive that silenced no
@@ -89,11 +85,6 @@ func DefaultConfig() Config {
 			"internal/backup",
 			"internal/restorecache",
 			"internal/container",
-		},
-		AccountingExemptPackages: []string{
-			"internal/restorecache",
-			"internal/container",
-			"internal/fault",
 		},
 		LibraryExemptDirs: []string{"cmd", "examples"},
 		OwnershipCustodianPackages: []string{
@@ -219,15 +210,12 @@ func Run(pkgs []*Package, names []string, cfg Config) ([]Diagnostic, error) {
 	}
 	var diags []Diagnostic
 	var sup suppressions
-	// Suppressions are collected for the whole load set before any check
-	// runs: the interprocedural summary pass consults them so that an
-	// audited (suppressed) raw Store.Get does not taint its callers.
 	for _, pkg := range pkgs {
 		sup.collect(pkg.Fset, pkg.Files, &diags)
 	}
 	var prog *Program
 	if cfg.Interprocedural {
-		prog = buildProgram(pkgs, cfg, &sup)
+		prog = buildProgram(pkgs)
 	}
 	for _, pkg := range pkgs {
 		for _, c := range checks {
@@ -246,18 +234,7 @@ func Run(pkgs []*Package, names []string, cfg Config) ([]Diagnostic, error) {
 	}
 	diags = sup.filter(diags)
 	if cfg.ReportUnusedSuppressions {
-		// An intraprocedural run cannot prove an accounting-path
-		// suppression stale: the check only fires with the call graph.
-		provable := checks
-		if !cfg.Interprocedural {
-			provable = nil
-			for _, c := range checks {
-				if c.Name != "accounting-path" {
-					provable = append(provable, c)
-				}
-			}
-		}
-		diags = append(diags, sup.unused(provable)...)
+		diags = append(diags, sup.unused(checks)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

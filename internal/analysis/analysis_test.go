@@ -38,17 +38,11 @@ func goldenCases() []goldenCase {
 		cfg.CtxPackages = append(cfg.CtxPackages, "testdata/src/ctxtransitive")
 		return cfg
 	}
-	withRawHelperExempt := func() Config {
-		cfg := DefaultConfig()
-		cfg.AccountingExemptPackages = append(cfg.AccountingExemptPackages, "testdata/src/accountingpath/rawhelper")
-		return cfg
-	}
 	return []goldenCase{
 		{name: "discardederror", checks: []string{"discarded-error"}, cfg: DefaultConfig},
 		{name: "ignoredctx", checks: []string{"ignored-ctx"}, cfg: withCtxTestdata},
 		{name: "nopanic", checks: []string{"no-panic"}, cfg: DefaultConfig},
 		{name: "storeownership", checks: []string{"store-ownership"}, cfg: DefaultConfig},
-		{name: "accounting", checks: []string{"accounting"}, cfg: DefaultConfig},
 		{name: "pooledescape", checks: []string{"pooled-escape"}, cfg: DefaultConfig},
 		{name: "suppress", checks: []string{"no-panic"}, cfg: DefaultConfig},
 		{name: "unusedsuppress", checks: []string{"no-panic"}, cfg: withUnusedSuppressions},
@@ -62,8 +56,6 @@ func goldenCases() []goldenCase {
 			deps: []string{"xpkgownership/stamp"}, cfg: DefaultConfig, interOnly: true},
 		{name: "mutbeforerebind", checks: []string{"store-ownership"}, cfg: DefaultConfig, interOnly: true},
 		{name: "pooledinterproc", checks: []string{"pooled-escape"}, cfg: DefaultConfig, interOnly: true},
-		{name: "accountingpath", checks: []string{"accounting", "accounting-path"},
-			deps: []string{"accountingpath/rawhelper"}, cfg: withRawHelperExempt, interOnly: true},
 	}
 }
 
@@ -167,8 +159,8 @@ func TestInterproceduralCatchesWhatIntraMisses(t *testing.T) {
 			}
 		})
 	}
-	if ran < 5 {
-		t.Fatalf("only %d interprocedural corpora; want one per upgraded invariant (5)", ran)
+	if ran < 4 {
+		t.Fatalf("only %d interprocedural corpora; want one per upgraded invariant (4)", ran)
 	}
 }
 
@@ -184,7 +176,7 @@ func TestRunRejectsUnknownCheck(t *testing.T) {
 }
 
 func TestRegisteredChecks(t *testing.T) {
-	want := []string{"accounting", "accounting-path", "discarded-error", "ignored-ctx", "no-panic", "pooled-escape", "store-ownership"}
+	want := []string{"discarded-error", "ignored-ctx", "no-panic", "pooled-escape", "store-ownership"}
 	got := CheckNames()
 	if len(got) != len(want) {
 		t.Fatalf("CheckNames() = %v, want %v", got, want)

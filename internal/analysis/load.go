@@ -25,7 +25,7 @@ type Package struct {
 
 // Loader parses and type-checks packages with a shared FileSet and a
 // shared source importer, so type identities agree across packages
-// (the store-ownership and accounting checks compare against the
+// (the store-ownership and ignored-ctx checks compare against the
 // container.Store interface loaded through imports, and the
 // interprocedural Program compares receiver types across packages).
 type Loader struct {

@@ -11,7 +11,7 @@ func init() {
 		Doc: "Store.Put must snapshot: a Put implementation may not retain the " +
 			"caller's *Container directly (the PR 1 MemStore bug). Containers " +
 			"returned by Store.Get / Fetcher.Get are shared snapshots: callers may " +
-			"not mutate them (Add, Remove, SetID, SetCapacity, or field writes), " +
+			"not mutate them (Add, Remove, SetCapacity, or field writes), " +
 			"pass them to a callee that does, or — outside the custodian " +
 			"packages — let them escape through a field, channel, or composite " +
 			"literal. With -interprocedural the mutation rule is flow-sensitive: " +
@@ -22,7 +22,7 @@ func init() {
 
 // containerMutators are the *Container methods that modify the image.
 var containerMutators = map[string]bool{
-	"Add": true, "Remove": true, "SetID": true, "SetCapacity": true,
+	"Add": true, "Remove": true, "SetCapacity": true,
 }
 
 func runStoreOwnership(pass *Pass) {

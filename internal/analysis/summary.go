@@ -6,19 +6,19 @@ import (
 )
 
 // summary.go computes the per-function summaries the interprocedural
-// checks consume: does the function (transitively) perform I/O, reach
-// an uncounted raw container.Store.Get, return a shared *Container,
-// mutate / retain / release particular parameters. Summaries are
-// computed bottom-up over the call graph's SCCs, iterating each SCC to
-// a fixpoint (every bit is monotone, so the iteration terminates).
+// checks consume: does the function (transitively) perform I/O, return
+// a shared *Container, mutate / retain / release particular parameters.
+// Summaries are computed bottom-up over the call graph's SCCs, iterating
+// each SCC to a fixpoint (every bit is monotone, so the iteration
+// terminates).
 //
 // Conservative defaults, stated once here and documented in DESIGN.md:
 // interface dispatch, function values, and calls out of the load set
-// have no call edge — they are assumed to perform no I/O, reach no raw
-// Get, and neither mutate nor retain nor release their arguments.
-// Escapes the checks *can* see (fields, channels, composite literals,
-// known-retaining callees) are flagged; what vanishes through an
-// interface is the analysis' blind spot, not a proof of safety.
+// have no call edge — they are assumed to perform no I/O and neither
+// mutate nor retain nor release their arguments. Escapes the checks
+// *can* see (fields, channels, composite literals, known-retaining
+// callees) are flagged; what vanishes through an interface is the
+// analysis' blind spot, not a proof of safety.
 
 // Summary is the interprocedural fact sheet for one declared function.
 type Summary struct {
@@ -29,12 +29,6 @@ type Summary struct {
 	// discovered; nil when directIO != "" or no I/O is reachable.
 	ioVia *types.Func
 
-	// rawGetDirect: this body contains an unsuppressed raw Store.Get in
-	// an accounting-exempt package outside any counting boundary.
-	rawGetDirect bool
-	// rawGetVia is the callee through which a raw Get is reachable.
-	rawGetVia *types.Func
-
 	// returnsShared: some return path yields a *Container aliasing a
 	// Store.Get / Fetcher.Get result (a shared snapshot).
 	returnsShared bool
@@ -43,15 +37,9 @@ type Summary struct {
 	mutatesParam  []bool // calls a *Container mutator / writes a field
 	retainsParam  []bool // stores the param somewhere outliving the call
 	releasesParam []bool // passes the param to bufpool Pool.Release
-
-	// boundary marks the counting seam: a Store.Get implementation or a
-	// restorecache Fetcher.Get implementation. Raw gets inside are the
-	// counted read itself and taint nothing.
-	boundary bool
 }
 
-func (s *Summary) reachesIO() bool     { return s.directIO != "" || s.ioVia != nil }
-func (s *Summary) reachesRawGet() bool { return s.rawGetDirect || s.rawGetVia != nil }
+func (s *Summary) reachesIO() bool { return s.directIO != "" || s.ioVia != nil }
 
 // Program is the whole-module view handed to checks when
 // Config.Interprocedural is on.
@@ -59,31 +47,23 @@ type Program struct {
 	Graph     *CallGraph
 	Summaries map[*types.Func]*Summary
 
-	cfg     Config
-	store   *types.Interface // container.Store, nil when unresolvable
-	fetcher *types.Interface // restorecache.Fetcher, nil when unresolvable
-	sup     *suppressions    // taint stops at audited (suppressed) raw gets
+	store *types.Interface // container.Store, nil when unresolvable
 }
 
 // buildProgram constructs the call graph and runs the bottom-up summary
-// computation. sup may be nil (no suppressions collected).
-func buildProgram(pkgs []*Package, cfg Config, sup *suppressions) *Program {
+// computation.
+func buildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Graph:     buildCallGraph(pkgs),
 		Summaries: make(map[*types.Func]*Summary),
-		cfg:       cfg,
-		sup:       sup,
 	}
 	for _, pkg := range pkgs {
 		if p.store == nil {
 			p.store = containerStoreInterface(pkg.Types)
 		}
-		if p.fetcher == nil {
-			p.fetcher = lookupInterface(pkg.Types, "internal/restorecache", "Fetcher")
-		}
 	}
 	for _, node := range p.Graph.Nodes {
-		p.Summaries[node.Func] = &Summary{boundary: p.isBoundary(node.Func)}
+		p.Summaries[node.Func] = &Summary{}
 	}
 	for _, scc := range p.Graph.SCCs {
 		for changed := true; changed; {
@@ -98,33 +78,6 @@ func buildProgram(pkgs []*Package, cfg Config, sup *suppressions) *Program {
 	return p
 }
 
-// isBoundary reports whether fn is a counting-seam Get: a method named
-// Get whose receiver implements container.Store, or a restorecache
-// Fetcher.Get implementation.
-func (p *Program) isBoundary(fn *types.Func) bool {
-	if fn.Name() != "Get" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	recv := sig.Recv().Type()
-	if implementsStore(recv, p.store) {
-		return true
-	}
-	if p.fetcher != nil && fn.Pkg() != nil &&
-		PathHasSuffix(fn.Pkg().Path(), []string{"internal/restorecache"}) {
-		if types.Implements(recv, p.fetcher) {
-			return true
-		}
-		if _, isPtr := recv.(*types.Pointer); !isPtr && types.Implements(types.NewPointer(recv), p.fetcher) {
-			return true
-		}
-	}
-	return false
-}
-
 // isStoreSeamFunc reports whether fn is part of a container.Store
 // implementation (the documented ctx-free seam) at the types level.
 func (p *Program) isStoreSeamFunc(fn *types.Func) bool {
@@ -136,20 +89,6 @@ func (p *Program) isStoreSeamFunc(fn *types.Func) bool {
 		return false
 	}
 	return implementsStore(sig.Recv().Type(), p.store)
-}
-
-// isRawStoreGet reports whether call reads a container straight off a
-// container.Store (the uncounted read the accounting checks police).
-func (p *Program) isRawStoreGet(info *types.Info, call *ast.CallExpr) bool {
-	if p.store == nil {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Get" {
-		return false
-	}
-	tv, ok := info.Types[sel.X]
-	return ok && implementsStore(tv.Type, p.store)
 }
 
 // isSharedOriginCall reports whether call yields a shared *Container:
@@ -171,18 +110,6 @@ func (p *Program) isSharedOriginCall(info *types.Info, call *ast.CallExpr) bool 
 		return false
 	}
 	return isContainerPtr(sig.Results().At(0).Type())
-}
-
-// auditedRawGet reports whether the raw Get at pos carries an
-// accounting/accounting-path suppression: the read is vouched for, so
-// it must not taint callers. Consulting the directive marks it used.
-func (p *Program) auditedRawGet(node *FuncNode, call *ast.CallExpr) bool {
-	if p.sup == nil {
-		return false
-	}
-	pos := node.Pkg.Fset.Position(call.Pos())
-	return p.sup.covers(pos.Filename, pos.Line, "accounting") ||
-		p.sup.covers(pos.Filename, pos.Line, "accounting-path")
 }
 
 // paramIndexes maps each named parameter object of decl to its flat
@@ -252,8 +179,6 @@ func (p *Program) update(node *FuncNode) bool {
 	}
 	before := snapshotSummary(s)
 
-	exempt := PathHasSuffix(node.Pkg.Path, p.cfg.AccountingExemptPackages)
-
 	paramOf := func(expr ast.Expr) int {
 		id, ok := ast.Unparen(expr).(*ast.Ident)
 		if !ok {
@@ -300,10 +225,6 @@ func (p *Program) update(node *FuncNode) bool {
 					s.directIO = name
 				}
 			}
-			if exempt && !s.boundary && !s.rawGetDirect &&
-				p.isRawStoreGet(info, x) && !p.auditedRawGet(node, x) {
-				s.rawGetDirect = true
-			}
 			f := calleeFunc(info, x)
 			if f == nil {
 				return true
@@ -332,11 +253,6 @@ func (p *Program) update(node *FuncNode) bool {
 			if s.directIO == "" && s.ioVia == nil && cs.reachesIO() &&
 				!hasCtxInSig(f) && !p.isStoreSeamFunc(f) {
 				s.ioVia = f
-			}
-			// Raw-get taint flows through everything except boundaries.
-			if !s.boundary && !s.rawGetDirect && s.rawGetVia == nil &&
-				cs.reachesRawGet() && !cs.boundary {
-				s.rawGetVia = f
 			}
 			// Parameter facts propagate through identifier arguments.
 			for i, arg := range x.Args {
@@ -429,8 +345,6 @@ func (p *Program) update(node *FuncNode) bool {
 type summarySnapshot struct {
 	directIO      string
 	ioVia         *types.Func
-	rawGetDirect  bool
-	rawGetVia     *types.Func
 	returnsShared bool
 	params        string
 }
@@ -449,8 +363,6 @@ func snapshotSummary(s *Summary) summarySnapshot {
 	return summarySnapshot{
 		directIO:      s.directIO,
 		ioVia:         s.ioVia,
-		rawGetDirect:  s.rawGetDirect,
-		rawGetVia:     s.rawGetVia,
 		returnsShared: s.returnsShared,
 		params:        string(buf),
 	}
@@ -478,27 +390,6 @@ func (p *Program) ioChain(fn *types.Func) string {
 	return joinArrow(parts)
 }
 
-// rawGetChain renders the witness path from fn to the raw Store.Get.
-func (p *Program) rawGetChain(fn *types.Func) string {
-	parts := []string{fn.Name()}
-	seen := map[*types.Func]bool{fn: true}
-	cur := p.Summaries[fn]
-	for i := 0; cur != nil && i < 10; i++ {
-		if cur.rawGetDirect {
-			parts = append(parts, "Store.Get")
-			break
-		}
-		next := cur.rawGetVia
-		if next == nil || seen[next] {
-			break
-		}
-		seen[next] = true
-		parts = append(parts, next.Name())
-		cur = p.Summaries[next]
-	}
-	return joinArrow(parts)
-}
-
 func joinArrow(parts []string) string {
 	out := ""
 	for i, s := range parts {
@@ -508,31 +399,4 @@ func joinArrow(parts []string) string {
 		out += s
 	}
 	return out
-}
-
-// lookupInterface finds the named interface in a package whose import
-// path ends in pathSuffix, searching pkg and its transitive imports.
-func lookupInterface(pkg *types.Package, pathSuffix, name string) *types.Interface {
-	seen := make(map[*types.Package]bool)
-	var find func(p *types.Package) *types.Interface
-	find = func(p *types.Package) *types.Interface {
-		if p == nil || seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if PathHasSuffix(p.Path(), []string{pathSuffix}) {
-			if obj := p.Scope().Lookup(name); obj != nil {
-				if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-					return iface
-				}
-			}
-		}
-		for _, q := range p.Imports() {
-			if r := find(q); r != nil {
-				return r
-			}
-		}
-		return nil
-	}
-	return find(pkg)
 }

@@ -125,19 +125,6 @@ func (s *suppressions) filter(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// covers reports whether a well-formed directive for check covers
-// (file, line), marking it used: the interprocedural summary pass asks
-// this to stop raw-Get taint at audited reads, and an audit that stops
-// taint has done its job even when no intraprocedural finding existed
-// on that line.
-func (s *suppressions) covers(file string, line int, check string) bool {
-	idxs := s.keys[suppressKey{file, line, check}]
-	for _, i := range idxs {
-		s.directives[i].used = true
-	}
-	return len(idxs) > 0
-}
-
 // unused reports every well-formed directive that suppressed nothing,
 // restricted to directives whose check actually ran (ranChecks) — a
 // partial-check run cannot prove a suppression for an unselected

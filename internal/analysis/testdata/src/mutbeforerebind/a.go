@@ -8,16 +8,17 @@ import "hidestore/internal/container"
 
 // mutateThenClone mutates the shared snapshot BEFORE rebinding to a
 // clone. AST-order rebind tracking sees the rebind and drops the
-// variable; the CFG knows the first SetID ran on the shared image.
+// variable; the CFG knows the first SetCapacity ran on the shared image.
 func mutateThenClone(s container.Store, id container.ID) (*container.Container, error) {
 	ctn, err := s.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	ctn.SetID(1) // finding: mutation above the rebind
+	if err := ctn.SetCapacity(1 << 20); err != nil { // finding: mutation above the rebind
+		return nil, err
+	}
 	ctn = ctn.Clone()
-	ctn.SetID(2) // silent: private from here on
-	return ctn, nil
+	return ctn, ctn.SetCapacity(2 << 20) // silent: private from here on
 }
 
 // cloneOnOneBranch clones only when asked: after the merge the
@@ -30,8 +31,7 @@ func cloneOnOneBranch(s container.Store, id container.ID, deep bool) error {
 	if deep {
 		ctn = ctn.Clone()
 	}
-	ctn.SetID(3) // finding: shared on the deep=false path
-	return nil
+	return ctn.SetCapacity(1 << 20) // finding: shared on the deep=false path
 }
 
 // cloneBothBranches covers every path before the mutation; silent.
@@ -45,6 +45,5 @@ func cloneBothBranches(s container.Store, id container.ID, deep bool) error {
 	} else {
 		ctn = ctn.Clone()
 	}
-	ctn.SetID(4)
-	return nil
+	return ctn.SetCapacity(1 << 20)
 }

@@ -45,7 +45,9 @@ func mutateShared(s container.Store, id container.ID, f fp.FP) error {
 	if err != nil {
 		return err
 	}
-	ctn.SetID(99)                // finding: mutator on shared image
+	if err := ctn.Remove(f); err != nil { // finding: mutator on shared image
+		return err
+	}
 	return ctn.Add(f, []byte{1}) // finding: mutator on shared image
 }
 
@@ -56,6 +58,5 @@ func cloneFirst(s container.Store, id container.ID) (*container.Container, error
 		return nil, err
 	}
 	ctn = ctn.Clone()
-	ctn.SetID(100)
-	return ctn, nil
+	return ctn, ctn.SetCapacity(1 << 20)
 }

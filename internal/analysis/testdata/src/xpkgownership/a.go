@@ -21,8 +21,7 @@ func brandShared(s container.Store, id container.ID) error {
 	if err != nil {
 		return err
 	}
-	stamp.Brand(ctn) // finding: the callee mutates its parameter
-	return nil
+	return stamp.Brand(ctn) // finding: the callee mutates its parameter
 }
 
 // fillShared: same hole through a second mutator and extra arguments.
@@ -41,8 +40,7 @@ func fetchThenMutate(s container.Store, id container.ID) error {
 	if err != nil {
 		return err
 	}
-	ctn.SetID(5) // finding: shared via the helper's summary
-	return nil
+	return ctn.SetCapacity(1 << 20) // finding: shared via the helper's summary
 }
 
 // escapeShapes parks a shared snapshot where a far-side mutation is
@@ -61,6 +59,5 @@ func cloneForBrand(s container.Store, id container.ID) error {
 		return err
 	}
 	c := ctn.Clone()
-	stamp.Brand(c)
-	return nil
+	return stamp.Brand(c)
 }

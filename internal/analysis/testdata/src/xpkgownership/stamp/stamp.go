@@ -10,8 +10,8 @@ import (
 
 // Brand mutates its parameter; a caller passing a shared Get result is
 // the finding, on the caller's side.
-func Brand(c *container.Container) {
-	c.SetID(77)
+func Brand(c *container.Container) error {
+	return c.SetCapacity(1 << 20)
 }
 
 // Fill also mutates, through a different mutator.

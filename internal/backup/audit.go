@@ -37,7 +37,6 @@ func AuditContainers(store container.Store, repair bool, report *RepairReport) *
 		report.Problemf("store: cannot enumerate containers: %v", err)
 	}
 	for _, cid := range a.IDs {
-		//hidelint:ignore accounting fsck integrity walk, not a restore; its reads must not skew speed-factor stats
 		ctn, err := store.Get(cid)
 		if err != nil {
 			report.Problemf("container %d: %v", cid, err)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"time"
 
+	"hidestore/internal/container"
+	"hidestore/internal/layout"
 	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
@@ -15,8 +17,20 @@ import (
 // to bytes in the caller's writer, with the span, metrics and report
 // written once. An engine fixes it at construction and supplies only how
 // its recipes resolve to container locations.
+//
+// The driver builds the only fetcher that reads Store for a version
+// (source), and a restore stacks the policy's counting layer on it, so no
+// engine has a way to read a container the restore's
+// Stats.ContainerReads does not see. TestStoreReadsEqualCountedReads pins
+// the store-level identity, and the one known gap: read-ahead under a
+// chunk-caching policy (DESIGN.md, "Restore driver").
 type RestoreDriver struct {
 	Recipes recipe.Store
+	// Store holds the containers the resolved recipes name.
+	Store container.Store
+	// ContainerCapacity is the engine's container size, the unit of
+	// AnalyzeLayout's optimal container count.
+	ContainerCapacity int
 	// Cache decides which containers are read and kept — the single
 	// decision-maker at any worker count.
 	Cache restorecache.Cache
@@ -48,14 +62,87 @@ type Resolution struct {
 	Patched *recipe.Recipe
 }
 
-// Restore reassembles version into w, reading containers through fetch —
-// the plain store for a restore, a verifying wrapper for a scrub-on-read.
-// resolve turns the recipe as stored (the hook may modify it; it is the
-// driver's own copy) into the reference stream; the time of a resolution
-// that had to look chunks up is reported separately, as
-// RecipeUpdateDuration and a recipe.flatten trace record. A nil resolve
-// means the recipe already is that stream.
-func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher,
+// AnalyzeLayout reports version's physical-locality profile from the
+// reference stream Restore would replay (see layout.Analyze; live is its
+// utilization override). It emits no trace record, updates no metric and
+// writes nothing back, whatever the hook returns in Patched.
+func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string, live map[container.ID]int,
+	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (*layout.Report, error) {
+	quiet := *d
+	quiet.Metrics, quiet.Tracer = nil, nil
+	res, _, err := quiet.resolve(ctx, version, nil, resolve)
+	if err != nil {
+		return nil, err
+	}
+	return layout.Analyze(ctx, version, res.Entries, d.source(false), d.ContainerCapacity, policies, live)
+}
+
+// source is the one fetcher that reads Store for a version, re-hashing
+// what it returns when verify is set. Restore stacks read-ahead, the
+// observed layer and the policy's counting layer on it; AnalyzeLayout
+// loads each image it names through it once.
+func (d *RestoreDriver) source(verify bool) restorecache.Fetcher {
+	fetch := restorecache.StoreFetcher(d.Store)
+	if verify {
+		return restorecache.NewVerifyingFetcher(fetch)
+	}
+	return fetch
+}
+
+// resolve is the front half of every read path: version's recipe as
+// stored, then the engine's hook (nil: the recipe is the stream). It
+// records the recipe read and a resolution that had to look chunks up
+// under span, and returns that resolution's duration (zero when none was
+// needed).
+func (d *RestoreDriver) resolve(ctx context.Context, version int, span *obs.Span,
+	hook func(context.Context, *recipe.Recipe) (Resolution, error)) (Resolution, time.Duration, error) {
+	start := time.Now()
+	rec, err := d.Recipes.Get(version)
+	if err != nil {
+		return Resolution{}, 0, err
+	}
+	if d.Metrics != nil {
+		d.Metrics.RecipeReadNS.Observe(uint64(time.Since(start)))
+	}
+	if d.Tracer != nil {
+		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), map[string]int64{"version": int64(version)})
+	}
+	if hook == nil {
+		return Resolution{Entries: rec.Entries}, 0, nil
+	}
+	resolveStart := time.Now()
+	res, err := hook(ctx, rec)
+	if err != nil || res.Wanted == 0 {
+		return res, 0, err
+	}
+	dur := time.Since(resolveStart)
+	written := 0
+	if res.Patched != nil {
+		written = 1
+	}
+	if d.Metrics != nil {
+		d.Metrics.FlattenNS.Observe(uint64(dur))
+	}
+	if d.Tracer != nil {
+		d.Tracer.EmitStage("recipe.flatten", span, resolveStart, dur, map[string]int64{
+			"version":         int64(version),
+			"wanted":          int64(res.Wanted),
+			"recipes_read":    int64(res.RecipesRead),
+			"recipes_written": int64(written),
+		})
+	}
+	return res, dur, nil
+}
+
+// Restore reassembles version into w. With verify set it is a
+// scrub-on-read: every chunk of every container read is re-hashed against
+// its fingerprint, and a mismatch fails the restore. resolve turns the
+// recipe as stored (the hook may modify it; it is the driver's own copy)
+// into the reference stream; the time of a resolution that had to look
+// chunks up is reported separately, as RecipeUpdateDuration and a
+// recipe.flatten trace record. A nil resolve means the recipe already is
+// that stream.
+func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, verify bool,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (rep RestoreReport, retErr error) {
 	start := time.Now()
 	span := d.Tracer.Start("restore", nil)
@@ -68,41 +155,9 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 		}
 		span.End()
 	}()
-	rec, err := d.Recipes.Get(version)
+	res, resolveDur, err := d.resolve(ctx, version, span, resolve)
 	if err != nil {
 		return RestoreReport{}, err
-	}
-	if d.Metrics != nil {
-		d.Metrics.RecipeReadNS.Observe(uint64(time.Since(start)))
-	}
-	if d.Tracer != nil {
-		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), map[string]int64{"version": int64(version)})
-	}
-	res := Resolution{Entries: rec.Entries}
-	var resolveDur time.Duration
-	if resolve != nil {
-		resolveStart := time.Now()
-		if res, err = resolve(ctx, rec); err != nil {
-			return RestoreReport{}, err
-		}
-		if res.Wanted > 0 {
-			resolveDur = time.Since(resolveStart)
-			written := 0
-			if res.Patched != nil {
-				written = 1
-			}
-			if d.Metrics != nil {
-				d.Metrics.FlattenNS.Observe(uint64(resolveDur))
-			}
-			if d.Tracer != nil {
-				d.Tracer.EmitStage("recipe.flatten", span, resolveStart, resolveDur, map[string]int64{
-					"version":         int64(version),
-					"wanted":          int64(res.Wanted),
-					"recipes_read":    int64(res.RecipesRead),
-					"recipes_written": int64(written),
-				})
-			}
-		}
 	}
 	recipesRead := uint64(1 + res.RecipesRead)
 	if d.Metrics != nil {
@@ -128,7 +183,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, f
 	// policy's output is routed through the parallel out-of-order
 	// assembler; neither changes which containers the policy requests, so
 	// the identity holds at any depth and worker count.
-	fetch, done := restorecache.MaybePrefetch(fetch, res.Entries, d.PrefetchDepth, d.Metrics)
+	fetch, done := restorecache.MaybePrefetch(d.source(verify), res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
 	out := w

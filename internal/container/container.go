@@ -78,9 +78,6 @@ func NewWithCapacity(id ID, capacity int) *Container {
 // ID returns the container's identifier.
 func (c *Container) ID() ID { return c.id }
 
-// SetID reassigns the identifier (used when compaction renumbers).
-func (c *Container) SetID(id ID) { c.id = id }
-
 // Capacity returns the data capacity in bytes.
 func (c *Container) Capacity() int { return c.capacity }
 

@@ -42,7 +42,6 @@ func RunStoreSuite(t *testing.T, open func(t *testing.T) container.Store) {
 		if err := s.Put(orig); err != nil {
 			t.Fatal(err)
 		}
-		//hidelint:ignore accounting the suite verifies the Store.Get contract itself; no restore is being measured
 		got, err := s.Get(3)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +58,6 @@ func RunStoreSuite(t *testing.T, open func(t *testing.T) container.Store) {
 		}
 	})
 	t.Run("GetMissing", func(t *testing.T) {
-		//hidelint:ignore accounting the suite verifies the Store.Get contract itself; no restore is being measured
 		if _, err := open(t).Get(99); !errors.Is(err, container.ErrNotFound) {
 			t.Fatalf("got %v, want ErrNotFound", err)
 		}
@@ -112,7 +110,6 @@ func RunStoreSuite(t *testing.T, open func(t *testing.T) container.Store) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			//hidelint:ignore accounting the StatsCounting subtest exists to count these raw Gets; not a restore
 			if _, err := s.Get(1); err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,7 @@ import (
 	"hidestore/internal/container"
 	"hidestore/internal/durable"
 	"hidestore/internal/fp"
+	"hidestore/internal/layout"
 	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
@@ -230,12 +231,14 @@ func New(cfg Config) (*Engine, error) {
 		Tracer:      cfg.Tracer,
 	})
 	e.restore = backup.RestoreDriver{
-		Recipes:       cfg.Recipes,
-		Cache:         cfg.RestoreCache,
-		PrefetchDepth: cfg.PrefetchDepth,
-		Workers:       cfg.RestoreWorkers,
-		Metrics:       obs.NewRestoreMetrics(cfg.Metrics),
-		Tracer:        cfg.Tracer,
+		Recipes:           cfg.Recipes,
+		Store:             cfg.Store,
+		ContainerCapacity: cfg.ContainerCapacity,
+		Cache:             cfg.RestoreCache,
+		PrefetchDepth:     cfg.PrefetchDepth,
+		Workers:           cfg.RestoreWorkers,
+		Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
+		Tracer:            cfg.Tracer,
 	}
 	if e.cfg.StatePath != "" {
 		// A crash during a state write can leave a half-written temp file
@@ -670,16 +673,22 @@ func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) er
 // followed into newer recipes to its archival home (resolve, recipes.go;
 // timed separately as RecipeUpdateDuration).
 func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
-	return e.restoreWith(ctx, version, w, restorecache.StoreFetcher(e.cfg.Store))
+	return e.restoreWith(ctx, version, w, false)
 }
 
-// restoreWith is Restore with an explicit chunk source, letting
-// VerifyRestore interpose integrity checking. The shared driver does the
-// rest; the engine's part is resolving the recipe, and remembering that a
-// recipe whose pointers it followed is flat once the driver has stored it.
-func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetch restorecache.Fetcher) (backup.RestoreReport, error) {
+// VerifyRestore restores a version into w while recomputing every fetched
+// chunk's fingerprint (a scrub-on-read). It costs one hash per stored
+// chunk of every container touched, on top of the normal restore.
+func (e *Engine) VerifyRestore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
+	return e.restoreWith(ctx, version, w, true)
+}
+
+// restoreWith runs the shared driver's restore, verifying or not. The
+// engine's part is resolving the recipe, and remembering that a recipe
+// whose pointers it followed is flat once the driver has stored it.
+func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, verify bool) (backup.RestoreReport, error) {
 	followed := false
-	rep, err := e.restore.Restore(ctx, version, w, fetch, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
+	rep, err := e.restore.Restore(ctx, version, w, verify, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
 		res, err := e.resolve(ctx, rec, false)
 		followed = res.Wanted > 0
 		return res, err
@@ -690,11 +699,22 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetc
 	return rep, err
 }
 
-// VerifyRestore restores a version into w while recomputing every fetched
-// chunk's fingerprint (a scrub-on-read). It costs one hash per stored
-// chunk of every container touched, on top of the normal restore.
-func (e *Engine) VerifyRestore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
-	return e.restoreWith(ctx, version, w, restorecache.NewVerifyingFetcher(restorecache.StoreFetcher(e.cfg.Store)))
+// AnalyzeLayout implements backup.LayoutAnalyzer: version's
+// physical-locality profile (CFL, utilization, per-policy simulated
+// restore cost) from the reference stream Restore would replay, so its
+// container-read counts match a real restore's exactly. Nothing is
+// restored or changed: the pointers it follows are neither written back
+// nor marked flat. The stored images are the source, stale chunks of
+// write-once active images included (a policy may cache them); only
+// utilization asks the engine how much of an active image is still live.
+func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
+	live := make(map[container.ID]int, len(e.activeContainers))
+	for id, c := range e.activeContainers {
+		live[id] = c.LiveSize()
+	}
+	return e.restore.AnalyzeLayout(ctx, version, policies, live, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
+		return e.resolve(ctx, rec, false)
+	})
 }
 
 // Delete implements backup.Engine (§4.5). Expired versions must be

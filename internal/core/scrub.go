@@ -120,7 +120,6 @@ const scrubGone = "\x00gone"
 // problem description ("" when healthy, scrubGone when the container
 // no longer exists).
 func (e *Engine) scrubVerify(cid container.ID) (chunks int, bytes uint64, problem string) {
-	//hidelint:ignore accounting scrub integrity walk, not a restore; its reads must not skew speed-factor stats
 	ctn, err := e.cfg.Store.Get(cid)
 	if err != nil {
 		if errors.Is(err, container.ErrNotFound) {

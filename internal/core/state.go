@@ -209,7 +209,6 @@ func (e *Engine) unmarshalState(buf []byte) error {
 		if err != nil {
 			return err
 		}
-		//hidelint:ignore accounting startup state reload, not a restore; these reads precede any restore run
 		ctn, err := e.cfg.Store.Get(container.ID(id))
 		if err != nil {
 			return fmt.Errorf("core: reload active container %d: %w", id, err)

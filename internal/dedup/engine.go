@@ -22,6 +22,7 @@ import (
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
 	"hidestore/internal/index"
+	"hidestore/internal/layout"
 	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
@@ -126,7 +127,10 @@ type Engine struct {
 	restore backup.RestoreDriver
 }
 
-var _ backup.Engine = (*Engine)(nil)
+var (
+	_ backup.Engine         = (*Engine)(nil)
+	_ backup.LayoutAnalyzer = (*Engine)(nil)
+)
 
 // New creates an engine from cfg.
 func New(cfg Config) (*Engine, error) {
@@ -145,12 +149,14 @@ func New(cfg Config) (*Engine, error) {
 			Tracer:      cfg.Tracer,
 		}),
 		restore: backup.RestoreDriver{
-			Recipes:       cfg.Recipes,
-			Cache:         cfg.RestoreCache,
-			PrefetchDepth: cfg.PrefetchDepth,
-			Workers:       cfg.RestoreWorkers,
-			Metrics:       obs.NewRestoreMetrics(cfg.Metrics),
-			Tracer:        cfg.Tracer,
+			Recipes:           cfg.Recipes,
+			Store:             cfg.Store,
+			ContainerCapacity: cfg.ContainerCapacity,
+			Cache:             cfg.RestoreCache,
+			PrefetchDepth:     cfg.PrefetchDepth,
+			Workers:           cfg.RestoreWorkers,
+			Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
+			Tracer:            cfg.Tracer,
 		},
 	}, nil
 }
@@ -314,7 +320,14 @@ func (s *backupSession) store(f fp.FP, data []byte) (container.ID, error) {
 // Restore implements backup.Engine. Baseline recipes already carry
 // positive container IDs, so the shared driver replays them as stored.
 func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.RestoreReport, error) {
-	return e.restore.Restore(ctx, version, w, restorecache.StoreFetcher(e.cfg.Store), nil)
+	return e.restore.Restore(ctx, version, w, false, nil)
+}
+
+// AnalyzeLayout implements backup.LayoutAnalyzer on the stream Restore
+// replays — the recipe as stored — so the simulated container-read counts
+// match a real restore's exactly.
+func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
+	return e.restore.AnalyzeLayout(ctx, version, policies, nil, nil)
 }
 
 // Delete implements backup.Engine: the traditional mark-and-sweep path
@@ -366,7 +379,6 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 		return report, err
 	}
 	for _, cid := range stored {
-		//hidelint:ignore accounting garbage-collection sweep, not a restore; reads here are deletion cost, not restore cost
 		ctn, err := e.cfg.Store.Get(cid)
 		if err != nil {
 			return report, err

@@ -48,7 +48,8 @@ type assembler interface {
 	// chunk schedules chunk e to be copied out of src.
 	chunk(src *container.Container, e recipe.Entry) error
 	// cached schedules an already-materialized payload (a chunk cache
-	// hit). data must stay immutable until finish returns.
+	// hit), held to the recipe's size as chunk is. data must stay
+	// immutable until finish returns.
 	cached(data []byte, e recipe.Entry) error
 	// finish flushes (err == nil) or discards pending work, stops any
 	// workers, and returns the restore's error.
@@ -79,15 +80,23 @@ type spanBuilder struct {
 // size is the span's length so far, pending run included.
 func (b *spanBuilder) size() int { return len(b.buf) + int(b.end-b.off) }
 
-// chunk adds chunk e of src, enforcing the recipe's size so a corrupt
-// payload cannot silently shift every later byte.
+// checkSize enforces the recipe's size on a chunk of size bytes, so a
+// corrupt payload cannot silently shift every later byte.
+func checkSize(e recipe.Entry, size uint32) error {
+	if size != e.Size {
+		return fmt.Errorf("restore: chunk %s size %d, recipe says %d", e.FP.Short(), size, e.Size)
+	}
+	return nil
+}
+
+// chunk adds chunk e of src, held to the recipe's size.
 func (b *spanBuilder) chunk(src *container.Container, e recipe.Entry) error {
 	ce, ok := src.Entry(e.FP)
 	if !ok {
 		return fmt.Errorf("restore: container %d: %w: %s", src.ID(), container.ErrNotFound, e.FP.Short())
 	}
-	if ce.Size != e.Size {
-		return fmt.Errorf("restore: chunk %s size %d, recipe says %d", e.FP.Short(), ce.Size, e.Size)
+	if err := checkSize(e, ce.Size); err != nil {
+		return err
 	}
 	if src != b.src || ce.Offset != b.end {
 		b.settle()
@@ -136,7 +145,10 @@ func (s *serialAssembler) chunk(src *container.Container, e recipe.Entry) error 
 	return s.span.chunk(src, e)
 }
 
-func (s *serialAssembler) cached(data []byte, _ recipe.Entry) error {
+func (s *serialAssembler) cached(data []byte, e recipe.Entry) error {
+	if err := checkSize(e, uint32(len(data))); err != nil {
+		return err
+	}
 	if err := s.reserve(len(data)); err != nil {
 		return err
 	}
@@ -288,6 +300,9 @@ func (a *parallelAssembler) chunk(src *container.Container, e recipe.Entry) erro
 }
 
 func (a *parallelAssembler) cached(data []byte, e recipe.Entry) error {
+	if err := checkSize(e, uint32(len(data))); err != nil {
+		return err
+	}
 	return a.add(assemblyOp{data: data, e: e}, len(data))
 }
 

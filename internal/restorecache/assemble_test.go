@@ -55,15 +55,13 @@ func TestRunsBreakWherePhysicalOrderDoes(t *testing.T) {
 }
 
 // TestRecipeSizeMismatchFails: a recipe whose Size disagrees with the
-// container's entry fails the restore; it never emits shifted bytes. (The
-// chunk-caching policies serve this entry from their cache, whose payload
-// carries its own length.)
+// container's entry fails the restore; it never emits shifted bytes.
 func TestRecipeSizeMismatchFails(t *testing.T) {
 	store, entries, _ := fixture(t, 2, 8, 300)
 	for _, delta := range []int{-1, 1} {
 		bad := append([]recipe.Entry(nil), entries...)
 		bad[5].Size = uint32(300 + delta)
-		for _, c := range []Cache{NewFAA(0), NewContainerLRU(0), NewOPT(0)} {
+		for _, c := range allCaches() {
 			_, _, serr, perr := restoreBoth(t, c, bad, StoreFetcher(store))
 			for mode, err := range map[string]error{"serial": serr, "parallel": perr} {
 				if err == nil || !strings.Contains(err.Error(), "size 300, recipe says") {

@@ -35,11 +35,15 @@ const DefaultPrefetchDepth = 8
 // serially. Counting happens above this layer (countingFetcher), so
 // ContainerReads is identical with prefetch on or off.
 //
-// The first-appearance argument assumes each fingerprint lives in one
-// container of the sequence (true for the HiDeStore engine's resolved
-// recipes). If rewriting duplicates a fingerprint across containers, a
-// chunk cache may skip a planned container; the restore stays
-// byte-correct but the underlying store then sees the skipped read.
+// The first-appearance argument assumes the policy requests every
+// planned container. A chunk-caching policy may not: when a fingerprint
+// has copies in several containers — a rewritten duplicate, or a
+// migrated chunk's stale copy left in a HiDeStore write-once active
+// image — the cache can serve a later entry from a copy it already holds
+// and skip the container the plan names. The restore stays byte-correct
+// and ContainerReads counts only what the policy requested, but with
+// read-ahead the skipped container's read has already reached the store,
+// so the store sees more reads than the restore counts.
 //
 // Get must be called from a single goroutine (the cache policy); Close
 // releases the worker pool and is safe to call even if Get never ran.
