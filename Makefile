@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench vet lint crash remote-smoke restore-bench observatory-smoke bench-smoke loc check
+.PHONY: build test race bench microbench vet lint crash restore-bench observatory-smoke bench-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -13,15 +13,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the committed benchmark snapshots with the pinned flags
-# they were captured with. Compare a fresh run (-json <dir>) with the
-# committed snapshot, or any two snapshots, with
-#   $(GO) run ./cmd/benchdiff BENCH_backup.json <dir>/BENCH_backup.json
-# (report-only by default; CI adds -deterministic-only -fail-above to
-# gate on allocs/chunk and write amplification).
+# Regenerate the three committed benchmark snapshots with the flags they
+# are captured with, into BENCH_OUT. Every value in them is exact, so a
+# fresh run matches the committed file unless code changed; compare with
+#   $(GO) run ./cmd/benchdiff -fail-above 15 BENCH_restore.json <dir>/BENCH_restore.json
+# which is how CI gates them (make bench BENCH_OUT=artifacts).
+BENCH_OUT ?= .
 bench:
-	$(GO) run ./cmd/bench -exp backup -workloads kernel,gcc -scale 8 -versions 8 -json .
-	$(GO) run ./cmd/bench -exp chunkers -scale 8 -json .
+	$(GO) run ./cmd/bench -exp backup -workloads kernel,gcc -scale 8 -versions 8 -json $(BENCH_OUT)
+	$(GO) run ./cmd/bench -exp chunkers -scale 8 -json $(BENCH_OUT)
+	$(GO) run ./cmd/bench -exp restore -workloads kernel -scale 4 -versions 8 -json $(BENCH_OUT)
 
 # Go micro-benchmarks: raw chunker scan loops, the pooled chunk path,
 # container/restore internals. Use -benchmem to see the allocation
@@ -52,28 +53,23 @@ lint:
 crash:
 	HIDESTORE_CRASH_FULL=1 $(GO) test -run 'TestCrashMatrix|TestRetryAfterFailure' -count=1 ./internal/core/ ./internal/dedup/
 
-# A short remote-backend end-to-end pass: the prefetch-depth × fetch
-# latency sweep at tiny scale behind the deterministic remote
-# simulator. sleep-scale=-1 skips the real sleeps, so the run is fast
-# and its modeled numbers are bit-for-bit reproducible (fixed seed).
-remote-smoke:
-	$(GO) run ./cmd/bench -exp remote -workloads kernel -scale 2 -versions 6 -sleep-scale=-1
-
-# The restore counterpart: the prefetch depth × fetch latency sweep at
-# tiny scale on HiDeStore, plus the exact restore counts (allocations
-# per chunk, recipe reads of a cold oldest restore). The sweep
-# hard-fails if any cell's container-read count deviates from the serial
-# baseline — the accounting identity, enforced on every make check.
+# The restore sweep at tiny scale: baseline and HiDeStore × prefetch
+# depth × fetch latency behind the deterministic remote simulator, plus
+# the exact restore counts (allocations per chunk, recipe reads of a cold
+# oldest restore). The sweep hard-fails if any cell's container-read
+# count deviates from its scheme's serial cell, or the layout analyzer's
+# from HiDeStore's — the accounting identity, enforced on every make
+# check.
 restore-bench:
-	$(GO) run ./cmd/bench -exp restore -workloads kernel -scale 2 -versions 6 -sleep-scale=-1
+	$(GO) run ./cmd/bench -exp restore -workloads kernel -scale 2 -versions 6
 
 # The locality-observatory smoke: an instrumented three-backup chain and
 # a restore of its oldest version in a scratch dir, then every offline
 # analysis tool over its outputs — tracereport must reconstruct a balanced
-# span tree from the JSONL trace, `hidestore trace` must summarize it,
-# checkmetrics must accept the exposition dump, and analyze must produce a
-# layout report for the store. v2 appends to v1 and v3 drops v1's second
-# half, so chunks v1's recipe points forward to go cold: the restore has
+# span tree from the JSONL trace, checkmetrics must accept the exposition
+# dump, and analyze must produce a layout report for the store. v2
+# appends to v1 and v3 drops v1's second half, so chunks v1's recipe
+# points forward to go cold: the restore has
 # forward pointers to follow, and its recipe.flatten record — the
 # "resolve:" line — must reach the report. This is the one copy of the
 # script: CI runs it through `make check OBS_ARTIFACTS=artifacts`, which
@@ -93,7 +89,6 @@ observatory-smoke:
 	.obs-smoke/hs -dir .obs-smoke/store -trace $(OBS_ARTIFACTS)/trace.jsonl \
 		-metrics-out $(OBS_ARTIFACTS)/metrics.prom -o .obs-smoke/restored.bin restore 1
 	cmp .obs-smoke/v1.bin .obs-smoke/restored.bin
-	.obs-smoke/hs trace $(OBS_ARTIFACTS)/trace.jsonl
 	$(GO) run ./cmd/tracereport $(OBS_ARTIFACTS)/trace.jsonl > $(OBS_ARTIFACTS)/tracereport.txt
 	cat $(OBS_ARTIFACTS)/tracereport.txt
 	grep -q 'resolve: 1 recipes' $(OBS_ARTIFACTS)/tracereport.txt
@@ -119,4 +114,4 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-check: build test race vet lint crash remote-smoke restore-bench observatory-smoke bench-smoke
+check: build test race vet lint crash restore-bench observatory-smoke bench-smoke

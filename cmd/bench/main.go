@@ -7,19 +7,19 @@
 //	bench -exp fig8 -scale 16 -versions 30
 //
 // Experiments: table1, fig3, fig8, fig9, fig10, fig11, fig12, deletion,
-// throughput, backup, chunkers, ablations, remote, restore, all. Output
-// is aligned text: the same rows/series the paper plots, plus the
-// write-hot-path trajectory experiments (backup, chunkers) used by make
-// bench, the remote-backend prefetch-depth × fetch-latency sweep
-// (remote) behind the simulated high-latency store, and HiDeStore's
-// restore read-ahead depth × latency sweep with its exact restore
-// counts (restore).
+// backup, chunkers, ablations, restore, all. Output is aligned text: the
+// same rows/series the paper plots, plus the exact counts behind the
+// committed snapshots (make bench): the write hot path's allocations and
+// write amplification (backup), each chunker's cut (chunkers), and the
+// scheme × prefetch depth × fetch latency restore sweep over the
+// simulated remote store with its exact restore counts (restore).
 //
 // With -json DIR, every experiment additionally writes a
-// machine-readable BENCH_<exp>.json summary to DIR: wall time,
-// throughput, restore container reads and cache hits, per-stage
-// latency quantiles, and the full metrics-registry snapshot of the
-// run. Experiments that never touch a storage engine (the
+// machine-readable BENCH_<exp>.json summary to DIR: the run's logical
+// and restored bytes, restore container reads and cache hits, and the
+// experiment's own exact metrics under "extra". Nothing in it is a wall
+// time — benchmark/ measures time — so a committed value moves only
+// when code does. Experiments that never touch a storage engine (the
 // metadata-only index studies) emit zeros for the engine counters.
 package main
 
@@ -48,15 +48,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment: table1|fig3|fig8|fig9|fig10|fig11|fig12|deletion|throughput|backup|chunkers|ablations|remote|restore|all")
-		sleepScale = fs.Float64("sleep-scale", 1, "remote experiment sleep scaling: 1 sleeps simulated latency for real, negative skips sleeps (modeled numbers only)")
-		workloads  = fs.String("workloads", "", "comma-separated workloads (default: all four presets)")
-		scale      = fs.Int("scale", 8, "approximate per-version size in MB")
-		versions   = fs.Int("versions", 20, "versions per workload (0 = preset's full count)")
-		ctnSize    = fs.Int("container", 1<<20, "container capacity in bytes")
-		deletes    = fs.Int("deletes", 0, "versions to expire in the deletion experiment (0 = half)")
-		format     = fs.String("format", "table", "output format: table|csv")
-		jsonDir    = fs.String("json", "", "directory for machine-readable BENCH_<exp>.json summaries (created if missing)")
+		exp       = fs.String("exp", "all", "experiment: table1|fig3|fig8|fig9|fig10|fig11|fig12|deletion|backup|chunkers|ablations|restore|all")
+		workloads = fs.String("workloads", "", "comma-separated workloads (default: all four presets)")
+		scale     = fs.Int("scale", 8, "approximate per-version size in MB")
+		versions  = fs.Int("versions", 20, "versions per workload (0 = preset's full count)")
+		ctnSize   = fs.Int("container", 1<<20, "container capacity in bytes")
+		deletes   = fs.Int("deletes", 0, "versions to expire in the deletion experiment (0 = half)")
+		format    = fs.String("format", "table", "output format: table|csv")
+		jsonDir   = fs.String("json", "", "directory for machine-readable BENCH_<exp>.json summaries (created if missing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -162,14 +161,6 @@ func run(args []string) error {
 				}
 				fmt.Println(res.Render())
 			}
-		case "throughput":
-			for _, name := range names {
-				res, err := experiments.Throughput(name, opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(res.Render())
-			}
 		case "backup":
 			for _, name := range names {
 				res, err := experiments.BackupPerf(name, opts)
@@ -190,20 +181,9 @@ func run(args []string) error {
 			for k, v := range res.Extras() {
 				extra[k] = v
 			}
-		case "remote":
-			for _, name := range names {
-				res, err := experiments.Remote(name, *sleepScale, opts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(res.Render())
-				for k, v := range res.Extras() {
-					extra[name+"_"+k] = v
-				}
-			}
 		case "restore":
 			for _, name := range names {
-				res, err := experiments.RestoreScale(name, *sleepScale, opts)
+				res, err := experiments.RestoreScale(name, opts)
 				if err != nil {
 					return err
 				}
@@ -237,7 +217,7 @@ func run(args []string) error {
 			return fmt.Errorf("unknown experiment %q", id)
 		}
 		if *jsonDir != "" {
-			path, err := writeBenchJSON(*jsonDir, id, names, time.Since(start), opts.Metrics, extra)
+			path, err := writeBenchJSON(*jsonDir, id, names, opts.Metrics, extra)
 			if err != nil {
 				return fmt.Errorf("%s: write JSON summary: %w", id, err)
 			}
@@ -247,7 +227,7 @@ func run(args []string) error {
 		return nil
 	}
 	if *exp == "all" {
-		for _, id := range []string{"table1", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "deletion", "throughput", "backup", "chunkers", "ablations", "remote", "restore"} {
+		for _, id := range []string{"table1", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "deletion", "backup", "chunkers", "ablations", "restore"} {
 			if err := run(id); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
@@ -275,37 +255,25 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// stageLatency is one pipeline stage's latency summary in BENCH_<exp>.json.
-type stageLatency struct {
-	Count uint64  `json:"count"`
-	P50NS float64 `json:"p50_ns"`
-	P99NS float64 `json:"p99_ns"`
-}
-
-// benchSummary is the machine-readable document written per experiment.
-// Engine counters accumulate over every scheme and workload the
-// experiment ran; throughput normalizes bytes by the experiment's wall
-// clock, so it is a lower bound on any single engine's rate.
+// benchSummary is the machine-readable document written per experiment:
+// exact counts only. The engine counters accumulate over every scheme and
+// workload the experiment ran.
 type benchSummary struct {
-	Experiment      string                  `json:"experiment"`
-	Workloads       []string                `json:"workloads"`
-	WallSeconds     float64                 `json:"wall_seconds"`
-	LogicalBytes    int64                   `json:"logical_bytes"`
-	RestoredBytes   int64                   `json:"restored_bytes"`
-	BackupMBPerSec  float64                 `json:"backup_mb_per_sec"`
-	RestoreMBPerSec float64                 `json:"restore_mb_per_sec"`
-	ContainerReads  int64                   `json:"container_reads"`
-	CacheHits       int64                   `json:"cache_hits"`
-	Stages          map[string]stageLatency `json:"stages"`
-	// Extra carries experiment-specific scalar metrics (per-scheme MB/s,
-	// allocs per chunk, ...) that cmd/benchdiff can diff by key.
-	Extra    map[string]float64 `json:"extra,omitempty"`
-	Registry obs.SnapshotJSON   `json:"registry"`
+	Experiment     string   `json:"experiment"`
+	Workloads      []string `json:"workloads"`
+	LogicalBytes   int64    `json:"logical_bytes"`
+	RestoredBytes  int64    `json:"restored_bytes"`
+	ContainerReads int64    `json:"container_reads"`
+	CacheHits      int64    `json:"cache_hits"`
+	// Extra carries experiment-specific exact metrics (allocs per chunk,
+	// write amplification, read counts, modeled times, ...) that
+	// cmd/benchdiff diffs by key.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// writeBenchJSON renders the experiment's registry into
+// writeBenchJSON writes the experiment's counters and extra metrics to
 // DIR/BENCH_<exp>.json and returns the written path.
-func writeBenchJSON(dir, exp string, workloads []string, wall time.Duration, reg *obs.Registry, extra map[string]float64) (string, error) {
+func writeBenchJSON(dir, exp string, workloads []string, reg *obs.Registry, extra map[string]float64) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -313,28 +281,14 @@ func writeBenchJSON(dir, exp string, workloads []string, wall time.Duration, reg
 	sum := benchSummary{
 		Experiment:     exp,
 		Workloads:      workloads,
-		WallSeconds:    wall.Seconds(),
 		LogicalBytes:   snap.Counters["hidestore_backup_logical_bytes_total"].Value,
 		RestoredBytes:  snap.Counters["hidestore_restore_bytes_total"].Value,
 		ContainerReads: snap.Counters["hidestore_restore_container_reads_total"].Value,
 		CacheHits:      snap.Counters["hidestore_restore_cache_hits_total"].Value,
-		Stages:         map[string]stageLatency{},
-	}
-	if s := wall.Seconds(); s > 0 {
-		sum.BackupMBPerSec = float64(sum.LogicalBytes) / (1 << 20) / s
-		sum.RestoreMBPerSec = float64(sum.RestoredBytes) / (1 << 20) / s
-	}
-	for name, h := range snap.Histograms {
-		stage, ok := strings.CutPrefix(name, "hidestore_stage_")
-		if !ok {
-			continue
-		}
-		sum.Stages[stage] = stageLatency{Count: h.Count, P50NS: h.P50, P99NS: h.P99}
 	}
 	if len(extra) > 0 {
 		sum.Extra = extra
 	}
-	sum.Registry = snap
 	path := filepath.Join(dir, "BENCH_"+exp+".json")
 	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {

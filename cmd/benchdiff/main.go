@@ -1,32 +1,18 @@
 // Command benchdiff compares two BENCH_<exp>.json snapshots written by
-// cmd/bench and prints a per-metric old/new/delta table. By default it
-// is report-only: deltas inform review, they do not gate — benchmark
-// noise on shared CI runners would make a tight threshold flaky.
-// Usage:
+// cmd/bench and prints a per-metric old/new/delta table. Usage:
 //
-//	go run ./cmd/benchdiff BENCH_backup.json fresh/BENCH_backup.json
+//	go run ./cmd/benchdiff [-fail-above PCT] BENCH_restore.json fresh/BENCH_restore.json
 //
-// -fail-above PCT turns the report into a regression gate: a metric
-// whose direction is known (throughput and locality ratios are
-// higher-better; latencies, wall time and read counts are
-// lower-better) that moves more than PCT percent the wrong way prints
-// a REGRESSION line and fails the run. Metrics with no inherent
-// direction (counts, sizes, configuration echoes) are never gated, and
-// a missing baseline still passes — there is nothing to regress from.
-// Pick a threshold well above runner noise (the CI wiring uses
-// deliberately loose ones).
-//
-// -deterministic-only narrows the gate to metrics that are pure
-// functions of code and input — allocs/chunk, write amplification and
-// recipe reads — so wall-time metrics (MB/s, latencies) remain
-// report-only however noisy the runner. This is how CI gates the backup
-// hot path: an allocation regression fails the build, a slow runner
-// does not. A deterministic key the new snapshot no longer carries
-// fails the gate as well, so a gated count cannot vanish silently.
-//
-// By default the stage-latency subtree is summarized along with the
-// top-level throughput numbers and the experiment's extra metrics;
-// -all includes every numeric leaf.
+// Every value in a snapshot is exact — counts, modeled time, write
+// amplification, allocations per chunk; wall time is benchmark/'s — so
+// by default the report is informational and -fail-above PCT turns it
+// into a gate: a metric whose direction is known that moves more than
+// PCT percent the wrong way prints a REGRESSION line and fails the run,
+// and so does a direction-known metric the new snapshot no longer
+// carries, so a gated count cannot vanish silently. Metrics with no
+// inherent direction (byte totals, cache hits, mean chunk sizes) are
+// never gated, and a missing baseline still passes — there is nothing to
+// regress from.
 package main
 
 import (
@@ -34,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -42,22 +29,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	all := fs.Bool("all", false, "include every numeric leaf (histogram percentiles, counts)")
-	failAbove := fs.Float64("fail-above", 0, "exit nonzero when a direction-classified metric regresses by more than PCT percent (0 = report only)")
-	detOnly := fs.Bool("deterministic-only", false, "with -fail-above, gate only deterministic metrics (allocs/chunk, write amplification, recipe reads); wall-time metrics stay report-only, so runner noise cannot fail the build")
+	failAbove := fs.Float64("fail-above", 0, "exit nonzero when a direction-classified metric regresses by more than PCT percent or goes missing (0 = report only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: benchdiff [-all] [-fail-above PCT] [-deterministic-only] OLD.json NEW.json")
+		return fmt.Errorf("usage: benchdiff [-fail-above PCT] OLD.json NEW.json")
 	}
 	if *failAbove < 0 {
 		return fmt.Errorf("-fail-above %v: threshold must be positive", *failAbove)
@@ -85,16 +70,13 @@ func run(args []string) error {
 	for k := range newM {
 		keys[k] = true
 	}
-	var sorted []string
+	sorted := make([]string, 0, len(keys))
 	for k := range keys {
-		if !*all && strings.HasPrefix(k, "stages.") && !strings.HasSuffix(k, ".p50_ns") {
-			continue
-		}
 		sorted = append(sorted, k)
 	}
 	sort.Strings(sorted)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	var werr error
 	row := func(format string, args ...any) {
 		if werr == nil {
@@ -111,20 +93,18 @@ func run(args []string) error {
 			row("%s\t-\t%s\tnew\t\n", k, num(nv))
 		case !haveNew:
 			row("%s\t%s\t-\tgone\t\n", k, num(ov))
-			// An exact count that stops being emitted would otherwise
+			// A gated metric that stops being emitted would otherwise
 			// retire its own gate without a word.
-			if *failAbove > 0 && deterministic(k) {
+			if *failAbove > 0 && direction(k) != 0 {
 				regressions = append(regressions, fmt.Sprintf(
-					"REGRESSION: %s: %s -> gone (a gated exact count is missing from the new run)", k, num(ov)))
+					"REGRESSION: %s: %s -> gone (a gated metric is missing from the new run)", k, num(ov)))
 			}
 		default:
 			row("%s\t%s\t%s\t%s\t\n", k, num(ov), num(nv), delta(ov, nv))
-			if *failAbove > 0 && (!*detOnly || deterministic(k)) {
-				if worse, pct := regressed(k, ov, nv); worse && pct > *failAbove {
-					regressions = append(regressions, fmt.Sprintf(
-						"REGRESSION: %s: %s -> %s (%.1f%% worse, threshold %.1f%%)",
-						k, num(ov), num(nv), pct, *failAbove))
-				}
+			if worse, pct := regressed(k, ov, nv); *failAbove > 0 && worse && pct > *failAbove {
+				regressions = append(regressions, fmt.Sprintf(
+					"REGRESSION: %s: %s -> %s (%.1f%% worse, threshold %.1f%%)",
+					k, num(ov), num(nv), pct, *failAbove))
 			}
 		}
 	}
@@ -135,55 +115,47 @@ func run(args []string) error {
 		return err
 	}
 	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, r)
+		if _, err := fmt.Fprintln(out, strings.Join(regressions, "\n")); err != nil {
+			return err
 		}
 		return fmt.Errorf("%d metric(s) regressed beyond %.1f%% or went missing", len(regressions), *failAbove)
 	}
 	return nil
 }
 
-// direction classifies a flattened metric key: +1 when larger values
-// are better (throughput, locality ratios), -1 when smaller values are
-// better (latencies, wall time, read counts), 0 when the metric has no
-// inherent direction (counts, sizes, configuration echoes) and must
-// not be gated. Classification is by suffix so the same rule covers a
-// metric wherever it nests (extra.kernel_cfl, stages.*.p50_ns).
-func direction(key string) int {
-	switch {
-	case strings.HasSuffix(key, "mb_per_sec"),
-		strings.HasSuffix(key, "speedup"),
-		strings.HasSuffix(key, "speed_factor"),
-		strings.HasSuffix(key, "dedup_ratio"),
-		strings.HasSuffix(key, "utilization"),
-		strings.HasSuffix(key, "cfl"):
-		return 1
-	case strings.HasSuffix(key, "_ns"),
-		strings.HasSuffix(key, "_ms"),
-		strings.HasSuffix(key, "wall_seconds"),
-		strings.HasSuffix(key, "reads"),
-		strings.HasSuffix(key, "containers_per_mb"),
-		strings.Contains(key, "allocs_per_chunk"),
-		strings.Contains(key, "write_amplification"),
-		strings.Contains(key, "recipe_reads"):
-		return -1
-	}
-	return 0
+// directions names every metric benchdiff gates and which way is better:
+// +1 when larger values are better, -1 when smaller are. Keys not named
+// here — byte totals, cache hits, mean chunk sizes — have no inherent
+// direction and are never gated.
+var directions = []struct {
+	metric string
+	dir    int
+}{
+	{"speedup", 1},
+	{"advantage", 1},
+	{"cfl", 1},
+	{"utilization", 1},
+	{"reads", -1},
+	{"modeled_ms", -1},
+	{"containers_per_mb", -1},
+	{"allocs_per_chunk", -1},
+	{"write_amplification", -1},
 }
 
-// deterministic reports whether a key's value is a pure function of
-// the code and inputs, independent of runner speed and load. Only
-// these keys are safe to hard-gate in CI: allocs/chunk counts exactly
-// what the allocator did, write amplification exactly what the engine
-// put into containers and recipe reads exactly what following an old
-// version's forward pointers asked of the recipe store, while MB/s and
-// latency keys measure the machine as much as the code. Matched by
-// substring because the per-scheme variants append the scheme name
-// after the metric (…_allocs_per_chunk_hidestore). Under -fail-above a
-// deterministic key present in OLD but missing from NEW fails too.
-func deterministic(key string) bool {
-	return strings.Contains(key, "allocs_per_chunk") || strings.Contains(key, "write_amplification") ||
-		strings.Contains(key, "recipe_reads")
+// direction classifies a flattened metric key by the metric name it
+// carries, wherever the workload prefix and the scheme/cell suffix put
+// it: extra.kernel_reads_hidestore_depth8_us5000 is a read count,
+// extra.kernel_advantage_us5000 an advantage,
+// extra.restore_recipe_reads_oldest_kernel a read count. A name matches
+// only whole underscore-separated words of the key's last segment.
+func direction(key string) int {
+	leaf := "_" + key[strings.LastIndex(key, ".")+1:] + "_"
+	for _, d := range directions {
+		if strings.Contains(leaf, "_"+d.metric+"_") {
+			return d.dir
+		}
+	}
+	return 0
 }
 
 // regressed reports whether new moved the wrong way relative to old

@@ -10,12 +10,11 @@
 //	hidestore -dir /backups versions
 //	hidestore -dir /backups stats
 //	hidestore -dir /backups analyze [version]      # layout/fragmentation report (-json for machines)
-//	hidestore trace <trace.jsonl>                  # summarize a JSONL trace
 //	hidestore checkmetrics <metrics.prom>          # validate an exposition dump
 //
 // Observability: -trace FILE appends JSONL spans for the invocation (the
-// file accumulates across invocations; summarize with `hidestore trace`
-// or the richer `tracereport`), -debug-addr ADDR serves /metrics,
+// file accumulates across invocations; read it with `go run
+// ./cmd/tracereport FILE`), -debug-addr ADDR serves /metrics,
 // /metrics.json, /healthz, /debug/vars, /debug/pprof and /debug/layout
 // for the life of the command, and -metrics-out FILE dumps the
 // Prometheus exposition on exit. When either metrics consumer is active
@@ -104,7 +103,7 @@ func runCtx(ctx context.Context, args []string) error {
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: hidestore -dir DIR <fsck|scrub|verify|flatten|backup|backup-dir|restore|restore-dir|delete|versions|stats|analyze> [args]")
-		fmt.Fprintln(os.Stderr, "       hidestore trace <trace.jsonl> | hidestore checkmetrics <metrics.prom>")
+		fmt.Fprintln(os.Stderr, "       hidestore checkmetrics <metrics.prom>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -115,11 +114,8 @@ func runCtx(ctx context.Context, args []string) error {
 		fs.Usage()
 		return errors.New("missing command")
 	}
-	// Offline analysis commands work on files, not a store: no -dir.
-	switch rest[0] {
-	case "trace":
-		return runTraceSummary(rest[1:])
-	case "checkmetrics":
+	// The offline validator works on a file, not a store: no -dir.
+	if rest[0] == "checkmetrics" {
 		return runCheckMetrics(rest[1:])
 	}
 	if *dir == "" {
@@ -464,25 +460,6 @@ func runCtx(ctx context.Context, args []string) error {
 		fs.Usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-	return nil
-}
-
-// runTraceSummary aggregates a JSONL trace file into per-stage latency
-// and throughput tables.
-func runTraceSummary(args []string) error {
-	if len(args) != 1 {
-		return errors.New("trace needs exactly one JSONL file")
-	}
-	f, err := os.Open(args[0])
-	if err != nil {
-		return err
-	}
-	defer cleanup.Close(f) // read-only input
-	sum, err := obs.SummarizeTrace(f)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sum.Render())
 	return nil
 }
 

@@ -1,6 +1,6 @@
 // Command tracereport turns a JSONL span trace (written by hidestore
 // -trace) into per-operation reports: a waterfall of each operation's
-// stages, per-stage p50/p99 latency breakdowns, a container-fetch
+// stages, per-stage p50/p99 latency and MB/s breakdowns, a container-fetch
 // timeline, and — for parallel restores — reorder-window stall
 // attribution (time the in-order writer sat blocked vs. time spent
 // fetching).
@@ -215,6 +215,7 @@ type stageAgg struct {
 	durs     []time.Duration
 	minStart int64
 	maxEnd   int64
+	bytes    int64 // summed "bytes" attrs (segment-wide table only)
 }
 
 // reportOperation prints one root span: header, per-stage waterfall
@@ -368,20 +369,27 @@ func (s *segment) reportStages(p *printer) {
 		a.count++
 		a.total += time.Duration(rec.Dur)
 		a.durs = append(a.durs, time.Duration(rec.Dur))
+		a.bytes += rec.Attrs["bytes"]
 	}
 	if len(order) == 0 {
 		return
 	}
 	sort.Slice(order, func(i, j int) bool { return stages[order[i]].total > stages[order[j]].total })
 	p.printf("\nper-stage breakdown (segment-wide):\n")
-	p.printf("  %-24s %6s %10s %10s %10s %10s\n", "stage", "count", "total", "p50", "p99", "max")
+	p.printf("  %-24s %6s %10s %10s %10s %10s %10s\n", "stage", "count", "total", "p50", "p99", "max", "MB/s")
 	for _, name := range order {
 		a := stages[name]
 		sort.Slice(a.durs, func(i, j int) bool { return a.durs[i] < a.durs[j] })
-		p.printf("  %-24s %5dx %10s %10s %10s %10s\n",
+		// Throughput over the stage's summed time, for stages that say how
+		// many bytes they moved.
+		mbs := ""
+		if a.bytes > 0 {
+			mbs = fmt.Sprintf("%.1f", float64(a.bytes)/(1<<20)/a.total.Seconds())
+		}
+		p.printf("  %-24s %5dx %10s %10s %10s %10s %10s\n",
 			a.name, a.count, fmtDur(a.total),
 			fmtDur(quantile(a.durs, 0.50)), fmtDur(quantile(a.durs, 0.99)),
-			fmtDur(a.durs[len(a.durs)-1]))
+			fmtDur(a.durs[len(a.durs)-1]), mbs)
 	}
 }
 

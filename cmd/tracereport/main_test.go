@@ -133,6 +133,42 @@ func TestCommitTimeline(t *testing.T) {
 	}
 }
 
+// TestStageThroughput: the segment-wide table prices a stage that says how
+// many bytes it moved in MB/s over its summed time, and leaves the cell
+// empty for one that does not.
+func TestStageThroughput(t *testing.T) {
+	path := writeTrace(t,
+		`{"id":1,"span":"trace.open","start_ns":0,"dur_ns":0,"unix":1700000000}`,
+		`{"id":2,"span":"restore","start_ns":0,"dur_ns":1000000000}`,
+		`{"id":3,"par":2,"span":"restore.sink","start_ns":0,"dur_ns":250000000,"attrs":{"bytes":4194304}}`,
+		`{"id":4,"par":2,"span":"restore.sink","start_ns":250000000,"dur_ns":250000000,"attrs":{"bytes":4194304}}`,
+		`{"id":5,"par":2,"span":"recipe.read","start_ns":500000000,"dur_ns":1000000}`,
+		`{"id":6,"span":"trace.close","start_ns":1000000000,"unix":1700000001,"attrs":{"open_spans":0}}`,
+	)
+	var out strings.Builder
+	if err := run([]string{path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(out.String(), "per-stage breakdown")
+	if !ok {
+		t.Fatalf("no segment-wide table:\n%s", out.String())
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = f
+		}
+	}
+	// stage count total p50 p99 max MB/s: 8 MB over 500 ms of summed
+	// stage time.
+	if got := rows["restore.sink"]; len(got) != 7 || got[6] != "16.0" {
+		t.Errorf("restore.sink row %q, want MB/s 16.0:\n%s", got, table)
+	}
+	if got := rows["recipe.read"]; len(got) != 6 {
+		t.Errorf("recipe.read row %q should have no MB/s cell:\n%s", got, table)
+	}
+}
+
 func TestMalformedInputsExitNonzero(t *testing.T) {
 	cases := map[string][]string{
 		"garbage line": {

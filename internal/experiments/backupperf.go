@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"hidestore/internal/backup"
 	"hidestore/internal/bufpool"
@@ -15,28 +14,23 @@ import (
 	"hidestore/internal/workload"
 )
 
-// BackupPerfSchemes are the end-to-end backup throughput contenders:
-// HiDeStore and the exact-dedup baseline. Unlike Throughput (which
-// sweeps every Figure 8 scheme), this experiment is the allocation and
-// throughput trajectory for the write hot path, so it keeps the scheme
-// set small and adds allocator accounting.
+// BackupPerfSchemes are the write hot path's contenders: HiDeStore and
+// the exact-dedup baseline.
 var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 
-// BackupPerfRow is one scheme's end-to-end backup cost on the
-// memory-backed store: wall-clock MB/s plus heap allocations per chunk
-// (runtime.MemStats mallocs over the whole run divided by chunks
-// processed — the end-to-end per-chunk path, not just the chunker) and
-// write amplification (container payload bytes written over logical
-// bytes, whole chain: unique chunks plus whatever maintenance copied).
-// The last two are exact counts, independent of the host.
+// BackupPerfRow is one scheme's backup cost on the memory-backed store,
+// in exact counts: heap allocations per chunk (runtime.MemStats mallocs
+// over the whole run divided by chunks processed — the end-to-end
+// per-chunk path, not just the chunker) and write amplification
+// (container payload bytes written over logical bytes, whole chain:
+// unique chunks plus whatever maintenance copied). Backup speed is
+// benchmark/'s backup_mbps.
 type BackupPerfRow struct {
 	Scheme             string
-	MBPerSec           float64
 	LogicalBytes       uint64
 	Chunks             int
 	AllocsPerChunk     float64
 	WriteAmplification float64
-	Duration           time.Duration
 }
 
 // BackupPerfResult compares the write hot path on one workload.
@@ -45,11 +39,11 @@ type BackupPerfResult struct {
 	Rows     []BackupPerfRow
 }
 
-// BackupPerf measures end-to-end backup throughput and allocator
-// pressure for a full version chain on the memory-backed store. The
-// store is memory-backed on purpose: with I/O out of the picture, the
-// numbers isolate the CPU side (chunking, hashing, lookup, container
-// packing) that the allocation-free chunk path targets.
+// BackupPerf counts allocator pressure and container writes for a full
+// version chain on the memory-backed store. The store is memory-backed on
+// purpose: with I/O out of the picture, the allocations are the CPU
+// side's (chunking, hashing, lookup, container packing) that the
+// allocation-free chunk path targets.
 func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	opts = opts.withDefaults()
 	cfg, err := opts.loadWorkload(workloadName)
@@ -70,14 +64,12 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		start := time.Now()
 		reports, err := backupAllVersions(e, cfg)
-		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
 		}
-		row := BackupPerfRow{Scheme: scheme, Duration: elapsed}
+		row := BackupPerfRow{Scheme: scheme}
 		var written uint64
 		for _, rep := range reports {
 			row.Chunks += rep.Chunks
@@ -86,9 +78,6 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		}
 		if row.LogicalBytes > 0 {
 			row.WriteAmplification = float64(written) / float64(row.LogicalBytes)
-		}
-		if elapsed > 0 {
-			row.MBPerSec = float64(row.LogicalBytes) / (1 << 20) / elapsed.Seconds()
 		}
 		if row.Chunks > 0 {
 			row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
@@ -102,7 +91,6 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 func (r *BackupPerfResult) Extras() map[string]float64 {
 	out := map[string]float64{}
 	for _, row := range r.Rows {
-		out["backup_mb_per_sec_"+row.Scheme] = row.MBPerSec
 		out["allocs_per_chunk_"+row.Scheme] = row.AllocsPerChunk
 		out["write_amplification_"+row.Scheme] = row.WriteAmplification
 	}
@@ -112,48 +100,44 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 // Render formats the comparison.
 func (r *BackupPerfResult) Render() string {
 	t := metrics.NewTable(fmt.Sprintf("Backup hot path (%s)", r.Workload),
-		"scheme", "MB/s", "chunks", "allocs/chunk", "written/logical", "logical", "wall time")
+		"scheme", "chunks", "allocs/chunk", "written/logical", "logical")
 	for _, row := range r.Rows {
 		t.AddRow(row.Scheme,
-			metrics.FormatFloat(row.MBPerSec),
 			fmt.Sprintf("%d", row.Chunks),
 			fmt.Sprintf("%.2f", row.AllocsPerChunk),
 			fmt.Sprintf("%.3f", row.WriteAmplification),
-			metrics.FormatBytes(row.LogicalBytes),
-			row.Duration.Round(time.Millisecond).String())
+			metrics.FormatBytes(row.LogicalBytes))
 	}
 	return t.Render()
 }
 
-// ChunkerAlgorithms are benchmarked in declaration order.
+// ChunkerAlgorithms are counted in declaration order.
 var ChunkerAlgorithms = []chunker.Algorithm{
 	chunker.Fixed, chunker.Rabin, chunker.TTTD, chunker.FastCDC, chunker.AE,
 }
 
-// ChunkerRow is one algorithm's scanning cost over a realistic stream.
+// ChunkerRow is one algorithm's cut over a realistic stream.
 type ChunkerRow struct {
 	Algorithm      string
-	MBPerSec       float64
 	Chunks         int
 	AvgChunkBytes  float64
 	AllocsPerChunk float64
-	Duration       time.Duration
 }
 
-// ChunkersResult holds the per-algorithm chunking microbenchmark.
+// ChunkersResult holds the per-algorithm chunking counts.
 type ChunkersResult struct {
 	Bytes int64 // bytes scanned per algorithm (all passes)
 	Rows  []ChunkerRow
 }
 
 // chunkerPasses is how many times each algorithm re-scans the stream;
-// multiple passes amortize setup and steady the timing.
+// multiple passes amortize the chunker's setup allocations.
 const chunkerPasses = 3
 
-// Chunkers measures every chunking algorithm's scan throughput and
+// Chunkers counts every chunking algorithm's mean chunk size and
 // allocations per chunk over the first version of the kernel preset —
-// the isolated per-chunk path the tentpole's ≥10× allocation target is
-// pinned against.
+// the isolated per-chunk path. Scan speed is judged in-system, by
+// benchmark/'s chunker.scan_mbps and backup_mbps.
 func Chunkers(opts Options) (*ChunkersResult, error) {
 	opts = opts.withDefaults()
 	cfg, err := opts.loadWorkload("kernel")
@@ -193,7 +177,6 @@ func chunkerRow(alg chunker.Algorithm, data []byte, p chunker.Params) (ChunkerRo
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	for pass := 0; pass < chunkerPasses; pass++ {
 		ch, err := chunker.NewPooled(alg, bytes.NewReader(data), p, pool)
 		if err != nil {
@@ -211,11 +194,7 @@ func chunkerRow(alg chunker.Algorithm, data []byte, p chunker.Params) (ChunkerRo
 			pool.Release(chunk)
 		}
 	}
-	row.Duration = time.Since(start)
 	runtime.ReadMemStats(&after)
-	if row.Duration > 0 {
-		row.MBPerSec = float64(len(data)) * chunkerPasses / (1 << 20) / row.Duration.Seconds()
-	}
 	if row.Chunks > 0 {
 		row.AvgChunkBytes = float64(len(data)) * chunkerPasses / float64(row.Chunks)
 		row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
@@ -227,21 +206,19 @@ func chunkerRow(alg chunker.Algorithm, data []byte, p chunker.Params) (ChunkerRo
 func (r *ChunkersResult) Extras() map[string]float64 {
 	out := map[string]float64{}
 	for _, row := range r.Rows {
-		out["mb_per_sec_"+row.Algorithm] = row.MBPerSec
 		out["allocs_per_chunk_"+row.Algorithm] = row.AllocsPerChunk
 		out["avg_chunk_bytes_"+row.Algorithm] = row.AvgChunkBytes
 	}
 	return out
 }
 
-// Render formats the microbenchmark.
+// Render formats the counts.
 func (r *ChunkersResult) Render() string {
-	t := metrics.NewTable(fmt.Sprintf("Chunker scan (%s over %d passes)",
+	t := metrics.NewTable(fmt.Sprintf("Chunker cut (%s over %d passes)",
 		metrics.FormatBytes(uint64(r.Bytes)), chunkerPasses),
-		"algorithm", "MB/s", "chunks", "avg chunk", "allocs/chunk")
+		"algorithm", "chunks", "avg chunk", "allocs/chunk")
 	for _, row := range r.Rows {
 		t.AddRow(row.Algorithm,
-			metrics.FormatFloat(row.MBPerSec),
 			fmt.Sprintf("%d", row.Chunks),
 			fmt.Sprintf("%.0f B", row.AvgChunkBytes),
 			fmt.Sprintf("%.2f", row.AllocsPerChunk))

@@ -278,24 +278,3 @@ func TestDeletionShape(t *testing.T) {
 		t.Fatal("render malformed")
 	}
 }
-
-// TestThroughputShape: all schemes complete and report sane throughput;
-// HiDeStore should not be slower than DDFS (it does strictly less work
-// per chunk).
-func TestThroughputShape(t *testing.T) {
-	res, err := Throughput("kernel", testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(Figure8Schemes) {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.MBPerSec <= 0 || row.LogicalBytes == 0 {
-			t.Fatalf("row %+v implausible", row)
-		}
-	}
-	if !strings.Contains(res.Render(), "throughput") {
-		t.Fatal("render malformed")
-	}
-}

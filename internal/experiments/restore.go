@@ -9,34 +9,66 @@ import (
 	"time"
 
 	"hidestore/internal/backend"
+	"hidestore/internal/backup"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/core"
+	"hidestore/internal/dedup"
 	"hidestore/internal/metrics"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
+	"hidestore/internal/rewrite"
 	"hidestore/internal/workload"
 )
 
-// The restore experiment measures read-ahead's payoff: with the
-// container store behind the deterministic remote simulator, it sweeps
-// prefetch depth × per-fetch latency on the HiDeStore engine and
-// reports wall and modeled restore times.
+// The restore experiment puts numbers behind the paper's motivating
+// claim — physical locality matters *more* the more a container fetch
+// costs — and behind read-ahead, which hides what a fetch costs. Every
+// cell backs up the chain and restores the newest version with the
+// container store behind the deterministic remote simulator, sweeping
+// scheme × restore prefetch depth × simulated per-fetch latency.
 //
-// The mechanism being measured is fetch overlap. A serial restore pays
-// every container round trip back to back; prefetch keeps up to depth
-// fetches in flight — the window is the fetch pool — so the remote time
-// divides by min(depth, reads) while chunk assembly — client-side
-// memcpy — stays the same. ModeledMS applies exactly that model to the
-// simulator's deterministic modeled remote time, which makes the
-// speedup curve reproducible bit for bit; WallMS is the measured clock
-// and shows the same shape when sleeps are real (sleepScale 1).
+// ModeledMS is the one time metric, and it is exact: chunk-assembly cost
+// at a fixed client rate plus the simulator's modeled remote time
+// (reads × latency + bytes / bandwidth, no real sleeps) divided by the
+// fetches the prefetcher keeps in flight, min(depth, reads). Both
+// schemes restore through the same driver and prefetcher, so the same
+// model prices both. Wall-clock restore speed is benchmark/'s
+// kernel-remote workload.
+//
+// Two curves come out of it:
+//
+//   - Advantage: baseline over HiDeStore ModeledMS at serial depth. Both
+//     schemes pay the same assembly cost A and per-read overhead
+//     c = latency + containerBytes/bw, so the ratio (A + Rb·c)/(A + Rh·c)
+//     rises with latency whenever the baseline reads more containers
+//     (Rb > Rh), which the physical-locality layout gives the newest
+//     version.
+//   - Speedup: HiDeStore ModeledMS with prefetch off over the deepest
+//     window, read-ahead's payoff. It saturates at the distinct-container
+//     count.
 //
 // The sweep also re-checks the accounting identity where it is easiest
-// to break: every cell must report the same policy-level container
-// read count, however many fetches overlap. A cell that reads more
-// (duplicated fetches) or fewer (skipped chunks) containers than the
-// serial baseline fails the experiment outright.
+// to break: within a scheme every cell must read the same number of
+// containers, however many fetches overlap and whatever they cost. A
+// cell that reads more (duplicated fetches) or fewer (skipped chunks)
+// fails the experiment outright.
+
+const (
+	// remoteBandwidthMBps caps simulated remote payload throughput. The
+	// sweep models the object-store regime — a fat pipe with expensive
+	// round trips — so per-fetch latency, not transfer time, is the
+	// dominant remote cost; that is the regime where read *count*
+	// (physical locality's lever) decides restore time.
+	remoteBandwidthMBps = 1000
+	// remoteAssemblyMBps is the fixed client-side chunk-assembly rate
+	// used by the restore-time model.
+	remoteAssemblyMBps = 200
+)
+
+// RestoreSchemes are the restore contenders: the no-rewrite DDFS+FAA
+// baseline (logical locality) vs HiDeStore (physical locality).
+var RestoreSchemes = []string{"baseline", "hidestore"}
 
 // RestoreSweepDepths are the swept prefetch depths: -1 disables
 // prefetch entirely (the serial control row), 8 is the default
@@ -44,21 +76,20 @@ import (
 var RestoreSweepDepths = []int{-1, 2, 8}
 
 // RestoreSweepLatencies are the swept per-fetch round-trip latencies.
-// The acceptance criterion lives at >= 1ms: that is where fetch cost
-// dominates assembly and read-ahead must show through.
-var RestoreSweepLatencies = []time.Duration{0, time.Millisecond, 5 * time.Millisecond}
+var RestoreSweepLatencies = []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
 
-// RestoreScaleCell is one (depth, latency) outcome.
+// RestoreScaleCell is one (scheme, depth, latency) outcome.
 type RestoreScaleCell struct {
+	Scheme    string
 	Depth     int
 	LatencyUS int64
 	// Reads is the policy-level container-read count for the newest
-	// restore — identical across every cell by the accounting identity,
-	// enforced by the sweep driver.
-	Reads       int64
+	// restore — identical across a scheme's cells by the accounting
+	// identity, enforced by the sweep driver.
+	Reads int64
+	// ReadMB is the payload actually pulled from the simulated remote.
 	ReadMB      float64
 	SpeedFactor float64
-	WallMS      float64
 	ModeledMS   float64
 }
 
@@ -68,14 +99,17 @@ type RestoreScaleResult struct {
 	Depths    []int
 	Latencies []time.Duration
 	Cells     []RestoreScaleCell
-	// Speedup[i] is ModeledMS with prefetch off over ModeledMS at the
-	// deepest swept depth, both at Latencies[i] — read-ahead's payoff
-	// curve.
+	// Advantage[i] is baseline ModeledMS over HiDeStore ModeledMS at
+	// Latencies[i], serial depth — the paper's payoff curve.
+	Advantage []float64
+	// Speedup[i] is HiDeStore's ModeledMS with prefetch off over
+	// ModeledMS at the deepest swept depth, both at Latencies[i] —
+	// read-ahead's payoff curve.
 	Speedup []float64
 	// CFL, Utilization and ContainersPerMB profile the newest version's
 	// physical layout (internal/layout over an identically-built store),
-	// so the BENCH snapshot ties the speedup rows to the fragmentation
-	// state they were measured against.
+	// so the BENCH snapshot ties the curves to the fragmentation state
+	// they were measured against.
 	CFL             float64
 	Utilization     float64
 	ContainersPerMB float64
@@ -105,22 +139,11 @@ func effectiveFetchParallelism(depth int, reads int64) float64 {
 	return float64(max(1, min(int64(depth), reads)))
 }
 
-// runRestoreScaleCell backs up the chain and restores the newest
-// version with the given prefetch depth over a fresh remote simulator.
-func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, depth int, latency time.Duration, sleepScale float64) (RestoreScaleCell, error) {
-	stack, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{
-		Sim: backend.SimOptions{
-			Latency:      latency,
-			BandwidthBps: remoteBandwidthMBps * (1 << 20),
-			Seed:         1,
-			SleepScale:   sleepScale,
-		},
-	})
-	if err != nil {
-		return RestoreScaleCell{}, err
-	}
-	e, err := core.New(core.Config{
-		Store:             backend.NewContainerStore(stack),
+// newHidestore builds HiDeStore over store with the given read-ahead
+// depth.
+func newHidestore(o Options, w workload.Config, store container.Store, depth int) (*core.Engine, error) {
+	return core.New(core.Config{
+		Store:             store,
 		Recipes:           recipe.NewMemStore(),
 		ContainerCapacity: o.ContainerCapacity,
 		Window:            cacheWindow(w),
@@ -130,44 +153,101 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, depth 
 		PrefetchDepth:     depth,
 		Metrics:           o.Metrics,
 	})
+}
+
+// restoreEngine builds a scheme's engine over store with the given
+// read-ahead depth.
+func restoreEngine(o Options, w workload.Config, scheme string, store container.Store, depth int) (backup.Engine, error) {
+	switch scheme {
+	case "hidestore":
+		e, err := newHidestore(o, w, store, depth)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
+	case "baseline":
+		ix, err := newBaselineIndex("ddfs")
+		if err != nil {
+			return nil, err
+		}
+		rw, err := rewrite.New("none")
+		if err != nil {
+			return nil, err
+		}
+		return dedup.New(dedup.Config{
+			Index:             ix,
+			Rewriter:          rw,
+			RestoreCache:      restorecache.NewFAA(0),
+			Store:             store,
+			Recipes:           recipe.NewMemStore(),
+			ContainerCapacity: o.ContainerCapacity,
+			ChunkParams:       o.ChunkParams,
+			Chunker:           chunker.FastCDC,
+			PrefetchDepth:     depth,
+			Metrics:           o.Metrics,
+		})
+	default:
+		return nil, fmt.Errorf("experiments: unknown restore scheme %q", scheme)
+	}
+}
+
+// backupChain backs every version up through e.
+func backupChain(e backup.Engine, versions [][]byte) error {
+	for v, data := range versions {
+		if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
+			return fmt.Errorf("backup v%d: %w", v+1, err)
+		}
+	}
+	return nil
+}
+
+// runRestoreScaleCell backs up the chain and restores the newest version
+// with the container store behind a fresh remote simulator.
+func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, scheme string, depth int, latency time.Duration) (RestoreScaleCell, error) {
+	stack, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{
+		Sim: backend.SimOptions{
+			Latency:      latency,
+			BandwidthBps: remoteBandwidthMBps * (1 << 20),
+			Seed:         1,
+			SleepScale:   -1, // modeled time only: no real sleeps
+		},
+	})
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}
-	for v, data := range versions {
-		if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
-			return RestoreScaleCell{}, fmt.Errorf("backup v%d: %w", v+1, err)
-		}
+	e, err := restoreEngine(o, w, scheme, backend.NewContainerStore(stack), depth)
+	if err != nil {
+		return RestoreScaleCell{}, err
+	}
+	if err := backupChain(e, versions); err != nil {
+		return RestoreScaleCell{}, err
 	}
 	before := sim.Stats()
-	start := time.Now()
 	rep, err := restoreVerify(e, len(versions), versions[len(versions)-1])
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}
-	wall := time.Since(start)
 	after := sim.Stats()
 
 	reads := int64(rep.Stats.ContainerReads)
-	readMB := float64(after.Bytes-before.Bytes) / (1 << 20)
 	restoredMB := float64(rep.Stats.BytesRestored) / (1 << 20)
 	remoteMS := float64((after.Modeled - before.Modeled).Microseconds()) / 1e3
-	modeledMS := restoredMB/remoteAssemblyMBps*1e3 +
-		remoteMS/effectiveFetchParallelism(depth, reads)
 	return RestoreScaleCell{
+		Scheme:      scheme,
 		Depth:       depth,
 		LatencyUS:   latency.Microseconds(),
 		Reads:       reads,
-		ReadMB:      readMB,
+		ReadMB:      float64(after.Bytes-before.Bytes) / (1 << 20),
 		SpeedFactor: rep.Stats.SpeedFactor(),
-		WallMS:      float64(wall.Microseconds()) / 1e3,
-		ModeledMS:   modeledMS,
+		ModeledMS: restoredMB/remoteAssemblyMBps*1e3 +
+			remoteMS/effectiveFetchParallelism(depth, reads),
 	}, nil
 }
 
-// RestoreScale runs the depth × latency sweep for one workload. sleepScale is threaded into every simulator exactly as in
-// Remote: 1 sleeps for real, negative skips sleeps while still
-// accumulating modeled time.
-func RestoreScale(workloadName string, sleepScale float64, opts Options) (*RestoreScaleResult, error) {
+// RestoreScale runs the scheme × depth × latency sweep for one workload,
+// then takes the layout profile and the exact restore counts from
+// HiDeStore on a plain in-memory store.
+func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error) {
 	opts = opts.withDefaults()
 	cfg, err := opts.loadWorkload(workloadName)
 	if err != nil {
@@ -190,36 +270,46 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 		Depths:    RestoreSweepDepths,
 		Latencies: RestoreSweepLatencies,
 	}
-	for _, depth := range RestoreSweepDepths {
-		for _, g := range RestoreSweepLatencies {
-			cell, err := runRestoreScaleCell(opts, cfg, versions, depth, g, sleepScale)
-			if err != nil {
-				return nil, fmt.Errorf("depth=%d latency=%s: %w", depth, g, err)
+	for _, scheme := range RestoreSchemes {
+		for _, depth := range RestoreSweepDepths {
+			for _, g := range RestoreSweepLatencies {
+				cell, err := runRestoreScaleCell(opts, cfg, versions, scheme, depth, g)
+				if err != nil {
+					return nil, fmt.Errorf("%s depth=%d latency=%s: %w", scheme, depth, g, err)
+				}
+				res.Cells = append(res.Cells, cell)
 			}
-			res.Cells = append(res.Cells, cell)
-		}
-	}
-	// The accounting identity, enforced: depth must not change what gets
-	// read.
-	for i := range res.Cells {
-		if res.Cells[i].Reads != res.Cells[0].Reads {
-			return nil, fmt.Errorf("experiments: cell depth=%d us=%d read %d containers, baseline read %d — prefetch changed the read count",
-				res.Cells[i].Depth, res.Cells[i].LatencyUS, res.Cells[i].Reads, res.Cells[0].Reads)
 		}
 	}
 	serial := RestoreSweepDepths[0]
 	deepest := RestoreSweepDepths[len(RestoreSweepDepths)-1]
-	for _, g := range RestoreSweepLatencies {
-		off := res.Cell(serial, g)
-		deep := res.Cell(deepest, g)
-		if off == nil || deep == nil || deep.ModeledMS == 0 {
-			return nil, fmt.Errorf("experiments: missing speedup cells for latency %s", g)
+	// The accounting identity, enforced: neither depth nor latency may
+	// change what gets read.
+	for _, c := range res.Cells {
+		if want := res.Cell(c.Scheme, serial, 0).Reads; c.Reads != want {
+			return nil, fmt.Errorf("experiments: %s depth=%d us=%d read %d containers, serial read %d — prefetch changed the read count",
+				c.Scheme, c.Depth, c.LatencyUS, c.Reads, want)
 		}
+	}
+	for _, g := range RestoreSweepLatencies {
+		base := res.Cell("baseline", serial, g)
+		off := res.Cell("hidestore", serial, g)
+		deep := res.Cell("hidestore", deepest, g)
+		res.Advantage = append(res.Advantage, base.ModeledMS/off.ModeledMS)
 		res.Speedup = append(res.Speedup, off.ModeledMS/deep.ModeledMS)
 	}
-	mem, err := restoreMemEngine(opts, cfg, versions)
+
+	// A plain in-memory store (deterministic chunking makes it
+	// byte-identical to every cell's store) and no registry: the counts
+	// below are the engine's own.
+	plain := opts
+	plain.Metrics = nil
+	mem, err := newHidestore(plain, cfg, container.NewMemStore(), 0)
 	if err != nil {
 		return nil, err
+	}
+	if err := backupChain(mem, versions); err != nil {
+		return nil, fmt.Errorf("layout profile: %w", err)
 	}
 	if res.AllocsPerChunk, err = restoreAllocsPerChunk(mem, len(versions)); err != nil {
 		return nil, err
@@ -230,11 +320,11 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 	}
 	// The layout analyzer replays the reference stream through the same
 	// FAA policy the cells restore with, so its read count must equal
-	// every cell's — a cheap re-check of the exactness guarantee from a
-	// second, independently-built store.
-	if got := int64(prof.Policies[0].ContainerReads); got != res.Cells[0].Reads {
+	// every HiDeStore cell's — a cheap re-check of the exactness guarantee
+	// from a second, independently-built store.
+	if got, want := int64(prof.Policies[0].ContainerReads), res.Cell("hidestore", serial, 0).Reads; got != want {
 		return nil, fmt.Errorf("experiments: layout analyzer simulated %d container reads, restores measured %d — the exact-identity guarantee broke",
-			got, res.Cells[0].Reads)
+			got, want)
 	}
 	res.CFL = prof.CFL
 	res.Utilization = prof.Utilization
@@ -246,31 +336,6 @@ func RestoreScale(workloadName string, sleepScale float64, opts Options) (*Resto
 	}
 	res.RecipeReadsOldest = float64(oldest.RecipesRead)
 	return res, nil
-}
-
-// restoreMemEngine rebuilds the backup chain on a plain in-memory store
-// (deterministic chunking makes it byte-identical to every cell's
-// store), restoring with the FAA policy the sweep uses: the engine the
-// layout profile and the allocation count are taken from.
-func restoreMemEngine(o Options, w workload.Config, versions [][]byte) (*core.Engine, error) {
-	e, err := core.New(core.Config{
-		Store:             container.NewMemStore(),
-		Recipes:           recipe.NewMemStore(),
-		ContainerCapacity: o.ContainerCapacity,
-		Window:            cacheWindow(w),
-		ChunkParams:       o.ChunkParams,
-		Chunker:           chunker.FastCDC,
-		RestoreCache:      restorecache.NewFAA(0),
-	})
-	if err != nil {
-		return nil, err
-	}
-	for v, data := range versions {
-		if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
-			return nil, fmt.Errorf("layout profile backup v%d: %w", v+1, err)
-		}
-	}
-	return e, nil
 }
 
 // restoreAllocsPerChunk restores one version into a discarding sink and
@@ -287,12 +352,12 @@ func restoreAllocsPerChunk(e *core.Engine, version int) (float64, error) {
 	return float64(after.Mallocs-before.Mallocs) / float64(rep.Stats.Chunks), nil
 }
 
-// Cell returns the cell for (depth, latency), or nil.
-func (r *RestoreScaleResult) Cell(depth int, latency time.Duration) *RestoreScaleCell {
+// Cell returns the cell for (scheme, depth, latency), or nil.
+func (r *RestoreScaleResult) Cell(scheme string, depth int, latency time.Duration) *RestoreScaleCell {
 	us := latency.Microseconds()
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		if c.Depth == depth && c.LatencyUS == us {
+		if c.Scheme == scheme && c.Depth == depth && c.LatencyUS == us {
 			return c
 		}
 	}
@@ -300,40 +365,45 @@ func (r *RestoreScaleResult) Cell(depth int, latency time.Duration) *RestoreScal
 }
 
 // Extras exposes the sweep as flat scalars for BENCH_restore.json: the
-// speedup curve (the acceptance metric), plus per-cell modeled and
-// wall times keyed by depth and latency in microseconds.
+// advantage and speedup curves, the layout profile, and per-cell reads
+// and modeled times keyed by scheme, depth and latency in microseconds.
 func (r *RestoreScaleResult) Extras() map[string]float64 {
-	out := make(map[string]float64)
+	out := map[string]float64{
+		"cfl":               r.CFL,
+		"utilization":       r.Utilization,
+		"containers_per_mb": r.ContainersPerMB,
+	}
 	for i, g := range r.Latencies {
+		out[fmt.Sprintf("advantage_us%d", g.Microseconds())] = r.Advantage[i]
 		out[fmt.Sprintf("speedup_us%d", g.Microseconds())] = r.Speedup[i]
 	}
-	out["cfl"] = r.CFL
-	out["utilization"] = r.Utilization
-	out["containers_per_mb"] = r.ContainersPerMB
 	for _, c := range r.Cells {
-		key := fmt.Sprintf("depth%d_us%d", c.Depth, c.LatencyUS)
+		key := fmt.Sprintf("%s_depth%d_us%d", c.Scheme, c.Depth, c.LatencyUS)
 		out["modeled_ms_"+key] = c.ModeledMS
-		out["wall_ms_"+key] = c.WallMS
 		out["reads_"+key] = float64(c.Reads)
 	}
 	return out
 }
 
-// Render formats the sweep and the speedup curve.
+// Render formats the sweep and both curves.
 func (r *RestoreScaleResult) Render() string {
-	t := metrics.NewTable(fmt.Sprintf("Restore read-ahead (%s): prefetch depth x fetch latency", r.Workload),
-		"depth", "latency", "reads", "read MB", "SF", "wall ms", "modeled ms")
+	t := metrics.NewTable(fmt.Sprintf("Restore over a remote store (%s): scheme x prefetch depth x fetch latency", r.Workload),
+		"scheme", "depth", "latency", "reads", "read MB", "SF", "modeled ms")
 	for _, c := range r.Cells {
-		t.AddRow(fmt.Sprintf("%d", c.Depth),
+		t.AddRow(c.Scheme,
+			fmt.Sprintf("%d", c.Depth),
 			(time.Duration(c.LatencyUS) * time.Microsecond).String(),
 			fmt.Sprintf("%d", c.Reads),
 			metrics.FormatFloat(c.ReadMB),
 			metrics.FormatFloat(c.SpeedFactor),
-			metrics.FormatFloat(c.WallMS),
 			metrics.FormatFloat(c.ModeledMS))
 	}
 	s := t.Render()
-	s += "\nmodeled restore speedup (prefetch off / deepest prefetch):"
+	s += "\nmodeled restore advantage (baseline/hidestore, serial):"
+	for i, g := range r.Latencies {
+		s += fmt.Sprintf(" %s=%.2fx", g, r.Advantage[i])
+	}
+	s += "\nmodeled read-ahead speedup (hidestore, prefetch off / deepest prefetch):"
 	for i, g := range r.Latencies {
 		s += fmt.Sprintf(" %s=%.2fx", g, r.Speedup[i])
 	}

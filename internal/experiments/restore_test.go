@@ -3,38 +3,86 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestRestoreShape pins the read-ahead sweep's reproduction targets on
-// deterministic modeled numbers (sleepScale -1):
-//
-//   - every cell reads the same number of containers, no matter the
-//     depth or latency — the accounting identity prefetch must hold by
-//     construction;
-//   - prefetch at the default depth beats no prefetch (speedup > 1) at
-//     latencies >= 1ms, and the gap grows with latency, the acceptance
-//     criterion BENCH_restore.json publishes;
-//   - a deeper window never makes the modeled restore slower.
-func TestRestoreShape(t *testing.T) {
-	res, err := RestoreScale("kernel", -1, testOptions())
-	if err != nil {
-		t.Fatal(err)
+var (
+	restoreSweepOnce sync.Once
+	restoreSweepRes  *RestoreScaleResult
+	restoreSweepErr  error
+)
+
+// restoreSweep runs the kernel sweep once for every test that reads it.
+func restoreSweep(t *testing.T) *RestoreScaleResult {
+	t.Helper()
+	restoreSweepOnce.Do(func() {
+		restoreSweepRes, restoreSweepErr = RestoreScale("kernel", testOptions())
+	})
+	if restoreSweepErr != nil {
+		t.Fatal(restoreSweepErr)
 	}
-	wantCells := len(RestoreSweepDepths) * len(RestoreSweepLatencies)
+	return restoreSweepRes
+}
+
+// TestRemoteShape pins the scheme comparison behind the simulated remote
+// store:
+//
+//   - the newest-version restore reads fewer containers under HiDeStore
+//     than under the logical-locality baseline;
+//   - the serial modeled restore-time advantage grows strictly with fetch
+//     latency, the curve BENCH_restore.json publishes.
+func TestRemoteShape(t *testing.T) {
+	res := restoreSweep(t)
+	hide := res.Cell("hidestore", -1, 0).Reads
+	base := res.Cell("baseline", -1, 0).Reads
+	if hide >= base {
+		t.Fatalf("hidestore reads %d >= baseline reads %d on the newest version", hide, base)
+	}
+	if len(res.Advantage) != len(RestoreSweepLatencies) {
+		t.Fatalf("advantage curve has %d points, want %d", len(res.Advantage), len(RestoreSweepLatencies))
+	}
+	for i := 1; i < len(res.Advantage); i++ {
+		if res.Advantage[i] <= res.Advantage[i-1] {
+			t.Errorf("advantage not strictly increasing: %.4f (lat %s) -> %.4f (lat %s)",
+				res.Advantage[i-1], res.Latencies[i-1], res.Advantage[i], res.Latencies[i])
+		}
+	}
+	if out := res.Render(); !strings.Contains(out, "advantage") || !strings.Contains(out, "baseline") {
+		t.Errorf("render missing the advantage curve:\n%s", out)
+	}
+	extras := res.Extras()
+	for _, g := range RestoreSweepLatencies {
+		if _, ok := extras["advantage_us"+strconv.FormatInt(g.Microseconds(), 10)]; !ok {
+			t.Errorf("extras missing advantage for latency %s", g)
+		}
+	}
+}
+
+// TestRestoreShape pins the read-ahead side of the sweep:
+//
+//   - within a scheme every cell reads the same number of containers, no
+//     matter the depth or latency — the accounting identity prefetch must
+//     hold by construction;
+//   - HiDeStore with prefetch at the default depth beats no prefetch
+//     (speedup > 1) at latencies >= 1ms, and the gap grows with latency;
+//   - a deeper window never makes the modeled restore slower, for either
+//     scheme.
+func TestRestoreShape(t *testing.T) {
+	res := restoreSweep(t)
+	wantCells := len(RestoreSchemes) * len(RestoreSweepDepths) * len(RestoreSweepLatencies)
 	if len(res.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(res.Cells), wantCells)
 	}
-
-	reads := res.Cells[0].Reads
-	if reads == 0 {
-		t.Fatal("zero container reads")
-	}
 	for _, c := range res.Cells {
+		reads := res.Cell(c.Scheme, -1, 0).Reads
+		if reads == 0 {
+			t.Fatalf("%s: zero container reads", c.Scheme)
+		}
 		if c.Reads != reads {
-			t.Errorf("depth=%d us=%d: reads = %d, want %d (accounting identity)",
-				c.Depth, c.LatencyUS, c.Reads, reads)
+			t.Errorf("%s depth=%d us=%d: reads = %d, want %d (accounting identity)",
+				c.Scheme, c.Depth, c.LatencyUS, c.Reads, reads)
 		}
 	}
 
@@ -56,28 +104,27 @@ func TestRestoreShape(t *testing.T) {
 		}
 	}
 
-	for _, g := range RestoreSweepLatencies {
-		prev := res.Cell(RestoreSweepDepths[0], g)
-		for _, d := range RestoreSweepDepths[1:] {
-			c := res.Cell(d, g)
-			if c.ModeledMS > prev.ModeledMS {
-				t.Errorf("latency %s: depth %d modeled %.4fms > depth %d modeled %.4fms",
-					g, c.Depth, c.ModeledMS, prev.Depth, prev.ModeledMS)
+	for _, scheme := range RestoreSchemes {
+		for _, g := range RestoreSweepLatencies {
+			prev := res.Cell(scheme, RestoreSweepDepths[0], g)
+			for _, d := range RestoreSweepDepths[1:] {
+				c := res.Cell(scheme, d, g)
+				if c.ModeledMS > prev.ModeledMS {
+					t.Errorf("%s latency %s: depth %d modeled %.4fms > depth %d modeled %.4fms",
+						scheme, g, c.Depth, c.ModeledMS, prev.Depth, prev.ModeledMS)
+				}
+				prev = c
 			}
-			prev = c
 		}
 	}
 
 	out := res.Render()
-	for _, frag := range []string{"read-ahead", "depth", "speedup"} {
+	for _, frag := range []string{"depth", "speedup", "recipe reads"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("render missing %q", frag)
 		}
 	}
 	extras := res.Extras()
-	if len(extras) == 0 {
-		t.Fatal("no extras for BENCH_restore.json")
-	}
 	for _, g := range RestoreSweepLatencies {
 		if _, ok := extras["speedup_us"+strconv.FormatInt(g.Microseconds(), 10)]; !ok {
 			t.Errorf("extras missing speedup for latency %s", g)

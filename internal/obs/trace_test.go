@@ -172,10 +172,6 @@ func TestSummarizeTrace(t *testing.T) {
 	if sum.SpanCount("restore") != 1 {
 		t.Error("restore span missing")
 	}
-	out := sum.Render()
-	if !strings.Contains(out, "container.fetch") || !strings.Contains(out, "restore") {
-		t.Errorf("render missing stages:\n%s", out)
-	}
 }
 
 // TestTraceCloseAnchor: Close writes exactly one closing anchor even
