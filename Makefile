@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench vet lint crash restore-bench observatory-smoke bench-smoke loc check
+.PHONY: build test race bench microbench vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,15 @@ observatory-smoke:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 
+# Ten seconds of coverage-guided fuzzing of the Rabin and TTTD scans
+# against their reference loops, one window of at most 64 KB per input,
+# so tens of thousands of inputs a second. Minimization is capped at 100
+# runs per input: at the 60 s default it would spend the whole budget
+# shrinking the first interesting input. A failure lands in
+# internal/chunker/testdata/fuzz/ as a replayable seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzScanMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/chunker
+
 # Non-test, non-testdata Go lines per package and in total: the figures
 # ROADMAP and the "less code" PRs quote, from one command instead of a
 # recount by hand. CI keeps the table next to the BENCH snapshots.
@@ -114,4 +123,4 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-check: build test race vet lint crash restore-bench observatory-smoke bench-smoke
+check: build test race vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke

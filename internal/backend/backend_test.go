@@ -373,6 +373,63 @@ func TestLimiterChargesGets(t *testing.T) {
 	}
 }
 
+// TestMemGetDuringPut pins that Mem.Get, which copies outside the lock,
+// returns a whole old or a whole new blob while Puts replace the same
+// name: Put stores a fresh copy and never writes into a stored slice.
+// Run it under -race, which also sees a Get that hands out the stored
+// slice itself (the readers write into what they get).
+func TestMemGetDuringPut(t *testing.T) {
+	mem := NewMem()
+	ctx := context.Background()
+	const size, versions = 64 << 10, 200
+	buf := make([]byte, size) // reused by the writer, as Put allows
+	fill := func(v byte) {
+		for i := range buf {
+			buf[i] = v
+		}
+	}
+	if err := mem.Put(ctx, "c", buf); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; v <= versions; v++ {
+			fill(byte(v))
+			if err := mem.Put(ctx, "c", buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < versions; k++ {
+				got, err := mem.Get(ctx, "c")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != size {
+					t.Errorf("Get returned %d bytes, want %d", len(got), size)
+					return
+				}
+				for i, b := range got {
+					if b != got[0] {
+						t.Errorf("Get returned a torn blob: byte %d is %d, byte 0 is %d", i, b, got[0])
+						return
+					}
+				}
+				got[0] ^= 0xff // the caller owns its copy
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestCacheHitSkipsRemote(t *testing.T) {
 	dir := t.TempDir()
 	mem := NewMem()

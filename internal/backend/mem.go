@@ -40,14 +40,16 @@ func (m *Mem) Put(ctx context.Context, name string, data []byte) error {
 	return nil
 }
 
-// Get implements Backend. The returned slice is a copy.
+// Get implements Backend. The returned slice is a copy, made after the
+// lock is released so concurrent Gets copy in parallel: a stored slice
+// is never written, only replaced by Put or dropped by Delete.
 func (m *Mem) Get(ctx context.Context, name string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	data, ok := m.blobs[name]
+	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}

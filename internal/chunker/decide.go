@@ -32,7 +32,9 @@ func newDecider(alg Algorithm, p Params) (decider, error) {
 	case TTTD:
 		// Divisors derived from the target average: with min-size skipping,
 		// the expected chunk size is roughly Min + D, so choose D = Avg - Min
-		// (rounded to a power of two for cheap masking).
+		// (rounded to a power of two for cheap masking). The backup
+		// divisor's bits are a subset of the main divisor's, which
+		// tttdScanSkip relies on.
 		dv := nextPow2(p.Avg - p.Min)
 		if dv < 2 {
 			dv = 2

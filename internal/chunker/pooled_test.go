@@ -92,9 +92,9 @@ func BenchmarkChunkersPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkScan measures the raw cut-point scan (window already
-// buffered, no copy, no allocation) — the inner loops this PR
-// restructured.
+// BenchmarkScan measures the raw cut-point scan of each chunker at
+// default params (window already buffered, no copy, no allocation):
+// for rabin and tttd, the two-chain skip scan.
 func BenchmarkScan(b *testing.B) {
 	data := poolTestData()
 	p := DefaultParams()

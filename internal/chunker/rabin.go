@@ -1,9 +1,6 @@
 package chunker
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // Poly is a polynomial over GF(2), bit i representing the coefficient of x^i.
 type Poly uint64
@@ -45,6 +42,13 @@ type rabinTables struct {
 	out   [256]Poly // contribution of the byte leaving the window
 	mod   [256]Poly // reduction values for the rolling append
 	shift uint      // digest bits above which reduction applies
+
+	// The two-byte step's tables (roll2). ra[a] = a·x^61 mod P and
+	// rb[b] = b·x^53 mod P reduce a digest's top two bytes once it is
+	// shifted up by x^16; like mod, each also carries the raw bits that
+	// shift leaves at x^53 and above, so xoring it in clears them.
+	// out16/out8 are out times x^16 and x^8, reduced.
+	ra, rb, out16, out8 [256]Poly
 }
 
 func calcRabinTables(pol Poly, window int) *rabinTables {
@@ -59,9 +63,33 @@ func calcRabinTables(pol Poly, window int) *rabinTables {
 	}
 	k := uint(polyDeg(pol))
 	for b := 0; b < 256; b++ {
-		t.mod[b] = polyMod(Poly(b)<<k, pol) | Poly(b)<<k
+		red := polyMod(Poly(b)<<k, pol)
+		t.mod[b] = red | Poly(b)<<k
+		t.rb[b] = red ^ Poly(b)<<k
+		t.ra[b] = polyMod(red<<8, pol) ^ Poly(b)<<(k+8)
+		t.out8[b] = polyMod(t.out[b]<<8, pol)
+		t.out16[b] = polyMod(t.out8[b]<<8, pol)
 	}
 	return t
+}
+
+// roll advances digest d by one byte: out leaves the window, in enters.
+// The scan loops write the same step out inline.
+func (t *rabinTables) roll(d Poly, out, in byte) Poly {
+	d ^= t.out[out]
+	return (d<<8 | Poly(in)) ^ t.mod[byte(d>>t.shift)]
+}
+
+// roll2 is roll(roll(d, out1, in1), out2, in2) in one step, for the
+// degree-53 _rabinPoly and a reduced d (d < x^53). Both rolls are linear
+// over GF(2), so the result is d·x^16 ⊕ out1·x^16 ⊕ out2·x^8 ⊕ in1·x^8
+// ⊕ in2 mod P, and d·x^16 mod P is the low 37 bits of d shifted up,
+// which need no reduction, xor the top 16 looked up a byte at a time.
+// Only the two lookups wait for d; the parenthesised terms do not, so
+// they are combined while the lookups load, off the chain a scan waits on.
+func (t *rabinTables) roll2(d Poly, out1, out2, in1, in2 byte) Poly {
+	return t.ra[byte(d>>45)] ^ t.rb[byte(d>>37)] ^
+		(d<<16 ^ t.out16[out1] ^ t.out8[out2] ^ Poly(in1)<<8 ^ Poly(in2))
 }
 
 // _rabinTab is shared by all rabin chunkers; the polynomial and window are
@@ -72,14 +100,7 @@ var _rabinTab = calcRabinTables(_rabinPoly, _rabinWindow)
 // guard byte folded into an all-zero window, so an all-zero stream does
 // not yield digest 0 (which would match any mask immediately). Computed
 // from the tables rather than hard-coded so it tracks _rabinPoly.
-var _rabinSeed = func() Poly {
-	var d Poly
-	d ^= _rabinTab.out[0] // the zero byte leaving an empty window
-	idx := byte(d >> _rabinTab.shift)
-	d = d<<8 | 1
-	d ^= _rabinTab.mod[idx]
-	return d
-}()
+var _rabinSeed = _rabinTab.roll(0, 0, 1)
 
 // rabinScan returns the cut offset (1..len(win)) the rolling Rabin
 // fingerprint picks in win: the first position >= min whose digest
@@ -97,7 +118,8 @@ var _rabinSeed = func() Poly {
 //	phase 3, i >= window: win[i-window] leaves.
 func rabinScan(tab *rabinTables, win []byte, min int, mask Poly) int {
 	if min > _rabinWindow {
-		return rabinScanSkip(tab, win, min, mask)
+		// Rabin is TTTD without the backup fallback.
+		return tttdScanSkip(tab, win, min, mask, mask, false)
 	}
 	n := len(win)
 	shift := tab.shift
@@ -136,69 +158,3 @@ func rabinScan(tab *rabinTables, win []byte, min int, mask Poly) int {
 	}
 	return n
 }
-
-// rabinScanSkip is rabinScan for min > window, the production
-// configuration (2 KB min, 48-byte window). Because the fold-out in
-// phase 3 is exact, the digest at any position i >= window-1 is a
-// pure function of the trailing window bytes, so the scan starts a
-// window before the first tested position instead of at 0 — the
-// cut-point-skip trick fastcdcScan uses, transplanted to the rolling
-// Rabin hash. Two further restructurings over rabinScan:
-//
-//   - the i+1 >= min test is hoisted out entirely: the warm-up prefix
-//     tests nothing, and every position from the guard step on is
-//     >= min by construction;
-//   - the steady-state loop strides 8 bytes: one 64-bit load each for
-//     the incoming and outgoing bytes replaces 16 bounds-checked byte
-//     loads, and the 8 steps consume the loaded words from registers.
-//
-// Bit-identical to rabinScan by the differential fuzz harness.
-func rabinScanSkip(tab *rabinTables, win []byte, min int, mask Poly) int {
-	n := len(win)
-	shift := tab.shift
-	digest := _rabinSeed
-	// Warm the hash over the window preceding the first tested
-	// position; no cut tests happen here.
-	i := min - _rabinWindow
-	for e := min - 1; i < e; i++ {
-		idx := byte(digest >> shift)
-		digest = digest<<8 | Poly(win[i])
-		digest ^= tab.mod[idx]
-	}
-	// Guard step: the 0x01 reset byte leaves; the first tested cut is
-	// min itself.
-	digest ^= tab.out[1]
-	idx := byte(digest >> shift)
-	digest = digest<<8 | Poly(win[i])
-	digest ^= tab.mod[idx]
-	if digest&mask == mask {
-		return i + 1
-	}
-	i++
-	for ; i+8 <= n; i += 8 {
-		in := binary.LittleEndian.Uint64(win[i:])
-		out := binary.LittleEndian.Uint64(win[i-_rabinWindow:])
-		for k := 0; k < 8; k++ {
-			digest ^= tab.out[byte(out)]
-			out >>= 8
-			idx := byte(digest >> shift)
-			digest = digest<<8 | Poly(byte(in))
-			in >>= 8
-			digest ^= tab.mod[idx]
-			if digest&mask == mask {
-				return i + k + 1
-			}
-		}
-	}
-	for ; i < n; i++ {
-		digest ^= tab.out[win[i-_rabinWindow]]
-		idx := byte(digest >> shift)
-		digest = digest<<8 | Poly(win[i])
-		digest ^= tab.mod[idx]
-		if digest&mask == mask {
-			return i + 1
-		}
-	}
-	return n
-}
-
