@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
+.PHONY: build test race serial-restore bench microbench vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ test:
 # assembler; the race tier is not optional.
 race:
 	$(GO) test -race ./...
+
+# A restore assembles serially only when GOMAXPROCS is 1; on more CPUs it
+# runs the parallel assembler. This pass keeps the serial path, and the
+# restore tests that compare against it, covered whatever the runner's
+# core count.
+serial-restore:
+	GOMAXPROCS=1 $(GO) test ./internal/restorecache ./internal/backup .
 
 # Regenerate the three committed benchmark snapshots with the flags they
 # are captured with, into BENCH_OUT. Every value in them is exact, so a
@@ -123,4 +130,4 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-check: build test race vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke
+check: build test race serial-restore vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke

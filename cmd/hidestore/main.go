@@ -81,7 +81,6 @@ func runCtx(ctx context.Context, args []string) error {
 		ctnSize  = fs.Int("container", 4<<20, "container size in bytes")
 		cache    = fs.String("restore-cache", "faa", "restore cache: faa|alacc|container-lru|chunk-lru|opt")
 		prefetch = fs.Int("prefetch", 0, "restore read-ahead depth in containers (0 = default, negative disables)")
-		workers  = fs.Int("restore-workers", 0, "parallel restore assembly: >1 assembles chunk spans on that many workers, out of order (container fetches overlap up to -prefetch either way; bytes and read counts are identical to serial; 0/1 = serial)")
 		compress = fs.Bool("compress", false, "DEFLATE-compress containers at rest")
 		repair   = fs.Bool("repair", false, "fsck only: quarantine corrupt containers and name affected versions")
 		throttle = fs.Float64("scrub-throttle", 0, "scrub only: verification I/O cap in MB/s (0 = default 32, negative = unthrottled)")
@@ -139,16 +138,15 @@ func runCtx(ctx context.Context, args []string) error {
 	}
 
 	sys, err := hidestore.Open(hidestore.Config{
-		Dir:            *dir,
-		Window:         *window,
-		Chunker:        *alg,
-		ContainerSize:  *ctnSize,
-		RestoreCache:   *cache,
-		PrefetchDepth:  *prefetch,
-		RestoreWorkers: *workers,
-		Compress:       *compress,
-		Metrics:        reg,
-		Tracer:         tracer,
+		Dir:           *dir,
+		Window:        *window,
+		Chunker:       *alg,
+		ContainerSize: *ctnSize,
+		RestoreCache:  *cache,
+		PrefetchDepth: *prefetch,
+		Compress:      *compress,
+		Metrics:       reg,
+		Tracer:        tracer,
 		Backend: hidestore.BackendConfig{
 			Kind:          *backendKind,
 			Latency:       *backendLat,

@@ -82,14 +82,6 @@ type Config struct {
 	// assembly; it never changes which containers are read, so restore
 	// stats (container reads, speed factor) are identical either way.
 	PrefetchDepth int
-	// RestoreWorkers selects the parallel assembler: values > 1 assemble
-	// chunk spans on that many workers, out of order through a bounded
-	// reorder window. Container fetches overlap up to PrefetchDepth either
-	// way. The restored bytes and the restore stats (container reads,
-	// cache hits, speed factor) are identical to the serial mode by
-	// construction — parallelism only changes wall time. 0 or 1 selects
-	// the serial assembler.
-	RestoreWorkers int
 	// MergeUtilization is the active-container utilization below which
 	// containers are merged after each version (default 0.5).
 	MergeUtilization float64
@@ -446,7 +438,6 @@ func Open(cfg Config) (*System, error) {
 		MergeUtilization:  cfg.MergeUtilization,
 		RestoreCache:      rc,
 		PrefetchDepth:     cfg.PrefetchDepth,
-		RestoreWorkers:    cfg.RestoreWorkers,
 		StatePath:         set.statePath,
 		WriteState:        set.writeState,
 		ReadState:         set.readState,
@@ -518,7 +509,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 		Recipes:           set.recipes,
 		ContainerCapacity: cfg.ContainerSize,
 		PrefetchDepth:     cfg.PrefetchDepth,
-		RestoreWorkers:    cfg.RestoreWorkers,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})
@@ -559,7 +549,10 @@ func (s *System) Backup(ctx context.Context, r io.Reader) (BackupReport, error) 
 	}, nil
 }
 
-// Restore writes the exact bytes of a stored version to w.
+// Restore writes the exact bytes of a stored version to w. Given more
+// than one CPU (GOMAXPROCS), it assembles ~1 MB spans on up to four
+// goroutines and writes them to w in order from one; the bytes and the
+// stats are the same at any width.
 func (s *System) Restore(ctx context.Context, version int, w io.Writer) (RestoreReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

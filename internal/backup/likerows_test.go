@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hidestore/internal/backup"
@@ -145,36 +146,39 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		open func(store container.Store, cache restorecache.Cache, depth, workers int) (backup.Engine, error)
+		open func(store container.Store, cache restorecache.Cache, depth int) (backup.Engine, error)
 	}{
-		{"core", func(store container.Store, cache restorecache.Cache, depth, workers int) (backup.Engine, error) {
+		{"core", func(store container.Store, cache restorecache.Cache, depth int) (backup.Engine, error) {
 			return core.New(core.Config{
 				Store: store, Recipes: recipe.NewMemStore(), ContainerCapacity: capacity,
-				RestoreCache: cache, PrefetchDepth: depth, RestoreWorkers: workers,
+				RestoreCache: cache, PrefetchDepth: depth,
 			})
 		}},
-		{"dedup", func(store container.Store, cache restorecache.Cache, depth, workers int) (backup.Engine, error) {
+		{"dedup", func(store container.Store, cache restorecache.Cache, depth int) (backup.Engine, error) {
 			ix, err := ddfs.New(ddfs.Options{})
 			if err != nil {
 				return nil, err
 			}
 			return dedup.New(dedup.Config{
 				Index: ix, Store: store, Recipes: recipe.NewMemStore(), ContainerCapacity: capacity,
-				RestoreCache: cache, PrefetchDepth: depth, RestoreWorkers: workers,
+				RestoreCache: cache, PrefetchDepth: depth,
 			})
 		}},
 	}
 	for _, eng := range engines {
 		for _, policy := range []string{"faa", "container-lru", "opt", "chunk-lru", "alacc"} {
 			for _, depth := range []int{-1, 0, 2} {
+				// The assembly width is GOMAXPROCS's: 1 runs the serial
+				// assembler, 4 the parallel one at width 4.
 				for _, workers := range []int{0, 4} {
 					t.Run(fmt.Sprintf("%s/%s/depth%d/workers%d", eng.name, policy, depth, workers), func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, 1)))
 						cache, err := restorecache.New(policy)
 						if err != nil {
 							t.Fatal(err)
 						}
 						store := container.NewMemStore()
-						e, err := eng.open(store, cache, depth, workers)
+						e, err := eng.open(store, cache, depth)
 						if err != nil {
 							t.Fatal(err)
 						}

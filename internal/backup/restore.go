@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"hidestore/internal/container"
@@ -32,16 +33,32 @@ type RestoreDriver struct {
 	// AnalyzeLayout's optimal container count.
 	ContainerCapacity int
 	// Cache decides which containers are read and kept — the single
-	// decision-maker at any worker count.
+	// decision-maker at any assembly width.
 	Cache restorecache.Cache
-	// PrefetchDepth and Workers are the engines' Config.PrefetchDepth and
-	// Config.RestoreWorkers: the read-ahead window (and fetch width) and,
-	// above 1, the parallel assembler's width. Metrics and Tracer are their
-	// bundles (nil: off).
+	// PrefetchDepth is the engines' Config.PrefetchDepth: the read-ahead
+	// window (and fetch width). Metrics and Tracer are their bundles (nil:
+	// off).
 	PrefetchDepth int
-	Workers       int
 	Metrics       *obs.RestoreMetrics
 	Tracer        *obs.Tracer
+
+	// spans keeps the parallel assembler, span buffers included, from one
+	// of this driver's restores to the next.
+	spans restorecache.SpanPool
+}
+
+// maxAssemblyWidth caps the parallel assembler's span workers, and with
+// them the reorder window's memory (2·width + 2 spans, ≈ 10 MB at 4).
+// Widths past two are unmeasured: the reference host has two CPUs.
+const maxAssemblyWidth = 4
+
+// assemblyWidth is how many span workers a restore assembles with: one
+// per CPU the runtime schedules on, up to maxAssemblyWidth. At 1 the
+// serial assembler runs instead: on one CPU nothing overlaps a worker's
+// copy and the writer then reads the span back cache-cold, so serial is
+// faster there (DESIGN.md, "Parallel restore").
+func assemblyWidth() int {
+	return min(runtime.GOMAXPROCS(0), maxAssemblyWidth)
 }
 
 // Resolution is an engine's answer to the driver's resolve hook: the
@@ -68,8 +85,7 @@ type Resolution struct {
 // writes nothing back, whatever the hook returns in Patched.
 func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string, live map[container.ID]int,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (*layout.Report, error) {
-	quiet := *d
-	quiet.Metrics, quiet.Tracer = nil, nil
+	quiet := RestoreDriver{Recipes: d.Recipes} // resolve's only other reads are Metrics and Tracer
 	res, _, err := quiet.resolve(ctx, version, nil, resolve)
 	if err != nil {
 		return nil, err
@@ -179,17 +195,18 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// position as the policy's countingFetcher — so the trace's
 	// container.fetch span count, the registry counter and the run's
 	// Stats.ContainerReads are equal by construction. The prefetcher's
-	// fetch stage runs as wide as its window, and with Workers > 1 the
+	// fetch stage runs as wide as its window, and on more than one CPU the
 	// policy's output is routed through the parallel out-of-order
 	// assembler; neither changes which containers the policy requests, so
-	// the identity holds at any depth and worker count.
+	// the identity holds at any depth and width.
 	fetch, done := restorecache.MaybePrefetch(d.source(verify), res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
 	out := w
-	if d.Workers > 1 {
+	if width := assemblyWidth(); width > 1 {
 		out = restorecache.NewParallelWriter(w, restorecache.ParallelOptions{
-			Workers: d.Workers,
+			Workers: width,
+			Spans:   &d.spans,
 			Metrics: d.Metrics,
 			Tracer:  d.Tracer,
 			Span:    span,

@@ -49,13 +49,6 @@ type Config struct {
 	// disables prefetching. Prefetch only reorders when reads happen,
 	// never which reads happen, so restore stats are unaffected.
 	PrefetchDepth int
-	// RestoreWorkers selects parallel assembly: values above 1 assemble
-	// chunk spans on this many workers, out of order behind an in-order
-	// reorder window. Output bytes and read accounting are identical to
-	// the serial restore by construction (the cache policy remains the
-	// single decision-maker). 0 or 1 assembles serially (the default).
-	// The fetch side is PrefetchDepth's window either way.
-	RestoreWorkers int
 	// HashWorkers parallelize fingerprinting (default 4).
 	HashWorkers int
 	// AsyncCommitDepth is the width of the backup's commit plane: how many
@@ -236,7 +229,6 @@ func New(cfg Config) (*Engine, error) {
 		ContainerCapacity: cfg.ContainerCapacity,
 		Cache:             cfg.RestoreCache,
 		PrefetchDepth:     cfg.PrefetchDepth,
-		Workers:           cfg.RestoreWorkers,
 		Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
 		Tracer:            cfg.Tracer,
 	}

@@ -54,9 +54,6 @@ type Config struct {
 	// containers: 0 selects restorecache.DefaultPrefetchDepth, negative
 	// disables prefetching.
 	PrefetchDepth int
-	// RestoreWorkers above 1 select parallel assembly (see
-	// core.Config.RestoreWorkers); 0 or 1 assembles serially.
-	RestoreWorkers int
 	// HashWorkers parallelize fingerprinting (default 4).
 	HashWorkers int
 	// AsyncCommitDepth is the width of the backup's commit plane: how
@@ -154,7 +151,6 @@ func New(cfg Config) (*Engine, error) {
 			ContainerCapacity: cfg.ContainerCapacity,
 			Cache:             cfg.RestoreCache,
 			PrefetchDepth:     cfg.PrefetchDepth,
-			Workers:           cfg.RestoreWorkers,
 			Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
 			Tracer:            cfg.Tracer,
 		},

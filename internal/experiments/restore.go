@@ -114,10 +114,11 @@ type RestoreScaleResult struct {
 	Utilization     float64
 	ContainersPerMB float64
 	// AllocsPerChunk is heap allocations per restored chunk for the
-	// newest version on a plain in-memory store: a count of what the
-	// restore data path did, independent of the host's speed, so CI can
-	// gate on it. Assembly copies from views of the fetched images, so it
-	// scales with containers and spans, not chunks.
+	// newest version on a plain in-memory store, restored a second time: a
+	// count of what the restore data path did, independent of the host's
+	// speed, so CI can gate on it. Assembly copies from views of the
+	// fetched images into span buffers the engine keeps between restores,
+	// so it scales with containers, not chunks or spans.
 	AllocsPerChunk float64
 	// RecipeReadsOldest is the recipe reads of a cold restore of the
 	// oldest version on the same store (RestoreReport.RecipesRead): its own
@@ -338,10 +339,16 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 	return res, nil
 }
 
-// restoreAllocsPerChunk restores one version into a discarding sink and
-// returns the heap allocations it made per chunk restored.
+// restoreAllocsPerChunk restores one version into a discarding sink twice
+// and returns the heap allocations the second restore made per chunk
+// restored. The first fills what an engine keeps for every later restore
+// — on more than one CPU, the parallel assembler's span pool (at most
+// 2·width + 3 spans, allocated once per engine).
 func restoreAllocsPerChunk(e *core.Engine, version int) (float64, error) {
 	runtime.GC()
+	if _, err := e.Restore(context.Background(), version, io.Discard); err != nil {
+		return 0, fmt.Errorf("allocation count warm-up restore v%d: %w", version, err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rep, err := e.Restore(context.Background(), version, io.Discard)

@@ -105,7 +105,7 @@ type RestoreMetrics struct {
 	PrefetchOccupancy *Gauge   // containers currently in the read-ahead window
 	PrefetchPlanned   *Counter // containers entered into read-ahead plans
 
-	// Parallel-assembly pipeline state (RestoreWorkers > 1).
+	// Parallel-assembly pipeline state (restores on more than one CPU).
 	AssemblyWorkersBusy *Gauge     // assembly workers currently filling a span
 	AssemblySpans       *Counter   // spans dispatched to the assembly pool
 	AssemblyStallNS     *Histogram // writer wait for the next in-order span (ns)

@@ -15,11 +15,16 @@ import (
 
 // spanTargetBytes is the assembly span granularity: policies emit copy
 // instructions in stream order, the assembler batches them into spans
-// of roughly this many payload bytes, and each span becomes one Write
-// on the destination (and, in parallel mode, one unit of worker work —
-// large enough to amortize handoff, small enough that the reorder
-// window stays a few megabytes).
+// of at most this many payload bytes (a larger chunk is a span of its
+// own), and each span becomes one Write on the destination (and, in
+// parallel mode, one unit of worker work — large enough to amortize
+// handoff, small enough that the reorder window stays a few megabytes).
 const spanTargetBytes = 1 << 20
+
+// spanOps is the instruction capacity each parallel span starts with: a
+// span's chunk count when no chunk is below the default 2 KB minimum.
+// A span of smaller chunks grows its list once and keeps it.
+const spanOps = spanTargetBytes / 2048
 
 // assemblyOp is one pending copy instruction: either "copy chunk e out
 // of src" (src != nil) or "the payload is already in hand" (a chunk
@@ -61,7 +66,9 @@ type assembler interface {
 // inline serial path.
 func newAssembler(w io.Writer, stats *Stats) assembler {
 	if pw, ok := w.(*ParallelWriter); ok && pw.opts.Workers > 1 {
-		return newParallelAssembler(pw, stats)
+		a := pw.opts.Spans.get(pw.opts.Workers)
+		a.start(pw, stats)
+		return a
 	}
 	return &serialAssembler{w: w, stats: stats, span: spanBuilder{buf: make([]byte, 0, spanTargetBytes)}}
 }
@@ -181,6 +188,10 @@ type ParallelOptions struct {
 	// Workers is the number of span-assembly goroutines; values below 2
 	// keep assembly inline (serial).
 	Workers int
+	// Spans, when set, keeps the assembler and its span buffers for the
+	// next restore through the same pool; nil recycles spans within this
+	// restore only.
+	Spans *SpanPool
 	// Metrics, when set, exposes the pool's occupancy, span count and
 	// the writer's in-order stall latency.
 	Metrics *obs.RestoreMetrics
@@ -232,67 +243,138 @@ type spanItem struct {
 	err  error
 }
 
+// SpanPool keeps a parallel assembler between restores: its spans — each
+// a span buffer and an instruction list — and the channels that move
+// them. At one span per ~1 MB restored, allocating spans afresh would
+// allocate the restored size again on every restore; through a pool, a
+// restore allocates none once an earlier one of the same width has run.
+// It holds at most one idle assembler, so at most 2·Workers + 3 spans.
+// The zero value is ready; restores that overlap each take their own
+// assembler. A nil *SpanPool keeps nothing.
+type SpanPool struct {
+	mu   sync.Mutex
+	idle *parallelAssembler
+}
+
+// get returns the idle assembler if it is workers wide, else a new one.
+func (p *SpanPool) get(workers int) *parallelAssembler {
+	var a *parallelAssembler
+	if p != nil {
+		p.mu.Lock()
+		a, p.idle = p.idle, nil
+		p.mu.Unlock()
+	}
+	if a == nil || a.workers != workers {
+		a = newParallelAssembler(workers)
+	}
+	return a
+}
+
+// put makes a, stopped and unbound, the idle assembler.
+func (p *SpanPool) put(a *parallelAssembler) {
+	if p != nil {
+		p.mu.Lock()
+		p.idle = a
+		p.mu.Unlock()
+	}
+}
+
 // parallelAssembler fans span filling out to a worker pool and merges
 // the results back in order:
 //
-//	policy ──credit──▶ work ──▶ workers ──▶ filled ──▶ writer ──▶ w
+//	spare ──▶ policy ──▶ work ──▶ workers ──▶ filled ──▶ writer ──▶ w
+//	  ▲                                                    │
+//	  └────────────────────────────────────────────────────┘
 //
-// The credit semaphore bounds how many spans exist between dispatch
-// and the writer's in-order release (the reorder window), mirroring
-// the backup sink's credit-bounded reorder map: dispatch acquires one
-// credit per span, the writer releases it after the span is written or
-// discarded — on every path — so at most `window` spans (a few MB plus
-// their container references) are ever in flight and dispatch
-// backpressures instead of ballooning. `filled` has the window as its
-// capacity, so worker hand-off never blocks and close(work) is all
-// finish needs to drain the pool.
+// A fixed set of 2·workers + 3 spans circulates: the policy takes a
+// spare one to build, dispatch hands it to a worker, and the writer
+// returns it to the spares once the destination's Write has returned
+// (Write may not retain its slice) or once it is discarded — on every
+// path. So at most 2·workers + 2 spans (a few MB plus their container
+// references) sit between dispatch and the writer's in-order release
+// while the policy builds the next — the reorder window, bounded by
+// construction like the backup sink's credit-bounded reorder map — and
+// the policy backpressures on the spares instead of ballooning. `filled`
+// can hold every span, so worker hand-off never blocks.
+//
+// An assembler outlives its restore: start binds it to one and launches
+// its goroutines, finish stops them and hands it, spans intact, to the
+// writer's SpanPool. A span's buffer is allocated the first time it is
+// filled and kept from then on, so a restore that never has many spans in
+// flight allocates few.
 //
 // Accounting is untouched by construction: workers only copy out of
 // containers the policy already fetched through its counting layer —
 // no code here calls a Fetcher — so worker count can never change
 // which containers are read, or how often.
 type parallelAssembler struct {
+	workers int
+	// spare holds the spans not in use, the most recently returned last,
+	// so a small restore keeps reusing the same few warm spans; tokens
+	// counts them, so taking one waits while every span is in use.
+	mu     sync.Mutex
+	spare  []*spanItem
+	tokens chan struct{}
+	filled chan *spanItem
+	// park is the writer's reorder window, indexed by seq modulo its
+	// length: every span it holds is less than one circulation ahead of
+	// the next to write.
+	park []*spanItem
+	// runWorker and runWriter are the goroutines' bodies as func values,
+	// made once so that starting them allocates nothing.
+	runWorker, runWriter func()
+
+	// One restore's, from start to finish; finish closes work to stop
+	// the workers.
+	work   chan *spanItem
 	pw     *ParallelWriter
 	stats  *Stats
 	mx     *obs.RestoreMetrics
 	tracer *obs.Tracer
 	span   *obs.Span
-
-	cur     *spanItem
-	seq     int
-	credits chan struct{}
-	work    chan *spanItem
-	filled  chan *spanItem
+	cur    *spanItem
+	seq    int
 
 	wg         sync.WaitGroup
-	writerDone chan struct{}
+	writerDone sync.WaitGroup
 	// err is the first error in stream order (a span's fill failure or
 	// a destination write failure). Written only by the writer
-	// goroutine; read by finish after writerDone closes.
+	// goroutine; read by finish after writerDone is done.
 	err     error
 	aborted atomic.Bool
 }
 
-func newParallelAssembler(pw *ParallelWriter, stats *Stats) *parallelAssembler {
-	workers := pw.opts.Workers
-	window := 2*workers + 2
+func newParallelAssembler(workers int) *parallelAssembler {
+	n := 2*workers + 3
 	a := &parallelAssembler{
-		pw:         pw,
-		stats:      stats,
-		mx:         pw.opts.Metrics,
-		tracer:     pw.opts.Tracer,
-		span:       pw.opts.Span,
-		credits:    make(chan struct{}, window),
-		work:       make(chan *spanItem),
-		filled:     make(chan *spanItem, window),
-		writerDone: make(chan struct{}),
+		workers: workers,
+		spare:   make([]*spanItem, n),
+		tokens:  make(chan struct{}, n),
+		filled:  make(chan *spanItem, n),
+		park:    make([]*spanItem, n),
 	}
-	a.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go a.worker()
+	spans := make([]spanItem, n)
+	ops := make([]assemblyOp, n*spanOps)
+	for i := range spans {
+		spans[i].ops = ops[i*spanOps : i*spanOps : (i+1)*spanOps]
+		a.spare[i] = &spans[i]
+		a.tokens <- struct{}{}
 	}
-	go a.writer()
+	a.runWorker, a.runWriter = a.worker, a.writer
 	return a
+}
+
+// start binds a to one restore onto pw and launches its goroutines.
+func (a *parallelAssembler) start(pw *ParallelWriter, stats *Stats) {
+	a.pw, a.stats = pw, stats
+	a.mx, a.tracer, a.span = pw.opts.Metrics, pw.opts.Tracer, pw.opts.Span
+	a.work = make(chan *spanItem)
+	a.wg.Add(a.workers)
+	for i := 0; i < a.workers; i++ {
+		go a.runWorker()
+	}
+	a.writerDone.Add(1)
+	go a.runWriter()
 }
 
 func (a *parallelAssembler) chunk(src *container.Container, e recipe.Entry) error {
@@ -306,33 +388,34 @@ func (a *parallelAssembler) cached(data []byte, e recipe.Entry) error {
 	return a.add(assemblyOp{data: data, e: e}, len(data))
 }
 
+// add appends o to the span being built, dispatching that span first if
+// o would take it past spanTargetBytes — the serial assembler's rule, so
+// both cut the stream into the same Writes and a kept buffer of
+// spanTargetBytes always fits (only a larger chunk regrows one).
 func (a *parallelAssembler) add(o assemblyOp, size int) error {
 	if a.aborted.Load() {
 		return errAssemblyAborted
 	}
+	if a.cur != nil && a.cur.size+size > spanTargetBytes {
+		a.dispatch()
+	}
 	if a.cur == nil {
-		a.cur = &spanItem{seq: a.seq}
+		a.cur = a.take()
+		a.cur.seq = a.seq
 		a.seq++
 	}
 	a.cur.ops = append(a.cur.ops, o)
 	a.cur.size += size
-	if a.cur.size >= spanTargetBytes {
-		a.dispatch()
-	}
 	return nil
 }
 
-// dispatch hands the current span to the pool. Blocking on credits is
-// deadlock-free: the writer releases one credit per span on every
-// path, and the pool drains independently of the dispatcher.
+// dispatch hands the current span to the pool.
 func (a *parallelAssembler) dispatch() {
-	it := a.cur
-	a.cur = nil
-	a.credits <- struct{}{}
 	if a.mx != nil {
 		a.mx.AssemblySpans.Inc()
 	}
-	a.work <- it
+	a.work <- a.cur
+	a.cur = nil
 }
 
 func (a *parallelAssembler) worker() {
@@ -348,17 +431,20 @@ func (a *parallelAssembler) worker() {
 			}
 		}
 		// After an abort the span passes through unfilled: seq must stay
-		// contiguous so the writer can keep draining and releasing
-		// credits. The send never blocks — filled's capacity equals the
-		// credit window.
+		// contiguous so the writer can keep draining and returning spans.
+		// The send never blocks — filled can hold every span.
 		a.filled <- it
 	}
 }
 
-// fillSpan materializes a span's instructions into its buffer, which is
-// sized exactly: the dispatcher summed the recipe sizes chunk enforces.
+// fillSpan materializes a span's instructions into its buffer, which
+// takes the span without regrowing: the dispatcher summed the recipe
+// sizes chunk enforces.
 func fillSpan(it *spanItem) {
-	b := spanBuilder{buf: make([]byte, 0, it.size)}
+	if cap(it.buf) < it.size {
+		it.buf = make([]byte, 0, max(it.size, spanTargetBytes))
+	}
+	b := spanBuilder{buf: it.buf[:0]}
 	for _, o := range it.ops {
 		if o.src == nil {
 			b.bytes(o.data)
@@ -368,26 +454,24 @@ func fillSpan(it *spanItem) {
 	}
 	b.settle()
 	it.buf = b.buf
-	it.ops = nil // release the container references with the copy done
+	clear(it.ops) // release the container references with the copy done
 }
 
-// writer drains filled spans into a reorder map and releases them to
-// the destination strictly in seq order.
+// writer parks filled spans in the reorder window and releases them to
+// the destination strictly in seq order, until it receives nil.
 func (a *parallelAssembler) writer() {
-	defer close(a.writerDone)
-	park := make(map[int]*spanItem)
-	next := 0
+	defer a.writerDone.Done()
+	next, parked := 0, 0
 	for {
 		// A blocking wait with parked out-of-order spans is an assembly
 		// stall: the pipeline produced work but not the span the output
 		// needs next.
 		var stalled time.Time
-		parked := len(park)
 		if (a.mx != nil || a.tracer != nil) && parked > 0 {
 			stalled = time.Now()
 		}
-		it, ok := <-a.filled
-		if !ok {
+		it := <-a.filled
+		if it == nil {
 			return
 		}
 		if !stalled.IsZero() {
@@ -401,24 +485,26 @@ func (a *parallelAssembler) writer() {
 			a.tracer.EmitStage("assembly.stall", a.span, stalled, d,
 				map[string]int64{"parked": int64(parked), "seq": int64(next)})
 		}
-		park[it.seq] = it
+		a.park[it.seq%len(a.park)] = it
+		parked++
 		for {
-			n, ok := park[next]
-			if !ok {
+			slot := next % len(a.park)
+			n := a.park[slot]
+			if n == nil {
 				break
 			}
-			delete(park, next)
+			a.park[slot] = nil
+			parked--
 			next++
 			a.release(n)
 		}
 	}
 }
 
-// release writes one in-order span (or discards it after a failure)
-// and returns its credit.
+// release writes one in-order span (or discards it after a failure),
+// then recycles it.
 func (a *parallelAssembler) release(it *spanItem) {
-	defer func() { <-a.credits }()
-	it.ops = nil
+	defer a.recycle(it)
 	if a.err != nil {
 		return // a prior span already failed; discard
 	}
@@ -435,22 +521,56 @@ func (a *parallelAssembler) release(it *spanItem) {
 	a.stats.BytesRestored += uint64(len(it.buf))
 }
 
+// take returns the most recently recycled spare span. Waiting for one is
+// deadlock-free: the writer recycles every span on every path, and the
+// pool drains independently of the policy.
+func (a *parallelAssembler) take() *spanItem {
+	<-a.tokens
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := len(a.spare) - 1
+	it := a.spare[n]
+	a.spare = a.spare[:n]
+	return it
+}
+
+// recycle empties it, dropping its container references, and makes it a
+// spare again. Neither step blocks or allocates: spare and tokens have
+// room for every span.
+func (a *parallelAssembler) recycle(it *spanItem) {
+	clear(it.ops)
+	*it = spanItem{ops: it.ops[:0], buf: it.buf[:0]}
+	a.mu.Lock()
+	a.spare = append(a.spare, it)
+	a.mu.Unlock()
+	a.tokens <- struct{}{}
+}
+
 func (a *parallelAssembler) finish(err error) error {
-	if err == nil && a.cur != nil {
-		a.dispatch()
+	if a.cur != nil {
+		if err == nil {
+			a.dispatch()
+		} else {
+			a.recycle(a.cur)
+			a.cur = nil
+		}
 	}
-	a.cur = nil
 	close(a.work)
 	a.wg.Wait()
-	close(a.filled)
-	<-a.writerDone
+	a.filled <- nil // after every span: the workers have sent them all
+	a.writerDone.Wait()
 	// The writer's error is earlier in stream order than anything the
 	// policy hit afterwards (and is what errAssemblyAborted stands for).
 	if a.err != nil {
-		return a.err
+		err = a.err
+	} else if errors.Is(err, errAssemblyAborted) {
+		err = nil // unreachable: aborted implies a.err != nil
 	}
-	if errors.Is(err, errAssemblyAborted) {
-		return nil // unreachable: aborted implies a.err != nil
-	}
+	// Every span is a spare again; unbind the restore and keep the rest.
+	pool := a.pw.opts.Spans
+	a.pw, a.stats, a.mx, a.tracer, a.span = nil, nil, nil, nil, nil
+	a.seq, a.err = 0, nil
+	a.aborted.Store(false)
+	pool.put(a)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,14 +97,56 @@ func TestRestoreAllocsPerChunk(t *testing.T) {
 	if serial/chunks > 0.05 {
 		t.Errorf("serial FAA restore: %.3f allocs/chunk, want at most 0.05", serial/chunks)
 	}
-	// The parallel assembler allocates per span: the span, its growing
-	// instruction list, its buffer.
-	spans := float64(len(entries)*1024/spanTargetBytes + 1)
-	pw := NewParallelWriter(io.Discard, ParallelOptions{Workers: 2})
+	// Once its SpanPool holds a warm assembler (after AllocsPerRun's first
+	// run), a parallel restore allocates about what a serial one does: its
+	// spans, their buffers and the goroutines' bodies are reused, and only
+	// the work channel is made per restore.
+	pw := NewParallelWriter(io.Discard, ParallelOptions{Workers: 2, Spans: &SpanPool{}})
 	parallel := testing.AllocsPerRun(5, restore(pw))
-	if parallel > 32*spans || parallel/chunks > 0.05 {
-		t.Errorf("parallel FAA restore: %.0f allocs for %.0f spans (%.3f/chunk), want at most 32 per span",
-			parallel, spans, parallel/chunks)
+	if parallel > serial+4 {
+		t.Errorf("parallel FAA restore: %.0f allocs, serial %.0f; want at most 4 more per restore", parallel, serial)
 	}
-	t.Logf("%d chunks: serial %.0f allocs, parallel %.0f allocs over %.0f spans", len(entries), serial, parallel, spans)
+	t.Logf("%d chunks: serial %.0f allocs, parallel %.0f", len(entries), serial, parallel)
+}
+
+// TestParallelRestoreBytesAllocated: span buffers are recycled, so a
+// parallel restore allocates for its reorder window — window + 1 spans,
+// each a buffer and an instruction list — and not for its size, and
+// further restores through the same SpanPool allocate none. Allocating
+// each span's buffer afresh allocates the restored size, 64 MB here, on
+// every restore.
+func TestParallelRestoreBytesAllocated(t *testing.T) {
+	store, base, _ := fixture(t, 8, 1024, 1024)
+	var entries []recipe.Entry
+	for i := 0; i < 8; i++ {
+		entries = append(entries, base...) // 64 MB restored from 8 MB of containers
+	}
+	const workers = 2
+	window := 2*workers + 2
+	perSpan := uint64(spanTargetBytes + spanTargetBytes/4)
+	limit := uint64(window+1) * perSpan
+	pw := NewParallelWriter(io.Discard, ParallelOptions{Workers: workers, Spans: &SpanPool{}})
+	faa := NewFAA(0)
+	var total uint64
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats, err := faa.Restore(context.Background(), entries, StoreFetcher(store), pw)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.BytesRestored != 64<<20 {
+			t.Fatalf("restored %d bytes, want 64 MB", stats.BytesRestored)
+		}
+		n := after.TotalAlloc - before.TotalAlloc
+		total += n
+		t.Logf("restore %d: %d bytes allocated", i+1, n)
+		if i == 0 && n > limit {
+			t.Errorf("a 64 MB parallel restore allocated %d bytes, want at most %d (window %d + 1 spans)", n, limit, window)
+		}
+	}
+	if slack := 3 * perSpan / 4; total > limit+slack {
+		t.Errorf("four 64 MB restores through one SpanPool allocated %d bytes, want at most %d", total, limit+slack)
+	}
 }

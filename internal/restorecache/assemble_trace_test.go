@@ -25,15 +25,17 @@ func TestWriterStallEmitsTraceRecord(t *testing.T) {
 	var sink bytes.Buffer
 	stats := &Stats{}
 	pw := NewParallelWriter(&sink, ParallelOptions{Workers: 2, Tracer: tracer, Span: restoreSpan})
-	a := newParallelAssembler(pw, stats)
+	a := newParallelAssembler(2)
+	a.start(pw, stats)
 
-	// Bypass the worker pool: take the credits dispatch would take and
-	// feed the writer out of order. filled's capacity covers both sends.
-	a.credits <- struct{}{}
-	a.credits <- struct{}{}
-	a.filled <- &spanItem{seq: 1, buf: []byte("second")}
+	// Bypass the policy and the worker pool: take two spans as the policy
+	// would and feed the writer out of order.
+	first, second := a.take(), a.take()
+	first.seq, first.buf = 0, []byte("first")
+	second.seq, second.buf = 1, []byte("second")
+	a.filled <- second
 	time.Sleep(20 * time.Millisecond) // the writer is now parked on seq 0
-	a.filled <- &spanItem{seq: 0, buf: []byte("first")}
+	a.filled <- first
 	if err := a.finish(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +86,13 @@ func TestWriterStallEmitsTraceRecord(t *testing.T) {
 func TestWriterNoStallRecordWithoutTracer(t *testing.T) {
 	var sink bytes.Buffer
 	pw := NewParallelWriter(&sink, ParallelOptions{Workers: 2})
-	a := newParallelAssembler(pw, &Stats{})
-	a.credits <- struct{}{}
-	a.credits <- struct{}{}
-	a.filled <- &spanItem{seq: 1, buf: []byte("b")}
-	a.filled <- &spanItem{seq: 0, buf: []byte("a")}
+	a := newParallelAssembler(2)
+	a.start(pw, &Stats{})
+	first, second := a.take(), a.take()
+	first.seq, first.buf = 0, []byte("a")
+	second.seq, second.buf = 1, []byte("b")
+	a.filled <- second
+	a.filled <- first
 	if err := a.finish(nil); err != nil {
 		t.Fatal(err)
 	}

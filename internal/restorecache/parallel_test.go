@@ -64,6 +64,35 @@ func TestParallelConformance(t *testing.T) {
 	}
 }
 
+// TestSpanPoolSharedByConcurrentRestores: restores running at once
+// through one SpanPool each get their own spans — a span handed to two
+// restores at once would mix their bytes (run it under -race).
+func TestSpanPoolSharedByConcurrentRestores(t *testing.T) {
+	store, entries, payloads := fixture(t, 4, 1024, 1024)
+	want := expected(entries, payloads)
+	var spans SpanPool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				var got bytes.Buffer
+				pw := NewParallelWriter(&got, ParallelOptions{Workers: 2, Spans: &spans})
+				if _, err := NewFAA(0).Restore(context.Background(), entries, StoreFetcher(store), pw); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Error("a restore sharing the span pool differs from the recipe's bytes")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestParallelRestorePropagatesFetchError: a missing container must
 // fail the parallel restore cleanly — the assembler drains its workers
 // and reorder window instead of deadlocking, and the error is the

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -20,19 +21,21 @@ import (
 )
 
 // TestParallelRestoreIdentity pins the parallel restore mode's
-// system-level contract: with RestoreWorkers > 1 every version
-// restores byte-identically to the serial system, the per-restore
+// system-level contract: on more than one CPU every version restores
+// byte-identically to the serial (one-CPU) system, the per-restore
 // accounting (ContainerReads, BytesRestored) is unchanged, and the
 // observability identity still holds — trace container.fetch spans ==
 // Stats reads == the registry counter — because counting stays at the
 // single policy-request layer no matter how many workers copy chunks.
 func TestParallelRestoreIdentity(t *testing.T) {
 	versions := testVersions(t, 4)
-	run := func(workers int) ([][]byte, []RestoreReport, uint64, uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) ([][]byte, []RestoreReport, uint64, uint64) {
+		runtime.GOMAXPROCS(procs)
 		var traceBuf bytes.Buffer
 		reg := obs.NewRegistry()
 		tracer := obs.NewTracer(&traceBuf)
-		sys, err := Open(Config{Metrics: reg, Tracer: tracer, RestoreWorkers: workers})
+		sys, err := Open(Config{Metrics: reg, Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,27 +68,27 @@ func TestParallelRestoreIdentity(t *testing.T) {
 		return outs, reps, spans, counter
 	}
 
-	serialOut, serialReps, _, _ := run(0)
-	for _, workers := range []int{2, 8} {
-		parOut, parReps, spans, counter := run(workers)
+	serialOut, serialReps, _, _ := run(1)
+	for _, procs := range []int{2, 8} {
+		parOut, parReps, spans, counter := run(procs)
 		var statsReads uint64
 		for i := range versions {
 			if !bytes.Equal(parOut[i], serialOut[i]) {
-				t.Fatalf("workers=%d: version %d differs from serial restore (%d vs %d bytes)",
-					workers, i+1, len(parOut[i]), len(serialOut[i]))
+				t.Fatalf("procs=%d: version %d differs from serial restore (%d vs %d bytes)",
+					procs, i+1, len(parOut[i]), len(serialOut[i]))
 			}
 			if !bytes.Equal(parOut[i], versions[i]) {
-				t.Fatalf("workers=%d: version %d differs from the backed-up stream", workers, i+1)
+				t.Fatalf("procs=%d: version %d differs from the backed-up stream", procs, i+1)
 			}
 			if parReps[i].ContainerReads != serialReps[i].ContainerReads {
-				t.Fatalf("workers=%d: version %d ContainerReads = %d, serial = %d",
-					workers, i+1, parReps[i].ContainerReads, serialReps[i].ContainerReads)
+				t.Fatalf("procs=%d: version %d ContainerReads = %d, serial = %d",
+					procs, i+1, parReps[i].ContainerReads, serialReps[i].ContainerReads)
 			}
 			statsReads += parReps[i].ContainerReads
 		}
 		if spans != statsReads || counter != statsReads {
-			t.Errorf("workers=%d: accounting identity broken: %d spans, %d Stats reads, %d registry reads",
-				workers, spans, statsReads, counter)
+			t.Errorf("procs=%d: accounting identity broken: %d spans, %d Stats reads, %d registry reads",
+				procs, spans, statsReads, counter)
 		}
 	}
 }
@@ -97,8 +100,9 @@ func TestParallelRestoreIdentity(t *testing.T) {
 // runs this under -race).
 func TestMetricsScrapeDuringParallelRestore(t *testing.T) {
 	versions := testVersions(t, 3)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	reg := obs.NewRegistry()
-	sys, err := Open(Config{Metrics: reg, RestoreWorkers: 4})
+	sys, err := Open(Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +212,12 @@ func (failPutStore) Put(*container.Container) error { return errors.New("store d
 func TestTraceSpansBalancedOnFailure(t *testing.T) {
 	versions := testVersions(t, 2)
 	srcErr := errors.New("source died")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // restores assemble in parallel
 
 	check := func(name string, open func(Config) (*System, error), overStore func(container.Store, *obs.Tracer) (backup.Engine, error)) {
 		var buf bytes.Buffer
 		tracer := obs.NewTracer(&buf)
-		sys, err := open(Config{Tracer: tracer, RestoreWorkers: 4})
+		sys, err := open(Config{Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
