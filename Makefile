@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race serial-restore bench microbench vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
+.PHONY: build test race serial-restore bench microbench vet cross lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ microbench:
 
 vet:
 	$(GO) vet ./...
+
+# The SHA-NI fingerprint kernel is amd64 assembly behind build tags; every
+# other architecture takes fp's crypto/sha1 fallback. Vetting for arm64
+# (asmdecl included) and building for 386 keeps the fallback and the tags
+# compiling whatever the runner's architecture.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # hidelint is the project-specific static-analysis gate: discarded
 # errors, dead context plumbing, panics in library code, store
@@ -113,12 +121,14 @@ bench-smoke:
 
 # Ten seconds of coverage-guided fuzzing of the Rabin and TTTD scans
 # against their reference loops, one window of at most 64 KB per input,
-# so tens of thousands of inputs a second. Minimization is capped at 100
-# runs per input: at the 60 s default it would spend the whole budget
-# shrinking the first interesting input. A failure lands in
-# internal/chunker/testdata/fuzz/ as a replayable seed.
+# so tens of thousands of inputs a second, then five of the fingerprint
+# (SHA-NI where the CPU has it) against crypto/sha1. Minimization is
+# capped at 100 runs per input: at the 60 s default it would spend the
+# whole budget shrinking the first interesting input. A failure lands in
+# the package's testdata/fuzz/ as a replayable seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/chunker
+	$(GO) test -run '^$$' -fuzz FuzzOfMatchesSHA1 -fuzztime 5s -fuzzminimizetime 100x ./internal/fp
 
 # Non-test, non-testdata Go lines per package and in total: the figures
 # ROADMAP and the "less code" PRs quote, from one command instead of a
@@ -130,4 +140,4 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-check: build test race serial-restore vet lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke
+check: build test race serial-restore vet cross lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke

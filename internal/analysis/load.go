@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -141,8 +142,10 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses the non-test Go files in dir and type-checks them as
-// the package with the given import path. A path this Loader has
+// LoadDir parses the non-test Go files in dir that the build context
+// selects (build constraints and _GOOS/_GOARCH suffixes, as the compiler
+// sees them) and type-checks them as the package with the given import
+// path. A path this Loader has
 // already checked returns the cached package.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if p, ok := l.loaded[importPath]; ok {
@@ -156,6 +159,13 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hidestore/internal/bufpool"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
@@ -23,16 +23,6 @@ import (
 // proves — clears it; restores of committed versions keep working.
 var ErrFailed = errors.New("backup: engine refuses writes after a failed one; reopen the store to recover")
 
-// hashedChunk is one chunk flowing through the ingest pipeline. data is a
-// pool-owned buffer: the producer fills it (via the pooled chunker), the
-// stages in between must not retain it, and the engine's sink takes it
-// over when Run hands it across, in stream order.
-type hashedChunk struct {
-	fp       fp.FP
-	data     []byte
-	probeHit bool // the hash worker's speculative verdict; see Run's probe
-}
-
 // IngestConfig is what an engine fixes once for every backup it runs.
 type IngestConfig struct {
 	Chunker     chunker.Algorithm
@@ -46,27 +36,25 @@ type IngestConfig struct {
 	Tracer  *obs.Tracer
 }
 
-// Ingester is the write path both engines share: chunk → fingerprint →
-// credit-bounded in-order sink, the commit plane's lifecycle, the backup
-// span, stage timing and the failure latch. An engine owns one for its
-// lifetime and supplies only policy — what a chunk is deduplicated against
-// and where it is stored — through Run's two hooks. Not safe for
-// concurrent use, like the engines.
+// Ingester is the write path both engines share: stream slabs → parallel
+// scan and fingerprint → in-order resync and sink, the commit plane's
+// lifecycle, the backup span, stage timing and the failure latch. An
+// engine owns one for its lifetime and supplies only policy — what a chunk
+// is deduplicated against and where it is stored — through Run's two
+// hooks. Not safe for concurrent use, like the engines.
 type Ingester struct {
-	cfg    IngestConfig
-	pool   *bufpool.Pool
+	cfg      IngestConfig
+	slabSize int
+	// slabs is made by the first Run, once the decision window is known,
+	// and recycles slabs across every backup after it.
+	slabs  *slabPool
 	failed error // first cause of the latch; see ErrFailed
 }
 
 // NewIngester returns the shared write path configured by cfg.
 func NewIngester(cfg IngestConfig) *Ingester {
-	return &Ingester{cfg: cfg, pool: bufpool.New(cfg.ChunkParams.Max)}
+	return &Ingester{cfg: cfg, slabSize: slabBytes}
 }
-
-// Release returns a chunk buffer to the pool. The sink owns each buffer it
-// is handed and releases it once the payload is classified duplicate or
-// copied into a container.
-func (g *Ingester) Release(data []byte) { g.pool.Release(data) }
 
 // Failed returns nil while the engine may mutate, and the sticky error —
 // ErrFailed wrapping the first cause — once FailOn has latched.
@@ -105,8 +93,10 @@ type Ingest struct {
 	Chunks       int
 	LogicalBytes uint64
 
-	chunkNS int64        // single-goroutine stage (the producer)
-	fpNS    atomic.Int64 // runs on HashWorkers goroutines
+	// Scan and hash time summed over the hash workers and the resync.
+	chunkNS, fpNS atomic.Int64
+	// recut counts the chunks the sink cut and hashed itself.
+	recut int
 }
 
 // Begin opens a backup: the span and the commit plane. It refuses with the
@@ -150,78 +140,173 @@ func (in *Ingest) End(retErr *error) {
 }
 
 // Run pumps version through the pipeline and returns once sink has
-// consumed the last chunk, or with the first error. probe, when non-nil,
-// runs on the hash workers right after a chunk is fingerprinted — a
-// speculative classification that overlaps an expensive lookup with the
-// other workers instead of serializing it behind the sink; its verdict
-// travels with the chunk. sink runs on one goroutine, in stream order, and
-// owns data from the call on (see Release).
-func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) bool, sink func(f fp.FP, data []byte, probeHit bool) error) error {
-	cfg := in.g.cfg
-	ch, err := chunker.NewPooled(cfg.Chunker, version, cfg.ChunkParams, in.g.pool)
+// consumed the last chunk, or with the first error. The chunks and their
+// cut points are exactly the sequential chunker's (chunker.New).
+//
+// The producer only reads: it cuts the version into stream slabs (see
+// slab). The hash workers each take a whole slab and cut, fingerprint and
+// probe it speculatively, as if a chunk started at its first byte. The
+// sink, in stream order, resyncs: from the offset at which the true chain
+// enters the slab it cuts and hashes chunk by chunk until it reaches a
+// speculative chunk start, and from there adopts the worker's chunks. A
+// cut is a pure function of the window that starts at the previous cut,
+// so two chains that share one start share every start after it. Inside
+// a run of identical bytes longer than a slab the chains almost never
+// meet, at any parameters; there the sink borrows the cut of an earlier
+// chunk with a byte-equal window (see resync). What neither rescues —
+// fixed-size chunks whose size does not divide the slab, patterns whose
+// windows repeat only after more than eight chunks — is cut on the sink
+// alone: still the same chunks, but serially.
+//
+// probe, when non-nil, classifies a chunk's fingerprint speculatively on
+// the hash workers (or on the sink for chunks the resync cut itself); its
+// verdict travels with the chunk, so it must be safe for concurrent use
+// and read-only. sink runs on one goroutine, in stream order, and must
+// Release every chunk it is handed. A reader error is returned after
+// every chunk whose decision window was read before it.
+func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) bool, sink func(Chunk) error) error {
+	g, cfg := in.g, in.g.cfg
+	dec, err := chunker.NewDecider(cfg.Chunker, cfg.ChunkParams)
 	if err != nil {
 		return err
 	}
-	// obsOn gates every hot-path clock read: with the plane off, a backup
-	// performs exactly one extra boolean test per chunk. The histograms
-	// are hoisted into locals so the per-chunk record is a nil-safe method
-	// call even when only the tracer is live.
-	obsOn := cfg.Metrics != nil || cfg.Tracer != nil
-	var mxChunk, mxFP *obs.Histogram
-	if cfg.Metrics != nil {
-		mxChunk, mxFP = cfg.Metrics.ChunkingNS, cfg.Metrics.FingerprintNS
+	if g.slabs == nil {
+		g.slabs = newSlabPool(g.slabSize, dec.Window())
 	}
-	// pipeline.Ordered bounds the chunks in flight between the chunker and
-	// the sink and restores stream order behind the hash workers.
+	// obsOn gates every hot-path clock read: with the plane off, a backup
+	// reads no clock per chunk. The histograms are hoisted so the
+	// per-chunk record is a nil-safe method call when only the tracer is
+	// live.
+	c := &cutter{in: in, dec: dec, win: dec.Window(), probe: probe, obsOn: cfg.Metrics != nil || cfg.Tracer != nil}
+	if cfg.Metrics != nil {
+		c.mxChunk, c.mxFP = cfg.Metrics.ChunkingNS, cfg.Metrics.FingerprintNS
+	}
+	entry := 0 // where the true chain enters the next slab
 	err = pipeline.Ordered(ctx, cfg.HashWorkers,
-		func(emit func(hashedChunk) bool) error {
-			for {
-				var t0 time.Time
-				if obsOn {
-					t0 = time.Now()
-				}
-				data, err := ch.Next()
-				if obsOn {
-					d := time.Since(t0)
-					in.chunkNS += int64(d)
-					mxChunk.Observe(uint64(d))
-				}
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				if err != nil {
-					return fmt.Errorf("backup: chunking: %w", err)
-				}
-				if !emit(hashedChunk{data: data}) {
-					return nil
-				}
-			}
-		},
-		func(c hashedChunk) (hashedChunk, error) {
-			var t0 time.Time
-			if obsOn {
-				t0 = time.Now()
-			}
-			c.fp = fp.Of(c.data)
-			if obsOn {
-				d := time.Since(t0)
-				in.fpNS.Add(int64(d))
-				mxFP.Observe(uint64(d))
-			}
-			if probe != nil {
-				c.probeHit = probe(c.fp)
-			}
-			return c, nil
-		},
-		func(c hashedChunk) error {
-			in.Chunks++
-			in.LogicalBytes += uint64(len(c.data))
-			return sink(c.fp, c.data, c.probeHit)
-		})
+		func(emit func(*slab) bool) error { return g.slabs.read(ctx, version, emit) },
+		func(s *slab) (*slab, error) { c.speculate(s); return s, nil },
+		func(s *slab) error { return c.resync(s, &entry, sink) })
 	if err != nil {
+		// The slabs still out will never all come back: the pipeline that
+		// held some is gone and the engine drops its chunks. The next Run
+		// starts a fresh pool; this one goes to the collector with its
+		// late releases. The allocation count carries over.
+		old := g.slabs
+		g.slabs = newSlabPool(old.size, old.window)
+		g.slabs.allocs = old.stats().SlabAllocs
 		return err
 	}
 	in.ingested = true
+	return nil
+}
+
+// cutter cuts and fingerprints chunks for one Run, on the hash workers
+// and on the sink.
+type cutter struct {
+	in    *Ingest
+	dec   chunker.Decider
+	win   int
+	probe func(fp.FP) bool
+
+	obsOn         bool
+	mxChunk, mxFP *obs.Histogram
+}
+
+// chunk cuts the chunk whose decision window is win, fingerprints and
+// probes it.
+func (c *cutter) chunk(win []byte) (n int, f fp.FP, hit bool) {
+	if !c.obsOn {
+		n = c.dec.Cut(win)
+		f = fp.Of(win[:n])
+	} else {
+		t0 := time.Now()
+		n = c.dec.Cut(win)
+		t1 := time.Now()
+		f = fp.Of(win[:n])
+		d0, d1 := t1.Sub(t0), time.Since(t1)
+		c.in.chunkNS.Add(int64(d0))
+		c.in.fpNS.Add(int64(d1))
+		c.mxChunk.Observe(uint64(d0))
+		c.mxFP.Observe(uint64(d1))
+	}
+	return n, f, c.probe != nil && c.probe(f)
+}
+
+// speculate is a hash worker's pass over s: the chain that starts at its
+// first byte, every chunk that starts in its owned run.
+func (c *cutter) speculate(s *slab) {
+	for p := 0; p < s.own; {
+		win, ok := s.window(p, c.win)
+		if !ok {
+			return // the reader failed here; the sink reports it
+		}
+		n, f, hit := c.chunk(win)
+		s.spec = append(s.spec, specChunk{off: p, n: n, fp: f, hit: hit})
+		p += n
+	}
+}
+
+// resync hands sink the chunks of s on the true chain, which enters s at
+// *entry, and leaves *entry where the chain enters the next slab. Until the
+// chain reaches a speculative start it cuts chunks itself; from the first
+// start they share it adopts the speculative chain.
+//
+// A chunk the sink would cut itself borrows the cut of one of its last
+// eight in s whose decision window is byte-equal: Cut is pure, so the
+// chunk and its fingerprint are the same. Inside a run of identical bytes
+// (or of a short repeating pattern) longer than a slab, chunks repeat
+// with the run, and where the run began, not the slab grid, places them,
+// so the chains almost never meet there; the compare keeps the sink from
+// cutting and hashing such a slab alone. It cuts the first chunks of the
+// run in each slab and borrows from then on, as long as chunk windows
+// repeat within eight chunks: every chunk for a constant run, every
+// P / gcd(P, Max) chunks for a pattern of period P cut only at Max.
+func (c *cutter) resync(s *slab, entry *int, sink func(Chunk) error) error {
+	p, k := *entry, 0
+	// recent rings the sink's last chunks of s that it did not adopt, nr
+	// counts them; n == 0 marks an empty entry.
+	var recent [8]specChunk
+	nr := 0
+	for p < s.own {
+		for k < len(s.spec) && s.spec[k].off < p {
+			k++
+		}
+		var sc specChunk
+		if k < len(s.spec) && s.spec[k].off == p {
+			sc = s.spec[k]
+		} else {
+			win, ok := s.window(p, c.win)
+			if !ok {
+				break
+			}
+			for _, r := range recent {
+				if rw, _ := s.window(r.off, c.win); r.n > 0 && bytes.Equal(rw, win) {
+					sc = r
+					break
+				}
+			}
+			if sc.n == 0 {
+				sc.n, sc.fp, sc.hit = c.chunk(win)
+				c.in.recut++
+			}
+			sc.off = p
+			recent[nr%len(recent)] = sc
+			nr++
+		}
+		ch := Chunk{FP: sc.fp, Data: s.buf[p : p+sc.n], ProbeHit: sc.hit, slab: s}
+		p += sc.n
+		c.in.Chunks++
+		c.in.LogicalBytes += uint64(len(ch.Data))
+		s.refs.Add(1)
+		if err := sink(ch); err != nil {
+			return err
+		}
+	}
+	if s.err != nil {
+		return fmt.Errorf("backup: chunking: %w", s.err)
+	}
+	*entry = p - s.own
+	s.release()
 	return nil
 }
 
@@ -241,15 +326,16 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		mx.UniqueChunks.Add(uint64(unique))
 		mx.ContainerBytesWritten.Add(written)
 		mx.CommitWaitNS.Add(uint64(commitWait))
-		ps := in.g.pool.Stats()
+		ps := in.g.slabs.stats()
 		mx.PoolInUse.Set(ps.InUse)
 		mx.PoolInUseBytes.Set(ps.InUseBytes)
 		mx.PoolSlabs.Set(int64(ps.SlabAllocs))
 	}
 	if tracer := in.g.cfg.Tracer; tracer != nil {
-		// Chunking and fingerprinting run interleaved with the dedup
-		// sink, so their cost is the per-item sum, not a wall interval.
-		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS),
+		// Chunking and fingerprinting run on the hash workers beside the
+		// dedup sink, so their cost is the per-chunk sum (speculative
+		// chunks the resync discarded included), not a wall interval.
+		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS.Load()),
 			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
 		tracer.EmitStage("stage.fingerprint", in.Span, in.Start, time.Duration(in.fpNS.Load()),
 			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})

@@ -24,8 +24,8 @@ func testIngester() *Ingester {
 // TestRunDeliversStreamInOrder: whatever the hash workers' scheduling, the
 // sink sees the stream's chunks in order, each with its own fingerprint
 // and the hash worker's verdict, the skeleton's counts are the stream's,
-// and every pooled buffer comes back. (The reorder bound itself is pinned
-// where it is implemented, in internal/pipeline.)
+// and every slab comes back. (The reorder bound itself is pinned where it
+// is implemented, in internal/pipeline.)
 func TestRunDeliversStreamInOrder(t *testing.T) {
 	g := testIngester()
 	data := make([]byte, 2<<20)
@@ -39,15 +39,15 @@ func TestRunDeliversStreamInOrder(t *testing.T) {
 	probed := 0
 	retErr := in.Run(context.Background(), bytes.NewReader(data),
 		func(fp.FP) bool { return true },
-		func(f fp.FP, chunk []byte, probeHit bool) error {
-			if f != fp.Of(chunk) {
+		func(c Chunk) error {
+			if c.FP != fp.Of(c.Data) {
 				t.Errorf("chunk %d arrived with another chunk's fingerprint", in.Chunks)
 			}
-			if probeHit {
+			if c.ProbeHit {
 				probed++
 			}
-			got = append(got, chunk...)
-			g.Release(chunk)
+			got = append(got, c.Data...)
+			c.Release()
 			return nil
 		})
 	in.End(&retErr)
@@ -61,8 +61,8 @@ func TestRunDeliversStreamInOrder(t *testing.T) {
 		t.Fatalf("%d chunks / %d bytes counted, %d probe verdicts delivered, for %d bytes in",
 			in.Chunks, in.LogicalBytes, probed, len(data))
 	}
-	if st := g.pool.Stats(); st.InUse != 0 {
-		t.Fatalf("%d pooled buffers leaked through the pipeline", st.InUse)
+	if st := g.slabs.stats(); st.InUse != 0 {
+		t.Fatalf("%d slabs leaked through the pipeline", st.InUse)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestFailureLatch(t *testing.T) {
 	g := testIngester()
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(3)).Read(data)
-	run := func(r *bytes.Reader, early error, sink func(fp.FP, []byte, bool) error) (retErr error) {
+	run := func(r *bytes.Reader, early error, sink func(Chunk) error) (retErr error) {
 		in, err := g.Begin(context.Background())
 		if err != nil {
 			return err
@@ -89,7 +89,7 @@ func TestFailureLatch(t *testing.T) {
 		}
 		return in.Run(context.Background(), r, nil, sink)
 	}
-	drop := func(_ fp.FP, chunk []byte, _ bool) error { g.Release(chunk); return nil }
+	drop := func(c Chunk) error { c.Release(); return nil }
 
 	errSource, errSink := errors.New("source died"), errors.New("sink died")
 	if err := run(nil, errSource, drop); !errors.Is(err, errSource) {
@@ -101,7 +101,7 @@ func TestFailureLatch(t *testing.T) {
 	if err := run(bytes.NewReader(data), nil, drop); err != nil {
 		t.Fatalf("backup after a clean failure: %v", err)
 	}
-	if err := run(bytes.NewReader(data), nil, func(fp.FP, []byte, bool) error { return errSink }); !errors.Is(err, errSink) {
+	if err := run(bytes.NewReader(data), nil, func(Chunk) error { return errSink }); !errors.Is(err, errSink) {
 		t.Fatalf("failed sink: %v", err)
 	}
 	for i := 0; i < 2; i++ {

@@ -8,7 +8,7 @@ package chunker
 // produces well-distributed extrema.
 //
 // The expected chunk size of pure AE is roughly w·(e−1)/1 ≈ 1.72·w; we
-// derive w from Params.Avg accordingly (in newDecider, decide.go) and
+// derive w from Params.Avg accordingly (in NewDecider, decide.go) and
 // additionally enforce the Min/Max bounds for parity with the other
 // chunkers.
 
@@ -39,4 +39,3 @@ func aeScan(win []byte, min, window int) int {
 	}
 	return n
 }
-

@@ -120,36 +120,35 @@ func New(alg Algorithm, r io.Reader, p Params) (Chunker, error) {
 // Next returns is a pooled buffer the consumer must Release (or hand
 // off to an owner who will) once the chunk is dealt with. A nil pool
 // degrades to plain allocation. Cut points are identical to New's —
-// pooling changes only where the copy lands.
+// pooling changes only where the copy lands. Backups do not use it (they
+// cut views into stream slabs through a Decider); the chunker layer
+// measurements do.
 func NewPooled(alg Algorithm, r io.Reader, p Params, pool *bufpool.Pool) (Chunker, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	d, err := newDecider(alg, p)
+	d, err := NewDecider(alg, p)
 	if err != nil {
 		return nil, err
 	}
-	s := newScanner(r, d.winBytes())
+	s := newScanner(r, d.Window())
 	s.pool = pool
 	return &seq{s: s, d: d}, nil
 }
 
 // seq is the sequential chunker: one decision window at a time, cut
-// decided by the shared decider, chunk copied out by the scanner.
+// decided by the shared Decider, chunk copied out by the scanner.
 type seq struct {
 	s *scanner
-	d decider
+	d Decider
 }
 
 func (c *seq) Next() ([]byte, error) {
-	win := c.s.window(c.d.winBytes())
+	win := c.s.window(c.d.Window())
 	if err := c.s.failed(); err != nil {
 		return nil, err
 	}
 	if len(win) == 0 {
 		return nil, io.EOF
 	}
-	return c.s.take(c.d.cutLen(win)), nil
+	return c.s.take(c.d.Cut(win)), nil
 }
 
 // Split is a convenience that chunks an entire byte slice in memory and

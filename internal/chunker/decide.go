@@ -5,12 +5,14 @@ import (
 	"math/bits"
 )
 
-// decider is the pure cut-point decision for one algorithm: parameters
-// and derived masks, no stream state. Both the sequential chunker and
-// the multi-lane parallel chunker drive their scans through the same
-// decider, which is what makes their chunk sequences bit-identical —
-// a cut is a pure function of the bytes in one decision window.
-type decider struct {
+// Decider is the pure cut-point decision for one algorithm: parameters
+// and derived masks, no stream state. A cut is a pure function of the
+// bytes in one decision window starting at the previous cut, so anything
+// that drives its scan through a Decider — the sequential chunker here,
+// the backup ingest's slab scan — cuts bit-identical chunks, wherever
+// the window's bytes happen to sit in memory. A Decider is read-only and
+// safe for concurrent use.
+type Decider struct {
 	alg Algorithm
 	p   Params
 
@@ -22,8 +24,12 @@ type decider struct {
 	aeWindow int    // ae: extremum window
 }
 
-func newDecider(alg Algorithm, p Params) (decider, error) {
-	d := decider{alg: alg, p: p}
+// NewDecider returns the cut decision of alg under p.
+func NewDecider(alg Algorithm, p Params) (Decider, error) {
+	if err := p.Validate(); err != nil {
+		return Decider{}, err
+	}
+	d := Decider{alg: alg, p: p}
 	switch alg {
 	case Fixed:
 		// No derived state: cuts at multiples of Avg.
@@ -60,25 +66,25 @@ func newDecider(alg Algorithm, p Params) (decider, error) {
 		}
 		d.aeWindow = w
 	default:
-		return decider{}, fmt.Errorf("chunker: unknown algorithm %v", alg)
+		return Decider{}, fmt.Errorf("chunker: unknown algorithm %v", alg)
 	}
 	return d, nil
 }
 
-// winBytes is the lookahead a final cut decision needs: a chunk
-// starting at position p is fully determined by the next winBytes()
-// bytes (or by the stream tail when fewer remain).
-func (d *decider) winBytes() int {
+// Window is the lookahead a final cut decision needs: a chunk starting at
+// position p is fully determined by the next Window() bytes (or by the
+// stream tail when fewer remain), and is never longer than Window().
+func (d *Decider) Window() int {
 	if d.alg == Fixed {
 		return d.p.Avg
 	}
 	return d.p.Max
 }
 
-// cutLen returns the length of the chunk starting at win[0]. win must
-// be either a full winBytes() window or the entire remainder of the
-// stream; len(win) > 0.
-func (d *decider) cutLen(win []byte) int {
+// Cut returns the length of the chunk starting at win[0]. win must be
+// either a full Window() window or the entire remainder of the stream;
+// len(win) > 0.
+func (d *Decider) Cut(win []byte) int {
 	if d.alg == Fixed {
 		return len(win)
 	}

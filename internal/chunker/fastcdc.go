@@ -1,6 +1,5 @@
 package chunker
 
-
 // _gear is the FastCDC gear table: 256 pseudo-random 64-bit values, one per
 // byte value. The table is fixed (generated by splitmix64 from a fixed
 // seed) so chunking is deterministic across runs and machines.
@@ -36,7 +35,7 @@ func makeGear(seed uint64) [256]uint64 {
 // level 2: positions before the average size must match a stricter
 // mask (fewer cuts), positions after it a looser one (more cuts).
 // This pulls the size distribution toward the average and reduces the
-// number of forced max-size cuts. Mask derivation lives in newDecider
+// number of forced max-size cuts. Mask derivation lives in NewDecider
 // (decide.go).
 
 // fastcdcScan returns the cut offset in win: the first position >= min
@@ -93,4 +92,3 @@ func fastcdcScan(win []byte, min, avg int, maskS, maskL uint64) int {
 	}
 	return n
 }
-

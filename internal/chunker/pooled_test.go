@@ -118,14 +118,14 @@ func BenchmarkScan(b *testing.B) {
 			}
 		})
 	}
-	rb, _ := newDecider(Rabin, p)
+	rb, _ := NewDecider(Rabin, p)
 	run("rabin", func(win []byte) int { return rabinScan(_rabinTab, win, p.Min, rb.mask) })
-	tt, _ := newDecider(TTTD, p)
+	tt, _ := NewDecider(TTTD, p)
 	run("tttd", func(win []byte) int {
 		return tttdScan(_rabinTab, win, p.Min, tt.mainDiv, tt.backDiv, len(win) == p.Max)
 	})
-	fc, _ := newDecider(FastCDC, p)
+	fc, _ := NewDecider(FastCDC, p)
 	run("fastcdc", func(win []byte) int { return fastcdcScan(win, p.Min, p.Avg, fc.maskS, fc.maskL) })
-	ar, _ := newDecider(AE, p)
+	ar, _ := NewDecider(AE, p)
 	run("ae", func(win []byte) int { return aeScan(win, p.Min, ar.aeWindow) })
 }

@@ -94,7 +94,7 @@ func refTTTDCut(win []byte, p Params) int {
 
 // refFastCDCCut is the original fastCDC.Next cut decision for one window.
 func refFastCDCCut(win []byte, p Params) int {
-	c, _ := newDecider(FastCDC, p) // only for the masks
+	c, _ := NewDecider(FastCDC, p) // only for the masks
 	var h uint64
 	normal := p.Avg
 	if normal > len(win) {

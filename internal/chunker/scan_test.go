@@ -189,11 +189,11 @@ func TestSkipScanBoundaries(t *testing.T) {
 			if named != 0 && want != named {
 				t.Fatalf("%s: %v reference cuts at %d, case names %d", c.name, alg, want, named)
 			}
-			d, err := newDecider(alg, p)
+			d, err := NewDecider(alg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := d.cutLen(c.win); got != want {
+			if got := d.Cut(c.win); got != want {
 				t.Errorf("%s (len %d): %v cuts at %d, reference %d", c.name, len(c.win), alg, got, want)
 			}
 		}
@@ -230,11 +230,11 @@ func FuzzScanMatchesReference(f *testing.F) {
 			t.Skip()
 		}
 		for _, alg := range []Algorithm{TTTD, Rabin} {
-			d, err := newDecider(alg, p)
+			d, err := NewDecider(alg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := d.cutLen(win), refCut(alg, win, p); got != want {
+			if got, want := d.Cut(win), refCut(alg, win, p); got != want {
 				t.Fatalf("%v %+v, len %d: cut %d, reference %d", alg, p, len(win), got, want)
 			}
 		}

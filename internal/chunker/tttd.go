@@ -7,7 +7,7 @@ package chunker
 // as often and records a fallback cut point. If no main cut appears before
 // the maximum threshold, the most recent backup cut is used, which keeps
 // forced cuts content-defined instead of positional. Divisor derivation
-// lives in newDecider (decide.go).
+// lives in NewDecider (decide.go).
 
 // tttdScan returns the cut offset in win: the first position >= min
 // matching the main divisor; failing that, the last position matching
@@ -78,7 +78,7 @@ func tttdScan(tab *rabinTables, win []byte, min int, mainDiv, backDiv Poly, isMa
 
 // tttdScanSkip is tttdScan for min > window, the production
 // configuration (2 KB min, 48-byte window), with len(win) > min and
-// backDiv's bits a subset of mainDiv's (newDecider derives both from
+// backDiv's bits a subset of mainDiv's (NewDecider derives both from
 // one power of two; rabinScan passes its mask as both). Because the
 // fold-out in phase 3 is exact, the digest at any position >= window is
 // a linear function over GF(2) of the trailing window bytes alone, so

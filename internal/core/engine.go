@@ -335,17 +335,17 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		}
 		return hit
 	}
-	sink := func(f fp.FP, data []byte, probeHit bool) error {
-		size := uint32(len(data))
+	sink := func(c backup.Chunk) error {
+		size := uint32(len(c.Data))
 		var t0 time.Time
 		if obsOn {
 			t0 = time.Now()
 		}
-		dup := probeHit
+		dup := c.ProbeHit
 		if dup {
-			e.cache.touch(f, size)
+			e.cache.touch(c.FP, size)
 		} else {
-			_, dup = e.cache.lookupOne(f, size)
+			_, dup = e.cache.lookupOne(c.FP, size)
 		}
 		if obsOn {
 			d := time.Since(t0)
@@ -353,19 +353,19 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 			mxLookup.Observe(uint64(d))
 		}
 		if !dup {
-			cid, err := active.Add(f, data)
+			cid, err := active.Add(c.FP, c.Data)
 			if err != nil {
 				return err
 			}
-			e.cache.commitOne(f, cid)
-			e.activeByFP[f] = cid
+			e.cache.commitOne(c.FP, cid)
+			e.activeByFP[c.FP] = cid
 			stored += uint64(size)
 			unique++
 		}
 		// The payload is either a duplicate or copied into the open
-		// container by Add; either way the pooled buffer is done.
-		e.ingest.Release(data)
-		rec.Append(f, size, 0)
+		// container by Add; either way the slab view is done.
+		c.Release()
+		rec.Append(c.FP, size, 0)
 		return nil
 	}
 	if err := in.Run(ctx, version, probe, sink); err != nil {

@@ -213,10 +213,11 @@ type backupSession struct {
 	engine *Engine
 	recipe *recipe.Recipe
 
-	// refs and data are the open segment: each chunk's fingerprint and
-	// size, and its pooled payload, held until the segment is classified.
-	refs []index.ChunkRef
-	data [][]byte
+	// refs and chunks are the open segment: each chunk's fingerprint and
+	// size, and the chunk itself (a slab view), held until the segment is
+	// classified.
+	refs   []index.ChunkRef
+	chunks []backup.Chunk
 	// open packs stored chunks into containers in arrival order, sealing
 	// each full one into the commit plane.
 	open *container.Packer
@@ -230,15 +231,16 @@ type backupSession struct {
 
 // push is the ingest skeleton's in-order sink: it buffers the chunk into
 // the open indexing segment and classifies the segment once it is full.
-// The segment is bounded by SegmentChunks, not by the skeleton's credit
-// cap, which the chunk stopped counting against on arrival here.
-func (s *backupSession) push(f fp.FP, data []byte, _ bool) error {
+// The segment is bounded by SegmentChunks, not by the skeleton's in-flight
+// cap: the slabs its chunks point into stay out of the pool until the
+// segment releases them, but no longer count against the pipeline's.
+func (s *backupSession) push(c backup.Chunk) error {
 	if s.refs == nil {
 		// A fresh slice per segment: the index and rewriter may keep refs.
 		s.refs = make([]index.ChunkRef, 0, s.engine.cfg.SegmentChunks)
 	}
-	s.refs = append(s.refs, index.ChunkRef{FP: f, Size: uint32(len(data))})
-	s.data = append(s.data, data)
+	s.refs = append(s.refs, index.ChunkRef{FP: c.FP, Size: uint32(len(c.Data))})
+	s.chunks = append(s.chunks, c)
 	if len(s.refs) >= s.engine.cfg.SegmentChunks {
 		return s.processSegment()
 	}
@@ -254,8 +256,8 @@ func (s *backupSession) flush() error {
 
 func (s *backupSession) processSegment() error {
 	e := s.engine
-	refs, data := s.refs, s.data
-	s.refs, s.data = nil, s.data[:0] // every payload is released below
+	refs, chunks := s.refs, s.chunks
+	s.refs, s.chunks = nil, s.chunks[:0] // every chunk is released below
 
 	results := e.cfg.Index.Dedup(refs)
 
@@ -274,7 +276,7 @@ func (s *backupSession) processSegment() error {
 	for i, r := range refs {
 		switch {
 		case !results[i].Duplicate || plan[i]:
-			cid, err := s.store(r.FP, data[i])
+			cid, err := s.store(r.FP, chunks[i].Data)
 			if err != nil {
 				return err
 			}
@@ -293,8 +295,8 @@ func (s *backupSession) processSegment() error {
 		}
 		s.recipe.Append(r.FP, r.Size, int32(cids[i]))
 		// Duplicate, or copied into the open container by Add: either
-		// way the pooled buffer is done.
-		e.ingest.Release(data[i])
+		// way the slab view is done.
+		chunks[i].Release()
 	}
 	e.cfg.Index.Commit(refs, cids)
 	e.cfg.Rewriter.Committed(view, cids)

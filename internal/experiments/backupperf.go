@@ -167,10 +167,11 @@ func Chunkers(opts Options) (*ChunkersResult, error) {
 	return res, nil
 }
 
-// chunkerRow scans data chunkerPasses times with one algorithm in the
-// production backup configuration — pooled buffers, filled by Next and
-// released after use — so the measured allocs/chunk is the hot loop's,
-// not the throwaway-buffer path's.
+// chunkerRow scans data chunkerPasses times with one algorithm through
+// the pooled chunker — buffers filled by Next and released after use, the
+// loop benchmark/layers.go times as its chunker layer — so the measured
+// allocs/chunk is that loop's, not the throwaway-buffer path's. (Backups
+// no longer copy chunks out: they cut views into stream slabs.)
 func chunkerRow(alg chunker.Algorithm, data []byte, p chunker.Params) (ChunkerRow, error) {
 	row := ChunkerRow{Algorithm: alg.String()}
 	pool := bufpool.New(p.Max)

@@ -23,8 +23,13 @@ type FP [Size]byte
 // ErrBadLength reports a byte slice whose length is not exactly Size.
 var ErrBadLength = errors.New("fp: fingerprint must be 20 bytes")
 
-// Of computes the fingerprint of data.
+// Of computes the fingerprint of data. On amd64 CPUs with the SHA
+// extensions it runs a SHA-NI block function (sha1ni_amd64.s), picked once
+// by CPUID; elsewhere it is crypto/sha1. The digests are the same.
 func Of(data []byte) FP {
+	if useSHANI {
+		return sumSHANI(data)
+	}
 	return sha1.Sum(data)
 }
 

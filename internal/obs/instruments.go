@@ -43,9 +43,10 @@ type BackupMetrics struct {
 	// container commit plane (full slots plus the two fences).
 	CommitWaitNS *Counter
 
-	// Chunk-buffer pool state, set from bufpool.Pool.Stats after each
-	// backup. InUse should be 0 between backups — anything else is a
-	// leaked buffer on the hot path.
+	// Stream-slab pool state (the ingest's slabs, internal/backup), set
+	// after each backup under the names the chunk-buffer pool had. InUse
+	// should be 0 between backups — anything else is a chunk the engine
+	// never released.
 	PoolInUse      *Gauge
 	PoolInUseBytes *Gauge
 	PoolSlabs      *Gauge
@@ -82,9 +83,9 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 		MergedBytes:           r.Counter("hidestore_backup_merged_bytes_total", "payload bytes repacked by sparse-container merges"),
 		CommitWaitNS:          r.Counter("hidestore_backup_commit_wait_ns_total", "time the backup goroutine spent blocked on the container commit plane (ns)"),
 
-		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "pooled chunk buffers currently checked out"),
-		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "pooled capacity currently checked out"),
-		PoolSlabs:      r.Gauge("hidestore_bufpool_slabs", "cumulative slab allocations by the chunk pool"),
+		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "ingest stream slabs currently out of the slab pool (in flight or held by the engine)"),
+		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "bytes of the ingest stream slabs currently out of the slab pool"),
+		PoolSlabs:      r.Gauge("hidestore_bufpool_slabs", "cumulative ingest stream slab allocations"),
 	}
 }
 

@@ -53,14 +53,12 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// rawBufDepth and hashedBufDepth size Ordered's two channels. Together
-// with the worker count they determine how many items can sit between the
-// producer and the in-order sink, which is what the sink's reorder credit
-// cap is computed from.
-const (
-	rawBufDepth    = 64
-	hashedBufDepth = 64
-)
+// inFlight is Ordered's credit cap for workers workers: one item in each
+// worker's hands, as many again queued or parked behind them, one being
+// handed over by gen and one in the sink. It is also the ceiling on the
+// sink's reorder map, and what the channels are sized by, so only the
+// credits ever block the producer.
+func inFlight(workers int) int { return 2*workers + 2 }
 
 // numbered is an item tagged with its position in the producer's stream.
 type numbered[T any] struct {
@@ -76,12 +74,11 @@ type numbered[T any] struct {
 // stage, or ctx's, cancels the rest and is returned after every goroutine
 // has exited.
 //
-// At most rawBufDepth+hashedBufDepth+workers+1 items are in flight between
-// gen and sink — everything the channels and worker hands can hold, plus
-// the one the producer may block on: emit takes a credit per item and the
-// sink returns it after processing. The cap is therefore also a ceiling on
-// the sink's reorder map, so one slow worker cannot make the parked set
-// grow without bound.
+// At most 2·workers+2 items (inFlight) are in flight between gen and sink:
+// emit takes a credit per item and the sink returns it after processing.
+// The cap is therefore also a ceiling on the sink's reorder map, so one
+// slow worker cannot make the parked set grow without bound, and it is
+// what bounds the memory of an ingest whose items are whole stream slabs.
 func Ordered[T any](ctx context.Context, workers int, gen func(emit func(T) bool) error,
 	fn func(T) (T, error), sink func(T) error) error {
 	return ordered(ctx, workers, gen, fn, sink, nil)
@@ -95,8 +92,8 @@ func ordered[T any](ctx context.Context, workers int, gen func(emit func(T) bool
 		workers = 1
 	}
 	g, gctx := WithContext(ctx)
-	credits := make(chan struct{}, rawBufDepth+hashedBufDepth+workers+1)
-	raw := make(chan numbered[T], rawBufDepth)
+	credits := make(chan struct{}, inFlight(workers))
+	raw := make(chan numbered[T], inFlight(workers))
 	g.Go(func() error {
 		defer close(raw)
 		seq := 0
@@ -115,7 +112,7 @@ func ordered[T any](ctx context.Context, workers int, gen func(emit func(T) bool
 			}
 		})
 	})
-	done := make(chan numbered[T], hashedBufDepth)
+	done := make(chan numbered[T], inFlight(workers))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {

@@ -50,7 +50,7 @@ func TestOrderedPreservesOrderAcrossWorkers(t *testing.T) {
 // bound is pinned here, once.
 func TestOrderedReorderStaysBounded(t *testing.T) {
 	const workers = 4
-	creditCap := rawBufDepth + hashedBufDepth + workers + 1
+	creditCap := inFlight(workers)
 
 	release := make(chan struct{})
 	var once sync.Once
