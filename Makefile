@@ -121,13 +121,16 @@ bench-smoke:
 
 # Ten seconds of coverage-guided fuzzing of the Rabin and TTTD scans
 # against their reference loops, one window of at most 64 KB per input,
-# so tens of thousands of inputs a second, then five of the fingerprint
-# (SHA-NI where the CPU has it) against crypto/sha1. Minimization is
+# so tens of thousands of inputs a second, five of Decider.Confirms (a
+# confirmed cut on a chunk that keeps its bytes is Cut's cut, and every
+# main-divisor cut is confirmed), then five of the fingerprint (SHA-NI
+# where the CPU has it) against crypto/sha1. Minimization is
 # capped at 100 runs per input: at the 60 s default it would spend the
 # whole budget shrinking the first interesting input. A failure lands in
 # the package's testdata/fuzz/ as a replayable seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/chunker
+	$(GO) test -run '^$$' -fuzz FuzzConfirmsImpliesCut -fuzztime 5s -fuzzminimizetime 100x ./internal/chunker
 	$(GO) test -run '^$$' -fuzz FuzzOfMatchesSHA1 -fuzztime 5s -fuzzminimizetime 100x ./internal/fp
 
 # Non-test, non-testdata Go lines per package and in total: the figures

@@ -140,6 +140,7 @@ var directions = []struct {
 	{"containers_per_mb", -1},
 	{"allocs_per_chunk", -1},
 	{"write_amplification", -1},
+	{"scan_share", -1},
 }
 
 // direction classifies a flattened metric key by the metric name it

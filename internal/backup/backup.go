@@ -38,6 +38,11 @@ type BackupReport struct {
 	ContainerBytesWritten uint64
 	MigratedBytes         uint64
 	MergedBytes           uint64
+	// ScannedBytes is the length of every chunk the ingest scanned for
+	// its cut, speculative ones included; the rest it confirmed from the
+	// previous backup's successor table without a scan (DESIGN §2).
+	// Over LogicalBytes it is the version's scan share.
+	ScannedBytes uint64
 	// CommitWait is how long the engine goroutine was blocked on the
 	// commit plane: waiting for one of its in-flight slots at a seal, and
 	// at the fences before the recipe and state writes. The rest of the

@@ -3,6 +3,7 @@ package backup
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"hidestore/internal/fp"
 	"hidestore/internal/obs"
 	"hidestore/internal/pipeline"
+	"hidestore/internal/recipe"
 )
 
 // ErrFailed is what Backup and Delete return, wrapping the first cause,
@@ -49,6 +51,10 @@ type Ingester struct {
 	// and recycles slabs across every backup after it.
 	slabs  *slabPool
 	failed error // first cause of the latch; see ErrFailed
+	// prev is the successor table of the last successful Run, or the one
+	// Seed built, read by the next Run's cutters (see cutter.chunk); nil
+	// when none is known or the chunker cannot confirm a cut.
+	prev successors
 }
 
 // NewIngester returns the shared write path configured by cfg.
@@ -95,6 +101,11 @@ type Ingest struct {
 
 	// Scan and hash time summed over the hash workers and the resync.
 	chunkNS, fpNS atomic.Int64
+	// confirmed and scanned count the chunks the cutters took from the
+	// successor table and the ones they scanned, speculative chunks the
+	// resync discarded included; scannedBytes is the scanned chunks'
+	// length. All three are exact, whatever the scheduling.
+	confirmed, scanned, scannedBytes atomic.Int64
 	// recut counts the chunks the sink cut and hashed itself.
 	recut int
 }
@@ -145,14 +156,16 @@ func (in *Ingest) End(retErr *error) {
 //
 // The producer only reads: it cuts the version into stream slabs (see
 // slab). The hash workers each take a whole slab and cut, fingerprint and
-// probe it speculatively, as if a chunk started at its first byte. The
-// sink, in stream order, resyncs: from the offset at which the true chain
-// enters the slab it cuts and hashes chunk by chunk until it reaches a
-// speculative chunk start, and from there adopts the worker's chunks. A
-// cut is a pure function of the window that starts at the previous cut,
-// so two chains that share one start share every start after it. Inside
-// a run of identical bytes longer than a slab the chains almost never
-// meet, at any parameters; there the sink borrows the cut of an earlier
+// probe it speculatively, as if a chunk started at its first byte; where
+// the last successful Run cut the same bytes, they confirm its cut
+// instead of scanning (see cutter.chunk). The sink, in stream order,
+// resyncs: from the offset at which the true chain enters the slab it
+// cuts and hashes chunk by chunk until it reaches a speculative chunk
+// start, and from there adopts the worker's chunks. A cut is a pure
+// function of the window that starts at the previous cut, so two chains
+// that share one start share every start after it. Inside a run of
+// identical bytes longer than a slab the chains almost never meet, at
+// any parameters; there the sink borrows the cut of an earlier
 // chunk with a byte-equal window (see resync). What neither rescues —
 // fixed-size chunks whose size does not divide the slab, patterns whose
 // windows repeat only after more than eight chunks — is cut on the sink
@@ -177,7 +190,13 @@ func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) 
 	// reads no clock per chunk. The histograms are hoisted so the
 	// per-chunk record is a nil-safe method call when only the tracer is
 	// live.
-	c := &cutter{in: in, dec: dec, win: dec.Window(), probe: probe, obsOn: cfg.Metrics != nil || cfg.Tracer != nil}
+	c := &cutter{in: in, dec: dec, win: dec.Window(), probe: probe, prev: g.prev,
+		obsOn: cfg.Metrics != nil || cfg.Tracer != nil}
+	if dec.Confirmable() {
+		// A new table each Run: the Ingester holds at most the last
+		// version's table and the one being filled.
+		c.cur = make(successors, len(g.prev))
+	}
 	if cfg.Metrics != nil {
 		c.mxChunk, c.mxFP = cfg.Metrics.ChunkingNS, cfg.Metrics.FingerprintNS
 	}
@@ -194,10 +213,57 @@ func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) 
 		old := g.slabs
 		g.slabs = newSlabPool(old.size, old.window)
 		g.slabs.allocs = old.stats().SlabAllocs
+		// A partial table would be exact too, but the version it
+		// describes was not backed up: keep the last one.
 		return err
 	}
+	// Ordered has joined every goroutine: no cutter reads prev any more,
+	// and the last version's table goes to the collector.
+	g.prev = c.cur
 	in.ingested = true
 	return nil
+}
+
+// successors is a successor table: for each chunk one Run handed the
+// sink, the chunk that came right after it, keyed by the first 8 bytes of
+// the earlier chunk's fingerprint. A chunk that occurs twice keeps its
+// last successor; a key collision only yields a guess that fails
+// verification.
+type successors map[uint64]successor
+
+type successor struct {
+	n  int32
+	fp fp.FP
+}
+
+func succKey(f *fp.FP) uint64 { return binary.LittleEndian.Uint64(f[:8]) }
+
+// Seed gives the next Run the successor table of a version this Ingester
+// did not back up itself — the newest one of a reopened store — so its
+// first backup confirms cuts too. alg and p are the chunker and
+// parameters that version was cut with, and load returns its chunk list
+// in stream order (a recipe's entries). Seed does nothing, and does not
+// call load, unless alg and p are this Ingester's own, its chunker can
+// confirm a cut and no Run has left a table: an entry proves a cut only
+// under the Decider that made it (see cutter.chunk). A load error only
+// costs the speed-up, so Seed drops it.
+func (g *Ingester) Seed(alg chunker.Algorithm, p chunker.Params, load func() ([]recipe.Entry, error)) {
+	if g.prev != nil || alg != g.cfg.Chunker || p != g.cfg.ChunkParams {
+		return
+	}
+	dec, err := chunker.NewDecider(alg, p)
+	if err != nil || !dec.Confirmable() {
+		return
+	}
+	entries, err := load()
+	if err != nil {
+		return
+	}
+	t := make(successors, len(entries))
+	for i := 1; i < len(entries); i++ {
+		t[succKey(&entries[i-1].FP)] = successor{n: int32(entries[i].Size), fp: entries[i].FP}
+	}
+	g.prev = t
 }
 
 // cutter cuts and fingerprints chunks for one Run, on the hash workers
@@ -207,41 +273,119 @@ type cutter struct {
 	dec   chunker.Decider
 	win   int
 	probe func(fp.FP) bool
+	// prev is read-only while the Run lasts; cur (nil when the chunker
+	// cannot confirm a cut) is written by the sink alone, one entry per
+	// chunk it hands on, keyed by the fingerprint of the chunk it handed
+	// on before (last, nil before the first).
+	prev, cur successors
+	last      *fp.FP
+	lastFP    fp.FP
 
 	obsOn         bool
 	mxChunk, mxFP *obs.Histogram
 }
 
 // chunk cuts the chunk whose decision window is win, fingerprints and
-// probes it.
-func (c *cutter) chunk(win []byte) (n int, f fp.FP, hit bool) {
-	if !c.obsOn {
+// probes it. pred, when non-nil, is the fingerprint of the chunk that
+// ends where win begins.
+//
+// With a predecessor, the chunk that followed it in the previous version
+// — n bytes, fingerprint F — is accepted without a scan when
+// Decider.Confirms(win, n) and fp.Of(win[:n]) == F; otherwise the window
+// is scanned as without a predecessor. Why that is Cut(win) exactly: a
+// cut is a pure function of the window from the previous cut, and for
+// TTTD and Rabin with Min above the 48-byte digest window (the only cases
+// Confirms accepts) Cut returns the first length c ≥ Min whose digest —
+// a function of the 48 bytes before c alone — matches the main divisor.
+// Every table entry is a chunk Cut produced under this Decider — by an
+// earlier Run, or by the backup whose chunk list Seed was given under
+// the same chunker and parameters — so no c in [Min, n) of its bytes
+// matched, or that scan would have cut there. Equal SHA-1s make win[:n] those bytes (every dedup
+// decision here already rests on that), so a main match at n is the
+// first, and Cut(win) == n. A recorded chunk cut by the backup divisor,
+// at Max or at the end of the stream has no main match at n — those cuts
+// read bytes past n, which may have changed — and Confirms refuses it.
+//
+// With observability on, a confirmed chunk records the lookup and
+// Confirms as its chunking time and the SHA-1 as its fingerprint time.
+func (c *cutter) chunk(win []byte, pred *fp.FP) (n int, f fp.FP, hit bool) {
+	var t time.Time
+	if c.obsOn {
+		t = time.Now()
+	}
+	var cutNS, fpNS time.Duration
+	guess := 0 // a confirmed length whose SHA-1 differed
+	if pred != nil && len(c.prev) > 0 {
+		if s, ok := c.prev[succKey(pred)]; ok && c.dec.Confirms(win, int(s.n)) {
+			cutNS += c.lap(&t)
+			f = fp.Of(win[:s.n])
+			fpNS += c.lap(&t)
+			if f == s.fp {
+				n = int(s.n)
+				c.in.confirmed.Add(1)
+			} else {
+				guess = int(s.n)
+			}
+		}
+	}
+	if n == 0 {
 		n = c.dec.Cut(win)
-		f = fp.Of(win[:n])
-	} else {
-		t0 := time.Now()
-		n = c.dec.Cut(win)
-		t1 := time.Now()
-		f = fp.Of(win[:n])
-		d0, d1 := t1.Sub(t0), time.Since(t1)
-		c.in.chunkNS.Add(int64(d0))
-		c.in.fpNS.Add(int64(d1))
-		c.mxChunk.Observe(uint64(d0))
-		c.mxFP.Observe(uint64(d1))
+		cutNS += c.lap(&t)
+		c.in.scanned.Add(1)
+		c.in.scannedBytes.Add(int64(n))
+		// An edit inside a chunk leaves its cut in place: then the hash
+		// taken to check the guess is the chunk's.
+		if n != guess {
+			f = fp.Of(win[:n])
+			fpNS += c.lap(&t)
+		}
+	}
+	if c.obsOn {
+		c.in.chunkNS.Add(int64(cutNS))
+		c.in.fpNS.Add(int64(fpNS))
+		c.mxChunk.Observe(uint64(cutNS))
+		c.mxFP.Observe(uint64(fpNS))
 	}
 	return n, f, c.probe != nil && c.probe(f)
+}
+
+// lap returns the time since *t and moves *t to now; 0 with observability
+// off, when *t was never set.
+func (c *cutter) lap(t *time.Time) time.Duration {
+	if !c.obsOn {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(*t)
+	*t = now
+	return d
+}
+
+// handOn records sc in the successor table as the successor of the chunk
+// handed on before it; the sink calls it for every chunk, in stream order.
+func (c *cutter) handOn(sc *specChunk) {
+	if c.cur == nil {
+		return
+	}
+	if c.last != nil {
+		c.cur[succKey(c.last)] = successor{n: int32(sc.n), fp: sc.fp}
+	}
+	c.lastFP, c.last = sc.fp, &c.lastFP
 }
 
 // speculate is a hash worker's pass over s: the chain that starts at its
 // first byte, every chunk that starts in its owned run.
 func (c *cutter) speculate(s *slab) {
+	var last fp.FP
+	var pred *fp.FP // the slab's first chunk has no known predecessor
 	for p := 0; p < s.own; {
 		win, ok := s.window(p, c.win)
 		if !ok {
 			return // the reader failed here; the sink reports it
 		}
-		n, f, hit := c.chunk(win)
+		n, f, hit := c.chunk(win, pred)
 		s.spec = append(s.spec, specChunk{off: p, n: n, fp: f, hit: hit})
+		last, pred = f, &last
 		p += n
 	}
 }
@@ -286,13 +430,14 @@ func (c *cutter) resync(s *slab, entry *int, sink func(Chunk) error) error {
 				}
 			}
 			if sc.n == 0 {
-				sc.n, sc.fp, sc.hit = c.chunk(win)
+				sc.n, sc.fp, sc.hit = c.chunk(win, c.last)
 				c.in.recut++
 			}
 			sc.off = p
 			recent[nr%len(recent)] = sc
 			nr++
 		}
+		c.handOn(&sc)
 		ch := Chunk{FP: sc.fp, Data: s.buf[p : p+sc.n], ProbeHit: sc.hit, slab: s}
 		p += sc.n
 		c.in.Chunks++
@@ -326,6 +471,7 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		mx.UniqueChunks.Add(uint64(unique))
 		mx.ContainerBytesWritten.Add(written)
 		mx.CommitWaitNS.Add(uint64(commitWait))
+		mx.ScannedBytes.Add(uint64(in.scannedBytes.Load()))
 		ps := in.g.slabs.stats()
 		mx.PoolInUse.Set(ps.InUse)
 		mx.PoolInUseBytes.Set(ps.InUseBytes)
@@ -335,8 +481,11 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		// Chunking and fingerprinting run on the hash workers beside the
 		// dedup sink, so their cost is the per-chunk sum (speculative
 		// chunks the resync discarded included), not a wall interval.
+		// confirmed and scanned count the cuts taken from the successor
+		// table and the scans; scanned_bytes is what the scans cut.
 		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS.Load()),
-			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
+			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes),
+				"confirmed": in.confirmed.Load(), "scanned": in.scanned.Load(), "scanned_bytes": in.scannedBytes.Load()})
 		tracer.EmitStage("stage.fingerprint", in.Span, in.Start, time.Duration(in.fpNS.Load()),
 			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
 		tracer.EmitStage("stage.commit_wait", in.Span, in.Start, commitWait, nil)
@@ -352,6 +501,7 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		Chunks:                in.Chunks,
 		UniqueChunks:          unique,
 		ContainerBytesWritten: written,
+		ScannedBytes:          uint64(in.scannedBytes.Load()),
 		CommitWait:            commitWait,
 		Duration:              time.Since(in.Start),
 	}

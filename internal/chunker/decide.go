@@ -102,3 +102,33 @@ func (d *Decider) Cut(win []byte) int {
 		return aeScan(win, d.p.Min, d.aeWindow)
 	}
 }
+
+// Confirms reports whether a chunk of n bytes starting at win[0] ends on
+// a main-divisor match: whether the Rabin digest of win[n-48:n] matches
+// the TTTD main divisor or the Rabin mask, with Min ≤ n ≤ len(win). It
+// reads those 48 bytes only, and is false whenever Confirmable is.
+//
+// Confirms(win, n) does not imply Cut(win) == n on its own: an earlier
+// position may match too. It does when win[:n] is the byte-equal copy of
+// a chunk Cut produced under the same Decider that Confirms accepts at n
+// (Cut returns the first main match at or after Min, and the copy's
+// digests at [Min, n) are the original's, none of which matched). That
+// is how the backup ingest skips the scan of a chunk the previous
+// version cut; see FuzzConfirmsImpliesCut.
+func (d *Decider) Confirms(win []byte, n int) bool {
+	if !d.Confirmable() || n < d.p.Min || n > len(win) {
+		return false
+	}
+	div := d.mask
+	if d.alg == TTTD {
+		div = d.mainDiv
+	}
+	return rabinDigest(_rabinTab, win[n-_rabinWindow:n])&div == div
+}
+
+// Confirmable reports whether Confirms can answer yes: for TTTD and Rabin
+// with Min above the 48-byte digest window, and for no other algorithm or
+// configuration.
+func (d *Decider) Confirmable() bool {
+	return (d.alg == TTTD || d.alg == Rabin) && d.p.Min > _rabinWindow
+}

@@ -102,6 +102,20 @@ var _rabinTab = calcRabinTables(_rabinPoly, _rabinWindow)
 // from the tables rather than hard-coded so it tracks _rabinPoly.
 var _rabinSeed = _rabinTab.roll(0, 0, 1)
 
+// rabinDigest is the digest a scan tests at the end of w, whose length
+// is the 48-byte window: the warm-up and guard step of tttdScanSkip. The
+// fold-out is exact, so it is the digest any scan holds at that position,
+// whatever bytes came before w.
+func rabinDigest(tab *rabinTables, w []byte) Poly {
+	digest := _rabinSeed
+	for _, b := range w[:_rabinWindow-1] {
+		idx := byte(digest >> tab.shift)
+		digest = digest<<8 | Poly(b)
+		digest ^= tab.mod[idx]
+	}
+	return tab.roll(digest, 1, w[_rabinWindow-1])
+}
+
 // rabinScan returns the cut offset (1..len(win)) the rolling Rabin
 // fingerprint picks in win: the first position >= min whose digest
 // matches mask, or len(win) if none does.

@@ -240,3 +240,122 @@ func FuzzScanMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// mainDivisor is the divisor a main cut matches: the TTTD main divisor
+// or the Rabin mask, derived as the reference cuts derive them.
+func mainDivisor(alg Algorithm, p Params) Poly {
+	if alg == Rabin {
+		return Poly(nextPow2(p.Avg) - 1)
+	}
+	d := nextPow2(p.Avg - p.Min)
+	if d < 2 {
+		d = 2
+	}
+	return Poly(d - 1)
+}
+
+// FuzzConfirmsImpliesCut pins what the backup ingest's skipped scan
+// rests on. Soundness: for n = Cut(w1) and any w2 that keeps w1's first n
+// bytes, Confirms(w2, n) implies Cut(w2) == n, whatever follows — also
+// when w1's cut was a backup-divisor, Max or end-of-window cut, or fell
+// at or below Min. Completeness: Confirms agrees with the reference
+// digest at n and at every main-divisor match in w1, so every main cut is
+// confirmed and the fast path cannot degrade to "never".
+func FuzzConfirmsImpliesCut(f *testing.F) {
+	def := DefaultParams()
+	rng := rand.New(rand.NewSource(59))
+	big := make([]byte, 2*def.Max)
+	rng.Read(big)
+	f.Add(big, uint16(def.Min-1), uint16(def.Avg-def.Min), uint16(def.Max-def.Avg), uint16(def.Max))
+	f.Add(make([]byte, 5000), uint16(48), uint16(0), uint16(200), uint16(100))
+	f.Add(bytes.Repeat([]byte{0x01}, 3000), uint16(63), uint16(16), uint16(64), uint16(70))
+	f.Add(big[:4097], uint16(999), uint16(24), uint16(3073), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, minRaw, avgSpread, maxSpread, split uint16) {
+		p := Params{Min: 1 + int(minRaw)%4096}
+		p.Avg = p.Min + int(avgSpread)%4096
+		p.Max = p.Avg + int(maxSpread)
+		if len(data) > 64<<10 {
+			data = data[:64<<10]
+		}
+		// w1 is the head of data, the suffix of w2 its tail: the two
+		// windows share their first n bytes and differ after.
+		cut := int(split) % (len(data) + 1)
+		w1 := data[:cut]
+		if len(w1) > p.Max {
+			w1 = w1[:p.Max]
+		}
+		if len(w1) == 0 {
+			t.Skip()
+		}
+		for _, alg := range []Algorithm{TTTD, Rabin} {
+			d, err := NewDecider(alg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := d.Cut(w1)
+			w2 := append(append([]byte(nil), w1[:n]...), data[cut:]...)
+			if len(w2) > p.Max {
+				w2 = w2[:p.Max]
+			}
+			if d.Confirms(w2, n) != d.Confirms(w1, n) {
+				t.Fatalf("%v %+v: Confirms at %d reads past the chunk", alg, p, n)
+			}
+			if d.Confirms(w2, n) {
+				if got := d.Cut(w2); got != n {
+					t.Fatalf("%v %+v: Confirms(w2, %d), but Cut(w2) = %d", alg, p, n, got)
+				}
+			}
+			ref, div := refDigests(w1), mainDivisor(alg, p)
+			for k := p.Min; k <= len(w1); k++ {
+				if k != n && ref[k]&div != div {
+					continue
+				}
+				want := p.Min > _rabinWindow && ref[k]&div == div
+				if got := d.Confirms(w1, k); got != want {
+					t.Fatalf("%v %+v len %d: Confirms at %d = %v, reference digest says %v", alg, p, len(w1), k, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestConfirmsOnlyWhereDefined: Confirms says no for the algorithms and
+// parameters it is not defined for, and for lengths outside [Min, len].
+func TestConfirmsOnlyWhereDefined(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(61))
+	hit := plantable(rng, 1, hitsMain)
+	win := zerosWith(p.Max, plant{hit, p.Min + 500})
+	for _, alg := range []Algorithm{Fixed, FastCDC, AE} {
+		d, err := NewDecider(alg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Confirms(win, p.Min+500) {
+			t.Errorf("%v confirms a cut", alg)
+		}
+	}
+	for _, alg := range []Algorithm{TTTD, Rabin} {
+		d, err := NewDecider(alg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Confirms(win, p.Min+500) || d.Cut(win) != p.Min+500 {
+			t.Fatalf("%v: the planted main match is not confirmed", alg)
+		}
+		if d.Confirms(win[:p.Min+499], p.Min+500) {
+			t.Errorf("%v confirms a cut past the window", alg)
+		}
+		low := zerosWith(p.Max, plant{hit, p.Min - 1})
+		if d.Confirms(low, p.Min-1) {
+			t.Errorf("%v confirms a cut below Min", alg)
+		}
+		small, err := NewDecider(alg, Params{Min: 48, Avg: 4096, Max: 16384})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small.Confirms(win, p.Min+500) {
+			t.Errorf("%v confirms with Min at the digest window", alg)
+		}
+	}
+}

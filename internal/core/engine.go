@@ -123,6 +123,12 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
+// cutWith is a chunker and its parameters.
+type cutWith struct {
+	alg chunker.Algorithm
+	p   chunker.Params
+}
+
 // archivalBatch records the archival containers created when one
 // version's exclusive chunks went cold — the unit of §4.5 deletion.
 type archivalBatch struct {
@@ -147,6 +153,14 @@ type Engine struct {
 	// batches[v] are the archival containers holding chunks whose last
 	// appearance was version v.
 	batches map[int]*archivalBatch
+	// cutWith is what the newest version's recipe was cut with; zero when
+	// unknown (no version yet, or a state file from before it was
+	// recorded). It persists in the state file, so a reopened engine's
+	// first Backup can seed the ingest's successor table from that recipe
+	// (see seedIngest); seeded says the engine has tried.
+	cutWith cutWith
+	seeded  bool
+
 	// flat holds the versions whose stored recipes resolve has been over
 	// since the last backup (see isFlat). Memory only: a reopened engine
 	// reads one chain to its end and knows again.
@@ -368,6 +382,10 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		rec.Append(c.FP, size, 0)
 		return nil
 	}
+	if !e.seeded {
+		e.seeded = true
+		e.seedIngest()
+	}
 	if err := in.Run(ctx, version, probe, sink); err != nil {
 		return backup.BackupReport{}, err
 	}
@@ -395,6 +413,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	migrateStart := time.Now()
 	evicted := e.cache.endVersion(true) // the cold set leaves the cache
 	e.version = v
+	e.cutWith = cutWith{e.cfg.Chunker, e.cfg.ChunkParams}
 	coldLocs, migrated, err := e.migrateCold(v, evicted)
 	if err != nil {
 		return backup.BackupReport{}, err
@@ -453,6 +472,27 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	rep.MigrateDuration = migrateDur
 	rep.RecipeUpdateDuration = recipeDur
 	return rep, nil
+}
+
+// seedIngest lets a reopened engine's first backup confirm cuts from the
+// newest recipe instead of scanning every byte. The ingest's successor
+// table lives in memory, so after a reopen it is rebuilt from that
+// recipe's chunk list — only when the recipe was cut with this engine's
+// chunker and parameters, which the state file records; the ingest
+// checks that before it loads anything. An unreadable recipe only costs
+// the speed-up: the backup scans.
+func (e *Engine) seedIngest() {
+	v := e.version
+	if v == 0 {
+		return
+	}
+	e.ingest.Seed(e.cutWith.alg, e.cutWith.p, func() ([]recipe.Entry, error) {
+		rec, err := e.cfg.Recipes.Get(v)
+		if err != nil {
+			return nil, err
+		}
+		return rec.Entries, nil
+	})
 }
 
 // sealActive registers a filled active image and hands it to the commit

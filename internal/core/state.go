@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"sort"
 
+	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
 )
@@ -19,9 +20,12 @@ import (
 // one small file so a process restart resumes the version history exactly
 // (the CLI depends on this).
 
+// Version 2 appends what the newest recipe was cut with (chunker and
+// Min/Avg/Max, four uint32s) to version 1's layout; a version 1 file
+// loads with it unknown.
 const (
 	_stateMagic   = 0x48445354 // "HDST"
-	_stateVersion = 1
+	_stateVersion = 2
 )
 
 // ErrStateCorrupt reports an unreadable state file.
@@ -60,6 +64,7 @@ func (e *Engine) marshalState() []byte {
 	}
 	size += 8 + 8
 	size += 4 + len(activeIDs)*4
+	size += 16
 
 	buf := make([]byte, size)
 	binary.BigEndian.PutUint32(buf[0:], _stateMagic)
@@ -99,6 +104,10 @@ func (e *Engine) marshalState() []byte {
 		binary.BigEndian.PutUint32(buf[off:], uint32(id))
 		off += 4
 	}
+	for _, x := range []int{int(e.cutWith.alg), e.cutWith.p.Min, e.cutWith.p.Avg, e.cutWith.p.Max} {
+		binary.BigEndian.PutUint32(buf[off:], uint32(x))
+		off += 4
+	}
 	binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[24:]))
 	return buf
 }
@@ -115,8 +124,9 @@ func (e *Engine) unmarshalState(buf []byte) error {
 	if binary.BigEndian.Uint32(buf[0:]) != _stateMagic {
 		return fmt.Errorf("%w: bad magic", ErrStateCorrupt)
 	}
-	if v := binary.BigEndian.Uint16(buf[4:]); v != _stateVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrStateCorrupt, v)
+	format := binary.BigEndian.Uint16(buf[4:])
+	if format != 1 && format != _stateVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrStateCorrupt, format)
 	}
 	if w := int(binary.BigEndian.Uint32(buf[8:])); w != e.cfg.Window {
 		return fmt.Errorf("core: state window %d does not match configured %d", w, e.cfg.Window)
@@ -227,6 +237,16 @@ func (e *Engine) unmarshalState(buf []byte) error {
 			}
 		}
 		e.activeContainers[container.ID(id)] = ctn
+	}
+	e.cutWith = cutWith{}
+	if format >= 2 {
+		var cw [4]uint32
+		for i := range cw {
+			if cw[i], err = read32(); err != nil {
+				return err
+			}
+		}
+		e.cutWith = cutWith{chunker.Algorithm(cw[0]), chunker.Params{Min: int(cw[1]), Avg: int(cw[2]), Max: int(cw[3])}}
 	}
 	if off != len(buf) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrStateCorrupt, len(buf)-off)

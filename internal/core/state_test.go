@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
@@ -16,6 +19,13 @@ import (
 
 // newPersistentEngine builds a file-backed engine with a state file.
 func newPersistentEngine(t *testing.T, dir string, window int) *Engine {
+	t.Helper()
+	return newPersistentEngineWith(t, dir, window, chunker.Params{Min: 1024, Avg: 2048, Max: 8192})
+}
+
+// newPersistentEngineWith is newPersistentEngine cutting TTTD chunks
+// under p.
+func newPersistentEngineWith(t *testing.T, dir string, window int, p chunker.Params) *Engine {
 	t.Helper()
 	store, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
@@ -30,7 +40,7 @@ func newPersistentEngine(t *testing.T, dir string, window int) *Engine {
 		Recipes:           recipes,
 		ContainerCapacity: 64 << 10,
 		Window:            window,
-		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
+		ChunkParams:       p,
 		StatePath:         filepath.Join(dir, "state.hds"),
 	})
 	if err != nil {
@@ -83,6 +93,72 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	for v := 2; v <= 8; v++ {
 		backuptest.CheckRestoreOne(t, e3, v, versions[v-1])
+	}
+}
+
+// TestReopenedEngineSeedsFromLastRecipe: the successor table that lets a
+// backup confirm the previous version's cuts instead of scanning lives in
+// memory, so a reopened engine seeds it from the newest recipe — only
+// when the state file says that recipe was cut with the engine's own
+// chunker and parameters. Reopened with the same ones, the first backup
+// confirms most cuts; with other parameters, or from a state file
+// written before they were recorded (format 1), it scans every byte and
+// the backup after it confirms again. Every version restores.
+func TestReopenedEngineSeedsFromLastRecipe(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(7, 0))
+	same := chunker.Params{Min: 1024, Avg: 2048, Max: 8192}
+	other := chunker.Params{Min: 1024, Avg: 4096, Max: 8192}
+	statePath := func(dir string) string { return filepath.Join(dir, "state.hds") }
+	toFormat1 := func(t *testing.T, dir string) {
+		buf, err := os.ReadFile(statePath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = buf[:len(buf)-16]
+		binary.BigEndian.PutUint16(buf[4:], 1)
+		binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[24:]))
+		if err := os.WriteFile(statePath(dir), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name     string
+		p        chunker.Params
+		reopen   func(t *testing.T, dir string)
+		confirms bool // the first backup after the reopen
+	}{
+		{"same params", same, nil, true},
+		{"other params", other, nil, false},
+		{"format 1 state", same, toFormat1, false},
+	}
+	scanShare := func(rep backup.BackupReport) float64 {
+		return float64(rep.ScannedBytes) / float64(rep.LogicalBytes)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reps := backuptest.BackupAll(t, newPersistentEngineWith(t, dir, 1, same), versions[:3])
+			if c.reopen != nil {
+				c.reopen(t, dir)
+			}
+			e := newPersistentEngineWith(t, dir, 1, c.p)
+			for _, data := range versions[3:] {
+				rep, err := e.Backup(context.Background(), bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps = append(reps, rep)
+			}
+			for i, rep := range reps {
+				s := scanShare(rep)
+				scans := i == 0 || i == 3 && !c.confirms
+				if scans && s < 1 || !scans && s > 0.75 {
+					t.Errorf("v%d: scan share %.3f (expected to scan every byte: %v)", i+1, s, scans)
+				}
+				t.Logf("v%d: scan share %.3f", i+1, s)
+			}
+			backuptest.CheckRestoreAll(t, e, versions)
+		})
 	}
 }
 

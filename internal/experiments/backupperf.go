@@ -10,7 +10,12 @@ import (
 	"hidestore/internal/backup"
 	"hidestore/internal/bufpool"
 	"hidestore/internal/chunker"
+	"hidestore/internal/container"
+	"hidestore/internal/core"
+	"hidestore/internal/dedup"
+	"hidestore/internal/index"
 	"hidestore/internal/metrics"
+	"hidestore/internal/recipe"
 	"hidestore/internal/workload"
 )
 
@@ -23,7 +28,9 @@ var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 // over the whole run divided by chunks processed — the end-to-end
 // per-chunk path, not just the chunker) and write amplification
 // (container payload bytes written over logical bytes, whole chain:
-// unique chunks plus whatever maintenance copied). Backup speed is
+// unique chunks plus whatever maintenance copied) and scan share (bytes
+// of the chunks the ingest scanned for their cut over logical bytes, the
+// rest confirmed from the previous version's cuts). Backup speed is
 // benchmark/'s backup_mbps.
 type BackupPerfRow struct {
 	Scheme             string
@@ -31,6 +38,7 @@ type BackupPerfRow struct {
 	Chunks             int
 	AllocsPerChunk     float64
 	WriteAmplification float64
+	ScanShare          float64
 }
 
 // BackupPerfResult compares the write hot path on one workload.
@@ -40,9 +48,10 @@ type BackupPerfResult struct {
 }
 
 // BackupPerf counts allocator pressure and container writes for a full
-// version chain on the memory-backed store. The store is memory-backed on
-// purpose: with I/O out of the picture, the allocations are the CPU
-// side's (chunking, hashing, lookup, container packing) that the
+// version chain on the memory-backed store, and the scan share in a
+// second pass (see scanShare). The store is memory-backed on purpose:
+// with I/O out of the picture, the allocations are the CPU side's
+// (chunking, hashing, lookup, container packing) that the
 // allocation-free chunk path targets.
 func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	opts = opts.withDefaults()
@@ -82,9 +91,59 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		if row.Chunks > 0 {
 			row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
 		}
+		if row.ScanShare, err = scanShare(scheme, cfg, opts); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
+		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// scanShare backs the chain up once more through scheme's engine, cutting
+// with the engines' default chunker (TTTD) where the pass above and the
+// figures cut with FastCDC, whose cuts the ingest cannot confirm. It
+// returns the scanned bytes over the logical bytes: the rest the ingest
+// confirmed from the previous version's cuts.
+func scanShare(scheme string, cfg workload.Config, opts Options) (float64, error) {
+	var e backup.Engine
+	var err error
+	if scheme == "hidestore" {
+		e, err = core.New(core.Config{
+			Store:             container.NewMemStore(),
+			Recipes:           recipe.NewMemStore(),
+			ContainerCapacity: opts.ContainerCapacity,
+			Window:            cacheWindow(cfg),
+			ChunkParams:       opts.ChunkParams,
+		})
+	} else {
+		var ix index.Index
+		if ix, err = newBaselineIndex(scheme); err != nil {
+			return 0, err
+		}
+		e, err = dedup.New(dedup.Config{
+			Index:             ix,
+			Store:             container.NewMemStore(),
+			Recipes:           recipe.NewMemStore(),
+			ContainerCapacity: opts.ContainerCapacity,
+			ChunkParams:       opts.ChunkParams,
+		})
+	}
+	if err != nil {
+		return 0, err
+	}
+	reports, err := backupAllVersions(e, cfg)
+	if err != nil {
+		return 0, err
+	}
+	var scanned, logical uint64
+	for _, rep := range reports {
+		scanned += rep.ScannedBytes
+		logical += rep.LogicalBytes
+	}
+	if logical == 0 {
+		return 0, nil
+	}
+	return float64(scanned) / float64(logical), nil
 }
 
 // Extras flattens the rows into scalar metrics for BENCH_<exp>.json.
@@ -93,6 +152,7 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 	for _, row := range r.Rows {
 		out["allocs_per_chunk_"+row.Scheme] = row.AllocsPerChunk
 		out["write_amplification_"+row.Scheme] = row.WriteAmplification
+		out["scan_share_"+row.Scheme] = row.ScanShare
 	}
 	return out
 }
@@ -100,12 +160,13 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 // Render formats the comparison.
 func (r *BackupPerfResult) Render() string {
 	t := metrics.NewTable(fmt.Sprintf("Backup hot path (%s)", r.Workload),
-		"scheme", "chunks", "allocs/chunk", "written/logical", "logical")
+		"scheme", "chunks", "allocs/chunk", "written/logical", "scanned/logical", "logical")
 	for _, row := range r.Rows {
 		t.AddRow(row.Scheme,
 			fmt.Sprintf("%d", row.Chunks),
 			fmt.Sprintf("%.2f", row.AllocsPerChunk),
 			fmt.Sprintf("%.3f", row.WriteAmplification),
+			fmt.Sprintf("%.3f", row.ScanShare),
 			metrics.FormatBytes(row.LogicalBytes))
 	}
 	return t.Render()

@@ -18,8 +18,12 @@ type BackupMetrics struct {
 	UniqueChunks *Counter
 
 	// Per-item stage latencies (nanoseconds).
-	ChunkingNS       *Histogram // one chunker.Next call
-	FingerprintNS    *Histogram // one fp.Of call
+	// ChunkingNS is one chunk's cut decision: a chunker.Decider.Cut scan,
+	// or, for a cut confirmed from the previous backup's successor table,
+	// the lookup and Decider.Confirms — no scan. A confirmed guess whose
+	// fingerprint differed records both.
+	ChunkingNS       *Histogram
+	FingerprintNS    *Histogram // one chunk's fp.Of calls
 	IndexLookupNS    *Histogram // one cache/index classification
 	ContainerWriteNS *Histogram // one Store.Put of a sealed container
 	RecipeCommitNS   *Histogram // one Recipes.Put
@@ -42,6 +46,9 @@ type BackupMetrics struct {
 	// CommitWaitNS is the time backup goroutines spent blocked on the
 	// container commit plane (full slots plus the two fences).
 	CommitWaitNS *Counter
+	// ScannedBytes is the length of the chunks the ingest scanned for
+	// their cut; over LogicalBytes, the scan share.
+	ScannedBytes *Counter
 
 	// Stream-slab pool state (the ingest's slabs, internal/backup), set
 	// after each backup under the names the chunk-buffer pool had. InUse
@@ -65,7 +72,7 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 		Chunks:       r.Counter("hidestore_backup_chunks_total", "chunks classified"),
 		UniqueChunks: r.Counter("hidestore_backup_unique_chunks_total", "chunks stored as unique"),
 
-		ChunkingNS:       r.Histogram("hidestore_stage_chunking_ns", "per-chunk chunking latency (ns)"),
+		ChunkingNS:       r.Histogram("hidestore_stage_chunking_ns", "per-chunk cut decision latency: a Decider.Cut scan, or the Decider.Confirms check of a cut confirmed from the previous backup (ns)"),
 		FingerprintNS:    r.Histogram("hidestore_stage_fingerprint_ns", "per-chunk fingerprint latency (ns)"),
 		IndexLookupNS:    r.Histogram("hidestore_stage_index_lookup_ns", "per-chunk index/cache lookup latency (ns)"),
 		ContainerWriteNS: r.Histogram("hidestore_stage_container_write_ns", "per-container store write latency (ns)"),
@@ -82,6 +89,7 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 		MigratedBytes:         r.Counter("hidestore_backup_migrated_bytes_total", "payload bytes copied into archival containers"),
 		MergedBytes:           r.Counter("hidestore_backup_merged_bytes_total", "payload bytes repacked by sparse-container merges"),
 		CommitWaitNS:          r.Counter("hidestore_backup_commit_wait_ns_total", "time the backup goroutine spent blocked on the container commit plane (ns)"),
+		ScannedBytes:          r.Counter("hidestore_backup_scanned_bytes_total", "bytes of the chunks the ingest scanned for their cut, speculative ones included"),
 
 		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "ingest stream slabs currently out of the slab pool (in flight or held by the engine)"),
 		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "bytes of the ingest stream slabs currently out of the slab pool"),
