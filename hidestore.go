@@ -32,8 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -159,35 +157,83 @@ func (c Config) chunkParams() chunker.Params {
 	return p
 }
 
-// stateFileName is the engine state blob/file name under Dir (local
-// mode) or in the state backend's namespace (remote mode).
-const stateFileName = "state.hds"
-
-// storeSet bundles what Config.stores assembles: the stores, the state
-// file location, and — when a backend stack routes the state blob
-// through its retry/limiter layers — the state read/write hooks (nil
-// hooks select the engine's plain-file defaults).
+// storeSet bundles what Config.stores assembles: the container and
+// recipe stores and the backend the engine state is a blob of (nil: not
+// persisted).
 type storeSet struct {
 	containers container.Store
 	recipes    recipe.Store
-	statePath  string
-	readState  func(path string) ([]byte, error)
-	writeState func(path string, data []byte, perm os.FileMode) error
+	state      backend.Backend
 }
 
+// stores assembles the three storage planes. Without a Dir a local
+// system runs on the memory stores. Otherwise each plane is a base
+// backend — a backend.Local under Dir, or a backend.Mem for a remote
+// system without one — and a remote system wraps each base in its own
+// backend.NewStack. The layout under Dir:
+//
+//	local:  containers/c_<id>.ctn  recipes/r_<n>.rcp  state.hds
+//	remote: remote/containers/…    remote/recipes/…   remote/state/state.hds
+//
+// Corrupt images go to containers/quarantine/ (remote/containers/quarantine/).
 func (c Config) stores() (storeSet, error) {
-	var set storeSet
-	var err error
+	var remote bool
 	switch c.Backend.Kind {
 	case "", "local":
-		set, err = c.localStores()
 	case "remote":
-		set, err = c.remoteStores()
+		remote = true
 	default:
 		return storeSet{}, fmt.Errorf("hidestore: unknown backend kind %q", c.Backend.Kind)
 	}
-	if err != nil {
-		return storeSet{}, err
+	var set storeSet
+	if c.Dir == "" && !remote {
+		set.containers, set.recipes = container.NewMemStore(), recipe.NewMemStore()
+	} else {
+		var mx *obs.BackendMetrics
+		if remote {
+			mx = obs.NewBackendMetrics(c.Metrics)
+		}
+		// plane opens one plane's backend and returns the directory its
+		// blob names resolve under ("" in memory).
+		plane := func(sub string, seedOffset int64) (backend.Backend, string, error) {
+			var dir string
+			switch {
+			case c.Dir == "":
+			case remote:
+				dir = filepath.Join(c.Dir, "remote", sub)
+			case sub == "state":
+				dir = c.Dir
+			default:
+				dir = filepath.Join(c.Dir, sub)
+			}
+			var base backend.Backend = backend.NewMem()
+			if dir != "" {
+				local, err := backend.NewLocal(dir)
+				if err != nil {
+					return nil, "", err
+				}
+				base = local
+			}
+			if !remote {
+				return base, dir, nil
+			}
+			top, err := c.remoteStack(base, seedOffset, sub == "containers", mx)
+			return top, dir, err
+		}
+		cb, cdir, err := plane("containers", 0)
+		if err != nil {
+			return storeSet{}, err
+		}
+		rb, _, err := plane("recipes", 1)
+		if err != nil {
+			return storeSet{}, err
+		}
+		set.containers, set.recipes = backend.NewContainerStore(cb, cdir), backend.NewRecipeStore(rb)
+		if c.Dir != "" {
+			if set.state, _, err = plane("state", 2); err != nil {
+				return storeSet{}, err
+			}
+		}
 	}
 	if c.Compress {
 		ccs, err := container.NewCompressedStore(set.containers, 0)
@@ -199,106 +245,35 @@ func (c Config) stores() (storeSet, error) {
 	return set, nil
 }
 
-// localStores is the classic layout: plain file stores under Dir (or
-// memory stores without one).
-func (c Config) localStores() (storeSet, error) {
-	var set storeSet
-	if c.Dir == "" {
-		set.containers, set.recipes = container.NewMemStore(), recipe.NewMemStore()
-		return set, nil
-	}
-	fcs, err := container.NewFileStore(filepath.Join(c.Dir, "containers"))
-	if err != nil {
-		return storeSet{}, err
-	}
-	frs, err := recipe.NewFileStore(filepath.Join(c.Dir, "recipes"))
-	if err != nil {
-		return storeSet{}, err
-	}
-	set.containers, set.recipes = fcs, frs
-	set.statePath = filepath.Join(c.Dir, stateFileName)
-	return set, nil
-}
-
-// remoteStores assembles the simulated-remote stacks: containers,
-// recipes and the state blob each get their own stack (latency, retry,
-// optional rate limit); container fetches additionally go through the
-// persistent local read cache at Dir/cache. Without a Dir everything
-// sits on in-memory backends (and the cache, which needs a disk, is
-// skipped).
-func (c Config) remoteStores() (storeSet, error) {
+// remoteStack wraps one plane's base backend in the simulated-remote
+// stack (latency, retry, optional rate limit). Container fetches
+// additionally go through the persistent local read cache at Dir/cache,
+// which needs a Dir.
+func (c Config) remoteStack(base backend.Backend, seedOffset int64, withCache bool, mx *obs.BackendMetrics) (backend.Backend, error) {
 	b := c.Backend
-	mx := obs.NewBackendMetrics(c.Metrics)
-	stack := func(sub string, seedOffset int64, withCache bool) (backend.Backend, error) {
-		var base backend.Backend
-		if c.Dir == "" {
-			base = backend.NewMem()
-		} else {
-			local, err := backend.NewLocal(filepath.Join(c.Dir, "remote", sub))
-			if err != nil {
-				return nil, err
-			}
-			base = local
-		}
-		opts := backend.StackOptions{
-			Sim: backend.SimOptions{
-				Latency:      b.Latency,
-				BandwidthBps: b.BandwidthMBps * (1 << 20),
-				ErrRate:      b.ErrRate,
-				Seed:         b.Seed + seedOffset,
-				SleepScale:   b.SleepScale,
-			},
-			Retry: backend.RetryOptions{
-				Tries:    b.Retries,
-				MinDelay: b.RetryMinDelay,
-				Seed:     b.Seed + seedOffset,
-			},
-			RateBps: b.RateLimitMBps * (1 << 20),
-			Metrics: mx,
-			Tracer:  c.Tracer,
-		}
-		if withCache && c.Dir != "" && b.CacheMB > 0 {
-			opts.CacheDir = filepath.Join(c.Dir, "cache")
-			opts.CacheBytes = int64(b.CacheMB) << 20
-		}
-		top, _, err := backend.NewStack(base, opts)
-		return top, err
+	opts := backend.StackOptions{
+		Sim: backend.SimOptions{
+			Latency:      b.Latency,
+			BandwidthBps: b.BandwidthMBps * (1 << 20),
+			ErrRate:      b.ErrRate,
+			Seed:         b.Seed + seedOffset,
+			SleepScale:   b.SleepScale,
+		},
+		Retry: backend.RetryOptions{
+			Tries:    b.Retries,
+			MinDelay: b.RetryMinDelay,
+			Seed:     b.Seed + seedOffset,
+		},
+		RateBps: b.RateLimitMBps * (1 << 20),
+		Metrics: mx,
+		Tracer:  c.Tracer,
 	}
-	cb, err := stack("containers", 0, true)
-	if err != nil {
-		return storeSet{}, err
+	if withCache && c.Dir != "" && b.CacheMB > 0 {
+		opts.CacheDir = filepath.Join(c.Dir, "cache")
+		opts.CacheBytes = int64(b.CacheMB) << 20
 	}
-	rb, err := stack("recipes", 1, false)
-	if err != nil {
-		return storeSet{}, err
-	}
-	set := storeSet{
-		containers: backend.NewContainerStore(cb),
-		recipes:    backend.NewRecipeStore(rb),
-	}
-	if c.Dir == "" {
-		return set, nil
-	}
-	sb, err := stack("state", 2, false)
-	if err != nil {
-		return storeSet{}, err
-	}
-	set.statePath = filepath.Join(c.Dir, "remote", "state", stateFileName)
-	set.readState = func(path string) ([]byte, error) {
-		data, err := sb.Get(context.Background(), stateFileName)
-		if err != nil {
-			if errors.Is(err, backend.ErrNotFound) {
-				// loadState distinguishes "no state yet" via fs.ErrNotExist.
-				return nil, fmt.Errorf("hidestore: state %s: %w", path, fs.ErrNotExist)
-			}
-			return nil, err
-		}
-		return data, nil
-	}
-	set.writeState = func(_ string, data []byte, _ os.FileMode) error {
-		return sb.Put(context.Background(), stateFileName, data)
-	}
-	return set, nil
+	top, _, err := backend.NewStack(base, opts)
+	return top, err
 }
 
 func (c Config) chunkerAlg() (chunker.Algorithm, error) {
@@ -438,9 +413,7 @@ func Open(cfg Config) (*System, error) {
 		MergeUtilization:  cfg.MergeUtilization,
 		RestoreCache:      rc,
 		PrefetchDepth:     cfg.PrefetchDepth,
-		StatePath:         set.statePath,
-		WriteState:        set.writeState,
-		ReadState:         set.readState,
+		State:             set.state,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})

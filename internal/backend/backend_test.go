@@ -142,6 +142,38 @@ func TestLocalNameEscapesRejected(t *testing.T) {
 	}
 }
 
+// TestLocalSymlinkedRoot: a root that is a symbolic link to a directory
+// lists and sweeps the directory's tree, not an empty one.
+func TestLocalSymlinkedRoot(t *testing.T) {
+	dir := t.TempDir()
+	target, link := filepath.Join(dir, "target"), filepath.Join(dir, "link")
+	l, err := NewLocal(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := l.Put(ctx, "c_1.ctn", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(target, durable.TempPrefix+"stale")
+	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	viaLink, err := NewLocal(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale temp under a symlinked root survived the open: %v", err)
+	}
+	if names, err := viaLink.List(ctx, ""); err != nil || len(names) != 1 || names[0] != "c_1.ctn" {
+		t.Fatalf("List through a symlinked root = %v, %v; want [c_1.ctn]", names, err)
+	}
+}
+
 func TestLocalSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	sub := filepath.Join(dir, "quarantine")

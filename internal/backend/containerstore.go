@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,9 +13,8 @@ import (
 	"hidestore/internal/container"
 )
 
-// containerPrefix/containerExt mirror the FileStore naming scheme so a
-// backend rooted over an existing container directory reads the same
-// images.
+// A container image is the blob c_<id>.ctn, so a Local rooted at a
+// directory of images holds them under their file names.
 const (
 	containerPrefix = "c_"
 	containerExt    = ".ctn"
@@ -36,7 +36,8 @@ func ContainerName(id container.ID) string {
 // layer below) keys on — with the original error preserved in the
 // chain.
 type ContainerStore struct {
-	b Backend
+	b   Backend
+	dir string
 
 	mu    sync.Mutex
 	stats container.StoreStats
@@ -47,9 +48,12 @@ var (
 	_ container.Quarantiner = (*ContainerStore)(nil)
 )
 
-// NewContainerStore adapts b to a container store.
-func NewContainerStore(b Backend) *ContainerStore {
-	return &ContainerStore{b: b}
+// NewContainerStore adapts b to a container store. dir is the directory
+// b's blob names resolve under — the root of the Local at the bottom of
+// b — or "" when they have no path on disk (a Mem below). Quarantine
+// reports where an image went in the same terms.
+func NewContainerStore(b Backend, dir string) *ContainerStore {
+	return &ContainerStore{b: b, dir: dir}
 }
 
 // Put implements container.Store.
@@ -153,7 +157,8 @@ func (s *ContainerStore) Len() (int, error) {
 // Quarantine implements container.Quarantiner by copying the image
 // under the quarantine/ prefix and then deleting the original — copy
 // before delete, so no crash point loses the only copy of the bytes.
-// The returned path is the quarantine blob name.
+// The returned path is the image's file under the store's directory, or
+// the quarantine blob name when the store has none.
 func (s *ContainerStore) Quarantine(id container.ID) (string, error) {
 	ctx := context.Background()
 	src := ContainerName(id)
@@ -170,6 +175,9 @@ func (s *ContainerStore) Quarantine(id container.ID) (string, error) {
 	}
 	if err := s.b.Delete(ctx, src); err != nil {
 		return "", fmt.Errorf("backend: quarantine remove %d: %w", id, err)
+	}
+	if s.dir != "" {
+		return filepath.Join(s.dir, filepath.FromSlash(dst)), nil
 	}
 	return dst, nil
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // Local is a Backend over a directory tree. Blob names map to relative
-// paths under the root; writes go through durable.WriteFileAtomic so
-// the crash contract matches the file stores it replaces.
+// paths under the root; writes go through durable.WriteFileAtomic and
+// removals through durable.Remove, so after a crash a name holds its old
+// or its new content in full and a deleted name stays deleted.
 type Local struct {
 	root string
 }
@@ -34,10 +35,18 @@ func NewLocal(dir string) (*Local, error) {
 	return &Local{root: dir}, nil
 }
 
+// walkTree walks the tree under root. The trailing separator makes the
+// walk follow a root that is a symbolic link, and makes a root that is
+// not a directory an error instead of a one-file tree: an unreadable
+// store must not list as empty.
+func walkTree(root string, fn fs.WalkDirFunc) error {
+	return filepath.WalkDir(root+string(filepath.Separator), fn)
+}
+
 // sweepTree runs durable.SweepTemp over dir and every subdirectory
 // (blob names may contain slashes, so temps can be anywhere).
 func sweepTree(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	return walkTree(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return fmt.Errorf("backend: walk %s: %w", path, err)
 		}
@@ -149,7 +158,7 @@ func (l *Local) Has(ctx context.Context, name string) (bool, error) {
 // relative names. In-flight temp files are invisible.
 func (l *Local) List(ctx context.Context, prefix string) ([]string, error) {
 	var names []string
-	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
+	err := walkTree(l.root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return fmt.Errorf("backend: list: %w", err)
 		}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"hidestore/internal/durable"
 )
 
 // Mem is an in-memory Backend, the blob-level analogue of the memory
@@ -83,7 +85,8 @@ func (m *Mem) Has(ctx context.Context, name string) (bool, error) {
 	return ok, nil
 }
 
-// List implements Backend.
+// List implements Backend. As in Local, temp names (a torn write's
+// debris) are invisible.
 func (m *Mem) List(ctx context.Context, prefix string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -92,7 +95,8 @@ func (m *Mem) List(ctx context.Context, prefix string) ([]string, error) {
 	defer m.mu.Unlock()
 	names := make([]string, 0, len(m.blobs))
 	for name := range m.blobs {
-		if strings.HasPrefix(name, prefix) {
+		base := name[strings.LastIndexByte(name, '/')+1:]
+		if strings.HasPrefix(name, prefix) && !strings.HasPrefix(base, durable.TempPrefix) {
 			names = append(names, name)
 		}
 	}

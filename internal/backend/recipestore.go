@@ -21,11 +21,10 @@ func RecipeName(version int) string {
 	return recipePrefix + strconv.Itoa(version) + recipeExt
 }
 
-// RecipeStore adapts a Backend to recipe.Store, mirroring the
-// FileStore naming scheme (r_<version>.rcp). Like ContainerStore, the
-// Store interface is context-free by design, so ops run under
-// context.Background. ErrNotFound maps to recipe.ErrNotFound with the
-// chain preserved.
+// RecipeStore adapts a Backend to recipe.Store; a version's recipe is
+// the blob r_<version>.rcp. Like ContainerStore, the Store interface is
+// context-free by design, so ops run under context.Background.
+// ErrNotFound maps to recipe.ErrNotFound with the chain preserved.
 type RecipeStore struct {
 	b Backend
 }

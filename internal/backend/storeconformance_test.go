@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -47,21 +49,57 @@ func composedStack(t *testing.T) Backend {
 func TestContainerStoreConformance(t *testing.T) {
 	t.Run("backend-mem", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
-			return NewContainerStore(NewMem())
+			return NewContainerStore(NewMem(), "")
 		})
 	})
 	t.Run("backend-local", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
-			base, err := NewLocal(t.TempDir())
+			dir := t.TempDir()
+			base, err := NewLocal(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewContainerStore(base)
+			return NewContainerStore(base, dir)
 		})
 	})
 	t.Run("backend-stack", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
-			return NewContainerStore(composedStack(t))
+			return NewContainerStore(composedStack(t), "")
 		})
 	})
+}
+
+// TestContainerStoreQuarantinePath: Quarantine reports where the image
+// went — its file under the store's directory when it has one (an
+// operator can find it there), the blob name when it has none.
+func TestContainerStoreQuarantinePath(t *testing.T) {
+	dir := t.TempDir()
+	local, err := NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s    *ContainerStore
+		want string
+	}{
+		{NewContainerStore(local, dir), filepath.Join(dir, "quarantine", "c_4.ctn")},
+		{NewContainerStore(NewMem(), ""), "quarantine/c_4.ctn"},
+	} {
+		if err := c.s.Put(containertest.Fill(t, 4, 2)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.s.Quarantine(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Fatalf("Quarantine reported %q, want %q", got, c.want)
+		}
+		if has, err := c.s.Has(4); err != nil || has {
+			t.Fatalf("quarantined image still in the store: %v %v", has, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", "c_4.ctn")); err != nil {
+		t.Fatalf("reported path: %v", err)
+	}
 }

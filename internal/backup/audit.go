@@ -5,6 +5,7 @@ import (
 
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
+	"hidestore/internal/recipe"
 )
 
 // ContainerAudit is what fsck's container walk established; each engine's
@@ -21,7 +22,7 @@ type ContainerAudit struct {
 }
 
 // AuditContainers is fsck's first pass, shared by both engines: it decodes
-// every stored image (file-backed stores CRC-check on read) and hashes
+// every stored image (the backend adapter CRC-checks on read) and hashes
 // every chunk against its fingerprint, reporting problems instead of
 // failing fast so one run inventories all damage. With repair, an image
 // that fails to decode is quarantined — moved aside, never deleted — when
@@ -66,6 +67,25 @@ func AuditContainers(store container.Store, repair bool, report *RepairReport) *
 		}
 	}
 	return a
+}
+
+// AuditRecipes is fsck's recipe-loading pass, shared by both engines: it
+// lists every stored version and reads its recipe, ascending, handing
+// each one that loads to visit and reporting what cannot be listed or
+// read instead of failing fast.
+func AuditRecipes(recipes recipe.Store, report *RepairReport, visit func(version int, rec *recipe.Recipe)) {
+	versions, err := recipes.Versions()
+	if err != nil {
+		report.Problemf("recipes: cannot enumerate versions: %v", err)
+	}
+	for _, v := range versions {
+		rec, err := recipes.Get(v)
+		if err != nil {
+			report.Problemf("recipe v%d: %v", v, err)
+			continue
+		}
+		visit(v, rec)
+	}
 }
 
 // quarantine moves an undecodable container aside, recording the

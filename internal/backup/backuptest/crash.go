@@ -7,15 +7,17 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup"
 	"hidestore/internal/fault"
 )
 
 // CrashOpen builds an engine over dir with inj spliced into every
-// persistence layer (container store, recipe store, and — for engines
-// that keep one — the state writer) and commitDepth as its
+// storage plane (containers, recipes, and — for engines that keep one —
+// the state) and commitDepth as its
 // AsyncCommitDepth. It is called once per matrix cell with a fresh
 // directory and once more, with an inert injector, to reopen the
 // "crashed" directory; the reopen must run the engine's startup
@@ -57,7 +59,7 @@ func BackupSteps(versions [][]byte) []CrashStep {
 // mutating-op crash point loses committed data.
 //
 // A probe run over a fresh directory counts the script's mutating ops
-// (container and recipe Put/Delete plus state writes all draw from one
+// (Put and Delete of container, recipe and state blobs all draw from one
 // shared counter). Then, for each fault kind and op index, the script
 // replays against a fresh directory with the fault armed at that index
 // — modeling a process that dies there — and the directory is reopened
@@ -324,4 +326,36 @@ func checkCrashRestore(t *testing.T, e backup.Engine, v int, data []byte, kind f
 		t.Errorf("restore v%d after %s at op %d (%s): %d bytes differ from the %d backed up",
 			v, kind, i, opLabel, buf.Len(), len(data))
 	}
+}
+
+// Planes are an engine's three storage planes over a store directory.
+type Planes struct {
+	Containers *backend.ContainerStore
+	Recipes    *backend.RecipeStore
+	State      backend.Backend
+}
+
+// DirPlanes opens dir in the local-mode layout hidestore.Open uses —
+// containers/c_<id>.ctn, recipes/r_<n>.rcp and the state blob at dir,
+// each plane a backend.Local — with each Local behind a fault.Backend
+// drawing from inj, so every container, recipe and state op shares one
+// op counter. A nil inj leaves the planes unwrapped.
+func DirPlanes(dir string, inj *fault.Injector) (Planes, error) {
+	cdir := filepath.Join(dir, "containers")
+	var bs [3]backend.Backend
+	for i, root := range []string{cdir, filepath.Join(dir, "recipes"), dir} {
+		local, err := backend.NewLocal(root)
+		if err != nil {
+			return Planes{}, err
+		}
+		bs[i] = local
+		if inj != nil {
+			bs[i] = fault.NewBackend(local, inj)
+		}
+	}
+	return Planes{
+		Containers: backend.NewContainerStore(bs[0], cdir),
+		Recipes:    backend.NewRecipeStore(bs[1]),
+		State:      bs[2],
+	}, nil
 }

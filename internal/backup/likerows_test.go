@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -207,22 +206,17 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	t.Run("core/reopened-filestore", func(t *testing.T) {
 		dir := t.TempDir()
 		open := func() (*core.Engine, container.Store) {
-			store, err := container.NewFileStore(filepath.Join(dir, "containers"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			recipes, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
+			p, err := backuptest.DirPlanes(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			e, err := core.New(core.Config{
-				Store: store, Recipes: recipes, ContainerCapacity: capacity,
-				StatePath: filepath.Join(dir, "state.hds"),
+				Store: p.Containers, Recipes: p.Recipes, State: p.State, ContainerCapacity: capacity,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e, store
+			return e, p.Containers
 		}
 		e, _ := open()
 		backuptest.BackupAll(t, e, versions)

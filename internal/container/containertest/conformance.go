@@ -2,7 +2,7 @@
 // so store implementations outside this package tree — notably the
 // composed backend stacks in internal/backend, which cannot be imported
 // from container's own tests without a cycle — prove the same contract
-// as MemStore and FileStore.
+// as MemStore.
 package containertest
 
 import (

@@ -19,12 +19,12 @@ type StoreStats struct {
 
 // Store persists containers. Implementations must be safe for concurrent
 // use. Put snapshots the container: later caller mutations are not
-// visible to the store (file-backed stores marshal immediately; the
+// visible to the store (the backend adapter marshals immediately; the
 // memory store deep-copies). Get returns an image that is never mutated
 // again — the caller treats it as read-only and Clones before changing
 // anything — so its Container.View slices stay valid while it is held and
-// restore workers may read one image at once (file-backed stores return a
-// fresh in-place decode that owns the buffer read; the memory store
+// restore workers may read one image at once (the backend adapter returns
+// a fresh in-place decode that owns the buffer read; the memory store
 // returns the stored snapshot, which concurrent restores share).
 type Store interface {
 	// Put writes or overwrites a snapshot of the container under its ID.
@@ -51,13 +51,18 @@ type Store interface {
 	ResetStats()
 }
 
+// QuarantineDir is the subdirectory (of the store root) that Quarantine
+// moves corrupt images into.
+const QuarantineDir = "quarantine"
+
 // Quarantiner is implemented by stores that can move a corrupt
 // container image aside instead of deleting it. Fsck's repair mode
 // quarantines rather than removes, so no repair decision destroys the
 // only copy of the bytes.
 type Quarantiner interface {
-	// Quarantine moves the container's on-disk image into the store's
-	// quarantine area and returns the destination path.
+	// Quarantine moves the container's image into the store's
+	// quarantine area and returns where it went: the path on disk when
+	// the store has one.
 	Quarantine(id ID) (string, error)
 }
 

@@ -1,13 +1,9 @@
 package container
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
-	"hidestore/internal/durable"
 	"hidestore/internal/fp"
 )
 
@@ -23,83 +19,10 @@ func fillContainer(t *testing.T, id ID, n int) *Container {
 	return c
 }
 
-func TestFileStoreReopen(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := fillContainer(t, 7, 4)
-	fps := orig.Fingerprints()
-	if err := s1.Put(orig); err != nil {
-		t.Fatal(err)
-	}
-	// Re-open the directory as a fresh store: data must persist.
-	s2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Get(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 4 || !got.Has(fps[0]) {
-		t.Fatal("container not persisted across reopen")
-	}
-}
-
-func TestFileStoreCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fillContainer(t, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a data byte on disk; Get must detect the corruption via CRC.
-	path := filepath.Join(dir, "c_1.ctn")
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-1] ^= 0xFF
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
-	}
-}
-
-func TestFileStoreIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "c_notanum.ctn"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fillContainer(t, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := s.IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("IDs = %v, want [2]", ids)
-	}
-}
-
 // TestMemStorePutSnapshots: Put must capture the container's state at
 // the time of the call. The engine keeps appending to active containers
 // after persisting them; readers of the store must never observe those
-// later mutations (the file store gets this for free via serialization).
+// later mutations (the backend adapter gets this for free via serialization).
 func TestMemStorePutSnapshots(t *testing.T) {
 	s := NewMemStore()
 	c := fillContainer(t, 1, 1)
@@ -122,40 +45,6 @@ func TestMemStorePutSnapshots(t *testing.T) {
 	}
 }
 
-// TestFileStoreIDsErrorSurfaces: an unreadable store directory must
-// report an error, not masquerade as an empty store — callers like
-// Check() and the delete sweep would otherwise conclude every container
-// is missing (or already swept) and report garbage.
-func TestFileStoreIDsErrorSurfaces(t *testing.T) {
-	base := t.TempDir()
-	dir := filepath.Join(base, "store")
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fillContainer(t, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Replace the directory with a regular file so ReadDir fails. (chmod
-	// tricks don't work here: the suite may run as root, which bypasses
-	// permission checks.)
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.IDs(); err == nil {
-		t.Fatal("IDs() on an unreadable store dir returned nil error")
-	}
-	if _, err := s.Len(); err == nil {
-		t.Fatal("Len() on an unreadable store dir returned nil error")
-	}
-	if _, err := s.Has(1); err == nil {
-		t.Fatal("Has() on an unreadable store dir returned nil error")
-	}
-}
-
 func TestMemStoreTotalLiveBytes(t *testing.T) {
 	s := NewMemStore()
 	c1 := fillContainer(t, 1, 2)
@@ -169,33 +58,5 @@ func TestMemStoreTotalLiveBytes(t *testing.T) {
 	}
 	if got := s.TotalLiveBytes(); got != want {
 		t.Fatalf("TotalLiveBytes = %d, want %d", got, want)
-	}
-}
-
-// TestFileStoreSweepsTempsAtOpen: stale tmp-* debris a crashed writer
-// left behind is removed when the store is reopened; committed images
-// are untouched.
-func TestFileStoreSweepsTempsAtOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fillContainer(t, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir, durable.TempPrefix+"123456")
-	if err := os.WriteFile(stale, []byte("half a container"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale temp file survived reopen: %v", err)
-	}
-	if has, err := s2.Has(1); err != nil || !has {
-		t.Fatalf("committed image lost by the sweep: %v, %v", has, err)
 	}
 }

@@ -14,7 +14,7 @@ var (
 // Check verifies the integrity of everything the engine stores:
 //
 //   - every container decodes and every stored chunk's content hashes to
-//     its fingerprint (file-backed stores additionally CRC-check the
+//     its fingerprint (the backend adapter additionally CRC-checks the
 //     container image on read);
 //   - every recipe entry is resolvable: archival CIDs point at containers
 //     that hold the chunk; active and forward entries terminate at a hot
@@ -34,7 +34,8 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // store's quarantine area, never deleted) and every version with at
 // least one chunk lost to a quarantined container is named in
 // AffectedVersions. Requires the store to implement
-// container.Quarantiner (file-backed stores do).
+// container.Quarantiner (the backend adapter does; the memory store
+// does not).
 func (e *Engine) Repair() (backup.RepairReport, error) {
 	return e.audit(true)
 }
@@ -57,25 +58,15 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 
 	// Pass 3: every recipe entry resolves to a stored chunk. Forward
 	// pointers are chased through newer recipes without mutating anything.
+	var versions []int
 	recipes := make(map[int]*recipe.Recipe)
-	versions, err := e.cfg.Recipes.Versions()
-	if err != nil {
-		report.Problemf("recipes: cannot enumerate versions: %v", err)
-	}
-	for _, v := range versions {
-		rec, err := e.cfg.Recipes.Get(v)
-		if err != nil {
-			report.Problemf("recipe v%d: %v", v, err)
-			continue
-		}
+	backup.AuditRecipes(e.cfg.Recipes, &report, func(v int, rec *recipe.Recipe) {
+		versions = append(versions, v)
 		recipes[v] = rec
-	}
+	})
 	referenced := make(map[container.ID]struct{})
 	for _, v := range versions {
-		rec, ok := recipes[v]
-		if !ok {
-			continue
-		}
+		rec := recipes[v]
 		report.Versions++
 		for i, entry := range rec.Entries {
 			report.Chunks++

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,9 +12,7 @@ import (
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
-	"hidestore/internal/durable"
 	"hidestore/internal/fault"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/workload"
 )
@@ -40,9 +34,9 @@ func crashWorkload(versions int) workload.Config {
 	}
 }
 
-// crashOpen builds a file-backed HiDeStore engine with the injector
-// spliced into the container store, the recipe store, and the state
-// writer — every durable commit step draws from one op counter.
+// crashOpen builds a HiDeStore engine over dir's local-mode layout with
+// the injector spliced into the container, recipe and state planes —
+// every durable commit step draws from one op counter.
 func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	return crashOpenHashing(dir, inj, commitDepth, 0)
 }
@@ -50,25 +44,20 @@ func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine,
 // crashOpenHashing is crashOpen with hashWorkers fingerprinting lanes
 // (0: the default).
 func crashOpenHashing(dir string, inj *fault.Injector, commitDepth, hashWorkers int) (backup.Engine, error) {
-	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		return nil, err
-	}
-	rs, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
+	p, err := backuptest.DirPlanes(dir, inj)
 	if err != nil {
 		return nil, err
 	}
 	return New(Config{
-		Store:             fault.NewStore(cs, inj, cs.Path),
-		Recipes:           fault.NewRecipeStore(rs, inj, rs.Path),
+		Store:             p.Containers,
+		Recipes:           p.Recipes,
+		State:             p.State,
 		ContainerCapacity: 16 << 10,
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		HashWorkers:       hashWorkers,
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		AsyncCommitDepth:  commitDepth,
-		StatePath:         filepath.Join(dir, "state.hds"),
-		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
 	})
 }
 
@@ -112,10 +101,10 @@ func TestCrashMatrixDelete(t *testing.T) {
 // crashOpenRemote builds the engine over the full composed backend
 // stack — remote simulator (with deterministic transients the retry
 // layer absorbs) × retry × persistent container cache — with the crash
-// injector spliced in above the adapters, modeling a process that dies
-// between commit steps. The path funcs point into the backing local
-// tree so Torn debris and NoSpace artifacts land where the backend's
-// reopen-time temp sweep must find them.
+// injector spliced in above each plane's stack, modeling a process that
+// dies between commit steps. Torn debris goes down through the stack to
+// the backing local tree, where the backend's reopen-time temp sweep
+// must find it.
 func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
 	stack := func(sub string, seed int64, cache bool) (backend.Backend, error) {
 		base, err := backend.NewLocal(filepath.Join(dir, "remote", sub))
@@ -136,7 +125,10 @@ func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.E
 			opts.CacheBytes = 1 << 20
 		}
 		b, _, err := backend.NewStack(base, opts)
-		return b, err
+		if err != nil {
+			return nil, err
+		}
+		return fault.NewBackend(b, inj), nil
 	}
 	cb, err := stack("containers", 1, true)
 	if err != nil {
@@ -150,34 +142,15 @@ func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.E
 	if err != nil {
 		return nil, err
 	}
-	const stateName = "state.hds"
-	statePath := filepath.Join(dir, "remote", "state", stateName)
 	return New(Config{
-		Store: fault.NewStore(backend.NewContainerStore(cb), inj, func(id container.ID) string {
-			return filepath.Join(dir, "remote", "containers", backend.ContainerName(id))
-		}),
-		Recipes: fault.NewRecipeStore(backend.NewRecipeStore(rb), inj, func(v int) string {
-			return filepath.Join(dir, "remote", "recipes", backend.RecipeName(v))
-		}),
+		Store:             backend.NewContainerStore(cb, filepath.Join(dir, "remote", "containers")),
+		Recipes:           backend.NewRecipeStore(rb),
+		State:             sb,
 		ContainerCapacity: 16 << 10,
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		AsyncCommitDepth:  commitDepth,
-		StatePath:         statePath,
-		WriteState: inj.WrapWrite(func(path string, data []byte, perm os.FileMode) error {
-			return sb.Put(context.Background(), stateName, data)
-		}),
-		ReadState: func(path string) ([]byte, error) {
-			data, err := sb.Get(context.Background(), stateName)
-			if err != nil {
-				if errors.Is(err, backend.ErrNotFound) {
-					return nil, fmt.Errorf("state %s: %w", path, fs.ErrNotExist)
-				}
-				return nil, err
-			}
-			return data, nil
-		},
 	})
 }
 
@@ -279,6 +252,9 @@ func TestFsckRepairQuarantines(t *testing.T) {
 	}
 	if !strings.Contains(rep.Quarantined[0], container.QuarantineDir) {
 		t.Fatalf("quarantined image %q not under the quarantine dir", rep.Quarantined[0])
+	}
+	if _, err := os.Stat(rep.Quarantined[0]); err != nil {
+		t.Fatalf("reported quarantine path: %v", err)
 	}
 	if len(rep.Problems) == 0 {
 		t.Fatal("a corrupt container produced no problems")

@@ -5,17 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
-	"hidestore/internal/durable"
 	"hidestore/internal/fp"
 	"hidestore/internal/layout"
 	"hidestore/internal/obs"
@@ -60,20 +57,12 @@ type Config struct {
 	// container.DefaultCommitDepth; negative commits each image before
 	// the seal returns.
 	AsyncCommitDepth int
-	// StatePath, when set, persists the engine's resumable state (the
+	// State, when set, persists the engine's resumable state (the
 	// fingerprint cache, active-container locations and deletion batches)
-	// after every Backup and Delete, and restores it at New — so a
-	// process restart continues the version history where it stopped.
-	StatePath string
-	// WriteState commits the state file (default durable.WriteFileAtomic,
-	// i.e. temp file + fsync + rename + directory fsync). Tests inject
-	// fault wrappers here; production code leaves it nil.
-	WriteState func(path string, data []byte, perm os.FileMode) error
-	// ReadState loads the state file (default os.ReadFile). A missing
-	// state must surface as an error matching fs.ErrNotExist. Backend
-	// stacks route the state blob through their retry/limiter layers
-	// here; tests inject fault wrappers.
-	ReadState func(path string) ([]byte, error)
+	// as the blob state.hds after every Backup and Delete, and restores it
+	// at New — so a process restart continues the version history where it
+	// stopped. Nil keeps the state in memory only.
+	State backend.Backend
 	// Metrics, when set, mirrors the engine's counters and per-stage
 	// latencies into the registry. Nil (the default) disables the
 	// observability plane at the cost of one nil check per site.
@@ -113,12 +102,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.HashWorkers <= 0 {
 		c.HashWorkers = 4
-	}
-	if c.WriteState == nil {
-		c.WriteState = durable.WriteFileAtomic
-	}
-	if c.ReadState == nil {
-		c.ReadState = os.ReadFile
 	}
 	return nil
 }
@@ -210,8 +193,6 @@ type Engine struct {
 var _ backup.Engine = (*Engine)(nil)
 
 // New creates a HiDeStore engine.
-//
-//hidelint:ignore ignored-ctx startup-time crash-recovery I/O (temp sweep, state load) runs before any request context exists; nothing upstream could cancel it
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -246,23 +227,18 @@ func New(cfg Config) (*Engine, error) {
 		Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
 		Tracer:            cfg.Tracer,
 	}
-	if e.cfg.StatePath != "" {
-		// A crash during a state write can leave a half-written temp file
-		// beside the state file (the file stores sweep their own dirs).
-		if _, err := durable.SweepTemp(filepath.Dir(e.cfg.StatePath)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: sweep state dir: %w", err)
-		}
-	}
-	loaded, err := e.loadState()
+	//hidelint:ignore ignored-ctx startup-time crash-recovery I/O (state load, recovery, anchor) runs before any request context exists; nothing upstream could cancel it
+	ctx := context.Background()
+	loaded, err := e.loadState(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.StatePath != "" {
+	if e.cfg.State != nil {
 		if loaded {
-			if err := e.recoverStartup(); err != nil {
+			if err := e.recoverStartup(ctx); err != nil {
 				return nil, err
 			}
-		} else if err := e.saveState(); err != nil {
+		} else if err := e.saveState(ctx); err != nil {
 			// Anchor a fresh directory immediately: with a state file
 			// present from the start, "recipes exist but state missing"
 			// is unambiguously a lost state file (refused by loadState),
@@ -445,7 +421,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	e.logicalBytes += in.LogicalBytes
 	e.storedBytes += stored
 	stateStart := time.Now()
-	if err := e.saveState(); err != nil {
+	if err := e.saveState(ctx); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if e.mx != nil {
@@ -788,7 +764,8 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 		e.storedBytes -= batch.bytes
 		delete(e.batches, version)
 	}
-	if err := e.saveState(); err != nil {
+	//hidelint:ignore ignored-ctx Delete keeps backup.Engine's context-free signature; the state write is its commit point
+	if err := e.saveState(context.Background()); err != nil {
 		return report, err
 	}
 	if batch != nil {

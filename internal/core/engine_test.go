@@ -363,17 +363,14 @@ func TestMaintenanceTimingsReported(t *testing.T) {
 
 // TestFileBackedStores runs a full cycle against real files.
 func TestFileBackedStores(t *testing.T) {
-	store, err := container.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := recipe.NewFileStore(t.TempDir())
+	p, err := backuptest.DirPlanes(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		Store:             store,
-		Recipes:           recipes,
+		Store:             p.Containers,
+		Recipes:           p.Recipes,
+		State:             p.State,
 		ContainerCapacity: 64 << 10,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 	})

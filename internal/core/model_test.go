@@ -5,8 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
+
+	"hidestore/internal/backend"
 )
 
 // TestModelRandomOperations drives the engine with randomized operation
@@ -68,9 +69,9 @@ func runModel(t *testing.T, seed int64, steps int, reopen bool) {
 	rng := rand.New(rand.NewSource(seed))
 	e, _, _ := newTestEngine(t, 1)
 	if reopen {
-		// Same in-memory stores, plus a state file to restart from.
+		// Same in-memory stores, plus a state blob to restart from.
 		cfg := e.cfg
-		cfg.StatePath = filepath.Join(t.TempDir(), "state.hds")
+		cfg.State = backend.NewMem()
 		var err error
 		if e, err = New(cfg); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
@@ -25,11 +26,15 @@ func planeEngine(t *testing.T, dir string, file bool, depth int) (*Engine, conta
 	t.Helper()
 	var store container.Store = container.NewMemStore()
 	if file {
-		fs, err := container.NewFileStore(filepath.Join(dir, "containers"))
+		local, err := backend.NewLocal(filepath.Join(dir, "containers"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		store = fs
+		store = backend.NewContainerStore(local, "")
+	}
+	state, err := backend.NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e, err := New(Config{
 		Store:             store,
@@ -38,7 +43,7 @@ func planeEngine(t *testing.T, dir string, file bool, depth int) (*Engine, conta
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		AsyncCommitDepth:  depth,
-		StatePath:         filepath.Join(dir, "state.hds"),
+		State:             state,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -28,7 +29,7 @@ import (
 //     merged containers, half-flushed deferred deletes — and are
 //     removed. Images are write-once, so everything the committed state
 //     does reference is on disk exactly as that state left it.
-func (e *Engine) recoverStartup() error {
+func (e *Engine) recoverStartup(ctx context.Context) error {
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {
 		return fmt.Errorf("core: recovery: %w", err)
@@ -97,7 +98,7 @@ func (e *Engine) recoverStartup() error {
 		e.rcv.StartupsClean.Inc()
 	}
 	if stateChanged {
-		return e.saveState()
+		return e.saveState(ctx)
 	}
 	return nil
 }

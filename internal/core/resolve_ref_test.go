@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
@@ -200,7 +200,7 @@ func TestResolveByNeedMatchesTableWalk(t *testing.T) {
 					build := func() *Engine {
 						e, _, _ := newTestEngine(t, window)
 						if reopen {
-							e.cfg.StatePath = filepath.Join(t.TempDir(), "state.hds")
+							e.cfg.State = backend.NewMem()
 						}
 						for _, data := range c.versions {
 							if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {

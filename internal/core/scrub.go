@@ -27,7 +27,7 @@ func (e *Engine) ScrubProgress() (done, total int) {
 const scrubDamageMax = 16
 
 // ScrubStep implements backup.Scrubber: verify one container image end
-// to end (decode, CRC via the file store, and every chunk's content
+// to end (decode and CRC, and every chunk's content
 // against its fingerprint — the same checks as fsck's pass 1, spread
 // one container at a time so a caller can throttle the I/O).
 //

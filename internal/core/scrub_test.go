@@ -7,44 +7,44 @@ import (
 	"strings"
 	"testing"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
-	"hidestore/internal/durable"
 	"hidestore/internal/fault"
 	"hidestore/internal/obs"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 )
 
-// scrubOpen mirrors crashOpen but hands back the file store too, so
-// tests can corrupt container images on disk by path.
-func scrubOpen(t *testing.T, dir string, inj *fault.Injector) (*Engine, *container.FileStore) {
+// scrubOpen mirrors crashOpen but hands back the container store's
+// directory too, so tests can corrupt container images on disk by path.
+func scrubOpen(t *testing.T, dir string, inj *fault.Injector) (*Engine, string) {
 	t.Helper()
-	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
+	p, err := backuptest.DirPlanes(dir, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		Store:             fault.NewStore(cs, inj, cs.Path),
-		Recipes:           fault.NewRecipeStore(rs, inj, rs.Path),
+		Store:             p.Containers,
+		Recipes:           p.Recipes,
+		State:             p.State,
 		ContainerCapacity: 16 << 10,
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
-		StatePath:         filepath.Join(dir, "state.hds"),
-		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
 		Metrics:           obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, cs
+	return e, filepath.Join(dir, "containers")
+}
+
+// imagePath is where container cid's image lives under a store directory.
+func imagePath(dir string, cid container.ID) string {
+	return filepath.Join(dir, backend.ContainerName(cid))
 }
 
 // scrubPass runs ScrubStep until a pass completes, returning every
@@ -143,10 +143,10 @@ func TestScrubHealthyPass(t *testing.T) {
 // re-read), quarantines the image, surfaces the damage through
 // Stats().Degraded, and that the following pass is clean.
 func TestScrubQuarantinesBitRot(t *testing.T) {
-	e, cs := scrubOpen(t, t.TempDir(), fault.NewInjector())
+	e, cdir := scrubOpen(t, t.TempDir(), fault.NewInjector())
 	backuptest.BackupAll(t, e, backuptest.Materialize(t, backuptest.SmallWorkload(4, 0)))
 	victim := archivalID(t, e)
-	corruptImage(t, cs.Path(victim))
+	corruptImage(t, imagePath(cdir, victim))
 
 	var hit *backup.ScrubStepReport
 	for _, rep := range scrubPass(t, e) {
@@ -164,8 +164,11 @@ func TestScrubQuarantinesBitRot(t *testing.T) {
 	if hit.Container != uint64(victim) {
 		t.Fatalf("flagged container %d, corrupted %d", hit.Container, victim)
 	}
-	if !strings.Contains(hit.Quarantined, container.QuarantineDir) {
-		t.Fatalf("quarantine destination %q not under the quarantine dir", hit.Quarantined)
+	if want := filepath.Join(cdir, container.QuarantineDir, backend.ContainerName(victim)); hit.Quarantined != want {
+		t.Fatalf("quarantine destination %q, want the image's path %q", hit.Quarantined, want)
+	}
+	if _, err := os.Stat(hit.Quarantined); err != nil {
+		t.Fatalf("reported quarantine path: %v", err)
 	}
 	if e.smx.Corruptions.Value() != 1 || e.smx.Quarantined.Value() != 1 {
 		t.Fatalf("corruptions=%d quarantined=%d, want 1/1",
@@ -260,20 +263,22 @@ func TestCrashMatrixScrub(t *testing.T) {
 }
 
 // TestScrubKilledMidQuarantine kills the process exactly at the
-// quarantine rename — the scrubber's only mutating op — and proves the
-// crash is harmless: the image is still in place afterwards (the
-// rename is atomic and never happened), the damage is still reported,
-// and a rebooted process's scrub finishes the quarantine.
+// quarantine's copy — the first of the scrubber's only mutating ops —
+// and proves the crash is harmless: the image is still in place
+// afterwards (the copy failed and the original was never removed), the
+// damage is still reported, and a rebooted process's scrub finishes the
+// quarantine.
 func TestScrubKilledMidQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.NewInjector()
-	e, cs := scrubOpen(t, dir, inj)
+	e, cdir := scrubOpen(t, dir, inj)
 	backuptest.BackupAll(t, e, backuptest.Materialize(t, backuptest.SmallWorkload(4, 0)))
 	victim := archivalID(t, e)
-	corruptImage(t, cs.Path(victim))
+	corruptImage(t, imagePath(cdir, victim))
 
 	// The scrubber's verification reads draw no mutating ops, so op 1
-	// is the quarantine itself.
+	// is the quarantine's copy, the first of its two (copy, then
+	// remove the original).
 	inj.Arm(fault.Fail, 1)
 	var hit *backup.ScrubStepReport
 	for _, rep := range scrubPass(t, e) {
@@ -301,12 +306,12 @@ func TestScrubKilledMidQuarantine(t *testing.T) {
 	if !found {
 		t.Fatalf("Stats().Degraded = %v, want a quarantine-failed line", degraded)
 	}
-	if _, err := os.Stat(cs.Path(victim)); err != nil {
+	if _, err := os.Stat(imagePath(cdir, victim)); err != nil {
 		t.Fatalf("image half-quarantined: %v", err)
 	}
 
 	// Reboot: a fresh process scrubs again and completes the move.
-	e2, cs2 := scrubOpen(t, dir, fault.NewInjector())
+	e2, _ := scrubOpen(t, dir, fault.NewInjector())
 	hit = nil
 	for _, rep := range scrubPass(t, e2) {
 		if rep.Corrupt != "" {
@@ -317,7 +322,7 @@ func TestScrubKilledMidQuarantine(t *testing.T) {
 	if hit == nil || hit.Quarantined == "" {
 		t.Fatalf("rebooted scrub did not quarantine: %+v", hit)
 	}
-	if _, err := os.Stat(cs2.Path(victim)); !os.IsNotExist(err) {
+	if _, err := os.Stat(imagePath(cdir, victim)); !os.IsNotExist(err) {
 		t.Fatalf("image still in the store after quarantine: %v", err)
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"sort"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
@@ -254,41 +255,44 @@ func (e *Engine) unmarshalState(buf []byte) error {
 	return nil
 }
 
-// saveState commits the state file through Config.WriteState (by
-// default durable.WriteFileAtomic: temp + fsync + rename + dir fsync);
-// a no-op without StatePath. The state write is the commit point of
-// every Backup and Delete — containers and recipes written earlier in
-// the operation become the committed truth only once this succeeds.
-func (e *Engine) saveState() error {
-	if e.cfg.StatePath == "" {
+// stateName is the state blob's name in Config.State.
+const stateName = "state.hds"
+
+// saveState commits the state blob to Config.State (a Local writes it
+// with durable.WriteFileAtomic: temp + fsync + rename + dir fsync); a
+// no-op without one. The state write is the commit point of every
+// Backup and Delete — containers and recipes written earlier in the
+// operation become the committed truth only once this succeeds.
+func (e *Engine) saveState(ctx context.Context) error {
+	if e.cfg.State == nil {
 		return nil
 	}
-	if err := e.cfg.WriteState(e.cfg.StatePath, e.marshalState(), 0o644); err != nil {
+	if err := e.cfg.State.Put(ctx, stateName, e.marshalState()); err != nil {
 		return fmt.Errorf("core: write state: %w", err)
 	}
 	return nil
 }
 
-// loadState restores from the state file if one exists, reporting
-// whether it did. A missing file on a directory that already holds
-// recipes is refused: New writes an anchor state on a fresh directory,
-// so "recipes but no state" can only mean the state file was lost
-// (manual deletion, wrong directory) — starting over would reuse
-// version numbers and silently shadow the existing history.
-func (e *Engine) loadState() (bool, error) {
-	if e.cfg.StatePath == "" {
+// loadState restores from the state blob if one exists, reporting
+// whether it did. A missing blob on a store that already holds recipes
+// is refused: New writes an anchor state on a fresh store, so "recipes
+// but no state" can only mean the state was lost (manual deletion,
+// wrong directory) — starting over would reuse version numbers and
+// silently shadow the existing history.
+func (e *Engine) loadState(ctx context.Context) (bool, error) {
+	if e.cfg.State == nil {
 		return false, nil
 	}
-	buf, err := e.cfg.ReadState(e.cfg.StatePath)
+	buf, err := e.cfg.State.Get(ctx, stateName)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
+		if errors.Is(err, backend.ErrNotFound) {
 			vs, verr := e.cfg.Recipes.Versions()
 			if verr != nil {
 				return false, fmt.Errorf("core: list recipes: %w", verr)
 			}
 			if len(vs) > 0 {
-				return false, fmt.Errorf("core: state file %s missing but %d recipes exist (through v%d); refusing to restart the version history",
-					e.cfg.StatePath, len(vs), vs[len(vs)-1])
+				return false, fmt.Errorf("core: state %s missing but %d recipes exist (through v%d); refusing to restart the version history",
+					stateName, len(vs), vs[len(vs)-1])
 			}
 			return false, nil
 		}

@@ -13,11 +13,10 @@ import (
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
-	"hidestore/internal/recipe"
 )
 
-// newPersistentEngine builds a file-backed engine with a state file.
+// newPersistentEngine builds an engine over dir's local-mode layout,
+// state blob included.
 func newPersistentEngine(t *testing.T, dir string, window int) *Engine {
 	t.Helper()
 	return newPersistentEngineWith(t, dir, window, chunker.Params{Min: 1024, Avg: 2048, Max: 8192})
@@ -27,26 +26,26 @@ func newPersistentEngine(t *testing.T, dir string, window int) *Engine {
 // under p.
 func newPersistentEngineWith(t *testing.T, dir string, window int, p chunker.Params) *Engine {
 	t.Helper()
-	store, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{
-		Store:             store,
-		Recipes:           recipes,
-		ContainerCapacity: 64 << 10,
-		Window:            window,
-		ChunkParams:       p,
-		StatePath:         filepath.Join(dir, "state.hds"),
-	})
+	cfg := dirConfig(t, dir)
+	cfg.ContainerCapacity = 64 << 10
+	cfg.Window = window
+	cfg.ChunkParams = p
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// dirConfig is a Config with only the storage planes set: dir's
+// local-mode layout, state blob included.
+func dirConfig(t *testing.T, dir string) Config {
+	t.Helper()
+	p, err := backuptest.DirPlanes(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Store: p.Containers, Recipes: p.Recipes, State: p.State}
 }
 
 // TestStateRoundTrip backs up half a version chain, "restarts" the engine
@@ -168,20 +167,9 @@ func TestStateWindowMismatch(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(2, 0))
 	backuptest.BackupAll(t, e, versions)
 
-	store, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{
-		Store:     store,
-		Recipes:   recipes,
-		Window:    2, // was 1
-		StatePath: filepath.Join(dir, "state.hds"),
-	}); err == nil {
+	cfg := dirConfig(t, dir)
+	cfg.Window = 2 // was 1
+	if _, err := New(cfg); err == nil {
 		t.Fatal("window mismatch should be rejected")
 	}
 }
@@ -213,15 +201,7 @@ func TestStateCorruption(t *testing.T) {
 			if err := os.WriteFile(path, tt.mutate(append([]byte(nil), buf...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			store, err := container.NewFileStore(filepath.Join(dir, "containers"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			recipes, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = New(Config{Store: store, Recipes: recipes, StatePath: path})
+			_, err := New(dirConfig(t, dir))
 			if !errors.Is(err, ErrStateCorrupt) {
 				t.Fatalf("corrupt state: got %v, want ErrStateCorrupt", err)
 			}
@@ -269,7 +249,7 @@ func TestMarshalUnmarshalStateDirect(t *testing.T) {
 	backuptest.CheckRestoreAll(t, twin, versions)
 }
 
-// TestMissingStateWithRecipesRefused: losing the state file while recipes
+// TestMissingStateWithRecipesRefused: losing the state blob while recipes
 // exist must be refused rather than silently restarting version numbering
 // over live history.
 func TestMissingStateWithRecipesRefused(t *testing.T) {
@@ -280,16 +260,7 @@ func TestMissingStateWithRecipesRefused(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "state.hds")); err != nil {
 		t.Fatal(err)
 	}
-	store, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Store: store, Recipes: recipes,
-		StatePath: filepath.Join(dir, "state.hds")}); err == nil {
+	if _, err := New(dirConfig(t, dir)); err == nil {
 		t.Fatal("missing state over live recipes must be refused")
 	}
 }

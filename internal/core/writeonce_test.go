@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/container"
 	"hidestore/internal/fault"
@@ -349,10 +350,22 @@ func TestRestoreWalksChainOnce(t *testing.T) {
 	// stays as it was — to be followed again, and written back, next time.
 	t.Run("failed write-back", func(t *testing.T) {
 		e, recipes, versions := countedEngine(t, 8)
+		// Move the recipes onto blobs behind a fault layer.
+		blobs := backend.NewMem()
+		stored := backend.NewRecipeStore(blobs)
+		for v := 1; v <= len(versions); v++ {
+			rec, err := recipes.Store.Get(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stored.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
 		inj := fault.NewInjector()
-		faulty := fault.NewRecipeStore(recipes, inj, nil)
-		e.cfg.Recipes, e.restore.Recipes = faulty, faulty
-		before, err := recipes.Store.Get(1)
+		recipes = &countingRecipes{Store: backend.NewRecipeStore(fault.NewBackend(blobs, inj))}
+		e.cfg.Recipes, e.restore.Recipes = recipes, recipes
+		before, err := stored.Get(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +373,7 @@ func TestRestoreWalksChainOnce(t *testing.T) {
 		if _, err := e.Restore(context.Background(), 1, io.Discard); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("restore with a failing write-back returned %v", err)
 		}
-		after, err := recipes.Store.Get(1)
+		after, err := stored.Get(1)
 		if err != nil {
 			t.Fatal(err)
 		}

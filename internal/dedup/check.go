@@ -3,6 +3,7 @@ package dedup
 import (
 	"hidestore/internal/backup"
 	"hidestore/internal/container"
+	"hidestore/internal/recipe"
 )
 
 var (
@@ -30,16 +31,7 @@ func (e *Engine) Repair() (backup.RepairReport, error) {
 func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 	var report backup.RepairReport
 	walk := backup.AuditContainers(e.cfg.Store, repair, &report)
-	versions, err := e.cfg.Recipes.Versions()
-	if err != nil {
-		report.Problemf("recipes: cannot enumerate versions: %v", err)
-	}
-	for _, v := range versions {
-		rec, err := e.cfg.Recipes.Get(v)
-		if err != nil {
-			report.Problemf("recipe v%d: %v", v, err)
-			continue
-		}
+	backup.AuditRecipes(e.cfg.Recipes, &report, func(v int, rec *recipe.Recipe) {
 		report.Versions++
 		for i, entry := range rec.Entries {
 			report.Chunks++
@@ -53,7 +45,7 @@ func (e *Engine) audit(repair bool) (backup.RepairReport, error) {
 				walk.Blame(v, container.ID(entry.CID))
 			}
 		}
-	}
+	})
 	report.AffectedVersions = walk.AffectedVersions()
 	return report, nil
 }

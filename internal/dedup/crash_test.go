@@ -4,17 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
 	"hidestore/internal/fault"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/workload"
 )
@@ -34,15 +31,11 @@ func crashWorkload(versions int) workload.Config {
 	}
 }
 
-// crashOpen builds a file-backed baseline engine with fault-injected
-// stores. The baseline keeps no state file, so its commit point is the
+// crashOpen builds a baseline engine over dir's local-mode layout with
+// fault-injected stores. The baseline keeps no state file, so its commit point is the
 // recipe write (containers are sealed first).
 func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
-	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
-	if err != nil {
-		return nil, err
-	}
-	rs, err := recipe.NewFileStore(filepath.Join(dir, "recipes"))
+	p, err := backuptest.DirPlanes(dir, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -52,8 +45,8 @@ func crashOpen(dir string, inj *fault.Injector, commitDepth int) (backup.Engine,
 	}
 	return New(Config{
 		Index:             ix,
-		Store:             fault.NewStore(cs, inj, cs.Path),
-		Recipes:           fault.NewRecipeStore(rs, inj, rs.Path),
+		Store:             p.Containers,
+		Recipes:           p.Recipes,
 		ContainerCapacity: 16 << 10,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),

@@ -302,18 +302,14 @@ func TestRestoreUnknownVersion(t *testing.T) {
 }
 
 func TestFileBackedRoundTrip(t *testing.T) {
-	store, err := container.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := recipe.NewFileStore(t.TempDir())
+	p, err := backuptest.DirPlanes(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
 		Index:             newIndex(t, "ddfs"),
-		Store:             store,
-		Recipes:           recipes,
+		Store:             p.Containers,
+		Recipes:           p.Recipes,
 		ContainerCapacity: 64 << 10,
 		SegmentChunks:     64,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},

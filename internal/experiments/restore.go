@@ -216,7 +216,7 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, scheme
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}
-	e, err := restoreEngine(o, w, scheme, backend.NewContainerStore(stack), depth)
+	e, err := restoreEngine(o, w, scheme, backend.NewContainerStore(stack, ""), depth)
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}

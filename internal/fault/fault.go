@@ -1,12 +1,12 @@
 // Package fault provides deterministic fault injection for the
-// persistence stack. A single Injector is shared by wrappers around
-// the container store, the recipe store, and the engine's state
-// writer; every mutating operation (container Put/Delete, recipe
-// Put/Delete, state write) draws one index from a global op counter,
-// so "fail at op N" addresses one exact point in the commit sequence
-// regardless of which layer it lands in. The crash-matrix harness
-// first runs a probe pass to count ops, then replays the same
-// workload once per index with the fault armed there.
+// persistence stack. One Backend wrapper goes over each plane's
+// backend.Backend — container images, recipes and the engine state —
+// and all of them share one Injector: every mutating op (Put, Delete)
+// draws one index from a global op counter and every Get one from a
+// read counter, so "fail at op N" addresses one exact point in the
+// commit sequence regardless of which plane it lands in. The
+// crash-matrix harness first runs a probe pass to count ops, then
+// replays the same workload once per index with the fault armed there.
 //
 // Fault kinds model distinct physical failures:
 //
@@ -15,16 +15,17 @@
 //     (all subsequent ops also fail) keep a workload that ignores one
 //     error from quietly writing a later op the "crashed" process
 //     could never have issued.
-//   - Torn: like Fail, but a prefix of the buffer reaches a temp file
-//     beside the final path first — the debris an interrupted atomic
-//     write (temp + fsync + rename) leaves. The final path is never
-//     touched: the commit rename is atomic, so a crash exposes either
-//     the old image or the new one, never a prefix.
+//   - Torn: like Fail, but the first half of the blob reaches a
+//     temp-prefixed name beside the final one — the debris
+//     an interrupted atomic write (temp + fsync + rename) leaves. The
+//     final name is never touched: the commit rename is atomic, so a
+//     crash exposes either the old image or the new one, never a
+//     prefix. A torn Delete degrades to Fail (an unlink is atomic).
 //   - NoSpace: op N alone fails with a wrapped ErrInjected (simulated
 //     ENOSPC); later ops succeed, modeling a transiently full disk.
-//   - CorruptRead: read M flips one byte of the on-disk image before
-//     delegating, so the store's CRC detects it — the bit-rot input
-//     for fsck's repair mode.
+//   - CorruptRead: read M flips one byte of the stored blob before
+//     delegating, so the decoder's CRC detects it — the bit-rot input
+//     for fsck's repair mode and the scrubber.
 //
 // The wrappers may be called concurrently (the op counter is guarded),
 // but "op N" only names the same commit step in every run when the op

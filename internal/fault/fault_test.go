@@ -1,53 +1,74 @@
 package fault
 
 import (
+	"bytes"
+	"context"
 	"errors"
-	"os"
+	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/container"
-	"hidestore/internal/durable"
 	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
 )
 
-func fillContainer(t *testing.T, id container.ID, chunks int) *container.Container {
+var ctx = context.Background()
+
+func containerImage(t *testing.T, id container.ID) []byte {
 	t.Helper()
 	c := container.New(id)
-	for i := 0; i < chunks; i++ {
+	for i := 0; i < 2; i++ {
 		data := []byte{byte(id), byte(i), 0xAB}
 		if err := c.Add(fp.Of(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return c
+	buf, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func recipeImage(t *testing.T, version int) []byte {
+	t.Helper()
+	r := recipe.New(version)
+	data := []byte("x")
+	r.Append(fp.Of(data), uint32(len(data)), 0)
+	buf, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // TestInjectorDeadProcess: once a Fail fault trips, every later op
-// fails too — a dead process issues no further writes.
+// fails too — a dead process issues no further writes — and the op
+// counter is one sequence across the wrappers of every plane.
 func TestInjectorDeadProcess(t *testing.T) {
 	inj := NewInjector()
 	inj.Arm(Fail, 2)
-	s := NewStore(container.NewMemStore(), inj, nil)
-	if err := s.Put(fillContainer(t, 1, 1)); err != nil {
+	containers, recipes, state := NewBackend(backend.NewMem(), inj), NewBackend(backend.NewMem(), inj), NewBackend(backend.NewMem(), inj)
+	if err := containers.Put(ctx, "c_1.ctn", []byte("a")); err != nil {
 		t.Fatalf("op 1 before the fault failed: %v", err)
 	}
-	if err := s.Put(fillContainer(t, 2, 1)); !errors.Is(err, ErrInjected) {
+	if err := recipes.Put(ctx, "r_1.rcp", []byte("b")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("op 2 = %v, want ErrInjected", err)
 	}
 	if !inj.Tripped() {
 		t.Fatal("injector did not record the trip")
 	}
-	if err := s.Put(fillContainer(t, 3, 1)); !errors.Is(err, ErrInjected) {
+	if err := state.Put(ctx, "state.hds", []byte("c")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("op 3 after the crash = %v, want ErrInjected (dead process)", err)
 	}
 	if got := inj.Ops(); got != 3 {
 		t.Fatalf("Ops = %d, want 3", got)
 	}
-	if log := inj.OpLog(); len(log) != 3 || !strings.HasPrefix(log[0], "container.Put") {
-		t.Fatalf("OpLog = %v", log)
+	want := []string{"Put c_1.ctn", "Put r_1.rcp", "Put state.hds"}
+	if log := inj.OpLog(); fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("OpLog = %v, want %v", log, want)
 	}
 }
 
@@ -55,19 +76,19 @@ func TestInjectorDeadProcess(t *testing.T) {
 func TestInjectorNoSpace(t *testing.T) {
 	inj := NewInjector()
 	inj.Arm(NoSpace, 2)
-	s := NewStore(container.NewMemStore(), inj, nil)
-	if err := s.Put(fillContainer(t, 1, 1)); err != nil {
+	b := NewBackend(backend.NewMem(), inj)
+	if err := b.Put(ctx, "c_1.ctn", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Put(fillContainer(t, 2, 1))
+	err := b.Put(ctx, "c_2.ctn", []byte("b"))
 	if !errors.Is(err, ErrNoSpace) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("op 2 = %v, want ErrNoSpace wrapping ErrInjected", err)
 	}
-	if err := s.Put(fillContainer(t, 3, 1)); err != nil {
+	if err := b.Put(ctx, "c_3.ctn", []byte("c")); err != nil {
 		t.Fatalf("op 3 after transient ENOSPC = %v, want success", err)
 	}
-	if has, err := s.Has(2); err != nil || has {
-		t.Fatal("the failed op left the container behind")
+	if has, err := b.Has(ctx, "c_2.ctn"); err != nil || has {
+		t.Fatal("the failed op left the blob behind")
 	}
 }
 
@@ -76,12 +97,12 @@ func TestInjectorNoSpace(t *testing.T) {
 func TestInjectorDisarmAndRearm(t *testing.T) {
 	inj := NewInjector()
 	inj.Arm(Fail, 1)
-	s := NewStore(container.NewMemStore(), inj, nil)
-	if err := s.Put(fillContainer(t, 1, 1)); !errors.Is(err, ErrInjected) {
+	b := NewBackend(backend.NewMem(), inj)
+	if err := b.Put(ctx, "c_1.ctn", []byte("a")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed op = %v", err)
 	}
 	inj.Arm(None, 0)
-	if err := s.Put(fillContainer(t, 1, 1)); err != nil {
+	if err := b.Put(ctx, "c_1.ctn", []byte("a")); err != nil {
 		t.Fatalf("disarmed op = %v", err)
 	}
 	if inj.Tripped() {
@@ -89,110 +110,159 @@ func TestInjectorDisarmAndRearm(t *testing.T) {
 	}
 }
 
-// TestTornLeavesTempDebris: a torn container write leaves a half-written
-// temp file beside the final path and never touches the final path.
-func TestTornLeavesTempDebris(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := container.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
+// faultCell is one cell of TestBackendFaults: a fault.Backend over an
+// inner backend, and the blob under test.
+type faultCell struct {
+	inj    *Injector
+	b      *Backend
+	inner  backend.Backend
+	reopen func(t *testing.T) // reopens a directory-backed inner backend; nil in memory
+	name   string
+	data   []byte
+	decode func([]byte) error // nil: the plane's bytes are not checked here
+}
+
+// TestBackendFaults drives every fault kind through one fault.Backend
+// over each inner backend, for a container image, a recipe and the
+// state blob alike:
+//
+//   - fail: the op fails with nothing written, and so does every later
+//     op (a Delete at the fault leaves the blob in place);
+//   - nospace: only op N fails;
+//   - torn: the final name stays untouched and invisible to List, half
+//     the image sits under tornName, and reopening a directory sweeps it;
+//   - corruptread: the read returns the stored image with one byte
+//     flipped, the decoder's CRC rejects it, and the damage persists.
+func TestBackendFaults(t *testing.T) {
+	blobs := []struct {
+		plane, name string
+		data        func(*testing.T) []byte
+		decode      func([]byte) error
+	}{
+		{"container", backend.ContainerName(3), func(t *testing.T) []byte { return containerImage(t, 3) },
+			func(b []byte) error { _, err := container.UnmarshalBinary(b); return err }},
+		{"recipe", backend.RecipeName(2), func(t *testing.T) []byte { return recipeImage(t, 2) },
+			func(b []byte) error { _, err := recipe.UnmarshalBinary(b); return err }},
+		{"state", "state.hds", func(*testing.T) []byte { return []byte("engine state image") }, nil},
 	}
-	inj := NewInjector()
-	inj.Arm(Torn, 1)
-	s := NewStore(fs, inj, fs.Path)
-	if err := s.Put(fillContainer(t, 7, 2)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("torn op = %v", err)
+	inners := []struct {
+		name string
+		open func(t *testing.T) (backend.Backend, func(t *testing.T))
+	}{
+		{"mem", func(*testing.T) (backend.Backend, func(t *testing.T)) {
+			return backend.NewMem(), nil
+		}},
+		{"local", func(t *testing.T) (backend.Backend, func(t *testing.T)) {
+			dir := filepath.Join(t.TempDir(), "root")
+			l, err := backend.NewLocal(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l, func(t *testing.T) {
+				if _, err := backend.NewLocal(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
 	}
-	if has, err := fs.Has(7); err != nil || has {
-		t.Fatal("torn write exposed the final path")
+	kinds := []struct {
+		kind Kind
+		run  func(t *testing.T, c faultCell)
+	}{
+		{Fail, func(t *testing.T, c faultCell) {
+			c.inj.Arm(Fail, 2)
+			if err := c.b.Put(ctx, c.name, c.data); err != nil {
+				t.Fatalf("op 1: %v", err)
+			}
+			if err := c.b.Delete(ctx, c.name); !errors.Is(err, ErrInjected) {
+				t.Fatalf("Delete at the fault = %v, want ErrInjected", err)
+			}
+			if err := c.b.Put(ctx, c.name+".next", c.data); !errors.Is(err, ErrInjected) {
+				t.Fatalf("Put after the fault = %v, want ErrInjected (dead process)", err)
+			}
+			if got, err := c.inner.Get(ctx, c.name); err != nil || !bytes.Equal(got, c.data) {
+				t.Fatalf("failed Delete touched the blob: %v", err)
+			}
+			if has, err := c.inner.Has(ctx, c.name+".next"); err != nil || has {
+				t.Fatalf("a dead process wrote: %v %v", has, err)
+			}
+		}},
+		{NoSpace, func(t *testing.T, c faultCell) {
+			c.inj.Arm(NoSpace, 1)
+			if err := c.b.Put(ctx, c.name, c.data); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("Put at the fault = %v, want ErrNoSpace", err)
+			}
+			if has, err := c.inner.Has(ctx, c.name); err != nil || has {
+				t.Fatalf("failed Put left the blob: %v %v", has, err)
+			}
+			if err := c.b.Put(ctx, c.name, c.data); err != nil {
+				t.Fatalf("Put after a transient ENOSPC: %v", err)
+			}
+		}},
+		{Torn, func(t *testing.T, c faultCell) {
+			c.inj.Arm(Torn, 1)
+			if err := c.b.Put(ctx, c.name, c.data); !errors.Is(err, ErrInjected) {
+				t.Fatalf("torn Put = %v, want ErrInjected", err)
+			}
+			if has, err := c.b.Has(ctx, c.name); err != nil || has {
+				t.Fatalf("torn write exposed the final name: %v %v", has, err)
+			}
+			if names, err := c.b.List(ctx, ""); err != nil || len(names) != 0 {
+				t.Fatalf("List after a torn write = %v, %v; want nothing", names, err)
+			}
+			debris, err := c.inner.Get(ctx, tornName(c.name))
+			if err != nil || len(debris) != len(c.data)/2 {
+				t.Fatalf("torn debris: %d bytes, %v; want %d", len(debris), err, len(c.data)/2)
+			}
+			if c.reopen != nil {
+				c.reopen(t)
+				if has, err := c.inner.Has(ctx, tornName(c.name)); err != nil || has {
+					t.Fatalf("torn debris survived the reopen sweep: %v %v", has, err)
+				}
+			}
+		}},
+		{CorruptRead, func(t *testing.T, c faultCell) {
+			if err := c.b.Put(ctx, c.name, c.data); err != nil {
+				t.Fatal(err)
+			}
+			c.inj.Arm(CorruptRead, 1)
+			for read := 1; read <= 2; read++ {
+				got, err := c.b.Get(ctx, c.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diff := 0
+				for i := range got {
+					if got[i] != c.data[i] {
+						diff++
+					}
+				}
+				if len(got) != len(c.data) || diff != 1 {
+					t.Fatalf("read %d: %d bytes differ, want one flipped byte", read, diff)
+				}
+				if c.decode != nil && c.decode(got) == nil {
+					t.Fatalf("read %d: the corrupt image decoded", read)
+				}
+				if !c.inj.Tripped() {
+					t.Fatal("CorruptRead did not trip")
+				}
+			}
+			if got := c.inj.Reads(); got != 2 {
+				t.Fatalf("Reads = %d, want 2", got)
+			}
+		}},
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	debris := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), durable.TempPrefix) {
-			debris++
+	for _, k := range kinds {
+		for _, in := range inners {
+			for _, bl := range blobs {
+				t.Run(fmt.Sprintf("%s/%s/%s", k.kind, in.name, bl.plane), func(t *testing.T) {
+					inner, reopen := in.open(t)
+					inj := NewInjector()
+					c := faultCell{inj: inj, b: NewBackend(inner, inj), inner: inner, reopen: reopen,
+						name: bl.name, data: bl.data(t), decode: bl.decode}
+					k.run(t, c)
+				})
+			}
 		}
-	}
-	if debris != 1 {
-		t.Fatalf("%d temp files after a torn write, want 1", debris)
-	}
-	// Reopening the store sweeps the debris — the recovery contract.
-	if _, err := container.NewFileStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	n, err := durable.SweepTemp(dir)
-	if err != nil || n != 0 {
-		t.Fatalf("debris survived the reopen sweep: n=%d err=%v", n, err)
-	}
-}
-
-// TestCorruptReadFlipsOnDisk: CorruptRead damages the stored image so
-// the store's CRC rejects it — and the damage is persistent.
-func TestCorruptReadFlipsOnDisk(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := container.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := NewInjector()
-	s := NewStore(fs, inj, fs.Path)
-	if err := s.Put(fillContainer(t, 3, 2)); err != nil {
-		t.Fatal(err)
-	}
-	inj.Arm(CorruptRead, 1)
-	if _, err := s.Get(3); err == nil {
-		t.Fatal("corrupted read returned a container")
-	}
-	if !inj.Tripped() {
-		t.Fatal("CorruptRead did not trip")
-	}
-	// Bit rot persists: a later clean read still fails.
-	inj.Arm(None, 0)
-	if _, err := s.Get(3); err == nil {
-		t.Fatal("corruption vanished on the second read")
-	}
-}
-
-// TestRecipeStoreInjection: recipe ops draw from the same counter as
-// container ops, so one index addresses the whole commit sequence.
-func TestRecipeStoreInjection(t *testing.T) {
-	inj := NewInjector()
-	inj.Arm(Fail, 2)
-	cs := NewStore(container.NewMemStore(), inj, nil)
-	rs := NewRecipeStore(recipe.NewMemStore(), inj, nil)
-	if err := cs.Put(fillContainer(t, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	rec := recipe.New(1)
-	data := []byte("x")
-	rec.Append(fp.Of(data), uint32(len(data)), 0)
-	if err := rs.Put(rec); !errors.Is(err, ErrInjected) {
-		t.Fatalf("recipe op 2 = %v, want ErrInjected", err)
-	}
-	if log := inj.OpLog(); len(log) != 2 || !strings.HasPrefix(log[1], "recipe.Put") {
-		t.Fatalf("OpLog = %v", log)
-	}
-}
-
-// TestWrapWriteTorn: a torn state write leaves temp debris and an
-// untouched (here: absent) state file.
-func TestWrapWriteTorn(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.bin")
-	inj := NewInjector()
-	inj.Arm(Torn, 1)
-	write := inj.WrapWrite(durable.WriteFileAtomic)
-	if err := write(path, []byte("0123456789"), 0o644); !errors.Is(err, ErrInjected) {
-		t.Fatalf("torn write = %v", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("torn write touched the final path: %v", err)
-	}
-	n, err := durable.SweepTemp(dir)
-	if err != nil || n != 1 {
-		t.Fatalf("sweep found %d temp files (err %v), want 1", n, err)
 	}
 }

@@ -1,23 +1,15 @@
 package recipe
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-
-	"hidestore/internal/durable"
 )
 
 // Store persists recipes keyed by version number. Implementations must be
 // safe for concurrent use. Put transfers ownership; Get returns a recipe
 // the caller may mutate only if it re-Puts it afterwards (the memory store
-// hands back a private copy, the file store a fresh decode).
+// hands back a private copy, the backend adapter a fresh decode).
 type Store interface {
 	Put(r *Recipe) error
 	Get(version int) (*Recipe, error)
@@ -108,128 +100,4 @@ func (s *MemStore) Len() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.recipes), nil
-}
-
-// FileStore is a recipe store backed by one file per version (r_<n>.rcp),
-// written durably via temp file + fsync + rename + directory fsync.
-type FileStore struct {
-	dir string
-}
-
-var _ Store = (*FileStore)(nil)
-
-const _fileExt = ".rcp"
-
-// NewFileStore opens (creating if needed) a file-backed store at dir,
-// sweeping any stale tmp-* files a crashed writer left behind.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("recipe: create store dir: %w", err)
-	}
-	if _, err := durable.SweepTemp(dir); err != nil {
-		return nil, fmt.Errorf("recipe: sweep stale temp files: %w", err)
-	}
-	return &FileStore{dir: dir}, nil
-}
-
-func (s *FileStore) path(version int) string {
-	return filepath.Join(s.dir, "r_"+strconv.Itoa(version)+_fileExt)
-}
-
-// Path returns the on-disk path of a version's recipe. Exported for
-// fault injection and forensics tooling; normal clients go through
-// Store.
-func (s *FileStore) Path(version int) string { return s.path(version) }
-
-// Put implements Store.
-func (s *FileStore) Put(r *Recipe) error {
-	if r == nil {
-		return fmt.Errorf("recipe: Put nil recipe")
-	}
-	if r.Version <= 0 {
-		return fmt.Errorf("recipe: Put version %d (must be positive)", r.Version)
-	}
-	buf, err := r.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("recipe: marshal v%d: %w", r.Version, err)
-	}
-	if err := durable.WriteFileAtomic(s.path(r.Version), buf, 0o644); err != nil {
-		return fmt.Errorf("recipe: put v%d: %w", r.Version, err)
-	}
-	return nil
-}
-
-// Get implements Store.
-func (s *FileStore) Get(version int) (*Recipe, error) {
-	buf, err := os.ReadFile(s.path(version))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: version %d", ErrNotFound, version)
-		}
-		return nil, fmt.Errorf("recipe: read v%d: %w", version, err)
-	}
-	r, err := UnmarshalBinary(buf)
-	if err != nil {
-		return nil, fmt.Errorf("recipe v%d: %w", version, err)
-	}
-	return r, nil
-}
-
-// Delete implements Store. The removal is fsynced: the engines delete
-// the recipe before reclaiming its containers, and that ordering only
-// protects against crashes if the recipe cannot reappear.
-func (s *FileStore) Delete(version int) error {
-	err := durable.Remove(s.path(version))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("%w: version %d", ErrNotFound, version)
-		}
-		return fmt.Errorf("recipe: delete v%d: %w", version, err)
-	}
-	return nil
-}
-
-// Has implements Store. A stat failure other than not-exist surfaces
-// instead of reading as "absent".
-func (s *FileStore) Has(version int) (bool, error) {
-	_, err := os.Stat(s.path(version))
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, fs.ErrNotExist):
-		return false, nil
-	default:
-		return false, fmt.Errorf("recipe: stat v%d: %w", version, err)
-	}
-}
-
-// Versions implements Store.
-func (s *FileStore) Versions() ([]int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("recipe: list store dir: %w", err)
-	}
-	out := make([]int, 0, len(entries))
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "r_") || !strings.HasSuffix(name, _fileExt) {
-			continue
-		}
-		n, err := strconv.Atoi(name[2 : len(name)-len(_fileExt)])
-		if err != nil {
-			continue
-		}
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// Len implements Store.
-func (s *FileStore) Len() (int, error) {
-	versions, err := s.Versions()
-	if err != nil {
-		return 0, err
-	}
-	return len(versions), nil
 }
