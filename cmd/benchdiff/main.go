@@ -141,6 +141,7 @@ var directions = []struct {
 	{"allocs_per_chunk", -1},
 	{"write_amplification", -1},
 	{"scan_share", -1},
+	{"hash_share", -1},
 }
 
 // direction classifies a flattened metric key by the metric name it

@@ -118,6 +118,7 @@ func TestDirectionClassifier(t *testing.T) {
 		"extra.restore_allocs_per_chunk_kernel":           -1,
 		"extra.gcc_write_amplification_hidestore":         -1,
 		"extra.kernel_scan_share_ddfs":                    -1,
+		"extra.kernel_hash_share_hidestore":               -1,
 		"extra.allocs_per_chunk_tttd":                     -1,
 		"extra.kernel_cfl":                                1,
 		"extra.kernel_utilization":                        1,

@@ -43,6 +43,13 @@ type BackupReport struct {
 	// previous backup's successor table without a scan (DESIGN §2).
 	// Over LogicalBytes it is the version's scan share.
 	ScannedBytes uint64
+	// HashedBytes is what SHA-1 read for the version: every chunk the
+	// ingest scanned, once, and on an engine that keeps no chunk bytes in
+	// memory (the baseline) every cut it confirmed too, whose proof is the
+	// hash. HiDeStore proves a confirmed cut against the chunk's resident
+	// copy instead, so there it is about ScannedBytes. Over LogicalBytes
+	// it is the version's hash share.
+	HashedBytes uint64
 	// CommitWait is how long the engine goroutine was blocked on the
 	// commit plane: waiting for one of its in-flight slots at a seal, and
 	// at the fences before the recipe and state writes. The rest of the

@@ -99,13 +99,12 @@ type Ingest struct {
 	Chunks       int
 	LogicalBytes uint64
 
-	// Scan and hash time summed over the hash workers and the resync.
-	chunkNS, fpNS atomic.Int64
-	// confirmed and scanned count the chunks the cutters took from the
-	// successor table and the ones they scanned, speculative chunks the
-	// resync discarded included; scannedBytes is the scanned chunks'
-	// length. All three are exact, whatever the scheduling.
-	confirmed, scanned, scannedBytes atomic.Int64
+	// The cutters' work summed over the hash workers and the resync (see
+	// cutWork), speculative chunks the resync discarded included. The
+	// counts are exact, whatever the scheduling.
+	chunkNS, fpNS                             atomic.Int64
+	confirmed, scanned                        atomic.Int64
+	confirmedBytes, scannedBytes, hashedBytes atomic.Int64
 	// recut counts the chunks the sink cut and hashed itself.
 	recut int
 }
@@ -174,10 +173,14 @@ func (in *Ingest) End(retErr *error) {
 // probe, when non-nil, classifies a chunk's fingerprint speculatively on
 // the hash workers (or on the sink for chunks the resync cut itself); its
 // verdict travels with the chunk, so it must be safe for concurrent use
-// and read-only. sink runs on one goroutine, in stream order, and must
-// Release every chunk it is handed. A reader error is returned after
-// every chunk whose decision window was read before it.
-func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) bool, sink func(Chunk) error) error {
+// and read-only. resident, when non-nil, returns the bytes of a chunk the
+// engine holds in memory by fingerprint, or nil; a predicted cut is then
+// proven by comparing against them instead of by SHA-1 (see cutter.chunk).
+// It runs on the hash workers too, under the same rules, and its bytes
+// must not change while Run lasts. sink runs on one goroutine, in stream
+// order, and must Release every chunk it is handed. A reader error is
+// returned after every chunk whose decision window was read before it.
+func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) bool, resident func(fp.FP) []byte, sink func(Chunk) error) error {
 	g, cfg := in.g, in.g.cfg
 	dec, err := chunker.NewDecider(cfg.Chunker, cfg.ChunkParams)
 	if err != nil {
@@ -190,7 +193,7 @@ func (in *Ingest) Run(ctx context.Context, version io.Reader, probe func(fp.FP) 
 	// reads no clock per chunk. The histograms are hoisted so the
 	// per-chunk record is a nil-safe method call when only the tracer is
 	// live.
-	c := &cutter{in: in, dec: dec, win: dec.Window(), probe: probe, prev: g.prev,
+	c := &cutter{in: in, dec: dec, win: dec.Window(), probe: probe, resident: resident, prev: g.prev,
 		obsOn: cfg.Metrics != nil || cfg.Tracer != nil}
 	if dec.Confirmable() {
 		// A new table each Run: the Ingester holds at most the last
@@ -269,10 +272,11 @@ func (g *Ingester) Seed(alg chunker.Algorithm, p chunker.Params, load func() ([]
 // cutter cuts and fingerprints chunks for one Run, on the hash workers
 // and on the sink.
 type cutter struct {
-	in    *Ingest
-	dec   chunker.Decider
-	win   int
-	probe func(fp.FP) bool
+	in       *Ingest
+	dec      chunker.Decider
+	win      int
+	probe    func(fp.FP) bool
+	resident func(fp.FP) []byte
 	// prev is read-only while the Run lasts; cur (nil when the chunker
 	// cannot confirm a cut) is written by the sink alone, one entry per
 	// chunk it hands on, keyed by the fingerprint of the chunk it handed
@@ -286,12 +290,12 @@ type cutter struct {
 }
 
 // chunk cuts the chunk whose decision window is win, fingerprints and
-// probes it. pred, when non-nil, is the fingerprint of the chunk that
-// ends where win begins.
+// probes it, adding what it did to w. pred, when non-nil, is the
+// fingerprint of the chunk that ends where win begins.
 //
 // With a predecessor, the chunk that followed it in the previous version
 // — n bytes, fingerprint F — is accepted without a scan when
-// Decider.Confirms(win, n) and fp.Of(win[:n]) == F; otherwise the window
+// Decider.Confirms(win, n) and win[:n] are F's bytes; otherwise the window
 // is scanned as without a predecessor. Why that is Cut(win) exactly: a
 // cut is a pure function of the window from the previous cut, and for
 // TTTD and Rabin with Min above the 48-byte digest window (the only cases
@@ -300,15 +304,25 @@ type cutter struct {
 // Every table entry is a chunk Cut produced under this Decider — by an
 // earlier Run, or by the backup whose chunk list Seed was given under
 // the same chunker and parameters — so no c in [Min, n) of its bytes
-// matched, or that scan would have cut there. Equal SHA-1s make win[:n] those bytes (every dedup
-// decision here already rests on that), so a main match at n is the
-// first, and Cut(win) == n. A recorded chunk cut by the backup divisor,
-// at Max or at the end of the stream has no main match at n — those cuts
-// read bytes past n, which may have changed — and Confirms refuses it.
+// matched, or that scan would have cut there. A main match at n is then
+// the first, and Cut(win) == n. A recorded chunk cut by the backup
+// divisor, at Max or at the end of the stream has no main match at n —
+// those cuts read bytes past n, which may have changed — and Confirms
+// refuses it.
+//
+// That win[:n] are F's bytes is proven one of two ways. When resident
+// holds F — the engine keeps the previous version's hot chunks in memory
+// — by bytes.Equal against that copy: nothing is hashed, and byte
+// equality needs no collision assumption. A compare that fails, or an F
+// that is not resident, scans, and the scanned chunk is hashed once.
+// Without a resident hook, by fp.Of(win[:n]) == F, the assumption every
+// dedup decision here already rests on; a hash that differs scans, and
+// reuses the hash when the scan cuts at n again (an edit inside a chunk).
 //
 // With observability on, a confirmed chunk records the lookup and
-// Confirms as its chunking time and the SHA-1 as its fingerprint time.
-func (c *cutter) chunk(win []byte, pred *fp.FP) (n int, f fp.FP, hit bool) {
+// Confirms as its chunking time and the compare or SHA-1 as its
+// fingerprint time.
+func (c *cutter) chunk(win []byte, pred *fp.FP, w *cutWork) (n int, f fp.FP, hit bool) {
 	var t time.Time
 	if c.obsOn {
 		t = time.Now()
@@ -318,35 +332,68 @@ func (c *cutter) chunk(win []byte, pred *fp.FP) (n int, f fp.FP, hit bool) {
 	if pred != nil && len(c.prev) > 0 {
 		if s, ok := c.prev[succKey(pred)]; ok && c.dec.Confirms(win, int(s.n)) {
 			cutNS += c.lap(&t)
-			f = fp.Of(win[:s.n])
-			fpNS += c.lap(&t)
-			if f == s.fp {
+			if c.resident != nil {
+				if b := c.resident(s.fp); b != nil && bytes.Equal(win[:s.n], b) {
+					n, f = int(s.n), s.fp
+				}
+			} else if f = hash(win[:s.n], w); f == s.fp {
 				n = int(s.n)
-				c.in.confirmed.Add(1)
 			} else {
 				guess = int(s.n)
+			}
+			fpNS += c.lap(&t)
+			if n != 0 {
+				w.confirmed++
+				w.confirmedBytes += int64(n)
 			}
 		}
 	}
 	if n == 0 {
 		n = c.dec.Cut(win)
 		cutNS += c.lap(&t)
-		c.in.scanned.Add(1)
-		c.in.scannedBytes.Add(int64(n))
+		w.scanned++
+		w.scannedBytes += int64(n)
 		// An edit inside a chunk leaves its cut in place: then the hash
 		// taken to check the guess is the chunk's.
 		if n != guess {
-			f = fp.Of(win[:n])
+			f = hash(win[:n], w)
 			fpNS += c.lap(&t)
 		}
 	}
 	if c.obsOn {
-		c.in.chunkNS.Add(int64(cutNS))
-		c.in.fpNS.Add(int64(fpNS))
+		w.chunkNS += cutNS
+		w.fpNS += fpNS
 		c.mxChunk.Observe(uint64(cutNS))
 		c.mxFP.Observe(uint64(fpNS))
 	}
 	return n, f, c.probe != nil && c.probe(f)
+}
+
+// hash fingerprints b, counting its bytes in w.
+func hash(b []byte, w *cutWork) fp.FP {
+	w.hashedBytes += int64(len(b))
+	return fp.Of(b)
+}
+
+// cutWork is what the cutters did over one slab: the chunks they took
+// from the successor table and the ones they scanned, those chunks'
+// lengths, the bytes SHA-1 read and, with observability on, the scan and
+// hash time. The goroutine cutting the slab sums it and adds it to the
+// Ingest's totals once, so no shared counter is touched per chunk.
+type cutWork struct {
+	confirmed, scanned                        int64
+	confirmedBytes, scannedBytes, hashedBytes int64
+	chunkNS, fpNS                             time.Duration
+}
+
+func (in *Ingest) add(w *cutWork) {
+	in.confirmed.Add(w.confirmed)
+	in.scanned.Add(w.scanned)
+	in.confirmedBytes.Add(w.confirmedBytes)
+	in.scannedBytes.Add(w.scannedBytes)
+	in.hashedBytes.Add(w.hashedBytes)
+	in.chunkNS.Add(int64(w.chunkNS))
+	in.fpNS.Add(int64(w.fpNS))
 }
 
 // lap returns the time since *t and moves *t to now; 0 with observability
@@ -376,6 +423,8 @@ func (c *cutter) handOn(sc *specChunk) {
 // speculate is a hash worker's pass over s: the chain that starts at its
 // first byte, every chunk that starts in its owned run.
 func (c *cutter) speculate(s *slab) {
+	var w cutWork
+	defer c.in.add(&w)
 	var last fp.FP
 	var pred *fp.FP // the slab's first chunk has no known predecessor
 	for p := 0; p < s.own; {
@@ -383,7 +432,7 @@ func (c *cutter) speculate(s *slab) {
 		if !ok {
 			return // the reader failed here; the sink reports it
 		}
-		n, f, hit := c.chunk(win, pred)
+		n, f, hit := c.chunk(win, pred, &w)
 		s.spec = append(s.spec, specChunk{off: p, n: n, fp: f, hit: hit})
 		last, pred = f, &last
 		p += n
@@ -407,6 +456,8 @@ func (c *cutter) speculate(s *slab) {
 // P / gcd(P, Max) chunks for a pattern of period P cut only at Max.
 func (c *cutter) resync(s *slab, entry *int, sink func(Chunk) error) error {
 	p, k := *entry, 0
+	var w cutWork
+	defer c.in.add(&w)
 	// recent rings the sink's last chunks of s that it did not adopt, nr
 	// counts them; n == 0 marks an empty entry.
 	var recent [8]specChunk
@@ -430,7 +481,7 @@ func (c *cutter) resync(s *slab, entry *int, sink func(Chunk) error) error {
 				}
 			}
 			if sc.n == 0 {
-				sc.n, sc.fp, sc.hit = c.chunk(win, c.last)
+				sc.n, sc.fp, sc.hit = c.chunk(win, c.last, &w)
 				c.in.recut++
 			}
 			sc.off = p
@@ -472,6 +523,7 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		mx.ContainerBytesWritten.Add(written)
 		mx.CommitWaitNS.Add(uint64(commitWait))
 		mx.ScannedBytes.Add(uint64(in.scannedBytes.Load()))
+		mx.HashedBytes.Add(uint64(in.hashedBytes.Load()))
 		ps := in.g.slabs.stats()
 		mx.PoolInUse.Set(ps.InUse)
 		mx.PoolInUseBytes.Set(ps.InUseBytes)
@@ -482,12 +534,14 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		// dedup sink, so their cost is the per-chunk sum (speculative
 		// chunks the resync discarded included), not a wall interval.
 		// confirmed and scanned count the cuts taken from the successor
-		// table and the scans; scanned_bytes is what the scans cut.
+		// table and the scans; scanned_bytes is what the scans cut and
+		// hashed_bytes what SHA-1 read. A cut confirmed by a byte compare
+		// counts its compare as fingerprint time.
 		tracer.EmitStage("stage.chunking", in.Span, in.Start, time.Duration(in.chunkNS.Load()),
 			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes),
 				"confirmed": in.confirmed.Load(), "scanned": in.scanned.Load(), "scanned_bytes": in.scannedBytes.Load()})
 		tracer.EmitStage("stage.fingerprint", in.Span, in.Start, time.Duration(in.fpNS.Load()),
-			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes)})
+			map[string]int64{"chunks": int64(in.Chunks), "bytes": int64(in.LogicalBytes), "hashed_bytes": in.hashedBytes.Load()})
 		tracer.EmitStage("stage.commit_wait", in.Span, in.Start, commitWait, nil)
 		in.Span.SetAttr("version", int64(version))
 		in.Span.SetAttr("bytes", int64(in.LogicalBytes))
@@ -502,6 +556,7 @@ func (in *Ingest) Report(version int, stored uint64, unique int, written uint64)
 		UniqueChunks:          unique,
 		ContainerBytesWritten: written,
 		ScannedBytes:          uint64(in.scannedBytes.Load()),
+		HashedBytes:           uint64(in.hashedBytes.Load()),
 		CommitWait:            commitWait,
 		Duration:              time.Since(in.Start),
 	}

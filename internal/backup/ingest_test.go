@@ -38,7 +38,7 @@ func TestRunDeliversStreamInOrder(t *testing.T) {
 	var got []byte
 	probed := 0
 	retErr := in.Run(context.Background(), bytes.NewReader(data),
-		func(fp.FP) bool { return true },
+		func(fp.FP) bool { return true }, nil,
 		func(c Chunk) error {
 			if c.FP != fp.Of(c.Data) {
 				t.Errorf("chunk %d arrived with another chunk's fingerprint", in.Chunks)
@@ -85,9 +85,9 @@ func TestFailureLatch(t *testing.T) {
 		}
 		defer in.End(&retErr)
 		if early != nil {
-			return in.Run(context.Background(), failingReader{early}, nil, sink)
+			return in.Run(context.Background(), failingReader{early}, nil, nil, sink)
 		}
-		return in.Run(context.Background(), r, nil, sink)
+		return in.Run(context.Background(), r, nil, nil, sink)
 	}
 	drop := func(c Chunk) error { c.Release(); return nil }
 

@@ -51,11 +51,16 @@ func presetChain(t *testing.T, name string, versions int) [][]byte {
 const predictSlab = 21_007
 
 // work is what one Run's cutters did: cuts confirmed from the successor
-// table, chunks scanned, and the scanned chunks' bytes.
-type work struct{ confirmed, scanned, scannedBytes int64 }
+// table, chunks scanned, the confirmed and the scanned chunks' bytes, and
+// the bytes SHA-1 read.
+type work struct {
+	confirmed, scanned                        int64
+	confirmedBytes, scannedBytes, hashedBytes int64
+}
 
 func workOf(in *Ingest) work {
-	return work{in.confirmed.Load(), in.scanned.Load(), in.scannedBytes.Load()}
+	return work{in.confirmed.Load(), in.scanned.Load(),
+		in.confirmedBytes.Load(), in.scannedBytes.Load(), in.hashedBytes.Load()}
 }
 
 // ingestVersion backs one version up through g, fails t unless it is
@@ -67,7 +72,7 @@ func ingestVersion(t *testing.T, g *Ingester, data []byte) work {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	retErr := in.Run(context.Background(), iotest.HalfReader(bytes.NewReader(data)), nil, func(c Chunk) error {
+	retErr := in.Run(context.Background(), iotest.HalfReader(bytes.NewReader(data)), nil, nil, func(c Chunk) error {
 		got = append(got, append([]byte(nil), c.Data...))
 		c.Release()
 		return nil
@@ -309,7 +314,7 @@ func TestSuccessorTableAfterFailedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := 0
-			retErr := in.Run(context.Background(), bytes.NewReader(v2), nil, func(c Chunk) error {
+			retErr := in.Run(context.Background(), bytes.NewReader(v2), nil, nil, func(c Chunk) error {
 				c.Release()
 				if seen++; seen == 300 {
 					return boom

@@ -50,7 +50,7 @@ func ingestChunks(ctx context.Context, t *testing.T, g *Ingester, r io.Reader) (
 		t.Fatal(err)
 	}
 	var got [][]byte
-	retErr := in.Run(ctx, r, nil, func(c Chunk) error {
+	retErr := in.Run(ctx, r, nil, nil, func(c Chunk) error {
 		if c.FP != fp.Of(c.Data) {
 			t.Errorf("chunk %d arrived with a wrong fingerprint", len(got))
 		}
@@ -319,7 +319,7 @@ func TestSlabInFlightBound(t *testing.T) {
 	}
 	var pending []Chunk
 	pendingBytes, peak := 0, int64(0)
-	retErr := in.Run(context.Background(), bytes.NewReader(data), nil, func(c Chunk) error {
+	retErr := in.Run(context.Background(), bytes.NewReader(data), nil, nil, func(c Chunk) error {
 		pending = append(pending, c)
 		pendingBytes += len(c.Data)
 		if out := g.slabs.stats().InUse; out > peak {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -325,6 +326,22 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		}
 		return hit
 	}
+	// A predicted chunk is proven against its hot copy (§4.1–4.2): the
+	// previous version's chunks are all in active images. The sink seals
+	// new images into activeContainers while the hash workers read, so
+	// they look in a snapshot taken now. No image in it changes before
+	// migrateCold, which runs after Run; an image sealed during Run holds
+	// only this version's new chunks, which no successor table names.
+	resident := maps.Clone(e.activeContainers)
+	hot := func(f fp.FP) []byte {
+		cid, ok := e.cache.probe(f)
+		if c := resident[cid]; ok && c != nil {
+			if b, err := c.View(f); err == nil {
+				return b
+			}
+		}
+		return nil
+	}
 	sink := func(c backup.Chunk) error {
 		size := uint32(len(c.Data))
 		var t0 time.Time
@@ -362,7 +379,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		e.seeded = true
 		e.seedIngest()
 	}
-	if err := in.Run(ctx, version, probe, sink); err != nil {
+	if err := in.Run(ctx, version, probe, hot, sink); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if err := active.Flush(); err != nil {

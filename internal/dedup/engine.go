@@ -173,8 +173,10 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// A sealed image is read-only from here on; this engine never mutates
 	// one during a backup.
 	session.open = &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: in.Writer.Put}
-	// No speculative probe: the indexes classify by segment, in order.
-	if err := in.Run(ctx, version, nil, session.push); err != nil {
+	// No speculative probe: the indexes classify by segment, in order. No
+	// resident chunks either: this engine keeps none in memory, so a cut
+	// confirmed from the previous version is proven by its SHA-1.
+	if err := in.Run(ctx, version, nil, nil, session.push); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if err := session.flush(); err != nil {

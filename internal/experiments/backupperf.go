@@ -28,10 +28,12 @@ var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 // over the whole run divided by chunks processed — the end-to-end
 // per-chunk path, not just the chunker) and write amplification
 // (container payload bytes written over logical bytes, whole chain:
-// unique chunks plus whatever maintenance copied) and scan share (bytes
+// unique chunks plus whatever maintenance copied), scan share (bytes
 // of the chunks the ingest scanned for their cut over logical bytes, the
-// rest confirmed from the previous version's cuts). Backup speed is
-// benchmark/'s backup_mbps.
+// rest confirmed from the previous version's cuts) and hash share (bytes
+// SHA-1 read over logical bytes: the scanned chunks, plus the confirmed
+// ones on an engine that proves a confirmed cut by its hash). Backup
+// speed is benchmark/'s backup_mbps.
 type BackupPerfRow struct {
 	Scheme             string
 	LogicalBytes       uint64
@@ -39,6 +41,7 @@ type BackupPerfRow struct {
 	AllocsPerChunk     float64
 	WriteAmplification float64
 	ScanShare          float64
+	HashShare          float64
 }
 
 // BackupPerfResult compares the write hot path on one workload.
@@ -48,8 +51,8 @@ type BackupPerfResult struct {
 }
 
 // BackupPerf counts allocator pressure and container writes for a full
-// version chain on the memory-backed store, and the scan share in a
-// second pass (see scanShare). The store is memory-backed on purpose:
+// version chain on the memory-backed store, and the scan and hash shares
+// in a second pass (see ingestShares). The store is memory-backed on purpose:
 // with I/O out of the picture, the allocations are the CPU side's
 // (chunking, hashing, lookup, container packing) that the
 // allocation-free chunk path targets.
@@ -91,7 +94,7 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		if row.Chunks > 0 {
 			row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
 		}
-		if row.ScanShare, err = scanShare(scheme, cfg, opts); err != nil {
+		if row.ScanShare, row.HashShare, err = ingestShares(scheme, cfg, opts); err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
 		}
 		res.Rows = append(res.Rows, row)
@@ -99,14 +102,14 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	return res, nil
 }
 
-// scanShare backs the chain up once more through scheme's engine, cutting
-// with the engines' default chunker (TTTD) where the pass above and the
-// figures cut with FastCDC, whose cuts the ingest cannot confirm. It
-// returns the scanned bytes over the logical bytes: the rest the ingest
-// confirmed from the previous version's cuts.
-func scanShare(scheme string, cfg workload.Config, opts Options) (float64, error) {
+// ingestShares backs the chain up once more through scheme's engine,
+// cutting with the engines' default chunker (TTTD) where the pass above
+// and the figures cut with FastCDC, whose cuts the ingest cannot confirm.
+// It returns the scanned bytes over the logical bytes — the rest the
+// ingest confirmed from the previous version's cuts — and the hashed
+// bytes over the logical bytes.
+func ingestShares(scheme string, cfg workload.Config, opts Options) (scan, hash float64, err error) {
 	var e backup.Engine
-	var err error
 	if scheme == "hidestore" {
 		e, err = core.New(core.Config{
 			Store:             container.NewMemStore(),
@@ -118,7 +121,7 @@ func scanShare(scheme string, cfg workload.Config, opts Options) (float64, error
 	} else {
 		var ix index.Index
 		if ix, err = newBaselineIndex(scheme); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		e, err = dedup.New(dedup.Config{
 			Index:             ix,
@@ -129,21 +132,22 @@ func scanShare(scheme string, cfg workload.Config, opts Options) (float64, error
 		})
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	reports, err := backupAllVersions(e, cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var scanned, logical uint64
+	var scanned, hashed, logical uint64
 	for _, rep := range reports {
 		scanned += rep.ScannedBytes
+		hashed += rep.HashedBytes
 		logical += rep.LogicalBytes
 	}
 	if logical == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
-	return float64(scanned) / float64(logical), nil
+	return float64(scanned) / float64(logical), float64(hashed) / float64(logical), nil
 }
 
 // Extras flattens the rows into scalar metrics for BENCH_<exp>.json.
@@ -153,6 +157,7 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 		out["allocs_per_chunk_"+row.Scheme] = row.AllocsPerChunk
 		out["write_amplification_"+row.Scheme] = row.WriteAmplification
 		out["scan_share_"+row.Scheme] = row.ScanShare
+		out["hash_share_"+row.Scheme] = row.HashShare
 	}
 	return out
 }
@@ -160,13 +165,14 @@ func (r *BackupPerfResult) Extras() map[string]float64 {
 // Render formats the comparison.
 func (r *BackupPerfResult) Render() string {
 	t := metrics.NewTable(fmt.Sprintf("Backup hot path (%s)", r.Workload),
-		"scheme", "chunks", "allocs/chunk", "written/logical", "scanned/logical", "logical")
+		"scheme", "chunks", "allocs/chunk", "written/logical", "scanned/logical", "hashed/logical", "logical")
 	for _, row := range r.Rows {
 		t.AddRow(row.Scheme,
 			fmt.Sprintf("%d", row.Chunks),
 			fmt.Sprintf("%.2f", row.AllocsPerChunk),
 			fmt.Sprintf("%.3f", row.WriteAmplification),
 			fmt.Sprintf("%.3f", row.ScanShare),
+			fmt.Sprintf("%.3f", row.HashShare),
 			metrics.FormatBytes(row.LogicalBytes))
 	}
 	return t.Render()

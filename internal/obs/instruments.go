@@ -49,6 +49,8 @@ type BackupMetrics struct {
 	// ScannedBytes is the length of the chunks the ingest scanned for
 	// their cut; over LogicalBytes, the scan share.
 	ScannedBytes *Counter
+	// HashedBytes is what SHA-1 read; over LogicalBytes, the hash share.
+	HashedBytes *Counter
 
 	// Stream-slab pool state (the ingest's slabs, internal/backup), set
 	// after each backup under the names the chunk-buffer pool had. InUse
@@ -90,6 +92,7 @@ func NewBackupMetrics(r *Registry) *BackupMetrics {
 		MergedBytes:           r.Counter("hidestore_backup_merged_bytes_total", "payload bytes repacked by sparse-container merges"),
 		CommitWaitNS:          r.Counter("hidestore_backup_commit_wait_ns_total", "time the backup goroutine spent blocked on the container commit plane (ns)"),
 		ScannedBytes:          r.Counter("hidestore_backup_scanned_bytes_total", "bytes of the chunks the ingest scanned for their cut, speculative ones included"),
+		HashedBytes:           r.Counter("hidestore_backup_hashed_bytes_total", "bytes the ingest fingerprinted with SHA-1, speculative chunks included"),
 
 		PoolInUse:      r.Gauge("hidestore_bufpool_in_use", "ingest stream slabs currently out of the slab pool (in flight or held by the engine)"),
 		PoolInUseBytes: r.Gauge("hidestore_bufpool_in_use_bytes", "bytes of the ingest stream slabs currently out of the slab pool"),
