@@ -260,8 +260,8 @@ func runCtx(ctx context.Context, args []string) error {
 		if err := closeOut(); err != nil {
 			return fmt.Errorf("close %s: %w", *out, err)
 		}
-		fmt.Fprintf(os.Stderr, "restored v%d: %d bytes, %d container reads, %d recipe reads, speed factor %.2f MB/read\n",
-			rep.Version, rep.BytesRestored, rep.ContainerReads, rep.RecipesRead, rep.SpeedFactor)
+		fmt.Fprintf(os.Stderr, "restored v%d: %d bytes, %d container reads (%d resident), %d recipe reads, speed factor %.2f MB/read\n",
+			rep.Version, rep.BytesRestored, rep.ContainerReads, rep.ResidentReads, rep.RecipesRead, rep.SpeedFactor)
 	case "restore-dir":
 		if len(rest) != 3 {
 			return errors.New("restore-dir needs a version and a destination")

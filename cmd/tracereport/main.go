@@ -287,7 +287,8 @@ func (s *segment) reportOperation(p *printer, root obs.TraceRecord, kids []obs.T
 }
 
 // reportFetches prints what a restore's forward pointers cost to follow,
-// the container-fetch timeline summary and, for parallel restores, the
+// how many of its reads were resident, the container-fetch timeline
+// summary and, for parallel restores, the
 // stall attribution; for backups, the commit plane's timeline — its
 // container puts legitimately overlap.
 func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.TraceRecord, fetchRows int) {
@@ -314,6 +315,11 @@ func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.Tra
 		}
 		p.printf("  commit timeline: %d container puts, %s cumulative, max overlap %d\n",
 			len(flush), fmtDur(total), maxOverlap(flush))
+	}
+	if resident, ok := root.Attrs["resident_reads"]; ok {
+		// Reads the engine served from its in-memory images: counted
+		// container reads that never reached the store.
+		p.printf("  resident %d of %d reads\n", resident, root.Attrs["container_reads"])
 	}
 	if len(fetch) > 0 {
 		sort.Slice(fetch, func(i, j int) bool { return fetch[i].Start < fetch[j].Start })

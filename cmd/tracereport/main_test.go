@@ -66,8 +66,9 @@ func TestMultiSegmentAppendMode(t *testing.T) {
 }
 
 // TestStallAttribution: a parallel-restore trace with assembly.stall
-// records gets the reorder-window attribution line, and one whose forward
-// pointers were followed the work that took.
+// records gets the reorder-window attribution line, one whose forward
+// pointers were followed the work that took, and one that read resident
+// images how many of its reads they were.
 func TestStallAttribution(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	tr, err := obs.OpenTraceFile(path)
@@ -81,6 +82,8 @@ func TestStallAttribution(t *testing.T) {
 	tr.EmitStage("container.fetch", s, now, 2*time.Millisecond, map[string]int64{"cid": 1})
 	tr.EmitStage("container.fetch", s, now, 3*time.Millisecond, map[string]int64{"cid": 2})
 	tr.EmitStage("assembly.stall", s, now, time.Millisecond, map[string]int64{"parked": 2, "seq": 5})
+	s.SetAttr("container_reads", 2)
+	s.SetAttr("resident_reads", 1)
 	s.End()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -98,6 +101,9 @@ func TestStallAttribution(t *testing.T) {
 	}
 	if !strings.Contains(text, "resolve: 3 recipes, 40 wanted, 1 written") {
 		t.Errorf("missing resolve work line:\n%s", text)
+	}
+	if !strings.Contains(text, "resident 1 of 2 reads") {
+		t.Errorf("missing resident read line:\n%s", text)
 	}
 }
 

@@ -334,7 +334,11 @@ type RestoreReport struct {
 	// RecipesRead counts recipe reads: the version's own plus, on a
 	// HiDeStore system, the newer ones its forward pointers led to.
 	RecipesRead uint64
-	Duration    time.Duration
+	// ResidentReads counts the container reads a HiDeStore system served
+	// from its in-memory active containers instead of the store; they are
+	// part of ContainerReads.
+	ResidentReads uint64
+	Duration      time.Duration
 }
 
 func restoreReport(rep backup.RestoreReport) RestoreReport {
@@ -344,6 +348,7 @@ func restoreReport(rep backup.RestoreReport) RestoreReport {
 		ContainerReads: rep.Stats.ContainerReads,
 		SpeedFactor:    rep.Stats.SpeedFactor(),
 		RecipesRead:    rep.RecipesRead,
+		ResidentReads:  rep.ResidentReads,
 		Duration:       rep.Duration,
 	}
 }

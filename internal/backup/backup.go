@@ -97,6 +97,11 @@ type RestoreReport struct {
 	// version's own plus the newer ones its forward pointers led to. An
 	// exact work count, the same on every run over the same store.
 	RecipesRead uint64
+	// ResidentReads counts the container reads the engine served from its
+	// in-memory images instead of the store (HiDeStore's active
+	// containers; zero for the baseline and for a verifying restore). Each
+	// is also in Stats.ContainerReads: the store served the rest.
+	ResidentReads uint64
 }
 
 // DeleteReport summarizes removing an expired version.

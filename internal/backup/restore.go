@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"hidestore/internal/container"
@@ -19,16 +20,23 @@ import (
 // written once. An engine fixes it at construction and supplies only how
 // its recipes resolve to container locations.
 //
-// The driver builds the only fetcher that reads Store for a version
-// (source), and a restore stacks the policy's counting layer on it, so no
-// engine has a way to read a container the restore's
+// The driver builds the only fetcher that reads Store or Resident for a
+// version (source), and a restore stacks the policy's counting layer on
+// it, so no engine has a way to read a container the restore's
 // Stats.ContainerReads does not see. TestStoreReadsEqualCountedReads pins
-// the store-level identity, and the one known gap: read-ahead under a
-// chunk-caching policy (DESIGN.md, "Restore driver").
+// the identity exactly: store reads plus resident reads equal counted
+// reads, for every policy (DESIGN.md, "Restore driver").
 type RestoreDriver struct {
 	Recipes recipe.Store
 	// Store holds the containers the resolved recipes name.
 	Store container.Store
+	// Resident, when set, returns the engine's in-memory image of a
+	// container, or nil when it holds none. A restore asks it before the
+	// store and reads nothing from the store for an image it returns; a
+	// verifying restore never asks it. The image must hold exactly the
+	// chunks the resolved recipes find in it and stay unmodified until
+	// the restore returns.
+	Resident func(container.ID) *container.Container
 	// ContainerCapacity is the engine's container size, the unit of
 	// AnalyzeLayout's optimal container count.
 	ContainerCapacity int
@@ -80,29 +88,54 @@ type Resolution struct {
 }
 
 // AnalyzeLayout reports version's physical-locality profile from the
-// reference stream Restore would replay (see layout.Analyze; live is its
-// utilization override). It emits no trace record, updates no metric and
-// writes nothing back, whatever the hook returns in Patched.
-func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string, live map[container.ID]int,
+// reference stream Restore would replay, over the images Restore would
+// read (see layout.Analyze). It emits no trace record, updates no metric
+// and writes nothing back, whatever the hook returns in Patched.
+func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (*layout.Report, error) {
 	quiet := RestoreDriver{Recipes: d.Recipes} // resolve's only other reads are Metrics and Tracer
 	res, _, err := quiet.resolve(ctx, version, nil, resolve)
 	if err != nil {
 		return nil, err
 	}
-	return layout.Analyze(ctx, version, res.Entries, d.source(false), d.ContainerCapacity, policies, live)
+	return layout.Analyze(ctx, version, res.Entries, d.source(false), d.ContainerCapacity, policies)
 }
 
-// source is the one fetcher that reads Store for a version, re-hashing
-// what it returns when verify is set. Restore stacks read-ahead, the
-// observed layer and the policy's counting layer on it; AnalyzeLayout
-// loads each image it names through it once.
-func (d *RestoreDriver) source(verify bool) restorecache.Fetcher {
-	fetch := restorecache.StoreFetcher(d.Store)
-	if verify {
-		return restorecache.NewVerifyingFetcher(fetch)
+// sourceFetcher is the bottom of every fetcher stack: a resident image
+// when the engine holds one, else a read of the store. Resident reads are
+// counted here, below read-ahead, so a restore's store reads plus
+// resident reads are every read that reached the bottom of its stack.
+type sourceFetcher struct {
+	store    restorecache.Fetcher
+	resident func(container.ID) *container.Container
+	reads    atomic.Uint64 // images served by resident
+}
+
+// Get implements restorecache.Fetcher.
+func (f *sourceFetcher) Get(ctx context.Context, id container.ID) (*container.Container, error) {
+	if f.resident != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if c := f.resident(id); c != nil {
+			f.reads.Add(1)
+			return c, nil
+		}
 	}
-	return fetch
+	return f.store.Get(ctx, id)
+}
+
+// source is the one fetcher that reads Store or Resident for a version.
+// With verify set it reads only the store and re-hashes what it returns:
+// a scrub-on-read checks the stored bytes, not the engine's memory.
+// Restore stacks read-ahead, the observed layer and the policy's counting
+// layer on it; AnalyzeLayout loads each image it names through it once.
+func (d *RestoreDriver) source(verify bool) *sourceFetcher {
+	store := restorecache.StoreFetcher(d.Store)
+	if verify {
+		return &sourceFetcher{store: restorecache.NewVerifyingFetcher(store)}
+	}
+	return &sourceFetcher{store: store, resident: d.Resident}
 }
 
 // resolve is the front half of every read path: version's recipe as
@@ -199,7 +232,8 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// policy's output is routed through the parallel out-of-order
 	// assembler; neither changes which containers the policy requests, so
 	// the identity holds at any depth and width.
-	fetch, done := restorecache.MaybePrefetch(d.source(verify), res.Entries, d.PrefetchDepth, d.Metrics)
+	src := d.source(verify)
+	fetch, done := restorecache.MaybePrefetch(src, res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
 	out := w
@@ -216,20 +250,27 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	if err != nil {
 		return RestoreReport{}, err
 	}
+	// Joined first, so a read-ahead fetch still in flight is either
+	// counted or never happened.
+	done()
+	resident := src.reads.Load()
 	if d.Metrics != nil {
 		d.Metrics.Restores.Inc()
 		d.Metrics.BytesRestored.Add(stats.BytesRestored)
 		d.Metrics.CacheHits.Add(stats.CacheHits)
 		d.Metrics.Chunks.Add(stats.Chunks)
+		d.Metrics.ResidentReads.Add(resident)
 	}
 	span.SetAttr("version", int64(version))
 	span.SetAttr("bytes", int64(stats.BytesRestored))
 	span.SetAttr("container_reads", int64(stats.ContainerReads))
+	span.SetAttr("resident_reads", int64(resident))
 	return RestoreReport{
 		Version:              version,
 		Stats:                stats,
 		Duration:             time.Since(start),
 		RecipeUpdateDuration: resolveDur,
 		RecipesRead:          recipesRead,
+		ResidentReads:        resident,
 	}, nil
 }

@@ -227,6 +227,7 @@ func New(cfg Config) (*Engine, error) {
 		PrefetchDepth:     cfg.PrefetchDepth,
 		Metrics:           obs.NewRestoreMetrics(cfg.Metrics),
 		Tracer:            cfg.Tracer,
+		Resident:          e.resident,
 	}
 	//hidelint:ignore ignored-ctx startup-time crash-recovery I/O (state load, recovery, anchor) runs before any request context exists; nothing upstream could cancel it
 	ctx := context.Background()
@@ -708,6 +709,17 @@ func (e *Engine) VerifyRestore(ctx context.Context, version int, w io.Writer) (b
 	return e.restoreWith(ctx, version, w, true)
 }
 
+// resident is the restore driver's Resident hook: the active image the
+// engine holds for id, nil for an archival ID. Once an operation has
+// returned, an image holds exactly the chunks activeByFP resolves to it,
+// and every chunk it holds has its fingerprint's bytes: the image was
+// written by this engine or CRC-checked when loadState reloaded it.
+// Restores are serialised with Backup, Delete and scrub steps, so no
+// image changes under one.
+func (e *Engine) resident(id container.ID) *container.Container {
+	return e.activeContainers[id]
+}
+
 // restoreWith runs the shared driver's restore, verifying or not. The
 // engine's part is resolving the recipe, and remembering that a recipe
 // whose pointers it followed is flat once the driver has stored it.
@@ -726,18 +738,13 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, veri
 
 // AnalyzeLayout implements backup.LayoutAnalyzer: version's
 // physical-locality profile (CFL, utilization, per-policy simulated
-// restore cost) from the reference stream Restore would replay, so its
-// container-read counts match a real restore's exactly. Nothing is
+// restore cost) from the reference stream Restore would replay, over the
+// images it would read — resident active images, stored archival ones —
+// so its container-read counts match a real restore's exactly. Nothing is
 // restored or changed: the pointers it follows are neither written back
-// nor marked flat. The stored images are the source, stale chunks of
-// write-once active images included (a policy may cache them); only
-// utilization asks the engine how much of an active image is still live.
+// nor marked flat.
 func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
-	live := make(map[container.ID]int, len(e.activeContainers))
-	for id, c := range e.activeContainers {
-		live[id] = c.LiveSize()
-	}
-	return e.restore.AnalyzeLayout(ctx, version, policies, live, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
+	return e.restore.AnalyzeLayout(ctx, version, policies, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
 		return e.resolve(ctx, rec, false)
 	})
 }

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
+	"hidestore/internal/fault"
 	"hidestore/internal/recipe"
 )
 
@@ -73,4 +78,65 @@ func TestReopenedStoreComparesResident(t *testing.T) {
 		t.Errorf("hashed %d of %d bytes after the reopen", rep.HashedBytes, rep.LogicalBytes)
 	}
 	backuptest.CheckRestoreAll(t, e, append(versions, newest))
+}
+
+// TestCorruptStoredActiveServedResident flips one payload byte of a
+// stored active image on a directory store. The newest version's plain
+// restore reads its active containers from the engine's memory, so it is
+// byte-identical, and it never reads the rotted image from the store:
+// that read would fail its CRC and the restore with it. The damage
+// surfaces where the stored bytes are read: a verifying restore of the
+// same version fails and names the container, and a scrub pass flags it.
+func TestCorruptStoredActiveServedResident(t *testing.T) {
+	e, cdir := scrubOpen(t, t.TempDir(), fault.NewInjector())
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(4, 0))
+	backuptest.BackupAll(t, e, versions)
+	victim := container.ID(0)
+	for id := range e.activeContainers {
+		victim = max(victim, id)
+	}
+	if victim == 0 {
+		t.Fatal("workload left no active container")
+	}
+	path := imagePath(cdir, victim)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1] ^= 0xFF // the image ends with its payload
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	newest := len(versions)
+	e.cfg.Store.ResetStats()
+	var buf bytes.Buffer
+	rep, err := e.Restore(context.Background(), newest, &buf)
+	if err != nil {
+		t.Fatalf("restore v%d over a rotted stored active image: %v", newest, err)
+	}
+	if !bytes.Equal(buf.Bytes(), versions[newest-1]) {
+		t.Fatalf("v%d restored bytes differ from the original", newest)
+	}
+	if reads := e.cfg.Store.Stats().Reads; reads+rep.ResidentReads != rep.Stats.ContainerReads || rep.ResidentReads == 0 {
+		t.Errorf("v%d: %d store reads + %d resident reads, %d counted", newest, reads, rep.ResidentReads, rep.Stats.ContainerReads)
+	}
+
+	_, err = e.VerifyRestore(context.Background(), newest, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("container %d", victim)) {
+		t.Fatalf("verifying restore of v%d: %v, want an error naming container %d", newest, err, victim)
+	}
+
+	flagged := false
+	for _, step := range scrubPass(t, e) {
+		if step.Corrupt != "" {
+			if step.Container != uint64(victim) {
+				t.Errorf("scrub flagged container %d, the rotted one is %d", step.Container, victim)
+			}
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Error("scrub pass missed the rotted active image")
+	}
 }

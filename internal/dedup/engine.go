@@ -327,7 +327,7 @@ func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (backup.
 // replays — the recipe as stored — so the simulated container-read counts
 // match a real restore's exactly.
 func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
-	return e.restore.AnalyzeLayout(ctx, version, policies, nil, nil)
+	return e.restore.AnalyzeLayout(ctx, version, policies, nil)
 }
 
 // Delete implements backup.Engine: the traditional mark-and-sweep path

@@ -274,10 +274,11 @@ func restoreDiscard(e backup.Engine, version int) (backup.RestoreReport, error) 
 	return e.Restore(context.Background(), version, io.Discard)
 }
 
-// restoreVerify restores and checks the bytes against want.
-func restoreVerify(e backup.Engine, version int, want []byte) (backup.RestoreReport, error) {
+// restoreVerify restores through restore (an engine's Restore or
+// VerifyRestore) and checks the bytes against want.
+func restoreVerify(restore func(context.Context, int, io.Writer) (backup.RestoreReport, error), version int, want []byte) (backup.RestoreReport, error) {
 	var buf bytes.Buffer
-	rep, err := e.Restore(context.Background(), version, &buf)
+	rep, err := restore(context.Background(), version, &buf)
 	if err != nil {
 		return rep, err
 	}

@@ -83,7 +83,7 @@ func Figure11(workloadName string, opts Options) (*Figure11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := restoreVerify(e, gen.Version(), want)
+			rep, err := restoreVerify(e.Restore, gen.Version(), want)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
 			}

@@ -203,7 +203,13 @@ func backupChain(e backup.Engine, versions [][]byte) error {
 }
 
 // runRestoreScaleCell backs up the chain and restores the newest version
-// with the container store behind a fresh remote simulator.
+// with the container store behind a fresh remote simulator. The sweep
+// prices storage reads, so every counted container must come from the
+// remote: HiDeStore cells restore through VerifyRestore, because a plain
+// restore serves the active containers from the engine's memory and the
+// remote would see only the archival reads. The re-hash that adds is
+// client CPU, which ModeledMS does not time; the reads, their bytes and
+// their modeled cost are the plain restore's.
 func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, scheme string, depth int, latency time.Duration) (RestoreScaleCell, error) {
 	stack, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{
 		Sim: backend.SimOptions{
@@ -223,8 +229,12 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, scheme
 	if err := backupChain(e, versions); err != nil {
 		return RestoreScaleCell{}, err
 	}
+	restore := e.Restore
+	if h, ok := e.(*core.Engine); ok {
+		restore = h.VerifyRestore
+	}
 	before := sim.Stats()
-	rep, err := restoreVerify(e, len(versions), versions[len(versions)-1])
+	rep, err := restoreVerify(restore, len(versions), versions[len(versions)-1])
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}

@@ -93,12 +93,9 @@ func (m memFetcher) Get(ctx context.Context, id container.ID) (*container.Contai
 // forward references first). Each referenced container is read from
 // fetch exactly once, in first-reference order; capacity <= 0 means
 // container.DefaultCapacity; a nil policies slice means
-// DefaultPolicies, an empty one skips simulation. live overrides the
-// live payload Utilization counts for the containers it lists: an engine
-// whose stored images outlive some of their chunks (HiDeStore's
-// write-once active containers) passes its own view of those; for every
-// other container the image is authoritative.
-func Analyze(ctx context.Context, version int, entries []recipe.Entry, fetch restorecache.Fetcher, capacity int, policies []string, live map[container.ID]int) (*Report, error) {
+// DefaultPolicies, an empty one skips simulation. Utilization counts each
+// image's own LiveSize, so fetch must serve the images a restore reads.
+func Analyze(ctx context.Context, version int, entries []recipe.Entry, fetch restorecache.Fetcher, capacity int, policies []string) (*Report, error) {
 	if capacity <= 0 {
 		capacity = container.DefaultCapacity
 	}
@@ -128,11 +125,7 @@ func Analyze(ctx context.Context, version int, entries []recipe.Entry, fetch res
 			loaded[id] = ctn
 			order = append(order, id)
 			rep.ContainerBytes += uint64(ctn.DataSize())
-			liveBytes, ok := live[id]
-			if !ok {
-				liveBytes = ctn.LiveSize()
-			}
-			rep.Utilization += float64(liveBytes) // summed, normalized below
+			rep.Utilization += float64(ctn.LiveSize()) // summed, normalized below
 		}
 		ce, ok := ctn.Entry(e.FP)
 		if !ok {

@@ -235,7 +235,7 @@ func TestAnalyzeReportShape(t *testing.T) {
 func TestAnalyzeRejectsUnresolvedEntries(t *testing.T) {
 	entries := []recipe.Entry{{Size: 10, CID: 0}}
 	_, err := layout.Analyze(context.Background(), 1, entries,
-		restorecache.StoreFetcher(container.NewMemStore()), 0, nil, nil)
+		restorecache.StoreFetcher(container.NewMemStore()), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "unresolved") {
 		t.Fatalf("want unresolved-entry error, got %v", err)
 	}
@@ -244,7 +244,7 @@ func TestAnalyzeRejectsUnresolvedEntries(t *testing.T) {
 // TestAnalyzeUnknownPolicy surfaces the restorecache factory error.
 func TestAnalyzeUnknownPolicy(t *testing.T) {
 	_, err := layout.Analyze(context.Background(), 1, nil,
-		restorecache.StoreFetcher(container.NewMemStore()), 0, []string{"nope"}, nil)
+		restorecache.StoreFetcher(container.NewMemStore()), 0, []string{"nope"})
 	if err == nil {
 		t.Fatal("unknown policy must fail")
 	}

@@ -108,6 +108,7 @@ type RestoreMetrics struct {
 	CacheHits      *Counter
 	Chunks         *Counter
 	RecipeReads    *Counter // identical by construction to Σ RestoreReport.RecipesRead
+	ResidentReads  *Counter // identical by construction to Σ RestoreReport.ResidentReads
 
 	RecipeReadNS     *Histogram // the restored version's own Recipes.Get
 	FlattenNS        *Histogram // following one version's forward pointers into newer recipes
@@ -136,6 +137,7 @@ func NewRestoreMetrics(r *Registry) *RestoreMetrics {
 		CacheHits:      r.Counter("hidestore_restore_cache_hits_total", "chunks served without a container read"),
 		Chunks:         r.Counter("hidestore_restore_chunks_total", "chunk references restored"),
 		RecipeReads:    r.Counter("hidestore_restore_recipe_reads_total", "recipe reads issued by restores (the version's own plus newer ones its forward pointers led to)"),
+		ResidentReads:  r.Counter("hidestore_restore_resident_reads_total", "container reads served from the engine's in-memory active images instead of the store"),
 
 		RecipeReadNS:     r.Histogram("hidestore_stage_recipe_read_ns", "per-restore recipe read latency (ns)"),
 		FlattenNS:        r.Histogram("hidestore_stage_flatten_ns", "per-restore latency of following forward pointers into newer recipes (ns)"),

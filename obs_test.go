@@ -3,6 +3,7 @@ package hidestore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -17,7 +18,9 @@ import (
 // the trace's container.fetch span count, the per-run
 // restorecache.Stats totals (surfaced as RestoreReport.ContainerReads)
 // and the registry's cumulative counter are all equal — the three views
-// observe the same reads at the same layer, by construction.
+// observe the same reads at the same layer, by construction. The reads
+// served from resident active images are one such subset, counted once
+// too: report, registry and the restore spans' attribute agree.
 func TestObservabilityAccountingIdentity(t *testing.T) {
 	versions := testVersions(t, 4)
 	var traceBuf bytes.Buffer
@@ -33,7 +36,7 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var statsReads, recipeReads uint64
+	var statsReads, recipeReads, residentReads uint64
 	for i := range versions {
 		rep, err := sys.Restore(ctx, i+1, io.Discard)
 		if err != nil {
@@ -41,6 +44,7 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 		}
 		statsReads += rep.ContainerReads
 		recipeReads += rep.RecipesRead
+		residentReads += rep.ResidentReads
 	}
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
@@ -67,6 +71,23 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 	}
 	if recipeReads <= uint64(len(versions)) {
 		t.Fatalf("test degenerate: %d recipe reads for %d restores, no forward pointer followed", recipeReads, len(versions))
+	}
+	// Resident reads: report, registry and span attribute agree, and are
+	// some but not more than all of the container reads.
+	var spanResident uint64
+	for _, line := range bytes.Split(traceBuf.Bytes(), []byte("\n")) {
+		var rec obs.TraceRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Name == "restore" {
+			spanResident += uint64(rec.Attrs["resident_reads"])
+		}
+	}
+	counterResident := uint64(reg.Snapshot().Counters["hidestore_restore_resident_reads_total"].Value)
+	if counterResident != residentReads || spanResident != residentReads {
+		t.Errorf("resident reads: %d in the reports, %d in the registry, %d on the restore spans",
+			residentReads, counterResident, spanResident)
+	}
+	if residentReads == 0 || residentReads > statsReads {
+		t.Errorf("%d resident reads of %d container reads", residentReads, statsReads)
 	}
 	// The restore spans themselves must be present too.
 	if got := sum.SpanCount("restore"); got != len(versions) {

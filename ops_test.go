@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,5 +219,61 @@ func TestOpsEndpointsOnDebugServer(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown with handlers mounted: %v", err)
+	}
+}
+
+// TestResidentRestoreWhileScrubbing: restores at assembly width 4 and
+// read-ahead depth 8 serve the active containers from the engine's
+// memory while the online scrubber steps through the same containers on
+// its own goroutine. Each step and each restore holds the system lock,
+// so no image changes under a restore's read-ahead or assembly workers;
+// run under -race.
+func TestResidentRestoreWhileScrubbing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // min(GOMAXPROCS, 4) span workers
+	versions := testVersions(t, 4)
+	sys, err := Open(Config{Dir: t.TempDir(), ContainerSize: 64 << 10, PrefetchDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, v := range versions {
+		if _, err := sys.Backup(ctx, bytes.NewReader(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var steps atomic.Int64
+	stop, err := sys.StartScrub(ScrubOptions{
+		ThrottleMBps: -1,
+		OnStep: func(rep backup.ScrubStepReport, err error) {
+			if err != nil || rep.Corrupt != "" {
+				t.Errorf("scrub step: %+v, %v", rep, err)
+			}
+			steps.Add(1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var resident uint64
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; round < 8 || (steps.Load() < 8 && time.Now().Before(deadline)); round++ {
+		v := len(versions) - round%len(versions)
+		var buf bytes.Buffer
+		rep, err := sys.Restore(ctx, v, &buf)
+		if err != nil {
+			t.Fatalf("restore v%d: %v", v, err)
+		}
+		if !bytes.Equal(buf.Bytes(), versions[v-1]) {
+			t.Fatalf("v%d restored bytes differ from the original", v)
+		}
+		resident += rep.ResidentReads
+	}
+	stop()
+	if steps.Load() == 0 {
+		t.Error("the scrubber took no step while the restores ran")
+	}
+	if resident == 0 {
+		t.Error("no restore read a resident image")
 	}
 }
