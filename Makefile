@@ -86,7 +86,10 @@ restore-bench:
 # appends to v1 and v3 drops v1's second half, so chunks v1's recipe
 # points forward to go cold: the restore has
 # forward pointers to follow, and its recipe.flatten record — the
-# "resolve:" line — must reach the report. This is the one copy of the
+# "resolve:" line — must reach the report. A second store takes v1 and
+# v2 through the CLI's simulated remote (-backend remote -backend-latency
+# 1ms, the two backend flags there are) and must restore v1 byte for
+# byte. This is the one copy of the
 # script: CI runs it through `make check OBS_ARTIFACTS=artifacts`, which
 # keeps the trace, the metrics dump and the reports for upload; by default
 # they sit in the scratch dir and go with it.
@@ -110,6 +113,10 @@ observatory-smoke:
 	.obs-smoke/hs checkmetrics $(OBS_ARTIFACTS)/metrics.prom
 	.obs-smoke/hs -dir .obs-smoke/store -json analyze > $(OBS_ARTIFACTS)/layout_smoke.json
 	cat $(OBS_ARTIFACTS)/layout_smoke.json
+	.obs-smoke/hs -dir .obs-smoke/remote -backend remote -backend-latency 1ms backup .obs-smoke/v1.bin
+	.obs-smoke/hs -dir .obs-smoke/remote -backend remote -backend-latency 1ms backup .obs-smoke/v2.bin
+	.obs-smoke/hs -dir .obs-smoke/remote -backend remote -backend-latency 1ms -o .obs-smoke/remote-v1.bin restore 1
+	cmp .obs-smoke/v1.bin .obs-smoke/remote-v1.bin
 	rm -rf .obs-smoke
 
 # The benchmark (BENCHMARK.json, benchmark/) is a nested module that

@@ -163,13 +163,11 @@ func BenchmarkBackupThroughput(b *testing.B) {
 }
 
 // BenchmarkRestoreFileStore measures restore throughput against a
-// file-backed store, serial vs prefetched. Unlike the in-memory
-// benchmarks this one pays a real open/read/decode per container, which
-// is the latency the read-ahead pipeline exists to hide; the speed
-// factor is identical in both modes by construction.
+// file-backed store. Unlike the in-memory benchmarks this one pays a
+// real open/read/decode per archival container, which is the latency
+// the read-ahead pipeline exists to hide.
 func BenchmarkRestoreFileStore(b *testing.B) {
-	dir := b.TempDir()
-	sys, err := Open(Config{Dir: dir, ContainerSize: 256 << 10})
+	sys, err := Open(Config{Dir: b.TempDir(), ContainerSize: 256 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,30 +190,16 @@ func BenchmarkRestoreFileStore(b *testing.B) {
 		}
 		last = rep.LogicalBytes
 	}
-	for _, mode := range []struct {
-		name  string
-		depth int
-	}{
-		{"serial", -1},
-		{"prefetch", 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, err := Open(Config{Dir: dir, ContainerSize: 256 << 10, PrefetchDepth: mode.depth})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(last))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := sys.Restore(context.Background(), 5, io.Discard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(rep.SpeedFactor, "speed-factor")
-				}
-			}
-		})
+	b.SetBytes(int64(last))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sys.Restore(context.Background(), 5, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(rep.SpeedFactor, "speed-factor")
+		}
 	}
 }
 

@@ -80,7 +80,6 @@ func runCtx(ctx context.Context, args []string) error {
 		alg      = fs.String("chunker", "tttd", "chunking algorithm: tttd|rabin|fastcdc|ae|fixed")
 		ctnSize  = fs.Int("container", 4<<20, "container size in bytes")
 		cache    = fs.String("restore-cache", "faa", "restore cache: faa|alacc|container-lru|chunk-lru|opt")
-		prefetch = fs.Int("prefetch", 0, "restore read-ahead depth in containers (0 = default, negative disables)")
 		compress = fs.Bool("compress", false, "DEFLATE-compress containers at rest")
 		repair   = fs.Bool("repair", false, "fsck only: quarantine corrupt containers and name affected versions")
 		throttle = fs.Float64("scrub-throttle", 0, "scrub only: verification I/O cap in MB/s (0 = default 32, negative = unthrottled)")
@@ -91,14 +90,8 @@ func runCtx(ctx context.Context, args []string) error {
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics, expvar and pprof on ADDR for the life of the command")
 		metricsOut = fs.String("metrics-out", "", "dump the Prometheus exposition to FILE on exit")
 
-		backendKind  = fs.String("backend", "local", "storage backend: local|remote (remote simulates a high-latency store with retry, rate limiting and a local container cache)")
-		backendLat   = fs.Duration("backend-latency", 0, "remote backend: simulated per-operation round-trip")
-		backendBW    = fs.Float64("backend-bandwidth", 0, "remote backend: simulated payload bandwidth in MB/s (0 = unlimited)")
-		backendErrs  = fs.Float64("backend-err-rate", 0, "remote backend: injected transient-failure probability per op (0..1)")
-		backendSeed  = fs.Int64("backend-seed", 0, "remote backend: seed for the injected-failure stream")
-		backendTries = fs.Int("backend-retries", 0, "remote backend: per-op attempt budget for transient failures (0 = default 4)")
-		backendRate  = fs.Float64("backend-rate-limit", 0, "remote backend: client-side throughput cap in MB/s (0 = off)")
-		backendCache = fs.Int("backend-cache-mb", 0, "remote backend: persistent local container-read cache size in MB (0 = off)")
+		backendKind = fs.String("backend", "local", "storage backend: local|remote (remote simulates a high-latency store behind a retry layer)")
+		backendLat  = fs.Duration("backend-latency", 0, "remote backend: simulated per-operation round-trip")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: hidestore -dir DIR <fsck|scrub|verify|flatten|backup|backup-dir|restore|restore-dir|delete|versions|stats|analyze> [args]")
@@ -143,20 +136,10 @@ func runCtx(ctx context.Context, args []string) error {
 		Chunker:       *alg,
 		ContainerSize: *ctnSize,
 		RestoreCache:  *cache,
-		PrefetchDepth: *prefetch,
 		Compress:      *compress,
 		Metrics:       reg,
 		Tracer:        tracer,
-		Backend: hidestore.BackendConfig{
-			Kind:          *backendKind,
-			Latency:       *backendLat,
-			BandwidthMBps: *backendBW,
-			ErrRate:       *backendErrs,
-			Seed:          *backendSeed,
-			Retries:       *backendTries,
-			RateLimitMBps: *backendRate,
-			CacheMB:       *backendCache,
-		},
+		Backend:       hidestore.BackendConfig{Kind: *backendKind, Latency: *backendLat},
 	})
 	if err != nil {
 		//hidelint:ignore discarded-error tracer teardown on the Open error path; the Open failure is the error that matters

@@ -129,7 +129,7 @@ func TestFsckRepairReportsImagePath(t *testing.T) {
 		images  string // the container directory under Dir
 	}{
 		{"local", BackendConfig{}, "containers"},
-		{"remote", BackendConfig{Kind: "remote", SleepScale: -1}, filepath.Join("remote", "containers")},
+		{"remote", BackendConfig{Kind: "remote"}, filepath.Join("remote", "containers")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

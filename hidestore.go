@@ -74,12 +74,6 @@ type Config struct {
 	// RestoreCache selects the restore strategy: "faa" (default),
 	// "alacc", "container-lru", "chunk-lru" or "opt".
 	RestoreCache string
-	// PrefetchDepth bounds the restore read-ahead window in distinct
-	// containers: 0 selects the default (8), negative disables
-	// prefetching. Read-ahead overlaps container reads with chunk
-	// assembly; it never changes which containers are read, so restore
-	// stats (container reads, speed factor) are identical either way.
-	PrefetchDepth int
 	// MergeUtilization is the active-container utilization below which
 	// containers are merged after each version (default 0.5).
 	MergeUtilization float64
@@ -104,43 +98,43 @@ type Config struct {
 }
 
 // BackendConfig configures the storage-backend stack (internal/backend):
-// a simulated remote with latency, bandwidth and transient faults,
-// wrapped by retry/backoff, an optional rate limiter and a persistent
-// local read cache for container fetches. See DESIGN.md "Storage
-// backends".
+// a simulated remote with latency and transient faults, wrapped by
+// retry/backoff. See DESIGN.md "Storage backends".
 type BackendConfig struct {
 	// Kind selects the stack: "" or "local" is the plain filesystem
 	// (or in-memory) store; "remote" interposes the simulated-remote
 	// stack between the stores and their bytes.
 	Kind string
-	// Latency is the simulated per-operation round-trip.
+	// Latency is the simulated per-operation round-trip (remote only).
 	Latency time.Duration
-	// BandwidthMBps caps simulated payload transfer (MB/s); 0 means
-	// unlimited.
-	BandwidthMBps float64
-	// ErrRate injects transient failures with this per-op probability
-	// (0..1); the retry layer absorbs them.
+	// ErrRate injects transient failures with this per-op probability,
+	// in [0, 1) (remote only); the retry layer absorbs them.
 	ErrRate float64
 	// Seed makes the injected-failure stream deterministic.
 	Seed int64
-	// SleepScale scales the simulator's real sleeps: 0 sleeps in full,
-	// negative disables real sleeping while keeping the deterministic
-	// time model (experiments sweeping multi-ms latencies use -1).
-	SleepScale float64
-	// Retries is the per-op attempt budget of the retry layer
-	// (default 4). Only transient errors are retried; a missing
-	// container fails fast.
-	Retries int
-	// RetryMinDelay is the backoff floor before the first retry
-	// (default 10ms; doubles per retry with jitter, capped at 1s).
-	RetryMinDelay time.Duration
-	// RateLimitMBps caps client-side payload throughput with a token
-	// bucket (MB/s); 0 disables the limiter.
-	RateLimitMBps float64
-	// CacheMB bounds the persistent local read cache for container
-	// fetches (MB); 0 disables the cache. The cache needs a Dir and is
-	// ignored for in-memory systems.
-	CacheMB int
+}
+
+// validate rejects remote settings the stack would ignore or could not
+// honor: latency or faults on a local store, a negative latency, and an
+// error rate of 1 or more, under which every retry fails forever.
+func (b BackendConfig) validate() (remote bool, err error) {
+	switch b.Kind {
+	case "", "local":
+		if b.Latency != 0 || b.ErrRate != 0 {
+			return false, fmt.Errorf("hidestore: backend latency and error rate need kind %q, not %q", "remote", b.Kind)
+		}
+		return false, nil
+	case "remote":
+	default:
+		return false, fmt.Errorf("hidestore: unknown backend kind %q", b.Kind)
+	}
+	if b.Latency < 0 {
+		return false, fmt.Errorf("hidestore: negative backend latency %v", b.Latency)
+	}
+	if b.ErrRate < 0 || b.ErrRate >= 1 {
+		return false, fmt.Errorf("hidestore: backend error rate %v outside [0, 1)", b.ErrRate)
+	}
+	return true, nil
 }
 
 func (c Config) chunkParams() chunker.Params {
@@ -177,13 +171,9 @@ type storeSet struct {
 //
 // Corrupt images go to containers/quarantine/ (remote/containers/quarantine/).
 func (c Config) stores() (storeSet, error) {
-	var remote bool
-	switch c.Backend.Kind {
-	case "", "local":
-	case "remote":
-		remote = true
-	default:
-		return storeSet{}, fmt.Errorf("hidestore: unknown backend kind %q", c.Backend.Kind)
+	remote, err := c.Backend.validate()
+	if err != nil {
+		return storeSet{}, err
 	}
 	var set storeSet
 	if c.Dir == "" && !remote {
@@ -217,7 +207,12 @@ func (c Config) stores() (storeSet, error) {
 			if !remote {
 				return base, dir, nil
 			}
-			top, err := c.remoteStack(base, seedOffset, sub == "containers", mx)
+			top, _, err := backend.NewStack(base, backend.StackOptions{
+				Sim:     backend.SimOptions{Latency: c.Backend.Latency, ErrRate: c.Backend.ErrRate, Seed: c.Backend.Seed + seedOffset},
+				Retry:   backend.RetryOptions{Seed: c.Backend.Seed + seedOffset},
+				Metrics: mx,
+				Tracer:  c.Tracer,
+			})
 			return top, dir, err
 		}
 		cb, cdir, err := plane("containers", 0)
@@ -243,37 +238,6 @@ func (c Config) stores() (storeSet, error) {
 		set.containers = ccs
 	}
 	return set, nil
-}
-
-// remoteStack wraps one plane's base backend in the simulated-remote
-// stack (latency, retry, optional rate limit). Container fetches
-// additionally go through the persistent local read cache at Dir/cache,
-// which needs a Dir.
-func (c Config) remoteStack(base backend.Backend, seedOffset int64, withCache bool, mx *obs.BackendMetrics) (backend.Backend, error) {
-	b := c.Backend
-	opts := backend.StackOptions{
-		Sim: backend.SimOptions{
-			Latency:      b.Latency,
-			BandwidthBps: b.BandwidthMBps * (1 << 20),
-			ErrRate:      b.ErrRate,
-			Seed:         b.Seed + seedOffset,
-			SleepScale:   b.SleepScale,
-		},
-		Retry: backend.RetryOptions{
-			Tries:    b.Retries,
-			MinDelay: b.RetryMinDelay,
-			Seed:     b.Seed + seedOffset,
-		},
-		RateBps: b.RateLimitMBps * (1 << 20),
-		Metrics: mx,
-		Tracer:  c.Tracer,
-	}
-	if withCache && c.Dir != "" && b.CacheMB > 0 {
-		opts.CacheDir = filepath.Join(c.Dir, "cache")
-		opts.CacheBytes = int64(b.CacheMB) << 20
-	}
-	top, _, err := backend.NewStack(base, opts)
-	return top, err
 }
 
 func (c Config) chunkerAlg() (chunker.Algorithm, error) {
@@ -417,7 +381,6 @@ func Open(cfg Config) (*System, error) {
 		Window:            cfg.Window,
 		MergeUtilization:  cfg.MergeUtilization,
 		RestoreCache:      rc,
-		PrefetchDepth:     cfg.PrefetchDepth,
 		State:             set.state,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
@@ -486,7 +449,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 		Store:             set.containers,
 		Recipes:           set.recipes,
 		ContainerCapacity: cfg.ContainerSize,
-		PrefetchDepth:     cfg.PrefetchDepth,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})

@@ -7,12 +7,12 @@
 // with latency, bandwidth caps and transient faults. Layers compose by
 // wrapping (restic-style):
 //
-//	Cache( Retry( Limiter( RemoteSim( Local ))))
+//	Observer( Retry( Meter( RemoteSim( Local ))))
 //
 // The composition rules are part of the design (DESIGN.md "Storage
-// backends"): the retry layer sits above the limiter so every attempt
-// is rate-limited, and the read cache sits on top so cache hits skip
-// the whole remote path.
+// backends"): the meter sits directly on the simulator, so it counts
+// every attempt that reached the remote once, and the retry layer above
+// it re-attempts only transient failures.
 //
 // Error taxonomy: a missing blob is ErrNotFound and must fail fast
 // through every layer — retrying it cannot help and hides real bugs.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"hidestore/internal/durable"
-	"hidestore/internal/obs"
 )
 
 // backendsUnderTest builds every Backend configuration the blob-level
@@ -23,8 +22,7 @@ func backendsUnderTest(t *testing.T) map[string]Backend {
 	if err != nil {
 		t.Fatalf("NewLocal: %v", err)
 	}
-	stackDir := t.TempDir()
-	stackBase, err := NewLocal(filepath.Join(stackDir, "remote"))
+	stackBase, err := NewLocal(filepath.Join(t.TempDir(), "remote"))
 	if err != nil {
 		t.Fatalf("NewLocal: %v", err)
 	}
@@ -33,10 +31,7 @@ func backendsUnderTest(t *testing.T) map[string]Backend {
 			FailEveryN: 5, // deterministic transient faults, absorbed by retry
 			Seed:       42,
 		},
-		Retry:      RetryOptions{MinDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
-		RateBps:    1 << 30,
-		CacheDir:   filepath.Join(stackDir, "cache"),
-		CacheBytes: 1 << 20,
+		Retry: RetryOptions{MinDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatalf("NewStack: %v", err)
@@ -353,58 +348,6 @@ func TestRetryNotFoundFailsFast(t *testing.T) {
 	}
 }
 
-func TestLimiterPacesThroughput(t *testing.T) {
-	var clock time.Time
-	var slept time.Duration
-	l := NewLimiter(NewMem(), 1000, 1000) // 1000 B/s, 1000 B burst
-	l.now = func() time.Time { return clock }
-	l.last = clock
-	l.sleep = func(_ context.Context, d time.Duration) error {
-		slept += d
-		clock = clock.Add(d)
-		return nil
-	}
-	ctx := context.Background()
-	// First 1000 bytes ride the burst; the next 500 must be paid for.
-	if err := l.Put(ctx, "a", make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if slept != 0 {
-		t.Fatalf("burst-sized write slept %v", slept)
-	}
-	if err := l.Put(ctx, "b", make([]byte, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if want := 500 * time.Millisecond; slept != want {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-}
-
-func TestLimiterChargesGets(t *testing.T) {
-	mem := NewMem()
-	ctx := context.Background()
-	if err := mem.Put(ctx, "x", make([]byte, 600)); err != nil {
-		t.Fatal(err)
-	}
-	var clock time.Time
-	var slept time.Duration
-	l := NewLimiter(mem, 100, 100)
-	l.now = func() time.Time { return clock }
-	l.last = clock
-	l.sleep = func(_ context.Context, d time.Duration) error {
-		slept += d
-		clock = clock.Add(d)
-		return nil
-	}
-	if _, err := l.Get(ctx, "x"); err != nil {
-		t.Fatal(err)
-	}
-	// 600 bytes against a 100-token burst leaves 500 tokens of debt.
-	if want := 5 * time.Second; slept != want {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-}
-
 // TestMemGetDuringPut pins that Mem.Get, which copies outside the lock,
 // returns a whole old or a whole new blob while Puts replace the same
 // name: Put stores a fresh copy and never writes into a stored slice.
@@ -462,174 +405,22 @@ func TestMemGetDuringPut(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCacheHitSkipsRemote(t *testing.T) {
-	dir := t.TempDir()
-	mem := NewMem()
-	ctx := context.Background()
-	if err := mem.Put(ctx, "c_1.ctn", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	sim := NewRemoteSim(mem, SimOptions{})
-	mx := obs.NewBackendMetrics(obs.NewRegistry())
-	c, err := NewCache(sim, dir, 1<<20, mx)
-	if err != nil {
-		t.Fatalf("NewCache: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := c.Get(ctx, "c_1.ctn")
-		if err != nil || string(got) != "payload" {
-			t.Fatalf("Get #%d = %q, %v", i, got, err)
-		}
-	}
-	if ops := sim.Stats().Ops; ops != 1 {
-		t.Fatalf("remote saw %d ops, want 1 (cache misses only)", ops)
-	}
-	if h, m := mx.CacheHits.Value(), mx.CacheMisses.Value(); h != 2 || m != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 2/1", h, m)
-	}
-	if mx.CacheBytes.Value() != int64(len("payload")) {
-		t.Fatalf("CacheBytes = %d, want %d", mx.CacheBytes.Value(), len("payload"))
-	}
-}
-
-func TestCacheSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	mem := NewMem()
-	ctx := context.Background()
-	if err := mem.Put(ctx, "c_1.ctn", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	sim := NewRemoteSim(mem, SimOptions{})
-	c, err := NewCache(sim, dir, 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "c_1.ctn"); err != nil {
-		t.Fatal(err)
-	}
-	// Drop a stale temp to verify reopen sweeps it.
-	stale := filepath.Join(dir, durable.TempPrefix+"stale")
-	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen over the same directory: the entry must be served without
-	// touching the remote.
-	c2, err := NewCache(sim, dir, 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := sim.Stats().Ops
-	got, err := c2.Get(ctx, "c_1.ctn")
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("Get after reopen = %q, %v", got, err)
-	}
-	if sim.Stats().Ops != before {
-		t.Fatal("reopened cache read through to the remote")
-	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("reopen did not sweep the stale temp file")
-	}
-}
-
-func TestCacheEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
-	mem := NewMem()
-	ctx := context.Background()
-	for i := 1; i <= 3; i++ {
-		if err := mem.Put(ctx, fmt.Sprintf("c_%d.ctn", i), make([]byte, 400)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim := NewRemoteSim(mem, SimOptions{})
-	mx := obs.NewBackendMetrics(obs.NewRegistry())
-	c, err := NewCache(sim, dir, 1000, mx) // fits two 400-byte blobs
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, err := c.Get(ctx, fmt.Sprintf("c_%d.ctn", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ev := mx.CacheEvictions.Value(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	// c_1 was evicted; re-reading it must go remote.
-	before := sim.Stats().Ops
-	if _, err := c.Get(ctx, "c_1.ctn"); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Stats().Ops != before+1 {
-		t.Fatal("evicted entry served from cache")
-	}
-	// On-disk footprint matches the index.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := 0
-	for _, e := range entries {
-		if !e.IsDir() {
-			files++
-		}
-	}
-	if files != 2 {
-		t.Fatalf("%d cache files on disk, want 2", files)
-	}
-}
-
-func TestCacheInvalidatesBeforeWrite(t *testing.T) {
-	dir := t.TempDir()
-	mem := NewMem()
-	ctx := context.Background()
-	if err := mem.Put(ctx, "c_1.ctn", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCache(mem, dir, 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "c_1.ctn"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(ctx, "c_1.ctn", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(ctx, "c_1.ctn")
-	if err != nil || string(got) != "v2" {
-		t.Fatalf("Get after overwrite = %q, %v; want v2 (stale cache?)", got, err)
-	}
-	if err := c.Delete(ctx, "c_1.ctn"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "c_1.ctn"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after delete = %v, want ErrNotFound", err)
-	}
-}
-
 // TestErrNotFoundThroughComposedStack is the satellite audit: the
 // sentinel must survive every layer, and the retry layer must not
 // re-attempt a missing blob.
 func TestErrNotFoundThroughComposedStack(t *testing.T) {
-	dir := t.TempDir()
-	base, err := NewLocal(filepath.Join(dir, "remote"))
+	base, err := NewLocal(filepath.Join(t.TempDir(), "remote"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := NewRemoteSim(base, SimOptions{})
-	meter := NewMeter(sim, nil)
-	limiter := NewLimiter(meter, 1<<30, 0)
-	retry := NewRetry(limiter, RetryOptions{
+	retry := NewRetry(NewMeter(sim, nil), RetryOptions{
 		Sleep: func(context.Context, time.Duration) error {
 			t.Fatal("retry backoff ran for ErrNotFound")
 			return nil
 		},
 	})
-	cache, err := NewCache(retry, filepath.Join(dir, "cache"), 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := NewObserver(cache, nil, nil)
+	top := NewObserver(retry, nil, nil)
 
 	if _, err := top.Get(context.Background(), "c_404.ctn"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("composed Get(missing) = %v, want errors.Is ErrNotFound", err)

@@ -9,8 +9,8 @@ import (
 
 // Meter counts the traffic that passes through it into a BackendMetrics
 // bundle. Placed directly above the remote layer it counts remote ops,
-// payload bytes and transient failures — the cache sits higher, so
-// cache hits never reach it.
+// payload bytes and transient failures — the retry layer sits higher,
+// so each attempt is counted once.
 type Meter struct {
 	inner Backend
 	mx    *obs.BackendMetrics
@@ -72,7 +72,7 @@ func (m *Meter) List(ctx context.Context, prefix string) ([]string, error) {
 }
 
 // Observer sits at the top of a backend stack and records per-read
-// fetch latency (through every layer below, cache hits included) and
+// fetch latency (through every layer below, retries included) and
 // trace spans for reads and writes. Metadata ops pass through.
 type Observer struct {
 	inner  Backend

@@ -5,40 +5,27 @@ import (
 )
 
 // StackOptions assembles the canonical remote stack over a base
-// backend. Zero values disable the optional layers.
+// backend.
 type StackOptions struct {
 	// Sim configures the remote simulator (always present in a stack —
 	// a zero SimOptions is a perfect remote with no latency or faults).
 	Sim SimOptions
 	// Retry configures the retry layer (zero fields take defaults).
 	Retry RetryOptions
-	// RateBps caps payload throughput in bytes/second; 0 disables the
-	// limiter.
-	RateBps float64
-	// CacheDir and CacheBytes enable the persistent read cache when
-	// both are set; the cache fronts container fetches only, so recipe
-	// and state stacks leave them zero.
-	CacheDir   string
-	CacheBytes int64
 	// Metrics and Tracer wire the stack into the observability plane
 	// (both may be nil).
 	Metrics *obs.BackendMetrics
 	Tracer  *obs.Tracer
 }
 
-// NewStack composes base into Observer(Cache(Retry(Limiter(Meter(
-// RemoteSim(base)))))): the cache sits above the retry layer so hits
-// skip the whole remote path, retry sits above the limiter so every
-// attempt is paced, and the meter hugs the simulator so it counts only
-// traffic that actually reached the remote. The returned *RemoteSim
-// exposes the deterministic traffic counters the experiment harness
-// reports.
+// NewStack composes base into Observer(Retry(Meter(RemoteSim(base)))):
+// the meter hugs the simulator so it counts only traffic that actually
+// reached the remote, once per attempt, and the observer above the retry
+// layer times each operation as the store sees it. The returned
+// *RemoteSim exposes the deterministic traffic counters the experiment
+// harness reports. The error is always nil: every layer opens in memory.
 func NewStack(base Backend, opts StackOptions) (Backend, *RemoteSim, error) {
 	sim := NewRemoteSim(base, opts.Sim)
-	var b Backend = NewMeter(sim, opts.Metrics)
-	if opts.RateBps > 0 {
-		b = NewLimiter(b, opts.RateBps, 0)
-	}
 	retryOpts := opts.Retry
 	if mx := opts.Metrics; mx != nil {
 		prev := retryOpts.OnRetry
@@ -49,13 +36,6 @@ func NewStack(base Backend, opts StackOptions) (Backend, *RemoteSim, error) {
 			}
 		}
 	}
-	b = NewRetry(b, retryOpts)
-	if opts.CacheDir != "" && opts.CacheBytes > 0 {
-		c, err := NewCache(b, opts.CacheDir, opts.CacheBytes, opts.Metrics)
-		if err != nil {
-			return nil, nil, err
-		}
-		b = c
-	}
+	b := NewRetry(NewMeter(sim, opts.Metrics), retryOpts)
 	return NewObserver(b, opts.Metrics, opts.Tracer), sim, nil
 }

@@ -11,8 +11,8 @@ import (
 	"hidestore/internal/obs"
 )
 
-// composedStack builds the full remote-sim × retry × cache stack the
-// CLI's remote backend uses, with deterministic fault injection tuned
+// composedStack builds the full remote-sim × retry stack the CLI's
+// remote backend uses, with deterministic fault injection tuned
 // so the retry layer absorbs every transient.
 func composedStack(t *testing.T) Backend {
 	t.Helper()
@@ -28,10 +28,7 @@ func composedStack(t *testing.T) Backend {
 			MaxDelay: 100 * time.Microsecond,
 			Seed:     1,
 		},
-		RateBps:    1 << 30,
-		CacheDir:   t.TempDir(),
-		CacheBytes: 1 << 20,
-		Metrics:    obs.NewBackendMetrics(obs.NewRegistry()),
+		Metrics: obs.NewBackendMetrics(obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +39,10 @@ func composedStack(t *testing.T) Backend {
 // TestContainerStoreConformance runs the container.Store contract suite
 // against the backend adapter at three composition depths: a bare
 // in-memory backend, a bare local-filesystem backend, and the full
-// composed stack. The ISSUE's accounting requirement rides on the
-// StatsCounting subtest: reads and writes counted by the adapter must be
-// identical with the cache interposed, because the cache accelerates
-// fetches below the adapter rather than swallowing them above it.
+// composed stack. The accounting identity rides on the StatsCounting
+// subtest: reads and writes counted by the adapter must be identical
+// over the stack, because retries re-attempt below the adapter and are
+// never counted as extra reads above it.
 func TestContainerStoreConformance(t *testing.T) {
 	t.Run("backend-mem", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {

@@ -118,17 +118,19 @@ func TestEnginesIngestTheSameChunks(t *testing.T) {
 // engine code can add an uncounted read; this pins the outcome, exactly,
 // for both engines across every policy, read-ahead depth and assembler
 // width, for the verifying restore (no resident read), and for an engine
-// reopened on file-backed stores.
+// reopened on file-backed stores. Read-ahead never changes which reads
+// happen: for each engine and policy the sweep counts the same reads at
+// depth −1 (serial), 0 (the default) and 2, at either width.
 func TestStoreReadsEqualCountedReads(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	const capacity = 64 << 10
 	ctx := context.Background()
 	// sweep restores every version newest → oldest, each from zeroed
-	// store counters, and returns the resident reads over the sweep.
+	// store counters, and returns the resident and the counted reads over
+	// the sweep.
 	sweep := func(t *testing.T, store container.Store,
-		restore func(context.Context, int, io.Writer) (backup.RestoreReport, error)) uint64 {
+		restore func(context.Context, int, io.Writer) (backup.RestoreReport, error)) (resident, total uint64) {
 		t.Helper()
-		var resident uint64
 		for v := len(versions); v >= 1; v-- {
 			store.ResetStats()
 			var buf bytes.Buffer
@@ -145,8 +147,9 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 					v, reads, rep.ResidentReads, counted)
 			}
 			resident += rep.ResidentReads
+			total += counted
 		}
-		return resident
+		return resident, total
 	}
 	engines := []struct {
 		name string
@@ -171,11 +174,13 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	}
 	for _, eng := range engines {
 		for _, policy := range []string{"faa", "container-lru", "opt", "chunk-lru", "alacc"} {
+			byCell := map[string]uint64{} // counted reads over each cell's sweep
 			for _, depth := range []int{-1, 0, 2} {
 				// The assembly width is GOMAXPROCS's: 1 runs the serial
 				// assembler, 4 the parallel one at width 4.
 				for _, workers := range []int{0, 4} {
-					t.Run(fmt.Sprintf("%s/%s/depth%d/workers%d", eng.name, policy, depth, workers), func(t *testing.T) {
+					cell := fmt.Sprintf("%s/%s/depth%d/workers%d", eng.name, policy, depth, workers)
+					t.Run(cell, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, 1)))
 						cache, err := restorecache.New(policy)
 						if err != nil {
@@ -187,11 +192,19 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 							t.Fatal(err)
 						}
 						backuptest.BackupAll(t, e, versions)
-						resident := sweep(t, store, e.Restore)
+						resident, total := sweep(t, store, e.Restore)
 						if (eng.name == "core") != (resident > 0) {
 							t.Errorf("%d resident reads over the sweep", resident)
 						}
+						byCell[cell] = total
 					})
+				}
+			}
+			serial := fmt.Sprintf("%s/%s/depth-1/workers0", eng.name, policy)
+			for cell, n := range byCell {
+				if n != byCell[serial] {
+					t.Errorf("%s counted %d container reads, %s %d: read-ahead changed which reads happen",
+						cell, n, serial, byCell[serial])
 				}
 			}
 		}
@@ -203,7 +216,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		backuptest.BackupAll(t, e, versions)
-		if resident := sweep(t, store, e.VerifyRestore); resident != 0 {
+		if resident, _ := sweep(t, store, e.VerifyRestore); resident != 0 {
 			t.Errorf("verifying restores read %d resident images, want every read from the store", resident)
 		}
 	})
@@ -225,7 +238,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 		e, _ := open()
 		backuptest.BackupAll(t, e, versions)
 		reopened, store := open()
-		if resident := sweep(t, store, reopened.Restore); resident == 0 {
+		if resident, _ := sweep(t, store, reopened.Restore); resident == 0 {
 			t.Error("a reopened engine read no resident image: the reloaded actives went unused")
 		}
 	})

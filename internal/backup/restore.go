@@ -43,9 +43,10 @@ type RestoreDriver struct {
 	// Cache decides which containers are read and kept — the single
 	// decision-maker at any assembly width.
 	Cache restorecache.Cache
-	// PrefetchDepth is the engines' Config.PrefetchDepth: the read-ahead
-	// window (and fetch width). Metrics and Tracer are their bundles (nil:
-	// off).
+	// PrefetchDepth is the read-ahead window (and fetch width): 0 selects
+	// restorecache.DefaultPrefetchDepth, negative reads serially. The
+	// engines pass their own PrefetchDepth, which hidestore.Open leaves
+	// at 0. Metrics and Tracer are their bundles (nil: off).
 	PrefetchDepth int
 	Metrics       *obs.RestoreMetrics
 	Tracer        *obs.Tracer

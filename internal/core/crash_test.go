@@ -100,18 +100,18 @@ func TestCrashMatrixDelete(t *testing.T) {
 
 // crashOpenRemote builds the engine over the full composed backend
 // stack — remote simulator (with deterministic transients the retry
-// layer absorbs) × retry × persistent container cache — with the crash
+// layer absorbs) × retry — with the crash
 // injector spliced in above each plane's stack, modeling a process that
 // dies between commit steps. Torn debris goes down through the stack to
 // the backing local tree, where the backend's reopen-time temp sweep
 // must find it.
 func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.Engine, error) {
-	stack := func(sub string, seed int64, cache bool) (backend.Backend, error) {
+	stack := func(sub string, seed int64) (backend.Backend, error) {
 		base, err := backend.NewLocal(filepath.Join(dir, "remote", sub))
 		if err != nil {
 			return nil, err
 		}
-		opts := backend.StackOptions{
+		b, _, err := backend.NewStack(base, backend.StackOptions{
 			Sim: backend.SimOptions{FailEveryN: 7, Seed: seed, SleepScale: -1},
 			Retry: backend.RetryOptions{
 				Tries:    4,
@@ -119,26 +119,21 @@ func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.E
 				MaxDelay: 100 * time.Microsecond,
 				Seed:     seed,
 			},
-		}
-		if cache {
-			opts.CacheDir = filepath.Join(dir, "cache")
-			opts.CacheBytes = 1 << 20
-		}
-		b, _, err := backend.NewStack(base, opts)
+		})
 		if err != nil {
 			return nil, err
 		}
 		return fault.NewBackend(b, inj), nil
 	}
-	cb, err := stack("containers", 1, true)
+	cb, err := stack("containers", 1)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := stack("recipes", 2, false)
+	rb, err := stack("recipes", 2)
 	if err != nil {
 		return nil, err
 	}
-	sb, err := stack("state", 3, false)
+	sb, err := stack("state", 3)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +153,7 @@ func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.E
 // persistence layer behind the composed remote stack: commit ordering
 // must survive not just process death but process death while the
 // backend below is injecting transient faults that the retry layer
-// silently absorbs, and with a persistent read cache interposed that
-// must never resurrect uncommitted data after the reopen.
+// silently absorbs.
 func TestCrashMatrixRemoteStack(t *testing.T) {
 	versions := backuptest.Materialize(t, crashWorkload(3))
 	backuptest.CrashMatrix(t, crashOpenRemote, backuptest.BackupSteps(versions),

@@ -140,3 +140,69 @@ func TestCorruptStoredActiveServedResident(t *testing.T) {
 		t.Error("scrub pass missed the rotted active image")
 	}
 }
+
+// TestScrubHealsRottedActiveImage rots one payload byte of a stored
+// active image on a directory store. The scrub pass must rewrite the
+// image from the engine's resident copy instead of quarantining it: the
+// state file names every active image, so a quarantined one would make
+// the next open fail. Backups and restores go on, the store reopens,
+// fscks clean and restores every version byte-identically.
+func TestScrubHealsRottedActiveImage(t *testing.T) {
+	dir := t.TempDir()
+	e, cdir := scrubOpen(t, dir, fault.NewInjector())
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(5, 0))
+	backuptest.BackupAll(t, e, versions[:4])
+	victim := container.ID(0)
+	for id := range e.activeContainers {
+		victim = max(victim, id)
+	}
+	if victim == 0 {
+		t.Fatal("workload left no active container")
+	}
+	path := imagePath(cdir, victim)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1] ^= 0xFF // the image ends with its payload
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	healed := false
+	for _, step := range scrubPass(t, e) {
+		if step.Corrupt == "" {
+			continue
+		}
+		if step.Container != uint64(victim) || step.Quarantined != "" {
+			t.Errorf("scrub step %+v, want container %d flagged and not quarantined", step, victim)
+		}
+		healed = true
+	}
+	if !healed {
+		t.Fatal("scrub pass missed the rotted active image")
+	}
+	want := fmt.Sprintf("scrub: container %d:", victim)
+	if d := e.Stats().Degraded; len(d) != 1 || !strings.HasPrefix(d[0], want) || !strings.HasSuffix(d[0], "(rewritten from the resident copy)") {
+		t.Errorf("Stats().Degraded = %q, want one %q line ending in the rewrite", d, want)
+	}
+	for _, step := range scrubPass(t, e) {
+		if step.Corrupt != "" {
+			t.Errorf("the pass after the rewrite still finds %+v", step)
+		}
+	}
+
+	if _, err := e.Backup(context.Background(), bytes.NewReader(versions[4])); err != nil {
+		t.Fatalf("backup after the rewrite: %v", err)
+	}
+	backuptest.CheckRestoreAll(t, e, versions)
+	reopened, _ := scrubOpen(t, dir, fault.NewInjector())
+	backuptest.CheckRestoreAll(t, reopened, versions)
+	rep, err := reopened.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 0 {
+		t.Errorf("fsck after the rewrite: %v", rep.Problems)
+	}
+}

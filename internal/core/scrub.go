@@ -94,6 +94,17 @@ func (e *Engine) ScrubStep(ctx context.Context) (backup.ScrubStepReport, error) 
 	if e.smx != nil {
 		e.smx.Corruptions.Inc()
 	}
+	if res := e.activeContainers[cid]; res != nil {
+		if _, _, bad := verifyImage(res); bad == "" {
+			// Left in place on failure, so the next pass tries again.
+			if err := e.cfg.Store.Put(res); err != nil {
+				e.scrubRecord(fmt.Sprintf("scrub: container %d: %s (rewrite from the resident copy failed: %v)", cid, problem, err))
+			} else {
+				e.scrubRecord(fmt.Sprintf("scrub: container %d: %s (rewritten from the resident copy)", cid, problem))
+			}
+			return rep, nil
+		}
+	}
 	if q, ok := e.cfg.Store.(container.Quarantiner); ok {
 		dst, err := q.Quarantine(cid)
 		if err != nil {
@@ -127,6 +138,11 @@ func (e *Engine) scrubVerify(cid container.ID) (chunks int, bytes uint64, proble
 		}
 		return 0, 0, err.Error()
 	}
+	return verifyImage(ctn)
+}
+
+// verifyImage content-checks every chunk of one decoded image.
+func verifyImage(ctn *container.Container) (chunks int, bytes uint64, problem string) {
 	for _, f := range ctn.Fingerprints() {
 		data, err := ctn.View(f)
 		if err != nil {

@@ -180,17 +180,12 @@ func NewScrubMetrics(r *Registry) *ScrubMetrics {
 }
 
 // BackendMetrics instruments the storage-backend stack (remote
-// simulator, retry layer, local read cache).
+// simulator and retry layer).
 type BackendMetrics struct {
 	RemoteOps       *Counter // operations that reached the (simulated) remote
 	RemoteBytes     *Counter // payload bytes moved to/from the remote
 	TransientErrors *Counter // transient failures surfaced by the remote
 	Retries         *Counter // re-attempts issued by the retry layer
-
-	CacheHits      *Counter // container fetches served from the local cache
-	CacheMisses    *Counter // fetches that had to read through
-	CacheEvictions *Counter // cache files evicted by capacity pressure
-	CacheBytes     *Gauge   // current on-disk cache footprint
 
 	FetchNS *Histogram // one backend Get through the full stack (ns)
 }
@@ -206,11 +201,6 @@ func NewBackendMetrics(r *Registry) *BackendMetrics {
 		RemoteBytes:     r.Counter("hidestore_backend_remote_bytes_total", "payload bytes moved to or from the remote backend"),
 		TransientErrors: r.Counter("hidestore_backend_transient_errors_total", "transient remote failures observed"),
 		Retries:         r.Counter("hidestore_backend_retries_total", "backend operations re-attempted after a transient failure"),
-
-		CacheHits:      r.Counter("hidestore_backend_cache_hits_total", "backend reads served from the local cache"),
-		CacheMisses:    r.Counter("hidestore_backend_cache_misses_total", "backend reads that read through to the remote"),
-		CacheEvictions: r.Counter("hidestore_backend_cache_evictions_total", "cache files evicted by capacity pressure"),
-		CacheBytes:     r.Gauge("hidestore_backend_cache_bytes", "current on-disk backend cache footprint"),
 
 		FetchNS: r.Histogram("hidestore_backend_fetch_ns", "per-read backend fetch latency through the full stack (ns)"),
 	}

@@ -36,14 +36,18 @@ const DefaultPrefetchDepth = 8
 // ContainerReads is identical with prefetch on or off.
 //
 // The first-appearance argument assumes the policy requests every
-// planned container. A chunk-caching policy may not: when a fingerprint
-// has copies in several containers — a rewritten duplicate, or a
-// migrated chunk's stale copy left in a HiDeStore write-once active
-// image — the cache can serve a later entry from a copy it already holds
-// and skip the container the plan names. The restore stays byte-correct
-// and ContainerReads counts only what the policy requested, but with
-// read-ahead the skipped container's read has already reached the store,
-// so the store sees more reads than the restore counts.
+// planned container. A chunk-caching policy may not when a fingerprint
+// has copies in several containers it reads — a rewriting baseline's
+// duplicate, or a migrated chunk's stale copy in a stored HiDeStore
+// active image, which only a verifying restore reads: the cache can
+// serve a later entry from the copy it holds and skip the container the
+// plan names. The restore stays byte-correct and ContainerReads counts
+// only what the policy requested, but the skipped container's read has
+// already reached the store. A plain restore reads no such copy on
+// either engine without a rewriter (resident active images hold live
+// chunks only); TestStoreReadsEqualCountedReads in internal/backup pins
+// store reads == counted reads for both engines at every policy,
+// read-ahead depth and assembly width.
 //
 // Get must be called from a single goroutine (the cache policy); Close
 // releases the worker pool and is safe to call even if Get never ran.

@@ -99,45 +99,6 @@ func TestObservabilityAccountingIdentity(t *testing.T) {
 	}
 }
 
-// TestObservabilityIdentityWithoutPrefetch re-runs the identity with
-// read-ahead disabled: prefetch must never change which reads the
-// plane observes (§5.3).
-func TestObservabilityIdentityWithoutPrefetch(t *testing.T) {
-	versions := testVersions(t, 3)
-	run := func(prefetch int) (uint64, uint64) {
-		reg := obs.NewRegistry()
-		sys, err := Open(Config{Metrics: reg, PrefetchDepth: prefetch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		var statsReads uint64
-		for _, v := range versions {
-			if _, err := sys.Backup(ctx, bytes.NewReader(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range versions {
-			rep, err := sys.Restore(ctx, i+1, io.Discard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			statsReads += rep.ContainerReads
-		}
-		counter := uint64(reg.Snapshot().Counters["hidestore_restore_container_reads_total"].Value)
-		return statsReads, counter
-	}
-	statsOn, counterOn := run(0)    // default read-ahead
-	statsOff, counterOff := run(-1) // disabled
-	if statsOn != counterOn || statsOff != counterOff {
-		t.Errorf("registry disagrees with Stats: on %d/%d, off %d/%d",
-			statsOn, counterOn, statsOff, counterOff)
-	}
-	if statsOn != statsOff {
-		t.Errorf("prefetch changed the observed read count: %d with, %d without", statsOn, statsOff)
-	}
-}
-
 // TestMetricsScrapeDuringRestore hammers restores while concurrently
 // polling the live /metrics endpoint — the race tier (go test -race)
 // proves the registry's atomics and the engines' shared counters are

@@ -231,7 +231,7 @@ func TestOpsEndpointsOnDebugServer(t *testing.T) {
 func TestResidentRestoreWhileScrubbing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // min(GOMAXPROCS, 4) span workers
 	versions := testVersions(t, 4)
-	sys, err := Open(Config{Dir: t.TempDir(), ContainerSize: 64 << 10, PrefetchDepth: 8})
+	sys, err := Open(Config{Dir: t.TempDir(), ContainerSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
