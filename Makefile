@@ -89,7 +89,8 @@ restore-bench:
 # "resolve:" line — must reach the report. A second store takes v1 and
 # v2 through the CLI's simulated remote (-backend remote -backend-latency
 # 1ms, the two backend flags there are) and must restore v1 byte for
-# byte. This is the one copy of the
+# byte; a third takes them with -compress, must restore v1 byte for byte
+# and fsck clean. This is the one copy of the
 # script: CI runs it through `make check OBS_ARTIFACTS=artifacts`, which
 # keeps the trace, the metrics dump and the reports for upload; by default
 # they sit in the scratch dir and go with it.
@@ -117,6 +118,11 @@ observatory-smoke:
 	.obs-smoke/hs -dir .obs-smoke/remote -backend remote -backend-latency 1ms backup .obs-smoke/v2.bin
 	.obs-smoke/hs -dir .obs-smoke/remote -backend remote -backend-latency 1ms -o .obs-smoke/remote-v1.bin restore 1
 	cmp .obs-smoke/v1.bin .obs-smoke/remote-v1.bin
+	.obs-smoke/hs -dir .obs-smoke/compressed -compress backup .obs-smoke/v1.bin
+	.obs-smoke/hs -dir .obs-smoke/compressed -compress backup .obs-smoke/v2.bin
+	.obs-smoke/hs -dir .obs-smoke/compressed -compress -o .obs-smoke/compressed-v1.bin restore 1
+	cmp .obs-smoke/v1.bin .obs-smoke/compressed-v1.bin
+	.obs-smoke/hs -dir .obs-smoke/compressed -compress fsck
 	rm -rf .obs-smoke
 
 # The benchmark (BENCHMARK.json, benchmark/) is a nested module that

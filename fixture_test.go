@@ -10,12 +10,13 @@ import (
 )
 
 // fixtureConfig is the configuration testdata/local_store was written
-// with: small chunks and containers keep the committed store near 50 KB.
+// with (testdata/local_store_compressed adds Compress): small chunks and
+// containers keep each committed store near 50 KB.
 func fixtureConfig(dir string) Config {
 	return Config{Dir: dir, MinChunk: 512, AvgChunk: 1024, MaxChunk: 4096, ContainerSize: 8 << 10}
 }
 
-// fixtureVersions regenerates the three streams testdata/local_store
+// fixtureVersions regenerates the three streams each fixture store
 // holds: 20 KiB of random bytes, then an insert, then an overwrite, a
 // truncation and an append.
 func fixtureVersions() [][]byte {
@@ -58,17 +59,38 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestLocalStoreFixture opens a local-mode directory written by the file
-// stores that preceded the backend-only storage path — containers/c_<id>.ctn,
-// recipes/r_<n>.rcp and a format-2 state.hds — and proves the layout still
-// reads: the three versions are listed and restore byte-identically, fsck
-// is clean, and a fourth backup commits and restores.
+// TestLocalStoreFixture opens two local-mode directories written by
+// earlier code — testdata/local_store by the file stores that preceded
+// the backend-only storage path, testdata/local_store_compressed with
+// Compress by the store decorator that preceded the adapter's codec;
+// both containers/c_<id>.ctn, recipes/r_<n>.rcp and a format-2 state.hds
+// — and proves each layout still reads: the three versions are listed
+// and restore byte-identically, fsck is clean, and a fourth backup
+// commits and restores.
 func TestLocalStoreFixture(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "local_store"), dir)
-	want := fixtureVersions()
+	for _, c := range []struct {
+		store    string
+		compress bool
+	}{
+		{"local_store", false},
+		{"local_store_compressed", true},
+	} {
+		t.Run(c.store, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", c.store), dir)
+			cfg := fixtureConfig(dir)
+			cfg.Compress = c.compress
+			checkFixtureStore(t, cfg)
+		})
+	}
+}
 
-	sys, err := Open(fixtureConfig(dir))
+// checkFixtureStore runs TestLocalStoreFixture's checks on the fixture
+// store cfg opens.
+func checkFixtureStore(t *testing.T, cfg Config) {
+	t.Helper()
+	want := fixtureVersions()
+	sys, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +129,7 @@ func TestLocalStoreFixture(t *testing.T) {
 	}
 
 	// A fresh process sees all four.
-	sys2, err := Open(fixtureConfig(dir))
+	sys2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

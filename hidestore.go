@@ -77,9 +77,11 @@ type Config struct {
 	// MergeUtilization is the active-container utilization below which
 	// containers are merged after each version (default 0.5).
 	MergeUtilization float64
-	// Compress enables DEFLATE compression of containers at rest.
-	// Compression composes with deduplication: dedup removes repeated
-	// chunks, compression shrinks what remains.
+	// Compress enables DEFLATE compression of containers at rest (the
+	// backend adapter's codec). Compression composes with
+	// deduplication: dedup removes repeated chunks, compression shrinks
+	// what remains. A store must be reopened with the setting it was
+	// written with.
 	Compress bool
 	// Metrics, when set, mirrors the engine's counters and per-stage
 	// latencies into the registry (expose it with obs.StartDebugServer
@@ -160,11 +162,12 @@ type storeSet struct {
 	state      backend.Backend
 }
 
-// stores assembles the three storage planes. Without a Dir a local
-// system runs on the memory stores. Otherwise each plane is a base
-// backend — a backend.Local under Dir, or a backend.Mem for a remote
-// system without one — and a remote system wraps each base in its own
-// backend.NewStack. The layout under Dir:
+// stores assembles the three storage planes. Without a Dir an
+// uncompressed local system runs on the memory stores. Otherwise each
+// plane is a base backend — a backend.Local under Dir, or a backend.Mem
+// without one — and a remote system wraps each base in its own
+// backend.NewStack; the container adapter compresses when Compress is
+// set. The layout under Dir:
 //
 //	local:  containers/c_<id>.ctn  recipes/r_<n>.rcp  state.hds
 //	remote: remote/containers/…    remote/recipes/…   remote/state/state.hds
@@ -176,7 +179,7 @@ func (c Config) stores() (storeSet, error) {
 		return storeSet{}, err
 	}
 	var set storeSet
-	if c.Dir == "" && !remote {
+	if c.Dir == "" && !remote && !c.Compress {
 		set.containers, set.recipes = container.NewMemStore(), recipe.NewMemStore()
 	} else {
 		var mx *obs.BackendMetrics
@@ -223,19 +226,12 @@ func (c Config) stores() (storeSet, error) {
 		if err != nil {
 			return storeSet{}, err
 		}
-		set.containers, set.recipes = backend.NewContainerStore(cb, cdir), backend.NewRecipeStore(rb)
+		set.containers, set.recipes = backend.NewContainerStore(cb, cdir, c.Compress), backend.NewRecipeStore(rb)
 		if c.Dir != "" {
 			if set.state, _, err = plane("state", 2); err != nil {
 				return storeSet{}, err
 			}
 		}
-	}
-	if c.Compress {
-		ccs, err := container.NewCompressedStore(set.containers, 0)
-		if err != nil {
-			return storeSet{}, err
-		}
-		set.containers = ccs
 	}
 	return set, nil
 }

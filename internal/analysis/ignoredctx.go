@@ -22,8 +22,7 @@ func init() {
 // are exempt from the ctx-on-I/O rule.
 var storeMethodNames = map[string]bool{
 	"Put": true, "Get": true, "Delete": true, "Has": true,
-	"IDs": true, "Len": true, "Stats": true, "ResetStats": true,
-	"Quarantine": true,
+	"IDs": true, "Len": true, "Quarantine": true,
 }
 
 // osIOFuncs are package-os entry points that hit the filesystem.

@@ -27,8 +27,6 @@ func (s *leakyStore) Delete(id container.ID) error                      { delete
 func (s *leakyStore) Has(id container.ID) (bool, error)                 { _, ok := s.m[id]; return ok, nil }
 func (s *leakyStore) IDs() ([]container.ID, error)                      { return nil, nil }
 func (s *leakyStore) Len() (int, error)                                 { return len(s.m), nil }
-func (s *leakyStore) Stats() container.StoreStats                       { return container.StoreStats{} }
-func (s *leakyStore) ResetStats()                                       {}
 
 // okStore snapshots on Put; must stay silent.
 type okStore struct{ *leakyStore }

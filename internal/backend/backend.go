@@ -7,12 +7,12 @@
 // with latency, bandwidth caps and transient faults. Layers compose by
 // wrapping (restic-style):
 //
-//	Observer( Retry( Meter( RemoteSim( Local ))))
+//	Observer( Retry( RemoteSim( Local )))
 //
 // The composition rules are part of the design (DESIGN.md "Storage
-// backends"): the meter sits directly on the simulator, so it counts
-// every attempt that reached the remote once, and the retry layer above
-// it re-attempts only transient failures.
+// backends"): the simulator sits below the retry layer, so it counts
+// every attempt that reached the remote once, and the retry layer
+// re-attempts only transient failures.
 //
 // Error taxonomy: a missing blob is ErrNotFound and must fail fast
 // through every layer — retrying it cannot help and hides real bugs.

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"hidestore/internal/durable"
+	"hidestore/internal/obs"
 )
 
 // backendsUnderTest builds every Backend configuration the blob-level
@@ -302,11 +304,8 @@ func TestRetryRecoversTransient(t *testing.T) {
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if st := r.Stats(); st.Attempts != 3 || st.Retries != 2 {
-		t.Fatalf("stats = %+v, want 3 attempts / 2 retries", st)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
+	if f.attempts != 3 || len(slept) != 2 {
+		t.Fatalf("%d attempts, %d backoffs; want 3 attempts / 2 retries", f.attempts, len(slept))
 	}
 	// Jittered exponential: retry n draws from [d/2, d], d = 10ms·2^(n-1).
 	if slept[0] < 5*time.Millisecond || slept[0] > 10*time.Millisecond {
@@ -327,13 +326,14 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retry returned %v, want the transient error", err)
 	}
-	if st := r.Stats(); st.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", st.Attempts)
+	if f.attempts != 3 {
+		t.Fatalf("attempts = %d, want 3", f.attempts)
 	}
 }
 
 func TestRetryNotFoundFailsFast(t *testing.T) {
-	r := NewRetry(NewMem(), RetryOptions{
+	f := &flaky{Backend: NewMem()}
+	r := NewRetry(f, RetryOptions{
 		Sleep: func(context.Context, time.Duration) error {
 			t.Fatal("retry slept for ErrNotFound")
 			return nil
@@ -343,8 +343,8 @@ func TestRetryNotFoundFailsFast(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get = %v, want ErrNotFound", err)
 	}
-	if st := r.Stats(); st.Attempts != 1 || st.Retries != 0 {
-		t.Fatalf("stats = %+v, want exactly one attempt and no retries", st)
+	if f.attempts != 1 {
+		t.Fatalf("%d attempts, want exactly one (and no retry: Sleep fails the test)", f.attempts)
 	}
 }
 
@@ -414,7 +414,7 @@ func TestErrNotFoundThroughComposedStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewRemoteSim(base, SimOptions{})
-	retry := NewRetry(NewMeter(sim, nil), RetryOptions{
+	retry := NewRetry(sim, RetryOptions{
 		Sleep: func(context.Context, time.Duration) error {
 			t.Fatal("retry backoff ran for ErrNotFound")
 			return nil
@@ -425,10 +425,65 @@ func TestErrNotFoundThroughComposedStack(t *testing.T) {
 	if _, err := top.Get(context.Background(), "c_404.ctn"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("composed Get(missing) = %v, want errors.Is ErrNotFound", err)
 	}
-	if st := retry.Stats(); st.Attempts != 1 || st.Retries != 0 {
-		t.Fatalf("retry stats for missing blob = %+v, want one attempt, no retries", st)
+	if ops := sim.Stats().Ops; ops != 1 {
+		t.Fatalf("%d attempts reached the remote for a missing blob, want one", ops)
 	}
 	if err := top.Delete(context.Background(), "c_404.ctn"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("composed Delete(missing) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestStackMetricsMirrorSimStats: the stack's remote counters in the
+// registry are the simulator's own counts, so under injected faults
+// (every fifth attempt fails and the retry layer re-attempts it) the
+// exposition and RemoteSim.Stats agree exactly — ops and transient
+// errors once per attempt, bytes once per transfer that reached the
+// remote.
+func TestStackMetricsMirrorSimStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	top, sim, err := NewStack(NewMem(), StackOptions{
+		Sim:     SimOptions{FailEveryN: 5, Seed: 3},
+		Retry:   RetryOptions{MinDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond, Seed: 1},
+		Metrics: obs.NewBackendMetrics(reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("c_%d.ctn", i)
+		if err := top.Put(ctx, name, bytes.Repeat([]byte{byte(i)}, 100+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := top.Get(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := top.Has(ctx, name); err != nil || !ok {
+			t.Fatalf("Has(%s) = %v, %v", name, ok, err)
+		}
+	}
+	if _, err := top.List(ctx, "c_"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := top.Get(ctx, "c_404.ctn"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
+	}
+	for i := 0; i < 20; i += 2 {
+		if err := top.Delete(ctx, fmt.Sprintf("c_%d.ctn", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sim.Stats()
+	if st.Transient == 0 || st.Bytes == 0 {
+		t.Fatalf("sim stats %+v: the workload injected no fault or moved no bytes", st)
+	}
+	for name, want := range map[string]uint64{
+		"hidestore_backend_remote_ops_total":       st.Ops,
+		"hidestore_backend_remote_bytes_total":     st.Bytes,
+		"hidestore_backend_transient_errors_total": st.Transient,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, RemoteSim.Stats says %d", name, got, want)
+		}
 	}
 }

@@ -1,16 +1,19 @@
 package backend
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hidestore/internal/container"
+	"hidestore/internal/fp"
 )
 
 // A container image is the blob c_<id>.ctn, so a Local rooted at a
@@ -36,11 +39,9 @@ func ContainerName(id container.ID) string {
 // layer below) keys on — with the original error preserved in the
 // chain.
 type ContainerStore struct {
-	b   Backend
-	dir string
-
-	mu    sync.Mutex
-	stats container.StoreStats
+	b        Backend
+	dir      string
+	compress bool
 }
 
 var (
@@ -51,9 +52,65 @@ var (
 // NewContainerStore adapts b to a container store. dir is the directory
 // b's blob names resolve under — the root of the Local at the bottom of
 // b — or "" when they have no path on disk (a Mem below). Quarantine
-// reports where an image went in the same terms.
-func NewContainerStore(b Backend, dir string) *ContainerStore {
-	return &ContainerStore{b: b, dir: dir}
+// reports where an image went in the same terms. With compress set,
+// images are DEFLATE-compressed at rest (see encode); a store must be
+// opened the same way it was written.
+func NewContainerStore(b Backend, dir string, compress bool) *ContainerStore {
+	return &ContainerStore{b: b, dir: dir, compress: compress}
+}
+
+// carrierFP is the fixed fingerprint under which a compressed image is
+// stored inside its carrier container. It is metadata, not content
+// (carriers are never deduplicated), so a constant is fine.
+var carrierFP = func() fp.FP {
+	var f fp.FP
+	copy(f[:], "HDS-COMPRESSED-IMAGE")
+	return f
+}()
+
+// encode returns the blob Put writes for c: its MarshalBinary image, or,
+// compressing, a carrier image — a container under c's ID holding one
+// chunk under carrierFP, the DEFLATE stream (default level) of c's
+// image — so the carrier keeps the image format's header and CRC.
+func (s *ContainerStore) encode(c *container.Container) ([]byte, error) {
+	raw, err := c.MarshalBinary()
+	if err != nil || !s.compress {
+		return raw, err
+	}
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Write(raw); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	carrier := container.NewWithCapacity(c.ID(), buf.Len())
+	if err := carrier.Add(carrierFP, buf.Bytes()); err != nil {
+		return nil, err
+	}
+	return carrier.MarshalBinary()
+}
+
+// decode is encode's inverse. The image is decoded in place and owns
+// buf, or, compressing, the buffer the carrier's payload inflated into.
+func (s *ContainerStore) decode(buf []byte) (*container.Container, error) {
+	c, err := container.UnmarshalBinary(buf)
+	if err != nil || !s.compress {
+		return c, err
+	}
+	compressed, err := c.View(carrierFP)
+	if err != nil {
+		return nil, fmt.Errorf("not a compressed carrier: %w", err)
+	}
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(compressed)))
+	if err != nil {
+		return nil, fmt.Errorf("decompress: %w", err)
+	}
+	return container.UnmarshalBinary(raw)
 }
 
 // Put implements container.Store.
@@ -64,23 +121,18 @@ func (s *ContainerStore) Put(c *container.Container) error {
 	if c.ID() == 0 {
 		return fmt.Errorf("backend: Put container with reserved ID 0")
 	}
-	buf, err := c.MarshalBinary()
+	buf, err := s.encode(c)
 	if err != nil {
-		return fmt.Errorf("backend: marshal container %d: %w", c.ID(), err)
+		return fmt.Errorf("backend: encode container %d: %w", c.ID(), err)
 	}
 	if err := s.b.Put(context.Background(), ContainerName(c.ID()), buf); err != nil {
 		return fmt.Errorf("backend: put container %d: %w", c.ID(), err)
 	}
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += uint64(c.LiveSize())
-	s.mu.Unlock()
 	return nil
 }
 
-// Get implements container.Store. The image is decoded in place and
-// owns the buffer the backend returned (every Backend.Get hands back
-// bytes of the caller's own).
+// Get implements container.Store. The image owns the buffer it was
+// decoded from (every Backend.Get hands back bytes of the caller's own).
 func (s *ContainerStore) Get(id container.ID) (*container.Container, error) {
 	buf, err := s.b.Get(context.Background(), ContainerName(id))
 	if err != nil {
@@ -89,14 +141,10 @@ func (s *ContainerStore) Get(id container.ID) (*container.Container, error) {
 		}
 		return nil, fmt.Errorf("backend: read container %d: %w", id, err)
 	}
-	c, err := container.UnmarshalBinary(buf)
+	c, err := s.decode(buf)
 	if err != nil {
 		return nil, fmt.Errorf("container %d: %w", id, err)
 	}
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += uint64(c.LiveSize())
-	s.mu.Unlock()
 	return c, nil
 }
 
@@ -108,9 +156,6 @@ func (s *ContainerStore) Delete(id container.ID) error {
 		}
 		return fmt.Errorf("backend: delete container %d: %w", id, err)
 	}
-	s.mu.Lock()
-	s.stats.Deletes++
-	s.mu.Unlock()
 	return nil
 }
 
@@ -180,18 +225,4 @@ func (s *ContainerStore) Quarantine(id container.ID) (string, error) {
 		return filepath.Join(s.dir, filepath.FromSlash(dst)), nil
 	}
 	return dst, nil
-}
-
-// Stats implements container.Store.
-func (s *ContainerStore) Stats() container.StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats implements container.Store.
-func (s *ContainerStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = container.StoreStats{}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"hidestore/internal/obs"
 )
 
 // SimOptions configures the remote simulator.
@@ -36,7 +38,8 @@ type SimOptions struct {
 	SleepScale float64
 }
 
-// SimStats counts what the simulated remote saw. Modeled is the
+// SimStats counts what the simulated remote saw: every attempt, since
+// the retry layer sits above the simulator. Modeled is the
 // deterministic time the configured latency and bandwidth would have
 // cost — the experiment harness reports it instead of wall time, so
 // sweep results are reproducible on any machine.
@@ -55,9 +58,12 @@ type RemoteSim struct {
 	inner Backend
 	opts  SimOptions
 
+	// mx, when NewStack sets it, mirrors Ops, Bytes and Transient into
+	// the observability plane as they are counted.
+	mx *obs.BackendMetrics
+
 	mu    sync.Mutex
 	rng   *rand.Rand
-	ops   uint64
 	stats SimStats
 }
 
@@ -85,10 +91,9 @@ func (s *RemoteSim) Stats() SimStats {
 func (s *RemoteSim) begin() (op uint64, inject bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops++
 	s.stats.Ops++
 	s.stats.Modeled += s.opts.Latency
-	op = s.ops
+	op = s.stats.Ops
 	if s.opts.FailEveryN > 0 && op%uint64(s.opts.FailEveryN) == 0 {
 		inject = true
 	}
@@ -97,6 +102,12 @@ func (s *RemoteSim) begin() (op uint64, inject bool) {
 	}
 	if inject {
 		s.stats.Transient++
+	}
+	if s.mx != nil {
+		s.mx.RemoteOps.Inc()
+		if inject {
+			s.mx.TransientErrors.Inc()
+		}
 	}
 	return op, inject
 }
@@ -109,6 +120,9 @@ func (s *RemoteSim) charge(n int) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Bytes += uint64(n)
+	if s.mx != nil {
+		s.mx.RemoteBytes.Add(uint64(n))
+	}
 	if s.opts.BandwidthBps <= 0 {
 		return 0
 	}

@@ -55,26 +55,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// RetryStats counts the layer's activity.
-type RetryStats struct {
-	// Attempts counts every inner call, first tries included.
-	Attempts uint64
-	// Retries counts re-attempts after a transient failure.
-	Retries uint64
-}
-
 // Retry wraps a Backend with jittered exponential backoff over
 // transient failures. The classification is strict: only errors
 // matching ErrTransient are retried; ErrNotFound, corruption and every
 // other error fail fast — retrying a missing container cannot help and
-// only hides bugs (see DESIGN.md's retry classification table).
+// only hides bugs (see DESIGN.md's retry classification table). It
+// keeps no counters: the simulator below a stack counts every attempt,
+// and OnRetry reports each retry.
 type Retry struct {
 	inner Backend
 	opts  RetryOptions
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	stats RetryStats
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
 
 var _ Backend = (*Retry)(nil)
@@ -87,13 +80,6 @@ func NewRetry(inner Backend, opts RetryOptions) *Retry {
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
-}
-
-// Stats returns a snapshot of the attempt counters.
-func (r *Retry) Stats() RetryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }
 
 // backoff returns the jittered delay before retry number n (1-based):
@@ -114,9 +100,6 @@ func (r *Retry) backoff(n int) time.Duration {
 func (r *Retry) do(ctx context.Context, op func() error) error {
 	var err error
 	for attempt := 1; ; attempt++ {
-		r.mu.Lock()
-		r.stats.Attempts++
-		r.mu.Unlock()
 		err = op()
 		if err == nil || !IsTransient(err) || attempt >= r.opts.Tries {
 			return err
@@ -124,9 +107,6 @@ func (r *Retry) do(ctx context.Context, op func() error) error {
 		if serr := r.opts.Sleep(ctx, r.backoff(attempt)); serr != nil {
 			return serr
 		}
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
 		if r.opts.OnRetry != nil {
 			r.opts.OnRetry(attempt, err)
 		}

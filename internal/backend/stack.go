@@ -18,14 +18,16 @@ type StackOptions struct {
 	Tracer  *obs.Tracer
 }
 
-// NewStack composes base into Observer(Retry(Meter(RemoteSim(base)))):
-// the meter hugs the simulator so it counts only traffic that actually
-// reached the remote, once per attempt, and the observer above the retry
-// layer times each operation as the store sees it. The returned
-// *RemoteSim exposes the deterministic traffic counters the experiment
-// harness reports. The error is always nil: every layer opens in memory.
+// NewStack composes base into Observer(Retry(RemoteSim(base))): the
+// simulator counts the traffic that reached the remote, once per
+// attempt, and mirrors those counts into opts.Metrics; the observer
+// above the retry layer times each operation as the store sees it. The
+// returned *RemoteSim exposes the deterministic traffic counters the
+// experiment harness reports. The error is always nil: every layer
+// opens in memory.
 func NewStack(base Backend, opts StackOptions) (Backend, *RemoteSim, error) {
 	sim := NewRemoteSim(base, opts.Sim)
+	sim.mx = opts.Metrics
 	retryOpts := opts.Retry
 	if mx := opts.Metrics; mx != nil {
 		prev := retryOpts.OnRetry
@@ -36,6 +38,5 @@ func NewStack(base Backend, opts StackOptions) (Backend, *RemoteSim, error) {
 			}
 		}
 	}
-	b := NewRetry(NewMeter(sim, opts.Metrics), retryOpts)
-	return NewObserver(b, opts.Metrics, opts.Tracer), sim, nil
+	return NewObserver(NewRetry(sim, retryOpts), opts.Metrics, opts.Tracer), sim, nil
 }

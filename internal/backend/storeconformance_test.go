@@ -39,14 +39,13 @@ func composedStack(t *testing.T) Backend {
 // TestContainerStoreConformance runs the container.Store contract suite
 // against the backend adapter at three composition depths: a bare
 // in-memory backend, a bare local-filesystem backend, and the full
-// composed stack. The accounting identity rides on the StatsCounting
-// subtest: reads and writes counted by the adapter must be identical
-// over the stack, because retries re-attempt below the adapter and are
-// never counted as extra reads above it.
+// composed stack, whose injected faults the retry layer absorbs below
+// the adapter. (internal/container's TestCompressedStoreInterface runs
+// it against the compressing adapter.)
 func TestContainerStoreConformance(t *testing.T) {
 	t.Run("backend-mem", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
-			return NewContainerStore(NewMem(), "")
+			return NewContainerStore(NewMem(), "", false)
 		})
 	})
 	t.Run("backend-local", func(t *testing.T) {
@@ -56,12 +55,12 @@ func TestContainerStoreConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewContainerStore(base, dir)
+			return NewContainerStore(base, dir, false)
 		})
 	})
 	t.Run("backend-stack", func(t *testing.T) {
 		containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
-			return NewContainerStore(composedStack(t), "")
+			return NewContainerStore(composedStack(t), "", false)
 		})
 	})
 }
@@ -79,8 +78,8 @@ func TestContainerStoreQuarantinePath(t *testing.T) {
 		s    *ContainerStore
 		want string
 	}{
-		{NewContainerStore(local, dir), filepath.Join(dir, "quarantine", "c_4.ctn")},
-		{NewContainerStore(NewMem(), ""), "quarantine/c_4.ctn"},
+		{NewContainerStore(local, dir, false), filepath.Join(dir, "quarantine", "c_4.ctn")},
+		{NewContainerStore(NewMem(), "", false), "quarantine/c_4.ctn"},
 	} {
 		if err := c.s.Put(containertest.Fill(t, 4, 2)); err != nil {
 			t.Fatal(err)

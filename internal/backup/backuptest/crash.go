@@ -354,7 +354,7 @@ func DirPlanes(dir string, inj *fault.Injector) (Planes, error) {
 		}
 	}
 	return Planes{
-		Containers: backend.NewContainerStore(bs[0], cdir),
+		Containers: backend.NewContainerStore(bs[0], cdir, false),
 		Recipes:    backend.NewRecipeStore(bs[1]),
 		State:      bs[2],
 	}, nil

@@ -11,6 +11,7 @@ import (
 	"hidestore/internal/backup"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
 	"hidestore/internal/fp"
@@ -125,14 +126,14 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	const capacity = 64 << 10
 	ctx := context.Background()
-	// sweep restores every version newest → oldest, each from zeroed
-	// store counters, and returns the resident and the counted reads over
+	// sweep restores every version newest → oldest, each from a zeroed
+	// store read count, and returns the resident and the counted reads over
 	// the sweep.
-	sweep := func(t *testing.T, store container.Store,
+	sweep := func(t *testing.T, store *containertest.CountingStore,
 		restore func(context.Context, int, io.Writer) (backup.RestoreReport, error)) (resident, total uint64) {
 		t.Helper()
 		for v := len(versions); v >= 1; v-- {
-			store.ResetStats()
+			store.Reset()
 			var buf bytes.Buffer
 			rep, err := restore(ctx, v, &buf)
 			if err != nil {
@@ -141,7 +142,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), versions[v-1]) {
 				t.Fatalf("v%d: restored bytes differ from the original", v)
 			}
-			reads, counted := store.Stats().Reads, rep.Stats.ContainerReads
+			reads, counted := store.Reads(), rep.Stats.ContainerReads
 			if reads+rep.ResidentReads != counted {
 				t.Errorf("v%d: the store served %d container reads and the engine %d resident ones, the restore counted %d",
 					v, reads, rep.ResidentReads, counted)
@@ -186,7 +187,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						store := container.NewMemStore()
+						store := containertest.Counting(container.NewMemStore())
 						e, err := eng.open(store, cache, depth)
 						if err != nil {
 							t.Fatal(err)
@@ -210,7 +211,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 		}
 	}
 	t.Run("core/verify", func(t *testing.T) {
-		store := container.NewMemStore()
+		store := containertest.Counting(container.NewMemStore())
 		e, err := core.New(core.Config{Store: store, Recipes: recipe.NewMemStore(), ContainerCapacity: capacity})
 		if err != nil {
 			t.Fatal(err)
@@ -222,18 +223,19 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	})
 	t.Run("core/reopened-filestore", func(t *testing.T) {
 		dir := t.TempDir()
-		open := func() (*core.Engine, container.Store) {
+		open := func() (*core.Engine, *containertest.CountingStore) {
 			p, err := backuptest.DirPlanes(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			store := containertest.Counting(p.Containers)
 			e, err := core.New(core.Config{
-				Store: p.Containers, Recipes: p.Recipes, State: p.State, ContainerCapacity: capacity,
+				Store: store, Recipes: p.Recipes, State: p.State, ContainerCapacity: capacity,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e, p.Containers
+			return e, store
 		}
 		e, _ := open()
 		backuptest.BackupAll(t, e, versions)

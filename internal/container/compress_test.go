@@ -1,32 +1,37 @@
-package container
+package container_test
 
 import (
 	"bytes"
-	"compress/flate"
+	"context"
 	"strings"
 	"testing"
+
+	"hidestore/internal/backend"
+	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
+	"hidestore/internal/fp"
 )
 
-func newCompressed(t *testing.T) *CompressedStore {
-	t.Helper()
-	s, err := NewCompressedStore(NewMemStore(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// At-rest compression is the backend adapter's codec: with compress set,
+// backend.ContainerStore stores each image DEFLATE-compressed inside a
+// one-chunk carrier image. These tests pin it from the container side.
+
+func newCompressed() (*backend.ContainerStore, *backend.Mem) {
+	mem := backend.NewMem()
+	return backend.NewContainerStore(mem, "", true), mem
 }
 
 func TestCompressedRoundTrip(t *testing.T) {
-	s := newCompressed(t)
-	orig := fillContainer(t, 5, 20)
+	s, _ := newCompressed()
+	orig := containertest.Fill(t, 5, 20)
 	fps := orig.Fingerprints()
-	want := make(map[string][]byte)
+	want := make(map[fp.FP][]byte)
 	for _, f := range fps {
 		d, err := orig.View(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[f.String()] = d
+		want[f] = d
 	}
 	if err := s.Put(orig); err != nil {
 		t.Fatal(err)
@@ -43,101 +48,54 @@ func TestCompressedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(d, want[f.String()]) {
+		if !bytes.Equal(d, want[f]) {
 			t.Fatalf("chunk %s corrupted", f.Short())
 		}
 	}
 }
 
+// TestCompressedActuallyCompresses: a compressible image is stored in
+// well under its raw size.
 func TestCompressedActuallyCompresses(t *testing.T) {
-	mem := NewMemStore()
-	s, err := NewCompressedStore(mem, flate.BestCompression)
-	if err != nil {
+	s, mem := newCompressed()
+	c := container.NewWithCapacity(1, container.DefaultCapacity)
+	data := []byte(strings.Repeat("compress me! ", 4096))
+	if err := c.Add(fp.Of(data), data); err != nil {
 		t.Fatal(err)
 	}
-	// Highly compressible payload.
-	c := NewWithCapacity(1, DefaultCapacity)
-	data := []byte(strings.Repeat("compress me! ", 4096))
-	if err := c.Add(carrierFPForTest("x"), data); err != nil {
+	raw, err := c.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(c); err != nil {
 		t.Fatal(err)
 	}
-	ratio := s.CompressionRatio()
-	if ratio <= 0 || ratio >= 0.2 {
-		t.Fatalf("compression ratio %.3f; repeated text should compress hard", ratio)
-	}
-	// The inner store holds fewer bytes than the logical payload.
-	if mem.TotalLiveBytes() >= uint64(len(data)) {
-		t.Fatalf("inner store holds %d bytes for %d logical", mem.TotalLiveBytes(), len(data))
-	}
-}
-
-func TestCompressedStoreInterface(t *testing.T) {
-	s := newCompressed(t)
-	if err := s.Put(fillContainer(t, 1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fillContainer(t, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if has, err := s.Has(1); err != nil || !has {
-		t.Fatalf("Has(1) = %v, %v", has, err)
-	}
-	if has, err := s.Has(9); err != nil || has {
-		t.Fatalf("Has(9) = %v, %v", has, err)
-	}
-	ids, err := s.IDs()
+	blob, err := mem.Get(context.Background(), backend.ContainerName(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Len(); err != nil || n != 2 || len(ids) != 2 {
-		t.Fatalf("Len/IDs wrong: %d, %v, %d ids", n, err, len(ids))
-	}
-	if err := s.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if has, err := s.Has(1); err != nil || has {
-		t.Fatal("Delete did not stick")
-	}
-	st := s.Stats()
-	if st.Writes != 2 || st.Deletes != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats() != (StoreStats{}) {
-		t.Fatal("ResetStats failed")
-	}
-	if err := s.Put(nil); err == nil {
-		t.Fatal("Put(nil) should fail")
+	if ratio := float64(len(blob)) / float64(len(raw)); ratio >= 0.2 {
+		t.Fatalf("compression ratio %.3f; repeated text should compress hard", ratio)
 	}
 }
 
-func TestCompressedBadLevel(t *testing.T) {
-	if _, err := NewCompressedStore(NewMemStore(), 42); err == nil {
-		t.Fatal("bad level accepted")
-	}
+// TestCompressedStoreInterface runs the Store contract against the
+// compressing adapter.
+func TestCompressedStoreInterface(t *testing.T) {
+	containertest.RunStoreSuite(t, func(t *testing.T) container.Store {
+		s, _ := newCompressed()
+		return s
+	})
 }
 
 func TestCompressedRejectsPlainCarrier(t *testing.T) {
-	mem := NewMemStore()
-	s, err := NewCompressedStore(mem, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A container written directly to the inner store is not a valid
-	// carrier; Get must fail loudly, not return garbage.
-	if err := mem.Put(fillContainer(t, 7, 2)); err != nil {
+	s, mem := newCompressed()
+	// An image written without compression is not a valid carrier; Get
+	// must fail loudly, not return garbage.
+	if err := backend.NewContainerStore(mem, "", false).Put(containertest.Fill(t, 7, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(7); err == nil {
 		t.Fatal("plain container accepted as compressed carrier")
 	}
-}
-
-// carrierFPForTest builds a distinct fingerprint for test payloads.
-func carrierFPForTest(s string) (f [20]byte) {
-	copy(f[:], s)
-	return f
 }

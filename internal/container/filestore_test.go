@@ -23,7 +23,7 @@ func openFileStore(t *testing.T, dir string) *backend.ContainerStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return backend.NewContainerStore(local, dir)
+	return backend.NewContainerStore(local, dir, false)
 }
 
 func TestFileStoreReopen(t *testing.T) {

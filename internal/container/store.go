@@ -6,17 +6,6 @@ import (
 	"sync"
 )
 
-// StoreStats counts I/O operations against a container store. Reads are
-// the quantity that matters for the paper's evaluation: the restore speed
-// factor (§5.3) is MB restored per container read.
-type StoreStats struct {
-	Reads        uint64
-	Writes       uint64
-	Deletes      uint64
-	BytesRead    uint64
-	BytesWritten uint64
-}
-
 // Store persists containers. Implementations must be safe for concurrent
 // use. Put snapshots the container: later caller mutations are not
 // visible to the store (the backend adapter marshals immediately; the
@@ -26,14 +15,19 @@ type StoreStats struct {
 // restore workers may read one image at once (the backend adapter returns
 // a fresh in-place decode that owns the buffer read; the memory store
 // returns the stored snapshot, which concurrent restores share).
+//
+// A store keeps no I/O counters: the restore driver's fetcher counts
+// every container read a restore makes (the paper's §5.3 metric), once,
+// and tests that need the store's own reads as a witness wrap it in
+// containertest.Counting.
 type Store interface {
 	// Put writes or overwrites a snapshot of the container under its ID.
 	Put(c *Container) error
-	// Get reads a container by ID, counting one container read.
+	// Get reads a container by ID.
 	Get(id ID) (*Container, error)
 	// Delete removes a container. Deleting a missing ID is an error.
 	Delete(id ID) error
-	// Has reports whether the ID exists, without counting a read. The
+	// Has reports whether the ID exists, without reading it. The
 	// error is non-nil only when existence could not be determined (an
 	// I/O failure); a missing container is (false, nil). Conflating the
 	// two misleads fsck and GC into treating unreadable as absent.
@@ -45,10 +39,6 @@ type Store interface {
 	// Len returns the number of stored containers, or the error that
 	// prevented counting them.
 	Len() (int, error)
-	// Stats returns cumulative I/O counters.
-	Stats() StoreStats
-	// ResetStats zeroes the I/O counters (between experiment phases).
-	ResetStats()
 }
 
 // QuarantineDir is the subdirectory (of the store root) that Quarantine
@@ -66,12 +56,11 @@ type Quarantiner interface {
 	Quarantine(id ID) (string, error)
 }
 
-// MemStore is an in-memory Store, used by experiments where only I/O
-// *counts* matter and by tests.
+// MemStore is an in-memory Store: a local system without a Dir, the
+// experiments and the tests run on it.
 type MemStore struct {
 	mu         sync.Mutex
 	containers map[ID]*Container
-	stats      StoreStats
 }
 
 var _ Store = (*MemStore)(nil)
@@ -95,8 +84,6 @@ func (s *MemStore) Put(c *Container) error {
 	// (repacking, cold migration); sharing the image would race with
 	// concurrent Gets from the restore path.
 	s.containers[c.ID()] = c.Clone()
-	s.stats.Writes++
-	s.stats.BytesWritten += uint64(c.LiveSize())
 	return nil
 }
 
@@ -108,8 +95,6 @@ func (s *MemStore) Get(id ID) (*Container, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	s.stats.Reads++
-	s.stats.BytesRead += uint64(c.LiveSize())
 	return c, nil
 }
 
@@ -121,7 +106,6 @@ func (s *MemStore) Delete(id ID) error {
 		return fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
 	delete(s.containers, id)
-	s.stats.Deletes++
 	return nil
 }
 
@@ -150,30 +134,4 @@ func (s *MemStore) Len() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.containers), nil
-}
-
-// Stats implements Store.
-func (s *MemStore) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats implements Store.
-func (s *MemStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = StoreStats{}
-}
-
-// TotalLiveBytes sums the live payload across all stored containers —
-// the "space actually consumed" figure used for deduplication ratios.
-func (s *MemStore) TotalLiveBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, c := range s.containers {
-		total += uint64(c.LiveSize())
-	}
-	return total
 }

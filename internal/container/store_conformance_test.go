@@ -9,7 +9,7 @@ import (
 )
 
 // The shared Store contract (put/get, missing, delete, sorted IDs,
-// stats, validation) lives in containertest so the backend package can
+// snapshots, validation) lives in containertest so the backend package can
 // run it against composed remote stacks; here it pins the memory store
 // and the file-backed store (the backend adapter over a backend.Local).
 func TestStoreConformance(t *testing.T) {
@@ -25,7 +25,7 @@ func TestStoreConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return backend.NewContainerStore(local, dir)
+			return backend.NewContainerStore(local, dir, false)
 		})
 	})
 }

@@ -138,7 +138,7 @@ func crashOpenRemote(dir string, inj *fault.Injector, commitDepth int) (backup.E
 		return nil, err
 	}
 	return New(Config{
-		Store:             backend.NewContainerStore(cb, filepath.Join(dir, "remote", "containers")),
+		Store:             backend.NewContainerStore(cb, filepath.Join(dir, "remote", "containers"), false),
 		Recipes:           backend.NewRecipeStore(rb),
 		State:             sb,
 		ContainerCapacity: 16 << 10,

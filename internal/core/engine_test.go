@@ -288,7 +288,7 @@ func TestActiveContainerMerging(t *testing.T) {
 // newest version's chunks occupy (almost) only active containers, and its
 // restore reads barely more containers than the optimal count.
 func TestNewVersionPhysicalLocality(t *testing.T) {
-	e, store, recipes := newTestEngine(t, 1)
+	e, _, recipes := newTestEngine(t, 1)
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(10, 0))
 	backuptest.BackupAll(t, e, versions)
 
@@ -299,7 +299,6 @@ func TestNewVersionPhysicalLocality(t *testing.T) {
 	}
 	optimal := float64(rec.TotalBytes()) / float64(e.cfg.ContainerCapacity)
 
-	store.ResetStats()
 	var buf bytes.Buffer
 	rep, err := e.Restore(context.Background(), newest, &buf)
 	if err != nil {

@@ -30,7 +30,7 @@ func planeEngine(t *testing.T, dir string, file bool, depth int) (*Engine, conta
 		if err != nil {
 			t.Fatal(err)
 		}
-		store = backend.NewContainerStore(local, "")
+		store = backend.NewContainerStore(local, "", false)
 	}
 	state, err := backend.NewLocal(dir)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
 	"hidestore/internal/fault"
 	"hidestore/internal/recipe"
 )
@@ -88,7 +90,17 @@ func TestReopenedStoreComparesResident(t *testing.T) {
 // surfaces where the stored bytes are read: a verifying restore of the
 // same version fails and names the container, and a scrub pass flags it.
 func TestCorruptStoredActiveServedResident(t *testing.T) {
-	e, cdir := scrubOpen(t, t.TempDir(), fault.NewInjector())
+	dir := t.TempDir()
+	p, err := backuptest.DirPlanes(dir, fault.NewInjector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := containertest.Counting(p.Containers)
+	e, err := New(scrubConfig(p, store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdir := filepath.Join(dir, "containers")
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(4, 0))
 	backuptest.BackupAll(t, e, versions)
 	victim := container.ID(0)
@@ -109,7 +121,7 @@ func TestCorruptStoredActiveServedResident(t *testing.T) {
 	}
 
 	newest := len(versions)
-	e.cfg.Store.ResetStats()
+	store.Reset()
 	var buf bytes.Buffer
 	rep, err := e.Restore(context.Background(), newest, &buf)
 	if err != nil {
@@ -118,7 +130,7 @@ func TestCorruptStoredActiveServedResident(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), versions[newest-1]) {
 		t.Fatalf("v%d restored bytes differ from the original", newest)
 	}
-	if reads := e.cfg.Store.Stats().Reads; reads+rep.ResidentReads != rep.Stats.ContainerReads || rep.ResidentReads == 0 {
+	if reads := store.Reads(); reads+rep.ResidentReads != rep.Stats.ContainerReads || rep.ResidentReads == 0 {
 		t.Errorf("v%d: %d store reads + %d resident reads, %d counted", newest, reads, rep.ResidentReads, rep.Stats.ContainerReads)
 	}
 

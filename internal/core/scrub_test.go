@@ -26,8 +26,18 @@ func scrubOpen(t *testing.T, dir string, inj *fault.Injector) (*Engine, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{
-		Store:             p.Containers,
+	e, err := New(scrubConfig(p, p.Containers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, filepath.Join(dir, "containers")
+}
+
+// scrubConfig is scrubOpen's engine configuration over the planes p,
+// with store as the container store.
+func scrubConfig(p backuptest.Planes, store container.Store) Config {
+	return Config{
+		Store:             store,
 		Recipes:           p.Recipes,
 		State:             p.State,
 		ContainerCapacity: 16 << 10,
@@ -35,11 +45,7 @@ func scrubOpen(t *testing.T, dir string, inj *fault.Injector) (*Engine, string) 
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		Metrics:           obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return e, filepath.Join(dir, "containers")
 }
 
 // imagePath is where container cid's image lives under a store directory.

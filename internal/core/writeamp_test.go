@@ -7,6 +7,7 @@ import (
 
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
 	"hidestore/internal/recipe"
 	"hidestore/internal/workload"
 )
@@ -35,13 +36,13 @@ func TestWriteAmplification(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Versions = 8
-			store := container.NewMemStore()
+			store := containertest.Counting(container.NewMemStore())
 			e, err := New(Config{Store: store, Recipes: recipe.NewMemStore()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var written, logical uint64
-			before := store.Stats()
+			before := store.Written()
 			for _, data := range backuptest.Materialize(t, cfg) {
 				rep, err := e.Backup(context.Background(), bytes.NewReader(data))
 				if err != nil {
@@ -49,8 +50,8 @@ func TestWriteAmplification(t *testing.T) {
 				}
 				// The report agrees with what the store saw, and every
 				// written byte is accounted for: unique + migrated + merged.
-				after := store.Stats()
-				if got := after.BytesWritten - before.BytesWritten; got != rep.ContainerBytesWritten {
+				after := store.Written()
+				if got := after - before; got != rep.ContainerBytesWritten {
 					t.Fatalf("v%d: report says %d container bytes written, the store saw %d",
 						rep.Version, rep.ContainerBytesWritten, got)
 				}

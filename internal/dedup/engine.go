@@ -37,7 +37,9 @@ type Config struct {
 	ChunkParams chunker.Params
 	// Index classifies chunks (required).
 	Index index.Index
-	// Rewriter decides duplicate rewriting (default none).
+	// Rewriter decides duplicate rewriting (default none). New sets the
+	// container size the utility-based schemes compute against to
+	// ContainerCapacity.
 	Rewriter rewrite.Rewriter
 	// RestoreCache drives restores (default FAA, destor's default §5.3).
 	RestoreCache restorecache.Cache
@@ -100,6 +102,7 @@ func (c *Config) setDefaults() error {
 	if c.ContainerCapacity <= 0 {
 		c.ContainerCapacity = container.DefaultCapacity
 	}
+	rewrite.SetContainerCapacity(c.Rewriter, c.ContainerCapacity)
 	if c.HashWorkers <= 0 {
 		c.HashWorkers = 4
 	}

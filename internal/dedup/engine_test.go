@@ -321,3 +321,35 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	backuptest.BackupAll(t, e, versions)
 	backuptest.CheckRestoreAll(t, e, versions)
 }
+
+// TestNewSizesRewriterToContainers: the utility-based rewriters come out
+// of rewrite.New at the 4 MiB default, so New must hand them the engine's
+// own container size, or CBR, CFL and HAR judge 1 MiB containers as a
+// quarter full at best.
+func TestNewSizesRewriterToContainers(t *testing.T) {
+	for _, name := range []string{"cbr", "cfl", "har"} {
+		rw, err := rewrite.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{
+			Index: newIndex(t, "ddfs"), Rewriter: rw, Store: container.NewMemStore(),
+			Recipes: recipe.NewMemStore(), ContainerCapacity: 1 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		switch r := e.cfg.Rewriter.(type) {
+		case *rewrite.CBR:
+			got = r.ContainerCapacity
+		case *rewrite.CFL:
+			got = r.ContainerCapacity
+		case *rewrite.HAR:
+			got = r.ContainerCapacity
+		}
+		if got != 1<<20 {
+			t.Errorf("%s computes against %d-byte containers, the engine's are %d", name, got, 1<<20)
+		}
+	}
+}

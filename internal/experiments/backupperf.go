@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 
 	"hidestore/internal/backup"
@@ -234,38 +235,53 @@ func Chunkers(opts Options) (*ChunkersResult, error) {
 	return res, nil
 }
 
+// chunkerRepeats is how many measured rounds of chunkerPasses passes
+// chunkerRow keeps the fewest allocations of.
+const chunkerRepeats = 3
+
 // chunkerRow scans data chunkerPasses times with one algorithm through
 // the pooled chunker — buffers filled by Next and released after use, the
 // loop benchmark/layers.go times as its chunker layer — so the measured
 // allocs/chunk is that loop's, not the throwaway-buffer path's. (Backups
-// no longer copy chunks out: they cut views into stream slabs.)
+// no longer copy chunks out: they cut views into stream slabs.) It
+// counts allocations the way testing.AllocsPerRun does, after a warm-up
+// round (the pool's slabs, the runtime's one-time allocations), and keeps
+// the fewest of chunkerRepeats rounds: a stray runtime allocation lands
+// in one round, one the loop makes per chunk in every round.
 func chunkerRow(alg chunker.Algorithm, data []byte, p chunker.Params) (ChunkerRow, error) {
 	row := ChunkerRow{Algorithm: alg.String()}
 	pool := bufpool.New(p.Max)
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for pass := 0; pass < chunkerPasses; pass++ {
-		ch, err := chunker.NewPooled(alg, bytes.NewReader(data), p, pool)
-		if err != nil {
-			return row, err
-		}
-		for {
-			chunk, err := ch.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
+	fewest := uint64(math.MaxUint64)
+	for round := 0; round <= chunkerRepeats; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		row.Chunks = 0
+		for pass := 0; pass < chunkerPasses; pass++ {
+			ch, err := chunker.NewPooled(alg, bytes.NewReader(data), p, pool)
 			if err != nil {
 				return row, err
 			}
-			row.Chunks++
-			pool.Release(chunk)
+			for {
+				chunk, err := ch.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					return row, err
+				}
+				row.Chunks++
+				pool.Release(chunk)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if round > 0 {
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
 		}
 	}
-	runtime.ReadMemStats(&after)
 	if row.Chunks > 0 {
 		row.AvgChunkBytes = float64(len(data)) * chunkerPasses / float64(row.Chunks)
-		row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
+		row.AllocsPerChunk = float64(fewest) / float64(row.Chunks)
 	}
 	return row, nil
 }

@@ -214,15 +214,6 @@ func baselineEngine(o Options, indexName, rewriterName, cacheName string) (backu
 		// 20 MB segment at 4 MB containers).
 		c.Cap = 10
 	}
-	if cbr, ok := rw.(*rewrite.CBR); ok {
-		cbr.ContainerCapacity = o.ContainerCapacity
-	}
-	if cfl, ok := rw.(*rewrite.CFL); ok {
-		cfl.ContainerCapacity = o.ContainerCapacity
-	}
-	if har, ok := rw.(*rewrite.HAR); ok {
-		har.ContainerCapacity = o.ContainerCapacity
-	}
 	rc, err := restorecache.New(cacheName)
 	if err != nil {
 		return nil, err

@@ -222,7 +222,7 @@ func runRestoreScaleCell(o Options, w workload.Config, versions [][]byte, scheme
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}
-	e, err := restoreEngine(o, w, scheme, backend.NewContainerStore(stack, ""), depth)
+	e, err := restoreEngine(o, w, scheme, backend.NewContainerStore(stack, "", false), depth)
 	if err != nil {
 		return RestoreScaleCell{}, err
 	}

@@ -46,7 +46,7 @@ func faultyLocal(t *testing.T, inj *Injector) (*Backend, string) {
 func TestTornLeavesTempDebris(t *testing.T) {
 	inj := NewInjector()
 	b, dir := faultyLocal(t, inj)
-	s := backend.NewContainerStore(b, dir)
+	s := backend.NewContainerStore(b, dir, false)
 	inj.Arm(Torn, 1)
 	if err := s.Put(fillContainer(t, 7, 2)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn op = %v", err)
@@ -84,7 +84,7 @@ func TestTornLeavesTempDebris(t *testing.T) {
 func TestCorruptReadFlipsOnDisk(t *testing.T) {
 	inj := NewInjector()
 	b, dir := faultyLocal(t, inj)
-	s := backend.NewContainerStore(b, dir)
+	s := backend.NewContainerStore(b, dir, false)
 	if err := s.Put(fillContainer(t, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCorruptReadFlipsOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := backend.NewContainerStore(l, dir).Get(3); err == nil {
+	if _, err := backend.NewContainerStore(l, dir, false).Get(3); err == nil {
 		t.Fatal("corruption vanished after a reopen")
 	}
 }
@@ -115,7 +115,7 @@ func TestCorruptReadFlipsOnDisk(t *testing.T) {
 func TestRecipeStoreInjection(t *testing.T) {
 	inj := NewInjector()
 	inj.Arm(Fail, 2)
-	cs := backend.NewContainerStore(NewBackend(backend.NewMem(), inj), "")
+	cs := backend.NewContainerStore(NewBackend(backend.NewMem(), inj), "", false)
 	rs := backend.NewRecipeStore(NewBackend(backend.NewMem(), inj))
 	if err := cs.Put(fillContainer(t, 1, 1)); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
 	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
 )
@@ -18,7 +19,7 @@ import (
 // The conformance suite pins the prefetch accounting invariant: for every
 // cache policy, wrapping the fetcher (PrefetchFetcher at any depth,
 // VerifyingFetcher) must leave the restored bytes, the policy-level
-// ContainerReads, and the store-level StoreStats.Reads bit-identical to
+// ContainerReads, and the reads the store served bit-identical to
 // the plain serial fetcher. Prefetch may only change *when* reads
 // happen, never *which* — otherwise it would corrupt the paper's speed
 // factor metric (§5.3).
@@ -26,7 +27,7 @@ import (
 // conformanceEntries builds a reference sequence that exercises re-reads
 // and cache churn: a sequential pass, an interleaved pass over the first
 // half, and a revisit of the start (evicted by then for small caches).
-func conformanceEntries(t *testing.T) (*container.MemStore, []recipe.Entry) {
+func conformanceEntries(t *testing.T) (*containertest.CountingStore, []recipe.Entry) {
 	t.Helper()
 	store, base, _ := fixture(t, 12, 16, 1024)
 	rng := rand.New(rand.NewSource(42))
@@ -86,17 +87,17 @@ func TestConformanceAcrossFetchers(t *testing.T) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			// Serial baseline: bytes, policy reads, store reads.
-			store.ResetStats()
+			store.Reset()
 			var want bytes.Buffer
 			base, err := c.Restore(context.Background(), entries, StoreFetcher(store), &want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseReads := store.Stats().Reads
+			baseReads := store.Reads()
 			for _, mode := range fetchModes() {
 				mode := mode
 				t.Run(mode.name, func(t *testing.T) {
-					store.ResetStats()
+					store.Reset()
 					fetch, done := mode.wrap(StoreFetcher(store), entries)
 					var got bytes.Buffer
 					stats, err := c.Restore(context.Background(), entries, fetch, &got)
@@ -115,8 +116,8 @@ func TestConformanceAcrossFetchers(t *testing.T) {
 					if stats.BytesRestored != base.BytesRestored || stats.Chunks != base.Chunks {
 						t.Fatalf("stats diverged: %+v vs %+v", stats, base)
 					}
-					if gotReads := store.Stats().Reads; gotReads != baseReads {
-						t.Fatalf("StoreStats.Reads = %d, serial baseline = %d", gotReads, baseReads)
+					if gotReads := store.Reads(); gotReads != baseReads {
+						t.Fatalf("store reads = %d, serial baseline = %d", gotReads, baseReads)
 					}
 				})
 			}
@@ -131,7 +132,7 @@ func TestPrefetchCloseWithoutUse(t *testing.T) {
 	p := NewPrefetchFetcher(StoreFetcher(store), entries, 8)
 	p.Close()
 	p.Close() // idempotent
-	if reads := store.Stats().Reads; reads != 0 {
+	if reads := store.Reads(); reads != 0 {
 		t.Fatalf("unused prefetcher issued %d reads", reads)
 	}
 }
@@ -153,7 +154,7 @@ func TestPrefetchUnplannedReadsThrough(t *testing.T) {
 	if _, err := p.Get(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	if reads := store.Stats().Reads; reads != 4 {
+	if reads := store.Reads(); reads != 4 {
 		t.Fatalf("store reads = %d, want 4 (3 planned + 1 read-through)", reads)
 	}
 }

@@ -27,18 +27,18 @@ func TestParallelConformance(t *testing.T) {
 	for _, c := range smallCaches() {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
-			store.ResetStats()
+			store.Reset()
 			var want bytes.Buffer
 			base, err := c.Restore(context.Background(), entries, StoreFetcher(store), &want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseReads := store.Stats().Reads
+			baseReads := store.Reads()
 			for _, workers := range []int{1, 2, 8} {
 				for _, depth := range []int{-1, 0, 4} {
 					workers, depth := workers, depth
 					t.Run(fmt.Sprintf("workers-%d/depth-%d", workers, depth), func(t *testing.T) {
-						store.ResetStats()
+						store.Reset()
 						fetch, done := MaybePrefetch(StoreFetcher(store), entries, depth, nil)
 						var got bytes.Buffer
 						pw := NewParallelWriter(&got, ParallelOptions{Workers: workers})
@@ -54,8 +54,8 @@ func TestParallelConformance(t *testing.T) {
 						if stats != base {
 							t.Fatalf("stats diverged: %+v vs serial %+v", stats, base)
 						}
-						if gotReads := store.Stats().Reads; gotReads != baseReads {
-							t.Fatalf("StoreStats.Reads = %d, serial baseline = %d", gotReads, baseReads)
+						if gotReads := store.Reads(); gotReads != baseReads {
+							t.Fatalf("store reads = %d, serial baseline = %d", gotReads, baseReads)
 						}
 					})
 				}

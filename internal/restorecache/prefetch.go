@@ -258,7 +258,7 @@ func (p *PrefetchFetcher) drainSkipped(k int) {
 // may be mid-fetch (its outcome will still land in the buffered it.ch)
 // or may never pick the item up. A non-blocking peek can't tell those
 // apart — reading through while a fetch was in flight cost a second,
-// uncounted backend read (backend Meter ops diverged from
+// uncounted backend read (the remote op count diverged from
 // Stats.ContainerReads under cancellation). The item's state machine
 // decides definitively: abandon() succeeding proves no worker has — or
 // ever will — fetch it, so exactly one side issues the read.

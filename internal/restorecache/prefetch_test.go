@@ -52,10 +52,10 @@ func TestPrefetchDrainsSkippedPlanned(t *testing.T) {
 	// Nobody awaited the worker's read of the skipped container; it may
 	// still be in flight.
 	eventually(t, "store reads reach 4 (3 planned + 1 read-through)", func() bool {
-		return store.Stats().Reads >= 4
+		return store.Reads() >= 4
 	})
 	p.Close()
-	if reads := store.Stats().Reads; reads != 4 {
+	if reads := store.Reads(); reads != 4 {
 		t.Fatalf("store reads = %d, want 4 (3 planned + 1 read-through)", reads)
 	}
 	if v := mx.PrefetchOccupancy.Value(); v != 0 {

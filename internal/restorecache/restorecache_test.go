@@ -8,16 +8,18 @@ import (
 	"testing"
 
 	"hidestore/internal/container"
+	"hidestore/internal/container/containertest"
 	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
 )
 
 // fixture builds a MemStore with nContainers containers of chunksPer
-// chunks each (chunkSize bytes) and returns the store plus per-chunk
+// chunks each (chunkSize bytes) and returns the store, behind a read
+// counter, plus per-chunk
 // entries in storage order and the original payloads by fingerprint.
-func fixture(t *testing.T, nContainers, chunksPer, chunkSize int) (*container.MemStore, []recipe.Entry, map[fp.FP][]byte) {
+func fixture(t *testing.T, nContainers, chunksPer, chunkSize int) (*containertest.CountingStore, []recipe.Entry, map[fp.FP][]byte) {
 	t.Helper()
-	store := container.NewMemStore()
+	store := containertest.Counting(container.NewMemStore())
 	rng := rand.New(rand.NewSource(7))
 	var entries []recipe.Entry
 	payloads := make(map[fp.FP][]byte)

@@ -80,6 +80,21 @@ func New(name string) (Rewriter, error) {
 	}
 }
 
+// SetContainerCapacity sets the container size the utility-based
+// schemes (CBR, CFL, HAR) compute against; New builds them at
+// container.DefaultCapacity, and an engine with other containers resets
+// it here. Other schemes do not look at the container size.
+func SetContainerCapacity(rw Rewriter, capacity int) {
+	switch r := rw.(type) {
+	case *CBR:
+		r.ContainerCapacity = capacity
+	case *CFL:
+		r.ContainerCapacity = capacity
+	case *HAR:
+		r.ContainerCapacity = capacity
+	}
+}
+
 // UnknownSchemeError reports an unrecognized rewriter name.
 type UnknownSchemeError struct{ Name string }
 
