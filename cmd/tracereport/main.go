@@ -287,7 +287,7 @@ func (s *segment) reportOperation(p *printer, root obs.TraceRecord, kids []obs.T
 }
 
 // reportFetches prints what a restore's forward pointers cost to follow,
-// how many of its reads were resident, the container-fetch timeline
+// how many of its reads were served from memory, the container-fetch timeline
 // summary and, for parallel restores, the
 // stall attribution; for backups, the commit plane's timeline — its
 // container puts legitimately overlap.
@@ -317,8 +317,9 @@ func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.Tra
 			len(flush), fmtDur(total), maxOverlap(flush))
 	}
 	if resident, ok := root.Attrs["resident_reads"]; ok {
-		// Reads the engine served from its in-memory images: counted
-		// container reads that never reached the store.
+		// Reads served from memory — the engine's active images, or images
+		// an earlier restore kept: counted reads that never reached the
+		// store.
 		p.printf("  resident %d of %d reads\n", resident, root.Attrs["container_reads"])
 	}
 	if len(fetch) > 0 {

@@ -294,9 +294,10 @@ type RestoreReport struct {
 	// RecipesRead counts recipe reads: the version's own plus, on a
 	// HiDeStore system, the newer ones its forward pointers led to.
 	RecipesRead uint64
-	// ResidentReads counts the container reads a HiDeStore system served
-	// from its in-memory active containers instead of the store; they are
-	// part of ContainerReads.
+	// ResidentReads counts the container reads served from memory instead
+	// of the store: a HiDeStore system's active containers, and images a
+	// restore since the last backup, delete, repair or damaging scrub step
+	// already read. They are part of ContainerReads.
 	ResidentReads uint64
 	Duration      time.Duration
 }

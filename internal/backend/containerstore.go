@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
@@ -68,6 +69,13 @@ var carrierFP = func() fp.FP {
 	return f
 }()
 
+// The DEFLATE codec state is pooled: a flate.Writer is about 800 KB to
+// build, far more than the image it compresses.
+var (
+	flateWriters sync.Pool // *flate.Writer
+	flateReaders sync.Pool // io.ReadCloser that is a flate.Resetter
+)
+
 // encode returns the blob Put writes for c: its MarshalBinary image, or,
 // compressing, a carrier image — a container under c's ID holding one
 // chunk under carrierFP, the DEFLATE stream (default level) of c's
@@ -78,10 +86,15 @@ func (s *ContainerStore) encode(c *container.Container) ([]byte, error) {
 		return raw, err
 	}
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
+	w, _ := flateWriters.Get().(*flate.Writer)
+	if w == nil {
+		if w, err = flate.NewWriter(&buf, flate.DefaultCompression); err != nil {
+			return nil, err
+		}
+	} else {
+		w.Reset(&buf)
 	}
+	defer flateWriters.Put(w)
 	if _, err := w.Write(raw); err != nil {
 		return nil, err
 	}
@@ -106,7 +119,15 @@ func (s *ContainerStore) decode(buf []byte) (*container.Container, error) {
 	if err != nil {
 		return nil, fmt.Errorf("not a compressed carrier: %w", err)
 	}
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(compressed)))
+	src := bytes.NewReader(compressed)
+	r, _ := flateReaders.Get().(io.ReadCloser)
+	if r == nil {
+		r = flate.NewReader(src)
+	} else if err := r.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, fmt.Errorf("decompress: %w", err)
+	}
+	defer flateReaders.Put(r)
+	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("decompress: %w", err)
 	}

@@ -97,10 +97,11 @@ type RestoreReport struct {
 	// version's own plus the newer ones its forward pointers led to. An
 	// exact work count, the same on every run over the same store.
 	RecipesRead uint64
-	// ResidentReads counts the container reads the engine served from its
-	// in-memory images instead of the store (HiDeStore's active
-	// containers; zero for the baseline and for a verifying restore). Each
-	// is also in Stats.ContainerReads: the store served the rest.
+	// ResidentReads counts the container reads served from memory instead
+	// of the store: HiDeStore's active images, and images a plain restore
+	// since the engine last changed a stored image read (the driver's kept
+	// set; either engine). Zero for a verifying restore. Each is also in
+	// Stats.ContainerReads: the store served the rest.
 	ResidentReads uint64
 }
 

@@ -112,27 +112,37 @@ func TestEnginesIngestTheSameChunks(t *testing.T) {
 
 // TestStoreReadsEqualCountedReads is the §5.3 accounting identity where
 // the reads happen: the store serves exactly the container reads a
-// restore's Stats.ContainerReads counts, bar those the engine served from
-// its resident active images, which the report counts as ResidentReads.
-// The restore driver builds the only fetcher that reads the store or the
-// resident images and the policy's counting layer sits on it, so no
-// engine code can add an uncounted read; this pins the outcome, exactly,
-// for both engines across every policy, read-ahead depth and assembler
-// width, for the verifying restore (no resident read), and for an engine
-// reopened on file-backed stores. Read-ahead never changes which reads
-// happen: for each engine and policy the sweep counts the same reads at
-// depth −1 (serial), 0 (the default) and 2, at either width.
+// restore's Stats.ContainerReads counts, bar those served from memory —
+// the engine's resident active images, or images an earlier restore since
+// the last mutation read (the driver's kept set) — which the report
+// counts as ResidentReads. The restore driver builds the only fetcher
+// that reads the store or memory and the policy's counting layer sits on
+// it, so no engine code can add an uncounted read; this pins the outcome,
+// exactly, for both engines across every policy, read-ahead depth and
+// assembler width, for the verifying restore (no memory read), and for an
+// engine reopened on file-backed stores. Neither read-ahead nor the
+// assembler changes which reads happen or where they are served: for each
+// engine and policy every version's store and memory reads are the same
+// at depth −1 (serial), 0 (the default) and 2, at either width. The
+// sweep's first restore follows the backups, a mutation, so it serves no
+// kept image, and later ones do.
 func TestStoreReadsEqualCountedReads(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	const capacity = 64 << 10
 	ctx := context.Background()
+	// split is one restore's reads: served by the store, from memory.
+	type split struct{ store, memory uint64 }
 	// sweep restores every version newest → oldest, each from a zeroed
-	// store read count, and returns the resident and the counted reads over
-	// the sweep.
+	// store read count and after before (when set), and returns each
+	// restore's split.
 	sweep := func(t *testing.T, store *containertest.CountingStore,
-		restore func(context.Context, int, io.Writer) (backup.RestoreReport, error)) (resident, total uint64) {
+		restore func(context.Context, int, io.Writer) (backup.RestoreReport, error), before func()) []split {
 		t.Helper()
+		var splits []split
 		for v := len(versions); v >= 1; v-- {
+			if before != nil {
+				before()
+			}
 			store.Reset()
 			var buf bytes.Buffer
 			rep, err := restore(ctx, v, &buf)
@@ -144,13 +154,12 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 			}
 			reads, counted := store.Reads(), rep.Stats.ContainerReads
 			if reads+rep.ResidentReads != counted {
-				t.Errorf("v%d: the store served %d container reads and the engine %d resident ones, the restore counted %d",
+				t.Errorf("v%d: the store served %d container reads and memory %d, the restore counted %d",
 					v, reads, rep.ResidentReads, counted)
 			}
-			resident += rep.ResidentReads
-			total += counted
+			splits = append(splits, split{reads, rep.ResidentReads})
 		}
-		return resident, total
+		return splits
 	}
 	engines := []struct {
 		name string
@@ -175,7 +184,33 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 	}
 	for _, eng := range engines {
 		for _, policy := range []string{"faa", "container-lru", "opt", "chunk-lru", "alacc"} {
-			byCell := map[string]uint64{} // counted reads over each cell's sweep
+			// open backs the versions up through a fresh engine.
+			open := func(t *testing.T, depth int) (backup.Engine, *containertest.CountingStore) {
+				cache, err := restorecache.New(policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := containertest.Counting(container.NewMemStore())
+				e, err := eng.open(store, cache, depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				backuptest.BackupAll(t, e, versions)
+				return e, store
+			}
+			// fresh is each version's split when its restore is the first
+			// since a mutation: a Repair, which on a healthy store changes
+			// nothing else, precedes each one.
+			var fresh []split
+			t.Run(fmt.Sprintf("%s/%s/fresh", eng.name, policy), func(t *testing.T) {
+				e, store := open(t, -1)
+				fresh = sweep(t, store, e.Restore, func() {
+					if _, err := e.(backup.Repairer).Repair(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			})
+			bySplit := map[string]string{} // each cell's splits, newest → oldest
 			for _, depth := range []int{-1, 0, 2} {
 				// The assembly width is GOMAXPROCS's: 1 runs the serial
 				// assembler, 4 the parallel one at width 4.
@@ -183,29 +218,35 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 					cell := fmt.Sprintf("%s/%s/depth%d/workers%d", eng.name, policy, depth, workers)
 					t.Run(cell, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, 1)))
-						cache, err := restorecache.New(policy)
-						if err != nil {
-							t.Fatal(err)
+						e, store := open(t, depth)
+						splits := sweep(t, store, e.Restore, nil)
+						if len(fresh) != len(splits) {
+							t.Fatal("no fresh sweep to compare with")
 						}
-						store := containertest.Counting(container.NewMemStore())
-						e, err := eng.open(store, cache, depth)
-						if err != nil {
-							t.Fatal(err)
+						if splits[0] != fresh[0] {
+							t.Errorf("v%d, the first restore after the backups: %+v, restored first after a mutation %+v",
+								len(versions), splits[0], fresh[0])
 						}
-						backuptest.BackupAll(t, e, versions)
-						resident, total := sweep(t, store, e.Restore)
-						if (eng.name == "core") != (resident > 0) {
-							t.Errorf("%d resident reads over the sweep", resident)
+						kept := uint64(0)
+						for i, sp := range splits[1:] {
+							f := fresh[i+1]
+							if sp.store+sp.memory != f.store+f.memory || sp.memory < f.memory {
+								t.Errorf("v%d: %+v, restored first after a mutation %+v", len(versions)-1-i, sp, f)
+							}
+							kept += sp.memory - f.memory
 						}
-						byCell[cell] = total
+						if kept == 0 {
+							t.Error("no later restore in the sweep served a kept image")
+						}
+						bySplit[cell] = fmt.Sprint(splits)
 					})
 				}
 			}
 			serial := fmt.Sprintf("%s/%s/depth-1/workers0", eng.name, policy)
-			for cell, n := range byCell {
-				if n != byCell[serial] {
-					t.Errorf("%s counted %d container reads, %s %d: read-ahead changed which reads happen",
-						cell, n, serial, byCell[serial])
+			for cell, splits := range bySplit {
+				if splits != bySplit[serial] {
+					t.Errorf("%s read %s from store and memory, %s %s: read-ahead or assembly changed which reads happen or where",
+						cell, splits, serial, bySplit[serial])
 				}
 			}
 		}
@@ -217,8 +258,10 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		backuptest.BackupAll(t, e, versions)
-		if resident, _ := sweep(t, store, e.VerifyRestore); resident != 0 {
-			t.Errorf("verifying restores read %d resident images, want every read from the store", resident)
+		for _, sp := range sweep(t, store, e.VerifyRestore, nil) {
+			if sp.memory != 0 {
+				t.Errorf("a verifying restore read %d images from memory, want every read from the store", sp.memory)
+			}
 		}
 	})
 	t.Run("core/reopened-filestore", func(t *testing.T) {
@@ -240,8 +283,8 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 		e, _ := open()
 		backuptest.BackupAll(t, e, versions)
 		reopened, store := open()
-		if resident, _ := sweep(t, store, reopened.Restore); resident == 0 {
-			t.Error("a reopened engine read no resident image: the reloaded actives went unused")
+		if splits := sweep(t, store, reopened.Restore, nil); splits[0].memory == 0 {
+			t.Error("a reopened engine's first restore read nothing from memory: the reloaded actives went unused")
 		}
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,7 +56,17 @@ type RestoreDriver struct {
 	// spans keeps the parallel assembler, span buffers included, from one
 	// of this driver's restores to the next.
 	spans restorecache.SpanPool
+	// kept holds decoded images plain restores read from the store since
+	// the engine last called Forget, at most restorecache.DefaultPrefetchDepth
+	// of them; later plain restores read them from here (DESIGN.md,
+	// "Restore driver").
+	kept map[container.ID]*container.Container
 }
+
+// Forget drops every kept image. An engine calls it before any operation
+// that may delete, rewrite or quarantine a stored image, so a kept image
+// is always the image the store holds under its ID.
+func (d *RestoreDriver) Forget() { d.kept = nil }
 
 // maxAssemblyWidth caps the parallel assembler's span workers, and with
 // them the reorder window's memory (2·width + 2 spans, ≈ 10 MB at 4).
@@ -102,33 +114,89 @@ func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies
 	return layout.Analyze(ctx, version, res.Entries, d.source(false), d.ContainerCapacity, policies)
 }
 
-// sourceFetcher is the bottom of every fetcher stack: a resident image
-// when the engine holds one, else a read of the store. Resident reads are
-// counted here, below read-ahead, so a restore's store reads plus
-// resident reads are every read that reached the bottom of its stack.
+// sourceFetcher is the bottom of every fetcher stack: an image held in
+// memory — the engine's resident image, else a kept one — or a read of
+// the store. Memory reads are counted here, below read-ahead, so a
+// restore's store reads plus memory reads are every read that reached the
+// bottom of its stack.
 type sourceFetcher struct {
-	store    restorecache.Fetcher
+	store restorecache.Fetcher
+	// plain is false for a verifying restore, which reads only the store.
+	plain    bool
 	resident func(container.ID) *container.Container
-	reads    atomic.Uint64 // images served by resident
+	// kept is the driver's kept set as the restore began, read-only. The
+	// store reads of the IDs in admit join it: took holds those made so
+	// far, and serves the restore's own re-reads of them.
+	kept  map[container.ID]*container.Container
+	admit map[container.ID]bool
+	mu    sync.Mutex
+	took  map[container.ID]*container.Container
+	reads atomic.Uint64 // images served from memory
 }
 
 // Get implements restorecache.Fetcher.
 func (f *sourceFetcher) Get(ctx context.Context, id container.ID) (*container.Container, error) {
-	if f.resident != nil {
+	if f.plain {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if c := f.resident(id); c != nil {
+		if c := f.held(id); c != nil {
 			f.reads.Add(1)
 			return c, nil
 		}
 	}
-	return f.store.Get(ctx, id)
+	c, err := f.store.Get(ctx, id)
+	if err == nil && f.admit[id] {
+		f.mu.Lock()
+		if f.took == nil {
+			f.took = make(map[container.ID]*container.Container, len(f.admit))
+		}
+		f.took[id] = c
+		f.mu.Unlock()
+	}
+	return c, err
 }
 
-// source is the one fetcher that reads Store or Resident for a version.
-// With verify set it reads only the store and re-hashes what it returns:
-// a scrub-on-read checks the stored bytes, not the engine's memory.
+// held returns the image of id held in memory, or nil.
+func (f *sourceFetcher) held(id container.ID) *container.Container {
+	if f.resident != nil {
+		if c := f.resident(id); c != nil {
+			return c
+		}
+	}
+	if c := f.kept[id]; c != nil || !f.admit[id] {
+		return c
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.took[id]
+}
+
+// admitFrom picks the store reads that join the kept set: the first IDs
+// the entries name, in order, that are neither resident nor kept, until
+// the set would hold restorecache.DefaultPrefetchDepth images. Deciding
+// in plan order rather than as fetches complete makes the kept set, and
+// so every restore's store/memory split, a function of the stored state.
+func (f *sourceFetcher) admitFrom(entries []recipe.Entry) {
+	free := restorecache.DefaultPrefetchDepth - len(f.kept)
+	for _, e := range entries {
+		if len(f.admit) >= free {
+			return
+		}
+		id := container.ID(e.CID)
+		if f.admit[id] || f.kept[id] != nil || (f.resident != nil && f.resident(id) != nil) {
+			continue
+		}
+		if f.admit == nil {
+			f.admit = make(map[container.ID]bool, free)
+		}
+		f.admit[id] = true
+	}
+}
+
+// source is the one fetcher that reads Store, Resident or the kept set
+// for a version. With verify set it reads only the store and re-hashes
+// what it returns: a scrub-on-read checks the stored bytes, not memory.
 // Restore stacks read-ahead, the observed layer and the policy's counting
 // layer on it; AnalyzeLayout loads each image it names through it once.
 func (d *RestoreDriver) source(verify bool) *sourceFetcher {
@@ -136,7 +204,7 @@ func (d *RestoreDriver) source(verify bool) *sourceFetcher {
 	if verify {
 		return &sourceFetcher{store: restorecache.NewVerifyingFetcher(store)}
 	}
-	return &sourceFetcher{store: store, resident: d.Resident}
+	return &sourceFetcher{store: store, plain: true, resident: d.Resident, kept: d.kept}
 }
 
 // resolve is the front half of every read path: version's recipe as
@@ -234,6 +302,9 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// assembler; neither changes which containers the policy requests, so
 	// the identity holds at any depth and width.
 	src := d.source(verify)
+	if !verify {
+		src.admitFrom(res.Entries)
+	}
 	fetch, done := restorecache.MaybePrefetch(src, res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
@@ -254,6 +325,12 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// Joined first, so a read-ahead fetch still in flight is either
 	// counted or never happened.
 	done()
+	// Kept only on success: a failed restore's reads depend on where it
+	// stopped.
+	if len(src.took) > 0 && d.kept == nil {
+		d.kept = make(map[container.ID]*container.Container, restorecache.DefaultPrefetchDepth)
+	}
+	maps.Copy(d.kept, src.took)
 	resident := src.reads.Load()
 	if d.Metrics != nil {
 		d.Metrics.Restores.Inc()

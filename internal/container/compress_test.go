@@ -2,7 +2,10 @@ package container_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -97,5 +100,48 @@ func TestCompressedRejectsPlainCarrier(t *testing.T) {
 	}
 	if _, err := s.Get(7); err == nil {
 		t.Fatal("plain container accepted as compressed carrier")
+	}
+}
+
+// TestCompressedPutReusesCodec: the compressing adapter reuses its DEFLATE
+// state, so a Put of a small image allocates less than building that
+// state once does (about 800 KB), and what it stores still reads back.
+func TestCompressedPutReusesCodec(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := flate.NewWriter(io.Discard, flate.DefaultCompression); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	state := after.TotalAlloc - before.TotalAlloc
+
+	s, _ := newCompressed()
+	c := containertest.Fill(t, 1, 8)
+	if err := s.Put(c); err != nil { // builds the pooled state
+		t.Fatal(err)
+	}
+	const rounds = 20
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		if err := s.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / rounds; perPut >= state {
+		t.Errorf("a Put of an 8-chunk image allocated %d B; the compressor state is %d B", perPut, state)
+	}
+	for range 2 { // the second Get runs on a pooled reader
+		got, err := s.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.Fingerprints() {
+			want, _ := c.View(f)
+			if d, err := got.View(f); err != nil || !bytes.Equal(d, want) {
+				t.Fatalf("chunk %s: %v", f.Short(), err)
+			}
+		}
 	}
 }

@@ -12,6 +12,8 @@ type Packer struct {
 	Capacity int
 	// Remaining, when positive, is the payload still to be packed: fresh
 	// images are pre-sized for it (up to Capacity) instead of regrowing.
+	// A packer of a stream of unknown length sets math.MaxInt, opening
+	// every image at full Capacity.
 	Remaining int
 	// Seal receives each non-empty image once nothing more goes into it.
 	Seal func(*Container) error

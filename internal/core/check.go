@@ -37,6 +37,7 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // container.Quarantiner (the backend adapter does; the memory store
 // does not).
 func (e *Engine) Repair() (backup.RepairReport, error) {
+	e.restore.Forget()
 	return e.audit(true)
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -280,6 +281,7 @@ func New(cfg Config) (*Engine, error) {
 // state references is still on disk unchanged, so reopening rolls forward
 // or back to a consistent history (see recoverStartup).
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
+	e.restore.Forget() // migration and merge delete and retire stored images
 	in, err := e.ingest.Begin(ctx)
 	if err != nil {
 		return backup.BackupReport{}, err
@@ -292,9 +294,11 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	statsBefore := e.cache.Stats()
 	e.written = 0
 	rec := recipe.New(v)
-	// Unique chunks go to active containers in stream order. Not pre-sized:
-	// growing as it fills measured faster end to end (ROADMAP, unknown (a)).
-	active := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: e.sealActive}
+	// Unique chunks go to active containers in stream order, each image
+	// opened at full capacity: regrowing it by append on the serial sink
+	// cost kernel-mem backup_mbps 13–33 % on the 2-CPU reference host
+	// (ROADMAP, unknown (a)).
+	active := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: math.MaxInt, Seal: e.sealActive}
 	var stored uint64
 	var unique int
 
@@ -761,6 +765,7 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 // containers first would leave a recipe pointing at missing chunks —
 // data loss for a version still listed as restorable.
 func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) {
+	e.restore.Forget()
 	start := time.Now()
 	report = backup.DeleteReport{Version: version}
 	if err := e.ingest.Failed(); err != nil {

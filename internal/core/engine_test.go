@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -402,5 +404,32 @@ func TestEmptyVersion(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatal("empty version should restore to empty bytes")
+	}
+}
+
+// TestBackupSizesActiveImagesOnce: the active images a backup packs open
+// at full capacity, so a unique stream is copied into them once instead of
+// regrowing each image by append. Backing up 16 MiB of unique bytes
+// allocates about 3.2× the stream (its slabs, the images, the index);
+// regrowing the images took about 6.7×.
+func TestBackupSizesActiveImagesOnce(t *testing.T) {
+	const size = 16 << 20
+	data := make([]byte, size)
+	rand.New(rand.NewSource(37)).Read(data)
+	e, err := New(Config{Store: container.NewMemStore(), Recipes: recipe.NewMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size*7/2 {
+		t.Errorf("backing up %d MiB of unique bytes allocated %.1f MB, more than 3.5× the stream", size>>20, float64(alloc)/1e6)
+	} else {
+		t.Logf("allocated %.1f MB", float64(alloc)/1e6)
 	}
 }

@@ -23,6 +23,7 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // undecodable containers quarantined and the versions that reference
 // them named in AffectedVersions.
 func (e *Engine) Repair() (backup.RepairReport, error) {
+	e.restore.Forget()
 	return e.audit(true)
 }
 

@@ -125,6 +125,11 @@ type RestoreScaleResult struct {
 	// recipe plus every newer one its forward pointers led through. Exact,
 	// so CI gates on it like the allocation count.
 	RecipeReadsOldest float64
+	// StoreReadsSweep is the store reads (ContainerReads − ResidentReads)
+	// of one plain newest → oldest sweep right after the backups: the
+	// reads neither the resident active images nor the images an earlier
+	// restore of the sweep kept could serve. Exact, so CI gates on it.
+	StoreReadsSweep float64
 }
 
 // effectiveFetchParallelism mirrors the prefetcher's own bound: its pool
@@ -346,6 +351,22 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 		return nil, fmt.Errorf("recipe read count restore v1: %w", err)
 	}
 	res.RecipeReadsOldest = float64(oldest.RecipesRead)
+
+	// On a store of its own, so the sweep starts with no restore before it.
+	sweep, err := newHidestore(plain, cfg, container.NewMemStore(), 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := backupChain(sweep, versions); err != nil {
+		return nil, fmt.Errorf("store read sweep: %w", err)
+	}
+	for v := len(versions); v >= 1; v-- {
+		rep, err := restoreVerify(sweep.Restore, v, versions[v-1])
+		if err != nil {
+			return nil, fmt.Errorf("store read sweep restore v%d: %w", v, err)
+		}
+		res.StoreReadsSweep += float64(rep.Stats.ContainerReads - rep.ResidentReads)
+	}
 	return res, nil
 }
 
@@ -428,5 +449,6 @@ func (r *RestoreScaleResult) Render() string {
 		r.CFL, r.Utilization*100, r.ContainersPerMB)
 	s += fmt.Sprintf("restore allocations: %.3f per chunk\n", r.AllocsPerChunk)
 	s += fmt.Sprintf("oldest version, cold: %.0f recipe reads\n", r.RecipeReadsOldest)
+	s += fmt.Sprintf("newest → oldest sweep: %.0f store reads\n", r.StoreReadsSweep)
 	return s
 }
