@@ -43,7 +43,11 @@ func BenchmarkFigure3(b *testing.B) {
 	for _, name := range []string{"kernel", "macos"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Figure3(name, benchOptions())
+				src, err := experiments.PresetVersions(name, benchOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := experiments.Figure3(src, benchOptions())
 				if err != nil {
 					b.Fatal(err)
 				}

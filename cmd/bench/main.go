@@ -86,7 +86,11 @@ func run(args []string) error {
 			fmt.Println(res.Render())
 		case "fig3":
 			for _, name := range names {
-				res, err := experiments.Figure3(name, opts)
+				src, err := experiments.PresetVersions(name, opts)
+				if err != nil {
+					return err
+				}
+				res, err := experiments.Figure3(src, opts)
 				if err != nil {
 					return err
 				}

@@ -77,7 +77,6 @@ func runCtx(ctx context.Context, args []string) error {
 		dir      = fs.String("dir", "", "storage directory (required)")
 		out      = fs.String("o", "", "restore output file (default stdout)")
 		window   = fs.Int("window", 1, "fingerprint-cache window in versions")
-		alg      = fs.String("chunker", "tttd", "chunking algorithm: tttd|rabin|fastcdc|ae|fixed")
 		ctnSize  = fs.Int("container", 4<<20, "container size in bytes")
 		cache    = fs.String("restore-cache", "faa", "restore cache: faa|alacc|container-lru|chunk-lru|opt")
 		compress = fs.Bool("compress", false, "DEFLATE-compress containers at rest")
@@ -133,7 +132,6 @@ func runCtx(ctx context.Context, args []string) error {
 	sys, err := hidestore.Open(hidestore.Config{
 		Dir:           *dir,
 		Window:        *window,
-		Chunker:       *alg,
 		ContainerSize: *ctnSize,
 		RestoreCache:  *cache,
 		Compress:      *compress,

@@ -8,7 +8,7 @@
 //
 // With -out, each version is written to <out>/v<N>.bin. With -stats, no
 // files are written; per-version chunk counts and adjacent-version
-// redundancy are printed instead.
+// redundancy, cut with TTTD as the engines cut, are printed instead.
 package main
 
 import (
@@ -101,7 +101,7 @@ func printStats(g *workload.Generator) error {
 		if err != nil {
 			return err
 		}
-		ch, err := chunker.New(chunker.FastCDC, r, params)
+		ch, err := chunker.New(chunker.TTTD, r, params)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hidestore/internal/chunker"
+	"hidestore/internal/core"
+	"hidestore/internal/obs"
 )
 
 // fixtureConfig is the configuration testdata/local_store was written
@@ -81,6 +85,57 @@ func TestLocalStoreFixture(t *testing.T) {
 			cfg := fixtureConfig(dir)
 			cfg.Compress = c.compress
 			checkFixtureStore(t, cfg)
+		})
+	}
+}
+
+// TestForeignChunkerStoreOpens writes a store the way a system that cut
+// with another chunker did — an engine cutting with Rabin on the planes
+// Config.stores lays out under Dir — and runs TestLocalStoreFixture's
+// checks on it through Open, which cuts with TTTD: the versions restore
+// byte-identically, fsck is clean, and a fourth backup commits. The state
+// file records Rabin, so that backup confirms no cut from the newest
+// recipe and scans every byte; the same store written with TTTD confirms
+// some.
+func TestForeignChunkerStoreOpens(t *testing.T) {
+	for _, c := range []struct {
+		alg      chunker.Algorithm
+		scansAll bool
+	}{
+		{chunker.Rabin, true},
+		{chunker.TTTD, false},
+	} {
+		t.Run(c.alg.String(), func(t *testing.T) {
+			cfg := fixtureConfig(t.TempDir())
+			set, err := cfg.stores()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := core.New(core.Config{
+				Chunker:           c.alg,
+				ChunkParams:       cfg.chunkParams(),
+				Store:             set.containers,
+				Recipes:           set.recipes,
+				State:             set.state,
+				ContainerCapacity: cfg.ContainerSize,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, data := range fixtureVersions() {
+				if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := obs.NewRegistry()
+			cfg.Metrics = reg
+			checkFixtureStore(t, cfg)
+			counters := reg.Snapshot().Counters
+			scanned := counters["hidestore_backup_scanned_bytes_total"].Value
+			logical := counters["hidestore_backup_logical_bytes_total"].Value
+			if logical == 0 || (scanned >= logical) != c.scansAll {
+				t.Fatalf("fourth backup scanned %v of %v logical bytes; want every byte scanned: %v", scanned, logical, c.scansAll)
+			}
 		})
 	}
 }

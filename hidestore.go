@@ -63,20 +63,15 @@ type Config struct {
 	// default) deduplicates against the previous version, 2 suits
 	// macos-like workloads whose changes straddle two versions.
 	Window int
-	// Chunker selects the chunking algorithm: "tttd" (default, as in the
-	// paper), "rabin", "fastcdc", "ae" or "fixed".
-	Chunker string
 	// MinChunk/AvgChunk/MaxChunk bound chunk sizes in bytes (defaults
-	// 2 KB / 4 KB / 16 KB, the paper's configuration).
+	// 2 KB / 4 KB / 16 KB, the paper's configuration). Streams are cut
+	// with TTTD, the paper's chunker.
 	MinChunk, AvgChunk, MaxChunk int
 	// ContainerSize in bytes (default 4 MB, the paper's).
 	ContainerSize int
 	// RestoreCache selects the restore strategy: "faa" (default),
 	// "alacc", "container-lru", "chunk-lru" or "opt".
 	RestoreCache string
-	// MergeUtilization is the active-container utilization below which
-	// containers are merged after each version (default 0.5).
-	MergeUtilization float64
 	// Compress enables DEFLATE compression of containers at rest (the
 	// backend adapter's codec). Compression composes with
 	// deduplication: dedup removes repeated chunks, compression shrinks
@@ -236,13 +231,6 @@ func (c Config) stores() (storeSet, error) {
 	return set, nil
 }
 
-func (c Config) chunkerAlg() (chunker.Algorithm, error) {
-	if c.Chunker == "" {
-		return chunker.TTTD, nil
-	}
-	return chunker.ParseAlgorithm(c.Chunker)
-}
-
 func (c Config) restoreCache() (restorecache.Cache, error) {
 	if c.RestoreCache == "" {
 		return restorecache.NewFAA(0), nil
@@ -361,22 +349,16 @@ func Open(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	alg, err := cfg.chunkerAlg()
-	if err != nil {
-		return nil, err
-	}
 	rc, err := cfg.restoreCache()
 	if err != nil {
 		return nil, err
 	}
 	e, err := core.New(core.Config{
-		Chunker:           alg,
 		ChunkParams:       cfg.chunkParams(),
 		Store:             set.containers,
 		Recipes:           set.recipes,
 		ContainerCapacity: cfg.ContainerSize,
 		Window:            cfg.Window,
-		MergeUtilization:  cfg.MergeUtilization,
 		RestoreCache:      rc,
 		State:             set.state,
 		Metrics:           cfg.Metrics,
@@ -392,7 +374,7 @@ func Open(cfg Config) (*System, error) {
 // comparisons.
 type BaselineConfig struct {
 	// Config supplies chunking, container and restore-cache settings
-	// (Window and MergeUtilization are ignored).
+	// (Window is ignored).
 	Config
 	// Index selects the fingerprint index: "ddfs" (default), "sparse",
 	// "silo" or "extbin".
@@ -406,10 +388,6 @@ type BaselineConfig struct {
 // paper compares HiDeStore against.
 func OpenBaseline(cfg BaselineConfig) (*System, error) {
 	set, err := cfg.stores()
-	if err != nil {
-		return nil, err
-	}
-	alg, err := cfg.chunkerAlg()
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +416,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 		return nil, err
 	}
 	e, err := dedup.New(dedup.Config{
-		Chunker:           alg,
 		ChunkParams:       cfg.chunkParams(),
 		Index:             ix,
 		Rewriter:          rw,

@@ -49,9 +49,6 @@ func TestOpenDefaults(t *testing.T) {
 }
 
 func TestOpenBadOptions(t *testing.T) {
-	if _, err := Open(Config{Chunker: "nope"}); err == nil {
-		t.Fatal("bad chunker should fail")
-	}
 	if _, err := Open(Config{RestoreCache: "nope"}); err == nil {
 		t.Fatal("bad restore cache should fail")
 	}

@@ -10,39 +10,6 @@ import (
 	"testing"
 )
 
-// TestEveryChunkerRoundTrips runs a full backup/restore/delete cycle under
-// each chunking algorithm.
-func TestEveryChunkerRoundTrips(t *testing.T) {
-	versions := testVersions(t, 4)
-	for _, alg := range []string{"fixed", "rabin", "tttd", "fastcdc", "ae"} {
-		t.Run(alg, func(t *testing.T) {
-			sys, err := Open(Config{
-				Chunker:       alg,
-				ContainerSize: 64 << 10,
-				MinChunk:      1024, AvgChunk: 2048, MaxChunk: 8192,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			for _, data := range versions {
-				if _, err := sys.Backup(ctx, bytes.NewReader(data)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i, want := range versions {
-				var buf bytes.Buffer
-				if _, err := sys.Restore(ctx, i+1, &buf); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("version %d corrupted under %s", i+1, alg)
-				}
-			}
-		})
-	}
-}
-
 // TestEveryRestoreCacheRoundTrips runs the cycle under each restore cache.
 func TestEveryRestoreCacheRoundTrips(t *testing.T) {
 	versions := testVersions(t, 4)

@@ -51,6 +51,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEveryChunkerRoundTrips backs a chain up under each chunking
+// algorithm Config.Chunker takes — the engines the chunker ablation
+// builds — restores every version byte-identically, expires the oldest
+// and restores the rest again.
+func TestEveryChunkerRoundTrips(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(4, 0))
+	for _, alg := range []chunker.Algorithm{chunker.Fixed, chunker.Rabin, chunker.TTTD, chunker.FastCDC, chunker.AE} {
+		t.Run(alg.String(), func(t *testing.T) {
+			e, err := New(Config{
+				Store:             container.NewMemStore(),
+				Recipes:           recipe.NewMemStore(),
+				ContainerCapacity: 64 << 10,
+				ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
+				Chunker:           alg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backuptest.BackupAll(t, e, versions)
+			backuptest.CheckRestoreAll(t, e, versions)
+			if _, err := e.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+			for v := 2; v <= len(versions); v++ {
+				backuptest.CheckRestoreOne(t, e, v, versions[v-1])
+			}
+		})
+	}
+}
+
 // TestBackupRestoreAllVersions is the core correctness test: every stored
 // version restores byte-for-byte, including old versions whose chunks have
 // migrated through archival containers and recipe chains.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
 	"hidestore/internal/core"
 	"hidestore/internal/metrics"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/workload"
 )
@@ -43,22 +41,12 @@ type AblationResult struct {
 	Rows     []AblationRow
 }
 
-// runHidestoreConfig backs up the chain under one HiDeStore configuration
-// and measures the ablation metrics.
-func runHidestoreConfig(cfg workload.Config, o Options, window int, mergeUtil float64,
-	ctnCapacity int, alg chunker.Algorithm, rc restorecache.Cache, prefetch int) (AblationRow, error) {
-	e, err := core.New(core.Config{
-		Store:             container.NewMemStore(),
-		Recipes:           recipe.NewMemStore(),
-		ContainerCapacity: ctnCapacity,
-		Window:            window,
-		MergeUtilization:  mergeUtil,
-		ChunkParams:       o.ChunkParams,
-		Chunker:           alg,
-		RestoreCache:      rc,
-		PrefetchDepth:     prefetch,
-		Metrics:           o.Metrics,
-	})
+// runHidestoreConfig backs up the chain on hidestoreConfig's engine with
+// the swept field set by set, and measures the ablation metrics.
+func runHidestoreConfig(cfg workload.Config, o Options, set func(*core.Config)) (AblationRow, error) {
+	c := hidestoreConfig(o, cfg)
+	set(&c)
+	e, err := core.New(c)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -95,8 +83,7 @@ func AblationWindow(workloadName string, opts Options) (*AblationResult, error) 
 	}
 	res := &AblationResult{Workload: cfg.Name, Param: "window"}
 	for _, w := range []int{1, 2, 3, 5} {
-		row, err := runHidestoreConfig(cfg, opts, w, 0.5, opts.ContainerCapacity,
-			chunker.FastCDC, restorecache.NewFAA(0), 0)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.Window = w })
 		if err != nil {
 			return nil, fmt.Errorf("window %d: %w", w, err)
 		}
@@ -118,8 +105,7 @@ func AblationMergeThreshold(workloadName string, opts Options) (*AblationResult,
 	}
 	res := &AblationResult{Workload: cfg.Name, Param: "merge-utilization"}
 	for _, u := range []float64{0.01, 0.25, 0.5, 0.75, 0.95} {
-		row, err := runHidestoreConfig(cfg, opts, cacheWindow(cfg), u, opts.ContainerCapacity,
-			chunker.FastCDC, restorecache.NewFAA(0), 0)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.MergeUtilization = u })
 		if err != nil {
 			return nil, fmt.Errorf("merge %.2f: %w", u, err)
 		}
@@ -141,8 +127,7 @@ func AblationContainerSize(workloadName string, opts Options) (*AblationResult, 
 	}
 	res := &AblationResult{Workload: cfg.Name, Param: "container-size"}
 	for _, size := range []int{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20} {
-		row, err := runHidestoreConfig(cfg, opts, cacheWindow(cfg), 0.5, size,
-			chunker.FastCDC, restorecache.NewFAA(0), 0)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.ContainerCapacity = size })
 		if err != nil {
 			return nil, fmt.Errorf("size %d: %w", size, err)
 		}
@@ -163,8 +148,7 @@ func AblationChunker(workloadName string, opts Options) (*AblationResult, error)
 	}
 	res := &AblationResult{Workload: cfg.Name, Param: "chunker"}
 	for _, alg := range []chunker.Algorithm{chunker.Fixed, chunker.Rabin, chunker.TTTD, chunker.FastCDC, chunker.AE} {
-		row, err := runHidestoreConfig(cfg, opts, cacheWindow(cfg), 0.5, opts.ContainerCapacity,
-			alg, restorecache.NewFAA(0), 0)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.Chunker = alg })
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", alg, err)
 		}
@@ -188,8 +172,7 @@ func AblationRestoreCache(workloadName string, opts Options) (*AblationResult, e
 		if err != nil {
 			return nil, err
 		}
-		row, err := runHidestoreConfig(cfg, opts, cacheWindow(cfg), 0.5, opts.ContainerCapacity,
-			chunker.FastCDC, rc, 0)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.RestoreCache = rc })
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -212,8 +195,7 @@ func AblationPrefetchDepth(workloadName string, opts Options) (*AblationResult, 
 	}
 	res := &AblationResult{Workload: cfg.Name, Param: "prefetch-depth"}
 	for _, depth := range []int{-1, 1, 2, 4, 8, 16} {
-		row, err := runHidestoreConfig(cfg, opts, cacheWindow(cfg), 0.5, opts.ContainerCapacity,
-			chunker.FastCDC, restorecache.NewFAA(0), depth)
+		row, err := runHidestoreConfig(cfg, opts, func(c *core.Config) { c.PrefetchDepth = depth })
 		if err != nil {
 			return nil, fmt.Errorf("prefetch %d: %w", depth, err)
 		}

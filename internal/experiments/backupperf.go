@@ -11,12 +11,7 @@ import (
 	"hidestore/internal/backup"
 	"hidestore/internal/bufpool"
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
-	"hidestore/internal/core"
-	"hidestore/internal/dedup"
-	"hidestore/internal/index"
 	"hidestore/internal/metrics"
-	"hidestore/internal/recipe"
 	"hidestore/internal/workload"
 )
 
@@ -51,12 +46,11 @@ type BackupPerfResult struct {
 	Rows     []BackupPerfRow
 }
 
-// BackupPerf counts allocator pressure and container writes for a full
-// version chain on the memory-backed store, and the scan and hash shares
-// in a second pass (see ingestShares). The store is memory-backed on purpose:
-// with I/O out of the picture, the allocations are the CPU side's
-// (chunking, hashing, lookup, container packing) that the
-// allocation-free chunk path targets.
+// BackupPerf counts allocator pressure, container writes and the scan and
+// hash shares for a full version chain on the memory-backed store, one
+// pass per scheme. The store is memory-backed on purpose: with I/O out of
+// the picture, the allocations are the CPU side's (chunking, hashing,
+// lookup, container packing) that the allocation-free chunk path targets.
 func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	opts = opts.withDefaults()
 	cfg, err := opts.loadWorkload(workloadName)
@@ -83,72 +77,26 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
 		}
 		row := BackupPerfRow{Scheme: scheme}
-		var written uint64
+		var written, scanned, hashed uint64
 		for _, rep := range reports {
 			row.Chunks += rep.Chunks
 			row.LogicalBytes += rep.LogicalBytes
 			written += rep.ContainerBytesWritten
+			scanned += rep.ScannedBytes
+			hashed += rep.HashedBytes
 		}
 		if row.LogicalBytes > 0 {
-			row.WriteAmplification = float64(written) / float64(row.LogicalBytes)
+			logical := float64(row.LogicalBytes)
+			row.WriteAmplification = float64(written) / logical
+			row.ScanShare = float64(scanned) / logical
+			row.HashShare = float64(hashed) / logical
 		}
 		if row.Chunks > 0 {
 			row.AllocsPerChunk = float64(after.Mallocs-before.Mallocs) / float64(row.Chunks)
 		}
-		if row.ScanShare, row.HashShare, err = ingestShares(scheme, cfg, opts); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
-		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// ingestShares backs the chain up once more through scheme's engine,
-// cutting with the engines' default chunker (TTTD) where the pass above
-// and the figures cut with FastCDC, whose cuts the ingest cannot confirm.
-// It returns the scanned bytes over the logical bytes — the rest the
-// ingest confirmed from the previous version's cuts — and the hashed
-// bytes over the logical bytes.
-func ingestShares(scheme string, cfg workload.Config, opts Options) (scan, hash float64, err error) {
-	var e backup.Engine
-	if scheme == "hidestore" {
-		e, err = core.New(core.Config{
-			Store:             container.NewMemStore(),
-			Recipes:           recipe.NewMemStore(),
-			ContainerCapacity: opts.ContainerCapacity,
-			Window:            cacheWindow(cfg),
-			ChunkParams:       opts.ChunkParams,
-		})
-	} else {
-		var ix index.Index
-		if ix, err = newBaselineIndex(scheme); err != nil {
-			return 0, 0, err
-		}
-		e, err = dedup.New(dedup.Config{
-			Index:             ix,
-			Store:             container.NewMemStore(),
-			Recipes:           recipe.NewMemStore(),
-			ContainerCapacity: opts.ContainerCapacity,
-			ChunkParams:       opts.ChunkParams,
-		})
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	reports, err := backupAllVersions(e, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	var scanned, hashed, logical uint64
-	for _, rep := range reports {
-		scanned += rep.ScannedBytes
-		hashed += rep.HashedBytes
-		logical += rep.LogicalBytes
-	}
-	if logical == 0 {
-		return 0, 0, nil
-	}
-	return float64(scanned) / float64(logical), float64(hashed) / float64(logical), nil
 }
 
 // Extras flattens the rows into scalar metrics for BENCH_<exp>.json.

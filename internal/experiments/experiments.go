@@ -118,9 +118,9 @@ func forEachVersion(cfg workload.Config, fn func(v int, r io.Reader) error) erro
 
 // chunkRefs splits a stream into fingerprinted chunk references without
 // retaining payloads — the metadata-only fast path used by the index
-// experiments (Figures 3, 9, 10).
+// experiments (Figures 3, 9, 10). It cuts with TTTD, as the engines do.
 func chunkRefs(r io.Reader, params chunker.Params) ([]index.ChunkRef, error) {
-	ch, err := chunker.New(chunker.FastCDC, r, params)
+	ch, err := chunker.New(chunker.TTTD, r, params)
 	if err != nil {
 		return nil, err
 	}
@@ -198,15 +198,16 @@ func (p *placementSim) place(seg []index.ChunkRef, results []index.Result, sessi
 	return cids
 }
 
-// baselineEngine assembles a dedup.Engine from component names.
-func baselineEngine(o Options, indexName, rewriterName, cacheName string) (backup.Engine, error) {
+// baselineConfig assembles a dedup.Config from component names, on
+// memory stores.
+func baselineConfig(o Options, indexName, rewriterName, cacheName string) (dedup.Config, error) {
 	ix, err := newBaselineIndex(indexName)
 	if err != nil {
-		return nil, err
+		return dedup.Config{}, err
 	}
 	rw, err := rewrite.New(rewriterName)
 	if err != nil {
-		return nil, err
+		return dedup.Config{}, err
 	}
 	if c, ok := rw.(*rewrite.Capping); ok {
 		// Scale the cap with the container size so capping stays
@@ -216,9 +217,9 @@ func baselineEngine(o Options, indexName, rewriterName, cacheName string) (backu
 	}
 	rc, err := restorecache.New(cacheName)
 	if err != nil {
-		return nil, err
+		return dedup.Config{}, err
 	}
-	return dedup.New(dedup.Config{
+	return dedup.Config{
 		Index:             ix,
 		Rewriter:          rw,
 		RestoreCache:      rc,
@@ -226,23 +227,37 @@ func baselineEngine(o Options, indexName, rewriterName, cacheName string) (backu
 		Recipes:           recipe.NewMemStore(),
 		ContainerCapacity: o.ContainerCapacity,
 		ChunkParams:       o.ChunkParams,
-		Chunker:           chunker.FastCDC,
 		Metrics:           o.Metrics,
-	})
+	}, nil
 }
 
-// hidestoreEngine assembles a core.Engine for a workload.
-func hidestoreEngine(o Options, w workload.Config) (backup.Engine, error) {
-	return core.New(core.Config{
+// baselineEngine assembles a dedup.Engine from component names.
+func baselineEngine(o Options, indexName, rewriterName, cacheName string) (backup.Engine, error) {
+	cfg, err := baselineConfig(o, indexName, rewriterName, cacheName)
+	if err != nil {
+		return nil, err
+	}
+	return dedup.New(cfg)
+}
+
+// hidestoreConfig is a core.Config for a workload, on memory stores. Like
+// baselineConfig it leaves Chunker unset: every engine the experiments
+// build cuts with the engines' default, TTTD, as the product does.
+func hidestoreConfig(o Options, w workload.Config) core.Config {
+	return core.Config{
 		Store:             container.NewMemStore(),
 		Recipes:           recipe.NewMemStore(),
 		ContainerCapacity: o.ContainerCapacity,
 		Window:            cacheWindow(w),
 		ChunkParams:       o.ChunkParams,
-		Chunker:           chunker.FastCDC,
 		RestoreCache:      restorecache.NewFAA(0),
 		Metrics:           o.Metrics,
-	})
+	}
+}
+
+// hidestoreEngine assembles a core.Engine for a workload.
+func hidestoreEngine(o Options, w workload.Config) (*core.Engine, error) {
+	return core.New(hidestoreConfig(o, w))
 }
 
 // backupAllVersions runs a full version chain through an engine.

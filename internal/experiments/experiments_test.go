@@ -36,7 +36,11 @@ func TestLoadWorkloadCapsVersions(t *testing.T) {
 // stream at version t+1 almost never reappear, so the drop in tag-t
 // population happens within one version (two for macos).
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3("kernel", testOptions())
+	src, err := PresetVersions("kernel", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Figure3(src, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,11 @@ func TestFigure3Shape(t *testing.T) {
 // flapping chunks, a one-version window misses part of the drop that a
 // two-version window captures.
 func TestFigure3MacOSNeedsTwoVersions(t *testing.T) {
-	res, err := Figure3("macos", testOptions())
+	src, err := PresetVersions("macos", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Figure3(src, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hidestore/internal/fp"
 	"hidestore/internal/metrics"
+	"hidestore/internal/workload"
 )
 
 // Figure3Result is the heuristic experiment of §3: after processing each
@@ -20,7 +21,37 @@ type Figure3Result struct {
 	Counts [][]int
 }
 
-// Figure3 reproduces the §3 heuristic experiment on one workload.
+// VersionSource is a version chain read oldest first: Name labels it,
+// Count is its length, and Open returns version v's stream, called once
+// for each v from 1 to Count in order.
+type VersionSource struct {
+	Name  string
+	Count int
+	Open  func(v int) (io.ReadCloser, error)
+}
+
+// PresetVersions is a workload preset's chain at opts' scale and version
+// cap.
+func PresetVersions(workloadName string, opts Options) (VersionSource, error) {
+	opts = opts.withDefaults()
+	cfg, err := opts.loadWorkload(workloadName)
+	if err != nil {
+		return VersionSource{}, err
+	}
+	g, err := workload.New(cfg)
+	if err != nil {
+		return VersionSource{}, err
+	}
+	return VersionSource{Name: cfg.Name, Count: cfg.Versions, Open: func(int) (io.ReadCloser, error) {
+		r, err := g.NextVersion()
+		if err != nil {
+			return nil, err
+		}
+		return io.NopCloser(r), nil
+	}}, nil
+}
+
+// Figure3 reproduces the §3 heuristic experiment on one version chain.
 //
 // The buffer mirrors the paper's Destor instrumentation: every chunk's
 // metadata is kept with a version tag; deduplicating version v retags every
@@ -29,41 +60,40 @@ type Figure3Result struct {
 // the drop happens almost entirely in the very next version (or two, for
 // macos), after which the count plateaus: chunks that leave the stream do
 // not come back.
-func Figure3(workloadName string, opts Options) (*Figure3Result, error) {
+func Figure3(src VersionSource, opts Options) (*Figure3Result, error) {
 	opts = opts.withDefaults()
-	cfg, err := opts.loadWorkload(workloadName)
-	if err != nil {
-		return nil, err
-	}
 	res := &Figure3Result{
-		Workload: cfg.Name,
-		Versions: cfg.Versions,
-		Counts:   make([][]int, cfg.Versions),
+		Workload: src.Name,
+		Versions: src.Count,
+		Counts:   make([][]int, src.Count),
 	}
 	for i := range res.Counts {
-		res.Counts[i] = make([]int, cfg.Versions)
+		res.Counts[i] = make([]int, src.Count)
 	}
 	tags := make(map[fp.FP]int) // chunk → most recent version containing it
-	err = forEachVersion(cfg, func(v int, r io.Reader) error {
-		refs, err := chunkRefs(r, opts.ChunkParams)
+	for v := 1; v <= src.Count; v++ {
+		r, err := src.Open(v)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		refs, err := chunkRefs(r, opts.ChunkParams)
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("version %d: %w", v, err)
 		}
 		for _, c := range refs {
 			tags[c.FP] = v
 		}
 		// Census after processing version v.
-		counts := make([]int, cfg.Versions+1)
+		counts := make([]int, src.Count+1)
 		for _, tag := range tags {
 			counts[tag]++
 		}
 		for tag := 1; tag <= v; tag++ {
 			res.Counts[tag-1][v-1] = counts[tag]
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

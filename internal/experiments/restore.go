@@ -10,14 +10,11 @@ import (
 
 	"hidestore/internal/backend"
 	"hidestore/internal/backup"
-	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
 	"hidestore/internal/metrics"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
-	"hidestore/internal/rewrite"
 	"hidestore/internal/workload"
 )
 
@@ -145,53 +142,21 @@ func effectiveFetchParallelism(depth int, reads int64) float64 {
 	return float64(max(1, min(int64(depth), reads)))
 }
 
-// newHidestore builds HiDeStore over store with the given read-ahead
-// depth.
-func newHidestore(o Options, w workload.Config, store container.Store, depth int) (*core.Engine, error) {
-	return core.New(core.Config{
-		Store:             store,
-		Recipes:           recipe.NewMemStore(),
-		ContainerCapacity: o.ContainerCapacity,
-		Window:            cacheWindow(w),
-		ChunkParams:       o.ChunkParams,
-		Chunker:           chunker.FastCDC,
-		RestoreCache:      restorecache.NewFAA(0),
-		PrefetchDepth:     depth,
-		Metrics:           o.Metrics,
-	})
-}
-
 // restoreEngine builds a scheme's engine over store with the given
 // read-ahead depth.
 func restoreEngine(o Options, w workload.Config, scheme string, store container.Store, depth int) (backup.Engine, error) {
 	switch scheme {
 	case "hidestore":
-		e, err := newHidestore(o, w, store, depth)
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
+		cfg := hidestoreConfig(o, w)
+		cfg.Store, cfg.PrefetchDepth = store, depth
+		return core.New(cfg)
 	case "baseline":
-		ix, err := newBaselineIndex("ddfs")
+		cfg, err := baselineConfig(o, "ddfs", "none", "faa")
 		if err != nil {
 			return nil, err
 		}
-		rw, err := rewrite.New("none")
-		if err != nil {
-			return nil, err
-		}
-		return dedup.New(dedup.Config{
-			Index:             ix,
-			Rewriter:          rw,
-			RestoreCache:      restorecache.NewFAA(0),
-			Store:             store,
-			Recipes:           recipe.NewMemStore(),
-			ContainerCapacity: o.ContainerCapacity,
-			ChunkParams:       o.ChunkParams,
-			Chunker:           chunker.FastCDC,
-			PrefetchDepth:     depth,
-			Metrics:           o.Metrics,
-		})
+		cfg.Store, cfg.PrefetchDepth = store, depth
+		return dedup.New(cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown restore scheme %q", scheme)
 	}
@@ -320,7 +285,7 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 	// below are the engine's own.
 	plain := opts
 	plain.Metrics = nil
-	mem, err := newHidestore(plain, cfg, container.NewMemStore(), 0)
+	mem, err := hidestoreEngine(plain, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +318,7 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 	res.RecipeReadsOldest = float64(oldest.RecipesRead)
 
 	// On a store of its own, so the sweep starts with no restore before it.
-	sweep, err := newHidestore(plain, cfg, container.NewMemStore(), 0)
+	sweep, err := hidestoreEngine(plain, cfg)
 	if err != nil {
 		return nil, err
 	}
