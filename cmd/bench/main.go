@@ -198,6 +198,7 @@ func run(args []string) error {
 				extra["restore_allocs_per_chunk_"+name] = res.AllocsPerChunk
 				extra["restore_recipe_reads_oldest_"+name] = res.RecipeReadsOldest
 				extra["restore_store_reads_sweep_"+name] = res.StoreReadsSweep
+				extra["restore_recipe_store_reads_sweep_"+name] = res.RecipeStoreReadsSweep
 			}
 		case "ablations":
 			type runner func(string, experiments.Options) (*experiments.AblationResult, error)

@@ -115,6 +115,7 @@ func TestDirectionClassifier(t *testing.T) {
 		"extra.kernel_advantage_us5000":                   1,
 		"extra.kernel_modeled_ms_baseline_depth-1_us1000": -1,
 		"extra.restore_recipe_reads_oldest_kernel":        -1,
+		"extra.restore_recipe_store_reads_sweep_kernel":   -1,
 		"extra.restore_allocs_per_chunk_kernel":           -1,
 		"extra.gcc_write_amplification_hidestore":         -1,
 		"extra.kernel_scan_share_ddfs":                    -1,

@@ -295,6 +295,16 @@ func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.Tra
 	var fetch, stall, flush []obs.TraceRecord
 	for _, k := range kids {
 		switch k.Name {
+		case "recipe.read":
+			// Whether the version's own recipe cost a store round trip
+			// or the restore driver's kept set served it.
+			if kept, ok := k.Attrs["kept"]; ok {
+				from := "the store"
+				if kept != 0 {
+					from = "the kept set"
+				}
+				p.printf("  recipe v%d: read from %s\n", k.Attrs["version"], from)
+			}
 		case "recipe.flatten":
 			// Exact work counts: what following this version's forward
 			// pointers read and wrote, beside the time the waterfall gives.

@@ -67,8 +67,9 @@ func TestMultiSegmentAppendMode(t *testing.T) {
 
 // TestStallAttribution: a parallel-restore trace with assembly.stall
 // records gets the reorder-window attribution line, one whose forward
-// pointers were followed the work that took, and one that read resident
-// images how many of its reads they were.
+// pointers were followed the work that took, one whose recipe the kept
+// set served says so, and one that read resident images how many of its
+// reads they were.
 func TestStallAttribution(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	tr, err := obs.OpenTraceFile(path)
@@ -77,6 +78,7 @@ func TestStallAttribution(t *testing.T) {
 	}
 	s := tr.Start("restore", nil)
 	now := time.Now()
+	tr.EmitStage("recipe.read", s, now, time.Millisecond, map[string]int64{"version": 1, "kept": 1})
 	tr.EmitStage("recipe.flatten", s, now, time.Millisecond,
 		map[string]int64{"version": 1, "wanted": 40, "recipes_read": 3, "recipes_written": 1})
 	tr.EmitStage("container.fetch", s, now, 2*time.Millisecond, map[string]int64{"cid": 1})
@@ -98,6 +100,9 @@ func TestStallAttribution(t *testing.T) {
 	}
 	if !strings.Contains(text, "max overlap 2") {
 		t.Errorf("missing fetch-overlap estimate:\n%s", text)
+	}
+	if !strings.Contains(text, "recipe v1: read from the kept set") {
+		t.Errorf("missing kept recipe line:\n%s", text)
 	}
 	if !strings.Contains(text, "resolve: 3 recipes, 40 wanted, 1 written") {
 		t.Errorf("missing resolve work line:\n%s", text)

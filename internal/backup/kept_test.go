@@ -3,6 +3,7 @@ package backup_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
 	"hidestore/internal/index/ddfs"
+	"hidestore/internal/recipe"
 )
 
 // The restore driver's kept set (DESIGN.md, "Restore driver"): images a
@@ -62,21 +64,72 @@ type keptEngine interface {
 	backup.Repairer
 }
 
+// recordingRecipes names the recipe reads the directory store serves.
+// With tear set, a Put of that version leaves torn bytes under its name
+// in dir's recipe store and fails, as a write cut short does.
+type recordingRecipes struct {
+	recipe.Store
+	mu    sync.Mutex
+	reads []int
+	dir   string
+	tear  int
+}
+
+// Put implements recipe.Store.
+func (s *recordingRecipes) Put(r *recipe.Recipe) error {
+	if r != nil && r.Version == s.tear {
+		if err := os.WriteFile(filepath.Join(s.dir, "recipes", backend.RecipeName(r.Version)), []byte("torn"), 0o644); err != nil {
+			return err
+		}
+		return fmt.Errorf("recipe v%d: write torn", r.Version)
+	}
+	return s.Store.Put(r)
+}
+
+// Get implements recipe.Store, recording every read that succeeds.
+func (s *recordingRecipes) Get(version int) (*recipe.Recipe, error) {
+	rec, err := s.Store.Get(version)
+	if err == nil {
+		s.mu.Lock()
+		s.reads = append(s.reads, version)
+		s.mu.Unlock()
+	}
+	return rec, err
+}
+
+// take returns the reads served since the last take, ascending.
+func (s *recordingRecipes) take() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reads := s.reads
+	s.reads = nil
+	slices.Sort(reads)
+	return reads
+}
+
 // openKept opens engine ("core" or "dedup") on the store directory dir.
 func openKept(t *testing.T, engine, dir string) (keptEngine, *recordingStore) {
+	t.Helper()
+	e, store, _ := openKeptRecipes(t, engine, dir)
+	return e, store
+}
+
+// openKeptRecipes is openKept, also recording the recipe store's reads.
+func openKeptRecipes(t *testing.T, engine, dir string) (keptEngine, *recordingStore, *recordingRecipes) {
 	t.Helper()
 	p, err := backuptest.DirPlanes(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := &recordingStore{ContainerStore: p.Containers}
+	recipes := &recordingRecipes{Store: p.Recipes, dir: dir}
 	const capacity = 16 << 10 // many images per version, more than the set holds
 	params := chunker.Params{Min: 1024, Avg: 2048, Max: 8192}
 	var e keptEngine
 	switch engine {
 	case "core":
 		e, err = core.New(core.Config{
-			Store: store, Recipes: p.Recipes, State: p.State, ContainerCapacity: capacity,
+			Store: store, Recipes: recipes, State: p.State, ContainerCapacity: capacity,
 			ChunkParams: params, PrefetchDepth: -1,
 		})
 	case "dedup":
@@ -85,14 +138,14 @@ func openKept(t *testing.T, engine, dir string) (keptEngine, *recordingStore) {
 			t.Fatal(ierr)
 		}
 		e, err = dedup.New(dedup.Config{
-			Index: ix, Store: store, Recipes: p.Recipes, ContainerCapacity: capacity,
+			Index: ix, Store: store, Recipes: recipes, ContainerCapacity: capacity,
 			ChunkParams: params, PrefetchDepth: -1,
 		})
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, store
+	return e, store, recipes
 }
 
 // keptRestore is one restore's outcome: what it wrote, its error and the
@@ -292,5 +345,269 @@ func TestKeptImagesOutliveNonMutations(t *testing.T) {
 		if r := restoreKept(e, store, 1, false); r.err != nil || len(r.reads) != len(settled.reads) {
 			t.Errorf("after %s: restore v1: %v, %d store reads, %d before it", name, r.err, len(r.reads), len(settled.reads))
 		}
+	}
+}
+
+// rotRecipe flips the last byte of version's stored recipe, which the
+// recipe's checksum covers.
+func rotRecipe(t *testing.T, dir string, version int) {
+	t.Helper()
+	path := filepath.Join(dir, "recipes", backend.RecipeName(version))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0xFF
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recipeRestore is one restore's outcome with the recipe reads the store
+// served for it.
+type recipeRestore struct {
+	keptRestore
+	recipeReads []int
+}
+
+func restoreRecipes(e keptEngine, store *recordingStore, recipes *recordingRecipes, version int, verify bool) recipeRestore {
+	recipes.take()
+	r := restoreKept(e, store, version, verify)
+	return recipeRestore{keptRestore: r, recipeReads: recipes.take()}
+}
+
+// TestKeptRecipesFollowWrites: the restore driver's kept recipes
+// (DESIGN.md, "Restore driver") are always the stored ones. After each
+// operation that writes, deletes or may damage a stored recipe — a torn
+// write included — the next restore of the versions it touched equals a
+// freshly opened engine's —
+// bytes or error, and RecipesRead — and reads from the recipe store
+// exactly what the fresh engine reads, bar the versions the kept set
+// should hold after that operation: the two the engine last wrote or a
+// plain restore last read, none after Repair or a damaging scrub step.
+// A sweep newest → oldest reads nothing from the recipe store for the two
+// newest versions and only its own recipe for each older one, and a
+// backup reads none.
+func TestKeptRecipesFollowWrites(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
+	n := len(versions)
+	// sweep restores every stored version newest → oldest and checks each
+	// one's recipe store reads.
+	sweep := func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes) {
+		t.Helper()
+		vs := e.Versions()
+		for i := len(vs) - 1; i >= 0; i-- {
+			v := vs[i]
+			r := restoreRecipes(e, store, recipes, v, false)
+			if r.err != nil || !bytes.Equal(r.data, versions[v-1]) {
+				t.Fatalf("sweep: restore v%d: %v, or the bytes differ", v, r.err)
+			}
+			want := []int{v}
+			if i >= len(vs)-2 {
+				want = nil
+			}
+			if !slices.Equal(r.recipeReads, want) {
+				t.Errorf("sweep: restore v%d read recipes %v from the store, want %v", v, r.recipeReads, want)
+			}
+		}
+	}
+	type mutation struct {
+		name string
+		// run mutates e on dir and returns the versions to restore after
+		// it and the ones the kept set should then hold.
+		run func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) (targets, kept []int)
+	}
+	mutations := []mutation{
+		{"sweep", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions)
+			sweep(t, e, store, recipes)
+			return []int{1, 2}, []int{1, 2}
+		}},
+		{"backup", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions[:n-1])
+			recipes.take()
+			if _, err := e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err != nil {
+				t.Fatal(err)
+			}
+			if reads := recipes.take(); len(reads) != 0 {
+				t.Errorf("backup v%d read recipes %v from the store, want none", n, reads)
+			}
+			return []int{n, n - 1}, []int{n, n - 1}
+		}},
+		{"failed-put", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions[:n-1])
+			recipes.tear = n - 1 // the departing recipe's patch
+			if _, err := e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err == nil {
+				t.Fatalf("backup v%d succeeded with its departing recipe's write torn", n)
+			}
+			recipes.tear = 0
+			return []int{n - 1}, []int{n}
+		}},
+		{"delete", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions)
+			sweep(t, e, store, recipes)
+			if _, err := e.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+			return []int{1, 2}, []int{2}
+		}},
+		{"flatten", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions)
+			if err := e.(*core.Engine).FlattenRecipes(1); err != nil {
+				t.Fatal(err)
+			}
+			return []int{1, 2}, []int{1, 2}
+		}},
+		{"repair", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions)
+			sweep(t, e, store, recipes)
+			rotRecipe(t, dir, 2)
+			if _, err := e.Repair(); err != nil {
+				t.Fatal(err)
+			}
+			return []int{2, 1}, nil
+		}},
+		{"scrub", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, e, versions)
+			sweep(t, e, store, recipes)
+			ids, err := store.IDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rot(t, dir, ids[0])
+			for {
+				rep, err := e.(backup.Scrubber).ScrubStep(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Corrupt != "" {
+					break
+				}
+				if rep.PassComplete {
+					t.Fatalf("a scrub pass missed rotted image %d", ids[0])
+				}
+			}
+			return []int{1, 2}, nil
+		}},
+	}
+	for _, engine := range []string{"core", "dedup"} {
+		for _, m := range mutations {
+			if engine == "dedup" && (m.name == "flatten" || m.name == "scrub" || m.name == "failed-put") {
+				continue // the baseline neither flattens, scrubs nor rewrites a recipe
+			}
+			t.Run(engine+"/"+m.name, func(t *testing.T) {
+				dir := t.TempDir()
+				e, store, recipes := openKeptRecipes(t, engine, dir)
+				targets, kept := m.run(t, e, store, recipes, dir)
+				var got []recipeRestore
+				for _, v := range targets {
+					got = append(got, restoreRecipes(e, store, recipes, v, false))
+				}
+				fresh, freshStore, freshRecipes := openKeptRecipes(t, engine, dir)
+				for i, v := range targets {
+					want := restoreRecipes(fresh, freshStore, freshRecipes, v, false)
+					g := got[i]
+					if fmt.Sprint(g.err) != fmt.Sprint(want.err) || !bytes.Equal(g.data, want.data) {
+						t.Errorf("restore v%d: %d bytes, error %v; a freshly opened engine: %d bytes, error %v",
+							v, len(g.data), g.err, len(want.data), want.err)
+					}
+					if g.rep.RecipesRead != want.rep.RecipesRead {
+						t.Errorf("restore v%d: %d recipe reads, a freshly opened engine's %d", v, g.rep.RecipesRead, want.rep.RecipesRead)
+					}
+					wantReads := slices.DeleteFunc(slices.Clone(want.recipeReads), func(r int) bool { return slices.Contains(kept, r) })
+					if !slices.Equal(g.recipeReads, wantReads) {
+						t.Errorf("restore v%d read recipes %v from the store; a freshly opened engine %v, less kept %v",
+							v, g.recipeReads, want.recipeReads, kept)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestIntegrityReadsPastKeptRecipes: a plain restore may serve a recipe
+// the kept set holds, but fsck and a verifying restore read the store — a
+// verifying restore also for the newer recipes its resolve follows — so a
+// recipe that rotted after it was kept is still found.
+func TestIntegrityReadsPastKeptRecipes(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
+	for _, engine := range []string{"core", "dedup"} {
+		t.Run(engine, func(t *testing.T) {
+			dir := t.TempDir()
+			e, store, recipes := openKeptRecipes(t, engine, dir)
+			backuptest.BackupAll(t, e, versions)
+			target := len(versions) // the newest recipe, kept since its backup wrote it
+			rotRecipe(t, dir, target)
+			r := restoreRecipes(e, store, recipes, target, false)
+			if r.err != nil || !bytes.Equal(r.data, versions[target-1]) || len(r.recipeReads) != 0 {
+				t.Fatalf("plain restore v%d: %v, recipe store reads %v; want the kept recipe's bytes and no read", target, r.err, r.recipeReads)
+			}
+			named := fmt.Sprintf("recipe v%d:", target)
+			rep, err := e.Check()
+			if err != nil || !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.HasPrefix(p, named) }) {
+				t.Errorf("fsck: %v, problems %q, want one naming rotted %s", err, rep.Problems, named)
+			}
+			if engine != "core" {
+				return // only HiDeStore restores verifying
+			}
+			if r := restoreRecipes(e, store, recipes, target, true); r.err == nil || !errors.Is(r.err, recipe.ErrCorrupt) {
+				t.Fatalf("verifying restore of v%d: %v, want the rotted recipe's decode error", target, r.err)
+			}
+			// The newer recipes a verifying restore's resolve follows come
+			// from the store too: rot one a plain restore just kept.
+			newer := target - 2
+			if r := restoreRecipes(e, store, recipes, newer, false); r.err != nil {
+				t.Fatalf("plain restore v%d: %v", newer, r.err)
+			}
+			rotRecipe(t, dir, newer)
+			if r := restoreRecipes(e, store, recipes, newer-1, true); !errors.Is(r.err, recipe.ErrCorrupt) {
+				t.Errorf("verifying restore of v%d: %v, want rotted v%d's decode error", newer-1, r.err, newer)
+			}
+			if r := restoreRecipes(e, store, recipes, newer-1, false); r.err != nil || r.rep.RecipesRead < 2 || !bytes.Equal(r.data, versions[newer-2]) {
+				t.Errorf("plain restore v%d: %v after %d recipe reads, want kept v%d followed", newer-1, r.err, r.rep.RecipesRead, newer)
+			}
+		})
+	}
+}
+
+// TestNewestRestoreReachesNoRemote: on a remote store the newest version
+// restores from memory alone — its recipe is the one the last backup
+// wrote, which the driver keeps, and its chunks live in the engine's
+// resident active images — so it reaches the remote for nothing.
+func TestNewestRestoreReachesNoRemote(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
+	var sims []*backend.RemoteSim
+	plane := func() backend.Backend {
+		top, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims = append(sims, sim)
+		return top
+	}
+	ops := func() (n uint64) {
+		for _, sim := range sims {
+			n += sim.Stats().Ops
+		}
+		return n
+	}
+	e, err := core.New(core.Config{
+		Store:   backend.NewContainerStore(plane(), "", false),
+		Recipes: backend.NewRecipeStore(plane()),
+		State:   plane(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backuptest.BackupAll(t, e, versions)
+	before := ops()
+	var buf bytes.Buffer
+	rep, err := e.Restore(context.Background(), len(versions), &buf)
+	if err != nil || !bytes.Equal(buf.Bytes(), versions[len(versions)-1]) {
+		t.Fatalf("restore v%d: %v, or the bytes differ", len(versions), err)
+	}
+	if n := ops() - before; n != 0 || rep.RecipesRead != 1 || rep.ResidentReads != rep.Stats.ContainerReads {
+		t.Errorf("restore v%d: %d remote ops, %d recipe reads, %d of %d container reads from memory; want 0, 1 and all",
+			len(versions), n, rep.RecipesRead, rep.ResidentReads, rep.Stats.ContainerReads)
 	}
 }

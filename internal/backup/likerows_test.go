@@ -125,7 +125,9 @@ func TestEnginesIngestTheSameChunks(t *testing.T) {
 // engine and policy every version's store and memory reads are the same
 // at depth −1 (serial), 0 (the default) and 2, at either width. The
 // sweep's first restore follows the backups, a mutation, so it serves no
-// kept image, and later ones do.
+// kept image, and later ones do. A restore cancelled while its early
+// archival reads are in flight leaves none running and changes nothing
+// the next restore reads (cancelledRestoreLeavesNothing).
 func TestStoreReadsEqualCountedReads(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	const capacity = 64 << 10
@@ -251,6 +253,7 @@ func TestStoreReadsEqualCountedReads(t *testing.T) {
 			}
 		}
 	}
+	t.Run("core/cancelled", func(t *testing.T) { cancelledRestoreLeavesNothing(t, versions) })
 	t.Run("core/verify", func(t *testing.T) {
 		store := containertest.Counting(container.NewMemStore())
 		e, err := core.New(core.Config{Store: store, Recipes: recipe.NewMemStore(), ContainerCapacity: capacity})

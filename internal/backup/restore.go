@@ -29,6 +29,9 @@ import (
 // the identity exactly: store reads plus resident reads equal counted
 // reads, for every policy (DESIGN.md, "Restore driver").
 type RestoreDriver struct {
+	// Recipes persists the engine's recipes. Plain restores and the
+	// engine's own reads go through the kept set (Recipe, PutRecipe,
+	// DeleteRecipe); integrity readers read it directly.
 	Recipes recipe.Store
 	// Store holds the containers the resolved recipes name.
 	Store container.Store
@@ -61,11 +64,14 @@ type RestoreDriver struct {
 	// of them; later plain restores read them from here (DESIGN.md,
 	// "Restore driver").
 	kept map[container.ID]*container.Container
+	// recipes is the kept recipe set (recipes.go).
+	recipes keptRecipes
 }
 
 // Forget drops every kept image. An engine calls it before any operation
 // that may delete, rewrite or quarantine a stored image, so a kept image
-// is always the image the store holds under its ID.
+// is always the image the store holds under its ID. Kept recipes are
+// dropped apart (ForgetRecipes).
 func (d *RestoreDriver) Forget() { d.kept = nil }
 
 // maxAssemblyWidth caps the parallel assembler's span workers, and with
@@ -87,7 +93,11 @@ func assemblyWidth() int {
 // took.
 type Resolution struct {
 	// Entries is the reference stream: the recipe's entries, every CID
-	// positive.
+	// positive. A hook rewrites only entries whose stored CID is zero or
+	// negative: every positive CID stands where the stored recipe has it.
+	// Restore relies on that when it starts reading the archival images
+	// the stored recipe names before the hook runs: each of those reads is
+	// the first store read of its image the policy makes anyway.
 	Entries []recipe.Entry
 	// Wanted counts the chunks whose location no state the engine holds
 	// could give, and RecipesRead the newer recipes it read to find them.
@@ -102,16 +112,24 @@ type Resolution struct {
 
 // AnalyzeLayout reports version's physical-locality profile from the
 // reference stream Restore would replay, over the images Restore would
-// read (see layout.Analyze). It emits no trace record, updates no metric
-// and writes nothing back, whatever the hook returns in Patched.
+// read (see layout.Analyze). It reads the stored recipe, not a kept one,
+// emits no trace record, updates no metric and writes nothing back,
+// whatever the hook returns in Patched.
 func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (*layout.Report, error) {
-	quiet := RestoreDriver{Recipes: d.Recipes} // resolve's only other reads are Metrics and Tracer
-	res, _, err := quiet.resolve(ctx, version, nil, resolve)
+	rec, err := d.Recipes.Get(version)
 	if err != nil {
 		return nil, err
 	}
-	return layout.Analyze(ctx, version, res.Entries, d.source(false), d.ContainerCapacity, policies)
+	entries := rec.Entries
+	if resolve != nil {
+		res, err := resolve(ctx, rec)
+		if err != nil {
+			return nil, err
+		}
+		entries = res.Entries
+	}
+	return layout.Analyze(ctx, version, entries, d.source(false), d.ContainerCapacity, policies)
 }
 
 // sourceFetcher is the bottom of every fetcher stack: an image held in
@@ -129,9 +147,21 @@ type sourceFetcher struct {
 	// far, and serves the restore's own re-reads of them.
 	kept  map[container.ID]*container.Container
 	admit map[container.ID]bool
-	mu    sync.Mutex
-	took  map[container.ID]*container.Container
-	reads atomic.Uint64 // images served from memory
+	// early holds the store reads Restore started from the stored recipe
+	// before resolving it (readEarly), each handed to the first Get of its
+	// ID and removed; reading counts them until they finish.
+	early   map[container.ID]*earlyRead
+	reading sync.WaitGroup
+	mu      sync.Mutex
+	took    map[container.ID]*container.Container
+	reads   atomic.Uint64 // images served from memory
+}
+
+// earlyRead is one store read started before the policy asked for it.
+type earlyRead struct {
+	done chan struct{}
+	c    *container.Container
+	err  error
 }
 
 // Get implements restorecache.Fetcher.
@@ -145,7 +175,14 @@ func (f *sourceFetcher) Get(ctx context.Context, id container.ID) (*container.Co
 			return c, nil
 		}
 	}
-	c, err := f.store.Get(ctx, id)
+	var c *container.Container
+	var err error
+	if r := f.takeEarly(id); r != nil {
+		<-r.done
+		c, err = r.c, r.err
+	} else {
+		c, err = f.store.Get(ctx, id)
+	}
 	if err == nil && f.admit[id] {
 		f.mu.Lock()
 		if f.took == nil {
@@ -170,6 +207,47 @@ func (f *sourceFetcher) held(id container.ID) *container.Container {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.took[id]
+}
+
+// takeEarly removes and returns the early read of id, or nil.
+func (f *sourceFetcher) takeEarly(id container.ID) *earlyRead {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := f.early[id]
+	if r != nil {
+		delete(f.early, id)
+	}
+	return r
+}
+
+// readEarly starts store reads of the archival images rec names directly,
+// in first-appearance order, that are neither resident nor kept, up to
+// restorecache.DefaultPrefetchDepth of them; f.reading.Wait waits for
+// every one. It runs before any Get. Resolve keeps every positive CID
+// (Resolution), so each read is the first store read of its image the
+// policy makes; Get hands it over instead of reading again. store.Get
+// takes no context, so a read in flight can only be awaited.
+func (f *sourceFetcher) readEarly(ctx context.Context, rec *recipe.Recipe) {
+	for _, e := range rec.Entries {
+		if len(f.early) == restorecache.DefaultPrefetchDepth {
+			break
+		}
+		id := container.ID(e.CID)
+		if e.CID <= 0 || f.early[id] != nil || f.held(id) != nil {
+			continue
+		}
+		if f.early == nil {
+			f.early = make(map[container.ID]*earlyRead, restorecache.DefaultPrefetchDepth)
+		}
+		r := &earlyRead{done: make(chan struct{})}
+		f.early[id] = r
+		f.reading.Add(1)
+		go func() {
+			defer f.reading.Done()
+			defer close(r.done)
+			r.c, r.err = f.store.Get(ctx, id)
+		}()
+	}
 }
 
 // admitFrom picks the store reads that join the kept set: the first IDs
@@ -207,33 +285,46 @@ func (d *RestoreDriver) source(verify bool) *sourceFetcher {
 	return &sourceFetcher{store: store, plain: true, resident: d.Resident, kept: d.kept}
 }
 
-// resolve is the front half of every read path: version's recipe as
-// stored, then the engine's hook (nil: the recipe is the stream). It
-// records the recipe read and a resolution that had to look chunks up
-// under span, and returns that resolution's duration (zero when none was
-// needed).
-func (d *RestoreDriver) resolve(ctx context.Context, version int, span *obs.Span,
-	hook func(context.Context, *recipe.Recipe) (Resolution, error)) (Resolution, time.Duration, error) {
+// readRecipe is the front of every restore: version's recipe — read
+// through the kept set by a plain restore, from the store by a verifying
+// one — recorded under span.
+func (d *RestoreDriver) readRecipe(version int, span *obs.Span, verify bool) (*recipe.Recipe, error) {
 	start := time.Now()
-	rec, err := d.Recipes.Get(version)
+	var rec *recipe.Recipe
+	var kept bool
+	var err error
+	if verify {
+		rec, err = d.Recipes.Get(version)
+	} else {
+		rec, kept, err = d.recipe(version)
+	}
 	if err != nil {
-		return Resolution{}, 0, err
+		return nil, err
 	}
 	if d.Metrics != nil {
 		d.Metrics.RecipeReadNS.Observe(uint64(time.Since(start)))
 	}
 	if d.Tracer != nil {
-		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), map[string]int64{"version": int64(version)})
+		attrs := map[string]int64{"version": int64(version), "kept": 0}
+		if kept {
+			attrs["kept"] = 1
+		}
+		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), attrs)
 	}
-	if hook == nil {
-		return Resolution{Entries: rec.Entries}, 0, nil
-	}
-	resolveStart := time.Now()
+	return rec, nil
+}
+
+// resolve runs the engine's hook over rec and records a resolution that
+// had to look chunks up under span, returning its duration (zero when
+// none was needed).
+func (d *RestoreDriver) resolve(ctx context.Context, rec *recipe.Recipe, span *obs.Span,
+	hook func(context.Context, *recipe.Recipe) (Resolution, error)) (Resolution, time.Duration, error) {
+	start := time.Now()
 	res, err := hook(ctx, rec)
 	if err != nil || res.Wanted == 0 {
 		return res, 0, err
 	}
-	dur := time.Since(resolveStart)
+	dur := time.Since(start)
 	written := 0
 	if res.Patched != nil {
 		written = 1
@@ -242,8 +333,8 @@ func (d *RestoreDriver) resolve(ctx context.Context, version int, span *obs.Span
 		d.Metrics.FlattenNS.Observe(uint64(dur))
 	}
 	if d.Tracer != nil {
-		d.Tracer.EmitStage("recipe.flatten", span, resolveStart, dur, map[string]int64{
-			"version":         int64(version),
+		d.Tracer.EmitStage("recipe.flatten", span, start, dur, map[string]int64{
+			"version":         int64(rec.Version),
 			"wanted":          int64(res.Wanted),
 			"recipes_read":    int64(res.RecipesRead),
 			"recipes_written": int64(written),
@@ -259,7 +350,9 @@ func (d *RestoreDriver) resolve(ctx context.Context, version int, span *obs.Span
 // into the reference stream; the time of a resolution that had to look
 // chunks up is reported separately, as RecipeUpdateDuration and a
 // recipe.flatten trace record. A nil resolve means the recipe already is
-// that stream.
+// that stream. A plain restore with read-ahead on and a hook to wait for
+// starts reading the archival images the stored recipe names while the
+// hook runs (readEarly); every such read is joined before Restore returns.
 func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, verify bool,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (rep RestoreReport, retErr error) {
 	start := time.Now()
@@ -273,9 +366,20 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 		}
 		span.End()
 	}()
-	res, resolveDur, err := d.resolve(ctx, version, span, resolve)
+	rec, err := d.readRecipe(version, span, verify)
 	if err != nil {
 		return RestoreReport{}, err
+	}
+	src := d.source(verify)
+	res, resolveDur := Resolution{Entries: rec.Entries}, time.Duration(0)
+	if resolve != nil {
+		if !verify && d.PrefetchDepth >= 0 {
+			defer src.reading.Wait()
+			src.readEarly(ctx, rec)
+		}
+		if res, resolveDur, err = d.resolve(ctx, rec, span, resolve); err != nil {
+			return RestoreReport{}, err
+		}
 	}
 	recipesRead := uint64(1 + res.RecipesRead)
 	if d.Metrics != nil {
@@ -286,7 +390,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 		// reads the stored recipe. Joined on every path out, after the
 		// prefetcher has stopped and before the span closes.
 		stored := make(chan error, 1)
-		go func() { stored <- d.Recipes.Put(res.Patched) }()
+		go func() { stored <- d.PutRecipe(res.Patched) }()
 		defer func() {
 			if err := <-stored; err != nil && retErr == nil {
 				rep, retErr = RestoreReport{}, fmt.Errorf("restore v%d: write back resolved recipe: %w", version, err)
@@ -301,7 +405,6 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// policy's output is routed through the parallel out-of-order
 	// assembler; neither changes which containers the policy requests, so
 	// the identity holds at any depth and width.
-	src := d.source(verify)
 	if !verify {
 		src.admitFrom(res.Entries)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/recipe"
 	"hidestore/internal/workload"
@@ -31,7 +30,6 @@ func TestAnalyzeLayoutDoesNotMutateRecipes(t *testing.T) {
 		Store:             container.NewMemStore(),
 		Recipes:           recipe.NewMemStore(),
 		ContainerCapacity: 64 << 10,
-		Chunker:           chunker.FastCDC,
 	})
 	if err != nil {
 		t.Fatal(err)

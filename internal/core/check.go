@@ -38,6 +38,7 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // does not).
 func (e *Engine) Repair() (backup.RepairReport, error) {
 	e.restore.Forget()
+	e.restore.ForgetRecipes()
 	return e.audit(true)
 }
 

@@ -397,8 +397,15 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
+	// The departing recipe is read before the new one is written: the
+	// previous backup wrote it, so the driver still keeps it, and writing
+	// first would push it out of the two-recipe set.
+	departing, err := e.departingRecipe(v)
+	if err != nil {
+		return backup.BackupReport{}, err
+	}
 	commitStart := time.Now()
-	if err := e.cfg.Recipes.Put(rec); err != nil {
+	if err := e.restore.PutRecipe(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if e.mx != nil {
@@ -435,7 +442,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	migrateDur := time.Since(migrateStart)
 
 	recipeStart := time.Now()
-	if err := e.patchDepartingRecipe(v, coldLocs); err != nil {
+	if err := e.patchDepartingRecipe(departing, coldLocs); err != nil {
 		return backup.BackupReport{}, err
 	}
 	recipeDur := time.Since(recipeStart)
@@ -485,7 +492,7 @@ func (e *Engine) seedIngest() {
 		return
 	}
 	e.ingest.Seed(e.cutWith.alg, e.cutWith.p, func() ([]recipe.Entry, error) {
-		rec, err := e.cfg.Recipes.Get(v)
+		rec, err := e.restore.Recipe(v)
 		if err != nil {
 			return nil, err
 		}
@@ -656,23 +663,32 @@ func (e *Engine) flushPendingDeletes() error {
 	return err
 }
 
-// patchDepartingRecipe rewrites the recipe of the version leaving the
-// cache window (§4.3, Figure 7): cold chunks get their archival container
-// ID; still-hot chunks get a forward pointer to the most recent version
-// containing them. Only this one recipe is touched per backup — the
-// bounded update cost Figure 12 measures.
-func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) error {
+// departingRecipe reads the recipe of the version that leaves the cache
+// window when version v is backed up, or returns nil if there is none.
+// With the default Window of 1 the previous backup wrote it, so the
+// driver's kept set serves it without a store read.
+func (e *Engine) departingRecipe(v int) (*recipe.Recipe, error) {
 	departing := v - e.cfg.Window
 	if departing < 1 {
+		return nil, nil
+	}
+	rec, err := e.restore.Recipe(departing)
+	if errors.Is(err, recipe.ErrNotFound) {
+		return nil, nil // nothing stored to patch
+	}
+	return rec, err
+}
+
+// patchDepartingRecipe rewrites rec, the recipe of the version leaving
+// the cache window (§4.3, Figure 7): cold chunks get their archival
+// container ID; still-hot chunks get a forward pointer to the most recent
+// version containing them. Only this one recipe is touched per backup —
+// the bounded update cost Figure 12 measures. A nil rec patches nothing.
+func (e *Engine) patchDepartingRecipe(rec *recipe.Recipe, coldLocs map[fp.FP]container.ID) error {
+	if rec == nil {
 		return nil
 	}
-	rec, err := e.cfg.Recipes.Get(departing)
-	if errors.Is(err, recipe.ErrNotFound) {
-		return nil // nothing stored to patch
-	}
-	if err != nil {
-		return err
-	}
+	departing := rec.Version
 	changed := false
 	for i := range rec.Entries {
 		entry := &rec.Entries[i]
@@ -694,7 +710,7 @@ func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) er
 	if !changed {
 		return nil
 	}
-	return e.cfg.Recipes.Put(rec)
+	return e.restore.PutRecipe(rec)
 }
 
 // Restore implements backup.Engine (§4.4). CID-0 and forward-pointing
@@ -726,11 +742,17 @@ func (e *Engine) resident(id container.ID) *container.Container {
 
 // restoreWith runs the shared driver's restore, verifying or not. The
 // engine's part is resolving the recipe, and remembering that a recipe
-// whose pointers it followed is flat once the driver has stored it.
+// whose pointers it followed is flat once the driver has stored it. A
+// plain restore reads newer recipes through the driver's kept set, a
+// verifying one from the store.
 func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, verify bool) (backup.RestoreReport, error) {
+	read := e.restore.Recipe
+	if verify {
+		read = e.cfg.Recipes.Get
+	}
 	followed := false
 	rep, err := e.restore.Restore(ctx, version, w, verify, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
-		res, err := e.resolve(ctx, rec, false)
+		res, err := e.resolve(ctx, rec, false, read)
 		followed = res.Wanted > 0
 		return res, err
 	})
@@ -746,10 +768,11 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, veri
 // images it would read — resident active images, stored archival ones —
 // so its container-read counts match a real restore's exactly. Nothing is
 // restored or changed: the pointers it follows are neither written back
-// nor marked flat.
+// nor marked flat, and the recipes it reads come from the store, not the
+// driver's kept set.
 func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
 	return e.restore.AnalyzeLayout(ctx, version, policies, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
-		return e.resolve(ctx, rec, false)
+		return e.resolve(ctx, rec, false, e.cfg.Recipes.Get)
 	})
 }
 
@@ -785,7 +808,7 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 	// counts in memory ahead of the state file: latch, as Backup does.
 	defer e.ingest.FailOn(&retErr)
 	batch := e.batches[version]
-	if err := e.cfg.Recipes.Delete(version); err != nil {
+	if err := e.restore.DeleteRecipe(version); err != nil {
 		return report, err
 	}
 	if batch != nil {

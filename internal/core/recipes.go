@@ -28,17 +28,17 @@ func (e *Engine) FlattenRecipes(floor int) error {
 		return fmt.Errorf("core: flatten: %w", err)
 	}
 	for i := len(versions) - 1; i >= 0 && versions[i] >= floor; i-- {
-		rec, err := e.cfg.Recipes.Get(versions[i])
+		rec, err := e.restore.Recipe(versions[i])
 		if err != nil {
 			return fmt.Errorf("core: flatten: %w", err)
 		}
 		//hidelint:ignore ignored-ctx the offline pass keeps its context-free signature (System.Flatten, the CLI); nothing upstream could cancel it
-		res, err := e.resolve(context.Background(), rec, true)
+		res, err := e.resolve(context.Background(), rec, true, e.restore.Recipe)
 		if err != nil {
 			return fmt.Errorf("core: flatten: %w", err)
 		}
 		if res.Patched != nil {
-			if err := e.cfg.Recipes.Put(res.Patched); err != nil {
+			if err := e.restore.PutRecipe(res.Patched); err != nil {
 				return fmt.Errorf("core: flatten: %w", err)
 			}
 		}
@@ -65,8 +65,11 @@ func (e *Engine) FlattenRecipes(floor int) error {
 // Patched is rec itself with the pointers that led somewhere replaced, for
 // the caller to write back (Restore, FlattenRecipes) or drop
 // (AnalyzeLayout): once stored, this version never follows them again,
-// and the next-older version's pointers end here after one read.
-func (e *Engine) resolve(ctx context.Context, rec *recipe.Recipe, all bool) (backup.Resolution, error) {
+// and the next-older version's pointers end here after one read. Only
+// entries with CID ≤ 0 change, the contract backup.Resolution states.
+// Newer recipes are read with read: through the driver's kept set, or
+// from the store for a verifying restore and AnalyzeLayout.
+func (e *Engine) resolve(ctx context.Context, rec *recipe.Recipe, all bool, read func(int) (*recipe.Recipe, error)) (backup.Resolution, error) {
 	res := backup.Resolution{Entries: make([]recipe.Entry, len(rec.Entries))}
 	forwards, cold := 0, 0
 	for i, entry := range rec.Entries {
@@ -101,7 +104,7 @@ func (e *Engine) resolve(ctx context.Context, rec *recipe.Recipe, all bool) (bac
 	res.Wanted = len(wanted)
 	missing := len(wanted)
 	var err error
-	res.RecipesRead, err = e.readNewer(ctx, rec.Version+1, named, func(newer *recipe.Recipe) bool {
+	res.RecipesRead, err = e.readNewer(ctx, rec.Version+1, named, read, func(newer *recipe.Recipe) bool {
 		for _, entry := range newer.Entries {
 			if entry.CID > 0 {
 				if cid, ok := wanted[entry.FP]; ok && cid == 0 {
@@ -143,9 +146,10 @@ func (e *Engine) isFlat(version int) bool {
 	return marked || version >= e.version-e.cfg.Window
 }
 
-// readNewer hands use the recipes of versions from, from+1, … in that
-// order until use returns false, nothing newer can add to what it has
-// seen, or the last version that has left the cache window has been used.
+// readNewer reads the recipes of versions from, from+1, … with read and
+// hands them to use in that order until use returns false, nothing newer
+// can add to what it has seen, or the last version that has left the
+// cache window has been used.
 // Versions are taken from the engine's own count, not listed: expiry is
 // oldest-first, so everything newer than a stored version is stored.
 //
@@ -160,7 +164,8 @@ func (e *Engine) isFlat(version int) bool {
 // read-ahead. It returns how many reads it issued, all of them finished:
 // recipe.Store is context-free, so a read in flight can only be awaited,
 // and ctx is checked between recipes.
-func (e *Engine) readNewer(ctx context.Context, from, named int, use func(*recipe.Recipe) bool) (issued int, _ error) {
+func (e *Engine) readNewer(ctx context.Context, from, named int, read func(int) (*recipe.Recipe, error),
+	use func(*recipe.Recipe) bool) (issued int, _ error) {
 	type outcome struct {
 		rec *recipe.Recipe
 		err error
@@ -188,7 +193,7 @@ func (e *Engine) readNewer(ctx context.Context, from, named int, use func(*recip
 		for ; next <= last && len(inflight) < width; next++ {
 			ch := make(chan outcome, 1)
 			go func(version int) {
-				rec, err := e.cfg.Recipes.Get(version)
+				rec, err := read(version)
 				ch <- outcome{rec, err}
 			}(next)
 			inflight = append(inflight, ch)

@@ -29,6 +29,10 @@ import (
 //     merged containers, half-flushed deferred deletes — and are
 //     removed. Images are write-once, so everything the committed state
 //     does reference is on disk exactly as that state left it.
+//
+// Recovery reads and writes the recipe store itself, not through the
+// restore driver's kept set: it runs inside New, before the driver has
+// kept any recipe, so no kept copy can outlive what it rewrites.
 func (e *Engine) recoverStartup(ctx context.Context) error {
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {

@@ -139,7 +139,7 @@ func checkResolveMatchesReference(t *testing.T, e *Engine, when string, sweep bo
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.resolve(ctx, rec, false)
+		got, err := e.resolve(ctx, rec, false, e.cfg.Recipes.Get)
 		if err != nil {
 			t.Fatalf("%s: resolve v%d: %v", when, v, err)
 		}

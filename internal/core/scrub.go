@@ -92,8 +92,9 @@ func (e *Engine) ScrubStep(ctx context.Context) (backup.ScrubStepReport, error) 
 
 	rep.Corrupt = problem
 	// The image is rewritten or quarantined below: a restore must see the
-	// store as it is after this step.
+	// store as it is after this step, recipes included.
 	e.restore.Forget()
+	e.restore.ForgetRecipes()
 	if e.smx != nil {
 		e.smx.Corruptions.Inc()
 	}

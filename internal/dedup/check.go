@@ -24,6 +24,7 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // them named in AffectedVersions.
 func (e *Engine) Repair() (backup.RepairReport, error) {
 	e.restore.Forget()
+	e.restore.ForgetRecipes()
 	return e.audit(true)
 }
 

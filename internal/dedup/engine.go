@@ -201,7 +201,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := in.Writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	if err := e.cfg.Recipes.Put(rec); err != nil {
+	if err := e.restore.PutRecipe(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
 	e.cfg.Index.EndVersion()
@@ -362,7 +362,7 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 	// Durable commit order (reverse of Backup's): the recipe goes first,
 	// so a crash mid-sweep leaves orphaned chunks (reclaimed by a later
 	// delete's sweep), never a listed version with missing chunks.
-	if err := e.cfg.Recipes.Delete(version); err != nil {
+	if err := e.restore.DeleteRecipe(version); err != nil {
 		return report, err
 	}
 	// Mark: every chunk referenced by any remaining version.

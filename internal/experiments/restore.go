@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"hidestore/internal/backend"
@@ -14,6 +15,7 @@ import (
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
 	"hidestore/internal/metrics"
+	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/workload"
 )
@@ -127,6 +129,26 @@ type RestoreScaleResult struct {
 	// reads neither the resident active images nor the images an earlier
 	// restore of the sweep kept could serve. Exact, so CI gates on it.
 	StoreReadsSweep float64
+	// RecipeStoreReadsSweep is the recipe reads that reached the recipe
+	// store in the same sweep: the ones the restore driver's kept recipes
+	// could not serve. Exact, so CI gates on it.
+	RecipeStoreReadsSweep float64
+}
+
+// countingRecipes is a recipe.Store that counts the reads it serves.
+// A resolve reads newer recipes concurrently, hence the atomic.
+type countingRecipes struct {
+	recipe.Store
+	reads atomic.Uint64
+}
+
+// Get implements recipe.Store, counting every read that succeeds.
+func (c *countingRecipes) Get(version int) (*recipe.Recipe, error) {
+	rec, err := c.Store.Get(version)
+	if err == nil {
+		c.reads.Add(1)
+	}
+	return rec, err
 }
 
 // effectiveFetchParallelism mirrors the prefetcher's own bound: its pool
@@ -318,13 +340,17 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 	res.RecipeReadsOldest = float64(oldest.RecipesRead)
 
 	// On a store of its own, so the sweep starts with no restore before it.
-	sweep, err := hidestoreEngine(plain, cfg)
+	sweepCfg := hidestoreConfig(plain, cfg)
+	recipes := &countingRecipes{Store: sweepCfg.Recipes}
+	sweepCfg.Recipes = recipes
+	sweep, err := core.New(sweepCfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := backupChain(sweep, versions); err != nil {
 		return nil, fmt.Errorf("store read sweep: %w", err)
 	}
+	recipes.reads.Store(0)
 	for v := len(versions); v >= 1; v-- {
 		rep, err := restoreVerify(sweep.Restore, v, versions[v-1])
 		if err != nil {
@@ -332,6 +358,7 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 		}
 		res.StoreReadsSweep += float64(rep.Stats.ContainerReads - rep.ResidentReads)
 	}
+	res.RecipeStoreReadsSweep = float64(recipes.reads.Load())
 	return res, nil
 }
 
@@ -414,6 +441,6 @@ func (r *RestoreScaleResult) Render() string {
 		r.CFL, r.Utilization*100, r.ContainersPerMB)
 	s += fmt.Sprintf("restore allocations: %.3f per chunk\n", r.AllocsPerChunk)
 	s += fmt.Sprintf("oldest version, cold: %.0f recipe reads\n", r.RecipeReadsOldest)
-	s += fmt.Sprintf("newest → oldest sweep: %.0f store reads\n", r.StoreReadsSweep)
+	s += fmt.Sprintf("newest → oldest sweep: %.0f store reads, %.0f recipe store reads\n", r.StoreReadsSweep, r.RecipeStoreReadsSweep)
 	return s
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"hidestore/internal/chunker"
 	"hidestore/internal/container"
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
@@ -68,7 +67,6 @@ func TestAnalyzeMatchesRestoreExactlyCore(t *testing.T) {
 			Store:             container.NewMemStore(),
 			Recipes:           recipe.NewMemStore(),
 			ContainerCapacity: testCapacity,
-			Chunker:           chunker.FastCDC,
 			RestoreCache:      rc,
 		})
 		if err != nil {
@@ -134,7 +132,6 @@ func TestAnalyzeMatchesRestoreExactlyDedup(t *testing.T) {
 			Store:             container.NewMemStore(),
 			Recipes:           recipe.NewMemStore(),
 			ContainerCapacity: testCapacity,
-			Chunker:           chunker.FastCDC,
 			RestoreCache:      rc,
 		})
 		if err != nil {
@@ -170,7 +167,6 @@ func TestAnalyzeReportShape(t *testing.T) {
 		Store:             container.NewMemStore(),
 		Recipes:           recipe.NewMemStore(),
 		ContainerCapacity: testCapacity,
-		Chunker:           chunker.FastCDC,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -165,12 +165,19 @@ type file struct {
 
 // Generator produces successive version streams. Not safe for concurrent
 // use.
+//
+// A block's bytes are generated once: the generator keeps them, by seed,
+// for every block still in the dataset, flapped ones included, and a
+// stream copies an unchanged block from there instead of seeding a source
+// for it again. That holds about one version's bytes in memory.
 type Generator struct {
 	cfg      Config
 	rng      *rand.Rand
 	files    []*file
 	nextSeed uint64
 	version  int
+	// known maps a block seed to the block's bytes.
+	known map[uint64][]byte
 }
 
 // New creates a generator positioned before version 1.
@@ -232,7 +239,18 @@ func (g *Generator) NextVersion() (io.Reader, error) {
 	if g.version > 1 {
 		g.mutate()
 	}
-	return newStream(g.files), nil
+	// Keep the bytes of every block still in the dataset; the stream adds
+	// the new ones as it generates them.
+	known := make(map[uint64][]byte, len(g.known))
+	for _, f := range g.files {
+		for _, b := range f.blocks {
+			if data, ok := g.known[b.seed]; ok {
+				known[b.seed] = data
+			}
+		}
+	}
+	g.known = known
+	return newStream(g.files, known), nil
 }
 
 // mutate applies one version's worth of changes.
@@ -285,11 +303,14 @@ func (g *Generator) mutate() {
 type stream struct {
 	blocks []block
 	cur    int
-	rng    *rand.Rand
-	remain int
+	// known is the generator's block bytes by seed; rest is what is left
+	// to read of the current block's.
+	known map[uint64][]byte
+	rest  []byte
+	rng   *rand.Rand
 }
 
-func newStream(files []*file) *stream {
+func newStream(files []*file, known map[uint64][]byte) *stream {
 	var blocks []block
 	for _, f := range files {
 		for _, b := range f.blocks {
@@ -298,25 +319,37 @@ func newStream(files []*file) *stream {
 			}
 		}
 	}
-	return &stream{blocks: blocks, cur: -1}
+	return &stream{blocks: blocks, cur: -1, known: known}
 }
 
-// Read implements io.Reader, generating block bytes on demand.
+// Read implements io.Reader, generating the bytes of a block not seen
+// before when the stream reaches it.
 func (s *stream) Read(p []byte) (int, error) {
-	for s.remain == 0 {
+	for len(s.rest) == 0 {
 		s.cur++
 		if s.cur >= len(s.blocks) {
 			return 0, io.EOF
 		}
-		b := s.blocks[s.cur]
-		s.rng = rand.New(rand.NewSource(int64(b.seed)))
-		s.remain = b.size
+		s.rest = s.block(s.blocks[s.cur])
 	}
-	n := len(p)
-	if n > s.remain {
-		n = s.remain
-	}
-	s.rng.Read(p[:n])
-	s.remain -= n
+	n := copy(p, s.rest)
+	s.rest = s.rest[n:]
 	return n, nil
+}
+
+// block returns b's bytes: the first b.size bytes a source seeded with
+// b.seed yields.
+func (s *stream) block(b block) []byte {
+	if data, ok := s.known[b.seed]; ok {
+		return data
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(int64(b.seed)))
+	} else {
+		s.rng.Seed(int64(b.seed))
+	}
+	data := make([]byte, b.size)
+	s.rng.Read(data)
+	s.known[b.seed] = data
+	return data
 }

@@ -3,7 +3,9 @@ package workload
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
+	"testing/iotest"
 
 	"hidestore/internal/chunker"
 	"hidestore/internal/fp"
@@ -298,6 +300,67 @@ func TestVersionSizesStayNearConfig(t *testing.T) {
 		got := float64(len(readAll(t, g)))
 		if got < want/4 || got > want*4 {
 			t.Fatalf("version %d size %.0f drifted from nominal %.0f", v, got, want)
+		}
+	}
+}
+
+// referenceVersion is the version g's last NextVersion produced, generated
+// one block at a time from a source seeded with the block's seed, as the
+// generator did before it kept block bytes: the definition of the stream.
+func referenceVersion(g *Generator) []byte {
+	var out []byte
+	for _, f := range g.files {
+		for _, b := range f.blocks {
+			if b.flapped {
+				continue
+			}
+			data := make([]byte, b.size)
+			rand.New(rand.NewSource(int64(b.seed))).Read(data)
+			out = append(out, data...)
+		}
+	}
+	return out
+}
+
+// TestKeptBlocksMatchReseeding pins the generator's kept block bytes to
+// the one-block-at-a-time definition: every preset, over enough versions
+// that macos's flapped blocks leave and come back, read in odd-sized
+// pieces so block edges fall mid-read.
+func TestKeptBlocksMatchReseeding(t *testing.T) {
+	for _, name := range PresetNames() {
+		cfg, err := Preset(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Versions = 6
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flapped := 0
+		for v := 1; g.HasNext(); v++ {
+			r, err := g.NextVersion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceVersion(g)
+			got, err := io.ReadAll(iotest.HalfReader(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s v%d: %d bytes differ from the %d bytes block-by-block generation gives", name, v, len(got), len(want))
+			}
+			for _, f := range g.files {
+				for _, b := range f.blocks {
+					if b.flapped {
+						flapped++
+					}
+				}
+			}
+		}
+		if name == "macos" && flapped == 0 {
+			t.Error("macos: no block flapped, so none returned")
 		}
 	}
 }
