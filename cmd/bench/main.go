@@ -199,6 +199,8 @@ func run(args []string) error {
 				extra["restore_recipe_reads_oldest_"+name] = res.RecipeReadsOldest
 				extra["restore_store_reads_sweep_"+name] = res.StoreReadsSweep
 				extra["restore_recipe_store_reads_sweep_"+name] = res.RecipeStoreReadsSweep
+				extra["restore_store_reads_sweep_cold_"+name] = res.StoreReadsSweepCold
+				extra["restore_recipe_store_reads_sweep_cold_"+name] = res.RecipeStoreReadsSweepCold
 			}
 		case "ablations":
 			type runner func(string, experiments.Options) (*experiments.AblationResult, error)

@@ -110,21 +110,23 @@ func TestDirectionClassifier(t *testing.T) {
 	cases := map[string]int{
 		// The shapes the committed snapshots carry: the metric name sits
 		// between a workload prefix and a scheme or cell suffix.
-		"extra.kernel_reads_hidestore_depth8_us5000":      -1,
-		"extra.kernel_speedup_us5000":                     1,
-		"extra.kernel_advantage_us5000":                   1,
-		"extra.kernel_modeled_ms_baseline_depth-1_us1000": -1,
-		"extra.restore_recipe_reads_oldest_kernel":        -1,
-		"extra.restore_recipe_store_reads_sweep_kernel":   -1,
-		"extra.restore_allocs_per_chunk_kernel":           -1,
-		"extra.gcc_write_amplification_hidestore":         -1,
-		"extra.kernel_scan_share_ddfs":                    -1,
-		"extra.kernel_hash_share_hidestore":               -1,
-		"extra.allocs_per_chunk_tttd":                     -1,
-		"extra.kernel_cfl":                                1,
-		"extra.kernel_utilization":                        1,
-		"extra.kernel_containers_per_mb":                  -1,
-		"container_reads":                                 -1,
+		"extra.kernel_reads_hidestore_depth8_us5000":         -1,
+		"extra.kernel_speedup_us5000":                        1,
+		"extra.kernel_advantage_us5000":                      1,
+		"extra.kernel_modeled_ms_baseline_depth-1_us1000":    -1,
+		"extra.restore_recipe_reads_oldest_kernel":           -1,
+		"extra.restore_recipe_store_reads_sweep_kernel":      -1,
+		"extra.restore_store_reads_sweep_cold_kernel":        -1,
+		"extra.restore_recipe_store_reads_sweep_cold_kernel": -1,
+		"extra.restore_allocs_per_chunk_kernel":              -1,
+		"extra.gcc_write_amplification_hidestore":            -1,
+		"extra.kernel_scan_share_ddfs":                       -1,
+		"extra.kernel_hash_share_hidestore":                  -1,
+		"extra.allocs_per_chunk_tttd":                        -1,
+		"extra.kernel_cfl":                                   1,
+		"extra.kernel_utilization":                           1,
+		"extra.kernel_containers_per_mb":                     -1,
+		"container_reads":                                    -1,
 		// No inherent direction: never gated.
 		"extra.avg_chunk_bytes_tttd": 0,
 		"cache_hits":                 0,

@@ -98,9 +98,10 @@ type RestoreReport struct {
 	// exact work count, the same on every run over the same store.
 	RecipesRead uint64
 	// ResidentReads counts the container reads served from memory instead
-	// of the store: HiDeStore's active images, and images a plain restore
-	// since the engine last changed a stored image read (the driver's kept
-	// set; either engine). Zero for a verifying restore. Each is also in
+	// of the store: HiDeStore's active images, and the driver's kept set
+	// (either engine) — images plain restores read, and the archival
+	// images HiDeStore's backups wrote, since the engine last changed a
+	// stored image. Zero for a verifying restore. Each is also in
 	// Stats.ContainerReads: the store served the rest.
 	ResidentReads uint64
 }

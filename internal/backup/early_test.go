@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/container"
 	"hidestore/internal/core"
@@ -97,21 +98,34 @@ func (p *probedRecipes) Get(version int) (*recipe.Recipe, error) {
 	return rec, err
 }
 
-// earlyEngine is a HiDeStore engine with every version backed up, over a
-// watched container store and probed recipes, whose policy logs its asks.
+// earlyEngine backs up every version on a HiDeStore engine and returns a
+// second one opened over the same stores and state, through a watched
+// container store and probed recipes, whose policy logs its asks. The
+// second engine keeps nothing in memory yet, so a walk through the chain
+// reaches both stores: the cold path these tests pin.
 func earlyEngine(t *testing.T, versions [][]byte, depth int, delay time.Duration) (*core.Engine, *watchedStore, *probedRecipes, *eventLog) {
 	t.Helper()
 	log := &eventLog{}
-	store := &watchedStore{Store: container.NewMemStore(), log: log, delay: delay, first: make(chan struct{})}
-	recipes := &probedRecipes{Store: recipe.NewMemStore()}
-	e, err := core.New(core.Config{
-		Store: store, Recipes: recipes, ContainerCapacity: 64 << 10, PrefetchDepth: depth,
+	containers, stored := container.NewMemStore(), recipe.NewMemStore()
+	cfg := core.Config{
+		Store: containers, Recipes: stored, State: backend.NewMem(), ContainerCapacity: 64 << 10, PrefetchDepth: depth,
 		RestoreCache: askingCache{restorecache.NewFAA(0), log},
-	})
+	}
+	e, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	backuptest.BackupAll(t, e, versions)
+	store := &watchedStore{Store: containers, log: log, first: make(chan struct{})}
+	recipes := &probedRecipes{Store: stored}
+	cfg.Store, cfg.Recipes = store, recipes
+	if e, err = core.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Opening reloaded the active images through store: watch only what
+	// comes after.
+	store.delay, store.first, store.once = delay, make(chan struct{}), sync.Once{}
+	log.events = nil
 	return e, store, recipes, log
 }
 
@@ -120,9 +134,23 @@ func earlyEngine(t *testing.T, versions [][]byte, depth int, delay time.Duration
 // store while the resolve hook reads the first of them. A plain restore
 // with read-ahead has started reading by then. A serial one has not, and
 // every store read it makes follows the policy's ask for that image; a
-// verifying restore has not either.
+// verifying restore has not either. On the engine that made the backups
+// the walk reads no recipe from the store at all: it kept them.
 func TestEarlyReadsOnlyOnPlainReadAhead(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
+	t.Run("warm", func(t *testing.T) {
+		recipes := &probedRecipes{Store: recipe.NewMemStore(), at: 2}
+		e, err := core.New(core.Config{Store: container.NewMemStore(), Recipes: recipes, ContainerCapacity: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backuptest.BackupAll(t, e, versions)
+		probed := false
+		recipes.probe = func() { probed = true }
+		if rep := backuptest.CheckRestoreOne(t, e, 1, versions[0]); probed || rep.RecipesRead < 2 {
+			t.Errorf("restore v1 read %d recipes, v2 from the store %t; want a walk through kept recipes", rep.RecipesRead, probed)
+		}
+	})
 	for _, mode := range []string{"plain", "serial", "verify"} {
 		t.Run(mode, func(t *testing.T) {
 			depth := 0

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hidestore/internal/backend"
@@ -169,9 +170,9 @@ func restoreKept(e keptEngine, store *recordingStore, version int, verify bool) 
 }
 
 // sweepAndFindKept restores every stored version newest → oldest, then
-// each again down to the oldest one, and returns the first version above
-// it that reads an image the sweep read from the store and the second
-// restore read from memory: a kept image.
+// each again from the second oldest up, and returns the first that reads
+// an image the sweep read from the store and the second restore read from
+// memory: a kept image.
 func sweepAndFindKept(t *testing.T, e keptEngine, store *recordingStore, versions [][]byte) (version int, kept container.ID) {
 	t.Helper()
 	vs := e.Versions()
@@ -183,7 +184,7 @@ func sweepAndFindKept(t *testing.T, e keptEngine, store *recordingStore, version
 		}
 		swept[vs[i]] = r.reads
 	}
-	for i := len(vs) - 1; i >= 1; i-- {
+	for i := 1; i < len(vs); i++ {
 		again := restoreKept(e, store, vs[i], false)
 		if again.err != nil {
 			t.Fatal(again.err)
@@ -215,9 +216,12 @@ func rot(t *testing.T, dir string, id container.ID) {
 // TestKeptImagesDroppedByMutations: after a full sweep, each operation
 // that may delete, rewrite or quarantine a stored image — Delete (the
 // baseline's sweep rewrites images under their IDs), Repair and a
-// quarantining scrub step after a kept image rotted on disk, Backup —
-// leaves the next restore exactly as on a freshly opened engine: the same
-// bytes or the same error, from the same store reads.
+// quarantining scrub step after a kept image rotted on disk, the
+// baseline's Backup — leaves the next restore exactly as on a freshly
+// opened engine: the same bytes or the same error, from the same store
+// reads. HiDeStore's Backup changes no archival image, so its kept images
+// stay: the restore reads from the store only images the fresh engine
+// reads, and serves each read it saves from memory.
 func TestKeptImagesDroppedByMutations(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	for _, engine := range []string{"core", "dedup"} {
@@ -267,7 +271,14 @@ func TestKeptImagesDroppedByMutations(t *testing.T) {
 					t.Errorf("restore v%d: %d bytes, error %v; a freshly opened engine: %d bytes, error %v",
 						target, len(got.data), got.err, len(want.data), want.err)
 				}
-				if len(got.reads) != len(want.reads) {
+				if engine == "core" && mutation == "backup" {
+					saved := len(want.reads) - len(got.reads)
+					if slices.ContainsFunc(got.reads, func(id container.ID) bool { return !slices.Contains(want.reads, id) }) ||
+						saved < 0 || uint64(saved) != got.rep.ResidentReads-want.rep.ResidentReads {
+						t.Errorf("restore v%d: store reads %v, %d from memory; a freshly opened engine's %v, %d from memory",
+							target, got.reads, got.rep.ResidentReads, want.reads, want.rep.ResidentReads)
+					}
+				} else if len(got.reads) != len(want.reads) {
 					t.Errorf("restore v%d: %d store reads, a freshly opened engine's %d", target, len(got.reads), len(want.reads))
 				}
 				if mutation == "delete" && got.err != nil {
@@ -383,28 +394,39 @@ func restoreRecipes(e keptEngine, store *recordingStore, recipes *recordingRecip
 // freshly opened engine's —
 // bytes or error, and RecipesRead — and reads from the recipe store
 // exactly what the fresh engine reads, bar the versions the kept set
-// should hold after that operation: the two the engine last wrote or a
-// plain restore last read, none after Repair or a damaging scrub step.
-// A sweep newest → oldest reads nothing from the recipe store for the two
-// newest versions and only its own recipe for each older one, and a
-// backup reads none.
+// should hold after that operation: every version the engine wrote or a
+// plain restore read (these chains fit the byte budget), none after
+// Repair or a damaging scrub step.
+// A sweep newest → oldest right after the backups reads nothing from the
+// recipe store; on an engine reopened over the same directory it reads
+// each version's own recipe once and nothing else, and a backup reads
+// none.
 func TestKeptRecipesFollowWrites(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	n := len(versions)
+	// upTo lists versions 1 … v.
+	upTo := func(v int) []int {
+		vs := make([]int, v)
+		for i := range vs {
+			vs[i] = i + 1
+		}
+		return vs
+	}
 	// sweep restores every stored version newest → oldest and checks each
-	// one's recipe store reads.
-	sweep := func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes) {
+	// one's recipe store reads: none where the engine kept them all, its
+	// own on a reopened engine.
+	sweep := func(t *testing.T, k *keptRun, reopened bool) {
 		t.Helper()
-		vs := e.Versions()
+		vs := k.e.Versions()
 		for i := len(vs) - 1; i >= 0; i-- {
 			v := vs[i]
-			r := restoreRecipes(e, store, recipes, v, false)
+			r := restoreRecipes(k.e, k.store, k.recipes, v, false)
 			if r.err != nil || !bytes.Equal(r.data, versions[v-1]) {
 				t.Fatalf("sweep: restore v%d: %v, or the bytes differ", v, r.err)
 			}
-			want := []int{v}
-			if i >= len(vs)-2 {
-				want = nil
+			var want []int
+			if reopened {
+				want = []int{v}
 			}
 			if !slices.Equal(r.recipeReads, want) {
 				t.Errorf("sweep: restore v%d read recipes %v from the store, want %v", v, r.recipeReads, want)
@@ -413,70 +435,72 @@ func TestKeptRecipesFollowWrites(t *testing.T) {
 	}
 	type mutation struct {
 		name string
-		// run mutates e on dir and returns the versions to restore after
-		// it and the ones the kept set should then hold.
-		run func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) (targets, kept []int)
+		// run mutates k's engine on dir and returns the versions to restore
+		// after it and the ones the kept set should then hold.
+		run func(t *testing.T, k *keptRun, dir string) (targets, kept []int)
 	}
 	mutations := []mutation{
-		{"sweep", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions)
-			sweep(t, e, store, recipes)
-			return []int{1, 2}, []int{1, 2}
+		{"sweep", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions)
+			sweep(t, k, false)
+			k.reopen(t, dir)
+			sweep(t, k, true)
+			return []int{1, 2}, upTo(n)
 		}},
-		{"backup", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions[:n-1])
-			recipes.take()
-			if _, err := e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err != nil {
+		{"backup", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions[:n-1])
+			k.recipes.take()
+			if _, err := k.e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err != nil {
 				t.Fatal(err)
 			}
-			if reads := recipes.take(); len(reads) != 0 {
+			if reads := k.recipes.take(); len(reads) != 0 {
 				t.Errorf("backup v%d read recipes %v from the store, want none", n, reads)
 			}
-			return []int{n, n - 1}, []int{n, n - 1}
+			return []int{n, n - 1}, upTo(n)
 		}},
-		{"failed-put", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions[:n-1])
-			recipes.tear = n - 1 // the departing recipe's patch
-			if _, err := e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err == nil {
+		{"failed-put", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions[:n-1])
+			k.recipes.tear = n - 1 // the departing recipe's patch
+			if _, err := k.e.Backup(context.Background(), bytes.NewReader(versions[n-1])); err == nil {
 				t.Fatalf("backup v%d succeeded with its departing recipe's write torn", n)
 			}
-			recipes.tear = 0
-			return []int{n - 1}, []int{n}
+			k.recipes.tear = 0
+			return []int{n - 1}, append(upTo(n-2), n)
 		}},
-		{"delete", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions)
-			sweep(t, e, store, recipes)
-			if _, err := e.Delete(1); err != nil {
+		{"delete", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions)
+			sweep(t, k, false)
+			if _, err := k.e.Delete(1); err != nil {
 				t.Fatal(err)
 			}
-			return []int{1, 2}, []int{2}
+			return []int{1, 2}, upTo(n)[1:]
 		}},
-		{"flatten", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions)
-			if err := e.(*core.Engine).FlattenRecipes(1); err != nil {
+		{"flatten", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions)
+			if err := k.e.(*core.Engine).FlattenRecipes(1); err != nil {
 				t.Fatal(err)
 			}
-			return []int{1, 2}, []int{1, 2}
+			return []int{1, 2}, upTo(n)
 		}},
-		{"repair", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions)
-			sweep(t, e, store, recipes)
+		{"repair", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions)
+			sweep(t, k, false)
 			rotRecipe(t, dir, 2)
-			if _, err := e.Repair(); err != nil {
+			if _, err := k.e.Repair(); err != nil {
 				t.Fatal(err)
 			}
 			return []int{2, 1}, nil
 		}},
-		{"scrub", func(t *testing.T, e keptEngine, store *recordingStore, recipes *recordingRecipes, dir string) ([]int, []int) {
-			backuptest.BackupAll(t, e, versions)
-			sweep(t, e, store, recipes)
-			ids, err := store.IDs()
+		{"scrub", func(t *testing.T, k *keptRun, dir string) ([]int, []int) {
+			backuptest.BackupAll(t, k.e, versions)
+			sweep(t, k, false)
+			ids, err := k.store.IDs()
 			if err != nil {
 				t.Fatal(err)
 			}
 			rot(t, dir, ids[0])
 			for {
-				rep, err := e.(backup.Scrubber).ScrubStep(context.Background())
+				rep, err := k.e.(backup.Scrubber).ScrubStep(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -497,11 +521,12 @@ func TestKeptRecipesFollowWrites(t *testing.T) {
 			}
 			t.Run(engine+"/"+m.name, func(t *testing.T) {
 				dir := t.TempDir()
-				e, store, recipes := openKeptRecipes(t, engine, dir)
-				targets, kept := m.run(t, e, store, recipes, dir)
+				k := &keptRun{engine: engine}
+				k.reopen(t, dir)
+				targets, kept := m.run(t, k, dir)
 				var got []recipeRestore
 				for _, v := range targets {
-					got = append(got, restoreRecipes(e, store, recipes, v, false))
+					got = append(got, restoreRecipes(k.e, k.store, k.recipes, v, false))
 				}
 				fresh, freshStore, freshRecipes := openKeptRecipes(t, engine, dir)
 				for i, v := range targets {
@@ -523,6 +548,20 @@ func TestKeptRecipesFollowWrites(t *testing.T) {
 			})
 		}
 	}
+}
+
+// keptRun is one engine on a store directory, with its recording stores.
+type keptRun struct {
+	engine  string
+	e       keptEngine
+	store   *recordingStore
+	recipes *recordingRecipes
+}
+
+// reopen opens k's engine anew on dir: nothing kept in memory.
+func (k *keptRun) reopen(t *testing.T, dir string) {
+	t.Helper()
+	k.e, k.store, k.recipes = openKeptRecipes(t, k.engine, dir)
 }
 
 // TestIntegrityReadsPastKeptRecipes: a plain restore may serve a recipe
@@ -573,12 +612,17 @@ func TestIntegrityReadsPastKeptRecipes(t *testing.T) {
 // TestNewestRestoreReachesNoRemote: on a remote store the newest version
 // restores from memory alone — its recipe is the one the last backup
 // wrote, which the driver keeps, and its chunks live in the engine's
-// resident active images — so it reaches the remote for nothing.
+// resident active images — so it reaches the remote for nothing. The
+// older versions, restored newest → oldest right after the backups, read
+// nothing from it either: the driver kept every recipe the backups wrote
+// and the archival images they moved cold chunks to (this chain writes
+// fewer than the set holds). Only their recipe write-backs reach it.
 func TestNewestRestoreReachesNoRemote(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	var sims []*backend.RemoteSim
+	var reads atomic.Uint64
 	plane := func() backend.Backend {
-		top, sim, err := backend.NewStack(backend.NewMem(), backend.StackOptions{})
+		top, sim, err := backend.NewStack(&countedReads{Backend: backend.NewMem(), n: &reads}, backend.StackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +644,7 @@ func TestNewestRestoreReachesNoRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	backuptest.BackupAll(t, e, versions)
-	before := ops()
+	before, readsBefore := ops(), reads.Load()
 	var buf bytes.Buffer
 	rep, err := e.Restore(context.Background(), len(versions), &buf)
 	if err != nil || !bytes.Equal(buf.Bytes(), versions[len(versions)-1]) {
@@ -610,4 +654,33 @@ func TestNewestRestoreReachesNoRemote(t *testing.T) {
 		t.Errorf("restore v%d: %d remote ops, %d recipe reads, %d of %d container reads from memory; want 0, 1 and all",
 			len(versions), n, rep.RecipesRead, rep.ResidentReads, rep.Stats.ContainerReads)
 	}
+	for v := len(versions) - 1; v >= 1; v-- {
+		rep := backuptest.CheckRestoreOne(t, e, v, versions[v-1])
+		if n := reads.Load() - readsBefore; n != 0 || rep.ResidentReads != rep.Stats.ContainerReads {
+			t.Fatalf("sweep down to v%d: %d remote reads, %d of %d container reads from memory; want 0 and all",
+				v, n, rep.ResidentReads, rep.Stats.ContainerReads)
+		}
+	}
+}
+
+// countedReads counts every operation on a backend that reads it: Get,
+// Has and List.
+type countedReads struct {
+	backend.Backend
+	n *atomic.Uint64
+}
+
+func (b *countedReads) Get(ctx context.Context, name string) ([]byte, error) {
+	b.n.Add(1)
+	return b.Backend.Get(ctx, name)
+}
+
+func (b *countedReads) Has(ctx context.Context, name string) (bool, error) {
+	b.n.Add(1)
+	return b.Backend.Has(ctx, name)
+}
+
+func (b *countedReads) List(ctx context.Context, prefix string) ([]string, error) {
+	b.n.Add(1)
+	return b.Backend.List(ctx, prefix)
 }

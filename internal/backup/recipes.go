@@ -3,16 +3,24 @@ package backup
 import (
 	"slices"
 	"sync"
+	"unsafe"
 
 	"hidestore/internal/recipe"
 )
 
-// keptRecipeCap bounds the driver's kept recipe set. Two is what a newest
-// → oldest sweep reads twice: the recipe a restore reads and writes back,
-// and the next-newer one its forward pointers resolve through. It is also
-// what a backup writes: the new recipe and the departing one it patches,
-// which the previous backup wrote.
-const keptRecipeCap = 2
+// keptRecipeBytes bounds the decoded entries the driver's kept recipe set
+// holds: about 18 recipes of a 32 MB version cut at 4 KB on average. The
+// set keeps at least the two most recently used recipes whatever their
+// size. Two is what a newest → oldest sweep reads twice — the recipe a
+// restore reads and writes back, and the next-newer one its forward
+// pointers resolve through — and what a backup writes: the new recipe and
+// the departing one it patches. The budget past two lets a sweep after
+// the backups find every older version's recipe kept, and a Window of 2
+// its departing recipe.
+const keptRecipeBytes = 4 << 20
+
+// entrySize is a decoded recipe entry's size in memory.
+const entrySize = int(unsafe.Sizeof(recipe.Entry{}))
 
 // keptRecipes holds decoded copies of the recipes the engine last wrote
 // and plain restores last read, most recently used first. Each copy is
@@ -23,6 +31,8 @@ const keptRecipeCap = 2
 type keptRecipes struct {
 	mu   sync.Mutex
 	recs []*recipe.Recipe
+	// bytes is the decoded entries' size of recs.
+	bytes int
 }
 
 // get returns a copy of version's kept recipe, or nil, and makes it the
@@ -41,16 +51,31 @@ func (k *keptRecipes) get(version int) *recipe.Recipe {
 }
 
 // keep makes a copy of r the most recently used recipe, replacing any
-// copy of its version and dropping the least recently used past the cap.
+// copy of its version, then drops the least recently used while the set
+// is over keptRecipeBytes and holds more than two.
 func (k *keptRecipes) keep(r *recipe.Recipe) {
 	c := r.Clone()
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.recs = slices.DeleteFunc(k.recs, func(old *recipe.Recipe) bool { return old.Version == r.Version })
+	k.remove(r.Version)
 	k.recs = slices.Insert(k.recs, 0, c)
-	if len(k.recs) > keptRecipeCap {
-		k.recs[keptRecipeCap] = nil
-		k.recs = k.recs[:keptRecipeCap]
+	k.bytes += recipeBytes(c)
+	for len(k.recs) > 2 && k.bytes > keptRecipeBytes {
+		last := len(k.recs) - 1
+		k.bytes -= recipeBytes(k.recs[last])
+		k.recs[last] = nil
+		k.recs = k.recs[:last]
+	}
+}
+
+// recipeBytes is r's decoded entries' size.
+func recipeBytes(r *recipe.Recipe) int { return len(r.Entries) * entrySize }
+
+// remove forgets version's copy, if any; k.mu is held.
+func (k *keptRecipes) remove(version int) {
+	if i := slices.IndexFunc(k.recs, func(r *recipe.Recipe) bool { return r.Version == version }); i >= 0 {
+		k.bytes -= recipeBytes(k.recs[i])
+		k.recs = slices.Delete(k.recs, i, i+1)
 	}
 }
 
@@ -58,14 +83,14 @@ func (k *keptRecipes) keep(r *recipe.Recipe) {
 func (k *keptRecipes) drop(version int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.recs = slices.DeleteFunc(k.recs, func(r *recipe.Recipe) bool { return r.Version == version })
+	k.remove(version)
 }
 
 // forget drops every copy.
 func (k *keptRecipes) forget() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.recs = nil
+	k.recs, k.bytes = nil, 0
 }
 
 // Recipe returns version's recipe for the engine to read or modify: a

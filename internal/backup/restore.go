@@ -6,6 +6,7 @@ import (
 	"io"
 	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,10 +60,12 @@ type RestoreDriver struct {
 	// spans keeps the parallel assembler, span buffers included, from one
 	// of this driver's restores to the next.
 	spans restorecache.SpanPool
-	// kept holds decoded images plain restores read from the store since
-	// the engine last called Forget, at most restorecache.DefaultPrefetchDepth
-	// of them; later plain restores read them from here (DESIGN.md,
-	// "Restore driver").
+	// kept holds images the store holds under their IDs, at most
+	// restorecache.DefaultPrefetchDepth of them: ones plain restores read
+	// from it and ones the engine wrote to it (KeepWritten) since it last
+	// called Forget. Later plain restores read them from here, and a plain
+	// restore's own reads replace the ones its plan does not name
+	// (admitFrom; DESIGN.md, "Restore driver").
 	kept map[container.ID]*container.Container
 	// recipes is the kept recipe set (recipes.go).
 	recipes keptRecipes
@@ -73,6 +76,27 @@ type RestoreDriver struct {
 // is always the image the store holds under its ID. Kept recipes are
 // dropped apart (ForgetRecipes).
 func (d *RestoreDriver) Forget() { d.kept = nil }
+
+// KeepWritten makes images the engine has just written, and whose writes
+// have all returned nil, part of the kept set, in order; each that joins a
+// full set pushes out the lowest ID in it. The engine must not modify an
+// image afterwards, and must call Forget before the stored copy of any
+// could change.
+func (d *RestoreDriver) KeepWritten(images []*container.Container) {
+	for _, c := range images {
+		if d.kept == nil {
+			d.kept = make(map[container.ID]*container.Container, restorecache.DefaultPrefetchDepth)
+		}
+		if d.kept[c.ID()] == nil && len(d.kept) == restorecache.DefaultPrefetchDepth {
+			lowest := c.ID()
+			for id := range d.kept {
+				lowest = min(lowest, id)
+			}
+			delete(d.kept, lowest)
+		}
+		d.kept[c.ID()] = c
+	}
+}
 
 // maxAssemblyWidth caps the parallel assembler's span workers, and with
 // them the reorder window's memory (2·width + 2 spans, ≈ 10 MB at 4).
@@ -147,6 +171,9 @@ type sourceFetcher struct {
 	// far, and serves the restore's own re-reads of them.
 	kept  map[container.ID]*container.Container
 	admit map[container.ID]bool
+	// spare lists the kept IDs the plan does not name, lowest first: the
+	// ones the admitted reads replace.
+	spare []container.ID
 	// early holds the store reads Restore started from the stored recipe
 	// before resolving it (readEarly), each handed to the first Get of its
 	// ID and removed; reading counts them until they finish.
@@ -252,23 +279,46 @@ func (f *sourceFetcher) readEarly(ctx context.Context, rec *recipe.Recipe) {
 
 // admitFrom picks the store reads that join the kept set: the first IDs
 // the entries name, in order, that are neither resident nor kept, until
-// the set would hold restorecache.DefaultPrefetchDepth images. Deciding
-// in plan order rather than as fetches complete makes the kept set, and
-// so every restore's store/memory split, a function of the stored state.
+// the set would hold restorecache.DefaultPrefetchDepth images counting
+// only the kept ones the entries name. The rest of the kept set is spare:
+// the admitted reads replace as many of those as they must, lowest ID
+// first, so images neither this restore nor a later one of the same plan
+// reads never crowd out ones it does. Deciding in plan order rather than
+// as fetches complete makes the kept set, and so every restore's
+// store/memory split, a function of the stored state.
 func (f *sourceFetcher) admitFrom(entries []recipe.Entry) {
-	free := restorecache.DefaultPrefetchDepth - len(f.kept)
-	for _, e := range entries {
-		if len(f.admit) >= free {
-			return
+	depth := restorecache.DefaultPrefetchDepth
+	named := make(map[container.ID]bool, len(f.kept))
+	var admit []container.ID
+	for i, e := range entries {
+		if len(admit) == depth && len(named) == len(f.kept) {
+			break
+		}
+		if i > 0 && e.CID == entries[i-1].CID {
+			continue // a run of one image's chunks: decided at its first
 		}
 		id := container.ID(e.CID)
-		if f.admit[id] || f.kept[id] != nil || (f.resident != nil && f.resident(id) != nil) {
+		if f.kept[id] != nil {
+			named[id] = true
 			continue
 		}
-		if f.admit == nil {
-			f.admit = make(map[container.ID]bool, free)
+		if len(admit) == depth || slices.Contains(admit, id) || (f.resident != nil && f.resident(id) != nil) {
+			continue
 		}
-		f.admit[id] = true
+		admit = append(admit, id)
+	}
+	admit = admit[:min(len(admit), depth-len(named))]
+	for id := range f.kept {
+		if !named[id] {
+			f.spare = append(f.spare, id)
+		}
+	}
+	slices.Sort(f.spare)
+	if len(admit) > 0 {
+		f.admit = make(map[container.ID]bool, len(admit))
+		for _, id := range admit {
+			f.admit[id] = true
+		}
 	}
 }
 
@@ -432,6 +482,10 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// stopped.
 	if len(src.took) > 0 && d.kept == nil {
 		d.kept = make(map[container.ID]*container.Container, restorecache.DefaultPrefetchDepth)
+	}
+	over := len(d.kept) + len(src.took) - restorecache.DefaultPrefetchDepth
+	for _, id := range src.spare[:max(over, 0)] {
+		delete(d.kept, id)
 	}
 	maps.Copy(d.kept, src.took)
 	resident := src.reads.Load()

@@ -281,7 +281,6 @@ func New(cfg Config) (*Engine, error) {
 // state references is still on disk unchanged, so reopening rolls forward
 // or back to a consistent history (see recoverStartup).
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
-	e.restore.Forget() // migration and merge delete and retire stored images
 	in, err := e.ingest.Begin(ctx)
 	if err != nil {
 		return backup.BackupReport{}, err
@@ -419,7 +418,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	evicted := e.cache.endVersion(true) // the cold set leaves the cache
 	e.version = v
 	e.cutWith = cutWith{e.cfg.Chunker, e.cfg.ChunkParams}
-	coldLocs, migrated, err := e.migrateCold(v, evicted)
+	coldLocs, archived, migrated, err := e.migrateCold(v, evicted)
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
@@ -439,6 +438,12 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
+	// Every archival image is now the stored one under its ID, and nothing
+	// changes it short of Delete, Repair or a damaging scrub step, which
+	// all drop the kept set: the next restores of older versions read
+	// them from memory. Migration and merge touch only active images, which
+	// the driver never keeps, so a backup leaves the kept set standing.
+	e.restore.KeepWritten(archived)
 	migrateDur := time.Since(migrateStart)
 
 	recipeStart := time.Now()
@@ -526,13 +531,16 @@ func (e *Engine) put(c *container.Container) error {
 // image (unmarshalState drops the rest on reload). mergeSparseActives
 // reclaims the stale bytes once an image's live share falls under
 // MergeUtilization; an image left with no live chunk is deleted after the
-// state commits. It returns the cold chunks' archival locations and their
-// payload bytes, and registers the batch for §4.5 deletion. The cold set
-// after version v is exactly the chunks last seen in version v−Window.
-func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container.ID, uint64, error) {
+// state commits. It returns the cold chunks' archival locations, the last
+// restorecache.DefaultPrefetchDepth archival images it sealed (the ones
+// the kept set takes; it holds no earlier one, so a migration's memory
+// stays bounded by the writer's depth) and the batch's payload bytes, and
+// registers the batch for §4.5 deletion. The cold set after version v
+// is exactly the chunks last seen in version v−Window.
+func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container.ID, []*container.Container, uint64, error) {
 	cold := make(map[fp.FP]container.ID, len(evicted)) // fp → archival location
 	if len(evicted) == 0 {
-		return cold, 0, nil
+		return cold, nil, 0, nil
 	}
 	// Stable order: by source container, then by offset within it, so
 	// archival containers inherit the old versions' physical order (and
@@ -547,11 +555,11 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 	for i, ev := range evicted {
 		src, ok := e.activeContainers[ev.cid]
 		if !ok {
-			return nil, 0, fmt.Errorf("core: cold chunk %s references unknown active container %d", ev.f.Short(), ev.cid)
+			return nil, nil, 0, fmt.Errorf("core: cold chunk %s references unknown active container %d", ev.f.Short(), ev.cid)
 		}
 		entry, ok := src.Entry(ev.f)
 		if !ok {
-			return nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
+			return nil, nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
 		}
 		victims[i] = coldChunk{f: ev.f, src: src, offset: entry.Offset}
 		unpacked += int(entry.Size)
@@ -563,6 +571,7 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		return victims[i].offset < victims[j].offset
 	})
 	batch := &archivalBatch{}
+	var archived []*container.Container
 	archival := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: unpacked}
 	archival.Seal = func(c *container.Container) error {
 		if err := e.put(c); err != nil {
@@ -573,19 +582,25 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 			e.mx.MigratedChunks.Add(uint64(c.Len()))
 		}
 		batch.containers = append(batch.containers, c.ID())
+		if len(archived) == restorecache.DefaultPrefetchDepth {
+			// Only the newest images join the kept set; the rest are the
+			// writer's to free.
+			archived = append(archived[:0], archived[1:]...)
+		}
+		archived = append(archived, c)
 		batch.bytes += uint64(c.LiveSize())
 		return nil
 	}
 	for _, vc := range victims {
 		data, err := vc.src.View(vc.f) // copied once, by Add
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
+			return nil, nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
 		if cold[vc.f], err = archival.Add(vc.f, data); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		if err := vc.src.Remove(vc.f); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		if vc.src.Len() == 0 {
 			// Every chunk is stale: the new state will not list the image,
@@ -596,10 +611,10 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		delete(e.activeByFP, vc.f)
 	}
 	if err := archival.Flush(); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	e.batches[v-e.cfg.Window] = batch
-	return cold, batch.bytes, nil
+	return cold, archived, batch.bytes, nil
 }
 
 // mergeSparseActives compacts active containers whose utilization fell

@@ -252,16 +252,23 @@ func (c *countingRecipes) Has(v int) (bool, error) {
 	return c.Store.Has(v)
 }
 
-// countedEngine backs up an n-version chain and returns the engine with
-// its recipe store counted from here on.
+// countedEngine backs up an n-version chain and returns an engine
+// reopened over the same stores and state, its recipe store counted from
+// here on. The reopened engine keeps nothing in memory yet, so its walks
+// through the chain reach the store: the cold path.
 func countedEngine(t *testing.T, n int) (*Engine, *countingRecipes, [][]byte) {
 	t.Helper()
 	e, _, mem := newTestEngine(t, 1)
+	e.cfg.State = backend.NewMem()
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(n, 0))
 	backuptest.BackupAll(t, e, versions)
+	reopened, err := New(e.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	recipes := &countingRecipes{Store: mem}
-	e.cfg.Recipes, e.restore.Recipes = recipes, recipes
-	return e, recipes, versions
+	reopened.cfg.Recipes, reopened.restore.Recipes = recipes, recipes
+	return reopened, recipes, versions
 }
 
 // TestRestoreWalksChainOnce: forward pointers that end on still-hot
@@ -269,7 +276,10 @@ func countedEngine(t *testing.T, n int) (*Engine, *countingRecipes, [][]byte) {
 // trigger for flattening — every restore of such a version would re-read
 // all newer recipes forever. A first newest→oldest sweep may flatten;
 // the second must read exactly one recipe per restore, write none, and
-// reproduce the first sweep's bytes and container reads.
+// reproduce the first sweep's bytes and container reads. The second
+// sweep runs twice: with the recipes the first one kept, when it reads
+// none from the store, and with the kept set dropped, when each restore
+// reads its own from the store and nothing else.
 func TestRestoreWalksChainOnce(t *testing.T) {
 	e, _, mem := newTestEngine(t, 1)
 	recipes := &countingRecipes{Store: mem}
@@ -296,17 +306,27 @@ func TestRestoreWalksChainOnce(t *testing.T) {
 	if negatives == 0 {
 		t.Fatal("test degenerate: no forward pointer survives flattening")
 	}
-	for v := len(versions); v >= 1; v-- {
-		gets, puts := recipes.gets.Load(), recipes.puts.Load()
-		rep := backuptest.CheckRestoreOne(t, e, v, versions[v-1])
-		if g, p := recipes.gets.Load()-gets, recipes.puts.Load()-puts; g != 1 || p != 0 {
-			t.Errorf("second restore of v%d: %d recipe reads, %d writes; want 1 and 0", v, g, p)
+	for _, kept := range []bool{true, false} {
+		if !kept {
+			e.restore.ForgetRecipes()
 		}
-		if rep.Stats.ContainerReads != reads[v] {
-			t.Errorf("second restore of v%d: %d container reads, the first took %d", v, rep.Stats.ContainerReads, reads[v])
+		wantGets := int64(1)
+		if kept {
+			wantGets = 0
 		}
-		if rep.RecipeUpdateDuration != 0 {
-			t.Errorf("second restore of v%d reports flatten time %s", v, rep.RecipeUpdateDuration)
+		for v := len(versions); v >= 1; v-- {
+			gets, puts := recipes.gets.Load(), recipes.puts.Load()
+			rep := backuptest.CheckRestoreOne(t, e, v, versions[v-1])
+			if g, p := recipes.gets.Load()-gets, recipes.puts.Load()-puts; g != wantGets || p != 0 || rep.RecipesRead != 1 {
+				t.Errorf("second restore of v%d, recipes kept %t: %d recipe reads (%d from the store), %d writes; want 1 (%d) and 0",
+					v, kept, rep.RecipesRead, g, p, wantGets)
+			}
+			if rep.Stats.ContainerReads != reads[v] {
+				t.Errorf("second restore of v%d: %d container reads, the first took %d", v, rep.Stats.ContainerReads, reads[v])
+			}
+			if rep.RecipeUpdateDuration != 0 {
+				t.Errorf("second restore of v%d reports flatten time %s", v, rep.RecipeUpdateDuration)
+			}
 		}
 	}
 	// The first walk is by need. A cold restore of the oldest of 12 reads
@@ -414,13 +434,15 @@ func (g *gatedRecipes) Put(r *recipe.Recipe) error {
 }
 
 // TestResolveWaveIsConcurrentAndBounded drives a cold restore of the
-// oldest of 12 versions through a gated recipe store. The reads must come
+// oldest of 12 versions through a gated recipe store, the recipes the
+// backups kept in memory dropped first. The reads must come
 // as: the version's own; the one version its pointers name; then, that one
 // not being flat, a wave as wide as the read-ahead, all of it in flight
 // before any read returns. Three ways out of the wave, each leaving no read
 // behind when Restore returns: the chain's end, a flat recipe met with
 // reads still in flight, and a cancelled context — which must surface as
-// ctx.Err() with the span closed and nothing written back.
+// ctx.Err() with the span closed and nothing written back. Warm, with the
+// recipes kept, the same walk reads nothing through the gate.
 func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 	const wide = 8 // restorecache.DefaultPrefetchDepth
 	type ending struct {
@@ -449,6 +471,7 @@ func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 			}
 			gate := &gatedRecipes{Store: mem, entered: make(chan int, 64), release: make(chan struct{})}
 			e.cfg.Recipes, e.restore.Recipes = gate, gate
+			e.restore.ForgetRecipes() // every read of the walk reaches the gate
 			var trace bytes.Buffer
 			tracer := obs.NewTracer(&trace)
 			e.restore.Tracer = tracer
@@ -519,4 +542,17 @@ func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 			}
 		})
 	}
+	t.Run("warm", func(t *testing.T) {
+		e, _, mem := newTestEngine(t, 1)
+		versions := backuptest.Materialize(t, backuptest.SmallWorkload(12, 0))
+		backuptest.BackupAll(t, e, versions)
+		gate := &gatedRecipes{Store: mem, entered: make(chan int, 64), release: make(chan struct{})}
+		close(gate.release)
+		e.cfg.Recipes, e.restore.Recipes = gate, gate
+		rep := backuptest.CheckRestoreOne(t, e, 1, versions[0])
+		if n := len(gate.entered); n != 0 || rep.RecipesRead != 2+9 || gate.puts.Load() != 1 {
+			t.Errorf("%d recipe reads through the gate, %d in all, %d written back; want 0, %d and 1",
+				n, rep.RecipesRead, gate.puts.Load(), 2+9)
+		}
+	})
 }

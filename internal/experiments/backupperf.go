@@ -21,8 +21,9 @@ var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 
 // BackupPerfRow is one scheme's backup cost on the memory-backed store,
 // in exact counts: heap allocations per chunk (runtime.MemStats mallocs
-// over the whole run divided by chunks processed — the end-to-end
-// per-chunk path, not just the chunker) and write amplification
+// over the whole chain's backups, its versions generated beforehand,
+// divided by chunks processed — the end-to-end per-chunk path, not just
+// the chunker) and write amplification
 // (container payload bytes written over logical bytes, whole chain:
 // unique chunks plus whatever maintenance copied), scan share (bytes
 // of the chunks the ingest scanned for their cut over logical bytes, the
@@ -57,6 +58,12 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Generated before any allocation window opens: the counts are the
+	// engines', not the workload generator's.
+	versions, err := materialize(cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &BackupPerfResult{Workload: cfg.Name}
 	for _, scheme := range BackupPerfSchemes {
 		var e backup.Engine
@@ -71,7 +78,7 @@ func BackupPerf(workloadName string, opts Options) (*BackupPerfResult, error) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		reports, err := backupAllVersions(e, cfg)
+		reports, err := backupChain(e, versions)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workloadName, scheme, err)
