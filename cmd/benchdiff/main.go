@@ -9,10 +9,11 @@
 // into a gate: a metric whose direction is known that moves more than
 // PCT percent the wrong way prints a REGRESSION line and fails the run,
 // and so does a direction-known metric the new snapshot no longer
-// carries, so a gated count cannot vanish silently. Metrics with no
-// inherent direction (byte totals, cache hits, mean chunk sizes) are
-// never gated, and a missing baseline still passes — there is nothing to
-// regress from.
+// carries, so a gated count cannot vanish silently. A lower-is-better
+// metric whose baseline is 0 fails on any rise, whatever PCT. Metrics
+// with no inherent direction (byte totals, cache hits, mean chunk sizes)
+// are never gated, and a missing baseline still passes — there is
+// nothing to regress from.
 package main
 
 import (
@@ -100,8 +101,13 @@ func run(args []string, out io.Writer) error {
 					"REGRESSION: %s: %s -> gone (a gated metric is missing from the new run)", k, num(ov)))
 			}
 		default:
-			row("%s\t%s\t%s\t%s\t\n", k, num(ov), num(nv), delta(ov, nv))
-			if worse, pct := regressed(k, ov, nv); *failAbove > 0 && worse && pct > *failAbove {
+			worse, pct := regressed(k, ov, nv)
+			d := delta(ov, nv)
+			if worse && ov == 0 {
+				d = "regressed from 0"
+			}
+			row("%s\t%s\t%s\t%s\t\n", k, num(ov), num(nv), d)
+			if *failAbove > 0 && worse && pct > *failAbove {
 				regressions = append(regressions, fmt.Sprintf(
 					"REGRESSION: %s: %s -> %s (%.1f%% worse, threshold %.1f%%)",
 					k, num(ov), num(nv), pct, *failAbove))
@@ -161,14 +167,18 @@ func direction(key string) int {
 }
 
 // regressed reports whether new moved the wrong way relative to old
-// for a direction-classified key, and by what percentage of old.
-// Zero or non-finite baselines cannot express a percentage and are
-// never regressions.
+// for a direction-classified key, and by what percentage of old. A
+// lower-is-better key whose baseline is 0 — a count that reached its
+// floor, such as store reads a sweep no longer makes — regresses on any
+// rise, by +Inf percent. Any other zero baseline, and non-finite values,
+// cannot express a percentage and are never regressions.
 func regressed(key string, oldV, newV float64) (bool, float64) {
 	dir := direction(key)
-	if dir == 0 || oldV == 0 ||
-		math.IsNaN(oldV) || math.IsNaN(newV) || math.IsInf(oldV, 0) || math.IsInf(newV, 0) {
+	if dir == 0 || math.IsNaN(oldV) || math.IsNaN(newV) || math.IsInf(oldV, 0) || math.IsInf(newV, 0) {
 		return false, 0
+	}
+	if oldV == 0 {
+		return dir < 0 && newV > 0, math.Inf(1)
 	}
 	// Positive pct = worse: a drop for higher-better metrics, a rise
 	// for lower-better ones.

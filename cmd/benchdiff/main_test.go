@@ -216,6 +216,46 @@ func TestFailAboveGates(t *testing.T) {
 	}
 }
 
+// TestZeroBaselineGates: a lower-is-better count whose committed value is
+// 0 fails the gate on any rise and prints its row as a regression, not as
+// new; one that stays at 0 passes, and so does a higher-is-better key at 0.
+func TestZeroBaselineGates(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(name string, reads, speedup float64) string {
+		data, err := json.Marshal(map[string]any{"extra": map[string]float64{
+			"restore_store_reads_sweep_kernel": reads,
+			"kernel_speedup_us5000":            speedup,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return write(t, dir, name, string(data))
+	}
+	oldP := snapshot("old.json", 0, 0)
+	out, err := gate("15", oldP, snapshot("rise.json", 1, 0))
+	if err == nil {
+		t.Error("a zero-baseline read count rising 0 -> 1 passed a 15% gate")
+	}
+	if !strings.Contains(out, "REGRESSION: extra.restore_store_reads_sweep_kernel: 0 -> 1") {
+		t.Errorf("0 -> 1 printed no REGRESSION line:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "extra.restore_store_reads_sweep_kernel ") &&
+			(!strings.Contains(line, "regressed from 0") || strings.HasSuffix(strings.TrimSpace(line), "new")) {
+			t.Errorf("0 -> 1 row not printed as a regression: %q", line)
+		}
+	}
+	if out, err := gate("15", oldP, snapshot("same.json", 0, 0)); err != nil {
+		t.Errorf("a zero-baseline read count staying at 0 failed: %v\n%s", err, out)
+	}
+	if out, err := gate("15", oldP, snapshot("higher.json", 0, 2)); err != nil {
+		t.Errorf("a higher-is-better key rising from 0 failed: %v\n%s", err, out)
+	}
+	if out, err := gate("15", snapshot("speedup0.json", 0, 0), snapshot("lower.json", 0, -1)); err != nil {
+		t.Errorf("a higher-is-better key at 0 failed: %v\n%s", err, out)
+	}
+}
+
 // TestDeterministicOnlyGates: the exact counts CI relies on — allocations
 // per chunk, write amplification, recipe reads — gate under the plain
 // -fail-above, with no flag to ask for it, and one that stops being

@@ -287,7 +287,7 @@ func (s *segment) reportOperation(p *printer, root obs.TraceRecord, kids []obs.T
 }
 
 // reportFetches prints what a restore's forward pointers cost to follow,
-// how many of its reads were served from memory, the container-fetch timeline
+// how many of its reads the resident images served, the container-fetch timeline
 // summary and, for parallel restores, the
 // stall attribution; for backups, the commit plane's timeline — its
 // container puts legitimately overlap.
@@ -295,16 +295,6 @@ func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.Tra
 	var fetch, stall, flush []obs.TraceRecord
 	for _, k := range kids {
 		switch k.Name {
-		case "recipe.read":
-			// Whether the version's own recipe cost a store round trip
-			// or the restore driver's kept set served it.
-			if kept, ok := k.Attrs["kept"]; ok {
-				from := "the store"
-				if kept != 0 {
-					from = "the kept set"
-				}
-				p.printf("  recipe v%d: read from %s\n", k.Attrs["version"], from)
-			}
 		case "recipe.flatten":
 			// Exact work counts: what following this version's forward
 			// pointers read and wrote, beside the time the waterfall gives.
@@ -327,9 +317,8 @@ func (s *segment) reportFetches(p *printer, root obs.TraceRecord, kids []obs.Tra
 			len(flush), fmtDur(total), maxOverlap(flush))
 	}
 	if resident, ok := root.Attrs["resident_reads"]; ok {
-		// Reads served from memory — the engine's active images, or images
-		// an earlier restore kept: counted reads that never reached the
-		// store.
+		// Reads the engine's resident active images served: counted reads
+		// that never reached the store.
 		p.printf("  resident %d of %d reads\n", resident, root.Attrs["container_reads"])
 	}
 	if len(fetch) > 0 {

@@ -162,7 +162,8 @@ type storeSet struct {
 // plane is a base backend — a backend.Local under Dir, or a backend.Mem
 // without one — and a remote system wraps each base in its own
 // backend.NewStack; the container adapter compresses when Compress is
-// set. The layout under Dir:
+// set, and both adapters share one backend.Cache of decoded objects. The
+// layout under Dir:
 //
 //	local:  containers/c_<id>.ctn  recipes/r_<n>.rcp  state.hds
 //	remote: remote/containers/…    remote/recipes/…   remote/state/state.hds
@@ -221,7 +222,9 @@ func (c Config) stores() (storeSet, error) {
 		if err != nil {
 			return storeSet{}, err
 		}
-		set.containers, set.recipes = backend.NewContainerStore(cb, cdir, c.Compress), backend.NewRecipeStore(rb)
+		cache := backend.NewCache(backend.CacheBudget)
+		set.containers = backend.NewContainerStore(cb, cdir, c.Compress).Cached(cache)
+		set.recipes = backend.NewRecipeStore(rb).Cached(cache)
 		if c.Dir != "" {
 			if set.state, _, err = plane("state", 2); err != nil {
 				return storeSet{}, err
@@ -282,10 +285,10 @@ type RestoreReport struct {
 	// RecipesRead counts recipe reads: the version's own plus, on a
 	// HiDeStore system, the newer ones its forward pointers led to.
 	RecipesRead uint64
-	// ResidentReads counts the container reads served from memory instead
-	// of the store: a HiDeStore system's active containers, and images a
-	// restore since the last backup, delete, repair or damaging scrub step
-	// already read. They are part of ContainerReads.
+	// ResidentReads counts the container reads a HiDeStore system's
+	// active containers served from the engine's memory instead of the
+	// store. They are part of ContainerReads; the store served the rest,
+	// from its cache of decoded images or from storage.
 	ResidentReads uint64
 	Duration      time.Duration
 }

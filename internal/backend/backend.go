@@ -50,7 +50,9 @@ func IsTransient(err error) bool {
 // new content in full, never a prefix (the local backend inherits this
 // from durable.WriteFileAtomic).
 type Backend interface {
-	// Put writes or replaces the blob atomically.
+	// Put writes or replaces the blob atomically. No layer keeps data
+	// past its return (the container store decodes its cached image in
+	// place over it).
 	Put(ctx context.Context, name string, data []byte) error
 	// Get reads a whole blob; a missing name is ErrNotFound. The returned
 	// buffer is the caller's: no layer keeps or reuses it (the container

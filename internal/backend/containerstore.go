@@ -43,6 +43,11 @@ type ContainerStore struct {
 	b        Backend
 	dir      string
 	compress bool
+	// cache, when set, keeps the images written and read decoded, under
+	// the rules Cache states. uncached makes Get read past it; every
+	// write, delete, quarantine and failed read still updates it.
+	cache    *Cache
+	uncached bool
 }
 
 var (
@@ -58,6 +63,26 @@ var (
 // opened the same way it was written.
 func NewContainerStore(b Backend, dir string, compress bool) *ContainerStore {
 	return &ContainerStore{b: b, dir: dir, compress: compress}
+}
+
+// Cached returns s attached to cache, which a system's RecipeStore shares.
+func (s *ContainerStore) Cached(cache *Cache) *ContainerStore {
+	c := *s
+	c.cache = cache
+	return &c
+}
+
+// UncachedContainers returns the view of s whose every read reaches
+// storage: the one fsck, Repair, the scrubber and a verifying restore
+// read, so rot on disk is found. A store that is not a ContainerStore is
+// its own.
+func UncachedContainers(s container.Store) container.Store {
+	if a, ok := s.(*ContainerStore); ok {
+		v := *a
+		v.uncached = true
+		return &v
+	}
+	return s
 }
 
 // carrierFP is the fixed fingerprint under which a compressed image is
@@ -76,36 +101,38 @@ var (
 	flateReaders sync.Pool // io.ReadCloser that is a flate.Resetter
 )
 
-// encode returns the blob Put writes for c: its MarshalBinary image, or,
-// compressing, a carrier image — a container under c's ID holding one
-// chunk under carrierFP, the DEFLATE stream (default level) of c's
-// image — so the carrier keeps the image format's header and CRC.
-func (s *ContainerStore) encode(c *container.Container) ([]byte, error) {
-	raw, err := c.MarshalBinary()
+// encode returns c's MarshalBinary image and the blob Put writes for it:
+// the image itself, or, compressing, a carrier image — a container under
+// c's ID holding one chunk under carrierFP, the DEFLATE stream (default
+// level) of c's image — so the carrier keeps the image format's header
+// and CRC.
+func (s *ContainerStore) encode(c *container.Container) (raw, blob []byte, err error) {
+	raw, err = c.MarshalBinary()
 	if err != nil || !s.compress {
-		return raw, err
+		return raw, raw, err
 	}
 	var buf bytes.Buffer
 	w, _ := flateWriters.Get().(*flate.Writer)
 	if w == nil {
 		if w, err = flate.NewWriter(&buf, flate.DefaultCompression); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		w.Reset(&buf)
 	}
 	defer flateWriters.Put(w)
 	if _, err := w.Write(raw); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := w.Close(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	carrier := container.NewWithCapacity(c.ID(), buf.Len())
 	if err := carrier.Add(carrierFP, buf.Bytes()); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return carrier.MarshalBinary()
+	blob, err = carrier.MarshalBinary()
+	return raw, blob, err
 }
 
 // decode is encode's inverse. The image is decoded in place and owns
@@ -142,36 +169,58 @@ func (s *ContainerStore) Put(c *container.Container) error {
 	if c.ID() == 0 {
 		return fmt.Errorf("backend: Put container with reserved ID 0")
 	}
-	buf, err := s.encode(c)
+	name := ContainerName(c.ID())
+	raw, blob, err := s.encode(c)
 	if err != nil {
+		s.cache.drop(name)
 		return fmt.Errorf("backend: encode container %d: %w", c.ID(), err)
 	}
-	if err := s.b.Put(context.Background(), ContainerName(c.ID()), buf); err != nil {
+	if err := s.b.Put(context.Background(), name, blob); err != nil {
+		s.cache.drop(name)
 		return fmt.Errorf("backend: put container %d: %w", c.ID(), err)
+	}
+	if s.cache != nil {
+		// raw is ours again now that Backend.Put has returned: the cached
+		// image is decoded in place over it, a snapshot of what was stored.
+		if img, err := container.UnmarshalBinary(raw); err == nil {
+			s.cache.put(name, img, int64(img.DataSize()))
+		} else {
+			s.cache.drop(name)
+		}
 	}
 	return nil
 }
 
-// Get implements container.Store. The image owns the buffer it was
-// decoded from (every Backend.Get hands back bytes of the caller's own).
+// Get implements container.Store. A decoded image owns the buffer it was
+// decoded from (every Backend.Get hands back bytes of the caller's own);
+// a cached one is shared by every reader, read-only.
 func (s *ContainerStore) Get(id container.ID) (*container.Container, error) {
-	buf, err := s.b.Get(context.Background(), ContainerName(id))
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, fmt.Errorf("%w: container %d: %w", container.ErrNotFound, id, err)
+	v, err := s.cache.get(ContainerName(id), s.uncached, func() (any, int64, error) {
+		buf, err := s.b.Get(context.Background(), ContainerName(id))
+		if err != nil {
+			if errors.Is(err, ErrNotFound) {
+				return nil, 0, fmt.Errorf("%w: container %d: %w", container.ErrNotFound, id, err)
+			}
+			return nil, 0, fmt.Errorf("backend: read container %d: %w", id, err)
 		}
-		return nil, fmt.Errorf("backend: read container %d: %w", id, err)
-	}
-	c, err := s.decode(buf)
+		c, err := s.decode(buf)
+		if err != nil {
+			return nil, 0, fmt.Errorf("container %d: %w", id, err)
+		}
+		return c, int64(c.DataSize()), nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("container %d: %w", id, err)
+		return nil, err
 	}
-	return c, nil
+	return v.(*container.Container), nil
 }
 
 // Delete implements container.Store.
 func (s *ContainerStore) Delete(id container.ID) error {
-	if err := s.b.Delete(context.Background(), ContainerName(id)); err != nil {
+	name := ContainerName(id)
+	s.cache.drop(name)
+	defer s.cache.drop(name) // a fill that read the blob before it went
+	if err := s.b.Delete(context.Background(), name); err != nil {
 		if errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("%w: container %d: %w", container.ErrNotFound, id, err)
 		}
@@ -228,6 +277,8 @@ func (s *ContainerStore) Len() (int, error) {
 func (s *ContainerStore) Quarantine(id container.ID) (string, error) {
 	ctx := context.Background()
 	src := ContainerName(id)
+	s.cache.drop(src)
+	defer s.cache.drop(src) // a fill that read the blob before it went
 	buf, err := s.b.Get(ctx, src)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {

@@ -3,6 +3,7 @@ package backup
 import (
 	"sort"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
 	"hidestore/internal/recipe"
@@ -22,12 +23,13 @@ type ContainerAudit struct {
 }
 
 // AuditContainers is fsck's first pass, shared by both engines: it decodes
-// every stored image (the backend adapter CRC-checks on read) and hashes
-// every chunk against its fingerprint, reporting problems instead of
-// failing fast so one run inventories all damage. With repair, an image
-// that fails to decode is quarantined — moved aside, never deleted — when
-// the store implements container.Quarantiner.
+// every stored image (the backend adapter CRC-checks on read, past its
+// cache) and hashes every chunk against its fingerprint, reporting
+// problems instead of failing fast so one run inventories all damage.
+// With repair, an image that fails to decode is quarantined — moved
+// aside, never deleted — when the store implements container.Quarantiner.
 func AuditContainers(store container.Store, repair bool, report *RepairReport) *ContainerAudit {
+	store = backend.UncachedContainers(store)
 	a := &ContainerAudit{
 		corrupt:  make(map[container.ID]bool),
 		chunkAt:  make(map[fp.FP]map[container.ID]struct{}),
@@ -70,10 +72,11 @@ func AuditContainers(store container.Store, repair bool, report *RepairReport) *
 }
 
 // AuditRecipes is fsck's recipe-loading pass, shared by both engines: it
-// lists every stored version and reads its recipe, ascending, handing
-// each one that loads to visit and reporting what cannot be listed or
-// read instead of failing fast.
+// lists every stored version and reads its recipe past the store's cache,
+// ascending, handing each one that loads to visit and reporting what
+// cannot be listed or read instead of failing fast.
 func AuditRecipes(recipes recipe.Store, report *RepairReport, visit func(version int, rec *recipe.Recipe)) {
+	recipes = backend.UncachedRecipes(recipes)
 	versions, err := recipes.Versions()
 	if err != nil {
 		report.Problemf("recipes: cannot enumerate versions: %v", err)

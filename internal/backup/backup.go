@@ -97,12 +97,10 @@ type RestoreReport struct {
 	// version's own plus the newer ones its forward pointers led to. An
 	// exact work count, the same on every run over the same store.
 	RecipesRead uint64
-	// ResidentReads counts the container reads served from memory instead
-	// of the store: HiDeStore's active images, and the driver's kept set
-	// (either engine) — images plain restores read, and the archival
-	// images HiDeStore's backups wrote, since the engine last changed a
-	// stored image. Zero for a verifying restore. Each is also in
-	// Stats.ContainerReads: the store served the rest.
+	// ResidentReads counts the container reads HiDeStore's resident active
+	// images served instead of the store; zero for the baseline and for a
+	// verifying restore. Each is also in Stats.ContainerReads: the store
+	// served the rest, from its cache of decoded objects or from storage.
 	ResidentReads uint64
 }
 

@@ -339,7 +339,8 @@ type Planes struct {
 // containers/c_<id>.ctn, recipes/r_<n>.rcp and the state blob at dir,
 // each plane a backend.Local — with each Local behind a fault.Backend
 // drawing from inj, so every container, recipe and state op shares one
-// op counter. A nil inj leaves the planes unwrapped.
+// op counter. A nil inj leaves the planes unwrapped. The stores keep no
+// cache: every read reaches the backend.
 func DirPlanes(dir string, inj *fault.Injector) (Planes, error) {
 	cdir := filepath.Join(dir, "containers")
 	var bs [3]backend.Backend

@@ -134,21 +134,26 @@ func earlyEngine(t *testing.T, versions [][]byte, depth int, delay time.Duration
 // store while the resolve hook reads the first of them. A plain restore
 // with read-ahead has started reading by then. A serial one has not, and
 // every store read it makes follows the policy's ask for that image; a
-// verifying restore has not either. On the engine that made the backups
-// the walk reads no recipe from the store at all: it kept them.
+// verifying restore has not either. On cached stores, the engine that
+// made the backups walks the chain without reading a recipe from the
+// backend at all: the backups wrote them through.
 func TestEarlyReadsOnlyOnPlainReadAhead(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	t.Run("warm", func(t *testing.T) {
-		recipes := &probedRecipes{Store: recipe.NewMemStore(), at: 2}
-		e, err := core.New(core.Config{Store: container.NewMemStore(), Recipes: recipes, ContainerCapacity: 64 << 10})
+		log := &readLog{}
+		cache := backend.NewCache(backend.CacheBudget)
+		e, err := core.New(core.Config{
+			Store:             backend.NewContainerStore(backend.NewMem(), "", false).Cached(cache),
+			Recipes:           backend.NewRecipeStore(log.wrap(backend.NewMem())).Cached(cache),
+			ContainerCapacity: 64 << 10,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		backuptest.BackupAll(t, e, versions)
-		probed := false
-		recipes.probe = func() { probed = true }
-		if rep := backuptest.CheckRestoreOne(t, e, 1, versions[0]); probed || rep.RecipesRead < 2 {
-			t.Errorf("restore v1 read %d recipes, v2 from the store %t; want a walk through kept recipes", rep.RecipesRead, probed)
+		log.take()
+		if rep := backuptest.CheckRestoreOne(t, e, 1, versions[0]); rep.RecipesRead < 2 || len(log.take()) != 0 {
+			t.Errorf("restore v1 read %d recipes, some from the backend; want a walk through cached recipes", rep.RecipesRead)
 		}
 	})
 	for _, mode := range []string{"plain", "serial", "verify"} {

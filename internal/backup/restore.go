@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"maps"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/container"
 	"hidestore/internal/layout"
 	"hidestore/internal/obs"
@@ -30,12 +29,11 @@ import (
 // the identity exactly: store reads plus resident reads equal counted
 // reads, for every policy (DESIGN.md, "Restore driver").
 type RestoreDriver struct {
-	// Recipes persists the engine's recipes. Plain restores and the
-	// engine's own reads go through the kept set (Recipe, PutRecipe,
-	// DeleteRecipe); integrity readers read it directly.
+	// Recipes persists the engine's recipes, and Store the containers the
+	// resolved recipes name. A verifying restore reads both through their
+	// uncached views (backend.UncachedContainers, UncachedRecipes).
 	Recipes recipe.Store
-	// Store holds the containers the resolved recipes name.
-	Store container.Store
+	Store   container.Store
 	// Resident, when set, returns the engine's in-memory image of a
 	// container, or nil when it holds none. A restore asks it before the
 	// store and reads nothing from the store for an image it returns; a
@@ -60,42 +58,6 @@ type RestoreDriver struct {
 	// spans keeps the parallel assembler, span buffers included, from one
 	// of this driver's restores to the next.
 	spans restorecache.SpanPool
-	// kept holds images the store holds under their IDs, at most
-	// restorecache.DefaultPrefetchDepth of them: ones plain restores read
-	// from it and ones the engine wrote to it (KeepWritten) since it last
-	// called Forget. Later plain restores read them from here, and a plain
-	// restore's own reads replace the ones its plan does not name
-	// (admitFrom; DESIGN.md, "Restore driver").
-	kept map[container.ID]*container.Container
-	// recipes is the kept recipe set (recipes.go).
-	recipes keptRecipes
-}
-
-// Forget drops every kept image. An engine calls it before any operation
-// that may delete, rewrite or quarantine a stored image, so a kept image
-// is always the image the store holds under its ID. Kept recipes are
-// dropped apart (ForgetRecipes).
-func (d *RestoreDriver) Forget() { d.kept = nil }
-
-// KeepWritten makes images the engine has just written, and whose writes
-// have all returned nil, part of the kept set, in order; each that joins a
-// full set pushes out the lowest ID in it. The engine must not modify an
-// image afterwards, and must call Forget before the stored copy of any
-// could change.
-func (d *RestoreDriver) KeepWritten(images []*container.Container) {
-	for _, c := range images {
-		if d.kept == nil {
-			d.kept = make(map[container.ID]*container.Container, restorecache.DefaultPrefetchDepth)
-		}
-		if d.kept[c.ID()] == nil && len(d.kept) == restorecache.DefaultPrefetchDepth {
-			lowest := c.ID()
-			for id := range d.kept {
-				lowest = min(lowest, id)
-			}
-			delete(d.kept, lowest)
-		}
-		d.kept[c.ID()] = c
-	}
 }
 
 // maxAssemblyWidth caps the parallel assembler's span workers, and with
@@ -136,9 +98,8 @@ type Resolution struct {
 
 // AnalyzeLayout reports version's physical-locality profile from the
 // reference stream Restore would replay, over the images Restore would
-// read (see layout.Analyze). It reads the stored recipe, not a kept one,
-// emits no trace record, updates no metric and writes nothing back,
-// whatever the hook returns in Patched.
+// read (see layout.Analyze). It emits no trace record, updates no metric
+// and writes nothing back, whatever the hook returns in Patched.
 func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies []string,
 	resolve func(context.Context, *recipe.Recipe) (Resolution, error)) (*layout.Report, error) {
 	rec, err := d.Recipes.Get(version)
@@ -156,32 +117,22 @@ func (d *RestoreDriver) AnalyzeLayout(ctx context.Context, version int, policies
 	return layout.Analyze(ctx, version, entries, d.source(false), d.ContainerCapacity, policies)
 }
 
-// sourceFetcher is the bottom of every fetcher stack: an image held in
-// memory — the engine's resident image, else a kept one — or a read of
-// the store. Memory reads are counted here, below read-ahead, so a
-// restore's store reads plus memory reads are every read that reached the
-// bottom of its stack.
+// sourceFetcher is the bottom of every fetcher stack: the engine's
+// resident image, or a read of the store. Resident reads are counted
+// here, below read-ahead, so a restore's store reads plus resident reads
+// are every read that reached the bottom of its stack.
 type sourceFetcher struct {
 	store restorecache.Fetcher
-	// plain is false for a verifying restore, which reads only the store.
-	plain    bool
+	// resident is the engine's Resident hook; nil for a verifying restore,
+	// which reads only the store.
 	resident func(container.ID) *container.Container
-	// kept is the driver's kept set as the restore began, read-only. The
-	// store reads of the IDs in admit join it: took holds those made so
-	// far, and serves the restore's own re-reads of them.
-	kept  map[container.ID]*container.Container
-	admit map[container.ID]bool
-	// spare lists the kept IDs the plan does not name, lowest first: the
-	// ones the admitted reads replace.
-	spare []container.ID
 	// early holds the store reads Restore started from the stored recipe
 	// before resolving it (readEarly), each handed to the first Get of its
 	// ID and removed; reading counts them until they finish.
 	early   map[container.ID]*earlyRead
 	reading sync.WaitGroup
 	mu      sync.Mutex
-	took    map[container.ID]*container.Container
-	reads   atomic.Uint64 // images served from memory
+	reads   atomic.Uint64 // images served resident
 }
 
 // earlyRead is one store read started before the policy asked for it.
@@ -193,47 +144,20 @@ type earlyRead struct {
 
 // Get implements restorecache.Fetcher.
 func (f *sourceFetcher) Get(ctx context.Context, id container.ID) (*container.Container, error) {
-	if f.plain {
+	if f.resident != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if c := f.held(id); c != nil {
+		if c := f.resident(id); c != nil {
 			f.reads.Add(1)
 			return c, nil
 		}
 	}
-	var c *container.Container
-	var err error
 	if r := f.takeEarly(id); r != nil {
 		<-r.done
-		c, err = r.c, r.err
-	} else {
-		c, err = f.store.Get(ctx, id)
+		return r.c, r.err
 	}
-	if err == nil && f.admit[id] {
-		f.mu.Lock()
-		if f.took == nil {
-			f.took = make(map[container.ID]*container.Container, len(f.admit))
-		}
-		f.took[id] = c
-		f.mu.Unlock()
-	}
-	return c, err
-}
-
-// held returns the image of id held in memory, or nil.
-func (f *sourceFetcher) held(id container.ID) *container.Container {
-	if f.resident != nil {
-		if c := f.resident(id); c != nil {
-			return c
-		}
-	}
-	if c := f.kept[id]; c != nil || !f.admit[id] {
-		return c
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.took[id]
+	return f.store.Get(ctx, id)
 }
 
 // takeEarly removes and returns the early read of id, or nil.
@@ -248,7 +172,7 @@ func (f *sourceFetcher) takeEarly(id container.ID) *earlyRead {
 }
 
 // readEarly starts store reads of the archival images rec names directly,
-// in first-appearance order, that are neither resident nor kept, up to
+// in first-appearance order, that are not resident, up to
 // restorecache.DefaultPrefetchDepth of them; f.reading.Wait waits for
 // every one. It runs before any Get. Resolve keeps every positive CID
 // (Resolution), so each read is the first store read of its image the
@@ -260,7 +184,7 @@ func (f *sourceFetcher) readEarly(ctx context.Context, rec *recipe.Recipe) {
 			break
 		}
 		id := container.ID(e.CID)
-		if e.CID <= 0 || f.early[id] != nil || f.held(id) != nil {
+		if e.CID <= 0 || f.early[id] != nil || (f.resident != nil && f.resident(id) != nil) {
 			continue
 		}
 		if f.early == nil {
@@ -277,77 +201,27 @@ func (f *sourceFetcher) readEarly(ctx context.Context, rec *recipe.Recipe) {
 	}
 }
 
-// admitFrom picks the store reads that join the kept set: the first IDs
-// the entries name, in order, that are neither resident nor kept, until
-// the set would hold restorecache.DefaultPrefetchDepth images counting
-// only the kept ones the entries name. The rest of the kept set is spare:
-// the admitted reads replace as many of those as they must, lowest ID
-// first, so images neither this restore nor a later one of the same plan
-// reads never crowd out ones it does. Deciding in plan order rather than
-// as fetches complete makes the kept set, and so every restore's
-// store/memory split, a function of the stored state.
-func (f *sourceFetcher) admitFrom(entries []recipe.Entry) {
-	depth := restorecache.DefaultPrefetchDepth
-	named := make(map[container.ID]bool, len(f.kept))
-	var admit []container.ID
-	for i, e := range entries {
-		if len(admit) == depth && len(named) == len(f.kept) {
-			break
-		}
-		if i > 0 && e.CID == entries[i-1].CID {
-			continue // a run of one image's chunks: decided at its first
-		}
-		id := container.ID(e.CID)
-		if f.kept[id] != nil {
-			named[id] = true
-			continue
-		}
-		if len(admit) == depth || slices.Contains(admit, id) || (f.resident != nil && f.resident(id) != nil) {
-			continue
-		}
-		admit = append(admit, id)
-	}
-	admit = admit[:min(len(admit), depth-len(named))]
-	for id := range f.kept {
-		if !named[id] {
-			f.spare = append(f.spare, id)
-		}
-	}
-	slices.Sort(f.spare)
-	if len(admit) > 0 {
-		f.admit = make(map[container.ID]bool, len(admit))
-		for _, id := range admit {
-			f.admit[id] = true
-		}
-	}
-}
-
-// source is the one fetcher that reads Store, Resident or the kept set
-// for a version. With verify set it reads only the store and re-hashes
+// source is the one fetcher that reads Store or Resident for a version.
+// With verify set it reads only the store's uncached view and re-hashes
 // what it returns: a scrub-on-read checks the stored bytes, not memory.
 // Restore stacks read-ahead, the observed layer and the policy's counting
 // layer on it; AnalyzeLayout loads each image it names through it once.
 func (d *RestoreDriver) source(verify bool) *sourceFetcher {
-	store := restorecache.StoreFetcher(d.Store)
 	if verify {
-		return &sourceFetcher{store: restorecache.NewVerifyingFetcher(store)}
+		return &sourceFetcher{store: restorecache.NewVerifyingFetcher(restorecache.StoreFetcher(backend.UncachedContainers(d.Store)))}
 	}
-	return &sourceFetcher{store: store, plain: true, resident: d.Resident, kept: d.kept}
+	return &sourceFetcher{store: restorecache.StoreFetcher(d.Store), resident: d.Resident}
 }
 
-// readRecipe is the front of every restore: version's recipe — read
-// through the kept set by a plain restore, from the store by a verifying
-// one — recorded under span.
+// readRecipe is the front of every restore: version's recipe — from the
+// store's uncached view for a verifying restore — recorded under span.
 func (d *RestoreDriver) readRecipe(version int, span *obs.Span, verify bool) (*recipe.Recipe, error) {
 	start := time.Now()
-	var rec *recipe.Recipe
-	var kept bool
-	var err error
+	recipes := d.Recipes
 	if verify {
-		rec, err = d.Recipes.Get(version)
-	} else {
-		rec, kept, err = d.recipe(version)
+		recipes = backend.UncachedRecipes(recipes)
 	}
+	rec, err := recipes.Get(version)
 	if err != nil {
 		return nil, err
 	}
@@ -355,11 +229,7 @@ func (d *RestoreDriver) readRecipe(version int, span *obs.Span, verify bool) (*r
 		d.Metrics.RecipeReadNS.Observe(uint64(time.Since(start)))
 	}
 	if d.Tracer != nil {
-		attrs := map[string]int64{"version": int64(version), "kept": 0}
-		if kept {
-			attrs["kept"] = 1
-		}
-		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), attrs)
+		d.Tracer.EmitStage("recipe.read", span, start, time.Since(start), map[string]int64{"version": int64(version)})
 	}
 	return rec, nil
 }
@@ -440,7 +310,7 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 		// reads the stored recipe. Joined on every path out, after the
 		// prefetcher has stopped and before the span closes.
 		stored := make(chan error, 1)
-		go func() { stored <- d.PutRecipe(res.Patched) }()
+		go func() { stored <- d.Recipes.Put(res.Patched) }()
 		defer func() {
 			if err := <-stored; err != nil && retErr == nil {
 				rep, retErr = RestoreReport{}, fmt.Errorf("restore v%d: write back resolved recipe: %w", version, err)
@@ -455,9 +325,6 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// policy's output is routed through the parallel out-of-order
 	// assembler; neither changes which containers the policy requests, so
 	// the identity holds at any depth and width.
-	if !verify {
-		src.admitFrom(res.Entries)
-	}
 	fetch, done := restorecache.MaybePrefetch(src, res.Entries, d.PrefetchDepth, d.Metrics)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, d.Metrics, d.Tracer, span)
@@ -478,16 +345,6 @@ func (d *RestoreDriver) Restore(ctx context.Context, version int, w io.Writer, v
 	// Joined first, so a read-ahead fetch still in flight is either
 	// counted or never happened.
 	done()
-	// Kept only on success: a failed restore's reads depend on where it
-	// stopped.
-	if len(src.took) > 0 && d.kept == nil {
-		d.kept = make(map[container.ID]*container.Container, restorecache.DefaultPrefetchDepth)
-	}
-	over := len(d.kept) + len(src.took) - restorecache.DefaultPrefetchDepth
-	for _, id := range src.spare[:max(over, 0)] {
-		delete(d.kept, id)
-	}
-	maps.Copy(d.kept, src.took)
 	resident := src.reads.Load()
 	if d.Metrics != nil {
 		d.Metrics.Restores.Inc()

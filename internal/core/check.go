@@ -37,8 +37,6 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // container.Quarantiner (the backend adapter does; the memory store
 // does not).
 func (e *Engine) Repair() (backup.RepairReport, error) {
-	e.restore.Forget()
-	e.restore.ForgetRecipes()
 	return e.audit(true)
 }
 

@@ -396,15 +396,8 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	// The departing recipe is read before the new one is written: the
-	// previous backup wrote it, so the driver still keeps it, and writing
-	// first would push it out of the two-recipe set.
-	departing, err := e.departingRecipe(v)
-	if err != nil {
-		return backup.BackupReport{}, err
-	}
 	commitStart := time.Now()
-	if err := e.restore.PutRecipe(rec); err != nil {
+	if err := e.cfg.Recipes.Put(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
 	if e.mx != nil {
@@ -418,7 +411,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	evicted := e.cache.endVersion(true) // the cold set leaves the cache
 	e.version = v
 	e.cutWith = cutWith{e.cfg.Chunker, e.cfg.ChunkParams}
-	coldLocs, archived, migrated, err := e.migrateCold(v, evicted)
+	coldLocs, migrated, err := e.migrateCold(v, evicted)
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
@@ -438,16 +431,10 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := e.writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	// Every archival image is now the stored one under its ID, and nothing
-	// changes it short of Delete, Repair or a damaging scrub step, which
-	// all drop the kept set: the next restores of older versions read
-	// them from memory. Migration and merge touch only active images, which
-	// the driver never keeps, so a backup leaves the kept set standing.
-	e.restore.KeepWritten(archived)
 	migrateDur := time.Since(migrateStart)
 
 	recipeStart := time.Now()
-	if err := e.patchDepartingRecipe(departing, coldLocs); err != nil {
+	if err := e.patchDepartingRecipe(v, coldLocs); err != nil {
 		return backup.BackupReport{}, err
 	}
 	recipeDur := time.Since(recipeStart)
@@ -497,7 +484,7 @@ func (e *Engine) seedIngest() {
 		return
 	}
 	e.ingest.Seed(e.cutWith.alg, e.cutWith.p, func() ([]recipe.Entry, error) {
-		rec, err := e.restore.Recipe(v)
+		rec, err := e.cfg.Recipes.Get(v)
 		if err != nil {
 			return nil, err
 		}
@@ -531,16 +518,14 @@ func (e *Engine) put(c *container.Container) error {
 // image (unmarshalState drops the rest on reload). mergeSparseActives
 // reclaims the stale bytes once an image's live share falls under
 // MergeUtilization; an image left with no live chunk is deleted after the
-// state commits. It returns the cold chunks' archival locations, the last
-// restorecache.DefaultPrefetchDepth archival images it sealed (the ones
-// the kept set takes; it holds no earlier one, so a migration's memory
-// stays bounded by the writer's depth) and the batch's payload bytes, and
-// registers the batch for §4.5 deletion. The cold set after version v
-// is exactly the chunks last seen in version v−Window.
-func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container.ID, []*container.Container, uint64, error) {
+// state commits. It returns the cold chunks' archival locations and the
+// batch's payload bytes, and registers the batch for §4.5 deletion. The
+// cold set after version v is exactly the chunks last seen in version
+// v−Window.
+func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container.ID, uint64, error) {
 	cold := make(map[fp.FP]container.ID, len(evicted)) // fp → archival location
 	if len(evicted) == 0 {
-		return cold, nil, 0, nil
+		return cold, 0, nil
 	}
 	// Stable order: by source container, then by offset within it, so
 	// archival containers inherit the old versions' physical order (and
@@ -555,11 +540,11 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 	for i, ev := range evicted {
 		src, ok := e.activeContainers[ev.cid]
 		if !ok {
-			return nil, nil, 0, fmt.Errorf("core: cold chunk %s references unknown active container %d", ev.f.Short(), ev.cid)
+			return nil, 0, fmt.Errorf("core: cold chunk %s references unknown active container %d", ev.f.Short(), ev.cid)
 		}
 		entry, ok := src.Entry(ev.f)
 		if !ok {
-			return nil, nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
+			return nil, 0, fmt.Errorf("core: cold chunk %s absent from active container %d", ev.f.Short(), ev.cid)
 		}
 		victims[i] = coldChunk{f: ev.f, src: src, offset: entry.Offset}
 		unpacked += int(entry.Size)
@@ -571,7 +556,6 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		return victims[i].offset < victims[j].offset
 	})
 	batch := &archivalBatch{}
-	var archived []*container.Container
 	archival := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: unpacked}
 	archival.Seal = func(c *container.Container) error {
 		if err := e.put(c); err != nil {
@@ -582,25 +566,19 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 			e.mx.MigratedChunks.Add(uint64(c.Len()))
 		}
 		batch.containers = append(batch.containers, c.ID())
-		if len(archived) == restorecache.DefaultPrefetchDepth {
-			// Only the newest images join the kept set; the rest are the
-			// writer's to free.
-			archived = append(archived[:0], archived[1:]...)
-		}
-		archived = append(archived, c)
 		batch.bytes += uint64(c.LiveSize())
 		return nil
 	}
 	for _, vc := range victims {
 		data, err := vc.src.View(vc.f) // copied once, by Add
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
+			return nil, 0, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
 		if cold[vc.f], err = archival.Add(vc.f, data); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if err := vc.src.Remove(vc.f); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if vc.src.Len() == 0 {
 			// Every chunk is stale: the new state will not list the image,
@@ -611,10 +589,10 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 		delete(e.activeByFP, vc.f)
 	}
 	if err := archival.Flush(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	e.batches[v-e.cfg.Window] = batch
-	return cold, archived, batch.bytes, nil
+	return cold, batch.bytes, nil
 }
 
 // mergeSparseActives compacts active containers whose utilization fell
@@ -678,32 +656,24 @@ func (e *Engine) flushPendingDeletes() error {
 	return err
 }
 
-// departingRecipe reads the recipe of the version that leaves the cache
-// window when version v is backed up, or returns nil if there is none.
-// With the default Window of 1 the previous backup wrote it, so the
-// driver's kept set serves it without a store read.
-func (e *Engine) departingRecipe(v int) (*recipe.Recipe, error) {
+// patchDepartingRecipe rewrites the recipe of the version that leaves the
+// cache window when version v is backed up (§4.3, Figure 7): cold chunks
+// get their archival container ID; still-hot chunks get a forward pointer
+// to the most recent version containing them. Only this one recipe is
+// touched per backup — the bounded update cost Figure 12 measures. A
+// version with no stored recipe has nothing to patch.
+func (e *Engine) patchDepartingRecipe(v int, coldLocs map[fp.FP]container.ID) error {
 	departing := v - e.cfg.Window
 	if departing < 1 {
-		return nil, nil
-	}
-	rec, err := e.restore.Recipe(departing)
-	if errors.Is(err, recipe.ErrNotFound) {
-		return nil, nil // nothing stored to patch
-	}
-	return rec, err
-}
-
-// patchDepartingRecipe rewrites rec, the recipe of the version leaving
-// the cache window (§4.3, Figure 7): cold chunks get their archival
-// container ID; still-hot chunks get a forward pointer to the most recent
-// version containing them. Only this one recipe is touched per backup —
-// the bounded update cost Figure 12 measures. A nil rec patches nothing.
-func (e *Engine) patchDepartingRecipe(rec *recipe.Recipe, coldLocs map[fp.FP]container.ID) error {
-	if rec == nil {
 		return nil
 	}
-	departing := rec.Version
+	rec, err := e.cfg.Recipes.Get(departing)
+	if errors.Is(err, recipe.ErrNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
 	changed := false
 	for i := range rec.Entries {
 		entry := &rec.Entries[i]
@@ -725,7 +695,7 @@ func (e *Engine) patchDepartingRecipe(rec *recipe.Recipe, coldLocs map[fp.FP]con
 	if !changed {
 		return nil
 	}
-	return e.restore.PutRecipe(rec)
+	return e.cfg.Recipes.Put(rec)
 }
 
 // Restore implements backup.Engine (§4.4). CID-0 and forward-pointing
@@ -758,12 +728,11 @@ func (e *Engine) resident(id container.ID) *container.Container {
 // restoreWith runs the shared driver's restore, verifying or not. The
 // engine's part is resolving the recipe, and remembering that a recipe
 // whose pointers it followed is flat once the driver has stored it. A
-// plain restore reads newer recipes through the driver's kept set, a
-// verifying one from the store.
+// verifying restore reads newer recipes through the store's uncached view.
 func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, verify bool) (backup.RestoreReport, error) {
-	read := e.restore.Recipe
+	read := e.cfg.Recipes.Get
 	if verify {
-		read = e.cfg.Recipes.Get
+		read = backend.UncachedRecipes(e.cfg.Recipes).Get
 	}
 	followed := false
 	rep, err := e.restore.Restore(ctx, version, w, verify, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
@@ -783,8 +752,7 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, veri
 // images it would read — resident active images, stored archival ones —
 // so its container-read counts match a real restore's exactly. Nothing is
 // restored or changed: the pointers it follows are neither written back
-// nor marked flat, and the recipes it reads come from the store, not the
-// driver's kept set.
+// nor marked flat.
 func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []string) (*layout.Report, error) {
 	return e.restore.AnalyzeLayout(ctx, version, policies, func(ctx context.Context, rec *recipe.Recipe) (backup.Resolution, error) {
 		return e.resolve(ctx, rec, false, e.cfg.Recipes.Get)
@@ -803,7 +771,6 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 // containers first would leave a recipe pointing at missing chunks —
 // data loss for a version still listed as restorable.
 func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) {
-	e.restore.Forget()
 	start := time.Now()
 	report = backup.DeleteReport{Version: version}
 	if err := e.ingest.Failed(); err != nil {
@@ -823,7 +790,7 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 	// counts in memory ahead of the state file: latch, as Backup does.
 	defer e.ingest.FailOn(&retErr)
 	batch := e.batches[version]
-	if err := e.restore.DeleteRecipe(version); err != nil {
+	if err := e.cfg.Recipes.Delete(version); err != nil {
 		return report, err
 	}
 	if batch != nil {

@@ -28,17 +28,17 @@ func (e *Engine) FlattenRecipes(floor int) error {
 		return fmt.Errorf("core: flatten: %w", err)
 	}
 	for i := len(versions) - 1; i >= 0 && versions[i] >= floor; i-- {
-		rec, err := e.restore.Recipe(versions[i])
+		rec, err := e.cfg.Recipes.Get(versions[i])
 		if err != nil {
 			return fmt.Errorf("core: flatten: %w", err)
 		}
 		//hidelint:ignore ignored-ctx the offline pass keeps its context-free signature (System.Flatten, the CLI); nothing upstream could cancel it
-		res, err := e.resolve(context.Background(), rec, true, e.restore.Recipe)
+		res, err := e.resolve(context.Background(), rec, true, e.cfg.Recipes.Get)
 		if err != nil {
 			return fmt.Errorf("core: flatten: %w", err)
 		}
 		if res.Patched != nil {
-			if err := e.restore.PutRecipe(res.Patched); err != nil {
+			if err := e.cfg.Recipes.Put(res.Patched); err != nil {
 				return fmt.Errorf("core: flatten: %w", err)
 			}
 		}
@@ -67,8 +67,8 @@ func (e *Engine) FlattenRecipes(floor int) error {
 // (AnalyzeLayout): once stored, this version never follows them again,
 // and the next-older version's pointers end here after one read. Only
 // entries with CID ≤ 0 change, the contract backup.Resolution states.
-// Newer recipes are read with read: through the driver's kept set, or
-// from the store for a verifying restore and AnalyzeLayout.
+// Newer recipes are read with read: through the store's uncached view for
+// a verifying restore.
 func (e *Engine) resolve(ctx context.Context, rec *recipe.Recipe, all bool, read func(int) (*recipe.Recipe, error)) (backup.Resolution, error) {
 	res := backup.Resolution{Entries: make([]recipe.Entry, len(rec.Entries))}
 	forwards, cold := 0, 0

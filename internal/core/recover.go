@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/container"
 )
 
@@ -29,10 +30,6 @@ import (
 //     merged containers, half-flushed deferred deletes — and are
 //     removed. Images are write-once, so everything the committed state
 //     does reference is on disk exactly as that state left it.
-//
-// Recovery reads and writes the recipe store itself, not through the
-// restore driver's kept set: it runs inside New, before the driver has
-// kept any recipe, so no kept copy can outlive what it rewrites.
 func (e *Engine) recoverStartup(ctx context.Context) error {
 	versions, err := e.cfg.Recipes.Versions()
 	if err != nil {
@@ -152,8 +149,11 @@ func (e *Engine) sweepOrphans(versions []int) (int, error) {
 		return 0, fmt.Errorf("core: recovery: %w", err)
 	}
 	referenced := make(map[container.ID]struct{})
+	// Past the store's cache, which would otherwise open full of recipes
+	// no restore asked for.
+	recipes := backend.UncachedRecipes(e.cfg.Recipes)
 	for _, v := range versions {
-		rec, err := e.cfg.Recipes.Get(v)
+		rec, err := recipes.Get(v)
 		if err != nil {
 			return 0, nil
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hidestore/internal/backend"
@@ -273,5 +274,37 @@ func TestResolveByNeedMatchesTableWalk(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestUnresolvedPointerFails: a stored recipe whose forward pointer names
+// a chunk no newer recipe places, and that is not hot, cannot resolve.
+// Restore and FlattenRecipes both return the unresolved error — neither
+// panics, and Restore reports no success — and so does a CID-0 entry for
+// a chunk that is not hot.
+func TestUnresolvedPointerFails(t *testing.T) {
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(3, 0))
+	for _, cid := range []int32{-2, 0} {
+		t.Run(fmt.Sprintf("cid%d", cid), func(t *testing.T) {
+			e, _, recipes := newTestEngine(t, 1)
+			backuptest.BackupAll(t, e, versions)
+			rec, err := recipes.Get(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stray := fp.Of([]byte("a chunk no version placed"))
+			rec.Append(stray, 4096, cid)
+			if err := recipes.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("chunk %s unresolved (CID %d)", stray.Short(), cid)
+			var buf bytes.Buffer
+			if rep, err := e.Restore(context.Background(), 1, &buf); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("restore v1: %v (%d bytes restored), want an error containing %q", err, rep.Stats.BytesRestored, want)
+			}
+			if err := e.FlattenRecipes(1); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("flatten: %v, want an error containing %q", err, want)
+			}
+		})
 	}
 }

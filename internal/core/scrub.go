@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hidestore/internal/backend"
 	"hidestore/internal/backup"
 	"hidestore/internal/container"
 	"hidestore/internal/fp"
@@ -91,10 +92,6 @@ func (e *Engine) ScrubStep(ctx context.Context) (backup.ScrubStepReport, error) 
 	}
 
 	rep.Corrupt = problem
-	// The image is rewritten or quarantined below: a restore must see the
-	// store as it is after this step, recipes included.
-	e.restore.Forget()
-	e.restore.ForgetRecipes()
 	if e.smx != nil {
 		e.smx.Corruptions.Inc()
 	}
@@ -130,12 +127,12 @@ func (e *Engine) ScrubStep(ctx context.Context) (backup.ScrubStepReport, error) 
 // after the pass snapshot); distinguished from damage by ErrNotFound.
 const scrubGone = "\x00gone"
 
-// scrubVerify reads one container image and content-checks every
-// stored chunk. It returns the verified chunk/byte counts and a
+// scrubVerify reads one container image through the store's uncached
+// view and content-checks every stored chunk. It returns the verified chunk/byte counts and a
 // problem description ("" when healthy, scrubGone when the container
 // no longer exists).
 func (e *Engine) scrubVerify(cid container.ID) (chunks int, bytes uint64, problem string) {
-	ctn, err := e.cfg.Store.Get(cid)
+	ctn, err := backend.UncachedContainers(e.cfg.Store).Get(cid)
 	if err != nil {
 		if errors.Is(err, container.ErrNotFound) {
 			return 0, 0, scrubGone

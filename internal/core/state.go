@@ -220,7 +220,9 @@ func (e *Engine) unmarshalState(buf []byte) error {
 		if err != nil {
 			return err
 		}
-		ctn, err := e.cfg.Store.Get(container.ID(id))
+		// Past the store's cache: the engine keeps its own copy of every
+		// active image, so a cached one would only take budget.
+		ctn, err := backend.UncachedContainers(e.cfg.Store).Get(container.ID(id))
 		if err != nil {
 			return fmt.Errorf("core: reload active container %d: %w", id, err)
 		}

@@ -217,6 +217,22 @@ func TestColdChunkReturnsInAnotherContainer(t *testing.T) {
 	}
 }
 
+// countingBlobs counts the Gets and Puts that reach a backend.
+type countingBlobs struct {
+	backend.Backend
+	gets, puts atomic.Int64
+}
+
+func (c *countingBlobs) Get(ctx context.Context, name string) ([]byte, error) {
+	c.gets.Add(1)
+	return c.Backend.Get(ctx, name)
+}
+
+func (c *countingBlobs) Put(ctx context.Context, name string, data []byte) error {
+	c.puts.Add(1)
+	return c.Backend.Put(ctx, name, data)
+}
+
 // countingRecipes counts the recipe store's calls, reads per version too.
 type countingRecipes struct {
 	recipe.Store
@@ -276,14 +292,20 @@ func countedEngine(t *testing.T, n int) (*Engine, *countingRecipes, [][]byte) {
 // trigger for flattening — every restore of such a version would re-read
 // all newer recipes forever. A first newest→oldest sweep may flatten;
 // the second must read exactly one recipe per restore, write none, and
-// reproduce the first sweep's bytes and container reads. The second
-// sweep runs twice: with the recipes the first one kept, when it reads
-// none from the store, and with the kept set dropped, when each restore
-// reads its own from the store and nothing else.
+// reproduce the first sweep's bytes and container reads. The recipes sit
+// behind a store cache, and the second sweep runs twice: with the cache
+// the first one filled, when it reads none from the backend, and with a
+// new, empty one, when each restore reads its own from the backend and
+// nothing else.
 func TestRestoreWalksChainOnce(t *testing.T) {
-	e, _, mem := newTestEngine(t, 1)
-	recipes := &countingRecipes{Store: mem}
-	e.cfg.Recipes, e.restore.Recipes = recipes, recipes
+	e, _, _ := newTestEngine(t, 1)
+	recipes := &countingBlobs{Backend: backend.NewMem()}
+	mem := backend.NewRecipeStore(recipes)
+	cached := func() {
+		c := mem.Cached(backend.NewCache(backend.CacheBudget))
+		e.cfg.Recipes, e.restore.Recipes = c, c
+	}
+	cached()
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(8, 0))
 	backuptest.BackupAll(t, e, versions)
 
@@ -308,7 +330,7 @@ func TestRestoreWalksChainOnce(t *testing.T) {
 	}
 	for _, kept := range []bool{true, false} {
 		if !kept {
-			e.restore.ForgetRecipes()
+			cached()
 		}
 		wantGets := int64(1)
 		if kept {
@@ -434,15 +456,16 @@ func (g *gatedRecipes) Put(r *recipe.Recipe) error {
 }
 
 // TestResolveWaveIsConcurrentAndBounded drives a cold restore of the
-// oldest of 12 versions through a gated recipe store, the recipes the
-// backups kept in memory dropped first. The reads must come
+// oldest of 12 versions through a gated memory recipe store, which caches
+// nothing. The reads must come
 // as: the version's own; the one version its pointers name; then, that one
 // not being flat, a wave as wide as the read-ahead, all of it in flight
 // before any read returns. Three ways out of the wave, each leaving no read
 // behind when Restore returns: the chain's end, a flat recipe met with
 // reads still in flight, and a cancelled context — which must surface as
-// ctx.Err() with the span closed and nothing written back. Warm, with the
-// recipes kept, the same walk reads nothing through the gate.
+// ctx.Err() with the span closed and nothing written back. Warm, on a
+// store cache the backups filled, the same walk reads nothing from the
+// backend.
 func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 	const wide = 8 // restorecache.DefaultPrefetchDepth
 	type ending struct {
@@ -471,7 +494,6 @@ func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 			}
 			gate := &gatedRecipes{Store: mem, entered: make(chan int, 64), release: make(chan struct{})}
 			e.cfg.Recipes, e.restore.Recipes = gate, gate
-			e.restore.ForgetRecipes() // every read of the walk reaches the gate
 			var trace bytes.Buffer
 			tracer := obs.NewTracer(&trace)
 			e.restore.Tracer = tracer
@@ -543,16 +565,17 @@ func TestResolveWaveIsConcurrentAndBounded(t *testing.T) {
 		})
 	}
 	t.Run("warm", func(t *testing.T) {
-		e, _, mem := newTestEngine(t, 1)
+		e, _, _ := newTestEngine(t, 1)
+		blobs := &countingBlobs{Backend: backend.NewMem()}
+		cached := backend.NewRecipeStore(blobs).Cached(backend.NewCache(backend.CacheBudget))
+		e.cfg.Recipes, e.restore.Recipes = cached, cached
 		versions := backuptest.Materialize(t, backuptest.SmallWorkload(12, 0))
 		backuptest.BackupAll(t, e, versions)
-		gate := &gatedRecipes{Store: mem, entered: make(chan int, 64), release: make(chan struct{})}
-		close(gate.release)
-		e.cfg.Recipes, e.restore.Recipes = gate, gate
+		puts := blobs.puts.Load()
 		rep := backuptest.CheckRestoreOne(t, e, 1, versions[0])
-		if n := len(gate.entered); n != 0 || rep.RecipesRead != 2+9 || gate.puts.Load() != 1 {
-			t.Errorf("%d recipe reads through the gate, %d in all, %d written back; want 0, %d and 1",
-				n, rep.RecipesRead, gate.puts.Load(), 2+9)
+		if n, p := blobs.gets.Load(), blobs.puts.Load()-puts; n != 0 || rep.RecipesRead != 2+9 || p != 1 {
+			t.Errorf("%d recipe reads from the backend, %d in all, %d written back; want 0, %d and 1",
+				n, rep.RecipesRead, p, 2+9)
 		}
 	})
 }

@@ -6,36 +6,44 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"hidestore/internal/backend"
 	"hidestore/internal/backup/backuptest"
 	"hidestore/internal/chunker"
 	"hidestore/internal/container"
-	"hidestore/internal/container/containertest"
 	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 )
 
-// The archival images a backup writes join the restore driver's kept set
-// once the fence behind them has returned (DESIGN.md, "Restore driver").
-// These tests hold a written image to the stored one: a restore that names
-// it equals a freshly opened engine's, which has nothing kept, after each
-// way the two could part — a failed write, Delete of its batch, Repair and
-// a damaging scrub step.
+// The images a backup writes join the store cache once their writes
+// have returned nil (DESIGN.md, "Store cache"). These tests hold a cached
+// image to the stored one: a restore that names it equals a freshly
+// opened engine's, whose cache is empty, after each way the two could
+// part — a failed write, Delete of its batch, Repair and a damaging scrub
+// step.
 
 // writtenPlanes opens the three planes of one store, a directory or a
-// remote simulator stack; each call opens new adapters over the same bytes.
-type writtenPlanes func(t *testing.T) (container.Store, recipe.Store, backend.Backend)
+// remote simulator stack; each call opens new adapters over the same
+// bytes, with a cache of their own, each backend behind wrap when it is
+// set.
+type writtenPlanes func(t *testing.T, wrap func(backend.Backend) backend.Backend) (container.Store, recipe.Store, backend.Backend)
 
 func dirPlanes(dir string) writtenPlanes {
-	return func(t *testing.T) (container.Store, recipe.Store, backend.Backend) {
+	return func(t *testing.T, wrap func(backend.Backend) backend.Backend) (container.Store, recipe.Store, backend.Backend) {
 		t.Helper()
-		p, err := backuptest.DirPlanes(dir, nil)
-		if err != nil {
-			t.Fatal(err)
+		var bs [3]backend.Backend
+		for i, root := range []string{filepath.Join(dir, "containers"), filepath.Join(dir, "recipes"), dir} {
+			local, err := backend.NewLocal(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs[i] = local
 		}
-		return p.Containers, p.Recipes, p.State
+		return cachedPlanes(bs, filepath.Join(dir, "containers"), wrap)
 	}
 }
 
@@ -48,35 +56,83 @@ func remotePlanes(t *testing.T) writtenPlanes {
 		}
 		tops[i] = top
 	}
-	return func(*testing.T) (container.Store, recipe.Store, backend.Backend) {
-		return backend.NewContainerStore(tops[0], "", false), backend.NewRecipeStore(tops[1]), tops[2]
+	return func(_ *testing.T, wrap func(backend.Backend) backend.Backend) (container.Store, recipe.Store, backend.Backend) {
+		return cachedPlanes(tops, "", wrap)
 	}
 }
 
-// failingPut fails the Put of one image ID, storing nothing, and hands
-// the image it refused to refused.
+// cachedPlanes is a system's planes over bs: each behind wrap when it is
+// set, the stores sharing one new cache of backend.CacheBudget.
+func cachedPlanes(bs [3]backend.Backend, dir string, wrap func(backend.Backend) backend.Backend) (container.Store, recipe.Store, backend.Backend) {
+	if wrap != nil {
+		for i := range bs {
+			bs[i] = wrap(bs[i])
+		}
+	}
+	cache := backend.NewCache(backend.CacheBudget)
+	return backend.NewContainerStore(bs[0], dir, false).Cached(cache), backend.NewRecipeStore(bs[1]).Cached(cache), bs[2]
+}
+
+// readLog records the blob names of the Gets that succeed on the backends
+// it wraps: below a store's cache, the reads the cache did not serve.
+type readLog struct {
+	mu    sync.Mutex
+	names []string
+}
+
+// wrap returns b with every Get that succeeds logged.
+func (l *readLog) wrap(b backend.Backend) backend.Backend { return &loggedReads{b, l} }
+
+// take returns the names logged since the last take, in the order read.
+func (l *readLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	names := l.names
+	l.names = nil
+	return names
+}
+
+type loggedReads struct {
+	backend.Backend
+	log *readLog
+}
+
+// Get implements backend.Backend.
+func (b *loggedReads) Get(ctx context.Context, name string) ([]byte, error) {
+	data, err := b.Backend.Get(ctx, name)
+	if err == nil {
+		b.log.mu.Lock()
+		b.log.names = append(b.log.names, name)
+		b.log.mu.Unlock()
+	}
+	return data, err
+}
+
+// failingPut fails the Put of one image's blob, storing nothing, and
+// hands the image it refused to refused.
 type failingPut struct {
-	container.Store
-	id      container.ID
+	backend.Backend
+	name    string
 	refused chan *container.Container
 }
 
-func (s *failingPut) Put(c *container.Container) error {
-	if c.ID() == s.id {
-		s.refused <- c
-		return fmt.Errorf("container %d: put refused", c.ID())
+func (b *failingPut) Put(ctx context.Context, name string, data []byte) error {
+	if name == b.name {
+		c, err := container.UnmarshalBinary(data)
+		if err != nil {
+			return err
+		}
+		b.refused <- c
+		return fmt.Errorf("%s: put refused", name)
 	}
-	return s.Store.Put(c)
+	return b.Backend.Put(ctx, name, data)
 }
 
 // openWritten opens an engine over planes; wrap, when set, wraps its
-// container store, and merge, when set, is its MergeUtilization.
-func openWritten(t *testing.T, planes writtenPlanes, wrap func(container.Store) container.Store, merge float64) *Engine {
+// backends, and merge, when set, is its MergeUtilization.
+func openWritten(t *testing.T, planes writtenPlanes, wrap func(backend.Backend) backend.Backend, merge float64) *Engine {
 	t.Helper()
-	store, recipes, state := planes(t)
-	if wrap != nil {
-		store = wrap(store)
-	}
+	store, recipes, state := planes(t, wrap)
 	e, err := New(Config{
 		Store: store, Recipes: recipes, State: state, ContainerCapacity: 16 << 10,
 		ChunkParams: chunker.Params{Min: 1024, Avg: 2048, Max: 8192}, MergeUtilization: merge,
@@ -106,10 +162,10 @@ func naming(t *testing.T, version int, images ...*container.Container) (*recipe.
 	return rec, want
 }
 
-// restoreNaming stores rec through e's driver and restores it.
+// restoreNaming stores rec and restores it.
 func restoreNaming(t *testing.T, e *Engine, rec *recipe.Recipe) (string, []byte) {
 	t.Helper()
-	if err := e.restore.PutRecipe(rec); err != nil {
+	if err := e.cfg.Recipes.Put(rec); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -138,8 +194,8 @@ func sameAsFresh(t *testing.T, e *Engine, planes writtenPlanes, version int) {
 // image the third backup writes. With merging off, that is the last image
 // the backup hands the commit plane before its second fence, so only the
 // fence sees the failure. The fence fails the backup, and the image never
-// joins the kept set: a restore that names it reads the store, which
-// holds nothing under its ID, as a freshly opened engine does.
+// joins the cache: a restore that names it reads the store, which holds
+// nothing under its ID, as a freshly opened engine does.
 func TestWrittenImageKeptOnlyOnceStored(t *testing.T) {
 	const noMerge = 1e-9 // no image is this sparse
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(3, 0))
@@ -153,20 +209,22 @@ func TestWrittenImageKeptOnlyOnceStored(t *testing.T) {
 	last := ids[len(ids)-1]
 	for name, planes := range map[string]writtenPlanes{"dir": dirPlanes(t.TempDir()), "remote": remotePlanes(t)} {
 		t.Run(name, func(t *testing.T) {
-			fail := &failingPut{id: last, refused: make(chan *container.Container, 1)}
-			e := openWritten(t, planes, func(s container.Store) container.Store { fail.Store = s; return fail }, noMerge)
+			refused := make(chan *container.Container, 1)
+			e := openWritten(t, planes, func(b backend.Backend) backend.Backend {
+				return &failingPut{Backend: b, name: backend.ContainerName(last), refused: refused}
+			}, noMerge)
 			backuptest.BackupAll(t, e, versions[:2])
 			if _, err := e.Backup(context.Background(), bytes.NewReader(versions[2])); err == nil {
 				t.Fatalf("backup v3 succeeded with the put of archival image %d refused", last)
 			}
-			var refused *container.Container
+			var image *container.Container
 			select { // Backup has joined its commit plane
-			case refused = <-fail.refused:
+			case image = <-refused:
 			default:
 				t.Fatalf("archival image %d never reached the store", last)
 			}
-			rec, _ := naming(t, 1, refused)
-			if err := e.restore.PutRecipe(rec); err != nil {
+			rec, _ := naming(t, 1, image)
+			if err := e.cfg.Recipes.Put(rec); err != nil {
 				t.Fatal(err)
 			}
 			sameAsFresh(t, e, planes, 1)
@@ -175,7 +233,7 @@ func TestWrittenImageKeptOnlyOnceStored(t *testing.T) {
 }
 
 // TestWrittenImagesDroppedByMutations: the archival images the second
-// backup wrote are kept — a restore naming them reads nothing from the
+// backup wrote are cached — a restore naming them reads nothing from the
 // store, even after one rotted on disk — until Delete of their batch,
 // Repair or a damaging scrub step; after each, a restore naming them
 // equals a freshly opened engine's.
@@ -233,7 +291,7 @@ func TestWrittenImagesDroppedByMutations(t *testing.T) {
 				}
 			}
 			rec, _ = naming(t, 2, images[0])
-			if err := e.restore.PutRecipe(rec); err != nil {
+			if err := e.cfg.Recipes.Put(rec); err != nil {
 				t.Fatal(err)
 			}
 			sameAsFresh(t, e, planes, 2)
@@ -256,43 +314,55 @@ func rot(t *testing.T, dir string, id container.ID) {
 }
 
 // TestKeptSetsStayBounded backs up a chain whose migrations write more
-// than three times the images the kept set holds, restoring the chain
-// newest → oldest after each backup. Before and after each sweep, a probe
-// restore of a recipe naming every archival image written so far, each
-// once and in a run, serves from memory exactly the images kept: never
-// more than the bound, and the full set once the chain has written that
-// many. (TestKeptRecipesBoundedByBytes in internal/backup pins the kept
-// recipes' byte budget.)
+// than three times the archival payload the store cache holds, restoring
+// the chain newest → oldest after each backup. Before and after each
+// sweep, a probe restore of a recipe naming every archival image written
+// so far, each once and in a run, serves from memory no more payload than
+// the cache's budget. (TestKeptRecipesBoundedByBytes in internal/backup
+// pins how recipes count against it.)
 func TestKeptSetsStayBounded(t *testing.T) {
-	const probe = 1 << 20 // a version no backup writes
+	const probe = 1 << 20         // a version no backup writes
+	const budget = 8 * (16 << 10) // eight full images
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(10, 0))
-	store := container.NewMemStore()
+	log := &readLog{}
+	cache := backend.NewCache(budget)
 	e, err := New(Config{
-		Store: store, Recipes: recipe.NewMemStore(), ContainerCapacity: 16 << 10,
-		ChunkParams: chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
+		Store:             backend.NewContainerStore(log.wrap(backend.NewMem()), "", false).Cached(cache),
+		Recipes:           backend.NewRecipeStore(backend.NewMem()).Cached(cache),
+		ContainerCapacity: 16 << 10,
+		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var written []*container.Container
+	archived, served := 0, 0
 	check := func(when string) {
 		t.Helper()
 		rec, want := naming(t, probe, written...)
-		if err := e.restore.PutRecipe(rec); err != nil {
+		if err := e.cfg.Recipes.Put(rec); err != nil {
 			t.Fatal(err)
 		}
+		log.take()
 		var buf bytes.Buffer
 		rep, err := e.Restore(context.Background(), probe, &buf)
 		if err != nil || !bytes.Equal(buf.Bytes(), want) || rep.Stats.ContainerReads != uint64(len(written)) {
 			t.Fatalf("%s: probe restore: %v after %d reads of %d images, or the bytes differ", when, err, rep.Stats.ContainerReads, len(written))
 		}
-		if err := e.restore.DeleteRecipe(probe); err != nil {
+		reads := log.take()
+		if err := e.cfg.Recipes.Delete(probe); err != nil {
 			t.Fatal(err)
 		}
-		if want := min(len(written), restorecache.DefaultPrefetchDepth); rep.ResidentReads > uint64(want) ||
-			(len(written) > restorecache.DefaultPrefetchDepth && rep.ResidentReads != uint64(want)) {
-			t.Fatalf("%s: %d kept images of %d written, bound %d", when, rep.ResidentReads, len(written), restorecache.DefaultPrefetchDepth)
+		memory := 0
+		for _, c := range written {
+			if !slices.Contains(reads, backend.ContainerName(c.ID())) {
+				memory += c.DataSize()
+			}
 		}
+		if memory > budget {
+			t.Fatalf("%s: %d bytes of %d archival images served from memory, budget %d", when, memory, len(written), budget)
+		}
+		served = max(served, memory)
 	}
 	for i, data := range versions {
 		if _, err := e.Backup(context.Background(), bytes.NewReader(data)); err != nil {
@@ -300,11 +370,12 @@ func TestKeptSetsStayBounded(t *testing.T) {
 		}
 		if b := e.batches[i+1-e.cfg.Window]; b != nil {
 			for _, id := range b.containers {
-				c, err := store.Get(id)
+				c, err := backend.UncachedContainers(e.cfg.Store).Get(id)
 				if err != nil {
 					t.Fatal(err)
 				}
 				written = append(written, c)
+				archived += c.DataSize()
 			}
 		}
 		check(fmt.Sprintf("backup v%d", i+1))
@@ -313,33 +384,40 @@ func TestKeptSetsStayBounded(t *testing.T) {
 		}
 		check(fmt.Sprintf("sweep after backup v%d", i+1))
 	}
-	if len(written) <= 3*restorecache.DefaultPrefetchDepth {
-		t.Fatalf("test degenerate: the chain wrote %d archival images", len(written))
+	if archived <= 3*budget || served == 0 {
+		t.Fatalf("test degenerate: the chain wrote %d bytes of archival images, at most %d served from memory", archived, served)
 	}
 }
 
 // TestRestoresReplaceWrittenImages: once the backups have written more
-// archival images than the kept set holds, the set is full of the newest
-// of them, which a restore of v1 mostly does not name. Its store reads
-// replace those, so restoring v1 again reads from the store no more than
-// it does on a freshly opened engine, whose set starts empty.
+// archival images than a restore of v1 names, the cache holds many it does
+// not need. Its reads replace those, so restoring v1 again reads from the
+// backend no more than it does on a freshly opened engine, whose cache
+// starts empty.
 func TestRestoresReplaceWrittenImages(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(10, 0))
 	planes := remotePlanes(t)
-	var reads *containertest.CountingStore
-	counted := func(s container.Store) container.Store { reads = containertest.Counting(s); return reads }
-	// again restores v1 twice and returns the second restore's store reads
-	// and the first one's.
-	again := func(e *Engine) (second, first uint64) {
-		t.Helper()
-		reads.Reset()
-		backuptest.CheckRestoreOne(t, e, 1, versions[0])
-		first = reads.Reads()
-		reads.Reset()
-		backuptest.CheckRestoreOne(t, e, 1, versions[0])
-		return reads.Reads(), first
+	log := &readLog{}
+	// images counts the container images read since the last call.
+	images := func() (n int) {
+		for _, name := range log.take() {
+			if strings.HasPrefix(name, "c_") {
+				n++
+			}
+		}
+		return n
 	}
-	e := openWritten(t, planes, counted, 0)
+	// again restores v1 twice and returns the second restore's backend
+	// image reads and the first one's.
+	again := func(e *Engine) (second, first int) {
+		t.Helper()
+		images()
+		backuptest.CheckRestoreOne(t, e, 1, versions[0])
+		first = images()
+		backuptest.CheckRestoreOne(t, e, 1, versions[0])
+		return images(), first
+	}
+	e := openWritten(t, planes, log.wrap, 0)
 	backuptest.BackupAll(t, e, versions)
 	written := 0
 	for _, b := range e.batches {
@@ -349,22 +427,23 @@ func TestRestoresReplaceWrittenImages(t *testing.T) {
 		t.Fatalf("test degenerate: the chain wrote %d archival images", written)
 	}
 	got, _ := again(e)
-	want, first := again(openWritten(t, planes, counted, 0))
+	want, first := again(openWritten(t, planes, log.wrap, 0))
 	if want >= first {
-		t.Fatalf("test degenerate: a fresh engine's second restore of v1 made %d store reads, its first %d", want, first)
+		t.Fatalf("test degenerate: a fresh engine's second restore of v1 made %d backend reads, its first %d", want, first)
 	}
 	if got > want {
-		t.Errorf("restore v1 again after the backups: %d store reads, on a freshly opened engine %d", got, want)
+		t.Errorf("restore v1 again after the backups: %d backend reads, on a freshly opened engine %d", got, want)
 	}
 }
 
 // TestWindowTwoBackupReadsNoRecipe: with a cache window of two, each
 // backup patches the recipe the backup before the last one wrote. The
-// driver still keeps it, so no backup reads the recipe store.
+// store cache still holds it, so no backup reads the recipe backend.
 func TestWindowTwoBackupReadsNoRecipe(t *testing.T) {
-	e, _, mem := newTestEngine(t, 2)
-	recipes := &countingRecipes{Store: mem}
-	e.cfg.Recipes, e.restore.Recipes = recipes, recipes
+	e, _, _ := newTestEngine(t, 2)
+	recipes := &countingBlobs{Backend: backend.NewMem()}
+	cached := backend.NewRecipeStore(recipes).Cached(backend.NewCache(backend.CacheBudget))
+	e.cfg.Recipes, e.restore.Recipes = cached, cached
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(6, 0))
 	backuptest.BackupAll(t, e, versions)
 	if g := recipes.gets.Load(); g != 0 {

@@ -23,8 +23,6 @@ func (e *Engine) Check() (backup.CheckReport, error) {
 // undecodable containers quarantined and the versions that reference
 // them named in AffectedVersions.
 func (e *Engine) Repair() (backup.RepairReport, error) {
-	e.restore.Forget()
-	e.restore.ForgetRecipes()
 	return e.audit(true)
 }
 

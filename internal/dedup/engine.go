@@ -162,7 +162,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Backup implements backup.Engine.
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
-	e.restore.Forget()
 	in, err := e.ingest.Begin(ctx)
 	if err != nil {
 		return backup.BackupReport{}, err
@@ -201,7 +200,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err := in.Writer.Barrier(); err != nil {
 		return backup.BackupReport{}, err
 	}
-	if err := e.restore.PutRecipe(rec); err != nil {
+	if err := e.cfg.Recipes.Put(rec); err != nil {
 		return backup.BackupReport{}, err
 	}
 	e.cfg.Index.EndVersion()
@@ -343,7 +342,6 @@ func (e *Engine) AnalyzeLayout(ctx context.Context, version int, policies []stri
 // is swept: dead chunks are dropped, emptied containers deleted, partially
 // dead containers compacted and rewritten.
 func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) {
-	e.restore.Forget() // the sweep deletes images and rewrites others under their IDs
 	start := time.Now()
 	report = backup.DeleteReport{Version: version}
 	if err := e.ingest.Failed(); err != nil {
@@ -362,7 +360,7 @@ func (e *Engine) Delete(version int) (report backup.DeleteReport, retErr error) 
 	// Durable commit order (reverse of Backup's): the recipe goes first,
 	// so a crash mid-sweep leaves orphaned chunks (reclaimed by a later
 	// delete's sweep), never a listed version with missing chunks.
-	if err := e.restore.DeleteRecipe(version); err != nil {
+	if err := e.cfg.Recipes.Delete(version); err != nil {
 		return report, err
 	}
 	// Mark: every chunk referenced by any remaining version.

@@ -15,7 +15,6 @@ import (
 	"hidestore/internal/core"
 	"hidestore/internal/dedup"
 	"hidestore/internal/metrics"
-	"hidestore/internal/recipe"
 	"hidestore/internal/restorecache"
 	"hidestore/internal/workload"
 )
@@ -124,39 +123,36 @@ type RestoreScaleResult struct {
 	// recipe plus every newer one its forward pointers led through. Exact,
 	// so CI gates on it like the allocation count.
 	RecipeReadsOldest float64
-	// StoreReadsSweep is the store reads (ContainerReads − ResidentReads)
-	// of one plain newest → oldest sweep right after the backups: the
-	// reads neither the resident active images nor the images the backups
-	// wrote or an earlier restore of the sweep read, which the restore
-	// driver keeps, could serve. Exact, so CI gates on it.
+	// StoreReadsSweep is the container reads that reached storage in one
+	// plain newest → oldest sweep right after the backups, on the backend
+	// adapters with a system's cache attached (backend.CacheBudget): the
+	// reads neither the resident active images nor the cache's decoded
+	// images could serve. Exact, so CI gates on it.
 	StoreReadsSweep float64
-	// RecipeStoreReadsSweep is the recipe reads that reached the recipe
-	// store in the same sweep: the ones the restore driver's kept recipes
-	// could not serve. Exact, so CI gates on it.
+	// RecipeStoreReadsSweep is the recipe reads that reached storage in
+	// the same sweep: the ones the cache's decoded recipes could not
+	// serve. Exact, so CI gates on it.
 	RecipeStoreReadsSweep float64
 	// StoreReadsSweepCold and RecipeStoreReadsSweepCold are the same two
 	// counts for the same sweep on a second engine opened over a store the
-	// same backups wrote, state included: a new process, which keeps
-	// nothing yet. A warm count of zero cannot regress in a percentage
+	// same backups wrote, state included: a new process, whose cache is
+	// empty. A warm count of zero cannot regress in a percentage
 	// gate; these can. Exact, so CI gates on them.
 	StoreReadsSweepCold       float64
 	RecipeStoreReadsSweepCold float64
 }
 
-// countingRecipes is a recipe.Store that counts the reads it serves.
-// A resolve reads newer recipes concurrently, hence the atomic.
-type countingRecipes struct {
-	recipe.Store
-	reads atomic.Uint64
+// countingGets is a backend that counts the Gets that reach it. A
+// restore reads concurrently, hence the atomic.
+type countingGets struct {
+	backend.Backend
+	gets atomic.Uint64
 }
 
-// Get implements recipe.Store, counting every read that succeeds.
-func (c *countingRecipes) Get(version int) (*recipe.Recipe, error) {
-	rec, err := c.Store.Get(version)
-	if err == nil {
-		c.reads.Add(1)
-	}
-	return rec, err
+// Get implements backend.Backend.
+func (c *countingGets) Get(ctx context.Context, name string) ([]byte, error) {
+	c.gets.Add(1)
+	return c.Backend.Get(ctx, name)
 }
 
 // effectiveFetchParallelism mirrors the prefetcher's own bound: its pool
@@ -367,16 +363,22 @@ func RestoreScale(workloadName string, opts Options) (*RestoreScaleResult, error
 	return res, nil
 }
 
-// sweepStoreReads backs versions up on a HiDeStore engine with a store of
-// its own and restores them newest → oldest, on that engine or, with
-// reopened set, on a second one opened over the same store and state. It
-// returns the sweep's container store reads and recipe store reads.
+// sweepStoreReads backs versions up on a HiDeStore engine over memory
+// backends, through adapters sharing one cache as a system's do, and
+// restores them newest → oldest, on that engine or, with reopened set, on
+// a second one with a cache of its own. It returns the sweep's container
+// and recipe Gets that reached the backends.
 func sweepStoreReads(o Options, cfg workload.Config, versions [][]byte, reopened bool) (containers, recipes float64, err error) {
+	cb, rb := &countingGets{Backend: backend.NewMem()}, &countingGets{Backend: backend.NewMem()}
 	sweepCfg := hidestoreConfig(o, cfg)
 	sweepCfg.State = backend.NewMem()
-	counted := &countingRecipes{Store: sweepCfg.Recipes}
-	sweepCfg.Recipes = counted
-	e, err := core.New(sweepCfg)
+	open := func() (*core.Engine, error) {
+		cache := backend.NewCache(backend.CacheBudget)
+		sweepCfg.Store = backend.NewContainerStore(cb, "", false).Cached(cache)
+		sweepCfg.Recipes = backend.NewRecipeStore(rb).Cached(cache)
+		return core.New(sweepCfg)
+	}
+	e, err := open()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -384,19 +386,18 @@ func sweepStoreReads(o Options, cfg workload.Config, versions [][]byte, reopened
 		return 0, 0, fmt.Errorf("store read sweep: %w", err)
 	}
 	if reopened {
-		if e, err = core.New(sweepCfg); err != nil {
+		if e, err = open(); err != nil {
 			return 0, 0, fmt.Errorf("store read sweep: reopen: %w", err)
 		}
 	}
-	counted.reads.Store(0) // the backups' reads, and the reopened engine's recovery
+	cb.gets.Store(0) // the backups' reads, and the reopened engine's recovery
+	rb.gets.Store(0)
 	for v := len(versions); v >= 1; v-- {
-		rep, err := restoreVerify(e.Restore, v, versions[v-1])
-		if err != nil {
+		if _, err := restoreVerify(e.Restore, v, versions[v-1]); err != nil {
 			return 0, 0, fmt.Errorf("store read sweep restore v%d: %w", v, err)
 		}
-		containers += float64(rep.Stats.ContainerReads - rep.ResidentReads)
 	}
-	return containers, float64(counted.reads.Load()), nil
+	return float64(cb.gets.Load()), float64(rb.gets.Load()), nil
 }
 
 // restoreAllocsPerChunk restores one version into a discarding sink twice

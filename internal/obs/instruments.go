@@ -137,7 +137,7 @@ func NewRestoreMetrics(r *Registry) *RestoreMetrics {
 		CacheHits:      r.Counter("hidestore_restore_cache_hits_total", "chunks served without a container read"),
 		Chunks:         r.Counter("hidestore_restore_chunks_total", "chunk references restored"),
 		RecipeReads:    r.Counter("hidestore_restore_recipe_reads_total", "recipe reads issued by restores (the version's own plus newer ones its forward pointers led to)"),
-		ResidentReads:  r.Counter("hidestore_restore_resident_reads_total", "container reads served from memory (the engine's active images, or kept images an earlier restore read or the engine wrote) instead of the store"),
+		ResidentReads:  r.Counter("hidestore_restore_resident_reads_total", "container reads the engine's resident active images served instead of the store"),
 
 		RecipeReadNS:     r.Histogram("hidestore_stage_recipe_read_ns", "per-restore recipe read latency (ns)"),
 		FlattenNS:        r.Histogram("hidestore_stage_flatten_ns", "per-restore latency of following forward pointers into newer recipes (ns)"),
