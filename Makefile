@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race serial-restore bench microbench vet cross lint crash restore-bench observatory-smoke bench-smoke fuzz-smoke loc check
+.PHONY: build test race serial-restore bench microbench vet cross lint crash restore-bench observatory-smoke bench-smoke bench-layout fuzz-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,23 @@ observatory-smoke:
 # workload and layer once at tiny scale, ~10 s.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
+
+# The code layout of the benchmark's workload generator. setup_s times the
+# generator, and code added anywhere else in the binary has shifted its
+# functions' alignment and moved setup_s by up to 25 % with no set-up code
+# changed. This builds benchmark/out/hsbench as benchmark/run.sh does and
+# prints each internal/workload and math/rand function's address mod 64
+# and name; diff the output of two commits to see whether the generator
+# moved. It writes only under benchmark/out/.
+BENCH_GOENV = GOCACHE=$(CURDIR)/benchmark/out/gocache GOPATH=$(CURDIR)/benchmark/out/gopath GOTOOLCHAIN=local
+bench-layout:
+	@mkdir -p benchmark/out
+	@cd benchmark && $(BENCH_GOENV) $(GO) build -buildvcs=false -o out/hsbench .
+	@$(BENCH_GOENV) $(GO) tool nm -sort address benchmark/out/hsbench \
+		| awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^(hidestore\/internal\/workload|math\/rand)\./ { \
+			h = tolower(substr($$1, length($$1) - 1)); \
+			n = (index("0123456789abcdef", substr(h, 1, 1)) - 1) * 16 + index("0123456789abcdef", substr(h, 2, 1)) - 1; \
+			printf "%2d %s\n", n % 64, $$3 }'
 
 # Ten seconds of coverage-guided fuzzing of the Rabin and TTTD scans
 # against their reference loops, one window of at most 64 KB per input,

@@ -22,8 +22,8 @@
 // Leave Config.Dir empty for an in-memory system (tests, experiments).
 //
 // For side-by-side comparisons with the paper's baselines (DDFS, Sparse
-// Indexing, SiLo indexing; capping/CBR/CFL/FBW/HAR rewriting; LRU, FAA and
-// ALACC restore caches), see OpenBaseline. The full experiment harness
+// Indexing, SiLo indexing; capping/FBW rewriting; LRU, FAA and ALACC
+// restore caches), see OpenBaseline. The full experiment harness
 // that regenerates the paper's tables and figures lives in cmd/bench.
 package hidestore
 
@@ -44,7 +44,6 @@ import (
 	"hidestore/internal/dedup"
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/index/extbin"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 	"hidestore/internal/obs"
@@ -379,11 +378,11 @@ type BaselineConfig struct {
 	// Config supplies chunking, container and restore-cache settings
 	// (Window is ignored).
 	Config
-	// Index selects the fingerprint index: "ddfs" (default), "sparse",
-	// "silo" or "extbin".
+	// Index selects the fingerprint index: "ddfs" (default), "sparse" or
+	// "silo".
 	Index string
-	// Rewriter selects duplicate rewriting: "none" (default), "capping",
-	// "cbr", "cfl", "fbw" or "har".
+	// Rewriter selects duplicate rewriting: "none" (default), "capping" or
+	// "fbw".
 	Rewriter string
 }
 
@@ -406,8 +405,6 @@ func OpenBaseline(cfg BaselineConfig) (*System, error) {
 		ix, err = sparse.New(sparse.Options{})
 	case "silo":
 		ix, err = silo.New(silo.Options{})
-	case "extbin":
-		ix, err = extbin.New(extbin.Options{})
 	default:
 		err = fmt.Errorf("hidestore: unknown index %q", cfg.Index)
 	}

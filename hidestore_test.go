@@ -52,11 +52,16 @@ func TestOpenBadOptions(t *testing.T) {
 	if _, err := Open(Config{RestoreCache: "nope"}); err == nil {
 		t.Fatal("bad restore cache should fail")
 	}
-	if _, err := OpenBaseline(BaselineConfig{Index: "nope"}); err == nil {
-		t.Fatal("bad index should fail")
+	// Names of removed schemes fail like any other unknown name.
+	for _, ix := range []string{"nope", "extbin"} {
+		if _, err := OpenBaseline(BaselineConfig{Index: ix}); err == nil {
+			t.Errorf("index %q should fail", ix)
+		}
 	}
-	if _, err := OpenBaseline(BaselineConfig{Rewriter: "nope"}); err == nil {
-		t.Fatal("bad rewriter should fail")
+	for _, rw := range []string{"nope", "cbr", "cfl", "har"} {
+		if _, err := OpenBaseline(BaselineConfig{Rewriter: rw}); err == nil {
+			t.Errorf("rewriter %q should fail", rw)
+		}
 	}
 }
 
@@ -293,7 +298,7 @@ func TestOpenRejectsBadBackendSettings(t *testing.T) {
 }
 
 func TestBaselineSystem(t *testing.T) {
-	for _, ix := range []string{"ddfs", "sparse", "silo", "extbin"} {
+	for _, ix := range []string{"ddfs", "sparse", "silo"} {
 		sys, err := OpenBaseline(BaselineConfig{
 			Config: Config{ContainerSize: 64 << 10, MinChunk: 1024, AvgChunk: 2048, MaxChunk: 8192},
 			Index:  ix, Rewriter: "capping",

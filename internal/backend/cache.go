@@ -18,10 +18,12 @@ const CacheBudget = 48 << 20
 // RecipeStore.Cached), least recently used out past its byte budget.
 // A blob is only ever written whole or deleted, so the cache stays
 // coherent by the stores' rules alone: a Put that returned nil writes
-// through; a failed Put, a Delete, a Quarantine and a failed read drop
-// the name (Delete and Quarantine before they touch the backend, and
-// again after); a read that missed fills only if nothing wrote or
-// dropped the name meanwhile. A nil Cache holds nothing.
+// through, unless it went through an uncached view
+// (UncachedContainers, UncachedRecipes), which drops the name instead;
+// a failed Put, a Delete, a Quarantine and a failed read drop the name
+// (Delete and Quarantine before they touch the backend, and again
+// after); a read that missed fills only if nothing wrote or dropped the
+// name meanwhile. A nil Cache holds nothing.
 type Cache struct {
 	mu      sync.Mutex
 	objects *lru.Cache[string, any]

@@ -134,18 +134,20 @@ func TestCacheBoundHolds(t *testing.T) {
 	}
 }
 
-// TestCacheDropRules: a failed Put, Delete, Quarantine and a failed read
-// through the uncached view each drop the name, so the next read goes to
-// the backend and returns what is stored there, or its error. (A failed
-// read through the cached view is TestCacheFillRaces' "failed read".)
+// TestCacheDropRules: a failed Put, Delete, Quarantine, a failed read
+// through the uncached view and a Put through it each drop the name, so
+// the next read goes to the backend and returns what is stored there, or
+// its error. (A failed read through the cached view is
+// TestCacheFillRaces' "failed read".)
 func TestCacheDropRules(t *testing.T) {
 	old, newer := []byte("the stored payload"), []byte("a payload never stored")
-	for _, rule := range []string{"failed put", "delete", "quarantine", "failed uncached read"} {
+	for _, rule := range []string{"failed put", "delete", "quarantine", "failed uncached read", "uncached put"} {
 		t.Run(rule, func(t *testing.T) {
-			cb, store, _, _ := cachedStores(CacheBudget)
+			cb, store, rb, recipes := cachedStores(CacheBudget)
 			if err := store.Put(payloadImage(t, 7, old)); err != nil {
 				t.Fatal(err)
 			}
+			stored := old
 			var want error
 			switch rule {
 			case "failed put":
@@ -171,6 +173,18 @@ func TestCacheDropRules(t *testing.T) {
 					t.Fatal("an uncached read of the rotted blob succeeded")
 				}
 				want = container.ErrCorrupt
+			case "uncached put":
+				if err := UncachedContainers(store).Put(payloadImage(t, 7, newer)); err != nil {
+					t.Fatal(err)
+				}
+				stored = newer
+				r := recipe.New(7)
+				if err := UncachedRecipes(recipes).Put(r); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := recipes.Get(7); err != nil || rb.reads() != 1 {
+					t.Errorf("a recipe Put through the uncached view was served from the cache: %v", err)
+				}
 			}
 			cb.reads()
 			c, err := store.Get(7)
@@ -183,7 +197,7 @@ func TestCacheDropRules(t *testing.T) {
 				}
 				return
 			}
-			if err != nil || !bytes.Equal(payloadOf(t, c), old) {
+			if err != nil || !bytes.Equal(payloadOf(t, c), stored) {
 				t.Errorf("after %s: %v, or not the stored payload", rule, err)
 			}
 		})

@@ -44,8 +44,9 @@ type ContainerStore struct {
 	dir      string
 	compress bool
 	// cache, when set, keeps the images written and read decoded, under
-	// the rules Cache states. uncached makes Get read past it; every
-	// write, delete, quarantine and failed read still updates it.
+	// the rules Cache states. uncached makes Get read past it and Put drop
+	// the name instead of writing through; every delete, quarantine and
+	// failed read still drops the name too.
 	cache    *Cache
 	uncached bool
 }
@@ -72,10 +73,13 @@ func (s *ContainerStore) Cached(cache *Cache) *ContainerStore {
 	return &c
 }
 
-// UncachedContainers returns the view of s whose every read reaches
-// storage: the one fsck, Repair, the scrubber and a verifying restore
-// read, so rot on disk is found. A store that is not a ContainerStore is
-// its own.
+// UncachedContainers returns the view of s that never reads from or adds
+// to its cache: every read reaches storage, and a Put drops the name
+// instead of caching the image. fsck, Repair, the scrubber and a
+// verifying restore read it, so rot on disk is found; HiDeStore writes
+// its active images through it, since restores read those from the
+// engine's memory, never from the store. A store that is not a
+// ContainerStore is its own.
 func UncachedContainers(s container.Store) container.Store {
 	if a, ok := s.(*ContainerStore); ok {
 		v := *a
@@ -179,7 +183,10 @@ func (s *ContainerStore) Put(c *container.Container) error {
 		s.cache.drop(name)
 		return fmt.Errorf("backend: put container %d: %w", c.ID(), err)
 	}
-	if s.cache != nil {
+	switch {
+	case s.uncached:
+		s.cache.drop(name)
+	case s.cache != nil:
 		// raw is ours again now that Backend.Put has returned: the cached
 		// image is decoded in place over it, a snapshot of what was stored.
 		if img, err := container.UnmarshalBinary(raw); err == nil {

@@ -60,9 +60,6 @@ func sweepTree(dir string) error {
 	})
 }
 
-// Root returns the backing directory.
-func (l *Local) Root() string { return l.root }
-
 // path maps a blob name to its file path, rejecting escapes from the
 // root ("..", absolute names).
 func (l *Local) path(name string) (string, error) {

@@ -81,7 +81,11 @@ func (s *RecipeStore) Put(r *recipe.Recipe) error {
 		s.cache.drop(name)
 		return fmt.Errorf("backend: put recipe v%d: %w", r.Version, err)
 	}
-	s.cache.put(name, r, recipeCost(r))
+	if s.uncached {
+		s.cache.drop(name)
+	} else {
+		s.cache.put(name, r, recipeCost(r))
+	}
 	return nil
 }
 

@@ -30,8 +30,7 @@ type IngestConfig struct {
 	Chunker     chunker.Algorithm
 	ChunkParams chunker.Params
 	HashWorkers int
-	// Store and CommitDepth configure each backup's commit plane.
-	Store       container.Store
+	// CommitDepth is the width of each backup's commit plane.
 	CommitDepth int
 	// Metrics and Tracer are the engine's own bundles (nil: off).
 	Metrics *obs.BackupMetrics
@@ -117,7 +116,7 @@ func (g *Ingester) Begin(ctx context.Context) (*Ingest, error) {
 	}
 	in := &Ingest{g: g, Start: time.Now(), Span: g.cfg.Tracer.Start("backup", nil)}
 	mx, tracer := g.cfg.Metrics, g.cfg.Tracer
-	in.Writer = container.NewAsyncWriter(ctx, g.cfg.Store, g.cfg.CommitDepth,
+	in.Writer = container.NewAsyncWriter(ctx, g.cfg.CommitDepth,
 		func(c *container.Container, t0 time.Time, d time.Duration) {
 			// Called from the plane's goroutines, several at once; both
 			// sinks are safe for concurrent use.

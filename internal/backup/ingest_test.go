@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
 	"hidestore/internal/fp"
 )
 
@@ -17,7 +16,6 @@ func testIngester() *Ingester {
 		Chunker:     chunker.TTTD,
 		ChunkParams: chunker.DefaultParams(),
 		HashWorkers: 4,
-		Store:       container.NewMemStore(),
 	})
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hidestore/internal/chunker"
-	"hidestore/internal/container"
 	"hidestore/internal/fp"
 )
 
@@ -33,7 +32,6 @@ func slabIngester(alg chunker.Algorithm, p chunker.Params, slabSize, workers int
 		Chunker:     alg,
 		ChunkParams: p,
 		HashWorkers: workers,
-		Store:       container.NewMemStore(),
 	})
 	g.slabSize = slabSize
 	return g
@@ -280,7 +278,6 @@ func TestSlabCancelMidSlab(t *testing.T) {
 		Chunker:     chunker.TTTD,
 		ChunkParams: chunker.DefaultParams(),
 		HashWorkers: 4,
-		Store:       container.NewMemStore(),
 	})
 	r := &cancellingReader{rng: rand.New(rand.NewSource(41)), at: 5*slabBytes + slabBytes/2, cancel: cancel}
 	start := time.Now()

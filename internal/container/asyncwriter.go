@@ -109,11 +109,12 @@ func (f *flight) wait() error {
 
 // AsyncWriter is the commit plane of a backup: every container image the
 // backup writes — sealed ingest containers, archival containers filled by
-// cold migration, merged actives — is handed to Put, which keeps up to
-// depth Store.Puts (fsync'd file writes on the durable store, round trips
-// on a remote one) in flight while the engine goroutine goes on chunking
-// or packing the next image. This is the write-path symmetric of the
-// restore read-ahead, after destor's pipelined container log.
+// cold migration, merged actives — is handed to Put with the store it
+// goes to, which keeps up to depth Store.Puts (fsync'd file writes on the
+// durable store, round trips on a remote one) in flight while the engine
+// goroutine goes on chunking or packing the next image. This is the
+// write-path symmetric of the restore read-ahead, after destor's
+// pipelined container log.
 //
 // Contract, relied on by the engines and their crash tests:
 //
@@ -136,7 +137,6 @@ func (f *flight) wait() error {
 //   - At most depth images are in flight, so the plane holds at most
 //     depth × container capacity bytes beyond the image being filled.
 type AsyncWriter struct {
-	store   Store
 	ctx     context.Context
 	f       *flight
 	inline  bool
@@ -145,16 +145,15 @@ type AsyncWriter struct {
 	blocked time.Duration
 }
 
-// NewAsyncWriter returns a writer committing to store with up to
-// CommitWidth(depth) Puts in flight. A negative depth commits each image
-// on the caller's goroutine before Put returns — the same path at width
-// one with nothing left in flight. flushed, when non-nil, is called after
-// each successful Store.Put from the goroutine that issued it — callers
-// use it for metrics/trace emission and it must be safe for concurrent
-// use. The writer starts no goroutine that outlives the next Barrier.
-func NewAsyncWriter(ctx context.Context, store Store, depth int, flushed func(*Container, time.Time, time.Duration)) *AsyncWriter {
+// NewAsyncWriter returns a writer with up to CommitWidth(depth) Puts in
+// flight. A negative depth commits each image on the caller's goroutine
+// before Put returns — the same path at width one with nothing left in
+// flight. flushed, when non-nil, is called after each successful
+// Store.Put from the goroutine that issued it — callers use it for
+// metrics/trace emission and it must be safe for concurrent use. The
+// writer starts no goroutine that outlives the next Barrier.
+func NewAsyncWriter(ctx context.Context, depth int, flushed func(*Container, time.Time, time.Duration)) *AsyncWriter {
 	return &AsyncWriter{
-		store:   store,
 		ctx:     ctx,
 		f:       newFlight(CommitWidth(depth)),
 		inline:  depth < 0,
@@ -162,11 +161,11 @@ func NewAsyncWriter(ctx context.Context, store Store, depth int, flushed func(*C
 	}
 }
 
-// Put hands a finished container image to the plane, blocking only while
-// depth images are already in flight. It returns the writer's first error
-// if one has occurred — a failed commit surfaces on the next Put, never
-// silently.
-func (w *AsyncWriter) Put(c *Container) error {
+// Put hands a finished container image to the plane, to be written to
+// store, blocking only while depth images are already in flight. It
+// returns the writer's first error if one has occurred — a failed commit
+// surfaces on the next Put, never silently.
+func (w *AsyncWriter) Put(store Store, c *Container) error {
 	t0 := time.Now()
 	defer func() { w.blocked += time.Since(t0) }()
 	if err := w.f.acquire(w.ctx.Done(), w.ctx.Err); err != nil {
@@ -174,7 +173,7 @@ func (w *AsyncWriter) Put(c *Container) error {
 	}
 	commit := func() error {
 		start := time.Now()
-		if err := w.store.Put(c); err != nil {
+		if err := store.Put(c); err != nil {
 			return err
 		}
 		if w.flushed != nil {

@@ -106,14 +106,14 @@ func TestAsyncWriterLandsEveryImageOnce(t *testing.T) {
 		st := newPlaneStore()
 		var mu sync.Mutex
 		flushes := 0
-		w := NewAsyncWriter(context.Background(), st, depth, func(*Container, time.Time, time.Duration) {
+		w := NewAsyncWriter(context.Background(), depth, func(*Container, time.Time, time.Duration) {
 			mu.Lock()
 			flushes++
 			mu.Unlock()
 		})
 		const n = 200
 		for id := ID(1); id <= n; id++ {
-			if err := w.Put(sealed(t, id)); err != nil {
+			if err := w.Put(st, sealed(t, id)); err != nil {
 				t.Fatalf("depth %d: Put %d: %v", depth, id, err)
 			}
 		}
@@ -139,12 +139,12 @@ func TestAsyncWriterLandsEveryImageOnce(t *testing.T) {
 func TestAsyncWriterReachesItsWidth(t *testing.T) {
 	st := newPlaneStore()
 	st.gate = make(chan struct{})
-	w := NewAsyncWriter(context.Background(), st, 3, nil)
+	w := NewAsyncWriter(context.Background(), 3, nil)
 	images := []*Container{sealed(t, 1), sealed(t, 2), sealed(t, 3), sealed(t, 4)}
 	done := make(chan error, 1)
 	go func() {
 		for _, c := range images {
-			if err := w.Put(c); err != nil {
+			if err := w.Put(st, c); err != nil {
 				done <- err
 				return
 			}
@@ -174,9 +174,9 @@ func TestAsyncWriterReachesItsWidth(t *testing.T) {
 func TestAsyncWriterOrderedAtDepthOne(t *testing.T) {
 	for _, depth := range []int{1, -1} {
 		st := newPlaneStore()
-		w := NewAsyncWriter(context.Background(), st, depth, nil)
+		w := NewAsyncWriter(context.Background(), depth, nil)
 		for id := ID(1); id <= 50; id++ {
-			if err := w.Put(sealed(t, id)); err != nil {
+			if err := w.Put(st, sealed(t, id)); err != nil {
 				t.Fatal(err)
 			}
 			if depth < 0 && st.puts[id] != 1 {
@@ -201,20 +201,20 @@ func TestAsyncWriterFirstErrorWins(t *testing.T) {
 	boom, later := errors.New("disk full"), errors.New("later failure")
 	st := newPlaneStore()
 	st.fail = map[ID]error{2: boom, 3: later}
-	w := NewAsyncWriter(context.Background(), st, 1, nil)
-	if err := w.Put(sealed(t, 1)); err != nil {
+	w := NewAsyncWriter(context.Background(), 1, nil)
+	if err := w.Put(st, sealed(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Put(sealed(t, 2)); err != nil {
+	if err := w.Put(st, sealed(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Width 1: the third Put gets the slot only after image 2 failed.
-	if err := w.Put(sealed(t, 3)); !errors.Is(err, boom) {
+	if err := w.Put(st, sealed(t, 3)); !errors.Is(err, boom) {
 		t.Fatalf("Put after the failure = %v, want %v", err, boom)
 	}
 	before := st.startedCount()
 	for id := ID(4); id <= 10; id++ {
-		if err := w.Put(sealed(t, id)); !errors.Is(err, boom) {
+		if err := w.Put(st, sealed(t, id)); !errors.Is(err, boom) {
 			t.Fatalf("Put %d = %v, want %v", id, err, boom)
 		}
 	}
@@ -235,9 +235,9 @@ func TestAsyncWriterErrorSurfacesAtBarrier(t *testing.T) {
 	st := newPlaneStore()
 	st.gate = make(chan struct{})
 	st.fail = map[ID]error{2: boom}
-	w := NewAsyncWriter(context.Background(), st, 4, nil)
+	w := NewAsyncWriter(context.Background(), 4, nil)
 	for id := ID(1); id <= 3; id++ {
-		if err := w.Put(sealed(t, id)); err != nil {
+		if err := w.Put(st, sealed(t, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestAsyncWriterErrorSurfacesAtBarrier(t *testing.T) {
 	if err := w.Barrier(); !errors.Is(err, boom) {
 		t.Fatalf("Barrier = %v, want %v", err, boom)
 	}
-	if err := w.Put(sealed(t, 4)); !errors.Is(err, boom) {
+	if err := w.Put(st, sealed(t, 4)); !errors.Is(err, boom) {
 		t.Fatalf("Put after a failed Barrier = %v, want %v", err, boom)
 	}
 }
@@ -257,14 +257,14 @@ func TestAsyncWriterCancelUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	st := newPlaneStore()
 	st.gate = make(chan struct{})
-	w := NewAsyncWriter(ctx, st, 1, nil)
-	if err := w.Put(sealed(t, 1)); err != nil {
+	w := NewAsyncWriter(ctx, 1, nil)
+	if err := w.Put(st, sealed(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	st.waitStarted(t, 1)
 	blocked := make(chan error, 1)
 	second := sealed(t, 2)
-	go func() { blocked <- w.Put(second) }()
+	go func() { blocked <- w.Put(st, second) }()
 	select {
 	case err := <-blocked:
 		t.Fatalf("Put returned %v with the only slot taken", err)
@@ -288,8 +288,8 @@ func TestAsyncWriterCancelUnblocks(t *testing.T) {
 	}
 	// Cancelled before the first Put: nothing reaches the store.
 	st2 := newPlaneStore()
-	w2 := NewAsyncWriter(ctx, st2, 4, nil)
-	if err := w2.Put(sealed(t, 1)); !errors.Is(err, context.Canceled) {
+	w2 := NewAsyncWriter(ctx, 4, nil)
+	if err := w2.Put(st2, sealed(t, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Put on a dead context = %v, want context.Canceled", err)
 	}
 	if st2.startedCount() != 0 {
@@ -306,12 +306,12 @@ func TestAsyncWriterJoinsItsGoroutines(t *testing.T) {
 		if fail {
 			st.fail = map[ID]error{7: errors.New("disk full")}
 		}
-		w := NewAsyncWriter(context.Background(), st, 4, nil)
+		w := NewAsyncWriter(context.Background(), 4, nil)
 		for fence := 0; fence < 3; fence++ {
 			for i := 0; i < 20; i++ {
 				// A failing writer refuses; the refusal is the test's
 				// other half.
-				_ = w.Put(sealed(t, ID(fence*20+i+1)))
+				_ = w.Put(st, sealed(t, ID(fence*20+i+1)))
 			}
 			if err := w.Barrier(); (err != nil) != fail {
 				t.Fatalf("fail=%t fence %d: Barrier = %v", fail, fence, err)

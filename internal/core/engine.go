@@ -173,6 +173,11 @@ type Engine struct {
 	// writer is the commit plane every container image of the running
 	// Backup is written through; nil between backups.
 	writer *container.AsyncWriter
+	// actives is the store's uncached view, which active images are
+	// written and reloaded through: restores read them from
+	// activeContainers, so a cached copy would only take the cache's
+	// budget from archival images.
+	actives container.Store
 
 	// Observability bundles; all nil when Config.Metrics is nil, in
 	// which case every instrumentation site reduces to one nil check.
@@ -204,6 +209,7 @@ func New(cfg Config) (*Engine, error) {
 		cache:            NewIndexView(cfg.Window),
 		activeByFP:       make(map[fp.FP]container.ID),
 		activeContainers: make(map[container.ID]*container.Container),
+		actives:          backend.UncachedContainers(cfg.Store),
 		batches:          make(map[int]*archivalBatch),
 		flat:             make(map[int]struct{}),
 		mx:               obs.NewBackupMetrics(cfg.Metrics),
@@ -215,7 +221,6 @@ func New(cfg Config) (*Engine, error) {
 		Chunker:     cfg.Chunker,
 		ChunkParams: cfg.ChunkParams,
 		HashWorkers: cfg.HashWorkers,
-		Store:       cfg.Store,
 		CommitDepth: cfg.AsyncCommitDepth,
 		Metrics:     e.mx,
 		Tracer:      cfg.Tracer,
@@ -498,15 +503,16 @@ func (e *Engine) seedIngest() {
 // maintenance paths that tombstone them run after the fence.
 func (e *Engine) sealActive(c *container.Container) error {
 	e.activeContainers[c.ID()] = c
-	return e.put(c)
+	return e.put(e.actives, c)
 }
 
-// put hands one finished container image to the commit plane, counting
-// its payload toward the running backup's ContainerBytesWritten. The
-// image is durable once the next fence returns.
-func (e *Engine) put(c *container.Container) error {
+// put hands one finished container image to the commit plane, to be
+// written to store, counting its payload toward the running backup's
+// ContainerBytesWritten. The image is durable once the next fence
+// returns.
+func (e *Engine) put(store container.Store, c *container.Container) error {
 	e.written += uint64(c.LiveSize())
-	return e.writer.Put(c)
+	return e.writer.Put(store, c)
 }
 
 // migrateCold copies every chunk the fingerprint cache just evicted into
@@ -558,7 +564,7 @@ func (e *Engine) migrateCold(v int, evicted []evictedChunk) (map[fp.FP]container
 	batch := &archivalBatch{}
 	archival := &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Remaining: unpacked}
 	archival.Seal = func(c *container.Container) error {
-		if err := e.put(c); err != nil {
+		if err := e.put(e.cfg.Store, c); err != nil {
 			return err
 		}
 		if e.mx != nil {
@@ -855,6 +861,3 @@ func (e *Engine) Stats() backup.Stats {
 
 // TransientCacheBytes reports the current fingerprint-cache footprint.
 func (e *Engine) TransientCacheBytes() int64 { return e.cache.TransientBytes() }
-
-// ActiveContainers returns the number of active containers (test hook).
-func (e *Engine) ActiveContainers() int { return len(e.activeContainers) }

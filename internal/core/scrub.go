@@ -98,7 +98,7 @@ func (e *Engine) ScrubStep(ctx context.Context) (backup.ScrubStepReport, error) 
 	if res := e.activeContainers[cid]; res != nil {
 		if _, _, bad := verifyImage(res); bad == "" {
 			// Left in place on failure, so the next pass tries again.
-			if err := e.cfg.Store.Put(res); err != nil {
+			if err := e.actives.Put(res); err != nil {
 				e.scrubRecord(fmt.Sprintf("scrub: container %d: %s (rewrite from the resident copy failed: %v)", cid, problem, err))
 			} else {
 				e.scrubRecord(fmt.Sprintf("scrub: container %d: %s (rewritten from the resident copy)", cid, problem))

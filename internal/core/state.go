@@ -220,9 +220,7 @@ func (e *Engine) unmarshalState(buf []byte) error {
 		if err != nil {
 			return err
 		}
-		// Past the store's cache: the engine keeps its own copy of every
-		// active image, so a cached one would only take budget.
-		ctn, err := backend.UncachedContainers(e.cfg.Store).Get(container.ID(id))
+		ctn, err := e.actives.Get(container.ID(id))
 		if err != nil {
 			return fmt.Errorf("core: reload active container %d: %w", id, err)
 		}

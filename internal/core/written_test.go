@@ -19,12 +19,12 @@ import (
 	"hidestore/internal/restorecache"
 )
 
-// The images a backup writes join the store cache once their writes
-// have returned nil (DESIGN.md, "Store cache"). These tests hold a cached
-// image to the stored one: a restore that names it equals a freshly
-// opened engine's, whose cache is empty, after each way the two could
-// part — a failed write, Delete of its batch, Repair and a damaging scrub
-// step.
+// The archival images a backup writes join the store cache once their
+// writes have returned nil (DESIGN.md, "Store cache"). These tests hold a
+// cached image to the stored one: a restore that names it equals a
+// freshly opened engine's, whose cache is empty, after each way the two
+// could part — a failed write, Delete of its batch, Repair and a
+// damaging scrub step.
 
 // writtenPlanes opens the three planes of one store, a directory or a
 // remote simulator stack; each call opens new adapters over the same
@@ -386,6 +386,60 @@ func TestKeptSetsStayBounded(t *testing.T) {
 	}
 	if archived <= 3*budget || served == 0 {
 		t.Fatalf("test degenerate: the chain wrote %d bytes of archival images, at most %d served from memory", archived, served)
+	}
+}
+
+// TestActivesStayOutOfStoreCache: the active images a backup writes do
+// not enter the store cache, since restores read them from the engine's
+// memory. A cache with room for the chain's archival images, though not
+// for those and its actives, then serves a newest → oldest sweep right
+// after the backups without one archival read from the backend.
+func TestActivesStayOutOfStoreCache(t *testing.T) {
+	const capacity = 16 << 10
+	versions := backuptest.Materialize(t, backuptest.SmallWorkload(10, 0))
+	chain := func(store container.Store) (*Engine, uint64) {
+		t.Helper()
+		e, err := New(Config{
+			Store: store, Recipes: backend.NewRecipeStore(backend.NewMem()), ContainerCapacity: capacity,
+			ChunkParams: chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var written uint64
+		for _, data := range versions {
+			rep, err := e.Backup(context.Background(), bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			written += rep.ContainerBytesWritten
+		}
+		return e, written
+	}
+	// The same chain on uncached stores gives its archival payload.
+	ref, written := chain(backend.NewContainerStore(backend.NewMem(), "", false))
+	archival := 0
+	for _, b := range ref.batches {
+		for _, id := range b.containers {
+			c, err := ref.cfg.Store.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			archival += c.DataSize()
+		}
+	}
+	budget := int64(archival + capacity)
+	if archival == 0 || written <= uint64(budget)+capacity {
+		t.Fatalf("test degenerate: %d bytes of archival images of %d written", archival, written)
+	}
+	log := &readLog{}
+	e, _ := chain(backend.NewContainerStore(log.wrap(backend.NewMem()), "", false).Cached(backend.NewCache(budget)))
+	log.take()
+	for v := len(versions); v >= 1; v-- {
+		backuptest.CheckRestoreOne(t, e, v, versions[v-1])
+	}
+	if reads := log.take(); len(reads) > 0 {
+		t.Errorf("the sweep read %d images from the backend: %v", len(reads), reads)
 	}
 }
 

@@ -4,7 +4,7 @@
 // and container storage, with per-version recipes for restore.
 //
 // The engine is parameterized by a fingerprint index (DDFS, Sparse
-// Indexing, SiLo), a rewriting scheme (none, capping, CBR, CFL, FBW, HAR)
+// Indexing, SiLo), a rewriting scheme (none, capping, FBW)
 // and a restore cache (container-LRU, chunk-LRU, FAA, ALACC), which spans
 // the whole baseline matrix of the paper's evaluation.
 package dedup
@@ -37,9 +37,7 @@ type Config struct {
 	ChunkParams chunker.Params
 	// Index classifies chunks (required).
 	Index index.Index
-	// Rewriter decides duplicate rewriting (default none). New sets the
-	// container size the utility-based schemes compute against to
-	// ContainerCapacity.
+	// Rewriter decides duplicate rewriting (default none).
 	Rewriter rewrite.Rewriter
 	// RestoreCache drives restores (default FAA, destor's default §5.3).
 	RestoreCache restorecache.Cache
@@ -102,7 +100,6 @@ func (c *Config) setDefaults() error {
 	if c.ContainerCapacity <= 0 {
 		c.ContainerCapacity = container.DefaultCapacity
 	}
-	rewrite.SetContainerCapacity(c.Rewriter, c.ContainerCapacity)
 	if c.HashWorkers <= 0 {
 		c.HashWorkers = 4
 	}
@@ -143,7 +140,6 @@ func New(cfg Config) (*Engine, error) {
 			Chunker:     cfg.Chunker,
 			ChunkParams: cfg.ChunkParams,
 			HashWorkers: cfg.HashWorkers,
-			Store:       cfg.Store,
 			CommitDepth: cfg.AsyncCommitDepth,
 			Metrics:     obs.NewBackupMetrics(cfg.Metrics),
 			Tracer:      cfg.Tracer,
@@ -178,7 +174,8 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	// opening these at full capacity lowered kernel-ddfs restore_mbps in
 	// 4/4 pairs on the 2-CPU reference host (−4 … −12 %), for a reason not
 	// yet known (ROADMAP, known unknown (f)).
-	session.open = &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: in.Writer.Put}
+	seal := func(c *container.Container) error { return in.Writer.Put(e.cfg.Store, c) }
+	session.open = &container.Packer{NextID: &e.nextCID, Capacity: e.cfg.ContainerCapacity, Seal: seal}
 	// No speculative probe: the indexes classify by segment, in order. No
 	// resident chunks either: this engine keeps none in memory, so a cut
 	// confirmed from the previous version is proven by its SHA-1.

@@ -11,7 +11,6 @@ import (
 	"hidestore/internal/container"
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/index/extbin"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 	"hidestore/internal/recipe"
@@ -36,12 +35,6 @@ func newIndex(t testing.TB, name string) index.Index {
 		return ix
 	case "silo":
 		ix, err := silo.New(silo.Options{SegmentsPerBlock: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	case "extbin":
-		ix, err := extbin.New(extbin.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +82,7 @@ func TestConfigValidation(t *testing.T) {
 // index.
 func TestBackupRestoreAllIndexes(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(6, 0))
-	for _, name := range []string{"ddfs", "sparse", "silo", "extbin"} {
+	for _, name := range []string{"ddfs", "sparse", "silo"} {
 		t.Run(name, func(t *testing.T) {
 			e, _, _ := newTestEngine(t, name, nil)
 			backuptest.BackupAll(t, e, versions)
@@ -102,7 +95,7 @@ func TestBackupRestoreAllIndexes(t *testing.T) {
 // scheme (with DDFS indexing, so only rewriting varies).
 func TestBackupRestoreAllRewriters(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(6, 0))
-	for _, name := range []string{"none", "capping", "cbr", "cfl", "fbw", "har"} {
+	for _, name := range []string{"none", "capping", "fbw"} {
 		t.Run(name, func(t *testing.T) {
 			rw, err := rewrite.New(name)
 			if err != nil {
@@ -320,36 +313,4 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	versions := backuptest.Materialize(t, backuptest.SmallWorkload(4, 0))
 	backuptest.BackupAll(t, e, versions)
 	backuptest.CheckRestoreAll(t, e, versions)
-}
-
-// TestNewSizesRewriterToContainers: the utility-based rewriters come out
-// of rewrite.New at the 4 MiB default, so New must hand them the engine's
-// own container size, or CBR, CFL and HAR judge 1 MiB containers as a
-// quarter full at best.
-func TestNewSizesRewriterToContainers(t *testing.T) {
-	for _, name := range []string{"cbr", "cfl", "har"} {
-		rw, err := rewrite.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(Config{
-			Index: newIndex(t, "ddfs"), Rewriter: rw, Store: container.NewMemStore(),
-			Recipes: recipe.NewMemStore(), ContainerCapacity: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got int
-		switch r := e.cfg.Rewriter.(type) {
-		case *rewrite.CBR:
-			got = r.ContainerCapacity
-		case *rewrite.CFL:
-			got = r.ContainerCapacity
-		case *rewrite.HAR:
-			got = r.ContainerCapacity
-		}
-		if got != 1<<20 {
-			t.Errorf("%s computes against %d-byte containers, the engine's are %d", name, got, 1<<20)
-		}
-	}
 }

@@ -32,7 +32,6 @@ import (
 	"hidestore/internal/fp"
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/index/extbin"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 	"hidestore/internal/obs"
@@ -151,8 +150,6 @@ func newBaselineIndex(name string) (index.Index, error) {
 		return sparse.New(sparse.Options{})
 	case "silo":
 		return silo.New(silo.Options{CacheBlocks: 4})
-	case "extbin":
-		return extbin.New(extbin.Options{})
 	case "hidestore":
 		return core.NewIndexView(1), nil
 	default:

@@ -9,7 +9,6 @@ import (
 	"hidestore/internal/fp"
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/index/extbin"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 )
@@ -29,12 +28,8 @@ func benchIndexes(b *testing.B) map[string]index.Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eb, err := extbin.New(extbin.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	return map[string]index.Index{
-		"ddfs": d, "sparse": sp, "silo": si, "extbin": eb,
+		"ddfs": d, "sparse": sp, "silo": si,
 		"hidestore": core.NewIndexView(1),
 	}
 }

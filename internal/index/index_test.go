@@ -8,7 +8,6 @@ import (
 	"hidestore/internal/fp"
 	"hidestore/internal/index"
 	"hidestore/internal/index/ddfs"
-	"hidestore/internal/index/extbin"
 	"hidestore/internal/index/silo"
 	"hidestore/internal/index/sparse"
 )
@@ -28,11 +27,7 @@ func makeIndexes(t *testing.T) map[string]index.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := extbin.New(extbin.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]index.Index{"ddfs": d, "sparse": sp, "silo": si, "extbin": eb}
+	return map[string]index.Index{"ddfs": d, "sparse": sp, "silo": si}
 }
 
 func segment(version, start, n int) []index.ChunkRef {

@@ -233,6 +233,3 @@ func (ix *Index) MemoryBytes() int64 {
 
 // Manifests returns the number of stored manifests (test hook).
 func (ix *Index) Manifests() int { return len(ix.manifests) }
-
-// Hooks returns the number of distinct hooks (test hook).
-func (ix *Index) Hooks() int { return len(ix.sparse) }

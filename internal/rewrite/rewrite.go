@@ -1,7 +1,6 @@
 // Package rewrite implements the duplicate-rewriting schemes the paper
-// compares HiDeStore against (§2.3, §5): Capping, CBR, CFL-based selective
-// rewriting, FBW (sliding look-back window) and HAR (history-aware
-// rewriting).
+// compares HiDeStore against (§5.3): Capping and FBW (ALACC's sliding
+// look-back window).
 //
 // Rewriting attacks chunk fragmentation from the write path: a duplicate
 // chunk whose existing copy lives in a container that contributes little
@@ -45,14 +44,13 @@ type Stats struct {
 
 // Rewriter decides which duplicates to rewrite.
 type Rewriter interface {
-	// Name identifies the scheme ("none", "capping", "cbr", "cfl", "fbw",
-	// "har").
+	// Name identifies the scheme ("none", "capping", "fbw").
 	Name() string
 	// Plan returns a slice the same length as seg; true at i means seg[i]
 	// (which must be a duplicate) should be rewritten.
 	Plan(seg []Chunk) []bool
 	// Committed tells the rewriter the final placement of the segment's
-	// chunks, so history-based schemes can track container usage.
+	// chunks. No scheme here reads it.
 	Committed(seg []Chunk, cids []container.ID)
 	// EndVersion marks a backup-version boundary.
 	EndVersion()
@@ -67,31 +65,10 @@ func New(name string) (Rewriter, error) {
 		return NewNone(), nil
 	case "capping":
 		return NewCapping(0), nil
-	case "cbr":
-		return NewCBR(), nil
-	case "cfl":
-		return NewCFL(), nil
 	case "fbw":
 		return NewFBW(), nil
-	case "har":
-		return NewHAR(), nil
 	default:
 		return nil, &UnknownSchemeError{Name: name}
-	}
-}
-
-// SetContainerCapacity sets the container size the utility-based
-// schemes (CBR, CFL, HAR) compute against; New builds them at
-// container.DefaultCapacity, and an engine with other containers resets
-// it here. Other schemes do not look at the container size.
-func SetContainerCapacity(rw Rewriter, capacity int) {
-	switch r := rw.(type) {
-	case *CBR:
-		r.ContainerCapacity = capacity
-	case *CFL:
-		r.ContainerCapacity = capacity
-	case *HAR:
-		r.ContainerCapacity = capacity
 	}
 }
 

@@ -37,7 +37,7 @@ func countTrue(plan []bool) int {
 }
 
 func TestNewFactory(t *testing.T) {
-	for _, name := range []string{"none", "capping", "cbr", "cfl", "fbw", "har"} {
+	for _, name := range []string{"none", "capping", "fbw"} {
 		r, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%s): %v", name, err)
@@ -124,89 +124,6 @@ func TestCappingIgnoresUniquesAndPending(t *testing.T) {
 	}
 }
 
-func TestCBRRewritesSparseContainers(t *testing.T) {
-	r := NewCBR()
-	r.ContainerCapacity = 100 * 4096 // utility denominator
-	// Container 1: densely used (80 chunks => utility 0.8 >= 0.7).
-	// Container 2: sparsely used (2 chunks => utility 0.02).
-	var seg []Chunk
-	for i := 0; i < 80; i++ {
-		seg = append(seg, dupChunk("dense-"+strconv.Itoa(i), 4096, 1))
-	}
-	seg = append(seg, dupChunk("sparse-a", 4096, 2), dupChunk("sparse-b", 4096, 2))
-	plan := r.Plan(seg)
-	for i := 0; i < 80; i++ {
-		if plan[i] {
-			t.Fatal("dense container duplicate rewritten")
-		}
-	}
-	if !plan[80] || !plan[81] {
-		t.Fatal("sparse container duplicates should be rewritten")
-	}
-}
-
-func TestCBRBudgetBound(t *testing.T) {
-	r := NewCBR()
-	r.ContainerCapacity = 1 << 30 // everything looks sparse
-	seg := segSpread(100, 100, 4096)
-	plan := r.Plan(seg)
-	var segBytes, rewritten uint64
-	for i, ch := range seg {
-		segBytes += uint64(ch.Size)
-		if plan[i] {
-			rewritten += uint64(ch.Size)
-		}
-	}
-	if rewritten == 0 {
-		t.Fatal("expected some rewrites")
-	}
-	if float64(rewritten) > 0.05*float64(segBytes) {
-		t.Fatalf("rewrote %d bytes, budget is 5%% of %d", rewritten, segBytes)
-	}
-}
-
-func TestCFLLevelPerfectWhenDense(t *testing.T) {
-	r := NewCFL()
-	r.ContainerCapacity = 10 * 4096
-	// All chunks unique: stream is stored contiguously, CFL stays 1.
-	var seg []Chunk
-	for i := 0; i < 100; i++ {
-		seg = append(seg, uniqueChunk("u"+strconv.Itoa(i), 4096))
-	}
-	plan := r.Plan(seg)
-	if countTrue(plan) != 0 {
-		t.Fatal("dense stream must not trigger rewrites")
-	}
-	if lvl := r.Level(); lvl < 0.9 {
-		t.Fatalf("Level = %v, want near 1", lvl)
-	}
-}
-
-func TestCFLRewritesWhenFragmented(t *testing.T) {
-	r := NewCFL()
-	r.ContainerCapacity = 1000 * 4096
-	// 100 duplicates scattered over 50 containers: optimal would be ~0.1
-	// containers, actual 50 → CFL ≈ 0. Selective rewriting engages.
-	seg := segSpread(100, 50, 4096)
-	plan := r.Plan(seg)
-	if lvl := r.Level(); lvl >= r.Threshold {
-		t.Fatalf("Level = %v, expected below threshold %v", lvl, r.Threshold)
-	}
-	if countTrue(plan) == 0 {
-		t.Fatal("fragmented stream should trigger rewrites")
-	}
-}
-
-func TestCFLEndVersionResets(t *testing.T) {
-	r := NewCFL()
-	r.ContainerCapacity = 1000 * 4096
-	r.Plan(segSpread(100, 50, 4096))
-	r.EndVersion()
-	if lvl := r.Level(); lvl != 1.0 {
-		t.Fatalf("Level after EndVersion = %v, want 1.0", lvl)
-	}
-}
-
 func TestFBWKeepsWindowWarmContainers(t *testing.T) {
 	f := NewFBW()
 	f.BaseCap = 2
@@ -245,61 +162,6 @@ func TestFBWWindowSlides(t *testing.T) {
 	f.EndVersion()
 	if f.window != nil {
 		t.Fatal("EndVersion should clear the window")
-	}
-}
-
-func TestHARFirstVersionNoRewrites(t *testing.T) {
-	h := NewHAR()
-	seg := segSpread(100, 50, 4096)
-	if countTrue(h.Plan(seg)) != 0 {
-		t.Fatal("HAR has no history in the first version")
-	}
-}
-
-func TestHARRewritesInheritedSparseContainers(t *testing.T) {
-	h := NewHAR()
-	h.ContainerCapacity = 100 * 4096
-	// Version 1: container 1 used densely (60%), container 2 sparsely (2%).
-	var seg []Chunk
-	cids := make([]container.ID, 0, 62)
-	for i := 0; i < 60; i++ {
-		seg = append(seg, dupChunk("d"+strconv.Itoa(i), 4096, 1))
-		cids = append(cids, 1)
-	}
-	seg = append(seg, dupChunk("s1", 4096, 2), dupChunk("s2", 4096, 2))
-	cids = append(cids, 2, 2)
-	h.Plan(seg)
-	h.Committed(seg, cids)
-	h.EndVersion()
-	if h.SparseContainers() != 1 {
-		t.Fatalf("SparseContainers = %d, want 1", h.SparseContainers())
-	}
-	// Version 2 references both containers again.
-	seg2 := []Chunk{dupChunk("x", 4096, 1), dupChunk("y", 4096, 2)}
-	plan := h.Plan(seg2)
-	if plan[0] {
-		t.Fatal("dense container should not be rewritten")
-	}
-	if !plan[1] {
-		t.Fatal("sparse container duplicate should be rewritten")
-	}
-}
-
-func TestHARRewrittenChunksCountTowardNewContainer(t *testing.T) {
-	h := NewHAR()
-	h.ContainerCapacity = 10 * 4096
-	// Chunks originally in sparse container 5, rewritten into container 9
-	// which becomes dense — so 9 must not be sparse next version.
-	var seg []Chunk
-	cids := make([]container.ID, 0, 10)
-	for i := 0; i < 10; i++ {
-		seg = append(seg, dupChunk("r"+strconv.Itoa(i), 4096, 5))
-		cids = append(cids, 9)
-	}
-	h.Committed(seg, cids)
-	h.EndVersion()
-	if h.SparseContainers() != 0 {
-		t.Fatalf("container 9 is dense; SparseContainers = %d", h.SparseContainers())
 	}
 }
 
